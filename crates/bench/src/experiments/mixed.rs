@@ -9,21 +9,18 @@
 //!   heterogeneous `QueryPlan::Batch` in one call: one shared scheduling
 //!   traversal pass, one megacell grid, and one acceleration structure per
 //!   *distinct* AABB width, all cached;
-//! * **six engines** — the legacy shape: one fused single-plan engine per
-//!   `(radius, kind)` configuration, each paying its own global structure
-//!   build, its own grid, and its own scheduling pass.
+//! * **six engines** — one fresh single-plan `Index` per `(radius, kind)`
+//!   configuration (the shape of a fused one-config engine), each paying
+//!   its own global structure build, its own grid, and its own scheduling
+//!   pass.
 //!
 //! Reported: total and per-plan amortized simulated milliseconds, host
 //! wall-clock milliseconds, and structure builds — plus the speedup factor
 //! `six engines / one index` that `results/summary.json` tracks across PRs.
 
-#![allow(deprecated)] // the legacy engine is exactly the baseline measured
-
 use crate::report::{fmt_ms, fmt_speedup, FigureReport, Table};
 use crate::scale::ExperimentScale;
-use rtnn::{
-    EngineConfig, GpusimBackend, Index, PlanSlice, QueryPlan, Rtnn, RtnnConfig, SearchParams,
-};
+use rtnn::{EngineConfig, GpusimBackend, Index, PlanSlice, QueryPlan};
 use rtnn_data::uniform::{self, UniformParams};
 use rtnn_gpusim::Device;
 use rtnn_math::Vec3;
@@ -82,20 +79,18 @@ pub fn run(scale: &ExperimentScale) -> FigureReport {
     let batch_sim_ms = batch_results.total_time_ms();
     let batch_structures = index.cached_structures();
 
-    // Six fused single-plan engines (the legacy shape).
+    // Six single-plan engines: a fresh index per plan.
     let mut engines_sim_ms = 0.0;
     let mut engines_bvh_ms = 0.0;
     let host_start = std::time::Instant::now();
     for slice in &slices {
-        let params: SearchParams = slice.plan.params().expect("non-batch slice");
         let slice_queries: Vec<Vec3> = slice
             .query_ids
             .iter()
             .map(|&q| queries[q as usize])
             .collect();
-        let engine = Rtnn::new(&device, RtnnConfig::new(params));
-        let results = engine
-            .search(&points, &slice_queries)
+        let results = Index::build(&backend, &points[..], EngineConfig::default())
+            .query(&slice_queries, &slice.plan)
             .expect("per-plan engine fits the device");
         engines_sim_ms += results.total_time_ms();
         engines_bvh_ms += results.breakdown.bvh_ms;

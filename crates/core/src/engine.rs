@@ -1,27 +1,12 @@
-//! The legacy single-plan engine, kept as thin deprecated shims over the
-//! two-level [`Index`](crate::Index) / [`QueryPlan`] API.
-//!
-//! [`Rtnn`] fuses scene and query: one `(radius, K, mode)` is baked into
-//! the engine at construction, so every new radius or K means a new engine
-//! and a redundant structure rebuild. New code should build an
-//! [`Index`](crate::Index) once and pass typed plans per call (see the
-//! README migration table); [`Rtnn::search`] / [`Rtnn::search_prepared`]
-//! remain so existing callers keep compiling and keep getting bit-identical
-//! results — they run the exact same execution core.
+//! Engine-wide vocabulary shared by every entry point: the paper's
+//! optimisation levels ([`OptLevel`]), the error a search reports
+//! ([`SearchError`]), and the fixed search a streaming index answers every
+//! frame ([`RtnnConfig`]).
 
-use crate::approx::ApproxMode;
-use crate::backend::GpusimBackend;
-use crate::index::{AccelStore, EngineConfig, SceneRefs};
-use crate::megacell::MegacellGrid;
-use crate::partition::{KnnAabbRule, MegacellCache};
-use crate::pipeline::ExecutionPipeline;
+use crate::index::EngineConfig;
 use crate::plan::{PlanError, QueryPlan};
-use crate::result::{SearchParams, SearchResults};
-use rtnn_bvh::BuildParams;
+use crate::result::SearchParams;
 use rtnn_gpusim::device::OutOfDeviceMemory;
-use rtnn_gpusim::Device;
-use rtnn_math::{Aabb, Vec3};
-use rtnn_optix::Gas;
 
 /// Which of the paper's optimisations are enabled — the five configurations
 /// compared in Figure 13 (the `Oracle` variant is an exhaustive search over
@@ -75,96 +60,30 @@ impl OptLevel {
     }
 }
 
-/// The legacy all-in-one configuration: per-query search parameters fused
-/// with engine-wide tuning. New code should hold an
-/// [`EngineConfig`] and pass per-call
-/// [`QueryPlan`]s instead; [`RtnnConfig::engine`] and
-/// [`RtnnConfig::plan`] split a legacy config into the two halves.
+/// A fixed search bundled with the engine configuration it runs under —
+/// what a `DynamicIndex` answers every frame (any other plan goes through
+/// a per-call [`QueryPlan`] on an [`Index`](crate::Index)).
 #[derive(Debug, Clone, Copy)]
 pub struct RtnnConfig {
     /// Search radius, K, and variant.
     pub params: SearchParams,
-    /// Which optimisations to enable.
-    pub opt: OptLevel,
-    /// BVH builder configuration.
-    pub build: BuildParams,
-    /// How KNN partition AABB widths are derived (default: guaranteed-exact).
-    pub knn_rule: KnnAabbRule,
-    /// Approximation mode (default: exact).
-    pub approx: ApproxMode,
-    /// Grid-resolution budget for the megacell pass (stands in for the GPU
-    /// memory cap the paper mentions).
-    pub grid_max_cells: usize,
+    /// Engine-wide tuning.
+    pub engine: EngineConfig,
 }
 
 impl RtnnConfig {
-    /// A configuration with every optimisation enabled and exact results.
+    /// `params` under the default engine configuration (every optimisation
+    /// enabled, exact results).
     pub fn new(params: SearchParams) -> Self {
         RtnnConfig {
             params,
-            opt: OptLevel::Full,
-            build: BuildParams::default(),
-            knn_rule: KnnAabbRule::default(),
-            approx: ApproxMode::default(),
-            grid_max_cells: 1 << 21,
+            engine: EngineConfig::default(),
         }
     }
 
-    /// Set the optimisation level.
-    pub fn with_opt(mut self, opt: OptLevel) -> Self {
-        self.opt = opt;
-        self
-    }
-
-    /// Set the KNN AABB rule.
-    pub fn with_knn_rule(mut self, rule: KnnAabbRule) -> Self {
-        self.knn_rule = rule;
-        self
-    }
-
-    /// Set the approximation mode.
-    pub fn with_approx(mut self, approx: ApproxMode) -> Self {
-        self.approx = approx;
-        self
-    }
-
-    /// Set the megacell grid budget.
-    ///
-    /// # Panics
-    ///
-    /// Panics on `cells == 0` with a clear message (a zero budget used to
-    /// be accepted silently); hand-assembled configs are additionally
-    /// rejected with [`PlanError::ZeroGridBudget`] at search time.
-    pub fn with_grid_max_cells(mut self, cells: usize) -> Self {
-        self.grid_max_cells = crate::index::checked_grid_budget(cells);
-        self
-    }
-
-    /// The engine-wide half of this configuration (everything except the
-    /// per-query search parameters).
-    pub fn engine(&self) -> EngineConfig {
-        EngineConfig {
-            opt: self.opt,
-            build: self.build,
-            knn_rule: self.knn_rule,
-            approx: self.approx,
-            grid_max_cells: self.grid_max_cells,
-            // The legacy one-config engine always selects stages statically;
-            // adaptive selection lives on `DynamicIndex::enable_auto` and
-            // `EngineConfig::auto`.
-            tuning: crate::autotune::Tuning::Static,
-        }
-    }
-
-    /// The per-query half of this configuration as a typed plan.
+    /// The search parameters as a typed plan.
     pub fn plan(&self) -> QueryPlan {
         QueryPlan::from_params(self.params)
-    }
-
-    /// The full AABB width the global acceleration structure uses for this
-    /// configuration (`2r` scaled by the approximation mode).
-    pub fn global_aabb_width(&self) -> f32 {
-        2.0 * self.params.radius * self.approx.aabb_width_factor()
     }
 }
 
@@ -199,438 +118,5 @@ impl From<OutOfDeviceMemory> for SearchError {
 impl From<PlanError> for SearchError {
     fn from(e: PlanError) -> Self {
         SearchError::InvalidPlan(e)
-    }
-}
-
-/// A scene whose expensive per-search state is owned and maintained by the
-/// caller across query rounds, handed to [`Rtnn::search_prepared`].
-///
-/// This is the engine-side half of the streaming contract: the caller (the
-/// `rtnn-dynamic` crate's `DynamicIndex`) keeps the global acceleration
-/// structure alive between frames — refitting it in place when points drift,
-/// rebuilding it when quality degrades — and keeps the megacell grid plus a
-/// per-query megacell cache that is invalidated incrementally from the
-/// grid's dirty region rather than recomputed wholesale.
-pub struct PreparedScene<'a> {
-    /// The global acceleration structure over the current point positions,
-    /// with one width-[`Rtnn::global_aabb_width`] cube per point.
-    pub gas: &'a Gas,
-    /// Simulated milliseconds the caller spent maintaining `gas` for this
-    /// frame (refit or rebuild time); charged to the `BVH` breakdown slot.
-    pub structure_ms: f64,
-    /// Prebuilt megacell state for the partitioning pass (`None` falls back
-    /// to growing a fresh grid inside the search, or is ignored entirely
-    /// below [`OptLevel::SchedPartition`]).
-    pub megacells: Option<PreparedMegacells<'a>>,
-}
-
-/// Megacell state carried across frames (see [`PreparedScene`]).
-pub struct PreparedMegacells<'a> {
-    /// Grid over the current point positions (built once, then refreshed
-    /// incrementally with [`MegacellGrid::refresh`]).
-    pub grid: &'a MegacellGrid,
-    /// Bounds of every grid cell whose population changed since the cache
-    /// entries were written ([`Aabb::EMPTY`] when none did).
-    pub dirty_region: Aabb,
-    /// Per-query megacell results from earlier frames; updated in place.
-    pub cache: &'a mut MegacellCache,
-}
-
-/// The legacy RTNN search engine, bound to a simulated device. A thin shim
-/// over the [`Index`](crate::Index) execution core — see the module docs
-/// and the README migration table.
-#[derive(Debug, Clone)]
-pub struct Rtnn<'d> {
-    device: &'d Device,
-    backend: GpusimBackend<'d>,
-    config: RtnnConfig,
-}
-
-impl<'d> Rtnn<'d> {
-    /// Create an engine.
-    pub fn new(device: &'d Device, config: RtnnConfig) -> Self {
-        Rtnn {
-            device,
-            backend: GpusimBackend::new(device),
-            config,
-        }
-    }
-
-    /// The engine's configuration.
-    pub fn config(&self) -> &RtnnConfig {
-        &self.config
-    }
-
-    /// The device the engine runs on.
-    pub fn device(&self) -> &Device {
-        self.device
-    }
-
-    /// The full AABB width the global acceleration structure uses for this
-    /// configuration (`2r` scaled by the approximation mode). A reusable
-    /// index ([`Rtnn::search_prepared`]) must build/refit its GAS at exactly
-    /// this width.
-    pub fn global_aabb_width(&self) -> f32 {
-        self.config.global_aabb_width()
-    }
-
-    /// Run the search: for every query, find its neighbors among `points`
-    /// according to the configured [`SearchParams`].
-    #[deprecated(
-        note = "build an `Index` once and pass a per-call `QueryPlan` instead: \
-                `Index::build(&backend, points, config.engine()).query(queries, &config.plan())` \
-                — see the README migration table"
-    )]
-    pub fn search(&self, points: &[Vec3], queries: &[Vec3]) -> Result<SearchResults, SearchError> {
-        let mut store = AccelStore::new();
-        let config = self.config.engine();
-        ExecutionPipeline::new(&self.backend, &config).execute(
-            self.config.params,
-            points,
-            queries,
-            &mut store,
-            SceneRefs::fresh(),
-        )
-    }
-
-    /// Run the search against a *persistent* scene whose global acceleration
-    /// structure (and optionally megacell grid + per-query megacell cache)
-    /// is maintained across query rounds by the caller. Instead of building
-    /// the global GAS from scratch, the prepared structure is traversed
-    /// directly and the caller-supplied maintenance cost (`structure_ms`)
-    /// is charged to the `BVH` component of the breakdown.
-    ///
-    /// The caller guarantees that `prepared.gas` holds one width-
-    /// [`Rtnn::global_aabb_width`] cube per point at the points' *current*
-    /// positions, and that a supplied megacell grid was built/refreshed over
-    /// the current positions.
-    #[deprecated(
-        note = "use `Index::adopt` (or `DynamicIndex::as_index`) and `Index::query` with a \
-                per-call `QueryPlan` — see the README migration table"
-    )]
-    pub fn search_prepared(
-        &self,
-        points: &[Vec3],
-        queries: &[Vec3],
-        prepared: PreparedScene<'_>,
-    ) -> Result<SearchResults, SearchError> {
-        debug_assert_eq!(prepared.gas.num_primitives(), points.len());
-        let mut store = AccelStore::new();
-        store.adopt_gas(prepared.gas, self.global_aabb_width());
-        let (grid, dirty_region, cache) = match prepared.megacells {
-            Some(pm) => (Some(pm.grid), pm.dirty_region, Some(pm.cache)),
-            None => (None, Aabb::EMPTY, None),
-        };
-        let config = self.config.engine();
-        ExecutionPipeline::new(&self.backend, &config).execute(
-            self.config.params,
-            points,
-            queries,
-            &mut store,
-            SceneRefs {
-                structure_ms: prepared.structure_ms,
-                grid,
-                dirty_region,
-                cache,
-            },
-        )
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    #![allow(deprecated)] // the shims are exactly what these tests exercise
-
-    use super::*;
-    use crate::verify::check_all;
-    use rtnn_parallel::par_map;
-
-    fn grid_points(n_per_axis: usize, spacing: f32) -> Vec<Vec3> {
-        let mut pts = Vec::new();
-        for x in 0..n_per_axis {
-            for y in 0..n_per_axis {
-                for z in 0..n_per_axis {
-                    pts.push(Vec3::new(x as f32, y as f32, z as f32) * spacing);
-                }
-            }
-        }
-        pts
-    }
-
-    fn point_aabbs(points: &[Vec3], width: f32) -> Vec<Aabb> {
-        par_map(points.len(), |i| Aabb::cube(points[i], width))
-    }
-
-    fn run(
-        params: SearchParams,
-        opt: OptLevel,
-        points: &[Vec3],
-        queries: &[Vec3],
-    ) -> SearchResults {
-        let device = Device::rtx_2080();
-        let engine = Rtnn::new(&device, RtnnConfig::new(params).with_opt(opt));
-        engine.search(points, queries).unwrap()
-    }
-
-    #[test]
-    fn range_search_matches_oracle_at_every_opt_level() {
-        let points = grid_points(7, 1.0);
-        let queries: Vec<Vec3> = points.iter().step_by(3).copied().collect();
-        let params = SearchParams::range(1.6, 64);
-        for opt in OptLevel::all() {
-            let results = run(params, opt, &points, &queries);
-            check_all(&points, &queries, &params, &results.neighbors)
-                .unwrap_or_else(|(q, e)| panic!("{opt:?}, query {q}: {e}"));
-        }
-    }
-
-    #[test]
-    fn knn_search_matches_oracle_at_every_opt_level() {
-        let points = grid_points(7, 0.5);
-        let queries: Vec<Vec3> = points.iter().step_by(5).copied().collect();
-        let params = SearchParams::knn(1.2, 10);
-        for opt in OptLevel::all() {
-            let results = run(params, opt, &points, &queries);
-            check_all(&points, &queries, &params, &results.neighbors)
-                .unwrap_or_else(|(q, e)| panic!("{opt:?}, query {q}: {e}"));
-        }
-    }
-
-    #[test]
-    fn range_search_respects_the_k_cap() {
-        let points = grid_points(6, 0.3);
-        let queries = vec![Vec3::new(0.9, 0.9, 0.9)];
-        let params = SearchParams::range(1.0, 5);
-        let results = run(params, OptLevel::Full, &points, &queries);
-        assert_eq!(results.neighbors[0].len(), 5);
-        check_all(&points, &queries, &params, &results.neighbors).unwrap();
-    }
-
-    #[test]
-    fn empty_inputs_are_handled() {
-        let device = Device::rtx_2080();
-        let engine = Rtnn::new(&device, RtnnConfig::new(SearchParams::range(1.0, 4)));
-        let no_queries = engine.search(&[Vec3::ZERO], &[]).unwrap();
-        assert!(no_queries.neighbors.is_empty());
-        let no_points = engine.search(&[], &[Vec3::ZERO, Vec3::ONE]).unwrap();
-        assert_eq!(no_points.neighbors.len(), 2);
-        assert!(no_points.neighbors.iter().all(Vec::is_empty));
-    }
-
-    #[test]
-    fn invalid_configs_are_rejected() {
-        let device = Device::rtx_2080();
-        let bad_radius = Rtnn::new(&device, RtnnConfig::new(SearchParams::range(-1.0, 4)));
-        assert!(matches!(
-            bad_radius.search(&[Vec3::ZERO], &[Vec3::ZERO]),
-            Err(SearchError::InvalidPlan(PlanError::InvalidRadius { .. }))
-        ));
-        let bad_approx = Rtnn::new(
-            &device,
-            RtnnConfig::new(SearchParams::range(1.0, 4))
-                .with_approx(ApproxMode::ShrunkenAabb { factor: 2.0 }),
-        );
-        let err = bad_approx.search(&[Vec3::ZERO], &[Vec3::ZERO]).unwrap_err();
-        assert!(err.to_string().contains("invalid configuration"));
-    }
-
-    #[test]
-    #[should_panic(expected = "grid_max_cells must be a positive cell budget")]
-    fn zero_grid_budget_is_rejected_by_the_builder() {
-        let _ = RtnnConfig::new(SearchParams::range(1.0, 4)).with_grid_max_cells(0);
-    }
-
-    #[test]
-    fn breakdown_components_reflect_the_opt_level() {
-        let points = grid_points(8, 1.0);
-        let queries = points.clone();
-        let params = SearchParams::knn(2.0, 8);
-        let noopt = run(params, OptLevel::NoOpt, &points, &queries);
-        assert_eq!(noopt.breakdown.fs_ms, 0.0);
-        assert_eq!(noopt.breakdown.opt_ms, 0.0);
-        assert_eq!(noopt.num_partitions, 1);
-        let sched = run(params, OptLevel::Sched, &points, &queries);
-        assert!(sched.breakdown.fs_ms > 0.0);
-        assert!(sched.breakdown.opt_ms > 0.0);
-        let full = run(params, OptLevel::Full, &points, &queries);
-        assert!(full.num_partitions >= 1);
-        assert!(full.num_bundles <= full.num_partitions);
-        assert!(full.breakdown.total_ms() > 0.0);
-        assert!(full.breakdown.data_ms > 0.0);
-    }
-
-    #[test]
-    fn partitioning_reduces_is_calls_on_dense_clouds() {
-        // Observation 2 turned into the Section 5 optimisation: per-partition
-        // AABBs are smaller than 2r, so the search does fewer IS calls.
-        let points = grid_points(10, 0.25);
-        let queries = points.clone();
-        let params = SearchParams::knn(2.0, 8);
-        let sched = run(params, OptLevel::Sched, &points, &queries);
-        let part = run(params, OptLevel::SchedPartition, &points, &queries);
-        assert!(
-            part.search_metrics.is_calls < sched.search_metrics.is_calls,
-            "partitioned {} vs global {}",
-            part.search_metrics.is_calls,
-            sched.search_metrics.is_calls
-        );
-        check_all(&points, &queries, &params, &part.neighbors)
-            .unwrap_or_else(|(q, e)| panic!("query {q}: {e}"));
-    }
-
-    #[test]
-    fn approximate_modes_trade_recall_for_speed_within_bounds() {
-        let points = grid_points(8, 0.5);
-        let queries: Vec<Vec3> = points.iter().step_by(7).copied().collect();
-        let params = SearchParams::range(1.0, 1000);
-        let device = Device::rtx_2080();
-        let exact = Rtnn::new(&device, RtnnConfig::new(params).with_opt(OptLevel::Sched))
-            .search(&points, &queries)
-            .unwrap();
-        // Shrunken AABBs: subset of the exact result, never outside r.
-        let shrunk = Rtnn::new(
-            &device,
-            RtnnConfig::new(params)
-                .with_opt(OptLevel::Sched)
-                .with_approx(ApproxMode::ShrunkenAabb { factor: 0.6 }),
-        )
-        .search(&points, &queries)
-        .unwrap();
-        for (qi, q) in queries.iter().enumerate() {
-            let exact_set: std::collections::HashSet<u32> =
-                exact.neighbors[qi].iter().copied().collect();
-            for &id in &shrunk.neighbors[qi] {
-                assert!(exact_set.contains(&id));
-                assert!(q.distance(points[id as usize]) < params.radius);
-            }
-            assert!(shrunk.neighbors[qi].len() <= exact.neighbors[qi].len());
-        }
-        // Skipped sphere test: superset within sqrt(3) * r.
-        let skipped = Rtnn::new(
-            &device,
-            RtnnConfig::new(params)
-                .with_opt(OptLevel::Sched)
-                .with_approx(ApproxMode::SkipSphereTest),
-        )
-        .search(&points, &queries)
-        .unwrap();
-        let bound = ApproxMode::SkipSphereTest.distance_bound(params.radius) + 1e-5;
-        for (qi, q) in queries.iter().enumerate() {
-            assert!(skipped.neighbors[qi].len() >= exact.neighbors[qi].len());
-            for &id in &skipped.neighbors[qi] {
-                assert!(q.distance(points[id as usize]) <= bound);
-            }
-        }
-        // And it does less shader work than the exact search.
-        assert!(skipped.search_metrics.kernel.sm_cycles < exact.search_metrics.kernel.sm_cycles);
-    }
-
-    #[test]
-    fn knn_heuristic_rules_still_produce_bounded_results() {
-        // The paper's equi-volume heuristic is not guaranteed exact, but all
-        // returned neighbors must respect the radius bound and count cap.
-        let points = grid_points(8, 0.5);
-        let queries: Vec<Vec3> = points.iter().step_by(3).copied().collect();
-        let params = SearchParams::knn(1.5, 6);
-        let device = Device::rtx_2080();
-        let results = Rtnn::new(
-            &device,
-            RtnnConfig::new(params).with_knn_rule(KnnAabbRule::EquiVolume),
-        )
-        .search(&points, &queries)
-        .unwrap();
-        for (qi, q) in queries.iter().enumerate() {
-            assert!(results.neighbors[qi].len() <= params.k);
-            for &id in &results.neighbors[qi] {
-                assert!(q.distance(points[id as usize]) < params.radius);
-            }
-        }
-    }
-
-    #[test]
-    fn prepared_search_matches_batch_search_and_charges_structure_time() {
-        let points = grid_points(7, 0.8);
-        let queries: Vec<Vec3> = points.iter().step_by(2).copied().collect();
-        let device = Device::rtx_2080();
-        for params in [SearchParams::knn(1.5, 6), SearchParams::range(1.5, 64)] {
-            for opt in OptLevel::all() {
-                let engine = Rtnn::new(&device, RtnnConfig::new(params).with_opt(opt));
-                let batch = engine.search(&points, &queries).unwrap();
-
-                let gas = Gas::build(
-                    &device,
-                    &point_aabbs(&points, engine.global_aabb_width()),
-                    engine.config().build,
-                )
-                .unwrap();
-                let grid = MegacellGrid::build(&points, engine.config().grid_max_cells).unwrap();
-                let mut cache = MegacellCache::new(queries.len());
-                let prepared = engine
-                    .search_prepared(
-                        &points,
-                        &queries,
-                        PreparedScene {
-                            gas: &gas,
-                            structure_ms: 0.01,
-                            megacells: Some(PreparedMegacells {
-                                grid: &grid,
-                                dirty_region: Aabb::EMPTY,
-                                cache: &mut cache,
-                            }),
-                        },
-                    )
-                    .unwrap();
-                assert_eq!(
-                    prepared.neighbors, batch.neighbors,
-                    "{params:?} {opt:?}: prepared search must be bit-identical"
-                );
-                // The caller-supplied maintenance cost replaces the build
-                // time of the global structure.
-                assert!(prepared.breakdown.bvh_ms >= 0.01);
-                assert!(prepared.breakdown.bvh_ms < batch.breakdown.bvh_ms);
-            }
-        }
-    }
-
-    #[test]
-    fn oom_is_reported_for_clouds_that_do_not_fit() {
-        let device = Device::tiny_test_device(); // 256 MB
-        let engine = Rtnn::new(&device, RtnnConfig::new(SearchParams::knn(1.0, 1_000_000)));
-        // 30M queries * 1M results would need terabytes; the footprint check
-        // fires before any allocation happens host-side.
-        let points = vec![Vec3::ZERO; 8];
-        let queries = vec![Vec3::ZERO; 100_000];
-        assert!(matches!(
-            engine.search(&points, &queries),
-            Err(SearchError::OutOfDeviceMemory(_))
-        ));
-    }
-
-    #[test]
-    fn legacy_shim_and_index_are_bit_identical() {
-        // The acceptance contract of the API redesign: the deprecated shim
-        // and the new per-plan path run the same execution core.
-        use crate::backend::GpusimBackend;
-        use crate::index::Index;
-        let device = Device::rtx_2080();
-        let backend = GpusimBackend::new(&device);
-        let points = grid_points(7, 0.7);
-        let queries: Vec<Vec3> = points.iter().step_by(3).copied().collect();
-        for params in [SearchParams::knn(1.4, 7), SearchParams::range(1.1, 64)] {
-            for opt in OptLevel::all() {
-                let config = RtnnConfig::new(params).with_opt(opt);
-                let legacy = Rtnn::new(&device, config)
-                    .search(&points, &queries)
-                    .unwrap();
-                let mut index = Index::build(&backend, &points[..], config.engine());
-                let modern = index.query(&queries, &config.plan()).unwrap();
-                assert_eq!(
-                    legacy.neighbors, modern.neighbors,
-                    "{params:?} {opt:?}: Index::query must be bit-equal to Rtnn::search"
-                );
-                assert_eq!(legacy.num_partitions, modern.num_partitions);
-                assert_eq!(legacy.num_bundles, modern.num_bundles);
-            }
-        }
     }
 }

@@ -1,10 +1,7 @@
 //! The persistent [`Index`]: build the scene-side state once, answer many
 //! typed [`QueryPlan`]s against it.
 //!
-//! The legacy `Rtnn` engine fused scene and query: one `(radius, K, mode)`
-//! was baked into the engine at construction, so every new radius or K
-//! meant a new engine and a redundant structure rebuild. The two-level API
-//! splits them:
+//! The API has two levels:
 //!
 //! * [`Index`] — built once from points (or adopted from a streaming
 //!   `DynamicIndex`), owning the acceleration structures (one per AABB
@@ -16,6 +13,10 @@
 //! Engine-wide tuning that is *not* per-query (optimisation level, KNN
 //! AABB rule, approximation mode, grid budget, BVH build knobs) lives in
 //! [`EngineConfig`].
+//!
+//! Every call runs through one driver: a single plan is a one-slice batch
+//! over every query, so single plans and heterogeneous batches share the
+//! same structure ensure, scheduling pass and per-slice stages.
 //!
 //! ```
 //! use rtnn::{EngineConfig, GpusimBackend, Index, QueryPlan};
@@ -46,19 +47,18 @@ use crate::engine::{OptLevel, SearchError};
 use crate::megacell::MegacellGrid;
 use crate::partition::{KnnAabbRule, MegacellCache};
 use crate::pipeline::{
-    host_ms_since, ExecutionPipeline, GatheredHits, PipelineTrace, ScheduleCx, StageKind,
-    StageOverrides,
+    assert_schedule_covers, ExecutionPipeline, GatheredHits, LaunchCx, PartitionCx, ScheduleCx,
+    StageKind, StageMeter, StageOverrides,
 };
-use crate::plan::{PlanError, PlanSlice, QueryPlan};
+use crate::plan::{PlanError, QueryPlan};
 use crate::result::{SearchParams, SearchResults, TimeBreakdown};
 use rtnn_bvh::BuildParams;
 use rtnn_gpusim::kernel::point_cloud_bytes;
 use rtnn_math::{Aabb, Vec3};
-use rtnn_optix::{Gas, LaunchMetrics};
+use rtnn_optix::LaunchMetrics;
 use rtnn_parallel::par_map_collect;
 use rtnn_telemetry::{ProfileSample, Telemetry};
 use std::borrow::Cow;
-use std::time::Instant;
 
 /// Engine-wide tuning, shared by every plan an [`Index`] serves. Per-query
 /// parameters (radius, K, variant) live in the [`QueryPlan`] instead.
@@ -144,8 +144,20 @@ impl EngineConfig {
     /// assembled by hand are additionally rejected with
     /// [`PlanError::ZeroGridBudget`] at query time.)
     pub fn with_grid_max_cells(mut self, cells: usize) -> Self {
-        self.grid_max_cells = checked_grid_budget(cells);
+        assert!(
+            cells >= 1,
+            "error: grid_max_cells must be a positive cell budget, got 0 \
+             (the megacell pass needs at least one grid cell)"
+        );
+        self.grid_max_cells = cells;
         self
+    }
+
+    /// The full AABB width of a radius-`radius` search: `2r` scaled by the
+    /// approximation mode. Every plan with this radius traverses the
+    /// structure built at this width.
+    pub fn aabb_width(&self, radius: f32) -> f32 {
+        2.0 * radius * self.approx.aabb_width_factor()
     }
 
     /// Validate the engine-wide knobs (approximation parameters, grid
@@ -159,18 +171,6 @@ impl EngineConfig {
     }
 }
 
-/// Shared builder-side rejection of a zero grid budget (used by both
-/// [`EngineConfig::with_grid_max_cells`] and the legacy
-/// `RtnnConfig::with_grid_max_cells`).
-pub(crate) fn checked_grid_budget(cells: usize) -> usize {
-    assert!(
-        cells >= 1,
-        "error: grid_max_cells must be a positive cell budget, got 0 \
-         (the megacell pass needs at least one grid cell)"
-    );
-    cells
-}
-
 // ---------------------------------------------------------------------------
 // Structure cache
 // ---------------------------------------------------------------------------
@@ -178,33 +178,20 @@ pub(crate) fn checked_grid_budget(cells: usize) -> usize {
 enum StoreEntry<'a> {
     Owned(Accel),
     Shared(&'a Accel),
-    SharedGas { gas: &'a Gas, aabb_width: f32 },
 }
 
-impl<'a> StoreEntry<'a> {
-    fn aabb_width_bits(&self) -> u32 {
+impl StoreEntry<'_> {
+    fn accel(&self) -> &Accel {
         match self {
-            StoreEntry::Owned(a) => a.aabb_width().to_bits(),
-            StoreEntry::Shared(a) => a.aabb_width().to_bits(),
-            StoreEntry::SharedGas { aabb_width, .. } => aabb_width.to_bits(),
-        }
-    }
-
-    fn accel_ref(&self) -> AccelRef<'_> {
-        match self {
-            StoreEntry::Owned(a) => a.as_ref(),
-            StoreEntry::Shared(a) => a.as_ref(),
-            StoreEntry::SharedGas { gas, aabb_width } => AccelRef::Gas {
-                gas,
-                aabb_width: *aabb_width,
-            },
+            StoreEntry::Owned(a) => a,
+            StoreEntry::Shared(a) => a,
         }
     }
 }
 
 /// A width-keyed cache of acceleration structures: the index's global
 /// structure per plan radius plus the per-partition structures, owned or
-/// adopted (borrowed from a streaming index / prepared scene).
+/// adopted (borrowed from a streaming index).
 pub(crate) struct AccelStore<'a> {
     entries: Vec<StoreEntry<'a>>,
 }
@@ -221,17 +208,20 @@ impl<'a> AccelStore<'a> {
         self.entries.push(StoreEntry::Shared(accel));
     }
 
-    /// Adopt a caller-owned raw GAS built at `aabb_width`.
-    pub(crate) fn adopt_gas(&mut self, gas: &'a Gas, aabb_width: f32) {
-        self.entries.push(StoreEntry::SharedGas { gas, aabb_width });
-    }
-
     pub(crate) fn len(&self) -> usize {
         self.entries.len()
     }
 
     pub(crate) fn accel_ref(&self, id: usize) -> AccelRef<'_> {
-        self.entries[id].accel_ref()
+        self.entries[id].accel().as_ref()
+    }
+
+    /// The entry id of the structure cached at `aabb_width`, if any.
+    pub(crate) fn find(&self, aabb_width: f32) -> Option<usize> {
+        let key = aabb_width.to_bits();
+        self.entries
+            .iter()
+            .position(|e| e.accel().aabb_width().to_bits() == key)
     }
 
     /// Get the structure for `aabb_width`, building (and charging) it on a
@@ -245,8 +235,7 @@ impl<'a> AccelStore<'a> {
         aabb_width: f32,
         build: BuildParams,
     ) -> Result<(usize, f64), SearchError> {
-        let key = aabb_width.to_bits();
-        if let Some(id) = self.entries.iter().position(|e| e.aabb_width_bits() == key) {
+        if let Some(id) = self.find(aabb_width) {
             return Ok((id, 0.0));
         }
         let accel = backend
@@ -273,9 +262,7 @@ impl<'a> AccelStore<'a> {
     ) -> Result<f64, SearchError> {
         let mut missing: Vec<f32> = Vec::new();
         for &w in aabb_widths {
-            let key = w.to_bits();
-            let cached = self.entries.iter().any(|e| e.aabb_width_bits() == key);
-            if !cached && !missing.iter().any(|m| m.to_bits() == key) {
+            if self.find(w).is_none() && !missing.iter().any(|m| m.to_bits() == w.to_bits()) {
                 missing.push(w);
             }
         }
@@ -290,56 +277,6 @@ impl<'a> AccelStore<'a> {
             self.entries.push(StoreEntry::Owned(accel));
         }
         Ok(total_ms)
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Shared execution core (used by Index::query and the legacy Rtnn shims):
-// the staged pipeline in `crate::pipeline`, driven over this scene state.
-// ---------------------------------------------------------------------------
-
-/// Caller-maintained scene state handed to one execution.
-pub(crate) struct SceneRefs<'s> {
-    /// Structure-maintenance cost (refit/rebuild) to charge to the `BVH`
-    /// breakdown slot.
-    pub structure_ms: f64,
-    /// Prebuilt megacell grid over the current points.
-    pub grid: Option<&'s MegacellGrid>,
-    /// Bounds of grid cells whose population changed since the cache
-    /// entries were written.
-    pub dirty_region: Aabb,
-    /// Per-query megacell cache, updated in place.
-    pub cache: Option<&'s mut MegacellCache>,
-}
-
-impl SceneRefs<'_> {
-    /// No prebuilt state: build everything from scratch (the legacy batch
-    /// path).
-    pub(crate) fn fresh() -> Self {
-        SceneRefs {
-            structure_ms: 0.0,
-            grid: None,
-            dirty_region: Aabb::EMPTY,
-            cache: None,
-        }
-    }
-}
-
-fn empty_results(
-    num_queries: usize,
-    breakdown: TimeBreakdown,
-    search_metrics: LaunchMetrics,
-    fs_metrics: LaunchMetrics,
-    trace: PipelineTrace,
-) -> SearchResults {
-    SearchResults {
-        neighbors: vec![Vec::new(); num_queries],
-        breakdown,
-        search_metrics,
-        fs_metrics,
-        num_partitions: 0,
-        num_bundles: 0,
-        trace,
     }
 }
 
@@ -531,48 +468,35 @@ impl<'a> Index<'a> {
     /// scene's structure cost, not free work.
     pub fn warm(&mut self, plan: &QueryPlan) -> Result<f64, SearchError> {
         self.config.validate()?;
-        let backend = self.backend;
         let cfg = self.config;
         let plan = plan.normalized();
-        let pipeline = ExecutionPipeline::with_overrides(backend, &cfg, StageOverrides::default());
-        let mut widths: Vec<f32> = Vec::new();
-        match plan.as_ref() {
-            QueryPlan::Batch(slices) => {
-                if slices.is_empty() {
-                    return Err(SearchError::InvalidPlan(PlanError::EmptyBatch));
-                }
-                // Validate each slice's parameters; id-coverage checks are
-                // deferred to query time (warm has no query array).
-                for slice in slices {
-                    slice.plan.validate(0)?;
-                }
-                if pipeline.schedule_stage().needs_structure() {
-                    let max_r = slices
-                        .iter()
-                        .filter_map(|s| s.plan.params())
-                        .map(|p| p.radius)
-                        .fold(0.0f32, f32::max);
-                    widths.push(2.0 * max_r * cfg.approx.aabb_width_factor());
-                }
-                for slice in slices {
-                    if let Some(params) = slice.plan.params() {
-                        widths.push(2.0 * params.radius * cfg.approx.aabb_width_factor());
-                    }
-                }
+        let parts: Vec<&QueryPlan> = match plan.as_ref() {
+            QueryPlan::Batch(slices) if slices.is_empty() => {
+                return Err(PlanError::EmptyBatch.into());
             }
-            single => {
-                single.validate(0)?;
-                let params = single.params().expect("non-batch plan has params");
-                widths.push(2.0 * params.radius * cfg.approx.aabb_width_factor());
-            }
+            QueryPlan::Batch(slices) => slices.iter().map(|s| &s.plan).collect(),
+            single => vec![single],
+        };
+        // Id-coverage checks wait for query time (warm has no query array).
+        for part in &parts {
+            part.validate(0)?;
         }
+        let pipeline = ExecutionPipeline::new(cfg.opt, StageOverrides::default());
+        let widths: Vec<f32> = pipeline
+            .schedule
+            .needs_structure()
+            .then(|| plan.max_radius())
+            .into_iter()
+            .chain(parts.iter().map(|p| p.max_radius()))
+            .map(|r| cfg.aabb_width(r))
+            .collect();
         if self.points.is_empty() {
             return Ok(0.0);
         }
         let built_ms = self
             .store
-            .ensure_many(backend, &self.points, &widths, cfg.build)?;
-        if pipeline.partition_stage().wants_grid() {
+            .ensure_many(self.backend, &self.points, &widths, cfg.build)?;
+        if pipeline.partition.wants_grid() {
             grid_for(&mut self.grid, &self.points, cfg.grid_max_cells);
         }
         self.pending_structure_ms += built_ms;
@@ -583,10 +507,10 @@ impl<'a> Index<'a> {
     ///
     /// The plan is normalized ([`QueryPlan::normalized`]: nested batches
     /// flattened, same-parameter slices merged) and then validated
-    /// ([`PlanError`] names the offending field). Single plans are
-    /// bit-identical to what the legacy one-engine-per-config path
-    /// returned; [`QueryPlan::Batch`] answers heterogeneous plans in one
-    /// call, sharing a single scheduling pass and every cached structure.
+    /// ([`PlanError`] names the offending field). A single plan runs as a
+    /// one-slice batch over every query; [`QueryPlan::Batch`] answers
+    /// heterogeneous plans in one call, sharing a single scheduling pass
+    /// and every cached structure.
     pub fn query(
         &mut self,
         queries: &[Vec3],
@@ -653,46 +577,35 @@ impl<'a> Index<'a> {
             Some(d) => d.overrides(),
             None => overrides,
         };
-        let result = match plan.as_ref() {
-            QueryPlan::Batch(slices) => self.query_batch(queries, slices, overrides),
+        // A single plan is one slice over every query. An adopted megacell
+        // cache serves exactly the params it was grown under: other plans
+        // bypass it (reading its entries would be wrong, wiping them would
+        // cost the owner its warm state), and so do batches, whose slices
+        // carry several parameter sets.
+        let all_ids: Vec<u32>;
+        let (slices, use_cache) = match plan.as_ref() {
+            QueryPlan::Batch(slices) => (
+                slices
+                    .iter()
+                    .map(|s| {
+                        (
+                            s.plan.params().expect("validated non-batch slice"),
+                            s.query_ids.as_slice(),
+                        )
+                    })
+                    .collect(),
+                false,
+            ),
             single => {
                 let params = single.params().expect("non-batch plan has params");
-                let backend = self.backend;
-                let cfg = self.config;
-                let pipeline = ExecutionPipeline::with_overrides(backend, &cfg, overrides);
-                // The persistent grid is provisioned exactly when the
-                // *resolved* partition stage wants it — a per-call override
-                // can both skip the grid (partitioning disabled for this
-                // call) and hit the cached one (partitioning enabled on a
-                // no-partitioning engine).
-                let grid = if pipeline.partition_stage().wants_grid() {
-                    grid_for(&mut self.grid, &self.points, cfg.grid_max_cells)
-                } else {
-                    None
-                };
-                // The adopted dirty region is applied on *every* query for
-                // the lifetime of this view (re-invalidating an entry that
-                // was already recomputed is wasted work, never wrong); the
-                // adopting owner decides when the invalidation has been
-                // durably absorbed and stops resupplying it.
-                // An adopted cache serves exactly the params it was
-                // grown under; other plans bypass it (reading its entries
-                // would be wrong, wiping them would cost the owner its
-                // warm state).
-                let cache_matches = self.cache_params.is_none_or(|cp| cp == params);
-                let scene = SceneRefs {
-                    structure_ms: std::mem::take(&mut self.pending_structure_ms),
-                    grid,
-                    dirty_region: self.dirty_region,
-                    cache: if cache_matches {
-                        self.cache.as_deref_mut()
-                    } else {
-                        None
-                    },
-                };
-                pipeline.execute(params, &self.points, queries, &mut self.store, scene)
+                all_ids = (0..queries.len() as u32).collect();
+                (
+                    vec![(params, all_ids.as_slice())],
+                    self.cache_params.is_none_or(|cp| cp == params),
+                )
             }
         };
+        let result = self.execute(queries, &slices, use_cache, overrides);
         if let (Some(span), Ok(results)) = (query_span.as_mut(), result.as_ref()) {
             span.attr("queries", queries.len() as f64)
                 .attr("points", self.points.len() as f64)
@@ -729,179 +642,114 @@ impl<'a> Index<'a> {
         result
     }
 
-    /// The heterogeneous-batch path: one shared `Schedule` stage over every
-    /// covered query (against the widest structure any slice needs), then
-    /// the per-slice `Partition` → `Launch` → `Gather` stages, all hitting
-    /// the same structure store and grid.
+    /// The one query driver. Setup (device footprint, transfers), then one
+    /// structure ensure — every width the call traverses, missing ones
+    /// built concurrently, billed to `Launch` once together with pending
+    /// caller-side maintenance — then one shared `Schedule` over every
+    /// covered query, then `Partition` → `Launch` → `Gather` per slice, in
+    /// the slice's share of the shared order.
     ///
-    /// The per-query megacell *cache* is deliberately bypassed here: it is
-    /// keyed to a single `(radius, k)` pair, and a batch's slices carry
-    /// several — every slice grows its megacells fresh against the shared
-    /// grid. An adopted dirty region therefore need not be consumed by this
-    /// path; the adopting owner keeps resupplying it until a single-plan
-    /// query absorbs it into the cache.
-    fn query_batch(
+    /// `use_cache` hands the adopted megacell cache to the partitioning of
+    /// a single-slice call. The adopted dirty region is applied on *every*
+    /// such call for the lifetime of this view (re-invalidating an entry
+    /// that was already recomputed is wasted work, never wrong); the
+    /// adopting owner decides when the invalidation has been durably
+    /// absorbed and stops resupplying it.
+    fn execute(
         &mut self,
         queries: &[Vec3],
-        slices: &[PlanSlice],
+        slices: &[(SearchParams, &[u32])],
+        use_cache: bool,
         overrides: StageOverrides<'_>,
     ) -> Result<SearchResults, SearchError> {
         self.config.validate()?;
         let backend = self.backend;
         let cfg = self.config;
         let device = backend.device();
-        let pipeline = ExecutionPipeline::with_overrides(backend, &cfg, overrides);
-        let slice_params: Vec<(SearchParams, &[u32])> = slices
-            .iter()
-            .map(|s| {
-                (
-                    s.plan.params().expect("validated non-batch slice"),
-                    s.query_ids.as_slice(),
-                )
-            })
-            .collect();
+        let points: &[Vec3] = &self.points;
+        let pipeline = ExecutionPipeline::new(cfg.opt, overrides);
 
-        let max_k = slice_params.iter().map(|(p, _)| p.k).max().unwrap_or(1);
-        let footprint = point_cloud_bytes(self.points.len(), queries.len(), max_k);
-        device.check_allocation(footprint)?;
-        let mut breakdown = TimeBreakdown::default();
-        let mut trace = PipelineTrace::default();
-        let result_bytes: u64 = slice_params
+        // Setup (not a stage): points + queries in, result ids out.
+        let max_k = slices.iter().map(|(p, _)| p.k).max().unwrap_or(1);
+        device.check_allocation(point_cloud_bytes(points.len(), queries.len(), max_k))?;
+        let result_bytes: u64 = slices
             .iter()
             .map(|(p, ids)| ids.len() as u64 * p.k as u64 * 4)
             .sum();
-        breakdown.data_ms = device.transfer_h2d_ms((self.points.len() + queries.len()) as u64 * 12)
-            + device.transfer_d2h_ms(result_bytes);
-        let tel = Telemetry::current();
-        let pending_structure_ms = std::mem::take(&mut self.pending_structure_ms);
-        breakdown.bvh_ms += pending_structure_ms;
-        if pending_structure_ms > 0.0 {
-            trace.charge(StageKind::Launch, pending_structure_ms, 0.0);
-            if let Some(t) = &tel {
-                let mut span = t.span("accel.ensure");
-                span.attr("device_ms", pending_structure_ms);
-            }
-        }
-
-        let mut search_metrics = LaunchMetrics::default();
-        let covered: Vec<u32> = slice_params
+        let mut breakdown = TimeBreakdown {
+            data_ms: device.transfer_h2d_ms((points.len() + queries.len()) as u64 * 12)
+                + device.transfer_d2h_ms(result_bytes),
+            ..TimeBreakdown::default()
+        };
+        let mut meter = StageMeter::new();
+        let covered: Vec<u32> = slices
             .iter()
             .flat_map(|(_, ids)| ids.iter().copied())
             .collect();
-        if queries.is_empty() || self.points.is_empty() || covered.is_empty() {
-            return Ok(empty_results(
-                queries.len(),
-                breakdown,
-                search_metrics,
-                LaunchMetrics::default(),
-                trace,
-            ));
-        }
+        let launched = !covered.is_empty() && !points.is_empty();
 
-        // Every structure the batch will traverse is known up front: the
-        // widest shared scheduling structure (when the resolved stage
-        // actually traverses one — an identity schedule bills nothing,
-        // exactly like a scheduling-off optimisation level) plus one width
-        // per populated slice. Build all missing widths *concurrently* on
-        // the worker pool in one shot; the per-stage `ensure` calls below
-        // then hit the warm cache and bill nothing.
-        let schedule_stage = pipeline.schedule_stage();
-        {
-            let mut widths: Vec<f32> = Vec::new();
-            if schedule_stage.needs_structure() {
-                let max_r = slice_params
+        // Structures: the widest slice's width for a schedule that
+        // traverses one (an identity schedule bills nothing), then each
+        // populated slice's own.
+        let widest = slices.iter().map(|(p, _)| p.radius).fold(0.0f32, f32::max);
+        let schedule_width = pipeline
+            .schedule
+            .needs_structure()
+            .then(|| cfg.aabb_width(widest));
+        let mut widths: Vec<f32> = Vec::new();
+        if launched {
+            widths.extend(schedule_width);
+            widths.extend(
+                slices
                     .iter()
-                    .map(|(p, _)| p.radius)
-                    .fold(0.0f32, f32::max);
-                widths.push(2.0 * max_r * cfg.approx.aabb_width_factor());
-            }
-            for (params, ids) in &slice_params {
-                if !ids.is_empty() {
-                    widths.push(2.0 * params.radius * cfg.approx.aabb_width_factor());
-                }
-            }
-            let host = Instant::now();
-            let mut ensure_span = tel.as_ref().map(|t| t.span("accel.ensure"));
-            let built_ms = self
-                .store
-                .ensure_many(backend, &self.points, &widths, cfg.build)?;
-            let host_ms = host_ms_since(host);
-            if built_ms > 0.0 {
-                breakdown.bvh_ms += built_ms;
-                trace.charge(StageKind::Launch, built_ms, host_ms);
-            }
-            if let Some(span) = ensure_span.as_mut() {
-                span.attr("device_ms", if built_ms > 0.0 { built_ms } else { 0.0 })
-                    .attr("widths", widths.len() as f64)
-                    .attr_wall("host_ms", host_ms);
-            }
+                    .filter(|(_, ids)| !ids.is_empty())
+                    .map(|(p, _)| cfg.aabb_width(p.radius)),
+            );
+        }
+        let pending_ms = std::mem::take(&mut self.pending_structure_ms);
+        let store = &mut self.store;
+        meter.structures(|| {
+            let structure_ms =
+                pending_ms + store.ensure_many(backend, points, &widths, cfg.build)?;
+            breakdown.bvh_ms += structure_ms;
+            Ok(((), structure_ms))
+        })?;
+        if !launched {
+            return Ok(SearchResults {
+                neighbors: vec![Vec::new(); queries.len()],
+                breakdown,
+                trace: meter.trace,
+                ..SearchResults::default()
+            });
         }
 
-        // Shared `Schedule` stage (Section 4, once for the whole batch):
-        // one order over every covered query, split back into per-slice
-        // orders below (each slice's order is the scheduled order filtered
-        // to its ids — identical to sorting the slice by the shared keys).
-        let accel = if schedule_stage.needs_structure() {
-            let max_r = slice_params
-                .iter()
-                .map(|(p, _)| p.radius)
-                .fold(0.0f32, f32::max);
-            let shared_width = 2.0 * max_r * cfg.approx.aabb_width_factor();
-            let host = Instant::now();
-            let mut ensure_span = tel.as_ref().map(|t| t.span("accel.ensure"));
-            let (sid, built_ms) =
-                self.store
-                    .ensure(backend, &self.points, shared_width, cfg.build)?;
-            breakdown.bvh_ms += built_ms;
-            let host_ms = host_ms_since(host);
-            trace.charge(StageKind::Launch, built_ms, host_ms);
-            if let Some(span) = ensure_span.as_mut() {
-                span.attr("device_ms", built_ms)
-                    .attr_wall("host_ms", host_ms);
-            }
-            Some(sid)
-        } else {
-            None
-        };
-        let host = Instant::now();
-        let mut stage_span = tel
-            .as_ref()
-            .map(|t| t.span(StageKind::Schedule.span_name()));
-        let schedule = schedule_stage.schedule(&ScheduleCx {
-            backend,
-            accel: accel.map(|sid| self.store.accel_ref(sid)),
-            points: &self.points,
-            queries,
-            query_ids: &covered,
-        });
-        breakdown.fs_ms += schedule.fs_metrics.time_ms();
-        breakdown.opt_ms += schedule.sort_metrics.time_ms;
-        let schedule_device_ms = schedule.fs_metrics.time_ms() + schedule.sort_metrics.time_ms;
-        let schedule_host_ms = host_ms_since(host);
-        trace.charge(StageKind::Schedule, schedule_device_ms, schedule_host_ms);
-        if let Some(t) = &tel {
-            t.observe(StageKind::Schedule.device_histogram(), schedule_device_ms);
+        // `Schedule` (Section 4), once for every covered query.
+        let schedule = meter.stage(StageKind::Schedule, || {
+            let schedule = pipeline.schedule.schedule(&ScheduleCx {
+                backend,
+                accel: schedule_width
+                    .map(|w| store.accel_ref(store.find(w).expect("ensured above"))),
+                points,
+                queries,
+                query_ids: &covered,
+            });
+            breakdown.fs_ms += schedule.fs_metrics.time_ms();
+            breakdown.opt_ms += schedule.sort_metrics.time_ms;
+            let device_ms = schedule.fs_metrics.time_ms() + schedule.sort_metrics.time_ms;
+            Ok((schedule, device_ms))
+        })?;
+        if pipeline.custom_schedule {
+            assert_schedule_covers(&schedule.order, &covered, queries.len());
         }
-        if let Some(span) = stage_span.as_mut() {
-            span.attr("device_ms", schedule_device_ms)
-                .attr("queries", covered.len() as f64)
-                .attr("invocations", 1.0)
-                .attr_wall("host_ms", schedule_host_ms);
-        }
-        drop(stage_span);
-        if overrides.schedule.is_some() {
-            crate::pipeline::assert_schedule_covers(&schedule.order, &covered, queries.len());
-        }
-        let fs_metrics = schedule.fs_metrics.clone();
-
-        // Split the shared order into per-slice orders.
+        // Each slice's order is the shared order filtered to its ids
+        // (identical to sorting the slice by the shared keys).
         let mut slice_of: Vec<usize> = vec![usize::MAX; queries.len()];
-        for (si, (_, ids)) in slice_params.iter().enumerate() {
+        for (si, (_, ids)) in slices.iter().enumerate() {
             for &qid in ids.iter() {
                 slice_of[qid as usize] = si;
             }
         }
-        let mut orders: Vec<Vec<u32>> = slice_params
+        let mut orders: Vec<Vec<u32>> = slices
             .iter()
             .map(|(_, ids)| Vec::with_capacity(ids.len()))
             .collect();
@@ -909,61 +757,77 @@ impl<'a> Index<'a> {
             orders[slice_of[qid as usize]].push(qid);
         }
 
-        // Per-slice `Partition` → `Launch` → `Gather` over the shared store
-        // and grid.
+        // `Partition` → `Launch` → `Gather` per slice, over the shared
+        // store and grid.
+        let mut cache = if use_cache {
+            self.cache.as_deref_mut()
+        } else {
+            None
+        };
         let mut gathered = GatheredHits::empty(queries.len());
-        let mut num_partitions = 0;
-        let mut num_bundles = 0;
-        for ((params, _), order) in slice_params.iter().zip(&orders) {
+        let mut search_metrics = LaunchMetrics::default();
+        let (mut num_partitions, mut num_bundles) = (0, 0);
+        for (&(params, _), order) in slices.iter().zip(&orders) {
             if order.is_empty() {
                 continue;
             }
-            let host = Instant::now();
-            let mut ensure_span = tel.as_ref().map(|t| t.span("accel.ensure"));
-            let full_width = 2.0 * params.radius * cfg.approx.aabb_width_factor();
-            let (gid, built_ms) =
-                self.store
-                    .ensure(backend, &self.points, full_width, cfg.build)?;
-            breakdown.bvh_ms += built_ms;
-            let host_ms = host_ms_since(host);
-            trace.charge(StageKind::Launch, built_ms, host_ms);
-            if let Some(span) = ensure_span.as_mut() {
-                span.attr("device_ms", built_ms)
-                    .attr_wall("host_ms", host_ms);
-            }
-            drop(ensure_span);
-            let grid = if pipeline.partition_stage().wants_grid() {
-                grid_for(&mut self.grid, &self.points, cfg.grid_max_cells)
+            let global = store
+                .find(cfg.aabb_width(params.radius))
+                .expect("ensured above");
+            let grid = if pipeline.partition.wants_grid() {
+                grid_for(&mut self.grid, points, cfg.grid_max_cells)
             } else {
                 None
             };
-            let (p, b) = pipeline.execute_ordered(
-                *params,
-                &self.points,
-                queries,
-                order,
-                &mut self.store,
-                gid,
-                grid,
-                &Aabb::EMPTY,
-                None,
-                &mut gathered,
-                &mut breakdown,
-                &mut search_metrics,
-                &mut trace,
-            )?;
-            num_partitions += p;
-            num_bundles += b;
+            let parts = meter.stage(StageKind::Partition, || {
+                let parts = pipeline.partition.partition(PartitionCx {
+                    backend,
+                    config: &cfg,
+                    params,
+                    points,
+                    queries,
+                    order,
+                    grid,
+                    dirty_region: &self.dirty_region,
+                    cache: cache.take(),
+                });
+                breakdown.opt_ms += parts.opt_metrics.time_ms;
+                let device_ms = parts.opt_metrics.time_ms;
+                Ok((parts, device_ms))
+            })?;
+            let launches = meter.stage(StageKind::Launch, || {
+                let before = (breakdown.bvh_ms, breakdown.search_ms);
+                let mut cx = LaunchCx {
+                    backend,
+                    config: &cfg,
+                    params,
+                    points,
+                    queries,
+                    store,
+                    global,
+                    breakdown: &mut breakdown,
+                    search_metrics: &mut search_metrics,
+                };
+                let launches = pipeline.launch.launch(&mut cx, &parts)?;
+                let device_ms = (breakdown.bvh_ms - before.0) + (breakdown.search_ms - before.1);
+                Ok((launches, device_ms))
+            })?;
+            meter.stage(StageKind::Gather, || {
+                pipeline.gather.gather(&parts, launches, &mut gathered);
+                Ok(((), 0.0))
+            })?;
+            num_partitions += parts.num_partitions;
+            num_bundles += parts.num_bundles;
         }
 
         Ok(SearchResults {
             neighbors: gathered.neighbors,
             breakdown,
             search_metrics,
-            fs_metrics,
+            fs_metrics: schedule.fs_metrics,
             num_partitions,
             num_bundles,
-            trace,
+            trace: meter.trace,
         })
     }
 }
@@ -972,6 +836,7 @@ impl<'a> Index<'a> {
 mod tests {
     use super::*;
     use crate::backend::GpusimBackend;
+    use crate::plan::PlanSlice;
     use crate::verify::check_all;
     use rtnn_gpusim::Device;
 
@@ -1186,5 +1051,211 @@ mod tests {
             .unwrap();
         assert_eq!(no_points.neighbors.len(), 2);
         assert!(no_points.neighbors.iter().all(Vec::is_empty));
+    }
+
+    #[test]
+    fn empty_calls_charge_pending_structure_cost() {
+        let device = Device::rtx_2080();
+        let backend = GpusimBackend::new(&device);
+        let points = jittered(6, 0.6);
+        let plan = QueryPlan::knn(1.2, 6);
+
+        // A warm-up's builds are reported by the next call, even one with
+        // no queries — and only once.
+        let mut index = Index::build(&backend, &points[..], EngineConfig::default());
+        let built = index.warm(&plan).unwrap();
+        assert!(built > 0.0);
+        let empty = index.query(&[], &plan).unwrap();
+        assert_eq!(empty.breakdown.bvh_ms, built);
+        assert_eq!(empty.trace.stage(StageKind::Launch).device_ms, built);
+        assert_eq!(index.query(&[], &plan).unwrap().breakdown.bvh_ms, 0.0);
+
+        // Caller-side maintenance charged to an empty index is reported too.
+        let mut empty_index = Index::build(&backend, Vec::new(), EngineConfig::default());
+        empty_index.charge_structure_ms(2.0);
+        let no_points = empty_index.query(&[Vec3::ZERO], &plan).unwrap();
+        assert_eq!(no_points.breakdown.bvh_ms, 2.0);
+    }
+
+    fn grid_points(n_per_axis: usize, spacing: f32) -> Vec<Vec3> {
+        let mut pts = Vec::new();
+        for x in 0..n_per_axis {
+            for y in 0..n_per_axis {
+                for z in 0..n_per_axis {
+                    pts.push(Vec3::new(x as f32, y as f32, z as f32) * spacing);
+                }
+            }
+        }
+        pts
+    }
+
+    /// One plan on a fresh index.
+    fn run(
+        device: &Device,
+        config: EngineConfig,
+        plan: &QueryPlan,
+        points: &[Vec3],
+        queries: &[Vec3],
+    ) -> Result<SearchResults, SearchError> {
+        Index::build(&GpusimBackend::new(device), points, config).query(queries, plan)
+    }
+
+    #[test]
+    fn range_search_respects_the_cap() {
+        let points = grid_points(6, 0.3);
+        let queries = vec![Vec3::new(0.9, 0.9, 0.9)];
+        let plan = QueryPlan::range(1.0, 5);
+        let results = run(
+            &Device::rtx_2080(),
+            EngineConfig::default(),
+            &plan,
+            &points,
+            &queries,
+        )
+        .unwrap();
+        assert_eq!(results.neighbors[0].len(), 5);
+        check_all(
+            &points,
+            &queries,
+            &plan.params().unwrap(),
+            &results.neighbors,
+        )
+        .unwrap();
+    }
+
+    #[test]
+    fn invalid_approximation_configs_are_rejected() {
+        let config = EngineConfig::default().with_approx(ApproxMode::ShrunkenAabb { factor: 2.0 });
+        let err = run(
+            &Device::rtx_2080(),
+            config,
+            &QueryPlan::range(1.0, 4),
+            &[Vec3::ZERO],
+            &[Vec3::ZERO],
+        )
+        .unwrap_err();
+        assert!(matches!(err, SearchError::InvalidPlan(_)));
+        assert!(err.to_string().contains("invalid configuration"));
+    }
+
+    #[test]
+    fn oom_is_reported_for_clouds_that_do_not_fit() {
+        // 100k queries x 1M results would need terabytes; the footprint
+        // check fires before any allocation happens host-side.
+        let result = run(
+            &Device::tiny_test_device(),
+            EngineConfig::default(),
+            &QueryPlan::knn(1.0, 1_000_000),
+            &[Vec3::ZERO; 8],
+            &vec![Vec3::ZERO; 100_000],
+        );
+        assert!(matches!(result, Err(SearchError::OutOfDeviceMemory(_))));
+    }
+
+    #[test]
+    fn breakdown_components_reflect_the_opt_level() {
+        let device = Device::rtx_2080();
+        let points = grid_points(8, 1.0);
+        let plan = QueryPlan::knn(2.0, 8);
+        let at = |opt| {
+            let config = EngineConfig::default().with_opt(opt);
+            run(&device, config, &plan, &points, &points).unwrap()
+        };
+        let noopt = at(OptLevel::NoOpt);
+        assert_eq!(noopt.breakdown.fs_ms, 0.0);
+        assert_eq!(noopt.breakdown.opt_ms, 0.0);
+        assert_eq!(noopt.num_partitions, 1);
+        let sched = at(OptLevel::Sched);
+        assert!(sched.breakdown.fs_ms > 0.0);
+        assert!(sched.breakdown.opt_ms > 0.0);
+        let full = at(OptLevel::Full);
+        assert!(full.num_partitions >= 1);
+        assert!(full.num_bundles <= full.num_partitions);
+        assert!(full.breakdown.data_ms > 0.0);
+    }
+
+    #[test]
+    fn partitioning_reduces_is_calls_on_dense_clouds() {
+        // Observation 2 turned into the Section 5 optimisation: per-partition
+        // AABBs are smaller than 2r, so the search does fewer IS calls.
+        let device = Device::rtx_2080();
+        let points = grid_points(10, 0.25);
+        let plan = QueryPlan::knn(2.0, 8);
+        let at = |opt| {
+            let config = EngineConfig::default().with_opt(opt);
+            run(&device, config, &plan, &points, &points).unwrap()
+        };
+        let sched = at(OptLevel::Sched);
+        let part = at(OptLevel::SchedPartition);
+        assert!(
+            part.search_metrics.is_calls < sched.search_metrics.is_calls,
+            "partitioned {} vs global {}",
+            part.search_metrics.is_calls,
+            sched.search_metrics.is_calls
+        );
+        check_all(&points, &points, &plan.params().unwrap(), &part.neighbors)
+            .unwrap_or_else(|(q, e)| panic!("query {q}: {e}"));
+    }
+
+    #[test]
+    fn approximate_modes_trade_recall_for_speed_within_bounds() {
+        let device = Device::rtx_2080();
+        let points = grid_points(8, 0.5);
+        let queries: Vec<Vec3> = points.iter().step_by(7).copied().collect();
+        let plan = QueryPlan::range(1.0, 1000);
+        let radius = 1.0;
+        let with = |approx| {
+            let config = EngineConfig::default()
+                .with_opt(OptLevel::Sched)
+                .with_approx(approx);
+            run(&device, config, &plan, &points, &queries).unwrap()
+        };
+        let exact = with(ApproxMode::Exact);
+        // Shrunken AABBs: subset of the exact result, never outside r.
+        let shrunk = with(ApproxMode::ShrunkenAabb { factor: 0.6 });
+        for (qi, q) in queries.iter().enumerate() {
+            let exact_set: std::collections::HashSet<u32> =
+                exact.neighbors[qi].iter().copied().collect();
+            for &id in &shrunk.neighbors[qi] {
+                assert!(exact_set.contains(&id));
+                assert!(q.distance(points[id as usize]) < radius);
+            }
+            assert!(shrunk.neighbors[qi].len() <= exact.neighbors[qi].len());
+        }
+        // Skipped sphere test: superset within sqrt(3) * r.
+        let skipped = with(ApproxMode::SkipSphereTest);
+        let bound = ApproxMode::SkipSphereTest.distance_bound(radius) + 1e-5;
+        for (qi, q) in queries.iter().enumerate() {
+            assert!(skipped.neighbors[qi].len() >= exact.neighbors[qi].len());
+            for &id in &skipped.neighbors[qi] {
+                assert!(q.distance(points[id as usize]) <= bound);
+            }
+        }
+        // And it does less shader work than the exact search.
+        assert!(skipped.search_metrics.kernel.sm_cycles < exact.search_metrics.kernel.sm_cycles);
+    }
+
+    #[test]
+    fn equi_volume_knn_rule_still_produces_bounded_results() {
+        // The paper's equi-volume heuristic is not guaranteed exact, but all
+        // returned neighbors must respect the radius bound and count cap.
+        let points = grid_points(8, 0.5);
+        let queries: Vec<Vec3> = points.iter().step_by(3).copied().collect();
+        let (radius, k) = (1.5, 6);
+        let config = EngineConfig::default().with_knn_rule(KnnAabbRule::EquiVolume);
+        let results = run(
+            &Device::rtx_2080(),
+            config,
+            &QueryPlan::knn(radius, k),
+            &points,
+            &queries,
+        )
+        .unwrap();
+        for (qi, q) in queries.iter().enumerate() {
+            assert!(results.neighbors[qi].len() <= k);
+            for &id in &results.neighbors[qi] {
+                assert!(q.distance(points[id as usize]) < radius);
+            }
+        }
     }
 }

@@ -58,8 +58,8 @@
 //! assert_eq!(rng.neighbors.len(), queries.len());
 //! ```
 //!
-//! The legacy single-plan engine ([`Rtnn`]) remains as a deprecated shim
-//! over the same execution core; see the README migration table.
+//! A single plan is a one-slice batch: every call, whatever its plan,
+//! runs through the same driver and staged [`pipeline`].
 
 pub mod approx;
 pub mod autotune;
@@ -85,11 +85,11 @@ pub use backend::{
 };
 pub use bundling::{apply_bundles, plan_bundles, BundlePlan};
 pub use cost_model::CostCoefficients;
-pub use engine::{OptLevel, PreparedMegacells, PreparedScene, Rtnn, RtnnConfig, SearchError};
+pub use engine::{OptLevel, RtnnConfig, SearchError};
 pub use index::{AdoptedScene, EngineConfig, Index};
 pub use megacell::{GridRefresh, MegacellGrid, MegacellResult};
 pub use partition::{KnnAabbRule, MegacellCache, Partition, PartitionSet};
-pub use pipeline::{ExecutionPipeline, PipelineTrace, StageKind, StageOverrides, StageTiming};
+pub use pipeline::{PipelineTrace, StageKind, StageOverrides, StageTiming};
 pub use plan::{PlanError, PlanSlice, QueryPlan};
 pub use result::{SearchMode, SearchParams, SearchResults, ShardMerge, TimeBreakdown};
 pub use rtnn_gpusim::StructureTiming;

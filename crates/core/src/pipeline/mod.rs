@@ -26,15 +26,13 @@
 //! read as "what exists": partitions are a property of the query set, the
 //! schedule a property of the launch.
 //!
-//! Every caller executes through this one entry point:
-//!
-//! * [`Index::query`](crate::Index::query) (and the heterogeneous batch
-//!   path, which runs one shared `Schedule` pass and then the per-slice
-//!   stages);
-//! * the deprecated legacy [`Rtnn`](crate::Rtnn) shims;
-//! * `rtnn-dynamic`'s `DynamicIndex` frames (through `Index::adopt`);
-//! * `rtnn-serve`'s `ShardedIndex` (the pipeline per shard, then the shared
-//!   [`ShardMerge`](crate::ShardMerge) gather).
+//! Every entry point executes through the one driver behind
+//! [`Index::query`](crate::Index::query): a single plan runs as a one-slice
+//! batch over every query, and a [`QueryPlan::Batch`](crate::QueryPlan::Batch)
+//! runs one shared `Schedule` pass and then `Partition` → `Launch` →
+//! `Gather` per slice. `rtnn-dynamic`'s `DynamicIndex` frames reach it
+//! through `Index::adopt`, and `rtnn-serve`'s `ShardedIndex` runs it per
+//! shard before the shared [`ShardMerge`](crate::ShardMerge) gather.
 //!
 //! ## Swapping stages
 //!
@@ -58,11 +56,13 @@
 //!
 //! ## Metering
 //!
-//! The driver wraps every stage call in a [`StageTiming`] meter; the
-//! roll-up ([`PipelineTrace`], carried on every [`SearchResults`] as its
-//! `trace` field) accounts every simulated millisecond outside host↔device
-//! transfers to exactly one stage — see [`timing`] for the invariant the
-//! tests pin.
+//! The driver meters every stage invocation into a [`StageTiming`]; the
+//! roll-up ([`PipelineTrace`], carried on every
+//! [`SearchResults`](crate::SearchResults) as its `trace` field) accounts
+//! every simulated millisecond outside host↔device transfers to exactly one
+//! stage — see [`timing`] for the invariant the tests pin. Structure
+//! builds (and caller-side maintenance) are billed to `Launch` once per
+//! execution, before the first stage runs.
 
 pub mod ir;
 pub mod stages;
@@ -74,19 +74,10 @@ pub use stages::{
     PartitionCx, PartitionStage, ScatterGather, ScheduleCx, ScheduleStage, SearchLaunch,
     SinglePartition,
 };
+pub(crate) use timing::StageMeter;
 pub use timing::{PipelineTrace, StageKind, StageTiming};
 
-use crate::backend::Backend;
-use crate::engine::{OptLevel, SearchError};
-use crate::index::{AccelStore, EngineConfig, SceneRefs};
-use crate::megacell::MegacellGrid;
-use crate::partition::MegacellCache;
-use crate::result::{SearchParams, SearchResults, TimeBreakdown};
-use rtnn_gpusim::kernel::point_cloud_bytes;
-use rtnn_math::{Aabb, Vec3};
-use rtnn_optix::LaunchMetrics;
-use rtnn_telemetry::Telemetry;
-use std::time::Instant;
+use crate::engine::OptLevel;
 
 static COHERENCE_SCHEDULE: CoherenceSchedule = CoherenceSchedule;
 static IDENTITY_SCHEDULE: IdentitySchedule = IdentitySchedule;
@@ -198,317 +189,31 @@ impl StageOverrides<'_> {
     }
 }
 
-/// The reusable execution core: a backend, an engine configuration and a
-/// set of stage selections. Constructed per call (it is two references and
-/// four optional references); a plan's parameters are executed through it.
-///
-/// All public entry points — `Index::query`, the legacy `Rtnn` shims, the
-/// dynamic frames, the sharded server — bottom out here.
-pub struct ExecutionPipeline<'r> {
-    backend: &'r dyn Backend,
-    config: &'r EngineConfig,
-    overrides: StageOverrides<'r>,
+/// The stages one execution runs, resolved once: the call's
+/// [`StageOverrides`] laid over [`StageOverrides::for_level`] of the
+/// engine's optimisation level.
+pub(crate) struct ExecutionPipeline<'r> {
+    pub(crate) schedule: &'r dyn ScheduleStage,
+    pub(crate) partition: &'r dyn PartitionStage,
+    pub(crate) launch: &'r dyn LaunchStage,
+    pub(crate) gather: &'r dyn GatherStage,
+    /// The caller supplied the `Schedule` stage, so the driver checks its
+    /// output contract ([`assert_schedule_covers`]).
+    pub(crate) custom_schedule: bool,
 }
 
 impl<'r> ExecutionPipeline<'r> {
-    /// A pipeline with the default stages the configuration's optimisation
-    /// level selects.
-    pub(crate) fn new(backend: &'r dyn Backend, config: &'r EngineConfig) -> Self {
-        Self::with_overrides(backend, config, StageOverrides::default())
-    }
-
-    /// A pipeline with per-call stage replacements.
-    pub(crate) fn with_overrides(
-        backend: &'r dyn Backend,
-        config: &'r EngineConfig,
-        overrides: StageOverrides<'r>,
-    ) -> Self {
+    pub(crate) fn new(level: OptLevel, overrides: StageOverrides<'r>) -> Self {
+        const FILLED: &str = "StageOverrides::for_level fills every slot";
+        let base = StageOverrides::for_level(level);
         ExecutionPipeline {
-            backend,
-            config,
-            overrides,
+            schedule: overrides.schedule.or(base.schedule).expect(FILLED),
+            partition: overrides.partition.or(base.partition).expect(FILLED),
+            launch: overrides.launch.or(base.launch).expect(FILLED),
+            gather: overrides.gather.or(base.gather).expect(FILLED),
+            custom_schedule: overrides.schedule.is_some(),
         }
     }
-
-    /// The `Schedule` stage this execution uses: the override, else the
-    /// level's default.
-    pub(crate) fn schedule_stage(&self) -> &'r dyn ScheduleStage {
-        self.overrides
-            .schedule
-            .unwrap_or(if self.config.opt.scheduling() {
-                &COHERENCE_SCHEDULE
-            } else {
-                &IDENTITY_SCHEDULE
-            })
-    }
-
-    /// The `Partition` stage this execution uses: the override, else the
-    /// level's default. Exposed so the driver paths can provision the
-    /// megacell grid exactly when the resolved stage wants it.
-    pub(crate) fn partition_stage(&self) -> &'r dyn PartitionStage {
-        self.overrides
-            .partition
-            .unwrap_or(if self.config.opt.partitioning() {
-                if self.config.opt.bundling() {
-                    &MEGACELL_BUNDLED
-                } else {
-                    &MEGACELL_UNBUNDLED
-                }
-            } else {
-                &SINGLE_PARTITION
-            })
-    }
-
-    fn launch_stage(&self) -> &'r dyn LaunchStage {
-        self.overrides.launch.unwrap_or(&SEARCH_LAUNCH)
-    }
-
-    fn gather_stage(&self) -> &'r dyn GatherStage {
-        self.overrides.gather.unwrap_or(&SCATTER_GATHER)
-    }
-
-    /// Execute one single-plan search end to end: driver setup (transfer
-    /// accounting, global structure), then `Schedule` →
-    /// [`execute_ordered`](Self::execute_ordered). Bit-equal to the
-    /// historical monolithic `Index::query` for every optimisation level.
-    pub(crate) fn execute(
-        &self,
-        params: SearchParams,
-        points: &[Vec3],
-        queries: &[Vec3],
-        store: &mut AccelStore<'_>,
-        scene: SceneRefs<'_>,
-    ) -> Result<SearchResults, SearchError> {
-        params.validate()?;
-        self.config.validate()?;
-        let device = self.backend.device();
-
-        let mut breakdown = TimeBreakdown::default();
-        let mut search_metrics = LaunchMetrics::default();
-        let mut trace = PipelineTrace::default();
-
-        // Driver setup (not a stage): data transfer — points + queries in,
-        // result ids out.
-        let footprint = point_cloud_bytes(points.len(), queries.len(), params.k);
-        device.check_allocation(footprint)?;
-        breakdown.data_ms = device.transfer_h2d_ms((points.len() + queries.len()) as u64 * 12)
-            + device.transfer_d2h_ms(queries.len() as u64 * params.k as u64 * 4);
-
-        if queries.is_empty() {
-            return Ok(SearchResults {
-                neighbors: Vec::new(),
-                breakdown,
-                search_metrics,
-                fs_metrics: LaunchMetrics::default(),
-                num_partitions: 0,
-                num_bundles: 0,
-                trace,
-            });
-        }
-        let mut gathered = GatheredHits::empty(queries.len());
-        if points.is_empty() {
-            return Ok(SearchResults {
-                neighbors: gathered.neighbors,
-                breakdown,
-                search_metrics,
-                fs_metrics: LaunchMetrics::default(),
-                num_partitions: 0,
-                num_bundles: 0,
-                trace,
-            });
-        }
-
-        let tel = Telemetry::current();
-
-        // Global structure: traversed by the coherence pass and by every
-        // full-width partition. Structure availability (builds plus any
-        // caller-side maintenance) is billed to the Launch stage.
-        let host = Instant::now();
-        let mut ensure_span = tel.as_ref().map(|t| t.span("accel.ensure"));
-        let full_width = 2.0 * params.radius * self.config.approx.aabb_width_factor();
-        let (gid, built_ms) = store.ensure(self.backend, points, full_width, self.config.build)?;
-        debug_assert_eq!(store.accel_ref(gid).num_primitives(), points.len());
-        breakdown.bvh_ms += built_ms + scene.structure_ms;
-        let structure_device_ms = built_ms + scene.structure_ms;
-        let structure_host_ms = host_ms_since(host);
-        trace.charge(StageKind::Launch, structure_device_ms, structure_host_ms);
-        if let Some(span) = ensure_span.as_mut() {
-            span.attr("device_ms", structure_device_ms)
-                .attr("primitives", points.len() as f64)
-                .attr_wall("host_ms", structure_host_ms);
-        }
-        drop(ensure_span);
-
-        // Schedule stage.
-        let host = Instant::now();
-        let mut stage_span = tel
-            .as_ref()
-            .map(|t| t.span(StageKind::Schedule.span_name()));
-        let ids: Vec<u32> = (0..queries.len() as u32).collect();
-        let schedule = self.schedule_stage().schedule(&ScheduleCx {
-            backend: self.backend,
-            accel: Some(store.accel_ref(gid)),
-            points,
-            queries,
-            query_ids: &ids,
-        });
-        if self.overrides.schedule.is_some() {
-            assert_schedule_covers(&schedule.order, &ids, queries.len());
-        }
-        breakdown.fs_ms += schedule.fs_metrics.time_ms();
-        breakdown.opt_ms += schedule.sort_metrics.time_ms;
-        let schedule_device_ms = schedule.fs_metrics.time_ms() + schedule.sort_metrics.time_ms;
-        let schedule_host_ms = host_ms_since(host);
-        trace.charge(StageKind::Schedule, schedule_device_ms, schedule_host_ms);
-        if let Some(t) = &tel {
-            t.observe(StageKind::Schedule.device_histogram(), schedule_device_ms);
-        }
-        if let Some(span) = stage_span.as_mut() {
-            span.attr("device_ms", schedule_device_ms)
-                .attr("queries", queries.len() as f64)
-                .attr("invocations", 1.0)
-                .attr_wall("host_ms", schedule_host_ms);
-        }
-        drop(stage_span);
-        let fs_metrics = schedule.fs_metrics.clone();
-
-        let (num_partitions, num_bundles) = self.execute_ordered(
-            params,
-            points,
-            queries,
-            &schedule.order,
-            store,
-            gid,
-            scene.grid,
-            &scene.dirty_region,
-            scene.cache,
-            &mut gathered,
-            &mut breakdown,
-            &mut search_metrics,
-            &mut trace,
-        )?;
-
-        Ok(SearchResults {
-            neighbors: gathered.neighbors,
-            breakdown,
-            search_metrics,
-            fs_metrics,
-            num_partitions,
-            num_bundles,
-            trace,
-        })
-    }
-
-    /// Run the `Partition` → `Launch` → `Gather` stages for one already
-    /// scheduled query order (one plan, or one slice of a batch that shared
-    /// its `Schedule` pass). Returns `(num_partitions, num_bundles)`.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn execute_ordered(
-        &self,
-        params: SearchParams,
-        points: &[Vec3],
-        queries: &[Vec3],
-        order: &[u32],
-        store: &mut AccelStore<'_>,
-        global: usize,
-        grid: Option<&MegacellGrid>,
-        dirty_region: &Aabb,
-        cache: Option<&mut MegacellCache>,
-        out: &mut GatheredHits,
-        breakdown: &mut TimeBreakdown,
-        search_metrics: &mut LaunchMetrics,
-        trace: &mut PipelineTrace,
-    ) -> Result<(usize, usize), SearchError> {
-        let tel = Telemetry::current();
-
-        // Partition stage.
-        let host = Instant::now();
-        let mut stage_span = tel
-            .as_ref()
-            .map(|t| t.span(StageKind::Partition.span_name()));
-        let parts = self.partition_stage().partition(PartitionCx {
-            backend: self.backend,
-            config: self.config,
-            params,
-            points,
-            queries,
-            order,
-            grid,
-            dirty_region,
-            cache,
-        });
-        breakdown.opt_ms += parts.opt_metrics.time_ms;
-        let partition_device_ms = parts.opt_metrics.time_ms;
-        let partition_host_ms = host_ms_since(host);
-        trace.charge(StageKind::Partition, partition_device_ms, partition_host_ms);
-        if let Some(t) = &tel {
-            t.observe(StageKind::Partition.device_histogram(), partition_device_ms);
-        }
-        if let Some(span) = stage_span.as_mut() {
-            span.attr("device_ms", partition_device_ms)
-                .attr("partitions", parts.num_partitions as f64)
-                .attr("bundles", parts.num_bundles as f64)
-                .attr("invocations", 1.0)
-                .attr_wall("host_ms", partition_host_ms);
-        }
-        drop(stage_span);
-
-        // Launch stage.
-        let host = Instant::now();
-        let mut stage_span = tel.as_ref().map(|t| t.span(StageKind::Launch.span_name()));
-        let bvh_before = breakdown.bvh_ms;
-        let search_before = breakdown.search_ms;
-        let launches = {
-            let mut cx = LaunchCx {
-                backend: self.backend,
-                config: self.config,
-                params,
-                points,
-                queries,
-                store,
-                global,
-                breakdown,
-                search_metrics,
-            };
-            self.launch_stage().launch(&mut cx, &parts)?
-        };
-        let launch_device_ms =
-            (breakdown.bvh_ms - bvh_before) + (breakdown.search_ms - search_before);
-        let launch_host_ms = host_ms_since(host);
-        trace.charge(StageKind::Launch, launch_device_ms, launch_host_ms);
-        if let Some(t) = &tel {
-            t.observe(StageKind::Launch.device_histogram(), launch_device_ms);
-        }
-        if let Some(span) = stage_span.as_mut() {
-            span.attr("device_ms", launch_device_ms)
-                .attr("invocations", 1.0)
-                .attr_wall("host_ms", launch_host_ms);
-        }
-        drop(stage_span);
-
-        // Gather stage.
-        let host = Instant::now();
-        let mut stage_span = tel.as_ref().map(|t| t.span(StageKind::Gather.span_name()));
-        self.gather_stage().gather(&parts, launches, out);
-        let gather_host_ms = host_ms_since(host);
-        trace.charge(StageKind::Gather, 0.0, gather_host_ms);
-        if let Some(t) = &tel {
-            t.observe(StageKind::Gather.device_histogram(), 0.0);
-        }
-        if let Some(span) = stage_span.as_mut() {
-            span.attr("device_ms", 0.0)
-                .attr("invocations", 1.0)
-                .attr_wall("host_ms", gather_host_ms);
-        }
-        drop(stage_span);
-
-        Ok((parts.num_partitions, parts.num_bundles))
-    }
-}
-
-/// Host wall-clock milliseconds since `start` (stage-meter helper).
-pub(crate) fn host_ms_since(start: Instant) -> f64 {
-    start.elapsed().as_secs_f64() * 1e3
 }
 
 /// Enforce the [`ScheduleStage`] output contract for *overriding* stages:

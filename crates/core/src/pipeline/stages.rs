@@ -34,12 +34,10 @@ use rtnn_parallel::par_sort_by_key;
 pub struct ScheduleCx<'r> {
     /// The execution backend.
     pub backend: &'r dyn Backend,
-    /// The global acceleration structure (the widest structure the call
-    /// uses — what the first-hit pass traverses). The driver guarantees
-    /// `Some` whenever the stage's
-    /// [`needs_structure`](ScheduleStage::needs_structure) is true; a
-    /// stage that declared no need may be handed `None` (the batch path
-    /// skips building a structure no one will traverse).
+    /// The structure the first-hit pass traverses (the widest one the call
+    /// uses). The driver supplies it exactly when the stage's
+    /// [`needs_structure`](ScheduleStage::needs_structure) is true, so no
+    /// structure is built for a stage that never traverses one.
     pub accel: Option<AccelRef<'r>>,
     /// Search points.
     pub points: &'r [Vec3],
@@ -61,8 +59,8 @@ pub trait ScheduleStage: Sync {
 
     /// Whether this stage traverses an acceleration structure
     /// ([`ScheduleCx::accel`]). Stages that only permute ids return
-    /// `false` so the batch driver does not build (and bill) a shared
-    /// coherence structure no one will traverse.
+    /// `false` so the driver does not build (and bill) a coherence
+    /// structure no one will traverse.
     fn needs_structure(&self) -> bool {
         true
     }
@@ -249,7 +247,7 @@ pub struct SinglePartition;
 
 impl PartitionStage for SinglePartition {
     fn partition(&self, cx: PartitionCx<'_>) -> PartitionedQueries {
-        let full_width = 2.0 * cx.params.radius * cx.config.approx.aabb_width_factor();
+        let full_width = cx.config.aabb_width(cx.params.radius);
         PartitionedQueries {
             partitions: vec![Partition {
                 aabb_width: full_width,
@@ -311,7 +309,7 @@ impl LaunchCx<'_, '_> {
     /// full-width partitions), charging the structure build and search time
     /// to the breakdown and merging the launch metrics.
     pub fn traverse_partition(&mut self, part: &Partition) -> Result<Traversal, SearchError> {
-        let full_width = 2.0 * self.params.radius * self.config.approx.aabb_width_factor();
+        let full_width = self.config.aabb_width(self.params.radius);
         let reuse_global = (part.aabb_width - full_width).abs() <= f32::EPSILON * full_width;
         let aid = if reuse_global {
             self.global

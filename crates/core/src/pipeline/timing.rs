@@ -16,6 +16,11 @@
 //! double-billed into the partition slot it used to sit next to in the
 //! monolithic `Index::query`.
 
+use crate::engine::SearchError;
+use rtnn_telemetry::Telemetry;
+use std::sync::Arc;
+use std::time::Instant;
+
 /// The four stages of the execution pipeline, in the order the paper
 /// presents them (the driver runs the coherence schedule before the
 /// partition kernel — see the [`pipeline`](crate::pipeline) module docs).
@@ -207,6 +212,67 @@ impl PipelineTrace {
             mine.host_ms += theirs.host_ms;
             mine.invocations += theirs.invocations;
         }
+    }
+}
+
+/// Meters the stage invocations of one execution: each runs under a span,
+/// and its host wall-clock plus the simulated ms it reports land in the
+/// [`PipelineTrace`].
+pub(crate) struct StageMeter {
+    tel: Option<Arc<Telemetry>>,
+    pub(crate) trace: PipelineTrace,
+}
+
+impl StageMeter {
+    pub(crate) fn new() -> Self {
+        StageMeter {
+            tel: Telemetry::current(),
+            trace: PipelineTrace::default(),
+        }
+    }
+
+    /// Run `body` as one invocation of `kind`; `body` returns its output
+    /// and the simulated ms it charged, which is also recorded in the
+    /// stage's device histogram.
+    pub(crate) fn stage<T>(
+        &mut self,
+        kind: StageKind,
+        body: impl FnOnce() -> Result<(T, f64), SearchError>,
+    ) -> Result<T, SearchError> {
+        let (out, device_ms) = self.run(kind, kind.span_name(), body)?;
+        if let Some(t) = &self.tel {
+            t.observe(kind.device_histogram(), device_ms);
+        }
+        Ok(out)
+    }
+
+    /// Run the structure ensure: billed to `Launch` under an
+    /// `accel.ensure` span, outside the stage histograms.
+    pub(crate) fn structures<T>(
+        &mut self,
+        body: impl FnOnce() -> Result<(T, f64), SearchError>,
+    ) -> Result<T, SearchError> {
+        self.run(StageKind::Launch, "accel.ensure", body)
+            .map(|(out, _)| out)
+    }
+
+    fn run<T>(
+        &mut self,
+        kind: StageKind,
+        span_name: &'static str,
+        body: impl FnOnce() -> Result<(T, f64), SearchError>,
+    ) -> Result<(T, f64), SearchError> {
+        let host = Instant::now();
+        let mut span = self.tel.as_ref().map(|t| t.span(span_name));
+        let (out, device_ms) = body()?;
+        let host_ms = host.elapsed().as_secs_f64() * 1e3;
+        self.trace.charge(kind, device_ms, host_ms);
+        if let Some(span) = span.as_mut() {
+            span.attr("device_ms", device_ms)
+                .attr("invocations", 1.0)
+                .attr_wall("host_ms", host_ms);
+        }
+        Ok((out, device_ms))
     }
 }
 

@@ -158,8 +158,8 @@ impl QueryPlan {
         }
     }
 
-    /// The plan equivalent to legacy [`SearchParams`] (used by the
-    /// deprecated `Rtnn::search` shims; see the README migration table).
+    /// The plan equivalent to a [`SearchParams`] bundle (what a
+    /// [`RtnnConfig`](crate::RtnnConfig) carries).
     pub fn from_params(params: SearchParams) -> Self {
         match params.mode {
             SearchMode::Knn => QueryPlan::Knn {
@@ -184,7 +184,7 @@ impl QueryPlan {
         }
     }
 
-    /// The legacy parameter bundle for a non-batch plan (`None` for
+    /// The parameter bundle of a non-batch plan (`None` for
     /// [`QueryPlan::Batch`]).
     pub fn params(&self) -> Option<SearchParams> {
         match *self {
@@ -195,7 +195,8 @@ impl QueryPlan {
     }
 
     /// The largest radius any part of this plan searches (0 for an empty
-    /// batch). The batch path sizes its shared scheduling pass from this.
+    /// batch). [`Index::warm`](crate::Index::warm) sizes the structure of
+    /// the shared scheduling pass from this.
     pub fn max_radius(&self) -> f32 {
         match self {
             QueryPlan::Knn { r, .. } | QueryPlan::Range { r, .. } => *r,

@@ -115,11 +115,11 @@ impl TimeBreakdown {
 }
 
 /// The output of one RTNN search.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct SearchResults {
-    /// Per-query neighbor ids (indices into the `points` array given to
-    /// [`crate::Rtnn::search`]), in the original query order. KNN results
-    /// are sorted by increasing distance.
+    /// Per-query neighbor ids (indices into the points the
+    /// [`Index`](crate::Index) was built over), in the original query
+    /// order. KNN results are sorted by increasing distance.
     pub neighbors: Vec<Vec<u32>>,
     /// Per-phase simulated time.
     pub breakdown: TimeBreakdown,

@@ -109,7 +109,7 @@ pub fn schedule_queries(
 
 /// [`schedule_queries`] against an arbitrary backend and structure handle —
 /// a thin wrapper over the pipeline's [`CoherenceSchedule`] stage, which
-/// is what the engine, [`crate::Index`] and the batch path all drive.
+/// is what the [`crate::Index`] driver runs by default.
 pub fn schedule_queries_on(
     backend: &dyn Backend,
     accel: AccelRef<'_>,

@@ -397,7 +397,7 @@ impl<'d> DynamicIndex<'d> {
         // Under auto tuning "partitioning is on" is the *decision's* level,
         // not the config's: a frame the tuner ran at a lower rung never
         // touched the cache, so its invalidations must stay pending.
-        let effective_opt = decision.map_or(self.config.opt, |d| d.level);
+        let effective_opt = decision.map_or(self.config.engine.opt, |d| d.level);
         if effective_opt >= rtnn::OptLevel::SchedPartition
             && self.grid.is_some()
             && !queries.is_empty()
@@ -486,7 +486,7 @@ impl<'d> DynamicIndex<'d> {
         let mut index = Index::adopt(
             self.backend.as_dyn(),
             &self.compact,
-            self.config.engine(),
+            self.config.engine,
             AdoptedScene {
                 accel,
                 grid: self.grid.as_ref(),
@@ -508,7 +508,7 @@ impl<'d> DynamicIndex<'d> {
     fn sync_structures(&mut self) -> Result<SyncInfo, SearchError> {
         // Validate early so invalid configs fail before touching state.
         self.config.params.validate().map_err(SearchError::from)?;
-        let width = self.config.global_aabb_width();
+        let width = self.config.engine.aabb_width(self.config.params.radius);
 
         let membership_was_dirty = self.membership_dirty;
         if membership_was_dirty {
@@ -635,6 +635,7 @@ impl<'d> DynamicIndex<'d> {
     /// millions of cells around a few thousand points.
     fn grid_budget(&self) -> usize {
         self.config
+            .engine
             .grid_max_cells
             .min((16 * self.compact.len().max(1)).next_power_of_two())
     }
@@ -647,7 +648,7 @@ impl<'d> DynamicIndex<'d> {
         let accel = {
             let backend = self.backend.as_dyn();
             backend
-                .build(&self.compact, width, self.config.build)
+                .build(&self.compact, width, self.config.engine.build)
                 .map_err(SearchError::OutOfDeviceMemory)?
         };
         let build_ms = accel.build_time_ms();
@@ -691,7 +692,7 @@ impl<'d> DynamicIndex<'d> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rtnn::{OptLevel, OptixBackend, PlanSlice, SearchParams};
+    use rtnn::{EngineConfig, OptLevel, OptixBackend, PlanSlice, SearchParams};
 
     fn jittered_block(n_per_axis: usize, spacing: f32) -> Vec<Vec3> {
         let mut pts = Vec::new();
@@ -743,8 +744,9 @@ mod tests {
     }
 
     #[test]
-    fn results_match_a_fresh_engine_every_frame() {
+    fn results_match_a_fresh_index_every_frame() {
         let device = Device::rtx_2080();
+        let gpusim = GpusimBackend::new(&device);
         let mut points = jittered_block(6, 0.5);
         let params = SearchParams::range(1.1, 1000);
         let config = RtnnConfig::new(params);
@@ -757,9 +759,8 @@ mod tests {
             }
             let queries: Vec<Vec3> = points.iter().step_by(4).copied().collect();
             let dynamic = index.search(&queries).unwrap();
-            #[allow(deprecated)] // the legacy shim is the reference here
-            let fresh = rtnn::Rtnn::new(&device, config)
-                .search(&points, &queries)
+            let fresh = Index::build(&gpusim, &points[..], config.engine)
+                .query(&queries, &config.plan())
                 .unwrap();
             for (qi, (d, f)) in dynamic
                 .results
@@ -781,7 +782,10 @@ mod tests {
     fn insert_and_remove_force_a_rebuild_and_keep_handles_stable() {
         let device = Device::rtx_2080();
         let points = jittered_block(4, 1.0);
-        let config = RtnnConfig::new(SearchParams::range(1.5, 64)).with_opt(OptLevel::Sched);
+        let config = RtnnConfig {
+            params: SearchParams::range(1.5, 64),
+            engine: EngineConfig::default().with_opt(OptLevel::Sched),
+        };
         let mut index = DynamicIndex::with_points(&device, config, &points);
         index.search(&[Vec3::ZERO]).unwrap();
 
@@ -1155,7 +1159,7 @@ mod tests {
             .filter_map(|h| index.position(h))
             .collect();
         let gpusim = GpusimBackend::new(&device);
-        let mut fresh = Index::build(&gpusim, &moved[..], config.engine());
+        let mut fresh = Index::build(&gpusim, &moved[..], config.engine);
         let reference = fresh.query(&queries, &config.plan()).unwrap();
         assert_eq!(f1.results.neighbors, reference.neighbors);
     }

@@ -1,11 +1,9 @@
 //! Streaming-scene acceptance tests: a `DynamicIndex` driven through the
 //! frame-stepped generators of `rtnn-data` must return neighbor sets
-//! bit-equal to a batch engine rebuilt from scratch every frame, while
+//! bit-equal to a fresh index rebuilt from scratch every frame, while
 //! doing strictly less structure work.
 
-#![allow(deprecated)] // the legacy shim is the from-scratch reference here
-
-use rtnn::{OptLevel, Rtnn, RtnnConfig, SearchParams};
+use rtnn::{EngineConfig, GpusimBackend, Index, OptLevel, RtnnConfig, SearchParams, SearchResults};
 use rtnn_data::dynamics::{DriftModel, DriftScene, FrameUpdate};
 use rtnn_data::PointCloud;
 use rtnn_dynamic::{DynamicIndex, RebuildPolicy, StructureAction};
@@ -57,6 +55,18 @@ fn apply_update(index: &mut DynamicIndex<'_>, scene: &DriftScene, update: &Frame
     }
 }
 
+/// The from-scratch reference: a fresh index over `points`.
+fn rebuilt(
+    device: &Device,
+    config: RtnnConfig,
+    points: &[Vec3],
+    queries: &[Vec3],
+) -> SearchResults {
+    Index::build(&GpusimBackend::new(device), points, config.engine)
+        .query(queries, &config.plan())
+        .unwrap()
+}
+
 fn sorted(mut v: Vec<u32>) -> Vec<u32> {
     v.sort_unstable();
     v
@@ -72,7 +82,10 @@ fn fifty_frame_sph_is_bit_identical_to_rebuilding_every_frame() {
     let params = SearchParams::range(h, 4096);
     // A small grid budget keeps the debug-build test fast; production uses
     // the default multi-million-cell budget.
-    let config = RtnnConfig::new(params).with_grid_max_cells(1 << 12);
+    let config = RtnnConfig {
+        params,
+        engine: EngineConfig::default().with_grid_max_cells(1 << 12),
+    };
     let model = DriftModel::SphSettle {
         compression: 0.995,
         jitter: 0.002,
@@ -107,18 +120,16 @@ fn fifty_frame_sph_is_bit_identical_to_rebuilding_every_frame() {
                 "frame {frame} query {qi}: policy vs rebuild-every-frame"
             );
         }
-        // And against a stateless batch engine on a sample of frames (the
-        // rebuild index is already a from-scratch baseline; this guards the
-        // prepared-scene plumbing itself).
+        // And against a fresh index on a sample of frames (the rebuild
+        // index is already a from-scratch baseline; this guards the
+        // adopted-scene plumbing itself).
         if frame % 10 == 0 {
-            let fresh = Rtnn::new(&device, config)
-                .search(&points, &queries)
-                .unwrap();
+            let fresh = rebuilt(&device, config, &points, &queries);
             for qi in 0..queries.len() {
                 assert_eq!(
                     sorted(dynamic.results.neighbors[qi].clone()),
                     sorted(fresh.neighbors[qi].clone()),
-                    "frame {frame} query {qi}: policy vs fresh batch engine"
+                    "frame {frame} query {qi}: policy vs fresh index"
                 );
             }
         }
@@ -156,7 +167,10 @@ fn lidar_churn_frames_stay_exact_through_forced_rebuilds() {
     let device = Device::rtx_2080();
     let cloud = fluid_block(6, 1.0);
     let params = SearchParams::knn(2.5, 8);
-    let config = RtnnConfig::new(params).with_grid_max_cells(1 << 12);
+    let config = RtnnConfig {
+        params,
+        engine: EngineConfig::default().with_grid_max_cells(1 << 12),
+    };
     let mut scene = DriftScene::new(
         &cloud,
         DriftModel::LidarSweep {
@@ -175,9 +189,7 @@ fn lidar_churn_frames_stay_exact_through_forced_rebuilds() {
         let dynamic = index.search(&queries).unwrap();
         // Structural churn always rebuilds — and stays exact.
         assert_eq!(dynamic.action, StructureAction::Rebuilt);
-        let fresh = Rtnn::new(&device, config)
-            .search(&points, &queries)
-            .unwrap();
+        let fresh = rebuilt(&device, config, &points, &queries);
         // Handles and compact ids diverge once slots die: translate the
         // fresh engine's compact ids through the live slot order.
         let live_slots: Vec<u32> = (0..scene.num_slots() as u32)
@@ -202,9 +214,12 @@ fn nbody_orbit_mixes_refits_and_policy_rebuilds_and_stays_exact() {
     let device = Device::rtx_2080();
     let cloud = fluid_block(6, 0.6);
     let params = SearchParams::range(1.3, 4096);
-    let config = RtnnConfig::new(params)
-        .with_opt(OptLevel::Full)
-        .with_grid_max_cells(1 << 12);
+    let config = RtnnConfig {
+        params,
+        engine: EngineConfig::default()
+            .with_opt(OptLevel::Full)
+            .with_grid_max_cells(1 << 12),
+    };
     let mut scene = DriftScene::new(&cloud, DriftModel::NBodyOrbit { angular_step: 0.06 }, 3);
     let mut index = DynamicIndex::with_points(&device, config, &cloud.points);
     for frame in 0..12 {
@@ -213,9 +228,7 @@ fn nbody_orbit_mixes_refits_and_policy_rebuilds_and_stays_exact() {
         let points = scene.live_points();
         let queries: Vec<Vec3> = points.iter().step_by(2).copied().collect();
         let dynamic = index.search(&queries).unwrap();
-        let fresh = Rtnn::new(&device, config)
-            .search(&points, &queries)
-            .unwrap();
+        let fresh = rebuilt(&device, config, &points, &queries);
         for qi in 0..queries.len() {
             assert_eq!(
                 sorted(dynamic.results.neighbors[qi].clone()),
@@ -252,9 +265,12 @@ fn dynamic_scene_stress_sweep() {
     for (mi, model) in models.iter().enumerate() {
         for params in param_sets {
             for opt in OptLevel::all() {
-                let config = RtnnConfig::new(params)
-                    .with_opt(opt)
-                    .with_grid_max_cells(1 << 14);
+                let config = RtnnConfig {
+                    params,
+                    engine: EngineConfig::default()
+                        .with_opt(opt)
+                        .with_grid_max_cells(1 << 14),
+                };
                 let mut scene = DriftScene::new(&cloud, *model, 0xAB + mi as u64);
                 let mut index = DynamicIndex::with_points(&device, config, &cloud.points);
                 for frame in 0..20 {
@@ -263,9 +279,7 @@ fn dynamic_scene_stress_sweep() {
                     let points = scene.live_points();
                     let queries: Vec<Vec3> = points.iter().step_by(4).copied().collect();
                     let dynamic = index.search(&queries).unwrap();
-                    let fresh = Rtnn::new(&device, config)
-                        .search(&points, &queries)
-                        .unwrap();
+                    let fresh = rebuilt(&device, config, &points, &queries);
                     let live_slots: Vec<u32> = (0..scene.num_slots() as u32)
                         .filter(|&s| scene.position(s).is_some())
                         .collect();

@@ -1,14 +1,12 @@
 //! Property test for refit correctness: after arbitrary point
 //! perturbations, a `DynamicIndex` that is *forced* onto the refit path
 //! (never-rebuild policy) must return bit-identical neighbor sets to a
-//! batch engine rebuilt from scratch at the new positions — across both
+//! fresh index built from scratch at the new positions — across both
 //! search modes and all four optimisation levels. The refitted tree may be
 //! arbitrarily worse to traverse, but never allowed to change an answer.
 
-#![allow(deprecated)] // the legacy shim is the from-scratch reference here
-
 use proptest::prelude::*;
-use rtnn::{OptLevel, Rtnn, RtnnConfig, SearchMode, SearchParams};
+use rtnn::{EngineConfig, GpusimBackend, Index, OptLevel, RtnnConfig, SearchMode, SearchParams};
 use rtnn_dynamic::{DynamicIndex, RebuildPolicy, StructureAction};
 use rtnn_gpusim::Device;
 use rtnn_math::Vec3;
@@ -63,9 +61,12 @@ proptest! {
         let k = if mode_is_knn { k } else { 10_000 };
         let params = SearchParams { radius, k, mode };
         let opt = OptLevel::all()[opt_idx];
-        let config = RtnnConfig::new(params)
-            .with_opt(opt)
-            .with_grid_max_cells(1 << 12);
+        let config = RtnnConfig {
+            params,
+            engine: EngineConfig::default()
+                .with_opt(opt)
+                .with_grid_max_cells(1 << 12),
+        };
 
         // Force the refit path for every motion frame.
         let mut index =
@@ -88,7 +89,9 @@ proptest! {
             let refit = index.search(&queries).unwrap();
             prop_assert_eq!(refit.action, StructureAction::Refit);
 
-            let fresh = Rtnn::new(&device, config).search(&current, &queries).unwrap();
+            let fresh = Index::build(&GpusimBackend::new(&device), &current[..], config.engine)
+                .query(&queries, &config.plan())
+                .unwrap();
             for qi in 0..queries.len() {
                 let d = sorted(refit.results.neighbors[qi].clone());
                 let f = sorted(fresh.neighbors[qi].clone());

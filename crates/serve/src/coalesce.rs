@@ -13,7 +13,7 @@
 //! to direct `Index::query` calls (see `tests/serve_determinism.rs`).
 
 use crate::request::Request;
-use rtnn::engine::SearchError;
+use rtnn::SearchError;
 use rtnn::{
     AutoTuner, CostCoefficients, PlanSlice, QueryPlan, SearchResults, StageOverrides, TunerDecision,
 };

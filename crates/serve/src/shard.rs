@@ -24,7 +24,7 @@
 //! pool, each worker owning one shard's `Index` exclusively.
 
 use crate::coalesce::TickExecutor;
-use rtnn::engine::SearchError;
+use rtnn::SearchError;
 use rtnn::{
     Backend, CostCoefficients, EngineConfig, Index, LaunchMetrics, PipelineTrace, PlanSlice,
     QueryPlan, SearchParams, SearchResults, ShardMerge, StageKind, StageOverrides, TimeBreakdown,

@@ -7,9 +7,7 @@
 //! they live in their own integration-test binary (own process) and
 //! serialise the mutation behind a lock.
 
-#![allow(deprecated)] // the legacy `Rtnn` shim is one of the engines under test
-
-use rtnn::{Rtnn, RtnnConfig, SearchParams};
+use rtnn::{EngineConfig, GpusimBackend, Index, QueryPlan};
 use rtnn_data::{Dataset, DatasetName};
 use rtnn_gpusim::Device;
 use rtnn_math::Vec3;
@@ -74,11 +72,14 @@ fn engine_results_and_simulated_times_are_independent_of_thread_count() {
     let device = Device::rtx_2080();
     let points = small_cloud(DatasetName::Kitti6M);
     let queries: Vec<Vec3> = points.iter().step_by(5).copied().collect();
-    let params = SearchParams::knn(2.0, 8);
     let run = || {
-        Rtnn::new(&device, RtnnConfig::new(params))
-            .search(&points, &queries)
-            .unwrap()
+        Index::build(
+            &GpusimBackend::new(&device),
+            &points[..],
+            EngineConfig::default(),
+        )
+        .query(&queries, &QueryPlan::knn(2.0, 8))
+        .unwrap()
     };
     let serial = with_threads(1, run);
     let parallel = with_threads(8, run);

@@ -1,19 +1,16 @@
-//! Acceptance tests for the Index/QueryPlan API redesign:
+//! Acceptance tests for the Index/QueryPlan API:
 //!
-//! * `Index::query` with per-call plans is **bit-equal** to the legacy
-//!   `Rtnn::search` path for all plan kinds × optimisation levels;
-//! * repeated plans on one index amortise every structure build away;
+//! * repeated plans on one index amortise every structure build away and
+//!   return identical results, for all plan kinds × optimisation levels;
 //! * plan validation happens at query time with typed errors naming the
 //!   offending field;
 //! * a heterogeneous batch answers several plans in one call and matches
 //!   the corresponding single-plan results.
 
-#![allow(deprecated)] // the legacy shim is one side of the equivalence
-
 use rtnn::pipeline::{IdentitySchedule, MegacellPartition, SinglePartition};
 use rtnn::{
-    EngineConfig, GpusimBackend, Index, OptLevel, PlanError, PlanSlice, QueryPlan, Rtnn,
-    RtnnConfig, SearchError, SearchParams, StageKind, StageOverrides,
+    EngineConfig, GpusimBackend, Index, OptLevel, PlanError, PlanSlice, QueryPlan, SearchError,
+    StageKind, StageOverrides,
 };
 use rtnn_data::uniform::{self, UniformParams};
 use rtnn_gpusim::Device;
@@ -29,41 +26,30 @@ fn seeded_cloud(n: usize, seed: u64) -> Vec<Vec3> {
 }
 
 #[test]
-fn index_is_bit_equal_to_legacy_engine_for_all_plans_and_opt_levels() {
+fn repeated_plans_rebuild_nothing_for_all_plans_and_opt_levels() {
     let device = Device::rtx_2080();
     let backend = GpusimBackend::new(&device);
     let points = seeded_cloud(2500, 0xA11CE);
     let mut queries: Vec<Vec3> = points.iter().step_by(7).copied().collect();
     queries.push(Vec3::new(-50.0, -50.0, -50.0)); // outside the cloud
-    for params in [
-        SearchParams::knn(5.0, 8),
-        SearchParams::range(4.0, 64),
-        SearchParams::range(2.0, 5), // cap-truncating: order must match too
+    for plan in [
+        QueryPlan::knn(5.0, 8),
+        QueryPlan::range(4.0, 64),
+        QueryPlan::range(2.0, 5), // cap-truncating: order must match too
     ] {
         for opt in OptLevel::all() {
-            let config = RtnnConfig::new(params).with_opt(opt);
-            let legacy = Rtnn::new(&device, config)
-                .search(&points, &queries)
-                .unwrap();
-            let mut index = Index::build(&backend, &points[..], config.engine());
-            let modern = index.query(&queries, &config.plan()).unwrap();
-            assert_eq!(
-                legacy.neighbors, modern.neighbors,
-                "{params:?} {opt:?}: Index::query must be bit-equal to Rtnn::search"
-            );
-            assert_eq!(
-                legacy.num_partitions, modern.num_partitions,
-                "{params:?} {opt:?}"
-            );
-            assert_eq!(legacy.num_bundles, modern.num_bundles, "{params:?} {opt:?}");
-            // First call on a fresh index pays exactly the legacy build
-            // cost; a repeat pays none and returns identical results.
-            assert_eq!(legacy.breakdown.bvh_ms, modern.breakdown.bvh_ms);
-            let again = index.query(&queries, &config.plan()).unwrap();
-            assert_eq!(again.neighbors, modern.neighbors);
+            let mut index =
+                Index::build(&backend, &points[..], EngineConfig::default().with_opt(opt));
+            let first = index.query(&queries, &plan).unwrap();
+            assert!(first.breakdown.bvh_ms > 0.0, "{plan:?} {opt:?}");
+            // A repeat pays no build and returns identical results.
+            let again = index.query(&queries, &plan).unwrap();
+            assert_eq!(again.neighbors, first.neighbors, "{plan:?} {opt:?}");
+            assert_eq!(again.num_partitions, first.num_partitions);
+            assert_eq!(again.num_bundles, first.num_bundles);
             assert_eq!(
                 again.breakdown.bvh_ms, 0.0,
-                "{params:?} {opt:?}: warm index must not rebuild structures"
+                "{plan:?} {opt:?}: warm index must not rebuild structures"
             );
         }
     }
@@ -88,11 +74,11 @@ fn one_index_serves_heterogeneous_plans_cheaper_than_new_engines() {
         index_total += index.query(&queries, plan).unwrap().total_time_ms();
     }
 
+    // One fresh index per plan: every plan pays its own builds.
     let mut engines_total = 0.0;
     for plan in &plans {
-        let params = plan.params().unwrap();
-        engines_total += Rtnn::new(&device, RtnnConfig::new(params))
-            .search(&points, &queries)
+        engines_total += Index::build(&backend, &points[..], EngineConfig::default())
+            .query(&queries, plan)
             .unwrap()
             .total_time_ms();
     }
@@ -313,6 +299,10 @@ fn plan_validation_is_typed_and_names_the_field() {
                 value: -3.0,
             },
         ),
+        (
+            QueryPlan::range(1.0, 0),
+            PlanError::ZeroNeighborCount { field: "Range.cap" },
+        ),
         (QueryPlan::Batch(Vec::new()), PlanError::EmptyBatch),
         (
             QueryPlan::Batch(vec![PlanSlice::new(QueryPlan::knn(1.0, 2), vec![7])]),
@@ -333,13 +323,4 @@ fn plan_validation_is_typed_and_names_the_field() {
             "missing error prefix: {msg}"
         );
     }
-
-    // The legacy shim reports the same typed errors.
-    let legacy = Rtnn::new(&device, RtnnConfig::new(SearchParams::range(1.0, 0)));
-    assert_eq!(
-        legacy.search(&points, &queries).unwrap_err(),
-        SearchError::InvalidPlan(PlanError::ZeroNeighborCount {
-            field: "SearchParams.k"
-        })
-    );
 }

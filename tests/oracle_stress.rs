@@ -6,12 +6,10 @@
 //! cargo test --release --test oracle_stress -- --ignored
 //! ```
 
-#![allow(deprecated)] // the stress sweep drives the legacy `Rtnn` shim on purpose
-
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use rtnn::verify::check_all;
-use rtnn::{OptLevel, Rtnn, RtnnConfig, SearchMode, SearchParams};
+use rtnn::{EngineConfig, GpusimBackend, Index, OptLevel, QueryPlan, SearchMode, SearchParams};
 use rtnn_gpusim::Device;
 use rtnn_math::Vec3;
 
@@ -32,6 +30,7 @@ fn cloud(rng: &mut ChaCha8Rng, half: f32, max_len: usize) -> Vec<Vec3> {
 #[ignore = "2400-run stress sweep; run explicitly with -- --ignored"]
 fn rtnn_agrees_with_brute_force_on_many_random_instances() {
     let device = Device::rtx_2080();
+    let backend = GpusimBackend::new(&device);
     for case in 0..300u64 {
         let mut rng = ChaCha8Rng::seed_from_u64(0x5EED ^ (case << 24));
         let points = cloud(&mut rng, 10.0, 200);
@@ -43,8 +42,10 @@ fn rtnn_agrees_with_brute_force_on_many_random_instances() {
         for mode in [SearchMode::Range, SearchMode::Knn] {
             let params = SearchParams { radius, k, mode };
             for opt in OptLevel::all() {
-                let engine = Rtnn::new(&device, RtnnConfig::new(params).with_opt(opt));
-                let results = engine.search(&points, &queries).unwrap();
+                let results =
+                    Index::build(&backend, &points[..], EngineConfig::default().with_opt(opt))
+                        .query(&queries, &QueryPlan::from_params(params))
+                        .unwrap();
                 if let Err((q, e)) = check_all(&points, &queries, &params, &results.neighbors) {
                     panic!(
                         "case {case} {mode:?} {opt:?} r={radius} k={k} n={} query {q}: {e}",

@@ -2,13 +2,27 @@
 //! time accounting, optimisation effects at realistic density, approximate
 //! modes, and simulator sanity properties from DESIGN.md.
 
-#![allow(deprecated)] // the legacy `Rtnn` shim is the single-plan engine under test
-
-use rtnn::{ApproxMode, OptLevel, Rtnn, RtnnConfig, SearchMode, SearchParams};
+use rtnn::{
+    ApproxMode, EngineConfig, GpusimBackend, Index, OptLevel, QueryPlan, SearchMode, SearchParams,
+    SearchResults,
+};
 use rtnn_data::uniform::{self, UniformParams};
 use rtnn_data::{Dataset, DatasetName};
 use rtnn_gpusim::Device;
 use rtnn_math::{Aabb, Vec3};
+
+/// One search on a fresh index.
+fn search(
+    device: &Device,
+    engine: EngineConfig,
+    params: SearchParams,
+    points: &[Vec3],
+    queries: &[Vec3],
+) -> SearchResults {
+    Index::build(&GpusimBackend::new(device), points, engine)
+        .query(queries, &QueryPlan::from_params(params))
+        .unwrap()
+}
 
 fn dense_cloud(n: usize) -> Vec<Vec3> {
     uniform::generate(&UniformParams {
@@ -30,9 +44,7 @@ fn breakdown_components_sum_to_total_and_are_nonnegative() {
             k: 16,
             mode,
         };
-        let results = Rtnn::new(&device, RtnnConfig::new(params))
-            .search(&points, &queries)
-            .unwrap();
+        let results = search(&device, EngineConfig::default(), params, &points, &queries);
         let b = results.breakdown;
         let sum = b.data_ms + b.opt_ms + b.bvh_ms + b.fs_ms + b.search_ms;
         assert!((sum - b.total_ms()).abs() < 1e-9);
@@ -52,10 +64,8 @@ fn full_optimisations_beat_noopt_on_a_dense_knn_workload() {
     let queries = points.clone();
     let params = SearchParams::knn(1.5, 16);
     let time_at = |opt: OptLevel| {
-        Rtnn::new(&device, RtnnConfig::new(params).with_opt(opt))
-            .search(&points, &queries)
-            .unwrap()
-            .total_time_ms()
+        let engine = EngineConfig::default().with_opt(opt);
+        search(&device, engine, params, &points, &queries).total_time_ms()
     };
     let noopt = time_at(OptLevel::NoOpt);
     let full = time_at(OptLevel::Full);
@@ -72,9 +82,8 @@ fn partitioned_search_does_less_shader_work_than_global_search() {
     let queries: Vec<Vec3> = points.iter().step_by(2).copied().collect();
     let params = SearchParams::knn(2.0, 8);
     let run = |opt: OptLevel| {
-        Rtnn::new(&device, RtnnConfig::new(params).with_opt(opt))
-            .search(&points, &queries)
-            .unwrap()
+        let engine = EngineConfig::default().with_opt(opt);
+        search(&device, engine, params, &points, &queries)
     };
     let sched = run(OptLevel::Sched);
     let part = run(OptLevel::SchedPartition);
@@ -98,9 +107,8 @@ fn bundling_never_increases_total_time() {
     let queries: Vec<Vec3> = cloud.points.iter().step_by(3).copied().collect();
     let params = SearchParams::range(8.0, 32);
     let run = |opt: OptLevel| {
-        Rtnn::new(&device, RtnnConfig::new(params).with_opt(opt))
-            .search(&cloud.points, &queries)
-            .unwrap()
+        let engine = EngineConfig::default().with_opt(opt);
+        search(&device, engine, params, &cloud.points, &queries)
     };
     let unbundled = run(OptLevel::SchedPartition);
     let bundled = run(OptLevel::Full);
@@ -127,17 +135,10 @@ fn shrunken_aabb_approximation_is_faster_and_never_reports_false_neighbors() {
     // so the search is effectively unbounded, but small enough that the
     // simulated result buffers still fit in device memory.
     let params = SearchParams::range(1.5, 2_000);
-    let exact = Rtnn::new(&device, RtnnConfig::new(params).with_opt(OptLevel::Sched))
-        .search(&points, &queries)
-        .unwrap();
-    let approx = Rtnn::new(
-        &device,
-        RtnnConfig::new(params)
-            .with_opt(OptLevel::Sched)
-            .with_approx(ApproxMode::ShrunkenAabb { factor: 0.5 }),
-    )
-    .search(&points, &queries)
-    .unwrap();
+    let sched = EngineConfig::default().with_opt(OptLevel::Sched);
+    let exact = search(&device, sched, params, &points, &queries);
+    let shrunk = sched.with_approx(ApproxMode::ShrunkenAabb { factor: 0.5 });
+    let approx = search(&device, shrunk, params, &points, &queries);
     assert!(approx.search_metrics.is_calls < exact.search_metrics.is_calls);
     assert!(approx.breakdown.search_ms < exact.breakdown.search_ms);
     let r2 = params.radius * params.radius;
@@ -154,11 +155,15 @@ fn simulated_time_grows_with_query_count() {
     let device = Device::rtx_2080();
     let points = dense_cloud(15_000);
     let params = SearchParams::knn(1.0, 8);
-    let engine = Rtnn::new(&device, RtnnConfig::new(params));
     let small: Vec<Vec3> = points.iter().step_by(20).copied().collect();
     let large: Vec<Vec3> = points.iter().step_by(2).copied().collect();
-    let t_small = engine.search(&points, &small).unwrap().breakdown.search_ms;
-    let t_large = engine.search(&points, &large).unwrap().breakdown.search_ms;
+    let search_ms = |queries: &[Vec3]| {
+        search(&device, EngineConfig::default(), params, &points, queries)
+            .breakdown
+            .search_ms
+    };
+    let t_small = search_ms(&small);
+    let t_large = search_ms(&large);
     assert!(t_large > t_small);
 }
 
@@ -168,9 +173,7 @@ fn knn_results_are_sorted_by_distance() {
     let points = dense_cloud(5_000);
     let queries: Vec<Vec3> = points.iter().step_by(11).copied().collect();
     let params = SearchParams::knn(2.0, 10);
-    let results = Rtnn::new(&device, RtnnConfig::new(params))
-        .search(&points, &queries)
-        .unwrap();
+    let results = search(&device, EngineConfig::default(), params, &points, &queries);
     for (qi, q) in queries.iter().enumerate() {
         let dists: Vec<f32> = results.neighbors[qi]
             .iter()

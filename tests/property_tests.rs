@@ -10,13 +10,11 @@
 //!   and covers every partition exactly once;
 //! * BVHs built over arbitrary AABB sets validate structurally.
 
-#![allow(deprecated)] // the property suite drives the legacy `Rtnn` shim on purpose
-
 use proptest::prelude::*;
 use rtnn::verify::check_all;
 use rtnn::{
-    plan_bundles, CostCoefficients, KnnAabbRule, OptLevel, Rtnn, RtnnConfig, SearchMode,
-    SearchParams,
+    plan_bundles, CostCoefficients, EngineConfig, GpusimBackend, Index, KnnAabbRule, OptLevel,
+    QueryPlan, SearchMode, SearchParams,
 };
 use rtnn_bvh::{build_bvh, validate_bvh, BuildParams, BvhBuilder};
 use rtnn_gpusim::Device;
@@ -53,8 +51,13 @@ proptest! {
         let mode = if mode_is_knn { SearchMode::Knn } else { SearchMode::Range };
         let params = SearchParams { radius, k, mode };
         let opt = OptLevel::all()[opt_idx];
-        let engine = Rtnn::new(&device, RtnnConfig::new(params).with_opt(opt));
-        let results = engine.search(&points, &queries).unwrap();
+        let results = Index::build(
+            &GpusimBackend::new(&device),
+            &points[..],
+            EngineConfig::default().with_opt(opt),
+        )
+        .query(&queries, &QueryPlan::from_params(params))
+        .unwrap();
         prop_assert_eq!(results.neighbors.len(), queries.len());
         if let Err((q, e)) = check_all(&points, &queries, &params, &results.neighbors) {
             return Err(TestCaseError::fail(format!("{mode:?} {opt:?} query {q}: {e}")));

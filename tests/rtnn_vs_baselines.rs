@@ -2,10 +2,11 @@
 //! dataset family must agree with the brute-force oracle, on both search
 //! modes and at every optimisation level.
 
-#![allow(deprecated)] // the baseline comparison drives the legacy `Rtnn` shim on purpose
-
 use rtnn::verify::check_all;
-use rtnn::{OptLevel, Rtnn, RtnnConfig, SearchMode, SearchParams};
+use rtnn::{
+    EngineConfig, GpusimBackend, Index, OptLevel, QueryPlan, SearchMode, SearchParams,
+    SearchResults,
+};
 use rtnn_baselines::bruteforce::BruteForce;
 use rtnn_baselines::grid_knn::GridKnn;
 use rtnn_baselines::kdtree::KdTreeSearch;
@@ -37,6 +38,19 @@ fn queries_of(points: &[Vec3]) -> Vec<Vec3> {
     points.iter().step_by(7).copied().collect()
 }
 
+/// One search on a fresh index.
+fn rtnn_search(
+    device: &Device,
+    engine: EngineConfig,
+    params: SearchParams,
+    points: &[Vec3],
+    queries: &[Vec3],
+) -> SearchResults {
+    Index::build(&GpusimBackend::new(device), points, engine)
+        .query(queries, &QueryPlan::from_params(params))
+        .unwrap()
+}
+
 #[test]
 fn rtnn_matches_oracle_on_every_dataset_family_and_opt_level() {
     let device = Device::rtx_2080();
@@ -49,8 +63,8 @@ fn rtnn_matches_oracle_on_every_dataset_family_and_opt_level() {
                 mode,
             };
             for opt in OptLevel::all() {
-                let engine = Rtnn::new(&device, RtnnConfig::new(params).with_opt(opt));
-                let results = engine.search(&points, &queries).unwrap();
+                let engine = EngineConfig::default().with_opt(opt);
+                let results = rtnn_search(&device, engine, params, &points, &queries);
                 check_all(&points, &queries, &params, &results.neighbors)
                     .unwrap_or_else(|(q, e)| panic!("{name}, {mode:?}, {opt:?}, query {q}: {e}"));
             }
@@ -110,9 +124,13 @@ fn rtnn_and_kdtree_report_identical_knn_distance_profiles() {
     let cloud = Dataset::scaled(DatasetName::Dragon3_6M, 2000).generate();
     let queries = queries_of(&cloud.points);
     let params = SearchParams::knn(0.05, 8);
-    let rtnn = Rtnn::new(&device, RtnnConfig::new(params))
-        .search(&cloud.points, &queries)
-        .unwrap();
+    let rtnn = rtnn_search(
+        &device,
+        EngineConfig::default(),
+        params,
+        &cloud.points,
+        &queries,
+    );
     let kd = KdTreeSearch
         .knn_search(
             &device,
@@ -150,9 +168,17 @@ fn results_are_deterministic_across_runs() {
     let cloud = Dataset::scaled(DatasetName::Kitti6M, 4000).generate();
     let queries = queries_of(&cloud.points);
     let params = SearchParams::knn(2.0, 6);
-    let engine = Rtnn::new(&device, RtnnConfig::new(params));
-    let a = engine.search(&cloud.points, &queries).unwrap();
-    let b = engine.search(&cloud.points, &queries).unwrap();
+    let run = || {
+        rtnn_search(
+            &device,
+            EngineConfig::default(),
+            params,
+            &cloud.points,
+            &queries,
+        )
+    };
+    let a = run();
+    let b = run();
     assert_eq!(a.neighbors, b.neighbors);
     assert_eq!(a.breakdown, b.breakdown);
     assert_eq!(a.search_metrics, b.search_metrics);
@@ -166,13 +192,17 @@ fn both_device_presets_agree_on_results_but_not_on_time() {
     let cloud = Dataset::scaled(DatasetName::Bunny360K, 300).generate();
     let queries = queries_of(&cloud.points);
     let params = SearchParams::range(0.03, 16);
-    let slow = Rtnn::new(&Device::rtx_2080(), RtnnConfig::new(params))
-        .search(&cloud.points, &queries)
-        .unwrap();
-    let fast_device = Device::rtx_2080_ti();
-    let fast = Rtnn::new(&fast_device, RtnnConfig::new(params))
-        .search(&cloud.points, &queries)
-        .unwrap();
+    let on = |device: &Device| {
+        rtnn_search(
+            device,
+            EngineConfig::default(),
+            params,
+            &cloud.points,
+            &queries,
+        )
+    };
+    let slow = on(&Device::rtx_2080());
+    let fast = on(&Device::rtx_2080_ti());
     assert_eq!(
         slow.neighbors, fast.neighbors,
         "results must be device-independent"
