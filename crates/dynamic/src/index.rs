@@ -6,6 +6,7 @@ use crate::policy::RebuildPolicy;
 use rtnn::{
     Accel, AdoptedScene, AutoTuner, Backend, CostCoefficients, GpusimBackend, Index, MegacellCache,
     MegacellGrid, QueryPlan, RtnnConfig, SearchError, SearchResults, StageOverrides, TunerDecision,
+    Tuning,
 };
 use rtnn_bvh::SahMonitor;
 use rtnn_gpusim::{Device, FrameAccumulator};
@@ -477,7 +478,11 @@ impl<'d> DynamicIndex<'d> {
 
     /// Build the per-frame adopted view both query paths share. The
     /// adopted megacell cache is tagged with the config's params, so view
-    /// plans with other radii/K bypass it instead of wiping it.
+    /// plans with other radii/K bypass it instead of wiping it. The view
+    /// never auto-tunes by itself: its tuner would not outlive the frame,
+    /// and [`search`](Self::search) must know which level ran to retire
+    /// pending cache invalidations (frames tune through
+    /// [`enable_auto`](Self::enable_auto) instead).
     fn frame_view(&mut self, dirty_region: Aabb, structure_ms: f64) -> FrameIndex<'_> {
         let accel = self
             .accel
@@ -486,7 +491,7 @@ impl<'d> DynamicIndex<'d> {
         let mut index = Index::adopt(
             self.backend.as_dyn(),
             &self.compact,
-            self.config.engine,
+            self.config.engine.with_tuning(Tuning::Static),
             AdoptedScene {
                 accel,
                 grid: self.grid.as_ref(),
@@ -1130,6 +1135,33 @@ mod tests {
         assert_eq!(report.len(), 1, "one signature: knn at this density");
         assert_eq!(report[0].measured_arms, 4, "all arms bootstrapped");
         assert_eq!(report[0].decisions, 8);
+    }
+
+    #[test]
+    fn an_auto_engine_config_leaves_frames_static() {
+        // Frames tune only through `enable_auto`, whose tuner outlives the
+        // frame; an auto engine config runs every frame at its static level.
+        let device = Device::rtx_2080();
+        let points = jittered_block(6, 0.5);
+        let queries: Vec<Vec3> = points.iter().step_by(3).copied().collect();
+        let params = SearchParams::knn(1.2, 8);
+        let auto = RtnnConfig {
+            params,
+            engine: EngineConfig::auto(),
+        };
+        let mut tuned = DynamicIndex::with_points(&device, auto, &points);
+        let mut fixed = DynamicIndex::with_points(&device, RtnnConfig::new(params), &points);
+        for frame in 0..4u32 {
+            for h in 0..points.len() as u32 {
+                let p = tuned.position(h).unwrap() + Vec3::new(0.001 * frame as f32, 0.0, 0.0);
+                tuned.move_point(h, p);
+                fixed.move_point(h, p);
+            }
+            let a = tuned.search(&queries).unwrap().results;
+            let b = fixed.search(&queries).unwrap().results;
+            assert_eq!(a.neighbors, b.neighbors, "frame {frame}");
+            assert_eq!(a.breakdown, b.breakdown, "frame {frame}");
+        }
     }
 
     #[test]
