@@ -712,7 +712,7 @@ impl<'a> Index<'a> {
             let structure_ms =
                 pending_ms + store.ensure_many(backend, points, &widths, cfg.build)?;
             breakdown.bvh_ms += structure_ms;
-            Ok(((), structure_ms))
+            Ok(structure_ms)
         })?;
         if !launched {
             return Ok(SearchResults {

@@ -101,6 +101,7 @@ pub struct StageTiming {
     pub host_ms: f64,
     /// How many times the stage ran (a batch plan runs the per-slice stages
     /// once per slice; a sharded execution once per overlapped shard).
+    /// `Launch` also counts each execution's one structure ensure.
     pub invocations: u64,
 }
 
@@ -246,14 +247,15 @@ impl StageMeter {
         Ok(out)
     }
 
-    /// Run the structure ensure: billed to `Launch` under an
-    /// `accel.ensure` span, outside the stage histograms.
-    pub(crate) fn structures<T>(
+    /// Run the structure ensure, which returns the simulated ms it
+    /// charged: billed to `Launch` under an `accel.ensure` span, outside
+    /// the stage histograms.
+    pub(crate) fn structures(
         &mut self,
-        body: impl FnOnce() -> Result<(T, f64), SearchError>,
-    ) -> Result<T, SearchError> {
-        self.run(StageKind::Launch, "accel.ensure", body)
-            .map(|(out, _)| out)
+        body: impl FnOnce() -> Result<f64, SearchError>,
+    ) -> Result<(), SearchError> {
+        self.run(StageKind::Launch, "accel.ensure", || Ok(((), body()?)))
+            .map(|_| ())
     }
 
     fn run<T>(
