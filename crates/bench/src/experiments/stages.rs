@@ -69,12 +69,17 @@ pub fn run(scale: &ExperimentScale) -> FigureReport {
                 "range share",
             ],
         );
-        let knn = run_once(&device, &workload, SearchMode::Knn, StageOverrides::none());
+        let knn = run_once(
+            &device,
+            &workload,
+            SearchMode::Knn,
+            StageOverrides::default(),
+        );
         let range = run_once(
             &device,
             &workload,
             SearchMode::Range,
-            StageOverrides::none(),
+            StageOverrides::default(),
         );
         let knn_shares = knn.trace.device_fractions();
         let range_shares = range.trace.device_fractions();
@@ -106,7 +111,7 @@ pub fn run(scale: &ExperimentScale) -> FigureReport {
             &["configuration", "KNN time", "vs full"],
         );
         let variants: [(&str, StageOverrides<'static>); 3] = [
-            ("full pipeline", StageOverrides::none()),
+            ("full pipeline", StageOverrides::default()),
             ("reordering off", StageOverrides::without_reordering()),
             ("partitioning off", StageOverrides::without_partitioning()),
         ];

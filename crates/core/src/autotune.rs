@@ -30,6 +30,14 @@
 //!                          AutoTuner::observe (EWMA fold)
 //! ```
 //!
+//! Every tuned entry point runs this loop through one call,
+//! [`AutoTuner::run`]: an [`Index`](crate::Index) whose
+//! [`EngineConfig::tuning`] is auto, a `DynamicIndex` frame under the same
+//! config knob (its tuner outlives the per-frame views), and a
+//! `QueryService` tick with an attached tuner (one decision per fused
+//! batch). [`AutoTuner::for_engine`] builds the tuner an engine config
+//! asks for.
+//!
 //! The four arms are the [`OptLevel`] ladder expressed as fully pinned
 //! [`StageOverrides`] sets, so a decision changes *which stages run*, never
 //! the answer: every arm is already pinned bit-equal across the ladder and
@@ -45,10 +53,13 @@
 //! bias the policy against partitioning forever. The cost model already
 //! prices builds explicitly for the cold start.
 
+use crate::backend::Backend;
 use crate::cost_model::CostCoefficients;
-use crate::engine::OptLevel;
+use crate::engine::{OptLevel, SearchError};
+use crate::index::EngineConfig;
 use crate::pipeline::StageOverrides;
-use rtnn_telemetry::{density_bucket, ProfileSnapshot};
+use crate::result::SearchResults;
+use rtnn_telemetry::{density_bucket, ProfileSnapshot, Telemetry};
 use std::collections::BTreeMap;
 
 /// Default policy seed (any fixed value works; tests pin this one).
@@ -72,7 +83,7 @@ const P50_WINDOW: usize = 9;
 /// state itself lives on the index / dynamic index / query service.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Tuning {
-    /// `EngineConfig::opt` decides every stage (the historical behaviour).
+    /// `EngineConfig::opt` decides every stage (the default).
     #[default]
     Static,
     /// An [`AutoTuner`] seeded with `seed` picks an [`OptLevel`] arm per
@@ -87,11 +98,6 @@ impl Tuning {
     /// Auto tuning under the default seed.
     pub fn auto() -> Self {
         Tuning::Auto { seed: DEFAULT_SEED }
-    }
-
-    /// True for [`Tuning::Auto`].
-    pub fn is_auto(&self) -> bool {
-        matches!(self, Tuning::Auto { .. })
     }
 }
 
@@ -277,6 +283,25 @@ impl AutoTuner {
         }
     }
 
+    /// The tuner an engine configured with `config` runs under on
+    /// `backend`, or `None` when `config.tuning` is static: seeded from the
+    /// config, with the cost model calibrated for the backend's device, and
+    /// warm-started from the ambient continuous profiler when one is armed
+    /// (those measurements were collected under the static `config.opt`
+    /// level). [`Index`](crate::Index) builds its tuner with this on first
+    /// use; a `DynamicIndex` builds one and carries it across frames.
+    pub fn for_engine(config: &EngineConfig, backend: &dyn Backend) -> Option<Self> {
+        let Tuning::Auto { seed } = config.tuning else {
+            return None;
+        };
+        let mut tuner =
+            AutoTuner::new(seed).with_cost_model(CostCoefficients::calibrate(backend.device()));
+        if let Some(snapshot) = Telemetry::current().and_then(|t| t.profile_snapshot()) {
+            tuner.absorb_profile(&snapshot, config.opt);
+        }
+        Some(tuner)
+    }
+
     /// Set the exploration rate (clamped to `[0, 1]`).
     pub fn with_epsilon(mut self, epsilon: f64) -> Self {
         self.epsilon = epsilon.clamp(0.0, 1.0);
@@ -299,11 +324,6 @@ impl AutoTuner {
     /// True once a cost model is attached.
     pub fn has_cost_model(&self) -> bool {
         self.cost.is_some()
-    }
-
-    /// The policy seed.
-    pub fn seed(&self) -> u64 {
-        self.seed
     }
 
     /// Total decisions made across all signatures.
@@ -362,6 +382,36 @@ impl AutoTuner {
             level: best,
             source: DecisionSource::Measured,
         }
+    }
+
+    /// One decide → execute → observe round-trip, the way every tuned
+    /// entry point runs: [`decide`](Self::decide) the arm for these
+    /// signature coordinates, run `execute` under the decision's
+    /// [`overrides`](TunerDecision::overrides), and on success
+    /// [`observe`](Self::observe) the execution's per-stage trace net of
+    /// its `breakdown.bvh_ms` structure cost. A failed execution folds
+    /// nothing. Returns the decision with the execution's result.
+    pub fn run(
+        &mut self,
+        plan_kind: &str,
+        points: usize,
+        backend: &str,
+        queries: usize,
+        execute: impl FnOnce(StageOverrides<'static>) -> Result<SearchResults, SearchError>,
+    ) -> (TunerDecision, Result<SearchResults, SearchError>) {
+        let decision = self.decide(plan_kind, points, backend, queries);
+        let result = execute(decision.overrides());
+        if let Ok(results) = &result {
+            self.observe(
+                plan_kind,
+                points,
+                backend,
+                decision.level,
+                &results.trace.stage_device_ms(),
+                results.breakdown.bvh_ms,
+            );
+        }
+        (decision, result)
     }
 
     /// Fold one execution's measured per-stage device timings into the arm
@@ -660,9 +710,60 @@ mod tests {
     }
 
     #[test]
+    fn run_decides_executes_and_folds_only_successful_executions() {
+        use crate::pipeline::StageKind;
+        use crate::plan::PlanError;
+        let mut results = SearchResults::default();
+        results.trace.charge(StageKind::Schedule, 0.1, 0.0);
+        results.trace.charge(StageKind::Partition, 0.2, 0.0);
+        results.trace.charge(StageKind::Launch, 7.5, 0.0);
+        results.breakdown.bvh_ms = 5.0;
+
+        // The decision is the one `decide` makes, and the execution runs
+        // under its overrides.
+        let mut tuner = AutoTuner::new(13).with_cost_model(calibrated());
+        let expected = tuner.clone().decide("knn", 9_000, "gpusim", 500);
+        let (decision, result) = tuner.run("knn", 9_000, "gpusim", 500, |overrides| {
+            let schedule = overrides.schedule.expect("pinned schedule");
+            let partition = overrides.partition.expect("pinned partition");
+            assert_eq!(schedule.needs_structure(), expected.level.scheduling());
+            assert_eq!(partition.wants_grid(), expected.level.partitioning());
+            Ok(results.clone())
+        });
+        assert_eq!(decision, expected);
+        assert!(result.is_ok());
+
+        // On success the arm holds exactly the by-hand observation, net of
+        // the structure cost.
+        let mut by_hand = AutoTuner::new(13).with_cost_model(calibrated());
+        by_hand.decide("knn", 9_000, "gpusim", 500);
+        by_hand.observe(
+            "knn",
+            9_000,
+            "gpusim",
+            expected.level,
+            &results.trace.stage_device_ms(),
+            results.breakdown.bvh_ms,
+        );
+        let score = tuner.report()[0].arm_score_ms;
+        assert_eq!(score, by_hand.report()[0].arm_score_ms);
+        assert!((score[expected.level as usize] - 2.8).abs() < 1e-12);
+
+        // A failed execution folds nothing: the signature still cold-starts.
+        let mut failing = AutoTuner::new(13).with_cost_model(calibrated());
+        let (first, result) = failing.run("range", 9_000, "gpusim", 500, |_| {
+            Err(SearchError::InvalidPlan(PlanError::EmptyBatch))
+        });
+        assert_eq!(first.source, DecisionSource::CostModel);
+        assert!(result.is_err());
+        assert_eq!(failing.report()[0].measured_arms, 0);
+        let next = failing.decide("range", 9_000, "gpusim", 500);
+        assert_eq!(next.source, DecisionSource::CostModel);
+    }
+
+    #[test]
     fn tuning_knob_defaults_to_static() {
         assert_eq!(Tuning::default(), Tuning::Static);
-        assert!(Tuning::auto().is_auto());
-        assert!(!Tuning::Static.is_auto());
+        assert_eq!(Tuning::auto(), Tuning::Auto { seed: DEFAULT_SEED });
     }
 }

@@ -5,20 +5,20 @@
 //! The engine pipeline (scheduling, partitioning, bundling) is
 //! backend-agnostic: it decides *what* to traverse and hands each launch to
 //! a [`Backend`], which owns *how* the traversal executes and what
-//! structures back it. Three implementations ship:
+//! structures back it. Two implementations ship:
 //!
-//! * [`GpusimBackend`] — the default: traversals run on the simulated
-//!   Turing-class device through the OptiX-like pipeline, with full
-//!   microarchitectural metrics and SAH quality introspection.
-//! * [`OptixBackend`] — the integration shim for a real OptiX 7 device.
-//!   Without an RTX card in the loop it executes on the same simulated
-//!   pipeline (bit-identical results), but it honours the hardware
-//!   contract: the acceleration structure is opaque — no BVH or SAH
-//!   introspection — exactly what `optixAccelBuild` would hand back.
+//! * [`GpusimBackend`] — the one ray-tracing backend: traversals run on the
+//!   simulated Turing-class device through the OptiX-like pipeline, with
+//!   full microarchitectural metrics. [`GpusimBackend::new`] exposes the
+//!   BVH and its SAH quality; [`GpusimBackend::optix_shim`] is the
+//!   integration shim for a real OptiX 7 device, which honours the hardware
+//!   contract — the acceleration structure is opaque, no BVH or SAH
+//!   introspection, exactly what `optixAccelBuild` would hand back — with
+//!   bit-identical results.
 //! * `BruteForceBackend` (in `rtnn-baselines`) — keeps no structure and
 //!   answers every traversal by exhaustive scan over the mapping semantics
 //!   ([`exhaustive_traverse`]); it doubles as the oracle the cross-backend
-//!   equivalence suite checks the ray-tracing backends against.
+//!   equivalence suite checks the ray-tracing backend against.
 
 use crate::shaders::{FirstHitProgram, KnnHeap, KnnProgram, QueryIndexing, RangeProgram, NO_HIT};
 use rtnn_bvh::BuildParams;
@@ -128,8 +128,7 @@ fn point_aabbs(points: &[Vec3], width: f32) -> Vec<Aabb> {
 }
 
 /// Run `job` against a BVH-backed structure through the OptiX-like
-/// pipeline. Shared by the two ray-tracing backends so their results are
-/// bit-identical by construction.
+/// pipeline.
 fn pipeline_traverse(device: &Device, gas: &Gas, job: &TraversalJob<'_>) -> Traversal {
     let pipeline = Pipeline::new(device);
     let n = job.query_ids.len();
@@ -319,79 +318,49 @@ pub fn exhaustive_traverse(
     Traversal { payloads, metrics }
 }
 
-/// The default backend: traversals execute on the simulated Turing-class
-/// device through the OptiX-like pipeline, with full metrics and SAH
-/// quality introspection.
+/// The ray-tracing backend: traversals execute on the simulated
+/// Turing-class device through the OptiX-like pipeline, with full metrics.
 #[derive(Debug, Clone, Copy)]
 pub struct GpusimBackend<'d> {
     device: &'d Device,
+    /// Build opaque structures (no BVH or SAH introspection).
+    opaque: bool,
 }
 
 impl<'d> GpusimBackend<'d> {
-    /// A backend on `device`.
+    /// The default backend on `device`, with BVH and SAH quality
+    /// introspection.
     pub fn new(device: &'d Device) -> Self {
-        GpusimBackend { device }
+        GpusimBackend {
+            device,
+            opaque: false,
+        }
+    }
+
+    /// The integration shim for a real OptiX 7 device: same launch
+    /// semantics and bit-identical results (without an RTX card the rays
+    /// execute on the same simulated pipeline), but the acceleration
+    /// structure honours the hardware contract — it is opaque, with no BVH
+    /// or SAH introspection, so quality-driven policies fall back to their
+    /// introspection-free behaviour. Named `"optix-shim"`, so profiler and
+    /// tuner signatures keep it apart from the default backend.
+    pub fn optix_shim(device: &'d Device) -> Self {
+        GpusimBackend {
+            device,
+            opaque: true,
+        }
     }
 }
 
 impl<'d> Backend for GpusimBackend<'d> {
     fn name(&self) -> &'static str {
-        "gpusim"
-    }
-
-    fn device(&self) -> &Device {
-        self.device
-    }
-
-    fn build(
-        &self,
-        points: &[Vec3],
-        aabb_width: f32,
-        build: BuildParams,
-    ) -> Result<Accel, OutOfDeviceMemory> {
-        let gas = Gas::build(self.device, &point_aabbs(points, aabb_width), build)?;
-        Ok(Accel::from_gas(gas, aabb_width))
-    }
-
-    fn refit(&self, accel: &mut Accel, points: &[Vec3]) -> Option<RefitOutcome> {
-        accel.refit_in_place(self.device, points)
-    }
-
-    fn traverse(&self, accel: AccelRef<'_>, job: &TraversalJob<'_>) -> Traversal {
-        match accel {
-            AccelRef::Gas { gas, .. } => pipeline_traverse(self.device, gas, job),
-            flat @ AccelRef::Flat { .. } => exhaustive_traverse(self.device, flat, job),
+        if self.opaque {
+            "optix-shim"
+        } else {
+            "gpusim"
         }
     }
 
-    fn timing(&self, num_prims: usize) -> StructureTiming {
-        self.device.structure_timing(num_prims)
-    }
-}
-
-/// The integration shim for a real OptiX 7 device: same launch semantics
-/// and bit-identical results as [`GpusimBackend`] (without an RTX card the
-/// rays execute on the same simulated pipeline), but the acceleration
-/// structure honours the hardware contract — it is opaque, with no BVH or
-/// SAH introspection, so quality-driven policies fall back to their
-/// introspection-free behaviour.
-#[derive(Debug, Clone, Copy)]
-pub struct OptixBackend<'d> {
-    device: &'d Device,
-}
-
-impl<'d> OptixBackend<'d> {
-    /// A backend on `device`.
-    pub fn new(device: &'d Device) -> Self {
-        OptixBackend { device }
-    }
-}
-
-impl<'d> Backend for OptixBackend<'d> {
-    fn name(&self) -> &'static str {
-        "optix-shim"
-    }
-
     fn device(&self) -> &Device {
         self.device
     }
@@ -403,7 +372,11 @@ impl<'d> Backend for OptixBackend<'d> {
         build: BuildParams,
     ) -> Result<Accel, OutOfDeviceMemory> {
         let gas = Gas::build(self.device, &point_aabbs(points, aabb_width), build)?;
-        Ok(Accel::from_gas_opaque(gas, aabb_width))
+        Ok(if self.opaque {
+            Accel::from_gas_opaque(gas, aabb_width)
+        } else {
+            Accel::from_gas(gas, aabb_width)
+        })
     }
 
     fn refit(&self, accel: &mut Accel, points: &[Vec3]) -> Option<RefitOutcome> {
@@ -447,7 +420,7 @@ mod tests {
         let ids = identity(queries.len());
         let backends: Vec<Box<dyn Backend + '_>> = vec![
             Box::new(GpusimBackend::new(&device)),
-            Box::new(OptixBackend::new(&device)),
+            Box::new(GpusimBackend::optix_shim(&device)),
         ];
         let job = TraversalJob {
             points: &points,

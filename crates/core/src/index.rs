@@ -41,17 +41,16 @@
 
 use crate::approx::ApproxMode;
 use crate::autotune::{AutoTuner, TunerDecision, Tuning};
-use crate::backend::{Accel, AccelRef, Backend};
-use crate::cost_model::CostCoefficients;
+use crate::backend::{Accel, AccelRef, Backend, Traversal, TraversalJob, TraversalKind};
 use crate::engine::{OptLevel, SearchError};
 use crate::megacell::MegacellGrid;
-use crate::partition::{KnnAabbRule, MegacellCache};
+use crate::partition::{KnnAabbRule, MegacellCache, Partition};
 use crate::pipeline::{
-    assert_schedule_covers, ExecutionPipeline, GatheredHits, LaunchCx, PartitionCx, ScheduleCx,
-    StageKind, StageMeter, StageOverrides,
+    assert_schedule_covers, ExecutionPipeline, PartitionCx, ScheduleCx, StageKind, StageMeter,
+    StageOverrides,
 };
 use crate::plan::{PlanError, QueryPlan};
-use crate::result::{SearchParams, SearchResults, TimeBreakdown};
+use crate::result::{SearchMode, SearchParams, SearchResults, TimeBreakdown};
 use rtnn_bvh::BuildParams;
 use rtnn_gpusim::kernel::point_cloud_bytes;
 use rtnn_math::{Aabb, Vec3};
@@ -77,7 +76,8 @@ pub struct EngineConfig {
     pub grid_max_cells: usize,
     /// Static stage selection from [`Self::opt`] (the default) or adaptive
     /// per-query selection through a seeded [`AutoTuner`]
-    /// (see [`EngineConfig::auto`]).
+    /// (see [`EngineConfig::auto`]). An [`Index`] tunes every call, and a
+    /// `DynamicIndex` every frame, under this one knob.
     pub tuning: Tuning,
 }
 
@@ -336,8 +336,8 @@ pub struct Index<'a> {
     cache_params: Option<SearchParams>,
     dirty_region: Aabb,
     pending_structure_ms: f64,
-    /// Lazily created when `config.tuning` is auto (or installed via
-    /// [`Index::set_tuner`]); owns the per-signature decision state.
+    /// Created on first use when `config.tuning` is auto
+    /// ([`AutoTuner::for_engine`]); owns the per-signature decision state.
     tuner: Option<AutoTuner>,
     /// The most recent auto-tuning decision, `None` until one was made.
     last_decision: Option<TunerDecision>,
@@ -442,19 +442,9 @@ impl<'a> Index<'a> {
         self.last_decision
     }
 
-    /// The index's tuner state, once auto tuning made a decision (or a
-    /// tuner was installed with [`Self::set_tuner`]).
+    /// The index's tuner state, once auto tuning made a decision.
     pub fn tuner(&self) -> Option<&AutoTuner> {
         self.tuner.as_ref()
-    }
-
-    /// Install pre-seeded tuner state (e.g. warmed from a persisted
-    /// [`ProfileSnapshot`](rtnn_telemetry::ProfileSnapshot) via
-    /// [`AutoTuner::absorb_profile`]) and switch the index to auto tuning
-    /// under the tuner's seed.
-    pub fn set_tuner(&mut self, tuner: AutoTuner) {
-        self.config.tuning = Tuning::Auto { seed: tuner.seed() };
-        self.tuner = Some(tuner);
     }
 
     /// Pre-build every structure (and the megacell grid) that `plan` would
@@ -535,7 +525,7 @@ impl<'a> Index<'a> {
         // sizing; plans without the sentinel pass through untouched.
         let plan = plan.resolve_caps(self.points.len());
         let plan = plan.normalized();
-        plan.validate(queries.len())?;
+        plan.validate_for(queries)?;
         let tel = Telemetry::current();
         let mut query_span = tel.as_ref().map(|t| {
             t.span(match plan.as_ref().kind_label() {
@@ -548,35 +538,6 @@ impl<'a> Index<'a> {
             t.counter_add("index.queries", 1);
             t.counter_add("index.query_points", queries.len() as u64);
         }
-        // Auto tuning: when the config asks for it and the caller pinned no
-        // stage explicitly, a seeded `AutoTuner` picks the OptLevel arm for
-        // this call. The tuner is created on first use, warm-started from
-        // the continuous profiler's snapshot when one is armed (those
-        // measurements were collected under the static `config.opt` level).
-        let decision = match self.config.tuning {
-            Tuning::Auto { seed } if overrides.is_empty() => {
-                if self.tuner.is_none() {
-                    let mut tuner = AutoTuner::new(seed)
-                        .with_cost_model(CostCoefficients::calibrate(self.backend.device()));
-                    if let Some(snapshot) = tel.as_ref().and_then(|t| t.profile_snapshot()) {
-                        tuner.absorb_profile(&snapshot, self.config.opt);
-                    }
-                    self.tuner = Some(tuner);
-                }
-                let tuner = self.tuner.as_mut().expect("tuner installed above");
-                Some(tuner.decide(
-                    plan.as_ref().kind_label(),
-                    self.points.len(),
-                    self.backend.name(),
-                    queries.len(),
-                ))
-            }
-            _ => None,
-        };
-        let overrides = match decision {
-            Some(d) => d.overrides(),
-            None => overrides,
-        };
         // A single plan is one slice over every query. An adopted megacell
         // cache serves exactly the params it was grown under: other plans
         // bypass it (reading its entries would be wrong, wiping them would
@@ -605,7 +566,33 @@ impl<'a> Index<'a> {
                 )
             }
         };
-        let result = self.execute(queries, &slices, use_cache, overrides);
+        // Auto tuning: when the config asks for it and the caller pinned no
+        // stage explicitly, the index's `AutoTuner` picks the OptLevel arm
+        // for this call and learns from its per-stage timings.
+        let tuner = match self.config.tuning {
+            Tuning::Auto { .. } if overrides.is_empty() => self
+                .tuner
+                .take()
+                .or_else(|| AutoTuner::for_engine(&self.config, self.backend)),
+            _ => None,
+        };
+        let result = match tuner {
+            Some(mut tuner) => {
+                let (decision, result) = tuner.run(
+                    plan.as_ref().kind_label(),
+                    self.points.len(),
+                    self.backend.name(),
+                    queries.len(),
+                    |decided| self.execute(queries, &slices, use_cache, decided),
+                );
+                self.tuner = Some(tuner);
+                if result.is_ok() {
+                    self.last_decision = Some(decision);
+                }
+                result
+            }
+            None => self.execute(queries, &slices, use_cache, overrides),
+        };
         if let (Some(span), Ok(results)) = (query_span.as_mut(), result.as_ref()) {
             span.attr("queries", queries.len() as f64)
                 .attr("points", self.points.len() as f64)
@@ -623,22 +610,6 @@ impl<'a> Index<'a> {
                 });
             }
         }
-        // The tuner learns from the same per-stage timings the profiler
-        // records; `bvh_ms` (one-time structure builds) is excluded so arms
-        // compete on steady-state cost.
-        if let (Some(d), Ok(results)) = (decision, result.as_ref()) {
-            if let Some(tuner) = self.tuner.as_mut() {
-                tuner.observe(
-                    plan.as_ref().kind_label(),
-                    self.points.len(),
-                    self.backend.name(),
-                    d.level,
-                    &results.trace.stage_device_ms(),
-                    results.breakdown.bvh_ms,
-                );
-            }
-            self.last_decision = Some(d);
-        }
         result
     }
 
@@ -647,7 +618,9 @@ impl<'a> Index<'a> {
     /// built concurrently, billed to `Launch` once together with pending
     /// caller-side maintenance — then one shared `Schedule` over every
     /// covered query, then `Partition` → `Launch` → `Gather` per slice, in
-    /// the slice's share of the shared order.
+    /// the slice's share of the shared order. `Launch` traverses every
+    /// non-empty partition ([`traverse_partition`]) and `Gather` scatters
+    /// each traversal's payloads back by query id.
     ///
     /// `use_cache` hands the adopted megacell cache to the partitioning of
     /// a single-slice call. The adopted dirty region is applied on *every*
@@ -764,16 +737,13 @@ impl<'a> Index<'a> {
         } else {
             None
         };
-        let mut gathered = GatheredHits::empty(queries.len());
+        let mut neighbors: Vec<Vec<u32>> = vec![Vec::new(); queries.len()];
         let mut search_metrics = LaunchMetrics::default();
         let (mut num_partitions, mut num_bundles) = (0, 0);
         for (&(params, _), order) in slices.iter().zip(&orders) {
             if order.is_empty() {
                 continue;
             }
-            let global = store
-                .find(cfg.aabb_width(params.radius))
-                .expect("ensured above");
             let grid = if pipeline.partition.wants_grid() {
                 grid_for(&mut self.grid, points, cfg.grid_max_cells)
             } else {
@@ -797,23 +767,24 @@ impl<'a> Index<'a> {
             })?;
             let launches = meter.stage(StageKind::Launch, || {
                 let before = (breakdown.bvh_ms, breakdown.search_ms);
-                let mut cx = LaunchCx {
-                    backend,
-                    config: &cfg,
-                    params,
-                    points,
-                    queries,
-                    store,
-                    global,
-                    breakdown: &mut breakdown,
-                    search_metrics: &mut search_metrics,
-                };
-                let launches = pipeline.launch.launch(&mut cx, &parts)?;
+                let mut launches = Vec::new();
+                for part in parts.partitions.iter().filter(|p| !p.is_empty()) {
+                    let (traversal, built_ms) =
+                        traverse_partition(backend, &cfg, params, points, queries, store, part)?;
+                    breakdown.bvh_ms += built_ms;
+                    breakdown.search_ms += traversal.metrics.time_ms();
+                    search_metrics.merge_sequential(&traversal.metrics);
+                    launches.push((&part.query_ids, traversal.payloads));
+                }
                 let device_ms = (breakdown.bvh_ms - before.0) + (breakdown.search_ms - before.1);
                 Ok((launches, device_ms))
             })?;
             meter.stage(StageKind::Gather, || {
-                pipeline.gather.gather(&parts, launches, &mut gathered);
+                for (ids, payloads) in launches {
+                    for (&qid, payload) in ids.iter().zip(payloads) {
+                        neighbors[qid as usize] = payload;
+                    }
+                }
                 Ok(((), 0.0))
             })?;
             num_partitions += parts.num_partitions;
@@ -821,7 +792,7 @@ impl<'a> Index<'a> {
         }
 
         Ok(SearchResults {
-            neighbors: gathered.neighbors,
+            neighbors,
             breakdown,
             search_metrics,
             fs_metrics: schedule.fs_metrics,
@@ -830,6 +801,51 @@ impl<'a> Index<'a> {
             trace: meter.trace,
         })
     }
+}
+
+/// Traverse one partition with its own acceleration structure: the slice's
+/// full-width structure for a full-width partition, otherwise the store's
+/// structure at the partition's width, built on a miss. Returns the
+/// traversal and the simulated build cost this call incurred (0 unless it
+/// built a structure).
+fn traverse_partition(
+    backend: &dyn Backend,
+    cfg: &EngineConfig,
+    params: SearchParams,
+    points: &[Vec3],
+    queries: &[Vec3],
+    store: &mut AccelStore<'_>,
+    part: &Partition,
+) -> Result<(Traversal, f64), SearchError> {
+    let full_width = cfg.aabb_width(params.radius);
+    let (aid, built_ms) = if (part.aabb_width - full_width).abs() <= f32::EPSILON * full_width {
+        (store.find(full_width).expect("ensured by the driver"), 0.0)
+    } else {
+        let eff_width = part.aabb_width * cfg.approx.aabb_width_factor().min(1.0);
+        store.ensure(backend, points, eff_width, cfg.build)?
+    };
+    let sphere_test = part.sphere_test && !cfg.approx.skip_sphere_test();
+    let kind = match params.mode {
+        SearchMode::Range => TraversalKind::Range {
+            radius: params.radius,
+            cap: params.k,
+            sphere_test,
+        },
+        SearchMode::Knn => TraversalKind::Knn {
+            radius: params.radius,
+            k: params.k,
+        },
+    };
+    let traversal = backend.traverse(
+        store.accel_ref(aid),
+        &TraversalJob {
+            points,
+            queries,
+            query_ids: &part.query_ids,
+            kind,
+        },
+    );
+    Ok((traversal, built_ms))
 }
 
 #[cfg(test)]

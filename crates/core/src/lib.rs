@@ -33,8 +33,9 @@
 //! [`Index`] once over the points, then answer typed [`QueryPlan`]s
 //! against it — different radii, Ks and variants, even a heterogeneous
 //! [`QueryPlan::Batch`] in one call — on a pluggable [`Backend`]
-//! ([`GpusimBackend`] by default, [`OptixBackend`] as the real-hardware
-//! shim, `BruteForceBackend` in `rtnn-baselines` as the oracle).
+//! ([`GpusimBackend`], whose [`GpusimBackend::optix_shim`] constructor is
+//! the real-hardware shim, and `BruteForceBackend` in `rtnn-baselines` as
+//! the oracle).
 //!
 //! ```
 //! use rtnn::{EngineConfig, GpusimBackend, Index, QueryPlan};
@@ -59,7 +60,11 @@
 //! ```
 //!
 //! A single plan is a one-slice batch: every call, whatever its plan,
-//! runs through the same driver and staged [`pipeline`].
+//! runs through the same driver and staged [`pipeline`]. The
+//! [`EngineConfig`] picks the stages — statically from its [`OptLevel`], or
+//! per call through a seeded [`AutoTuner`] ([`Tuning`]) — and
+//! [`StageOverrides`] on [`Index::query_with`] replace the `Schedule` or
+//! `Partition` stage for one call.
 
 pub mod approx;
 pub mod autotune;
@@ -80,8 +85,8 @@ pub mod verify;
 pub use approx::ApproxMode;
 pub use autotune::{AutoTuner, DecisionSource, TunerDecision, TunerReport, Tuning};
 pub use backend::{
-    exhaustive_traverse, Accel, AccelRef, Backend, GpusimBackend, OptixBackend, RefitOutcome,
-    Traversal, TraversalJob, TraversalKind,
+    exhaustive_traverse, Accel, AccelRef, Backend, GpusimBackend, RefitOutcome, Traversal,
+    TraversalJob, TraversalKind,
 };
 pub use bundling::{apply_bundles, plan_bundles, BundlePlan};
 pub use cost_model::CostCoefficients;

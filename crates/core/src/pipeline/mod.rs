@@ -1,10 +1,10 @@
-//! The staged execution pipeline: `Partition` → `Schedule` → `Launch` →
-//! `Gather` as explicit, individually swappable and metered stages.
+//! The staged execution pipeline: `Schedule` → `Partition` → `Launch` →
+//! `Gather`, each metered, the first two swappable per call.
 //!
-//! Historically the three techniques the paper composes — coherence-driven
+//! The stages are the techniques the paper composes — coherence-driven
 //! query reordering (Section 4), megacell partitioning (Section 5.1) and
-//! cost-model bundling (Section 5.2) — were interleaved inline inside
-//! `Index::query`. This module lifts them into one reusable core:
+//! cost-model bundling (Section 5.2) — followed by the per-partition search
+//! launch and the scatter of its payloads:
 //!
 //! ```text
 //!            ┌───────────┐   ┌───────────┐   ┌──────────┐   ┌──────────┐
@@ -13,18 +13,14 @@
 //!            │  Morton   │   │  kernel + │   │ partition│   │  payloads│
 //!            │  sort)    │   │  bundling)│   │  BVH +   │   │  by query│
 //!            └───────────┘   └───────────┘   │ traverse)│   │  id)     │
-//!                IR: QuerySchedule   │       └──────────┘   └──────────┘
-//!                          IR: PartitionedQueries   IR: LaunchSet   IR: GatheredHits
+//!                                            └──────────┘   └──────────┘
+//!       IR: QuerySchedule  PartitionedQueries
 //! ```
 //!
-//! Note the *driver order*: the coherence schedule runs before the
-//! partition kernel, exactly as in the paper's implementation — the
-//! megacell kernel is launched over the *scheduled* query order, so its
-//! warp-level simulated cost (and the within-partition launch order) are
-//! identical to the historical monolith. The stage list is still the
-//! paper's component order `Partition → Schedule → Launch → Gather` when
-//! read as "what exists": partitions are a property of the query set, the
-//! schedule a property of the launch.
+//! The coherence schedule runs before the partition kernel, exactly as in
+//! the paper's implementation: the megacell kernel is launched over the
+//! *scheduled* query order, which fixes its warp-level simulated cost and
+//! the within-partition launch order.
 //!
 //! Every entry point executes through the one driver behind
 //! [`Index::query`](crate::Index::query): a single plan runs as a one-slice
@@ -36,12 +32,12 @@
 //!
 //! ## Swapping stages
 //!
-//! Each stage sits behind a small trait ([`ScheduleStage`],
-//! [`PartitionStage`], [`LaunchStage`], [`GatherStage`]); a
-//! [`StageOverrides`] passed to
-//! [`Index::query_with`](crate::Index::query_with) replaces any of them for
-//! one call. This subsumes the [`OptLevel`] plumbing — the
-//! levels are just preset stage selections:
+//! `Schedule` and `Partition` sit behind small traits ([`ScheduleStage`],
+//! [`PartitionStage`]); a [`StageOverrides`] passed to
+//! [`Index::query_with`](crate::Index::query_with) replaces either for one
+//! call. `Launch` (one traversal per non-empty partition) and `Gather`
+//! (scatter payloads by query id) are fixed driver steps, still metered as
+//! stages. The [`OptLevel`]s are preset stage selections:
 //!
 //! | `OptLevel` | Schedule | Partition |
 //! |---|---|---|
@@ -52,7 +48,7 @@
 //!
 //! so an ablation can toggle exactly one stage
 //! ([`StageOverrides::without_reordering`],
-//! [`StageOverrides::without_partitioning`]) without touching the others.
+//! [`StageOverrides::without_partitioning`]) without touching the other.
 //!
 //! ## Metering
 //!
@@ -64,15 +60,13 @@
 //! builds (and caller-side maintenance) are billed to `Launch` once per
 //! execution, before the first stage runs.
 
-pub mod ir;
 pub mod stages;
 pub mod timing;
 
-pub use ir::{GatheredHits, LaunchRecord, LaunchSet, PartitionedQueries, QuerySchedule};
+pub use crate::scheduling::QuerySchedule;
 pub use stages::{
-    CoherenceSchedule, GatherStage, IdentitySchedule, LaunchCx, LaunchStage, MegacellPartition,
-    PartitionCx, PartitionStage, ScatterGather, ScheduleCx, ScheduleStage, SearchLaunch,
-    SinglePartition,
+    CoherenceSchedule, IdentitySchedule, MegacellPartition, PartitionCx, PartitionStage,
+    PartitionedQueries, ScheduleCx, ScheduleStage, SinglePartition,
 };
 pub(crate) use timing::StageMeter;
 pub use timing::{PipelineTrace, StageKind, StageTiming};
@@ -84,8 +78,6 @@ static IDENTITY_SCHEDULE: IdentitySchedule = IdentitySchedule;
 static MEGACELL_BUNDLED: MegacellPartition = MegacellPartition { bundle: true };
 static MEGACELL_UNBUNDLED: MegacellPartition = MegacellPartition { bundle: false };
 static SINGLE_PARTITION: SinglePartition = SinglePartition;
-static SEARCH_LAUNCH: SearchLaunch = SearchLaunch;
-static SCATTER_GATHER: ScatterGather = ScatterGather;
 
 /// Per-call stage replacements for one pipeline execution (see the module
 /// docs). `None` slots fall back to the defaults the engine's
@@ -96,10 +88,6 @@ pub struct StageOverrides<'o> {
     pub schedule: Option<&'o dyn ScheduleStage>,
     /// Replace the `Partition` stage.
     pub partition: Option<&'o dyn PartitionStage>,
-    /// Replace the `Launch` stage.
-    pub launch: Option<&'o dyn LaunchStage>,
-    /// Replace the `Gather` stage.
-    pub gather: Option<&'o dyn GatherStage>,
 }
 
 impl std::fmt::Debug for dyn ScheduleStage + '_ {
@@ -112,26 +100,11 @@ impl std::fmt::Debug for dyn PartitionStage + '_ {
         f.write_str("PartitionStage")
     }
 }
-impl std::fmt::Debug for dyn LaunchStage + '_ {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("LaunchStage")
-    }
-}
-impl std::fmt::Debug for dyn GatherStage + '_ {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("GatherStage")
-    }
-}
 
 impl StageOverrides<'static> {
-    /// No overrides: the engine's optimisation level picks every stage.
-    pub fn none() -> Self {
-        StageOverrides::default()
-    }
-
     /// Disable coherence reordering for this call (an [`IdentitySchedule`]
-    /// regardless of the optimisation level), leaving every other stage at
-    /// its default.
+    /// regardless of the optimisation level), leaving `Partition` at its
+    /// default.
     pub fn without_reordering() -> Self {
         StageOverrides {
             schedule: Some(&IDENTITY_SCHEDULE),
@@ -141,7 +114,7 @@ impl StageOverrides<'static> {
 
     /// Disable megacell partitioning (and with it bundling) for this call
     /// (a [`SinglePartition`] regardless of the optimisation level),
-    /// leaving every other stage at its default.
+    /// leaving `Schedule` at its default.
     pub fn without_partitioning() -> Self {
         StageOverrides {
             partition: Some(&SINGLE_PARTITION),
@@ -150,9 +123,9 @@ impl StageOverrides<'static> {
     }
 
     /// The fully pinned override set equivalent to a static [`OptLevel`]:
-    /// all four slots filled with exactly the stages that level resolves
-    /// to, so the call's behaviour no longer depends on the engine's
-    /// configured level. This is the [`AutoTuner`](crate::AutoTuner)'s arm
+    /// both slots filled with exactly the stages that level resolves to, so
+    /// the call's behaviour no longer depends on the engine's configured
+    /// level. This is the [`AutoTuner`](crate::AutoTuner)'s arm
     /// ladder — results are bit-equal to running an engine configured at
     /// `level`, because the same stage objects execute.
     pub fn for_level(level: OptLevel) -> Self {
@@ -171,8 +144,6 @@ impl StageOverrides<'static> {
             } else {
                 &SINGLE_PARTITION
             }),
-            launch: Some(&SEARCH_LAUNCH),
-            gather: Some(&SCATTER_GATHER),
         }
     }
 }
@@ -182,10 +153,7 @@ impl StageOverrides<'_> {
     /// engine's optimisation level) — the condition under which an
     /// auto-tuning index is free to substitute its own decision.
     pub fn is_empty(&self) -> bool {
-        self.schedule.is_none()
-            && self.partition.is_none()
-            && self.launch.is_none()
-            && self.gather.is_none()
+        self.schedule.is_none() && self.partition.is_none()
     }
 }
 
@@ -195,8 +163,6 @@ impl StageOverrides<'_> {
 pub(crate) struct ExecutionPipeline<'r> {
     pub(crate) schedule: &'r dyn ScheduleStage,
     pub(crate) partition: &'r dyn PartitionStage,
-    pub(crate) launch: &'r dyn LaunchStage,
-    pub(crate) gather: &'r dyn GatherStage,
     /// The caller supplied the `Schedule` stage, so the driver checks its
     /// output contract ([`assert_schedule_covers`]).
     pub(crate) custom_schedule: bool,
@@ -209,8 +175,6 @@ impl<'r> ExecutionPipeline<'r> {
         ExecutionPipeline {
             schedule: overrides.schedule.or(base.schedule).expect(FILLED),
             partition: overrides.partition.or(base.partition).expect(FILLED),
-            launch: overrides.launch.or(base.launch).expect(FILLED),
-            gather: overrides.gather.or(base.gather).expect(FILLED),
             custom_schedule: overrides.schedule.is_some(),
         }
     }

@@ -1,24 +1,19 @@
-//! The swappable pipeline stages: a small trait per stage, the default
-//! implementations the optimisation levels map onto, and the contexts the
-//! driver hands them.
-//!
-//! Every default implementation reproduces the corresponding block of the
-//! pre-pipeline monolithic `Index::query` *exactly* — same kernels charged
-//! in the same order over the same query orderings — which is what keeps
-//! the staged execution bit-equal to the historical results.
+//! The swappable pipeline stages, `Schedule` and `Partition`: a small
+//! trait per stage, the implementations the optimisation levels map onto,
+//! the contexts the driver hands them, and the [`PartitionedQueries`] IR
+//! the `Launch` step consumes. (`Launch` and `Gather` are fixed steps of
+//! the driver in [`crate::index`].)
 
-use crate::backend::{Backend, Traversal, TraversalJob, TraversalKind};
+use crate::backend::{Backend, TraversalJob, TraversalKind};
 use crate::bundling::{apply_bundles, plan_bundles};
 use crate::cost_model::CostCoefficients;
-use crate::engine::SearchError;
-use crate::index::{AccelStore, EngineConfig};
+use crate::index::EngineConfig;
 use crate::megacell::MegacellGrid;
 use crate::partition::{
     partition_queries, partition_queries_cached, partition_queries_on_grid, MegacellCache,
     Partition,
 };
-use crate::pipeline::ir::{GatheredHits, LaunchRecord, LaunchSet, PartitionedQueries};
-use crate::result::{SearchMode, SearchParams, TimeBreakdown};
+use crate::result::SearchParams;
 use crate::scheduling::{anchor_keys, charge_sort_kernel, QuerySchedule};
 use rtnn_gpusim::KernelMetrics;
 use rtnn_math::{Aabb, Vec3};
@@ -139,6 +134,25 @@ impl ScheduleStage for IdentitySchedule {
 // Partition
 // ---------------------------------------------------------------------------
 
+/// The outcome of the `Partition` stage: the query set split into
+/// partitions (already bundled when bundling is enabled), plus the
+/// pre-bundling partition count and the simulated cost of the megacell
+/// kernel that derived them.
+#[derive(Debug, Clone)]
+pub struct PartitionedQueries {
+    /// The partitions `Launch` traverses, in ascending AABB-width order
+    /// (one full-width partition when partitioning is disabled).
+    pub partitions: Vec<Partition>,
+    /// Partition count *before* bundling (what `SearchResults::num_partitions`
+    /// reports).
+    pub num_partitions: usize,
+    /// Partition count after bundling (`partitions.len()`).
+    pub num_bundles: usize,
+    /// Simulated cost of the megacell kernel (part of the `Opt` breakdown
+    /// component; zero when partitioning is disabled).
+    pub opt_metrics: KernelMetrics,
+}
+
 /// What the `Partition` stage sees: the scheduled order plus the megacell
 /// state the persistent index maintains.
 pub struct PartitionCx<'r> {
@@ -166,7 +180,7 @@ pub struct PartitionCx<'r> {
 /// The `Partition` stage: split the scheduled queries into partitions, each
 /// with the smallest safe AABB width (Section 5).
 pub trait PartitionStage: Sync {
-    /// Produce the partitions the `Launch` stage will traverse.
+    /// Produce the partitions `Launch` will traverse.
     fn partition(&self, cx: PartitionCx<'_>) -> PartitionedQueries;
 
     /// Whether this stage reads the persistent megacell grid
@@ -264,153 +278,5 @@ impl PartitionStage for SinglePartition {
 
     fn wants_grid(&self) -> bool {
         false
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Launch
-// ---------------------------------------------------------------------------
-
-/// What the `Launch` stage sees. The width-keyed structure store and the
-/// metric accumulators stay encapsulated: a stage traverses partitions
-/// through [`LaunchCx::traverse_partition`], which picks (and builds, on a
-/// miss) the right structure and charges the breakdown.
-pub struct LaunchCx<'r, 's> {
-    pub(crate) backend: &'r dyn Backend,
-    pub(crate) config: &'r EngineConfig,
-    pub(crate) params: SearchParams,
-    pub(crate) points: &'r [Vec3],
-    pub(crate) queries: &'r [Vec3],
-    pub(crate) store: &'r mut AccelStore<'s>,
-    /// Store id of the global (full-width) structure.
-    pub(crate) global: usize,
-    pub(crate) breakdown: &'r mut TimeBreakdown,
-    pub(crate) search_metrics: &'r mut LaunchMetrics,
-}
-
-impl LaunchCx<'_, '_> {
-    /// The execution backend.
-    pub fn backend(&self) -> &dyn Backend {
-        self.backend
-    }
-
-    /// Engine-wide tuning.
-    pub fn config(&self) -> &EngineConfig {
-        self.config
-    }
-
-    /// The search parameters of the plan (slice) being launched.
-    pub fn params(&self) -> SearchParams {
-        self.params
-    }
-
-    /// Traverse one partition with its own acceleration structure (cached
-    /// by width in the store, falling back to the global structure for
-    /// full-width partitions), charging the structure build and search time
-    /// to the breakdown and merging the launch metrics.
-    pub fn traverse_partition(&mut self, part: &Partition) -> Result<Traversal, SearchError> {
-        let full_width = self.config.aabb_width(self.params.radius);
-        let reuse_global = (part.aabb_width - full_width).abs() <= f32::EPSILON * full_width;
-        let aid = if reuse_global {
-            self.global
-        } else {
-            let eff_width = part.aabb_width * self.config.approx.aabb_width_factor().min(1.0);
-            let (aid, built_ms) =
-                self.store
-                    .ensure(self.backend, self.points, eff_width, self.config.build)?;
-            self.breakdown.bvh_ms += built_ms;
-            aid
-        };
-
-        let sphere_test = part.sphere_test && !self.config.approx.skip_sphere_test();
-        let kind = match self.params.mode {
-            SearchMode::Range => TraversalKind::Range {
-                radius: self.params.radius,
-                cap: self.params.k,
-                sphere_test,
-            },
-            SearchMode::Knn => TraversalKind::Knn {
-                radius: self.params.radius,
-                k: self.params.k,
-            },
-        };
-        let traversal = self.backend.traverse(
-            self.store.accel_ref(aid),
-            &TraversalJob {
-                points: self.points,
-                queries: self.queries,
-                query_ids: &part.query_ids,
-                kind,
-            },
-        );
-        self.breakdown.search_ms += traversal.metrics.time_ms();
-        self.search_metrics.merge_sequential(&traversal.metrics);
-        Ok(traversal)
-    }
-}
-
-/// The `Launch` stage: run the search traversals over the partitions.
-pub trait LaunchStage: Sync {
-    /// Traverse every (non-empty) partition, producing one launch record
-    /// per traversal.
-    fn launch(
-        &self,
-        cx: &mut LaunchCx<'_, '_>,
-        parts: &PartitionedQueries,
-    ) -> Result<LaunchSet, SearchError>;
-}
-
-/// The default launch: one traversal per non-empty partition, in partition
-/// order.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SearchLaunch;
-
-impl LaunchStage for SearchLaunch {
-    fn launch(
-        &self,
-        cx: &mut LaunchCx<'_, '_>,
-        parts: &PartitionedQueries,
-    ) -> Result<LaunchSet, SearchError> {
-        let mut launches = Vec::new();
-        for (pi, part) in parts.partitions.iter().enumerate() {
-            if part.is_empty() {
-                continue;
-            }
-            let traversal = cx.traverse_partition(part)?;
-            launches.push(LaunchRecord {
-                partition: pi,
-                payloads: traversal.payloads,
-                metrics: traversal.metrics,
-            });
-        }
-        Ok(LaunchSet { launches })
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Gather
-// ---------------------------------------------------------------------------
-
-/// The `Gather` stage: scatter per-launch payloads back into per-query
-/// neighbor lists (in original query-id order).
-pub trait GatherStage: Sync {
-    /// Fill `out.neighbors` from the launch payloads. Queries no launch
-    /// covered keep their current (empty) list.
-    fn gather(&self, parts: &PartitionedQueries, launches: LaunchSet, out: &mut GatheredHits);
-}
-
-/// The default gather: `payloads[i]` of a launch answers the partition's
-/// `query_ids[i]`.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ScatterGather;
-
-impl GatherStage for ScatterGather {
-    fn gather(&self, parts: &PartitionedQueries, launches: LaunchSet, out: &mut GatheredHits) {
-        for launch in launches.launches {
-            let ids = &parts.partitions[launch.partition].query_ids;
-            for (launch_idx, payload) in launch.payloads.into_iter().enumerate() {
-                out.neighbors[ids[launch_idx] as usize] = payload;
-            }
-        }
     }
 }

@@ -9,10 +9,12 @@
 //! *per call* to [`Index::query`](crate::Index::query), so the same index
 //! serves every plan without rebuilding.
 //!
-//! Plans are validated at query time; every violation is reported as a
-//! typed [`PlanError`] naming the offending field.
+//! Plans are validated at query time, together with the call's queries;
+//! every violation is reported as a typed [`PlanError`] naming the
+//! offending field or query.
 
 use crate::result::{SearchMode, SearchParams};
+use rtnn_math::Vec3;
 use std::borrow::Cow;
 
 /// A typed description of one neighbor search (or a batch of them),
@@ -343,6 +345,29 @@ impl QueryPlan {
             }
         }
     }
+
+    /// Validate the plan against the call's actual `queries`: everything
+    /// [`validate`](Self::validate) checks, then that every query position
+    /// is finite ([`PlanError::NonFiniteQuery`] names the first that is
+    /// not). Every execution entry point runs this before any work.
+    ///
+    /// ```
+    /// use rtnn::{PlanError, QueryPlan};
+    /// use rtnn_math::Vec3;
+    ///
+    /// let queries = [Vec3::ZERO, Vec3::new(f32::NAN, 0.0, 0.0)];
+    /// assert_eq!(
+    ///     QueryPlan::knn(1.5, 4).validate_for(&queries).unwrap_err(),
+    ///     PlanError::NonFiniteQuery { query_id: 1 }
+    /// );
+    /// ```
+    pub fn validate_for(&self, queries: &[Vec3]) -> Result<(), PlanError> {
+        self.validate(queries.len())?;
+        match queries.iter().position(|q| !q.is_finite()) {
+            Some(i) => Err(PlanError::NonFiniteQuery { query_id: i as u32 }),
+            None => Ok(()),
+        }
+    }
 }
 
 /// Append every (transitively nested) slice of `slices` to `merged`,
@@ -441,6 +466,11 @@ pub enum PlanError {
         /// The doubly-claimed id.
         query_id: u32,
     },
+    /// A query position has a NaN or infinite coordinate.
+    NonFiniteQuery {
+        /// Index of the offending query in the call's query array.
+        query_id: u32,
+    },
 }
 
 impl std::fmt::Display for PlanError {
@@ -478,6 +508,10 @@ impl std::fmt::Display for PlanError {
             PlanError::DuplicateQueryId { slice, query_id } => write!(
                 f,
                 "Batch slice {slice}: query id {query_id} is already claimed by an earlier slice"
+            ),
+            PlanError::NonFiniteQuery { query_id } => write!(
+                f,
+                "query {query_id}: query positions must be finite, got a NaN or infinite coordinate"
             ),
         }
     }

@@ -4,9 +4,8 @@
 
 use crate::policy::RebuildPolicy;
 use rtnn::{
-    Accel, AdoptedScene, AutoTuner, Backend, CostCoefficients, GpusimBackend, Index, MegacellCache,
-    MegacellGrid, QueryPlan, RtnnConfig, SearchError, SearchResults, StageOverrides, TunerDecision,
-    Tuning,
+    Accel, AdoptedScene, AutoTuner, Backend, GpusimBackend, Index, MegacellCache, MegacellGrid,
+    QueryPlan, RtnnConfig, SearchError, SearchResults, StageOverrides, TunerDecision, Tuning,
 };
 use rtnn_bvh::SahMonitor;
 use rtnn_gpusim::{Device, FrameAccumulator};
@@ -173,9 +172,9 @@ pub struct DynamicIndex<'d> {
     metrics: FrameAccumulator,
     /// Online stage tuner, carried *across* frames (the per-frame adopted
     /// [`Index`] views are transient, so the learning state lives here):
-    /// installed by [`enable_auto`](Self::enable_auto), it picks the
-    /// optimization level each [`search`](Self::search) frame runs at and
-    /// folds the frame's measured stage timings back in afterwards.
+    /// built on the first [`search`](Self::search) when the config's
+    /// `engine.tuning` is auto, it picks the optimization level each frame
+    /// runs at and folds the frame's measured stage timings back in.
     tuner: Option<AutoTuner>,
     last_decision: Option<TunerDecision>,
 }
@@ -318,31 +317,13 @@ impl<'d> DynamicIndex<'d> {
         &self.metrics
     }
 
-    /// Switch [`search`](Self::search) frames to adaptive stage tuning:
-    /// every frame, an [`AutoTuner`] (seeded with `seed`, cost model
-    /// calibrated for the backend's device) picks the optimization level
-    /// the frame executes at and absorbs the frame's measured stage
-    /// timings afterwards. The tuner state persists across frames — and
-    /// across refits and rebuilds — so a long-running scene converges on
-    /// its measured best ladder rung instead of re-deriving it.
-    ///
-    /// Tuning changes *which* stages run, never the answer: every frame
-    /// still returns exactly the neighbor sets a fresh engine would.
-    pub fn enable_auto(&mut self, seed: u64) {
-        self.tuner = Some(
-            AutoTuner::new(seed)
-                .with_cost_model(CostCoefficients::calibrate(self.backend.as_dyn().device())),
-        );
-    }
-
     /// The tuner's most recent per-frame decision (`None` until an
     /// auto-tuned [`search`](Self::search) frame ran).
     pub fn last_decision(&self) -> Option<TunerDecision> {
         self.last_decision
     }
 
-    /// The carried tuner state, when [`enable_auto`](Self::enable_auto)
-    /// installed one.
+    /// The carried tuner state, once an auto-tuned frame ran.
     pub fn tuner(&self) -> Option<&AutoTuner> {
         self.tuner.as_ref()
     }
@@ -359,6 +340,12 @@ impl<'d> DynamicIndex<'d> {
     /// one is attached): the signature keys on the frame's *live* density
     /// and the dynamic index's backend, so drifting scenes profile under
     /// the buckets they currently occupy.
+    ///
+    /// When the config's `engine.tuning` is auto, an [`AutoTuner`] picks
+    /// each frame's optimization level and absorbs its measured stage
+    /// timings. The tuner persists across frames — and across refits and
+    /// rebuilds — so a long-running scene converges on its measured best
+    /// ladder rung. Tuning changes *which* stages run, never the answer.
     pub fn search(&mut self, queries: &[Vec3]) -> Result<FrameResult, SearchError> {
         let tel = rtnn_telemetry::Telemetry::current();
         let mut frame_span = tel.as_ref().map(|t| t.span("dynamic.frame"));
@@ -373,24 +360,32 @@ impl<'d> DynamicIndex<'d> {
         let host_structure_ms = std::mem::take(&mut self.pending_host_structure_ms);
 
         let plan = self.config.plan();
-        // Adaptive tuning: decide the frame's ladder rung *before* the view
-        // borrows the structures. The decision keys on the frame's live
-        // density, so a drifting scene migrates between signatures exactly
-        // as the continuous profiler files it.
-        let decision = match self.tuner.as_mut() {
-            Some(tuner) => {
-                let n = self.compact.len();
-                let backend = self.backend.as_dyn().name();
-                Some(tuner.decide(plan.kind_label(), n, backend, queries.len()))
-            }
-            None => None,
-        };
+        // Adaptive tuning: the carried tuner runs the frame. The decision
+        // keys on the frame's live density, so a drifting scene migrates
+        // between signatures exactly as the continuous profiler files it.
+        let points = self.compact.len();
+        let backend = self.backend.as_dyn().name();
+        let mut tuner = self
+            .tuner
+            .take()
+            .or_else(|| AutoTuner::for_engine(&self.config.engine, self.backend.as_dyn()));
         let mut view = self.frame_view(sync.dirty_region, structure_ms);
-        let results = match decision {
-            Some(d) => view.query_with(queries, &plan, d.overrides())?,
-            None => view.query(queries, &plan)?,
+        let (decision, results) = match tuner.as_mut() {
+            Some(tuner) => {
+                let (d, results) = tuner.run(
+                    plan.kind_label(),
+                    points,
+                    backend,
+                    queries.len(),
+                    |decided| view.query_with(queries, &plan, decided),
+                );
+                (Some(d), results)
+            }
+            None => (None, view.query(queries, &plan)),
         };
         drop(view);
+        self.tuner = tuner;
+        let results = results?;
 
         // The cached partitioning pass ran exactly when partitioning is on,
         // a grid exists and the search was non-trivial — the pending dirty
@@ -406,22 +401,7 @@ impl<'d> DynamicIndex<'d> {
         {
             self.pending_dirty = Aabb::EMPTY;
         }
-        if let Some(d) = decision {
-            if let Some(tuner) = self.tuner.as_mut() {
-                tuner.observe(
-                    plan.kind_label(),
-                    self.compact.len(),
-                    self.backend.as_dyn().name(),
-                    d.level,
-                    &results.trace.stage_device_ms(),
-                    // `bvh_ms` carries the frame's structure maintenance
-                    // (billed to the Launch slot): exclude it so arms
-                    // compete on steady-state traversal cost.
-                    results.breakdown.bvh_ms,
-                );
-            }
-            self.last_decision = Some(d);
-        }
+        self.last_decision = decision;
 
         self.last_traversal_ms = Some(results.breakdown.fs_ms + results.breakdown.search_ms);
         self.metrics.record_frame(
@@ -481,8 +461,8 @@ impl<'d> DynamicIndex<'d> {
     /// plans with other radii/K bypass it instead of wiping it. The view
     /// never auto-tunes by itself: its tuner would not outlive the frame,
     /// and [`search`](Self::search) must know which level ran to retire
-    /// pending cache invalidations (frames tune through
-    /// [`enable_auto`](Self::enable_auto) instead).
+    /// pending cache invalidations (frames tune through the tuner the
+    /// dynamic index carries instead).
     fn frame_view(&mut self, dirty_region: Aabb, structure_ms: f64) -> FrameIndex<'_> {
         let accel = self
             .accel
@@ -697,7 +677,7 @@ impl<'d> DynamicIndex<'d> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rtnn::{EngineConfig, OptLevel, OptixBackend, PlanSlice, SearchParams};
+    use rtnn::{EngineConfig, OptLevel, PlanSlice, SearchParams};
 
     fn jittered_block(n_per_axis: usize, spacing: f32) -> Vec<Vec3> {
         let mut pts = Vec::new();
@@ -1084,14 +1064,16 @@ mod tests {
     fn auto_tuned_frames_stay_exact_and_carry_state_across_frames() {
         let device = Device::rtx_2080();
         let points = jittered_block(6, 0.5);
-        let config = RtnnConfig::new(SearchParams::knn(1.2, 8));
+        let params = SearchParams::knn(1.2, 8);
+        let auto = |seed| RtnnConfig {
+            params,
+            engine: EngineConfig::default().with_tuning(Tuning::Auto { seed }),
+        };
         let queries: Vec<Vec3> = points.iter().step_by(3).copied().collect();
 
         let drive = |seed: Option<u64>| -> (Vec<Vec<Vec<u32>>>, Vec<Option<rtnn::OptLevel>>) {
+            let config = seed.map_or(RtnnConfig::new(params), auto);
             let mut index = DynamicIndex::with_points(&device, config, &points);
-            if let Some(seed) = seed {
-                index.enable_auto(seed);
-            }
             let mut neighbors = Vec::new();
             let mut levels = Vec::new();
             for frame in 0..8u32 {
@@ -1126,8 +1108,7 @@ mod tests {
         assert_eq!(auto_neighbors, static_neighbors);
         // The state survived across frames: by frame 8 all four arms have
         // been bootstrapped, so later frames exploit measurements.
-        let mut index = DynamicIndex::with_points(&device, config, &points);
-        index.enable_auto(7);
+        let mut index = DynamicIndex::with_points(&device, auto(7), &points);
         for _ in 0..8 {
             index.search(&queries).unwrap();
         }
@@ -1138,38 +1119,11 @@ mod tests {
     }
 
     #[test]
-    fn an_auto_engine_config_leaves_frames_static() {
-        // Frames tune only through `enable_auto`, whose tuner outlives the
-        // frame; an auto engine config runs every frame at its static level.
-        let device = Device::rtx_2080();
-        let points = jittered_block(6, 0.5);
-        let queries: Vec<Vec3> = points.iter().step_by(3).copied().collect();
-        let params = SearchParams::knn(1.2, 8);
-        let auto = RtnnConfig {
-            params,
-            engine: EngineConfig::auto(),
-        };
-        let mut tuned = DynamicIndex::with_points(&device, auto, &points);
-        let mut fixed = DynamicIndex::with_points(&device, RtnnConfig::new(params), &points);
-        for frame in 0..4u32 {
-            for h in 0..points.len() as u32 {
-                let p = tuned.position(h).unwrap() + Vec3::new(0.001 * frame as f32, 0.0, 0.0);
-                tuned.move_point(h, p);
-                fixed.move_point(h, p);
-            }
-            let a = tuned.search(&queries).unwrap().results;
-            let b = fixed.search(&queries).unwrap().results;
-            assert_eq!(a.neighbors, b.neighbors, "frame {frame}");
-            assert_eq!(a.breakdown, b.breakdown, "frame {frame}");
-        }
-    }
-
-    #[test]
     fn explicit_backends_drive_the_dynamic_index() {
         // The opaque OptiX shim exposes no SAH, so quality stays 1.0 and
         // the adaptive policy relies on its cap — results stay exact.
         let device = Device::rtx_2080();
-        let backend = OptixBackend::new(&device);
+        let backend = GpusimBackend::optix_shim(&device);
         let points = jittered_block(5, 0.7);
         let config = RtnnConfig::new(SearchParams::knn(1.4, 6));
         let mut index = DynamicIndex::with_backend(&backend, config, RebuildPolicy::adaptive());

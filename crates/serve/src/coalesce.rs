@@ -119,8 +119,9 @@ pub struct TickOutcome {
 pub type RequestOutcome = Result<Vec<Vec<u32>>, SearchError>;
 
 /// Execute one tick over `requests`: validate each request individually
-/// (an invalid plan fails only its own request), fuse the valid ones into
-/// one batch, execute it, and scatter per-request neighbor lists.
+/// (an invalid plan or a non-finite query fails only its own request),
+/// fuse the valid ones into one batch, execute it, and scatter
+/// per-request neighbor lists.
 ///
 /// Returns one outcome per request, index-aligned with `requests`, plus
 /// the tick summary.
@@ -131,46 +132,31 @@ pub fn execute_tick<E: TickExecutor>(
     execute_tick_tuned(executor, requests, None)
 }
 
-/// One tick's decide → execute → observe round-trip: ask the tuner for
-/// the tick's ladder rung (lazily handing it the executor's calibrated
-/// cost model), run the fused plan under the decided overrides, and fold
-/// the measured stage timings back in on success.
+/// One tick's execution: with a tuner and a tunable executor, the shared
+/// [`AutoTuner::run`] round-trip (lazily handing the tuner the executor's
+/// calibrated cost model); otherwise the plain path.
 fn tuned_execute<E: TickExecutor>(
     executor: &mut E,
-    tuner: &mut Option<&mut AutoTuner>,
+    tuner: Option<&mut AutoTuner>,
     queries: &[Vec3],
     plan: &QueryPlan,
 ) -> (Option<TunerDecision>, Result<SearchResults, SearchError>) {
-    let decision = tuner.as_deref_mut().and_then(|t| {
-        let (points, backend) = executor.tuner_signature()?;
-        if !t.has_cost_model() {
-            if let Some(cost) = executor.calibrated_cost() {
-                t.set_cost_model(cost);
-            }
+    let (Some(tuner), Some((points, backend))) = (tuner, executor.tuner_signature()) else {
+        return (None, executor.execute(queries, plan));
+    };
+    if !tuner.has_cost_model() {
+        if let Some(cost) = executor.calibrated_cost() {
+            tuner.set_cost_model(cost);
         }
-        let d = t.decide(plan.kind_label(), points, backend, queries.len());
-        Some((d, points, backend))
-    });
-    match decision {
-        Some((d, points, backend)) => {
-            let result = executor.execute_with(queries, plan, d.overrides());
-            if let (Ok(results), Some(t)) = (&result, tuner.as_deref_mut()) {
-                t.observe(
-                    plan.kind_label(),
-                    points,
-                    backend,
-                    d.level,
-                    &results.trace.stage_device_ms(),
-                    // Structure builds are one-time costs billed to the
-                    // Launch slot; exclude them so arms compete on the
-                    // steady-state tick cost.
-                    results.breakdown.bvh_ms,
-                );
-            }
-            (Some(d), result)
-        }
-        None => (None, executor.execute(queries, plan)),
     }
+    let (decision, result) = tuner.run(
+        plan.kind_label(),
+        points,
+        backend,
+        queries.len(),
+        |decided| executor.execute_with(queries, plan, decided),
+    );
+    (Some(decision), result)
 }
 
 /// [`execute_tick`] with an optional [`AutoTuner`] steering the tick's
@@ -184,7 +170,7 @@ fn tuned_execute<E: TickExecutor>(
 pub fn execute_tick_tuned<E: TickExecutor>(
     executor: &mut E,
     requests: &[&Request],
-    mut tuner: Option<&mut AutoTuner>,
+    tuner: Option<&mut AutoTuner>,
 ) -> (Vec<RequestOutcome>, TickOutcome) {
     let mut outcomes: Vec<Option<RequestOutcome>> = vec![None; requests.len()];
 
@@ -196,7 +182,7 @@ pub fn execute_tick_tuned<E: TickExecutor>(
         Vec::with_capacity(requests.len());
     for (ri, req) in requests.iter().enumerate() {
         let plan = req.plan.normalized();
-        match plan.validate(req.queries.len()) {
+        match plan.validate_for(&req.queries) {
             Ok(()) => {
                 valid.push(ri);
                 normalized.push(Some(plan));
@@ -219,7 +205,7 @@ pub fn execute_tick_tuned<E: TickExecutor>(
         let ri = valid[0];
         let req = requests[ri];
         tick.queries = req.queries.len();
-        let (tuned, result) = tuned_execute(executor, &mut tuner, &req.queries, &req.plan);
+        let (tuned, result) = tuned_execute(executor, tuner, &req.queries, &req.plan);
         tick.tuned = tuned;
         match result {
             Ok(results) => {
@@ -278,7 +264,7 @@ pub fn execute_tick_tuned<E: TickExecutor>(
         // One fused plan for the tick; `normalized` merges slices with
         // identical parameters across requests.
         let plan = QueryPlan::Batch(slices).normalized().into_owned();
-        let (tuned, result) = tuned_execute(executor, &mut tuner, &queries, &plan);
+        let (tuned, result) = tuned_execute(executor, tuner, &queries, &plan);
         tick.tuned = tuned;
         match result {
             Ok(results) => {

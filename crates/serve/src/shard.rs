@@ -238,7 +238,7 @@ impl<'a> ShardedIndex<'a> {
         overrides: StageOverrides<'_>,
     ) -> Result<SearchResults, SearchError> {
         let plan = plan.normalized();
-        plan.validate(queries.len())
+        plan.validate_for(queries)
             .map_err(SearchError::InvalidPlan)?;
 
         // One query span over the whole fan-out + merge; the per-shard

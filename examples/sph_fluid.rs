@@ -59,8 +59,9 @@ fn main() {
     let stiffness = 3.0f32;
 
     // The persistent index: built once, maintained across every timestep on
-    // the default (gpusim) execution backend — swap in `OptixBackend` or
-    // the brute-force oracle via `DynamicIndex::with_backend`.
+    // the default (gpusim) execution backend — swap in
+    // `GpusimBackend::optix_shim` or the brute-force oracle via
+    // `DynamicIndex::with_backend`.
     let mut index = DynamicIndex::with_points(&device, config, &particles);
     println!("execution backend: {}", index.backend().name());
 

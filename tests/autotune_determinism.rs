@@ -17,8 +17,8 @@
 
 use rtnn::telemetry::{SignatureProfiler, Telemetry, TelemetryLevel};
 use rtnn::{
-    AutoTuner, Backend, DecisionSource, EngineConfig, GpusimBackend, Index, OptLevel, OptixBackend,
-    QueryPlan, StageOverrides, TunerDecision, Tuning,
+    AutoTuner, Backend, DecisionSource, EngineConfig, GpusimBackend, Index, OptLevel, QueryPlan,
+    StageOverrides, TunerDecision, Tuning,
 };
 use rtnn_baselines::BruteForceBackend;
 use rtnn_data::uniform::{self, UniformParams};
@@ -97,7 +97,7 @@ fn same_seed_replays_identical_decisions_and_bit_equal_results_per_backend() {
     let queries = queries_for(&points);
     let backends: [(&str, Box<dyn Backend>); 3] = [
         ("gpusim", Box::new(GpusimBackend::new(&device))),
-        ("optix-shim", Box::new(OptixBackend::new(&device))),
+        ("optix-shim", Box::new(GpusimBackend::optix_shim(&device))),
         ("brute-force", Box::new(BruteForceBackend::new(&device))),
     ];
     for (name, backend) in &backends {

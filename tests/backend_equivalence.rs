@@ -1,21 +1,25 @@
 //! Cross-backend equivalence suite: for every plan kind × optimisation
-//! level, the ray-tracing backends (`GpusimBackend`, `OptixBackend`) must
-//! agree with the exhaustive `BruteForceBackend` oracle on seeded clouds —
+//! level, the ray-tracing backend (`GpusimBackend`, default and OptiX-shim
+//! builds) must agree with the exhaustive `BruteForceBackend` oracle on
+//! seeded clouds —
 //! bit-equal for KNN (whose distance-sorted output erases traversal-order
 //! differences) and set-equal for range search (whose within-radius *order*
 //! is traversal-defined, so an uncapped comparison is order-normalised).
 //!
 //! Also proves the `Backend` trait stays object-safe: every backend in the
-//! suite is driven through a `Box<dyn Backend>`.
+//! suite is driven through a `Box<dyn Backend>`, and that every backend
+//! rejects inputs outside the API's domain (non-finite queries) the same
+//! way at every entry point.
 
 use rtnn::{
-    Backend, EngineConfig, GpusimBackend, Index, OptLevel, OptixBackend, PlanSlice, QueryPlan,
-    StageOverrides,
+    Backend, EngineConfig, GpusimBackend, Index, OptLevel, PlanError, PlanSlice, QueryPlan,
+    SearchError, StageOverrides,
 };
 use rtnn_baselines::BruteForceBackend;
 use rtnn_data::uniform::{self, UniformParams};
 use rtnn_gpusim::Device;
 use rtnn_math::Vec3;
+use rtnn_serve::{execute_tick, Request, ShardedIndex};
 
 /// A seeded random cloud (no grid degeneracies, so float distance ties —
 /// the one thing that could legitimately differ between candidate visit
@@ -75,7 +79,7 @@ fn all_backends_agree_for_every_plan_kind_and_opt_level() {
 
     let rt_backends: Vec<(&str, Box<dyn Backend + '_>)> = vec![
         ("gpusim", Box::new(GpusimBackend::new(&device))),
-        ("optix-shim", Box::new(OptixBackend::new(&device))),
+        ("optix-shim", Box::new(GpusimBackend::optix_shim(&device))),
     ];
     let oracle: Box<dyn Backend + '_> = Box::new(BruteForceBackend::new(&device));
 
@@ -139,7 +143,7 @@ fn boxed_backends_are_interchangeable_at_runtime() {
     let queries: Vec<Vec3> = points.iter().step_by(13).copied().collect();
     let backends: Vec<Box<dyn Backend + '_>> = vec![
         Box::new(GpusimBackend::new(&device)),
-        Box::new(OptixBackend::new(&device)),
+        Box::new(GpusimBackend::optix_shim(&device)),
         Box::new(BruteForceBackend::new(&device)),
     ];
     let mut all = Vec::new();
@@ -171,11 +175,11 @@ fn stage_overrides_preserve_backend_equivalence() {
     let plan = QueryPlan::knn(6.0, 8);
     let backends: Vec<(&str, Box<dyn Backend + '_>)> = vec![
         ("gpusim", Box::new(GpusimBackend::new(&device))),
-        ("optix-shim", Box::new(OptixBackend::new(&device))),
+        ("optix-shim", Box::new(GpusimBackend::optix_shim(&device))),
         ("brute-force", Box::new(BruteForceBackend::new(&device))),
     ];
     let toggles = [
-        ("none", StageOverrides::none()),
+        ("none", StageOverrides::default()),
         ("no-reorder", StageOverrides::without_reordering()),
         ("no-partition", StageOverrides::without_partitioning()),
     ];
@@ -216,5 +220,69 @@ fn oracle_matches_the_reference_brute_force_scan() {
     );
     for (qi, q) in queries.iter().enumerate() {
         assert_eq!(got[qi], rtnn::verify::brute_force_knn(&points, *q, 8.0, 6));
+    }
+}
+
+/// A query with a NaN or infinite coordinate is outside the API's domain.
+/// Every backend rejects it through `Index` and `ShardedIndex` (1 and 4
+/// shards) with a typed error naming the query, and a serving tick that
+/// fuses it with a valid request fails only the offending request — by its
+/// own query id — while answering the valid one.
+#[test]
+fn non_finite_queries_are_rejected_on_every_backend_and_entry_point() {
+    let device = Device::rtx_2080();
+    let points: Vec<Vec3> = (0..1000)
+        .map(|i| Vec3::new((i % 10) as f32, ((i / 10) % 10) as f32, (i / 100) as f32))
+        .collect();
+    let plan = QueryPlan::knn(1.5, 4);
+    let rejected = SearchError::InvalidPlan(PlanError::NonFiniteQuery { query_id: 1 });
+    let backends: [(&str, Box<dyn Backend>); 3] = [
+        ("gpusim", Box::new(GpusimBackend::new(&device))),
+        ("optix-shim", Box::new(GpusimBackend::optix_shim(&device))),
+        ("brute-force", Box::new(BruteForceBackend::new(&device))),
+    ];
+    for (name, backend) in &backends {
+        for bad in [
+            Vec3::new(f32::NAN, 0.0, 0.0),
+            Vec3::new(0.0, f32::INFINITY, 0.0),
+        ] {
+            let queries = [Vec3::ZERO, bad];
+            for opt in [OptLevel::NoOpt, OptLevel::Full] {
+                let config = EngineConfig::default().with_opt(opt);
+                let mut index = Index::build(backend.as_ref(), &points[..], config);
+                assert_eq!(
+                    index.query(&queries, &plan).unwrap_err(),
+                    rejected,
+                    "{name} {opt:?} {bad:?}: Index"
+                );
+                for shards in [1, 4] {
+                    let mut sharded =
+                        ShardedIndex::build(backend.as_ref(), &points, config, shards);
+                    assert_eq!(
+                        sharded.query(&queries, &plan).unwrap_err(),
+                        rejected,
+                        "{name} {opt:?} {bad:?}: {shards}-shard ShardedIndex"
+                    );
+                }
+            }
+        }
+
+        let good = Request::new(vec![Vec3::new(4.0, 4.0, 4.0)], plan.clone());
+        let nan = Request::new(
+            vec![Vec3::ZERO, Vec3::new(f32::NAN, 0.0, 0.0)],
+            plan.clone(),
+        );
+        let mut index = Index::build(backend.as_ref(), &points[..], EngineConfig::default());
+        let (outcomes, tick) = execute_tick(&mut index, &[&good, &nan]);
+        assert_eq!(tick.requests, 1, "{name}: only the valid request runs");
+        assert_eq!(outcomes[1].as_ref().unwrap_err(), &rejected, "{name}");
+        let expected = run_plan(
+            backend.as_ref(),
+            &points,
+            &good.queries,
+            OptLevel::Full,
+            &plan,
+        );
+        assert_eq!(outcomes[0].as_ref().unwrap(), &expected, "{name}");
     }
 }

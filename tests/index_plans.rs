@@ -152,7 +152,6 @@ fn stage_overrides_are_bit_equal_to_the_opt_level_ladder() {
             StageOverrides {
                 schedule: Some(&IdentitySchedule),
                 partition: Some(&SinglePartition),
-                ..StageOverrides::default()
             },
         ),
         (OptLevel::Sched, StageOverrides::without_partitioning()),
@@ -163,7 +162,7 @@ fn stage_overrides_are_bit_equal_to_the_opt_level_ladder() {
                 ..StageOverrides::default()
             },
         ),
-        (OptLevel::Full, StageOverrides::none()),
+        (OptLevel::Full, StageOverrides::default()),
     ];
 
     for plan in [QueryPlan::knn(5.0, 8), QueryPlan::range(4.0, 64)] {
@@ -197,7 +196,7 @@ fn stage_overrides_are_bit_equal_to_the_opt_level_ladder() {
     let mut b = Index::build(&backend, &points[..], EngineConfig::default());
     let via_query = a.query(&queries, &plan).unwrap();
     let via_with = b
-        .query_with(&queries, &plan, StageOverrides::none())
+        .query_with(&queries, &plan, StageOverrides::default())
         .unwrap();
     assert_eq!(via_query.neighbors, via_with.neighbors);
     assert_eq!(via_query.breakdown, via_with.breakdown);
