@@ -10,10 +10,12 @@
 //!   neighbor list is compared against an unobserved baseline run; the
 //!   virtual-time load harness is replayed plain and observed and its
 //!   statistics compared.
-//! * **Overhead** — the same warm-index query workload is timed (median of
-//!   several interleaved rounds of host wall time) with no ambient sink and
-//!   with a scoped sink per level; `obs_overhead_pct_off` is the headline
-//!   the smoke gate bounds. Only the *disabled* overhead is asserted —
+//! * **Overhead** — the same warm-index query workload is timed (host wall
+//!   time, every variant once per round, in an order that rotates each
+//!   round) with no ambient sink and with a scoped sink per level; each
+//!   overhead is the median over rounds of the variant's time relative to
+//!   the same round's baseline. `obs_overhead_pct_off` is the headline the
+//!   smoke gate bounds. Only the *disabled* overhead is asserted —
 //!   basic/full are reported for trend tracking, never gated (they buy
 //!   data).
 //!
@@ -71,6 +73,19 @@ fn run_plans(
 fn median(samples: &mut [f64]) -> f64 {
     samples.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
     samples[samples.len() / 2]
+}
+
+/// Overhead in percent of `times` over `base`, paired by round: the median
+/// of the per-round ratios. Pairing cancels drift that spans a round (a
+/// sibling test starting, a frequency change), which medians of the two
+/// unpaired sample sets do not.
+fn paired_overhead_pct(times: &[f64], base: &[f64]) -> f64 {
+    let mut ratios: Vec<f64> = times
+        .iter()
+        .zip(base)
+        .map(|(t, b)| t / b.max(1e-9))
+        .collect();
+    (median(&mut ratios) - 1.0) * 100.0
 }
 
 /// Run the observability experiment.
@@ -255,9 +270,9 @@ pub fn run(scale: &ExperimentScale) -> FigureReport {
 
     // ---- (b) overhead per level ------------------------------------------
     // Interleaved rounds: each round times every variant once on its own
-    // warm index, so drift hits all variants alike; the median round is
-    // reported.
-    let rounds = 5;
+    // warm index, starting from a different variant each round so none is
+    // always first; overheads are paired with the same round's baseline.
+    let rounds = 15;
     let variants: Vec<(&str, Option<Arc<Telemetry>>)> = vec![
         ("baseline", None),
         ("off", Some(Telemetry::new(TelemetryLevel::Off))),
@@ -280,8 +295,9 @@ pub fn run(scale: &ExperimentScale) -> FigureReport {
         sinks.push(sink.clone());
     }
     let mut times: Vec<Vec<f64>> = vec![Vec::new(); variants.len()];
-    for _ in 0..rounds {
-        for (vi, _) in variants.iter().enumerate() {
+    for round in 0..rounds {
+        for k in 0..variants.len() {
+            let vi = (round + k) % variants.len();
             let index = &mut indexes[vi];
             let start = Instant::now();
             match &sinks[vi] {
@@ -299,13 +315,12 @@ pub fn run(scale: &ExperimentScale) -> FigureReport {
             times[vi].push(start.elapsed().as_secs_f64() * 1e3);
         }
     }
-    let medians: Vec<f64> = times.iter_mut().map(|t| median(t)).collect();
-    let base_ms = medians[0].max(1e-9);
+    let medians: Vec<f64> = times.iter().map(|t| median(&mut t.clone())).collect();
 
     let mut overhead = Table::new(
         format!(
-            "host wall time of the warm query path ({} queries x {} plans, median of {} \
-             interleaved rounds)",
+            "host wall time of the warm query path ({} queries x {} plans, {} rotated \
+             rounds; overhead is the median per-round ratio to the baseline)",
             queries.len(),
             plans.len(),
             rounds
@@ -313,7 +328,7 @@ pub fn run(scale: &ExperimentScale) -> FigureReport {
         &["variant", "median", "overhead"],
     );
     for (vi, (name, _)) in variants.iter().enumerate() {
-        let pct = (medians[vi] / base_ms - 1.0) * 100.0;
+        let pct = paired_overhead_pct(&times[vi], &times[0]);
         overhead.push_row(vec![
             name.to_string(),
             fmt_ms(medians[vi]),
@@ -329,7 +344,7 @@ pub fn run(scale: &ExperimentScale) -> FigureReport {
     }
 
     // Flight-recorder overhead: host wall time of the virtual replay with
-    // and without a recording ring + SLO monitor, interleaved rounds again.
+    // and without a recording ring + SLO monitor, paired rounds again.
     // Reported for trend tracking only — the recorder sits on the serving
     // path, not the query path, so it has its own baseline row.
     let mut replay_times: Vec<Vec<f64>> = vec![Vec::new(); 2];
@@ -349,9 +364,9 @@ pub fn run(scale: &ExperimentScale) -> FigureReport {
         );
         replay_times[1].push(start.elapsed().as_secs_f64() * 1e3);
     }
-    let replay_ms = median(&mut replay_times[0]).max(1e-9);
+    let flight_pct = paired_overhead_pct(&replay_times[1], &replay_times[0]);
+    let replay_ms = median(&mut replay_times[0]);
     let flight_ms = median(&mut replay_times[1]);
-    let flight_pct = (flight_ms / replay_ms - 1.0) * 100.0;
     overhead.push_row(vec![
         "replay (no recorder)".to_string(),
         fmt_ms(replay_ms),

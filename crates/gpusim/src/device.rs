@@ -5,7 +5,7 @@ use crate::config::DeviceConfig;
 use crate::metrics::KernelMetrics;
 use crate::shard::SmShard;
 use parking_lot::Mutex;
-use rtnn_parallel::par_for_chunks;
+use rtnn_parallel::par_map_collect_mut;
 
 /// Error returned when a simulated allocation exceeds device memory —
 /// the analogue of the `OOM` entries in Figure 11.
@@ -86,18 +86,40 @@ impl StructureTiming {
     }
 }
 
-/// A simulated GPU. Cheap to clone conceptually but exposed by reference;
-/// launches do not mutate it (each launch builds fresh shard state), so one
-/// device can be shared across experiments.
-#[derive(Debug, Clone)]
+/// A simulated GPU, exposed by reference so one device can be shared across
+/// experiments and threads. A launch simulates only the SMs that receive a
+/// warp, and its outcome depends only on its inputs: every SM starts with
+/// cold caches and zero counters. The device keeps the per-SM state of
+/// finished launches for reuse (reset, not reallocated), never more shards
+/// than `num_sms` × the most launches that have run on it at once; a clone
+/// starts with none.
 pub struct Device {
     config: DeviceConfig,
+    /// SM shards of finished launches, waiting for reuse.
+    spare_shards: Mutex<Vec<SmShard>>,
+}
+
+impl Clone for Device {
+    fn clone(&self) -> Self {
+        Device::new(self.config.clone())
+    }
+}
+
+impl std::fmt::Debug for Device {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Device")
+            .field("config", &self.config)
+            .finish_non_exhaustive()
+    }
 }
 
 impl Device {
     /// Wrap a configuration.
     pub fn new(config: DeviceConfig) -> Self {
-        Device { config }
+        Device {
+            config,
+            spare_shards: Mutex::new(Vec::new()),
+        }
     }
 
     /// The RTX 2080 preset.
@@ -207,8 +229,14 @@ impl Device {
     /// `R` per thread in the range, in order).
     ///
     /// Warps are assigned to SM shards round-robin (warp `w` runs on SM
-    /// `w % num_sms`), shards are simulated in parallel on the host, and the
-    /// kernel's simulated time is the cycle count of the busiest shard.
+    /// `w % num_sms`). Only the `min(num_sms, num_warps)` SMs that receive a
+    /// warp are simulated, in parallel on the host, each on a shard reused
+    /// from an earlier launch and reset to cold caches and zero counters
+    /// (see [`Device`] for how many the device keeps). The shards fold into
+    /// the metrics in SM order, so every sum is the same at any thread
+    /// count; an empty SM would add exact zeros, so skipping it changes no
+    /// bit. The kernel's simulated time is the cycle count of the busiest
+    /// shard.
     pub fn run_warps<R, F>(&self, num_threads: usize, warp_fn: F) -> (Vec<R>, KernelMetrics)
     where
         R: Send + Default + Clone,
@@ -219,37 +247,29 @@ impl Device {
         let num_sms = self.config.num_sms;
 
         let mut results: Vec<R> = vec![R::default(); num_threads];
-        let shards: Mutex<Vec<SmShard>> = Mutex::new(Vec::with_capacity(num_sms));
-
+        let mut shards = self.take_shards(num_warps.min(num_sms));
         {
             let results_ptr = ResultsPtr(results.as_mut_ptr());
-            // One chunk per SM; chunks run in parallel on the host.
-            par_for_chunks(num_sms, 1, |sm_range| {
+            par_map_collect_mut(&mut shards, |sm, shard| {
                 let ptr = results_ptr;
-                for sm in sm_range {
-                    let mut shard = SmShard::new(&self.config);
-                    // Warps assigned to this SM: sm, sm + num_sms, ...
-                    let mut w = sm;
-                    while w < num_warps {
-                        let start = w * warp_size;
-                        let end = (start + warp_size).min(num_threads);
-                        shard.begin_warp();
-                        let warp_results = warp_fn(start..end, &mut shard);
-                        debug_assert_eq!(warp_results.len(), end - start);
-                        for (offset, r) in warp_results.into_iter().enumerate() {
-                            // SAFETY: thread indices are partitioned across
-                            // warps, and warps across SMs, so each element is
-                            // written exactly once.
-                            unsafe { ptr.0.add(start + offset).write(r) };
-                        }
-                        w += num_sms;
+                shard.reset();
+                // Warps assigned to this SM: sm, sm + num_sms, ...
+                for w in (sm..num_warps).step_by(num_sms) {
+                    let start = w * warp_size;
+                    let end = (start + warp_size).min(num_threads);
+                    shard.begin_warp();
+                    let warp_results = warp_fn(start..end, shard);
+                    debug_assert_eq!(warp_results.len(), end - start);
+                    for (offset, r) in warp_results.into_iter().enumerate() {
+                        // SAFETY: thread indices are partitioned across
+                        // warps, and warps across SMs, so each element is
+                        // written exactly once.
+                        unsafe { ptr.0.add(start + offset).write(r) };
                     }
-                    shards.lock().push(shard);
                 }
             });
         }
 
-        let shards = shards.into_inner();
         let mut metrics = KernelMetrics {
             warps: num_warps as u64,
             threads: num_threads as u64,
@@ -270,6 +290,7 @@ impl Device {
             useful += u;
             issued += i;
         }
+        self.spare_shards.lock().append(&mut shards);
         metrics.simt_efficiency = if issued > 0.0 {
             (useful / issued).clamp(0.0, 1.0)
         } else {
@@ -277,6 +298,21 @@ impl Device {
         };
         metrics.time_ms = self.config.cycles_to_ms(metrics.critical_path_cycles);
         (results, metrics)
+    }
+
+    /// `n` shards for a launch: spares first, fresh ones for the rest.
+    /// Shards are created only when no spare is left, which bounds how many
+    /// the device ever holds.
+    fn take_shards(&self, n: usize) -> Vec<SmShard> {
+        let mut shards = {
+            let mut spare = self.spare_shards.lock();
+            let keep = spare.len().saturating_sub(n);
+            spare.split_off(keep)
+        };
+        while shards.len() < n {
+            shards.push(SmShard::new(&self.config));
+        }
+        shards
     }
 }
 
@@ -295,6 +331,7 @@ unsafe impl<T> Sync for ResultsPtr<T> {}
 mod tests {
     use super::*;
     use crate::config::IsShaderKind;
+    use rtnn_parallel::with_thread_count;
 
     #[test]
     fn build_time_is_linear_in_primitives() {
@@ -413,6 +450,47 @@ mod tests {
         let (_, small) = Device::rtx_2080().run_warps(n, work);
         let (_, big) = Device::rtx_2080_ti().run_warps(n, work);
         assert!(big.time_ms < small.time_ms);
+    }
+
+    #[test]
+    fn metrics_are_bit_identical_at_any_thread_count() {
+        // Per-SM cycles are non-integer and span many magnitudes, so summing
+        // the shards in the order host threads finish them moves low bits.
+        let d = Device::rtx_2080();
+        let num_sms = d.config().num_sms;
+        let launch = || {
+            d.run_warps(num_sms * 32 * 8, |range, shard| {
+                let w = range.start / 32;
+                let sm = w % num_sms;
+                let addrs: Vec<u64> = range
+                    .clone()
+                    .map(|i| (i as u64).wrapping_mul(2_654_435_761) % 100_003 * 64)
+                    .collect();
+                shard.access_warp_memory(&addrs);
+                shard.charge_sm_cycles((1.0 + w as f64 / 3.0) * 10f64.powi((sm % 9) as i32));
+                shard.charge_rt_node_tests(w as f64 / 7.0);
+                shard.note_simt_work(w as f64 * 0.7, 32.0);
+                vec![(); range.len()]
+            })
+            .1
+        };
+        let bits = |m: &KernelMetrics| {
+            let floats = [
+                m.time_ms,
+                m.total_cycles,
+                m.critical_path_cycles,
+                m.rt_core_cycles,
+                m.sm_cycles,
+                m.mem_stall_cycles,
+                m.simt_efficiency,
+            ]
+            .map(f64::to_bits);
+            (floats, m.warps, m.threads, m.memory)
+        };
+        let reference = bits(&with_thread_count(1, launch));
+        for run in 0..30 {
+            assert_eq!(bits(&with_thread_count(4, launch)), reference, "run {run}");
+        }
     }
 
     #[test]

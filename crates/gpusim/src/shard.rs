@@ -52,6 +52,21 @@ impl SmShard {
         }
     }
 
+    /// Return to the state [`SmShard::new`] gives: cold caches and zero
+    /// counters, keeping every allocation.
+    pub(crate) fn reset(&mut self) {
+        self.l1.reset();
+        self.l2.reset();
+        self.cycles = 0.0;
+        self.rt_core_cycles = 0.0;
+        self.sm_cycles = 0.0;
+        self.mem_stall_cycles = 0.0;
+        self.dram_accesses = 0;
+        self.useful_lane_work = 0.0;
+        self.issued_warp_work = 0.0;
+        self.warps_executed = 0;
+    }
+
     /// The cost model in effect.
     #[inline]
     pub fn cost(&self) -> &CostModel {
@@ -245,6 +260,38 @@ mod tests {
         s.access_warp_memory(&[]);
         assert_eq!(s.cycles(), 0.0);
         assert_eq!(s.memory_stats().l1.accesses, 0);
+    }
+
+    #[test]
+    fn a_reset_shard_replays_bit_identically_to_a_fresh_one() {
+        let config = DeviceConfig::rtx_2080();
+        // Non-integer charges and enough distinct lines to reach DRAM.
+        let replay = |s: &mut SmShard, seed: u64| {
+            for w in 0..200u64 {
+                s.begin_warp();
+                let addrs: Vec<u64> = (0..32u64)
+                    .map(|lane| ((w * 977 + lane * 131 + seed) % 5000) * 96)
+                    .collect();
+                s.access_warp_memory(&addrs);
+                s.charge_rt_node_tests(w as f64 / 3.0);
+                s.charge_is_calls(w as f64 / 7.0, IsShaderKind::Knn);
+                s.note_simt_work(w as f64 * 0.3, 32.0);
+            }
+        };
+        let observe = |s: &SmShard| {
+            let (rt, sm, mem) = s.cycle_breakdown();
+            let (useful, issued) = s.simt_work();
+            let floats = [s.cycles(), rt, sm, mem, useful, issued].map(f64::to_bits);
+            (floats, s.memory_stats(), s.warps_executed())
+        };
+        let mut fresh = SmShard::new(&config);
+        replay(&mut fresh, 0);
+        let mut reused = SmShard::new(&config);
+        replay(&mut reused, 12_345);
+        assert_ne!(observe(&reused), observe(&fresh));
+        reused.reset();
+        replay(&mut reused, 0);
+        assert_eq!(observe(&reused), observe(&fresh));
     }
 
     #[test]

@@ -2,30 +2,39 @@
 //!
 //! A small CPU parallel-execution substrate used by the host-side stages of
 //! the reproduction (BVH construction, query sorting, dataset generation)
-//! and by the GPU simulator to execute independent warps concurrently.
+//! and by the GPU simulator to execute independent SM shards concurrently.
 //!
 //! The approved dependency set does not include `rayon`, so this crate
-//! provides the handful of primitives the workspace needs on top of
-//! `crossbeam` scoped threads and `parking_lot`:
+//! provides the handful of primitives the workspace needs on top of one
+//! persistent, std-only worker pool (see [`pool`]):
 //!
 //! * [`par_for_chunks`] — dynamic (work-stealing-ish) scheduling of index
-//!   ranges over a fixed set of worker threads;
+//!   ranges over the pool;
 //! * [`par_map`] — parallel map over `0..n` producing a `Vec<R>`;
-//! * [`par_map_slice`] — parallel map over a slice;
 //! * [`par_map_collect`] — parallel indexed map for coarse work items,
 //!   without the `Default + Clone` bound of [`par_map`] (used by the
 //!   parallel LBVH builder's level pipeline and the concurrent
 //!   structure-cache/shard builds);
-//! * [`par_reduce`] — parallel map-reduce over index chunks;
-//! * [`par_sort_by_key`] — parallel merge of per-chunk sorts (used for the
-//!   Morton sorts in the LBVH builder and the query scheduler);
-//! * [`par_for_each_mut`] — parallel mutable visit of a slice's elements
-//!   (used by `rtnn-serve` to fan one query tick out over its shard
-//!   indexes, each worker owning one shard exclusively);
-//! * [`par_map_collect_mut`] — [`par_for_each_mut`] that also collects one
-//!   result per element;
+//! * [`par_map_collect_mut`] — parallel mutable visit of a slice's elements
+//!   that collects one result per element (used by `rtnn-serve` to fan one
+//!   query tick out over its shard indexes, each run owning one shard
+//!   exclusively, and by the simulator to run one SM shard per element);
 //! * [`par_chunks_mut`] — disjoint mutable chunks of a slice with
-//!   aggregate busy-time metering (the builder's work/wall accounting).
+//!   aggregate busy-time metering (the builder's work/wall accounting);
+//! * [`par_sort_by_key`] — parallel merge of per-chunk sorts (used for the
+//!   Morton sorts in the LBVH builder and the query scheduler).
+//!
+//! Every helper runs a share of its work on the calling thread and lets
+//! idle pool workers join in; a call made while every worker is busy (a
+//! nested call from inside another helper) simply finishes on its caller.
+//! When a call runs in parallel, each worker starts its run with a fresh
+//! thread's thread-local state — no telemetry frame and no
+//! [`with_thread_count`] override — exactly as a newly spawned thread
+//! would, and the caller's own share starts from the same fresh state, so
+//! what a run sees never depends on which thread claimed it. A call that
+//! runs entirely on its caller (see below) keeps the caller's state. A
+//! panic inside a helper's closure is re-raised on the caller with its
+//! original payload.
 //!
 //! The crate also hosts the small sequential [`UnionFind`] used by the
 //! analytics layer to merge DBSCAN neighborhoods — it lives here (rather
@@ -37,8 +46,11 @@
 //! `i` is always `f(i, …)` regardless of the thread count or how chunks were
 //! claimed — parallelism changes wall-clock time, never results.
 //!
-//! All functions fall back to sequential execution for small inputs so unit
-//! tests on tiny data never pay thread start-up costs.
+//! A helper runs entirely on its caller when one thread is configured or
+//! when its input makes a single chunk: at most `min_chunk` items for
+//! [`par_for_chunks`] and [`par_chunks_mut`] (so a `min_chunk` of 1 leaves
+//! only `n ≤ 1` sequential), one element for [`par_map_collect_mut`], and
+//! 2048 items for [`par_sort_by_key`].
 
 pub mod pool;
 pub mod union_find;
@@ -46,11 +58,28 @@ pub mod union_find;
 pub use pool::{current_num_threads, set_num_threads, with_thread_count};
 pub use union_find::UnionFind;
 
+use pool::POOL;
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// Inputs smaller than this run sequentially.
+/// Inputs of at most this many items sort sequentially.
 const SEQUENTIAL_CUTOFF: usize = 2048;
+
+/// Run `f` over `0..n` in ranges of `chunk` items, claimed from a shared
+/// counter by the caller and up to `threads − 1` pool workers.
+fn run_claimed(n: usize, chunk: usize, threads: usize, f: &(dyn Fn(Range<usize>) + Sync)) {
+    let next = AtomicUsize::new(0);
+    // `Relaxed` suffices: the counter publishes no data. What each run
+    // writes reaches the caller through the pool's lock, which a worker
+    // takes to leave the task and the caller takes to see it gone.
+    POOL.broadcast(threads, &|| loop {
+        let start = next.fetch_add(chunk, Ordering::Relaxed);
+        if start >= n {
+            break;
+        }
+        f(start..(start + chunk).min(n));
+    });
+}
 
 /// Split `0..n` into dynamically scheduled chunks of at least `min_chunk`
 /// items and run `f` on each chunk, using the workspace thread pool.
@@ -62,30 +91,18 @@ where
     F: Fn(Range<usize>) + Sync,
 {
     let threads = current_num_threads();
+    let min_chunk = min_chunk.max(1);
     if n == 0 {
         return;
     }
-    if n <= SEQUENTIAL_CUTOFF.min(min_chunk.max(1)) || threads <= 1 {
+    if n <= min_chunk || threads <= 1 {
         f(0..n);
         return;
     }
     // Aim for ~4 chunks per thread for load balancing, but never below
     // min_chunk items per chunk.
-    let chunk = (n / (threads * 4)).max(min_chunk.max(1));
-    let next = AtomicUsize::new(0);
-    crossbeam::thread::scope(|s| {
-        for _ in 0..threads {
-            s.spawn(|_| loop {
-                let start = next.fetch_add(chunk, Ordering::Relaxed);
-                if start >= n {
-                    break;
-                }
-                let end = (start + chunk).min(n);
-                f(start..end);
-            });
-        }
-    })
-    .expect("worker thread panicked");
+    let chunk = (n / (threads * 4)).max(min_chunk);
+    run_claimed(n, chunk, threads, &f);
 }
 
 /// Parallel map over `0..n`: returns `vec![f(0), f(1), ..., f(n-1)]`.
@@ -102,7 +119,7 @@ where
             for i in range {
                 // SAFETY: each index is visited by exactly one chunk, so no
                 // two threads write the same element, and `out` outlives the
-                // scope inside `par_for_chunks`.
+                // `par_for_chunks` call, which returns only after every run.
                 unsafe { ptr.0.add(i).write(f(i)) };
             }
         });
@@ -110,18 +127,8 @@ where
     out
 }
 
-/// Parallel map over a slice.
-pub fn par_map_slice<T, R, F>(items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send + Default + Clone,
-    F: Fn(&T) -> R + Sync,
-{
-    par_map(items.len(), |i| f(&items[i]))
-}
-
 /// Parallel indexed map over `0..n` with the same deterministic-ordering
-/// guarantee as [`par_for_each_mut`]: slot `i` of the result is always
+/// guarantee as [`par_map_collect_mut`]: slot `i` of the result is always
 /// `f(i)`, regardless of thread count or claim order.
 ///
 /// Unlike [`par_map`] the result type needs neither `Default` nor `Clone`
@@ -146,23 +153,24 @@ where
             for i in range {
                 // SAFETY: each index is visited by exactly one chunk, so no
                 // two threads write the same slot, and `out` outlives the
-                // scope inside `par_for_chunks`.
+                // `par_for_chunks` call, which returns only after every run.
                 unsafe { ptr.0.add(i).write(MaybeUninit::new(f(i))) };
             }
         });
     }
     // SAFETY: every slot in 0..n was written exactly once above, so the
     // buffer is fully initialised; transfer ownership without dropping the
-    // `MaybeUninit` wrapper. (If a worker panicked we never get here — the
+    // `MaybeUninit` wrapper. (If a run panicked we never get here — the
     // elements leak, which is safe.)
     let mut out = ManuallyDrop::new(out);
     unsafe { Vec::from_raw_parts(out.as_mut_ptr() as *mut R, n, out.capacity()) }
 }
 
-/// [`par_for_each_mut`] that also collects one result per element:
-/// element `i` is visited exactly once with `&mut` access and slot `i` of
-/// the returned vector is `f(i, &mut items[i])`. Claims are single elements
-/// (the intended work items — shards, structure builds — are coarse).
+/// Visit every element of `items` exactly once with `&mut` access, in
+/// parallel, and collect one result per element: slot `i` of the returned
+/// vector is `f(i, &mut items[i])`. Claims are single elements (the
+/// intended work items — shards, structure builds — are coarse), so
+/// expensive elements load-balance across the pool.
 pub fn par_map_collect_mut<T, R, F>(items: &mut [T], f: F) -> Vec<R>
 where
     T: Send,
@@ -185,24 +193,17 @@ where
     {
         let base = SendPtr(items.as_mut_ptr());
         let out_base = SendPtr(out.as_mut_ptr());
-        let next = AtomicUsize::new(0);
-        crossbeam::thread::scope(|s| {
-            for _ in 0..threads {
-                s.spawn(|_| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    let (ptr, out_ptr) = (base, out_base);
-                    // SAFETY: each index is claimed by exactly one worker,
-                    // so neither the element nor the output slot is aliased,
-                    // and both buffers outlive the scope.
-                    let r = f(i, unsafe { &mut *ptr.0.add(i) });
-                    unsafe { out_ptr.0.add(i).write(MaybeUninit::new(r)) };
-                });
+        run_claimed(n, 1, threads, &|range| {
+            let (ptr, out_ptr) = (base, out_base);
+            for i in range {
+                // SAFETY: each index is claimed by exactly one run, so
+                // neither the element nor the output slot is aliased, and
+                // both buffers outlive `run_claimed`, which returns only
+                // after every run.
+                let r = f(i, unsafe { &mut *ptr.0.add(i) });
+                unsafe { out_ptr.0.add(i).write(MaybeUninit::new(r)) };
             }
-        })
-        .expect("worker thread panicked");
+        });
     }
     // SAFETY: every slot was written exactly once (see loop above).
     let mut out = ManuallyDrop::new(out);
@@ -223,107 +224,19 @@ where
     use std::sync::atomic::AtomicU64;
     use std::time::Instant;
     let n = items.len();
-    if n == 0 {
-        return 0.0;
-    }
-    let threads = current_num_threads();
-    if n <= SEQUENTIAL_CUTOFF.min(min_chunk.max(1)) || threads <= 1 {
-        let t = Instant::now();
-        f(0, items);
-        return t.elapsed().as_secs_f64() * 1e3;
-    }
-    let chunk = (n / (threads * 4)).max(min_chunk.max(1));
     let busy_nanos = AtomicU64::new(0);
-    {
-        let base = SendPtr(items.as_mut_ptr());
-        let next = AtomicUsize::new(0);
-        crossbeam::thread::scope(|s| {
-            for _ in 0..threads {
-                s.spawn(|_| loop {
-                    let start = next.fetch_add(chunk, Ordering::Relaxed);
-                    if start >= n {
-                        break;
-                    }
-                    let end = (start + chunk).min(n);
-                    let ptr = base;
-                    // SAFETY: [start, end) ranges from the shared counter are
-                    // disjoint, so the chunk slices never alias, and `items`
-                    // outlives the scope.
-                    let slice =
-                        unsafe { std::slice::from_raw_parts_mut(ptr.0.add(start), end - start) };
-                    let t = Instant::now();
-                    f(start, slice);
-                    busy_nanos.fetch_add(t.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                });
-            }
-        })
-        .expect("worker thread panicked");
-    }
-    busy_nanos.load(Ordering::Relaxed) as f64 / 1e6
-}
-
-/// Visit every element of `items` exactly once with `&mut` access, in
-/// parallel: elements are claimed from a shared atomic counter by up to
-/// [`current_num_threads`] workers, so expensive elements load-balance
-/// across the pool. `f` receives `(index, &mut item)`.
-///
-/// Unlike the other helpers this one never batches: each claim is a single
-/// element, because the intended workload (one neighbor-search shard per
-/// element) is coarse. Small inputs still short-circuit to the sequential
-/// path.
-pub fn par_for_each_mut<T, F>(items: &mut [T], f: F)
-where
-    T: Send,
-    F: Fn(usize, &mut T) + Sync,
-{
-    let n = items.len();
-    let threads = current_num_threads().min(n);
-    if n == 0 {
-        return;
-    }
-    if n == 1 || threads <= 1 {
-        for (i, item) in items.iter_mut().enumerate() {
-            f(i, item);
-        }
-        return;
-    }
     let base = SendPtr(items.as_mut_ptr());
-    let next = AtomicUsize::new(0);
-    crossbeam::thread::scope(|s| {
-        for _ in 0..threads {
-            s.spawn(|_| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let ptr = base;
-                // SAFETY: each index is claimed by exactly one worker, so
-                // no two threads alias the same element, and `items`
-                // outlives the scope.
-                f(i, unsafe { &mut *ptr.0.add(i) });
-            });
-        }
-    })
-    .expect("worker thread panicked");
-}
-
-/// Parallel map-reduce: `f` maps each index chunk to a partial accumulator,
-/// `reduce` folds the partials together (order unspecified).
-pub fn par_reduce<A, F, R>(n: usize, min_chunk: usize, identity: A, f: F, reduce: R) -> A
-where
-    A: Send + Clone,
-    F: Fn(Range<usize>) -> A + Sync,
-    R: Fn(A, A) -> A,
-{
-    if n == 0 {
-        return identity;
-    }
-    let partials = parking_lot::Mutex::new(Vec::new());
     par_for_chunks(n, min_chunk, |range| {
-        let partial = f(range);
-        partials.lock().push(partial);
+        let ptr = base;
+        // SAFETY: chunk ranges are disjoint, so the chunk slices never
+        // alias, and `items` outlives the `par_for_chunks` call, which
+        // returns only after every run.
+        let slice = unsafe { std::slice::from_raw_parts_mut(ptr.0.add(range.start), range.len()) };
+        let t = Instant::now();
+        f(range.start, slice);
+        busy_nanos.fetch_add(t.elapsed().as_nanos() as u64, Ordering::Relaxed);
     });
-    partials.into_inner().into_iter().fold(identity, reduce)
+    busy_nanos.into_inner() as f64 / 1e6
 }
 
 /// Parallel stable sort of `items` by a key function: the slice is split
@@ -421,7 +334,7 @@ fn merge_by_key<T: Clone, K: Ord, F: Fn(&T) -> K>(a: &[T], b: &[T], out: &mut [T
 }
 
 /// A raw pointer wrapper that asserts Send/Sync so disjoint-index writes can
-/// cross the scoped-thread boundary. All uses in this crate guarantee each
+/// be shared with pool workers. All uses in this crate guarantee each
 /// element is written by at most one thread.
 struct SendPtr<T>(*mut T);
 impl<T> Clone for SendPtr<T> {
@@ -430,8 +343,13 @@ impl<T> Clone for SendPtr<T> {
     }
 }
 impl<T> Copy for SendPtr<T> {}
-unsafe impl<T> Send for SendPtr<T> {}
-unsafe impl<T> Sync for SendPtr<T> {}
+// SAFETY: the one field is a pointer into a buffer that outlives every run
+// of the call that shares it, and each run writes or borrows only elements
+// no other run touches, so moving it to (or sharing it with) a worker hands
+// over at most exclusive access to `T`s, which `T: Send` allows.
+unsafe impl<T: Send> Send for SendPtr<T> {}
+// SAFETY: as for `Send`: shared copies are only used for disjoint elements.
+unsafe impl<T: Send> Sync for SendPtr<T> {}
 
 #[cfg(test)]
 mod tests {
@@ -471,27 +389,6 @@ mod tests {
     }
 
     #[test]
-    fn par_map_slice_matches() {
-        let data: Vec<i64> = (0..30_000).map(|i| i - 15_000).collect();
-        let out = par_map_slice(&data, |&x| x.abs());
-        assert_eq!(out, data.iter().map(|x| x.abs()).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn reduce_sums_correctly() {
-        let n = 100_000u64;
-        let total = par_reduce(
-            n as usize,
-            128,
-            0u64,
-            |range| range.map(|i| i as u64).sum::<u64>(),
-            |a, b| a + b,
-        );
-        assert_eq!(total, n * (n - 1) / 2);
-        assert_eq!(par_reduce(0, 1, 7u64, |_| 0, |a, b| a + b), 7);
-    }
-
-    #[test]
     fn sort_by_key_sorts_large_inputs() {
         let n = 200_000;
         let mut data: Vec<u64> = (0..n)
@@ -508,25 +405,6 @@ mod tests {
         let mut v = vec![5u32, 1, 4, 2, 3];
         par_sort_by_key(&mut v, |&x| x);
         assert_eq!(v, vec![1, 2, 3, 4, 5]);
-    }
-
-    #[test]
-    fn for_each_mut_visits_every_element_once() {
-        let mut items: Vec<u64> = (0..500).collect();
-        par_for_each_mut(&mut items, |i, item| {
-            assert_eq!(*item, i as u64);
-            *item += 1_000;
-        });
-        assert!(items
-            .iter()
-            .enumerate()
-            .all(|(i, &v)| v == i as u64 + 1_000));
-        // Empty and single-element inputs take the sequential path.
-        let mut empty: Vec<u64> = Vec::new();
-        par_for_each_mut(&mut empty, |_, _| panic!("no elements expected"));
-        let mut one = vec![7u64];
-        par_for_each_mut(&mut one, |i, item| *item += i as u64 + 1);
-        assert_eq!(one, vec![8]);
     }
 
     #[test]

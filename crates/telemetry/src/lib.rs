@@ -29,9 +29,11 @@
 //! thread nests under it. [`Telemetry::current`] resolves the active sink
 //! for code that is not handed one explicitly — the nearest
 //! [`Telemetry::scoped`] frame, falling back to the process-wide
-//! [`Telemetry::global`] (initialized from `RTNN_TELEMETRY`). Worker-pool
-//! threads have their own empty stacks and therefore do *not* inherit the
-//! spawner's ambient sink; parallel layers (e.g. the sharded index)
+//! [`Telemetry::global`] (initialized from `RTNN_TELEMETRY`). Every run of
+//! a parallel call — on a pool worker, or the calling thread's own share,
+//! which runs [`Telemetry::detached`] — starts from an empty stack and
+//! therefore does *not* inherit the caller's ambient sink; parallel layers
+//! (e.g. the sharded index)
 //! instead synthesize per-worker spans retrospectively on the caller
 //! thread via [`Telemetry::record_span`], which keeps span order
 //! deterministic. [`Telemetry::suppressed`] blocks the global fallback for
@@ -225,6 +227,24 @@ impl Telemetry {
     pub fn suppressed<R>(f: impl FnOnce() -> R) -> R {
         STACK.with(|stack| stack.borrow_mut().push(Frame::Suppressed));
         let _guard = FrameGuard;
+        f()
+    }
+
+    /// Run `f` as a newly spawned thread would: with this thread's ambient
+    /// context set aside, so [`Telemetry::current`] resolves to the global
+    /// sink and spans get no ambient parent. The context is restored
+    /// afterwards, also when `f` panics. `rtnn-parallel` runs the calling
+    /// thread's share of a parallel call this way, so what a run records
+    /// never depends on which thread claimed it.
+    pub fn detached<R>(f: impl FnOnce() -> R) -> R {
+        struct Restore(Vec<Frame>);
+        impl Drop for Restore {
+            fn drop(&mut self) {
+                let saved = std::mem::take(&mut self.0);
+                STACK.with(|stack| *stack.borrow_mut() = saved);
+            }
+        }
+        let _restore = Restore(STACK.with(|stack| std::mem::take(&mut *stack.borrow_mut())));
         f()
     }
 
@@ -766,6 +786,22 @@ mod tests {
                 assert!(Telemetry::current().is_none());
             });
             assert!(Telemetry::current().is_some());
+        });
+        // Detached code sees no frame at all: the global fallback, and no
+        // ambient span parent; the frames come back afterwards, also on
+        // panic.
+        Telemetry::scoped(&t, || {
+            let _span = t.span("outer");
+            Telemetry::detached(|| {
+                assert!(Telemetry::current().is_none());
+                let inner = Telemetry::scoped(&t, || t.span("inner").id()).expect("spans on");
+                let snap = t.snapshot();
+                assert_eq!(snap.span(inner).expect("recorded").parent, None);
+            });
+            let caught = std::panic::catch_unwind(|| Telemetry::detached(|| panic!("boom")));
+            assert!(caught.is_err());
+            let current = Telemetry::current().expect("scoped sink is back");
+            assert!(Arc::ptr_eq(&current, &t));
         });
         let off = Telemetry::new(TelemetryLevel::Off);
         Telemetry::scoped(&off, || {
