@@ -6,7 +6,9 @@
 //!
 //! * the neighbor ids (with per-query lengths),
 //! * the five `TimeBreakdown` components,
-//! * the counters and kernel time of `search_metrics` and `fs_metrics`,
+//! * every counter of `search_metrics` and `fs_metrics`, their kernels'
+//!   cycle split, SIMT efficiency, warp and thread counts and L1/L2/DRAM
+//!   counters included,
 //! * `num_partitions` and `num_bundles`,
 //! * each pipeline stage's simulated `device_ms`.
 //!
@@ -52,6 +54,7 @@ impl Fnv {
     }
 
     fn launch(&mut self, m: &LaunchMetrics) {
+        let k = &m.kernel;
         for v in [
             m.active_rays,
             m.node_visits,
@@ -59,10 +62,27 @@ impl Fnv {
             m.is_calls,
             m.terminated_rays,
             m.hit_rays,
+            k.warps,
+            k.threads,
+            k.memory.l1.accesses,
+            k.memory.l1.hits,
+            k.memory.l2.accesses,
+            k.memory.l2.hits,
+            k.memory.dram_accesses,
         ] {
             self.u64(v);
         }
-        self.f64(m.kernel.time_ms);
+        for v in [
+            k.time_ms,
+            k.total_cycles,
+            k.critical_path_cycles,
+            k.rt_core_cycles,
+            k.sm_cycles,
+            k.mem_stall_cycles,
+            k.simt_efficiency,
+        ] {
+            self.f64(v);
+        }
     }
 
     fn results(&mut self, r: &SearchResults) {
@@ -132,26 +152,26 @@ fn plans(num_queries: usize) -> [(&'static str, QueryPlan); 4] {
 
 /// `(plan, level, fingerprint)` for a fresh `Index` per pair.
 const FRESH_INDEX: [(&str, OptLevel, u64); 16] = [
-    ("knn", OptLevel::NoOpt, 0xAADA_E014_8903_2A7F),
-    ("knn", OptLevel::Sched, 0xB4D7_07F1_BA81_981F),
-    ("knn", OptLevel::SchedPartition, 0xE0C0_3BC9_AD80_E43B),
-    ("knn", OptLevel::Full, 0x9D2E_319D_6808_2DF0),
-    ("range", OptLevel::NoOpt, 0xE695_6F5E_473B_1611),
-    ("range", OptLevel::Sched, 0xA88F_4D7B_380E_A832),
-    ("range", OptLevel::SchedPartition, 0x0FF9_12ED_5E5A_4B1C),
-    ("range", OptLevel::Full, 0x1A2B_0456_A361_E933),
-    ("capped_range", OptLevel::NoOpt, 0xBFE2_BC21_3C63_5A54),
-    ("capped_range", OptLevel::Sched, 0xE75B_7617_3885_8F86),
+    ("knn", OptLevel::NoOpt, 0x8C46_66E7_9F3C_033D),
+    ("knn", OptLevel::Sched, 0x200E_0196_C591_1EF9),
+    ("knn", OptLevel::SchedPartition, 0x550E_DCFB_2E5D_74AC),
+    ("knn", OptLevel::Full, 0x2F4D_8CA9_8BEC_DAF5),
+    ("range", OptLevel::NoOpt, 0x65D6_9DAA_6470_41C7),
+    ("range", OptLevel::Sched, 0xFCC7_996E_8DBD_8473),
+    ("range", OptLevel::SchedPartition, 0xEEE7_69F5_43CA_96FD),
+    ("range", OptLevel::Full, 0x214B_0BEF_CA41_791E),
+    ("capped_range", OptLevel::NoOpt, 0xEBAB_3B3C_AB30_E6C5),
+    ("capped_range", OptLevel::Sched, 0x71ED_80B4_79BD_8F36),
     (
         "capped_range",
         OptLevel::SchedPartition,
-        0xA066_4B7C_3A16_A34B,
+        0x5BC3_8F31_4BED_E028,
     ),
-    ("capped_range", OptLevel::Full, 0x4CA2_8ACA_E9AC_6693),
-    ("batch", OptLevel::NoOpt, 0xCE12_C3E1_EDA4_D964),
-    ("batch", OptLevel::Sched, 0x3508_6A74_D201_20F2),
-    ("batch", OptLevel::SchedPartition, 0x5E4C_86E8_0B0A_A16A),
-    ("batch", OptLevel::Full, 0x8FAA_8DE9_3465_DE5C),
+    ("capped_range", OptLevel::Full, 0x14DA_1A24_3FB5_D4A7),
+    ("batch", OptLevel::NoOpt, 0xE493_BD89_F162_321B),
+    ("batch", OptLevel::Sched, 0xE733_F9C7_8BE2_A8BD),
+    ("batch", OptLevel::SchedPartition, 0x2FDA_AB5E_F6DC_4E54),
+    ("batch", OptLevel::Full, 0x5FEA_37CD_46F9_3E24),
 ];
 
 /// `(frame, expected action, fingerprint)`; the fingerprint also covers the
@@ -160,14 +180,14 @@ const DYNAMIC_FRAMES: [(&str, StructureAction, u64); 4] = [
     (
         "first search",
         StructureAction::Rebuilt,
-        0x724E_334C_C47F_A691,
+        0x19FB_70BC_CC49_DE5C,
     ),
-    ("pure motion", StructureAction::Refit, 0x41D2_2F01_EE9E_5DC3),
-    ("no motion", StructureAction::Reused, 0xD97F_A8BE_025E_9C65),
+    ("pure motion", StructureAction::Refit, 0x4D00_5041_158E_72EB),
+    ("no motion", StructureAction::Reused, 0x97B2_088F_6CC2_3FB1),
     (
         "remove + insert",
         StructureAction::Rebuilt,
-        0x4845_67CC_1008_1B8F,
+        0x00AF_5EA2_97CE_2DFC,
     ),
 ];
 
