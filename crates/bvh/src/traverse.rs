@@ -12,10 +12,12 @@
 //! * [`Bvh::traverse`] — counts work (node visits, primitive tests) without
 //!   recording which nodes were touched; used by correctness tests and CPU
 //!   oracles.
-//! * [`Bvh::traverse_traced`] — additionally appends the indices of visited
-//!   nodes and scanned primitive slots to a [`TraversalTrace`]; the GPU
-//!   simulator replays those as memory accesses for cache and divergence
-//!   modelling.
+//! * [`Bvh::traverse_marked`] — additionally marks every node slot and
+//!   primitive slot the ray reads in a [`VisitMarks`] set. Marks accumulate
+//!   over calls until [`VisitMarks::clear`], so traversing each ray of a
+//!   warp into one set leaves the warp's footprint: the distinct slots its
+//!   rays read, each listed once, in first-visit order. The GPU simulator
+//!   charges RT-core tests and memory traffic for that footprint.
 
 use crate::node::{Bvh, NodeKind};
 use rtnn_math::Ray;
@@ -55,22 +57,74 @@ impl TraversalStats {
     }
 }
 
-/// The memory-touch trace of one ray: which node slots and primitive slots
-/// it read, in order. Slot indices (not byte addresses) are recorded; the
-/// simulator maps them onto its address space.
+/// The distinct node and primitive slots a group of rays read.
+///
+/// Holds one bit per node slot and one bit per primitive slot, plus the
+/// marked slots of each kind in first-visit order. A bit is set exactly
+/// when its slot is on a list, so [`VisitMarks::clear`] walks the lists
+/// instead of the bitsets and costs the number of distinct slots, not the
+/// size of the BVH.
+///
+/// The bitsets grow to fit the largest BVH traversed with these marks and
+/// never shrink: one bit per node slot and per primitive slot, so about
+/// 1.7 bits per point for this crate's LBVH (≈ 0.71 nodes per point), plus
+/// the lists' capacity. Slots are indices, not identities: clear the marks
+/// before using them on a different BVH.
 #[derive(Debug, Clone, Default)]
-pub struct TraversalTrace {
-    /// Indices into `Bvh::nodes`, in visit order.
-    pub node_visits: Vec<u32>,
-    /// Indices into `Bvh::prim_indices` (leaf slots), in test order.
-    pub prim_visits: Vec<u32>,
+pub struct VisitMarks {
+    node_bits: Vec<u64>,
+    prim_bits: Vec<u64>,
+    nodes: Vec<u32>,
+    prims: Vec<u32>,
 }
 
-impl TraversalTrace {
-    /// Clear the trace for reuse.
+impl VisitMarks {
+    /// Distinct indices into `Bvh::nodes` marked since the last clear, in
+    /// first-visit order.
+    pub fn nodes(&self) -> &[u32] {
+        &self.nodes
+    }
+
+    /// Distinct indices into `Bvh::prim_indices` (leaf slots) marked since
+    /// the last clear, in first-visit order.
+    pub fn prims(&self) -> &[u32] {
+        &self.prims
+    }
+
+    /// Unmark every slot, keeping the allocations.
     pub fn clear(&mut self) {
-        self.node_visits.clear();
-        self.prim_visits.clear();
+        // Every set bit belongs to a listed slot, so zeroing the words the
+        // lists point at clears the bitsets.
+        for &n in &self.nodes {
+            self.node_bits[n as usize / 64] = 0;
+        }
+        for &p in &self.prims {
+            self.prim_bits[p as usize / 64] = 0;
+        }
+        self.nodes.clear();
+        self.prims.clear();
+    }
+
+    /// Grow the bitsets to cover every slot of `bvh`.
+    fn fit(&mut self, bvh: &Bvh) {
+        let words = |slots: usize| slots.div_ceil(64);
+        if self.node_bits.len() < words(bvh.nodes.len()) {
+            self.node_bits.resize(words(bvh.nodes.len()), 0);
+        }
+        if self.prim_bits.len() < words(bvh.prim_indices.len()) {
+            self.prim_bits.resize(words(bvh.prim_indices.len()), 0);
+        }
+    }
+
+    /// Mark `slot` in `bits`, listing it if this is its first visit.
+    #[inline]
+    fn mark(bits: &mut [u64], list: &mut Vec<u32>, slot: u32) {
+        let word = &mut bits[slot as usize / 64];
+        let bit = 1u64 << (slot % 64);
+        if *word & bit == 0 {
+            *word |= bit;
+            list.push(slot);
+        }
     }
 }
 
@@ -84,26 +138,27 @@ impl Bvh {
         self.traverse_impl(ray, &mut on_hit, None)
     }
 
-    /// As [`Bvh::traverse`], additionally recording the visited node /
-    /// primitive slots into `trace` (which is cleared first).
-    pub fn traverse_traced<F>(
+    /// As [`Bvh::traverse`], additionally marking every node and primitive
+    /// slot the ray reads in `marks`. Earlier marks are kept, so slots this
+    /// ray shares with rays traversed before it are listed once.
+    pub fn traverse_marked<F>(
         &self,
         ray: &Ray,
-        trace: &mut TraversalTrace,
+        marks: &mut VisitMarks,
         mut on_hit: F,
     ) -> TraversalStats
     where
         F: FnMut(u32) -> TraversalControl,
     {
-        trace.clear();
-        self.traverse_impl(ray, &mut on_hit, Some(trace))
+        marks.fit(self);
+        self.traverse_impl(ray, &mut on_hit, Some(marks))
     }
 
     fn traverse_impl<F>(
         &self,
         ray: &Ray,
         on_hit: &mut F,
-        mut trace: Option<&mut TraversalTrace>,
+        mut marks: Option<&mut VisitMarks>,
     ) -> TraversalStats
     where
         F: FnMut(u32) -> TraversalControl,
@@ -119,8 +174,8 @@ impl Bvh {
         'rays: while let Some(node_idx) = stack.pop() {
             let node = &self.nodes[node_idx as usize];
             stats.nodes_visited += 1;
-            if let Some(t) = trace.as_deref_mut() {
-                t.node_visits.push(node_idx);
+            if let Some(m) = marks.as_deref_mut() {
+                VisitMarks::mark(&mut m.node_bits, &mut m.nodes, node_idx);
             }
             if !node.aabb.intersects_ray(ray) {
                 continue;
@@ -135,8 +190,8 @@ impl Bvh {
                     for slot in start..start + count {
                         let prim_id = self.prim_indices[slot as usize];
                         stats.prim_tests += 1;
-                        if let Some(t) = trace.as_deref_mut() {
-                            t.prim_visits.push(slot);
+                        if let Some(m) = marks.as_deref_mut() {
+                            VisitMarks::mark(&mut m.prim_bits, &mut m.prims, slot);
                         }
                         if self.prim_aabbs[prim_id as usize].intersects_ray(ray) {
                             stats.is_calls += 1;
@@ -246,26 +301,72 @@ mod tests {
     }
 
     #[test]
-    fn trace_records_every_visited_node() {
+    fn marks_list_each_slot_a_ray_reads_once() {
         let points = sample_points();
         let bvh = build_point_bvh(&points, 0.7, BuildParams::default());
-        let mut trace = TraversalTrace::default();
-        let stats = bvh.traverse_traced(
+        let mut marks = VisitMarks::default();
+        let stats = bvh.traverse_marked(
             &Ray::point_probe(Vec3::new(2.5, 2.5, 2.5)),
-            &mut trace,
+            &mut marks,
             |_| TraversalControl::Continue,
         );
-        assert_eq!(trace.node_visits.len() as u64, stats.nodes_visited);
-        assert_eq!(trace.prim_visits.len() as u64, stats.prim_tests);
-        assert_eq!(trace.node_visits[0], 0, "traversal starts at the root");
-        // Reusing the trace clears previous contents.
-        let stats2 = bvh.traverse_traced(
+        assert_eq!(marks.nodes().len() as u64, stats.nodes_visited);
+        assert_eq!(marks.prims().len() as u64, stats.prim_tests);
+        assert_eq!(marks.nodes()[0], 0, "traversal starts at the root");
+        // A second ray adds only the slots the first did not read.
+        let first = marks.nodes().len();
+        let stats2 = bvh.traverse_marked(
+            &Ray::point_probe(Vec3::new(2.6, 2.5, 2.5)),
+            &mut marks,
+            |_| TraversalControl::Continue,
+        );
+        assert!(marks.nodes().len() < first + stats2.nodes_visited as usize);
+        // Clearing forgets every mark.
+        marks.clear();
+        assert!(marks.nodes().is_empty() && marks.prims().is_empty());
+        let stats3 = bvh.traverse_marked(
             &Ray::point_probe(Vec3::new(-10.0, 0.0, 0.0)),
-            &mut trace,
+            &mut marks,
             |_| TraversalControl::Continue,
         );
-        assert_eq!(trace.node_visits.len() as u64, stats2.nodes_visited);
-        assert_eq!(stats2.is_calls, 0);
+        assert_eq!(marks.nodes(), [0]);
+        assert_eq!(stats3.nodes_visited, 1);
+    }
+
+    /// The footprint of one warp of point probes at `queries`.
+    fn footprint(bvh: &Bvh, queries: &[Vec3], marks: &mut VisitMarks) -> (Vec<u32>, Vec<u32>) {
+        marks.clear();
+        for &q in queries {
+            bvh.traverse_marked(&Ray::point_probe(q), marks, |_| TraversalControl::Continue);
+        }
+        (marks.nodes().to_vec(), marks.prims().to_vec())
+    }
+
+    #[test]
+    fn marks_reused_across_bvh_sizes_match_fresh_marks() {
+        let grid = |n: usize| -> Vec<Vec3> {
+            (0..n * n * n)
+                .map(|i| Vec3::new((i % n) as f32, (i / n % n) as f32, (i / (n * n)) as f32))
+                .collect()
+        };
+        let large = build_point_bvh(&grid(16), 1.5, BuildParams::default());
+        let small = build_point_bvh(&grid(3), 1.5, BuildParams::default());
+        // Probes spread over the large cloud, so its footprint spans many
+        // bitset words past the small BVH's.
+        let queries: Vec<Vec3> = (0..32)
+            .map(|i| Vec3::splat(0.5 * i as f32).min(Vec3::splat(15.0)))
+            .collect();
+        let mut reused = VisitMarks::default();
+        for (name, bvh) in [
+            ("large", &large),
+            ("small", &small),
+            ("large again", &large),
+        ] {
+            let got = footprint(bvh, &queries, &mut reused);
+            let want = footprint(bvh, &queries, &mut VisitMarks::default());
+            assert_eq!(got, want, "{name}");
+            assert!(!got.1.is_empty(), "{name}: the probes hit primitives");
+        }
     }
 
     #[test]
@@ -309,9 +410,12 @@ mod tests {
         let points = sample_points();
         let bvh = build_point_bvh(&points, 0.9, BuildParams::default());
         let trace_of = |q: Vec3| {
-            let mut t = TraversalTrace::default();
-            bvh.traverse_traced(&Ray::point_probe(q), &mut t, |_| TraversalControl::Continue);
-            t.node_visits
+            let mut marks = VisitMarks::default();
+            bvh.traverse_marked(&Ray::point_probe(q), &mut marks, |_| {
+                TraversalControl::Continue
+            });
+            marks
+                .nodes()
                 .iter()
                 .copied()
                 .collect::<std::collections::HashSet<_>>()

@@ -21,7 +21,8 @@
 //! * [`Pipeline::launch`] maps launch indices to rays, groups 32 consecutive
 //!   rays into a warp (the property the query-scheduling optimisation of
 //!   Section 4 exploits), traverses the BVH for each ray, and charges the
-//!   traversal, shader and memory work to the simulated device.
+//!   traversal, shader and memory work to the simulated device, sized by
+//!   the distinct BVH slots the warp's rays read (see [`pipeline`]).
 
 pub mod accel;
 pub mod gas;

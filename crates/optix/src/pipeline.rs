@@ -10,13 +10,41 @@
 //! time is driven by the *union* of the BVH nodes its rays visit, its
 //! shader time by its slowest lane, and its memory traffic by the distinct
 //! cache lines it touches.
+//!
+//! # Finding a warp's union
+//!
+//! A warp traverses each of its rays with
+//! [`Bvh::traverse_marked`](rtnn_bvh::Bvh::traverse_marked) into one
+//! [`VisitMarks`] set, which lists a node or primitive slot the first time
+//! any of the warp's rays reads it. The lengths of those distinct lists are
+//! the warp's RT-core tests and its issued SIMT work. For memory, each list
+//! is mapped to addresses and sorted, nodes then primitives, so the cost
+//! grows with the distinct slots rather than with every ray's visits.
+//!
+//! Each host thread keeps one footprint (the marks plus the address
+//! buffer) in a thread-local and reuses it for every warp it runs, in every
+//! launch. Before its first ray, a warp clears what the thread's previous
+//! warp marked, by walking that warp's distinct lists rather than scanning
+//! the bitsets. This also covers a warp that unwound mid-way because a
+//! shader panicked. Marks never outlive the next warp on their thread, so
+//! the reuse cannot change an answer or a simulated number.
+//!
+//! Memory: a thread's footprint holds one bit per node slot and per
+//! primitive slot of the largest BVH it has traversed, for the life of the
+//! thread (the worker pool's threads live as long as the process), plus
+//! list and address capacity for the largest warp footprint it has
+//! metered. An LBVH here has about 0.71 nodes per point, so at the paper's
+//! 12M-point scale the bits take about 2.6 MB per thread (u32 visit stamps
+//! would take about 82 MB).
 
 use crate::gas::{Gas, NODE_BYTES, PRIM_BYTES};
 use crate::shader::{IsVerdict, RayProgram};
-use rtnn_bvh::{TraversalControl, TraversalTrace};
+use rtnn_bvh::{Bvh, TraversalControl, VisitMarks};
 use rtnn_gpusim::kernel::{BVH_NODES_BASE, BVH_PRIMS_BASE};
-use rtnn_gpusim::{Device, IsShaderKind, KernelMetrics};
+use rtnn_gpusim::{Device, IsShaderKind, KernelMetrics, SmShard};
 use serde::{Deserialize, Serialize};
+use std::cell::RefCell;
+use std::ops::Range;
 
 /// Aggregate counters for one launch, merging device metrics with the
 /// ray-tracing-specific counters the paper's figures plot.
@@ -67,6 +95,125 @@ pub struct LaunchResult<P> {
     pub metrics: LaunchMetrics,
 }
 
+/// Per-ray outputs of a warp.
+#[derive(Default, Clone)]
+struct RayOutput<P> {
+    payload: P,
+    node_visits: u64,
+    prim_tests: u64,
+    is_calls: u64,
+    terminated: bool,
+    hit: bool,
+    active: bool,
+}
+
+/// A warp's footprint and the address slice built from it.
+#[derive(Default)]
+struct WarpFootprint {
+    marks: VisitMarks,
+    addresses: Vec<u64>,
+}
+
+impl WarpFootprint {
+    /// Run the rays `range` of one warp and charge their work to `shard`,
+    /// sized by the distinct slots they read.
+    fn run_warp<P: RayProgram>(
+        &mut self,
+        bvh: &Bvh,
+        program: &P,
+        is_kind: IsShaderKind,
+        warp_size: f64,
+        range: Range<usize>,
+        shard: &mut SmShard,
+    ) -> Vec<RayOutput<P::Payload>> {
+        let WarpFootprint { marks, addresses } = self;
+        // Marks left by this thread's previous warp, one that unwound
+        // mid-way included, must not count towards this one.
+        marks.clear();
+        let mut warp_results: Vec<RayOutput<P::Payload>> = Vec::with_capacity(range.len());
+        let mut sum_lane_nodes = 0u64;
+        let mut sum_lane_is = 0u64;
+
+        for launch_index in range {
+            let mut out = RayOutput::<P::Payload>::default();
+            if let Some((ray, mut payload)) = program.ray_gen(launch_index as u32) {
+                out.active = true;
+                let mut hit_any = false;
+                let stats = bvh.traverse_marked(&ray, marks, |prim_id| {
+                    match program.intersection(launch_index as u32, prim_id, &mut payload) {
+                        IsVerdict::Ignore => TraversalControl::Continue,
+                        IsVerdict::Accept => {
+                            hit_any = true;
+                            TraversalControl::Continue
+                        }
+                        IsVerdict::AcceptAndTerminate => {
+                            hit_any = true;
+                            TraversalControl::Terminate
+                        }
+                    }
+                });
+                if hit_any {
+                    program.closest_hit(launch_index as u32, &mut payload);
+                } else {
+                    program.miss(launch_index as u32, &mut payload);
+                }
+                out.node_visits = stats.nodes_visited;
+                out.prim_tests = stats.prim_tests;
+                out.is_calls = stats.is_calls;
+                out.terminated = stats.terminated;
+                out.hit = hit_any;
+                out.payload = payload;
+
+                sum_lane_nodes += stats.nodes_visited;
+                sum_lane_is += stats.is_calls;
+            }
+            warp_results.push(out);
+        }
+
+        // RT-core work: one node test per distinct node, one AABB test per
+        // distinct primitive slot the warp scanned. A node shared by several
+        // rays in the warp is broadcast, so it is charged once.
+        let distinct_nodes = marks.nodes().len();
+        shard.charge_rt_node_tests(distinct_nodes as f64);
+        shard.charge_rt_prim_tests(marks.prims().len() as f64);
+        // SM shader work: IS invocations interrupt hardware traversal at
+        // lane-specific points, so they are only partially SIMT-parallel;
+        // every lane's IS calls are charged, packed `is_simt_width` wide.
+        let is_width = shard.cost().is_simt_width.max(1.0);
+        shard.charge_is_calls(sum_lane_is as f64 / is_width, is_kind);
+
+        // Memory traffic: BVH nodes and primitive records the warp read,
+        // each kind in address order.
+        addresses.clear();
+        addresses.extend(
+            marks
+                .nodes()
+                .iter()
+                .map(|&n| BVH_NODES_BASE + n as u64 * NODE_BYTES),
+        );
+        addresses.sort_unstable();
+        addresses.extend(
+            marks
+                .prims()
+                .iter()
+                .map(|&p| BVH_PRIMS_BASE + p as u64 * PRIM_BYTES),
+        );
+        addresses[distinct_nodes..].sort_unstable();
+        shard.access_warp_memory(addresses);
+
+        // SIMT efficiency: useful lane-work over issued warp-work.
+        let issued = (distinct_nodes as f64).max(1e-9) * warp_size;
+        shard.note_simt_work(sum_lane_nodes as f64, issued);
+
+        warp_results
+    }
+}
+
+thread_local! {
+    /// The footprint every warp this thread runs reuses.
+    static FOOTPRINT: RefCell<WarpFootprint> = RefCell::new(WarpFootprint::default());
+}
+
 /// A ray-casting pipeline bound to a device.
 #[derive(Debug, Clone)]
 pub struct Pipeline<'d> {
@@ -99,104 +246,15 @@ impl<'d> Pipeline<'d> {
         let bvh = gas.bvh();
         let warp_size = self.device.config().warp_size as f64;
 
-        // Per-ray outputs produced inside the warp closure.
-        #[derive(Default, Clone)]
-        struct RayOutput<P> {
-            payload: P,
-            node_visits: u64,
-            prim_tests: u64,
-            is_calls: u64,
-            terminated: bool,
-            hit: bool,
-            active: bool,
-        }
-
         let (outputs, kernel) = self.device.run_warps(num_rays, |range, shard| {
-            let mut warp_results: Vec<RayOutput<P::Payload>> = Vec::with_capacity(range.len());
-            let mut trace = TraversalTrace::default();
-            // Warp-level aggregation buffers.
-            let mut union_nodes: Vec<u32> = Vec::new();
-            let mut union_prims: Vec<u32> = Vec::new();
-            let mut addresses: Vec<u64> = Vec::new();
-            let mut sum_lane_nodes = 0u64;
-            let mut sum_lane_is = 0u64;
-            let mut max_lane_prim_tests = 0u64;
-
-            for launch_index in range.clone() {
-                let mut out = RayOutput::<P::Payload>::default();
-                if let Some((ray, mut payload)) = program.ray_gen(launch_index as u32) {
-                    out.active = true;
-                    let mut hit_any = false;
-                    let stats = bvh.traverse_traced(&ray, &mut trace, |prim_id| {
-                        match program.intersection(launch_index as u32, prim_id, &mut payload) {
-                            IsVerdict::Ignore => TraversalControl::Continue,
-                            IsVerdict::Accept => {
-                                hit_any = true;
-                                TraversalControl::Continue
-                            }
-                            IsVerdict::AcceptAndTerminate => {
-                                hit_any = true;
-                                TraversalControl::Terminate
-                            }
-                        }
-                    });
-                    if hit_any {
-                        program.closest_hit(launch_index as u32, &mut payload);
-                    } else {
-                        program.miss(launch_index as u32, &mut payload);
-                    }
-                    out.node_visits = stats.nodes_visited;
-                    out.prim_tests = stats.prim_tests;
-                    out.is_calls = stats.is_calls;
-                    out.terminated = stats.terminated;
-                    out.hit = hit_any;
-                    out.payload = payload;
-
-                    sum_lane_nodes += stats.nodes_visited;
-                    sum_lane_is += stats.is_calls;
-                    max_lane_prim_tests = max_lane_prim_tests.max(stats.prim_tests);
-                    union_nodes.extend_from_slice(&trace.node_visits);
-                    union_prims.extend_from_slice(&trace.prim_visits);
-                }
-                warp_results.push(out);
-            }
-
-            // Deduplicate the warp's footprint: traversal of a node shared by
-            // several rays in the warp is broadcast, so it is charged once.
-            union_nodes.sort_unstable();
-            union_nodes.dedup();
-            union_prims.sort_unstable();
-            union_prims.dedup();
-
-            // RT-core work: one node test per distinct node, one AABB test per
-            // distinct primitive slot the warp scanned.
-            shard.charge_rt_node_tests(union_nodes.len() as f64);
-            shard.charge_rt_prim_tests(union_prims.len() as f64);
-            // SM shader work: IS invocations interrupt hardware traversal at
-            // lane-specific points, so they are only partially SIMT-parallel;
-            // every lane's IS calls are charged, packed `is_simt_width` wide.
-            let is_width = shard.cost().is_simt_width.max(1.0);
-            shard.charge_is_calls(sum_lane_is as f64 / is_width, is_kind);
-
-            // Memory traffic: BVH nodes and primitive records the warp read.
-            addresses.clear();
-            addresses.extend(
-                union_nodes
-                    .iter()
-                    .map(|&n| BVH_NODES_BASE + n as u64 * NODE_BYTES),
-            );
-            addresses.extend(
-                union_prims
-                    .iter()
-                    .map(|&p| BVH_PRIMS_BASE + p as u64 * PRIM_BYTES),
-            );
-            shard.access_warp_memory(&addresses);
-
-            // SIMT efficiency: useful lane-work over issued warp-work.
-            let issued = (union_nodes.len() as f64).max(1e-9) * warp_size;
-            shard.note_simt_work(sum_lane_nodes as f64, issued);
-
-            warp_results
+            let run = |footprint: &mut WarpFootprint| {
+                footprint.run_warp(bvh, program, is_kind, warp_size, range, shard)
+            };
+            FOOTPRINT.with(|cell| match cell.try_borrow_mut() {
+                Ok(mut footprint) => run(&mut footprint),
+                // A shader that launches from inside a warp gets its own.
+                Err(_) => run(&mut WarpFootprint::default()),
+            })
         });
 
         let mut metrics = LaunchMetrics {
@@ -386,6 +444,115 @@ mod tests {
         assert_eq!(result.payloads[0], (true, false));
         assert_eq!(result.payloads[1], (false, true));
         assert_eq!(result.metrics.hit_rays, 1);
+    }
+
+    #[test]
+    fn a_warp_that_unwound_leaves_no_marks_behind() {
+        // A shader panic unwinds out of a warp after four rays have marked
+        // slots the next launch's rays never read; that launch, on the same
+        // thread, must meter exactly what it meters on a fresh thread.
+        let device = Device::rtx_2080();
+        let points = cloud();
+        let radius = 1.2;
+        let gas = Gas::build_from_points(&device, &points, radius, BuildParams::default()).unwrap();
+        let program = |z: f32| RangeProgram {
+            queries: (0..40)
+                .map(|i| Vec3::new((i % 8) as f32, (i / 8) as f32, z))
+                .collect(),
+            points: points.clone(),
+            radius,
+            k: 1000,
+        };
+        let (near, far) = (program(0.0), program(7.0));
+        /// A program with a shader fault on the fifth ray of a warp.
+        struct FaultOnFifthRay<'a>(&'a RangeProgram);
+        impl RayProgram for FaultOnFifthRay<'_> {
+            type Payload = Vec<u32>;
+            fn ray_gen(&self, launch_index: u32) -> Option<(Ray, Vec<u32>)> {
+                assert_ne!(launch_index % 32, 4, "injected shader fault");
+                self.0.ray_gen(launch_index)
+            }
+            fn intersection(&self, i: u32, prim_id: u32, payload: &mut Vec<u32>) -> IsVerdict {
+                self.0.intersection(i, prim_id, payload)
+            }
+        }
+        let one_thread = |f: &dyn Fn() -> LaunchMetrics| rtnn_parallel::with_thread_count(1, f);
+        let launch_near = || {
+            Pipeline::new(&device)
+                .launch(&gas, 40, &near, IsShaderKind::RangeSphereTest)
+                .metrics
+        };
+        let after_fault = one_thread(&|| {
+            let faulty = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                Pipeline::new(&device).launch(
+                    &gas,
+                    40,
+                    &FaultOnFifthRay(&far),
+                    IsShaderKind::RangeSphereTest,
+                )
+            }));
+            assert!(faulty.is_err(), "the shader fault must reach the caller");
+            launch_near()
+        });
+        let fresh = std::thread::scope(|s| s.spawn(|| one_thread(&launch_near)).join().unwrap());
+        // Debug prints every f64 in its shortest round-trip form, so equal
+        // strings mean bit-equal metrics.
+        assert_eq!(format!("{after_fault:?}"), format!("{fresh:?}"));
+    }
+
+    #[test]
+    fn a_shader_may_launch_from_inside_a_warp() {
+        // The inner launch runs its warp on the thread whose footprint the
+        // outer warp holds, and must meter exactly as a launch of its own.
+        let device = Device::rtx_2080();
+        let points = cloud();
+        let gas = Gas::build_from_points(&device, &points, 1.1, BuildParams::default()).unwrap();
+        let inner = RangeProgram {
+            queries: vec![Vec3::new(3.5, 3.5, 3.5)],
+            points,
+            radius: 1.1,
+            k: 1000,
+        };
+        /// Launches `inner` from its miss shader.
+        struct Nesting<'a> {
+            device: &'a Device,
+            gas: &'a Gas,
+            inner: &'a RangeProgram,
+        }
+        impl RayProgram for Nesting<'_> {
+            type Payload = Option<LaunchMetrics>;
+            fn ray_gen(&self, _: u32) -> Option<(Ray, Option<LaunchMetrics>)> {
+                Some((Ray::point_probe(Vec3::splat(-50.0)), None))
+            }
+            fn intersection(&self, _: u32, _: u32, _: &mut Option<LaunchMetrics>) -> IsVerdict {
+                IsVerdict::Ignore
+            }
+            fn miss(&self, _: u32, payload: &mut Option<LaunchMetrics>) {
+                let launch = Pipeline::new(self.device).launch(
+                    self.gas,
+                    1,
+                    self.inner,
+                    IsShaderKind::RangeSphereTest,
+                );
+                *payload = Some(launch.metrics);
+            }
+        }
+        let outer = Nesting {
+            device: &device,
+            gas: &gas,
+            inner: &inner,
+        };
+        let nested = rtnn_parallel::with_thread_count(1, || {
+            Pipeline::new(&device).launch(&gas, 1, &outer, IsShaderKind::RangeSphereTest)
+        })
+        .payloads[0]
+            .clone()
+            .expect("the miss shader ran");
+        let direct = Pipeline::new(&device)
+            .launch(&gas, 1, &inner, IsShaderKind::RangeSphereTest)
+            .metrics;
+        assert!(direct.node_visits > 0);
+        assert_eq!(format!("{nested:?}"), format!("{direct:?}"));
     }
 
     #[test]
