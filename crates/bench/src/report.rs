@@ -303,16 +303,86 @@ mod tests {
 
     #[test]
     fn report_save_round_trip() {
-        let mut report = FigureReport::new("Figure 99 (test)");
-        let mut t = Table::new("tiny", &["x"]);
-        t.push_row(vec!["1".into()]);
+        let mut report = FigureReport::new("Figure 99 \"quoted\" a\\b (test)");
+        let mut t = Table::new("tiny", &["x", "y"]);
+        t.push_row(vec!["1".into(), "2.50 ms".into()]);
+        t.push_row(vec!["333".into(), "n/a".into()]);
         report.tables.push(t);
+        report.tables.push(Table::new("empty", &["only"]));
         report.notes.push("a note".into());
+        report.notes.push("two\nlines\tand a tab".into());
+        report.headline_metric("integral", 3.0);
+        report.headline_metric("r2", 0.9125939376069159);
+        report.headline_metric("tiny", 1e-7);
+        report.headline_metric("huge", 1e15);
+        // `headline_metric` drops non-finite values; a direct push must
+        // still serialise to valid JSON.
+        report.headline.push(("nan".to_string(), f64::NAN));
         let dir = std::env::temp_dir().join("rtnn_bench_report_test");
         let path = report.save(&dir).unwrap();
         let content = std::fs::read_to_string(&path).unwrap();
         assert!(content.contains("Figure 99"));
         assert!(content.contains("a note"));
+        let json = std::fs::read_to_string(path.with_extension("json")).unwrap();
         std::fs::remove_dir_all(&dir).ok();
+        assert_eq!(json, EXPECTED_REPORT_JSON);
     }
+
+    /// The JSON `FigureReport::save` writes for the fixture above, pinned
+    /// byte for byte.
+    const EXPECTED_REPORT_JSON: &str = r#"{
+  "figure": "Figure 99 \"quoted\" a\\b (test)",
+  "tables": [
+    {
+      "title": "tiny",
+      "headers": [
+        "x",
+        "y"
+      ],
+      "rows": [
+        [
+          "1",
+          "2.50 ms"
+        ],
+        [
+          "333",
+          "n/a"
+        ]
+      ]
+    },
+    {
+      "title": "empty",
+      "headers": [
+        "only"
+      ],
+      "rows": []
+    }
+  ],
+  "notes": [
+    "a note",
+    "two\nlines\tand a tab"
+  ],
+  "headline": [
+    [
+      "integral",
+      3.0
+    ],
+    [
+      "r2",
+      0.9125939376069159
+    ],
+    [
+      "tiny",
+      0.0000001
+    ],
+    [
+      "huge",
+      1000000000000000
+    ],
+    [
+      "nan",
+      null
+    ]
+  ]
+}"#;
 }
