@@ -7,7 +7,12 @@
 //! implementation itself are caught by `cargo bench`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use rtnn::{EngineConfig, GpusimBackend, Index, OptLevel, QueryPlan, SearchMode, SearchParams};
+use rtnn::partition::partition_queries;
+use rtnn::pipeline::{CoherenceSchedule, ScheduleCx, ScheduleStage};
+use rtnn::{
+    Backend, EngineConfig, GpusimBackend, Index, MegacellGrid, OptLevel, QueryPlan, SearchMode,
+    SearchParams,
+};
 use rtnn_baselines::fastrnn::FastRnn;
 use rtnn_baselines::grid_knn::GridKnn;
 use rtnn_baselines::kdtree::KdTreeSearch;
@@ -167,29 +172,43 @@ fn bench_baselines(c: &mut Criterion) {
     group.finish();
 }
 
+/// The two optimisation passes as an `Index` runs them: the
+/// `CoherenceSchedule` stage over a backend structure at width `2·radius`,
+/// and the megacell kernel over the scheduled order on a grid built once.
 fn bench_scheduling_and_partitioning(c: &mut Criterion) {
     let f = fixture();
     let device = Device::rtx_2080();
+    let backend = GpusimBackend::new(&device);
+    let config = EngineConfig::default();
     let mut group = c.benchmark_group("optimisation_passes");
     configure(&mut group);
-    let gas =
-        rtnn_optix::Gas::build_from_points(&device, &f.points, f.radius, BuildParams::default())
-            .unwrap();
-    group.bench_function("query_scheduling", |b| {
-        b.iter(|| rtnn::schedule_queries(&device, &gas, &f.points, &f.queries));
-    });
-    let order: Vec<u32> = (0..f.queries.len() as u32).collect();
+    let accel = backend
+        .build(&f.points, config.aabb_width(f.radius), config.build)
+        .unwrap();
+    let ids: Vec<u32> = (0..f.queries.len() as u32).collect();
+    let schedule = || {
+        CoherenceSchedule.schedule(&ScheduleCx {
+            backend: &backend,
+            accel: Some(accel.as_ref()),
+            points: &f.points,
+            queries: &f.queries,
+            query_ids: &ids,
+        })
+    };
+    group.bench_function("query_scheduling", |b| b.iter(schedule));
+    let order = schedule().order;
     let params = SearchParams::knn(f.radius, f.k);
+    let grid = MegacellGrid::build(&f.points, config.grid_max_cells).unwrap();
     group.bench_function("query_partitioning", |b| {
         b.iter(|| {
-            rtnn::partition::partition_queries(
+            partition_queries(
                 &device,
-                &f.points,
+                &grid,
                 &f.queries,
                 &order,
                 &params,
-                rtnn::KnnAabbRule::Guaranteed,
-                1 << 20,
+                config.knn_rule,
+                None,
             )
         });
     });

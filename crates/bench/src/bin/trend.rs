@@ -33,6 +33,8 @@
 //! `results/baselines/trajectory.jsonl` — the longitudinal record of every
 //! headline across PRs.
 
+use rtnn_bench::report::json_f64;
+use rtnn_telemetry::export::json_escape;
 use rtnn_telemetry::{parse_json, JsonValue};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -157,31 +159,6 @@ struct Verdict {
     current: f64,
     regressed: bool,
     note: &'static str,
-}
-
-fn json_escape(s: &str) -> String {
-    s.chars()
-        .flat_map(|c| match c {
-            '"' => "\\\"".chars().collect::<Vec<_>>(),
-            '\\' => "\\\\".chars().collect(),
-            '\n' => "\\n".chars().collect(),
-            c if (c as u32) < 0x20 => format!("\\u{:04x}", c as u32).chars().collect(),
-            c => vec![c],
-        })
-        .collect()
-}
-
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        let s = format!("{v}");
-        if s.contains('.') || s.contains('e') || s.contains('E') {
-            s
-        } else {
-            format!("{s}.0")
-        }
-    } else {
-        "0.0".to_string()
-    }
 }
 
 /// The `RTNN_SCALE` stamp for baselines ("default" when unset).

@@ -5,6 +5,7 @@
 use crate::report::{FigureReport, Table};
 use crate::scale::ExperimentScale;
 use crate::workloads::{Workload, DEFAULT_K};
+use rtnn::megacell::MegacellGrid;
 use rtnn::partition::{partition_queries, KnnAabbRule};
 use rtnn::{SearchMode, SearchParams};
 use rtnn_data::DatasetName;
@@ -56,14 +57,15 @@ pub fn run(scale: &ExperimentScale) -> FigureReport {
         mode: SearchMode::Knn,
     };
     let order: Vec<u32> = (0..workload.queries.len() as u32).collect();
+    let grid = MegacellGrid::build(&workload.points, 1 << 21).expect("the workload has points");
     let set = partition_queries(
         &device,
-        &workload.points,
+        &grid,
         &workload.queries,
         &order,
         &params,
         KnnAabbRule::Guaranteed,
-        1 << 21,
+        None,
     );
 
     let mut table = Table::new(

@@ -1,10 +1,10 @@
 //! Table formatting and result persistence for the experiment binaries.
 
-use serde::Serialize;
+use rtnn_telemetry::export::json_escape;
 use std::path::{Path, PathBuf};
 
 /// A simple column-aligned text table.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Table {
     /// Table title.
     pub title: String,
@@ -79,7 +79,7 @@ impl Table {
 
 /// The output of one experiment: a set of tables plus free-form notes and
 /// machine-readable headline metrics.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct FigureReport {
     /// Which figure this reproduces ("Figure 5", ...).
     pub figure: String,
@@ -151,34 +151,97 @@ impl FigureReport {
         let md_path = dir.join(format!("{slug}.md"));
         std::fs::write(&md_path, self.render_markdown())?;
         let json_path = dir.join(format!("{slug}.json"));
-        std::fs::write(json_path, serde_json::to_string_pretty(self).unwrap())?;
+        std::fs::write(json_path, self.to_json())?;
         Ok(md_path)
+    }
+
+    /// The report as two-space-indented JSON: an object with `figure`,
+    /// `tables` (each with `title`, `headers` and `rows`), `notes` and
+    /// `headline` (`[name, value]` pairs).
+    fn to_json(&self) -> String {
+        let strings = |depth, items: &[String]| {
+            json_array(depth, items.iter().map(|s| json_str(s)).collect())
+        };
+        let tables = self.tables.iter().map(|t| {
+            json_object(
+                2,
+                &[
+                    ("title", json_str(&t.title)),
+                    ("headers", strings(3, &t.headers)),
+                    (
+                        "rows",
+                        json_array(3, t.rows.iter().map(|r| strings(4, r)).collect()),
+                    ),
+                ],
+            )
+        });
+        let headline = self
+            .headline
+            .iter()
+            .map(|(name, value)| json_array(2, vec![json_str(name), json_f64(*value)]));
+        json_object(
+            0,
+            &[
+                ("figure", json_str(&self.figure)),
+                ("tables", json_array(1, tables.collect())),
+                ("notes", strings(1, &self.notes)),
+                ("headline", json_array(1, headline.collect())),
+            ],
+        )
+    }
+}
+
+fn json_str(s: &str) -> String {
+    format!("\"{}\"", json_escape(s))
+}
+
+/// A JSON array at nesting `depth` of `items` rendered at `depth + 1`: one
+/// item per line, two spaces of indent per level, `[]` when empty.
+fn json_array(depth: usize, items: Vec<String>) -> String {
+    if items.is_empty() {
+        return "[]".to_string();
+    }
+    let pad = "  ".repeat(depth);
+    format!("[\n{pad}  {}\n{pad}]", items.join(&format!(",\n{pad}  ")))
+}
+
+/// A JSON object at nesting `depth`, laid out like [`json_array`].
+fn json_object(depth: usize, fields: &[(&str, String)]) -> String {
+    let pad = "  ".repeat(depth);
+    let fields: Vec<String> = fields
+        .iter()
+        .map(|(k, v)| format!("\"{k}\": {v}"))
+        .collect();
+    format!(
+        "{{\n{pad}  {}\n{pad}}}",
+        fields.join(&format!(",\n{pad}  "))
+    )
+}
+
+/// Format an `f64` as a JSON number, the one number format of the JSON
+/// files this crate writes: integral values below 1e15 keep a trailing
+/// `.0`, other finite values use the shortest round-trip form, and
+/// non-finite values become `null` (JSON has no NaN or infinity).
+pub fn json_f64(v: f64) -> String {
+    if !v.is_finite() {
+        "null".to_string()
+    } else if v == v.trunc() && v.abs() < 1e15 {
+        format!("{v:.1}")
+    } else {
+        format!("{v}")
     }
 }
 
 /// Render the cross-figure summary (`figure name → headline metrics`) as a
 /// stable, machine-readable JSON object. Written by `reproduce_all` to
-/// `results/summary.json`; hand-rolled (rather than serde-derived) so the
-/// output is a proper JSON object keyed by figure and metric names
-/// regardless of which serde implementation backs the workspace.
+/// `results/summary.json`. Non-finite values are written as `0`.
 pub fn render_summary_json(entries: &[(&str, &[(String, f64)])]) -> String {
-    fn escape(s: &str) -> String {
-        s.chars()
-            .flat_map(|c| match c {
-                '"' => "\\\"".chars().collect::<Vec<_>>(),
-                '\\' => "\\\\".chars().collect(),
-                '\n' => "\\n".chars().collect(),
-                c if (c as u32) < 0x20 => format!("\\u{:04x}", c as u32).chars().collect(),
-                c => vec![c],
-            })
-            .collect()
-    }
     let mut out = String::from("{\n");
     for (fi, (figure, metrics)) in entries.iter().enumerate() {
-        out.push_str(&format!("  \"{}\": {{\n", escape(figure)));
+        out.push_str(&format!("  \"{}\": {{\n", json_escape(figure)));
         for (mi, (name, value)) in metrics.iter().enumerate() {
             let v = if value.is_finite() { *value } else { 0.0 };
-            out.push_str(&format!("    \"{}\": {v}", escape(name)));
+            out.push_str(&format!("    \"{}\": {v}", json_escape(name)));
             out.push_str(if mi + 1 < metrics.len() { ",\n" } else { "\n" });
         }
         out.push_str("  }");

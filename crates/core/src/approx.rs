@@ -14,10 +14,9 @@
 //!   work disappears entirely.
 
 use crate::plan::PlanError;
-use serde::{Deserialize, Serialize};
 
 /// The approximation mode of a search.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum ApproxMode {
     /// Exact search (the default).
     #[default]

@@ -18,10 +18,9 @@
 //! search will actually run on.
 
 use rtnn_gpusim::{Device, IsShaderKind};
-use serde::{Deserialize, Serialize};
 
 /// Calibrated device-level cost coefficients, all in milliseconds per unit.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostCoefficients {
     /// Milliseconds per AABB of acceleration-structure build (`k1`).
     pub k_build_ms_per_aabb: f64,

@@ -1057,16 +1057,21 @@ mod tests {
         let device = Device::rtx_2080();
         let backend = GpusimBackend::new(&device);
         let points = [Vec3::ZERO];
-        let mut index = Index::build(&backend, &points[..], EngineConfig::default());
-        let no_queries = index.query(&[], &QueryPlan::range(1.0, 4)).unwrap();
-        assert!(no_queries.neighbors.is_empty());
-        let mut empty = Index::build(&backend, Vec::new(), EngineConfig::default());
-        assert!(empty.is_empty());
-        let no_points = empty
-            .query(&[Vec3::ZERO, Vec3::ONE], &QueryPlan::knn(1.0, 4))
-            .unwrap();
-        assert_eq!(no_points.neighbors.len(), 2);
-        assert!(no_points.neighbors.iter().all(Vec::is_empty));
+        // Every level, so every Schedule and Partition stage meets an
+        // empty scene (which has no megacell grid) and an empty query set.
+        for opt in OptLevel::all() {
+            let config = EngineConfig::default().with_opt(opt);
+            let mut index = Index::build(&backend, &points[..], config);
+            let no_queries = index.query(&[], &QueryPlan::range(1.0, 4)).unwrap();
+            assert!(no_queries.neighbors.is_empty(), "{opt:?}");
+            let mut empty = Index::build(&backend, Vec::new(), config);
+            assert!(empty.is_empty());
+            let plan = QueryPlan::knn(1.0, 4);
+            empty.warm(&plan).unwrap();
+            let no_points = empty.query(&[Vec3::ZERO, Vec3::ONE], &plan).unwrap();
+            assert_eq!(no_points.neighbors.len(), 2, "{opt:?}");
+            assert!(no_points.neighbors.iter().all(Vec::is_empty), "{opt:?}");
+        }
     }
 
     #[test]

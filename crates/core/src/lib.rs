@@ -100,4 +100,4 @@ pub use result::{SearchMode, SearchParams, SearchResults, ShardMerge, TimeBreakd
 pub use rtnn_gpusim::StructureTiming;
 pub use rtnn_optix::LaunchMetrics;
 pub use rtnn_telemetry as telemetry;
-pub use scheduling::{raster_order, schedule_queries, schedule_queries_on, QuerySchedule};
+pub use scheduling::{raster_order, QuerySchedule};

@@ -91,22 +91,6 @@ impl PartitionSet {
     pub fn total_queries(&self) -> usize {
         self.partitions.iter().map(Partition::len).sum()
     }
-
-    /// A single partition covering every query with the full `2r` AABB — the
-    /// no-partitioning fallback.
-    pub fn single(query_order: &[u32], params: &SearchParams) -> Self {
-        PartitionSet {
-            partitions: vec![Partition {
-                aabb_width: 2.0 * params.radius,
-                query_ids: query_order.to_vec(),
-                megacell_width: 2.0 * params.radius,
-                sphere_test: true,
-                density: 0.0,
-            }],
-            opt_metrics: KernelMetrics::default(),
-            cell_size: 2.0 * params.radius,
-        }
-    }
 }
 
 /// Compute the AABB width and sphere-test flag for one megacell result.
@@ -145,50 +129,52 @@ fn aabb_width_for(
 }
 
 /// Partition `queries` (processed in `query_order`) according to their
-/// megacell sizes. `grid_max_cells` bounds the uniform grid resolution.
+/// megacell sizes over a prebuilt `grid`: a persistent [`crate::Index`]
+/// builds its grid once and partitions every plan's queries against it.
 ///
 /// The megacell growth for every query is charged to the simulated device as
 /// an SM kernel (the paper implements it in CUDA); its metrics are returned
 /// in [`PartitionSet::opt_metrics`].
+///
+/// With `cache = Some((cache, dirty_region))`, queries whose cached result
+/// provably still holds pay only a probe (one op) and everything else is
+/// re-grown; the cache is updated in place, ready for the next frame.
+/// `dirty_region` must bound every grid cell whose population changed since
+/// the cache entries were written (see [`crate::megacell::GridRefresh`]);
+/// pass [`Aabb::EMPTY`] when nothing moved between cells.
 pub fn partition_queries(
-    device: &Device,
-    points: &[Vec3],
-    queries: &[Vec3],
-    query_order: &[u32],
-    params: &SearchParams,
-    rule: KnnAabbRule,
-    grid_max_cells: usize,
-) -> PartitionSet {
-    let Some(grid) = MegacellGrid::build(points, grid_max_cells) else {
-        return PartitionSet::single(query_order, params);
-    };
-    partition_queries_on_grid(device, &grid, queries, query_order, params, rule)
-}
-
-/// [`partition_queries`] over a *prebuilt* grid — the persistent-index path:
-/// an [`crate::Index`] builds its megacell grid once and partitions every
-/// plan's queries against it, instead of re-growing a grid per search.
-pub fn partition_queries_on_grid(
     device: &Device,
     grid: &MegacellGrid,
     queries: &[Vec3],
     query_order: &[u32],
     params: &SearchParams,
     rule: KnnAabbRule,
+    cache: Option<(&mut MegacellCache, &Aabb)>,
 ) -> PartitionSet {
-    // Megacell kernel: one thread per query. The host-side growth result is
-    // returned as the thread's result; its work is charged to the device.
-    let (megacells, opt_metrics) = run_sm_kernel(
-        device,
-        query_order.len(),
-        SmKernelConfig::default(),
-        |launch_idx| {
-            let q = queries[query_order[launch_idx] as usize];
-            let (mc, work) = grow_megacell(grid, q, params);
-            (Wrapped(mc), work)
-        },
-    );
-
+    let (megacells, opt_metrics) = match cache {
+        // Megacell kernel: one thread per query. The host-side growth result
+        // is returned as the thread's result; its work is charged to the
+        // device.
+        None => run_sm_kernel(
+            device,
+            query_order.len(),
+            SmKernelConfig::default(),
+            |launch_idx| {
+                let q = queries[query_order[launch_idx] as usize];
+                let (mc, work) = grow_megacell(grid, q, params);
+                (Wrapped(mc), work)
+            },
+        ),
+        Some((cache, dirty_region)) => grow_cached(
+            device,
+            grid,
+            queries,
+            query_order,
+            params,
+            cache,
+            dirty_region,
+        ),
+    };
     group_into_partitions(&megacells, query_order, grid, params, rule, opt_metrics)
 }
 
@@ -273,13 +259,14 @@ fn group_into_partitions(
 /// per-cell point counts inside its reachable box, and the search
 /// parameters — so a cached entry stays valid as long as (a) the query is
 /// still inside the grid and in the same cell and (b) no cell inside its
-/// reachable region changed population. [`partition_queries_cached`]
-/// enforces exactly that, recomputing only the invalidated queries instead
-/// of re-growing every megacell wholesale. The query *positions* may change
-/// freely between frames (the central-cell check catches them), and a
-/// lookup under different search parameters drops the entries wholesale
-/// (megacell growth depends on `(radius, k)`); the *grid identity* must
-/// stay fixed for the cache's lifetime — invalidate on a grid rebuild.
+/// reachable region changed population. [`partition_queries`] enforces
+/// exactly that when handed the cache, recomputing only the invalidated
+/// queries instead of re-growing every megacell wholesale. The query
+/// *positions* may change freely between frames (the central-cell check
+/// catches them), and a lookup under different search parameters drops the
+/// entries wholesale (megacell growth depends on `(radius, k)`); the *grid
+/// identity* must stay fixed for the cache's lifetime — invalidate on a
+/// grid rebuild.
 #[derive(Debug, Clone, Default)]
 pub struct MegacellCache {
     /// Per query id: the central cell the entry was computed for + result.
@@ -309,9 +296,9 @@ impl MegacellCache {
 
     /// Make the cache safe for a lookup under `params` over `num_queries`
     /// queries: entries computed for different search parameters (or a
-    /// different query count) are dropped wholesale. Called by
-    /// [`partition_queries_cached`], so a persistent cache may be handed
-    /// plans with changing radii/K and stays conservative-correct.
+    /// different query count) are dropped wholesale. Called by every cached
+    /// [`partition_queries`] run, so a persistent cache may be handed plans
+    /// with changing radii/K and stays conservative-correct.
     fn ensure_params(&mut self, params: &SearchParams, num_queries: usize) {
         let key = (params.radius.to_bits(), params.k, params.mode);
         if self.entries.len() != num_queries || self.params_key != Some(key) {
@@ -336,24 +323,18 @@ struct CachedOutcome {
     in_grid: bool,
 }
 
-/// [`partition_queries`] over a *prebuilt* grid with a per-query megacell
-/// cache: queries whose cached result provably still holds pay only a probe
-/// (one op), everything else is re-grown. `dirty_region` must bound every
-/// grid cell whose population changed since the cache entries were written
-/// (see [`crate::megacell::GridRefresh`]); pass [`Aabb::EMPTY`] when nothing
-/// moved between cells. The cache is updated in place so it is ready for the
-/// next frame.
-#[allow(clippy::too_many_arguments)]
-pub fn partition_queries_cached(
+/// The megacell kernel of a cached [`partition_queries`] run: a probe for
+/// every query whose cached result still holds, a fresh growth for the
+/// rest, folded back into `cache`.
+fn grow_cached(
     device: &Device,
+    grid: &MegacellGrid,
     queries: &[Vec3],
     query_order: &[u32],
     params: &SearchParams,
-    rule: KnnAabbRule,
-    grid: &MegacellGrid,
-    dirty_region: &Aabb,
     cache: &mut MegacellCache,
-) -> PartitionSet {
+    dirty_region: &Aabb,
+) -> (Vec<Wrapped>, KernelMetrics) {
     cache.ensure_params(params, queries.len());
     let entries = &cache.entries;
     let (outcomes, opt_metrics) = run_sm_kernel(
@@ -406,8 +387,7 @@ pub fn partition_queries_cached(
         }
     }
 
-    let megacells: Vec<Wrapped> = outcomes.iter().map(|o| o.mc).collect();
-    group_into_partitions(&megacells, query_order, grid, params, rule, opt_metrics)
+    (outcomes.iter().map(|o| o.mc).collect(), opt_metrics)
 }
 
 /// Newtype so the megacell result can flow through `run_sm_kernel`'s
@@ -447,21 +427,27 @@ mod tests {
         (0..n as u32).collect()
     }
 
+    /// Partition `queries` in input order over a fresh grid on `points`,
+    /// without a cache.
+    fn partition_fresh(points: &[Vec3], queries: &[Vec3], params: &SearchParams) -> PartitionSet {
+        let grid = MegacellGrid::build(points, 1 << 18).unwrap();
+        partition_queries(
+            &Device::rtx_2080(),
+            &grid,
+            queries,
+            &identity_order(queries.len()),
+            params,
+            KnnAabbRule::Guaranteed,
+            None,
+        )
+    }
+
     #[test]
     fn every_query_lands_in_exactly_one_partition() {
-        let device = Device::rtx_2080();
         let points = grid_points(10);
         let queries = points.clone();
         let params = SearchParams::knn(3.0, 8);
-        let set = partition_queries(
-            &device,
-            &points,
-            &queries,
-            &identity_order(queries.len()),
-            &params,
-            KnnAabbRule::Guaranteed,
-            1 << 18,
-        );
+        let set = partition_fresh(&points, &queries, &params);
         assert_eq!(set.total_queries(), queries.len());
         let mut seen = vec![false; queries.len()];
         for p in &set.partitions {
@@ -479,7 +465,6 @@ mod tests {
 
     #[test]
     fn partitions_are_sorted_by_aabb_width() {
-        let device = Device::rtx_2080();
         // Mixed density: dense blob + sparse outskirts produce several
         // different megacell sizes.
         let mut points = grid_points(8);
@@ -492,15 +477,7 @@ mod tests {
         }
         let queries = points.clone();
         let params = SearchParams::knn(6.0, 16);
-        let set = partition_queries(
-            &device,
-            &points,
-            &queries,
-            &identity_order(queries.len()),
-            &params,
-            KnnAabbRule::Guaranteed,
-            1 << 18,
-        );
+        let set = partition_fresh(&points, &queries, &params);
         assert!(set.partitions.len() >= 2, "expected multiple partitions");
         for w in set.partitions.windows(2) {
             assert!(w[0].aabb_width <= w[1].aabb_width);
@@ -509,19 +486,10 @@ mod tests {
 
     #[test]
     fn range_partitions_skip_the_sphere_test_only_when_safe() {
-        let device = Device::rtx_2080();
         let points = grid_points(10);
         let queries = points.clone();
         let params = SearchParams::range(4.0, 4);
-        let set = partition_queries(
-            &device,
-            &points,
-            &queries,
-            &identity_order(queries.len()),
-            &params,
-            KnnAabbRule::Guaranteed,
-            1 << 18,
-        );
+        let set = partition_fresh(&points, &queries, &params);
         let inscribed = 2.0 * params.radius / 3.0_f32.sqrt();
         for p in &set.partitions {
             if !p.sphere_test {
@@ -577,52 +545,32 @@ mod tests {
     }
 
     #[test]
-    fn empty_points_yield_the_single_fallback_partition() {
-        let device = Device::rtx_2080();
-        let queries = vec![Vec3::ZERO, Vec3::ONE];
-        let params = SearchParams::range(1.0, 4);
-        let set = partition_queries(
-            &device,
-            &[],
-            &queries,
-            &identity_order(2),
-            &params,
-            KnnAabbRule::Guaranteed,
-            4096,
-        );
-        assert_eq!(set.partitions.len(), 1);
-        assert_eq!(set.partitions[0].aabb_width, 2.0);
-        assert_eq!(set.total_queries(), 2);
-    }
-
-    #[test]
     fn cached_partitioning_matches_uncached_and_gets_cheaper() {
         let device = Device::rtx_2080();
         let points = grid_points(9);
         let queries = points.clone();
         let order = identity_order(queries.len());
         let params = SearchParams::knn(3.0, 8);
+        let grid = MegacellGrid::build(&points, 1 << 18).unwrap();
         let uncached = partition_queries(
             &device,
-            &points,
-            &queries,
-            &order,
-            &params,
-            KnnAabbRule::Guaranteed,
-            1 << 18,
-        );
-        let grid = MegacellGrid::build(&points, 1 << 18).unwrap();
-        let mut cache = MegacellCache::new(queries.len());
-        // Frame 1: cold cache — identical partitions, comparable cost.
-        let frame1 = partition_queries_cached(
-            &device,
-            &queries,
-            &order,
-            &params,
-            KnnAabbRule::Guaranteed,
             &grid,
-            &Aabb::EMPTY,
-            &mut cache,
+            &queries,
+            &order,
+            &params,
+            KnnAabbRule::Guaranteed,
+            None,
+        );
+        let mut cache = MegacellCache::new(queries.len());
+        // Frame 1: cold cache — identical partitions at the same cost.
+        let frame1 = partition_queries(
+            &device,
+            &grid,
+            &queries,
+            &order,
+            &params,
+            KnnAabbRule::Guaranteed,
+            Some((&mut cache, &Aabb::EMPTY)),
         );
         assert_eq!(frame1.partitions.len(), uncached.partitions.len());
         for (a, b) in frame1.partitions.iter().zip(&uncached.partitions) {
@@ -630,17 +578,17 @@ mod tests {
             assert_eq!(a.query_ids, b.query_ids);
             assert_eq!(a.sphere_test, b.sphere_test);
         }
+        assert_eq!(frame1.opt_metrics, uncached.opt_metrics);
         assert_eq!(cache.valid_entries(), queries.len());
         // Frame 2: nothing moved — all hits, same partitions, cheaper kernel.
-        let frame2 = partition_queries_cached(
+        let frame2 = partition_queries(
             &device,
+            &grid,
             &queries,
             &order,
             &params,
             KnnAabbRule::Guaranteed,
-            &grid,
-            &Aabb::EMPTY,
-            &mut cache,
+            Some((&mut cache, &Aabb::EMPTY)),
         );
         assert_eq!(frame2.partitions.len(), frame1.partitions.len());
         for (a, b) in frame2.partitions.iter().zip(&frame1.partitions) {
@@ -664,39 +612,36 @@ mod tests {
         let params = SearchParams::knn(1.5, 4);
         let grid = MegacellGrid::build(&points, 1 << 18).unwrap();
         let mut cache = MegacellCache::new(queries.len());
-        partition_queries_cached(
+        partition_queries(
             &device,
+            &grid,
             &queries,
             &order,
             &params,
             KnnAabbRule::Guaranteed,
-            &grid,
-            &Aabb::EMPTY,
-            &mut cache,
+            Some((&mut cache, &Aabb::EMPTY)),
         );
         // A dirty corner: only queries whose reach touches it recompute; the
         // result must equal a fully uncached recomputation regardless.
         let dirty = Aabb::new(Vec3::ZERO, Vec3::splat(2.0));
-        let warm = partition_queries_cached(
+        let warm = partition_queries(
             &device,
+            &grid,
             &queries,
             &order,
             &params,
             KnnAabbRule::Guaranteed,
-            &grid,
-            &dirty,
-            &mut cache,
+            Some((&mut cache, &dirty)),
         );
         let mut cold_cache = MegacellCache::new(queries.len());
-        let cold = partition_queries_cached(
+        let cold = partition_queries(
             &device,
+            &grid,
             &queries,
             &order,
             &params,
             KnnAabbRule::Guaranteed,
-            &grid,
-            &Aabb::EMPTY,
-            &mut cold_cache,
+            Some((&mut cold_cache, &Aabb::EMPTY)),
         );
         assert_eq!(warm.partitions.len(), cold.partitions.len());
         for (a, b) in warm.partitions.iter().zip(&cold.partitions) {
@@ -719,39 +664,36 @@ mod tests {
         let grid = MegacellGrid::build(&points, 1 << 18).unwrap();
         let mut cache = MegacellCache::new(queries.len());
         let small = SearchParams::knn(3.0, 2);
-        partition_queries_cached(
+        partition_queries(
             &device,
+            &grid,
             &queries,
             &order,
             &small,
             KnnAabbRule::Guaranteed,
-            &grid,
-            &Aabb::EMPTY,
-            &mut cache,
+            Some((&mut cache, &Aabb::EMPTY)),
         );
         assert_eq!(cache.valid_entries(), queries.len());
         // Same cache, much larger K: must match a cold computation exactly.
         let large = SearchParams::knn(3.0, 40);
-        let warm = partition_queries_cached(
+        let warm = partition_queries(
             &device,
+            &grid,
             &queries,
             &order,
             &large,
             KnnAabbRule::Guaranteed,
-            &grid,
-            &Aabb::EMPTY,
-            &mut cache,
+            Some((&mut cache, &Aabb::EMPTY)),
         );
         let mut cold_cache = MegacellCache::new(queries.len());
-        let cold = partition_queries_cached(
+        let cold = partition_queries(
             &device,
+            &grid,
             &queries,
             &order,
             &large,
             KnnAabbRule::Guaranteed,
-            &grid,
-            &Aabb::EMPTY,
-            &mut cold_cache,
+            Some((&mut cold_cache, &Aabb::EMPTY)),
         );
         assert_eq!(warm.partitions.len(), cold.partitions.len());
         for (a, b) in warm.partitions.iter().zip(&cold.partitions) {
@@ -759,15 +701,14 @@ mod tests {
             assert_eq!(a.query_ids, b.query_ids);
         }
         // And a repeat under the same params is a pure cache hit again.
-        let repeat = partition_queries_cached(
+        let repeat = partition_queries(
             &device,
+            &grid,
             &queries,
             &order,
             &large,
             KnnAabbRule::Guaranteed,
-            &grid,
-            &Aabb::EMPTY,
-            &mut cache,
+            Some((&mut cache, &Aabb::EMPTY)),
         );
         assert!(repeat.opt_metrics.total_cycles < warm.opt_metrics.total_cycles);
     }
@@ -781,15 +722,14 @@ mod tests {
         let params = SearchParams::range(2.0, 8);
         let grid = MegacellGrid::build(&points, 4096).unwrap();
         let mut cache = MegacellCache::new(queries.len());
-        partition_queries_cached(
+        partition_queries(
             &device,
+            &grid,
             &queries,
             &order,
             &params,
             KnnAabbRule::Guaranteed,
-            &grid,
-            &Aabb::EMPTY,
-            &mut cache,
+            Some((&mut cache, &Aabb::EMPTY)),
         );
         // Only the in-grid query earned an entry.
         assert_eq!(cache.valid_entries(), 1);
@@ -797,21 +737,10 @@ mod tests {
 
     #[test]
     fn denser_clouds_produce_smaller_minimum_aabbs() {
-        let device = Device::rtx_2080();
         let sparse = grid_points(6); // spacing 1.0
         let dense: Vec<Vec3> = grid_points(6).iter().map(|&p| p * 0.25).collect();
         let params = SearchParams::knn(2.0, 4);
-        let run = |pts: &Vec<Vec3>| {
-            partition_queries(
-                &device,
-                pts,
-                pts,
-                &identity_order(pts.len()),
-                &params,
-                KnnAabbRule::Guaranteed,
-                1 << 18,
-            )
-        };
+        let run = |pts: &Vec<Vec3>| partition_fresh(pts, pts, &params);
         let sparse_set = run(&sparse);
         let dense_set = run(&dense);
         let min_w = |s: &PartitionSet| {

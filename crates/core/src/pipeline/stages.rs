@@ -9,10 +9,7 @@ use crate::bundling::{apply_bundles, plan_bundles};
 use crate::cost_model::CostCoefficients;
 use crate::index::EngineConfig;
 use crate::megacell::MegacellGrid;
-use crate::partition::{
-    partition_queries, partition_queries_cached, partition_queries_on_grid, MegacellCache,
-    Partition,
-};
+use crate::partition::{partition_queries, MegacellCache, Partition};
 use crate::result::SearchParams;
 use crate::scheduling::{anchor_keys, charge_sort_kernel, QuerySchedule};
 use rtnn_gpusim::KernelMetrics;
@@ -168,7 +165,9 @@ pub struct PartitionCx<'r> {
     pub queries: &'r [Vec3],
     /// The launched query ids in scheduled order.
     pub order: &'r [u32],
-    /// Prebuilt megacell grid over the points, if the caller maintains one.
+    /// The megacell grid over the points. The driver supplies it exactly
+    /// when the stage's [`wants_grid`](PartitionStage::wants_grid) is true
+    /// (a stage runs only over a scene with points, so the grid exists).
     pub grid: Option<&'r MegacellGrid>,
     /// Bounds of grid cells whose population changed since the cache
     /// entries were written.
@@ -206,35 +205,18 @@ pub struct MegacellPartition {
 impl PartitionStage for MegacellPartition {
     fn partition(&self, cx: PartitionCx<'_>) -> PartitionedQueries {
         let device = cx.backend.device();
-        let set = match (cx.grid, cx.cache) {
-            (Some(g), Some(c)) => partition_queries_cached(
-                device,
-                cx.queries,
-                cx.order,
-                &cx.params,
-                cx.config.knn_rule,
-                g,
-                cx.dirty_region,
-                c,
-            ),
-            (Some(g), None) => partition_queries_on_grid(
-                device,
-                g,
-                cx.queries,
-                cx.order,
-                &cx.params,
-                cx.config.knn_rule,
-            ),
-            (None, _) => partition_queries(
-                device,
-                cx.points,
-                cx.queries,
-                cx.order,
-                &cx.params,
-                cx.config.knn_rule,
-                cx.config.grid_max_cells,
-            ),
-        };
+        let grid = cx
+            .grid
+            .expect("driver supplies a grid when wants_grid() is true");
+        let set = partition_queries(
+            device,
+            grid,
+            cx.queries,
+            cx.order,
+            &cx.params,
+            cx.config.knn_rule,
+            cx.cache.map(|cache| (cache, cx.dirty_region)),
+        );
         let num_partitions = set.partitions.len();
         let partitions = if self.bundle {
             let coeffs = CostCoefficients::calibrate(device);

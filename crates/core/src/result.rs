@@ -6,10 +6,9 @@ use crate::plan::PlanError;
 use rtnn_math::morton::MortonEncoder;
 use rtnn_math::{Aabb, Vec3};
 use rtnn_optix::LaunchMetrics;
-use serde::{Deserialize, Serialize};
 
 /// The two neighbor-search variants the paper targets (Section 2.1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SearchMode {
     /// Fixed-radius (range) search: return up to `K` neighbors within `r`.
     Range,
@@ -21,7 +20,7 @@ pub enum SearchMode {
 /// and a maximum neighbor count `K`, for both variants. An unbounded KNN is
 /// emulated with a very large `r`, an unbounded range search with a very
 /// large `K`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SearchParams {
     /// Search radius `r` (must be positive).
     pub radius: f32,
@@ -71,7 +70,7 @@ impl SearchParams {
 /// The five components of Figure 12: data transfer, optimisation overhead
 /// (query reordering + partitioning), BVH builds, the first (scheduling)
 /// search, and the actual search. All in simulated milliseconds.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct TimeBreakdown {
     /// Host↔device transfers (`Data`).
     pub data_ms: f64,

@@ -18,16 +18,19 @@
 //! The Morton sort runs as a device kernel in the paper (a CUDA sort over
 //! first-hit data already resident in device memory); here it is charged to
 //! the simulated device as an SM kernel with `O(log n)` work per thread.
+//!
+//! The pass itself is the pipeline's
+//! [`CoherenceSchedule`](crate::pipeline::CoherenceSchedule) stage, run on
+//! the call's backend. This module holds its output ([`QuerySchedule`]),
+//! the anchor keys and the sort-kernel charge it uses, and the raster order
+//! of the Figure 5/6 experiment.
 
-use crate::backend::Backend;
-use crate::pipeline::{CoherenceSchedule, ScheduleCx, ScheduleStage};
 use crate::plan::PlanError;
-use crate::shaders::{FirstHitProgram, QueryIndexing, NO_HIT};
 use rtnn_gpusim::kernel::{point_address, run_sm_kernel, SmKernelConfig, ThreadWork};
-use rtnn_gpusim::{Device, IsShaderKind, KernelMetrics};
+use rtnn_gpusim::{Device, KernelMetrics};
 use rtnn_math::morton::MortonEncoder;
 use rtnn_math::{Aabb, Vec3};
-use rtnn_optix::{AccelRef, Gas, LaunchMetrics, Pipeline};
+use rtnn_optix::LaunchMetrics;
 use rtnn_parallel::par_sort_by_key;
 
 /// The outcome of the scheduling pass.
@@ -61,69 +64,6 @@ impl QuerySchedule {
     pub fn is_empty(&self) -> bool {
         self.order.is_empty()
     }
-}
-
-/// Compute the spatially-ordered schedule for `queries` against the global
-/// GAS built over `points` (Listing 2 of the paper), on the default
-/// simulated-pipeline backend. Prefer [`schedule_queries_on`] when a
-/// [`Backend`] and a full structure handle are already in hand — this
-/// convenience wrapper only has the raw GAS, so it drives the pipeline
-/// directly rather than fabricating an [`AccelRef`] with a made-up AABB
-/// width.
-pub fn schedule_queries(
-    device: &Device,
-    gas: &Gas,
-    points: &[Vec3],
-    queries: &[Vec3],
-) -> QuerySchedule {
-    if queries.is_empty() {
-        return QuerySchedule::identity(0);
-    }
-    let pipeline = Pipeline::new(device);
-    let program = FirstHitProgram {
-        queries,
-        indexing: QueryIndexing::Identity,
-    };
-    let launch = pipeline.launch(
-        gas,
-        queries.len(),
-        &program,
-        IsShaderKind::RangeNoSphereTest,
-    );
-    let ids: Vec<u32> = (0..queries.len() as u32).collect();
-    let hits: Vec<Vec<u32>> = launch
-        .payloads
-        .iter()
-        .map(|&hit| if hit == NO_HIT { Vec::new() } else { vec![hit] })
-        .collect();
-    let keys = anchor_keys(points, queries, &ids, &hits);
-    let sort_metrics = charge_sort_kernel(device, queries.len());
-    let mut order = ids;
-    par_sort_by_key(&mut order, |&q| (keys[q as usize], q));
-    QuerySchedule {
-        order,
-        fs_metrics: launch.metrics,
-        sort_metrics,
-    }
-}
-
-/// [`schedule_queries`] against an arbitrary backend and structure handle —
-/// a thin wrapper over the pipeline's [`CoherenceSchedule`] stage, which
-/// is what the [`crate::Index`] driver runs by default.
-pub fn schedule_queries_on(
-    backend: &dyn Backend,
-    accel: AccelRef<'_>,
-    points: &[Vec3],
-    queries: &[Vec3],
-) -> QuerySchedule {
-    let ids: Vec<u32> = (0..queries.len() as u32).collect();
-    CoherenceSchedule.schedule(&ScheduleCx {
-        backend,
-        accel: Some(accel),
-        points,
-        queries,
-        query_ids: &ids,
-    })
 }
 
 /// Morton key of every covered query's first-hit anchor: the first-hit
@@ -202,7 +142,27 @@ pub fn raster_order(queries: &[Vec3], cells_per_axis: u32) -> Result<Vec<u32>, P
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::{Backend, GpusimBackend};
+    use crate::pipeline::{CoherenceSchedule, ScheduleCx, ScheduleStage};
     use rtnn_bvh::BuildParams;
+
+    /// Run the coherence schedule over every query the way the driver
+    /// does: through a `GpusimBackend` structure at width `2·radius`.
+    fn coherence_schedule(points: &[Vec3], radius: f32, queries: &[Vec3]) -> QuerySchedule {
+        let device = Device::rtx_2080();
+        let backend = GpusimBackend::new(&device);
+        let accel = backend
+            .build(points, 2.0 * radius, BuildParams::default())
+            .unwrap();
+        let ids: Vec<u32> = (0..queries.len() as u32).collect();
+        CoherenceSchedule.schedule(&ScheduleCx {
+            backend: &backend,
+            accel: Some(accel.as_ref()),
+            points,
+            queries,
+            query_ids: &ids,
+        })
+    }
 
     fn grid_points(n_per_axis: usize) -> Vec<Vec3> {
         let mut pts = Vec::new();
@@ -238,10 +198,8 @@ mod tests {
 
     #[test]
     fn schedule_is_a_permutation_and_groups_neighbors() {
-        let device = Device::rtx_2080();
         let points = grid_points(8);
         let radius = 0.9;
-        let gas = Gas::build_from_points(&device, &points, radius, BuildParams::default()).unwrap();
 
         // Queries deliberately scrambled: interleave far-apart corners.
         let mut queries = Vec::new();
@@ -249,7 +207,7 @@ mod tests {
             let corner = if i % 2 == 0 { 0.5 } else { 6.5 };
             queries.push(Vec3::new(corner + (i % 3) as f32 * 0.1, corner, corner));
         }
-        let schedule = schedule_queries(&device, &gas, &points, &queries);
+        let schedule = coherence_schedule(&points, radius, &queries);
         assert!(is_permutation(&schedule.order, queries.len()));
         assert!(schedule.fs_metrics.active_rays == queries.len() as u64);
         // Every ray in the FS pass terminates after one IS call.
@@ -271,15 +229,13 @@ mod tests {
 
     #[test]
     fn queries_outside_the_cloud_are_still_scheduled() {
-        let device = Device::rtx_2080();
         let points = grid_points(4);
-        let gas = Gas::build_from_points(&device, &points, 0.4, BuildParams::default()).unwrap();
         let queries = vec![
             Vec3::new(100.0, 100.0, 100.0), // no enclosing AABB
             Vec3::new(1.0, 1.0, 1.0),
             Vec3::new(101.0, 100.0, 100.0),
         ];
-        let schedule = schedule_queries(&device, &gas, &points, &queries);
+        let schedule = coherence_schedule(&points, 0.4, &queries);
         assert!(is_permutation(&schedule.order, 3));
         // The two far-away queries should be adjacent in the schedule.
         let pos = |q: u32| schedule.order.iter().position(|&x| x == q).unwrap();
@@ -288,10 +244,7 @@ mod tests {
 
     #[test]
     fn empty_query_set() {
-        let device = Device::rtx_2080();
-        let points = grid_points(3);
-        let gas = Gas::build_from_points(&device, &points, 0.4, BuildParams::default()).unwrap();
-        let schedule = schedule_queries(&device, &gas, &points, &[]);
+        let schedule = coherence_schedule(&grid_points(3), 0.4, &[]);
         assert!(schedule.is_empty());
     }
 

@@ -5,10 +5,8 @@
 //! outcomes — so a multi-megabyte L2 costs a few hundred kilobytes of host
 //! memory.
 
-use serde::{Deserialize, Serialize};
-
 /// Geometry of one cache level.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheConfig {
     /// Total capacity in bytes.
     pub capacity_bytes: usize,
@@ -26,7 +24,7 @@ impl CacheConfig {
 }
 
 /// Hit/miss counters for one cache level.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Number of lookups.
     pub accesses: u64,

@@ -14,13 +14,11 @@
 //! (Section 6.3), and skipping the sphere test makes the range IS shader
 //! roughly 10× cheaper (Appendix A's 20:1 vs 2:1 ratios).
 
-use serde::{Deserialize, Serialize};
-
 use crate::cache::CacheConfig;
 
 /// Which flavour of intersection shader a launch runs; selects the per-call
 /// SM cost from the [`CostModel`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IsShaderKind {
     /// Range search with the point-in-sphere test (Listing 1).
     RangeSphereTest,
@@ -32,7 +30,7 @@ pub enum IsShaderKind {
 }
 
 /// Cycle costs for the work items the simulator charges.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostModel {
     /// RT-core cycles per BVH node test (traversal step).
     pub node_test_cycles: f64,
@@ -122,7 +120,7 @@ impl CostModel {
 }
 
 /// Static description of a simulated device.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DeviceConfig {
     /// Human-readable name used in experiment reports.
     pub name: String,

@@ -4,8 +4,8 @@
 use crate::config::DeviceConfig;
 use crate::metrics::KernelMetrics;
 use crate::shard::SmShard;
-use parking_lot::Mutex;
 use rtnn_parallel::par_map_collect_mut;
+use std::sync::{Mutex, PoisonError};
 
 /// Error returned when a simulated allocation exceeds device memory —
 /// the analogue of the `OOM` entries in Figure 11.
@@ -95,7 +95,10 @@ impl StructureTiming {
 /// starts with none.
 pub struct Device {
     config: DeviceConfig,
-    /// SM shards of finished launches, waiting for reuse.
+    /// SM shards of finished launches, waiting for reuse. Only `append`
+    /// and `split_off` run under the lock, so the list stays whole even if
+    /// a panic poisoned it; locking ignores the poison, so one panicking
+    /// launch never makes later launches on this device panic.
     spare_shards: Mutex<Vec<SmShard>>,
 }
 
@@ -290,7 +293,10 @@ impl Device {
             useful += u;
             issued += i;
         }
-        self.spare_shards.lock().append(&mut shards);
+        self.spare_shards
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .append(&mut shards);
         metrics.simt_efficiency = if issued > 0.0 {
             (useful / issued).clamp(0.0, 1.0)
         } else {
@@ -305,7 +311,10 @@ impl Device {
     /// the device ever holds.
     fn take_shards(&self, n: usize) -> Vec<SmShard> {
         let mut shards = {
-            let mut spare = self.spare_shards.lock();
+            let mut spare = self
+                .spare_shards
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner);
             let keep = spare.len().saturating_sub(n);
             spare.split_off(keep)
         };

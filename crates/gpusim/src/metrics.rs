@@ -1,11 +1,9 @@
 //! Metrics produced by simulated kernel launches.
 
-use serde::{Deserialize, Serialize};
-
 use crate::cache::CacheStats;
 
 /// Memory-hierarchy counters for one launch (summed over SM shards).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct MemoryStats {
     /// L1 counters (all SMs).
     pub l1: CacheStats,
@@ -36,7 +34,7 @@ impl MemoryStats {
 
 /// The result of executing one kernel (an RT launch or an SM compute
 /// kernel) on the simulated device.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct KernelMetrics {
     /// Simulated execution time in milliseconds: the busiest SM's cycle
     /// count divided by the clock.
@@ -91,7 +89,7 @@ impl KernelMetrics {
 /// This is the counterpart of [`KernelMetrics::merge_sequential`] for
 /// workloads where the interesting unit is a *frame* rather than a launch —
 /// the `rtnn-dynamic` subsystem records one entry per query round.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct FrameAccumulator {
     /// Number of frames recorded.
     pub frames: u64,

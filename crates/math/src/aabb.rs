@@ -11,10 +11,9 @@
 //! code in `rtnn-bvh` calls [`Aabb::intersects_ray`], which implements both.
 
 use crate::{Ray, Vec3};
-use serde::{Deserialize, Serialize};
 
 /// An axis-aligned box `[min, max]` (inclusive bounds).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Aabb {
     pub min: Vec3,
     pub max: Vec3,

@@ -11,9 +11,8 @@
 //! (Section 4), and a uniform grid used by the megacell computation
 //! (Section 5.1) and by the grid-based baselines.
 //!
-//! The crate is dependency-free (except `serde` for result serialisation in
-//! the bench harness) and deterministic: no global state, no platform
-//! intrinsics.
+//! The crate is dependency-free and deterministic: no global state, no
+//! platform intrinsics.
 
 pub mod aabb;
 pub mod grid;

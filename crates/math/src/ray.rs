@@ -7,13 +7,12 @@
 //! AABB test.
 
 use crate::Vec3;
-use serde::{Deserialize, Serialize};
 
 /// The `t_max` RTNN uses for its degenerate "point probe" rays.
 pub const SHORT_RAY_TMAX: f32 = 1e-16;
 
 /// A ray `P(t) = origin + t * direction`, restricted to `t ∈ [t_min, t_max]`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Ray {
     /// Ray origin `O`.
     pub origin: Vec3,

@@ -4,10 +4,9 @@
 //! the IS shader: `distance²(query, center) < radius²`.
 
 use crate::{Aabb, Vec3};
-use serde::{Deserialize, Serialize};
 
 /// A sphere with `center` and `radius`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Sphere {
     pub center: Vec3,
     pub radius: f32,

@@ -5,11 +5,10 @@
 //! IS shader compares `distance(ray_origin, curPoint) < radius^2`,
 //! Listing 1), so [`Vec3::distance_squared`] is the hot path.
 
-use serde::{Deserialize, Serialize};
 use std::ops::{Add, AddAssign, Div, Index, Mul, Neg, Sub, SubAssign};
 
 /// A 3-component single-precision vector / point.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Vec3 {
     pub x: f32,
     pub y: f32,

@@ -42,13 +42,12 @@ use crate::shader::{IsVerdict, RayProgram};
 use rtnn_bvh::{Bvh, TraversalControl, VisitMarks};
 use rtnn_gpusim::kernel::{BVH_NODES_BASE, BVH_PRIMS_BASE};
 use rtnn_gpusim::{Device, IsShaderKind, KernelMetrics, SmShard};
-use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
 use std::ops::Range;
 
 /// Aggregate counters for one launch, merging device metrics with the
 /// ray-tracing-specific counters the paper's figures plot.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct LaunchMetrics {
     /// Device-level metrics (simulated time, cycles, caches, occupancy).
     pub kernel: KernelMetrics,

@@ -27,16 +27,15 @@
 //! let mut index = Index::build(&backend, &points[..], EngineConfig::default());
 //!
 //! let (service, client) = QueryService::new(ServeConfig::default());
-//! let stats = crossbeam::thread::scope(|s| {
-//!     s.spawn(move |_| {
+//! let stats = std::thread::scope(|s| {
+//!     s.spawn(move || {
 //!         let pending = client.submit(Request::new(queries, QueryPlan::knn(1.5, 4)));
 //!         let response = pending.wait();
 //!         assert_eq!(response.neighbors().len(), 16);
 //!         // client handle drops here -> the service drains and exits
 //!     });
 //!     service.run(&mut index)
-//! })
-//! .unwrap();
+//! });
 //! assert_eq!(stats.requests, 1);
 //! ```
 
@@ -390,10 +389,10 @@ mod tests {
             .collect();
 
         let (service, client) = QueryService::new(ServeConfig::default().with_window_us(2_000));
-        let stats = crossbeam::thread::scope(|s| {
+        let stats = std::thread::scope(|s| {
             for (req, exp) in requests.iter().zip(&expected) {
                 let client = client.clone();
-                s.spawn(move |_| {
+                s.spawn(move || {
                     let response = client.call(req.clone());
                     assert_eq!(response.neighbors(), exp);
                     assert!(response.stats.tick_requests >= 1);
@@ -401,8 +400,7 @@ mod tests {
             }
             drop(client);
             service.run(&mut index)
-        })
-        .unwrap();
+        });
         assert_eq!(stats.requests, 8);
         assert_eq!(stats.latencies.len(), 8);
         assert!(stats.sim_ms > 0.0);
@@ -417,8 +415,8 @@ mod tests {
         let mut index = Index::build(&backend, &points[..], EngineConfig::default());
         let queries = points[..8].to_vec();
         let (service, client) = QueryService::new(ServeConfig::default().without_coalescing());
-        let stats = crossbeam::thread::scope(|s| {
-            s.spawn(move |_| {
+        let stats = std::thread::scope(|s| {
+            s.spawn(move || {
                 for _ in 0..5 {
                     let r = client.call(Request::new(queries.clone(), QueryPlan::knn(1.0, 3)));
                     assert!(r.outcome.is_ok());
@@ -426,8 +424,7 @@ mod tests {
                 }
             });
             service.run(&mut index)
-        })
-        .unwrap();
+        });
         assert_eq!(stats.ticks, 5);
         assert_eq!(stats.requests, 5);
         assert_eq!(stats.coalesced_requests, 0);
@@ -444,16 +441,15 @@ mod tests {
         let queries = points[..8].to_vec();
         let sink = Telemetry::new(TelemetryLevel::Full);
         let (service, client) = QueryService::with_telemetry(ServeConfig::default(), sink);
-        let snapshot = crossbeam::thread::scope(|s| {
-            let handle = s.spawn(move |_| {
+        let snapshot = std::thread::scope(|s| {
+            let handle = s.spawn(move || {
                 let r = client.call(Request::new(queries, QueryPlan::knn(1.2, 4)));
                 assert!(r.outcome.is_ok());
                 client.telemetry_snapshot()
             });
             service.run(&mut index);
             handle.join().unwrap()
-        })
-        .unwrap();
+        });
 
         // One connected tree: request → tick → the executor's query span
         // → its pipeline stages.
@@ -505,16 +501,15 @@ mod tests {
         let recorder = Arc::new(Mutex::new(FlightRecorder::with_slo(32, slo)));
         let (service, client) = QueryService::new(ServeConfig::default().without_coalescing());
         let service = service.with_flight_recorder(recorder.clone());
-        crossbeam::thread::scope(|s| {
-            s.spawn(move |_| {
+        std::thread::scope(|s| {
+            s.spawn(move || {
                 for _ in 0..5 {
                     let r = client.call(Request::new(queries.clone(), QueryPlan::knn(1.0, 3)));
                     assert!(r.outcome.is_ok());
                 }
             });
             service.run(&mut index)
-        })
-        .unwrap();
+        });
 
         let flight = recorder.lock().unwrap();
         assert_eq!(flight.len(), 5, "one trace per served request");
@@ -551,15 +546,14 @@ mod tests {
         let mut index = Index::build(&backend, &points[..], EngineConfig::default());
         let queries = points[..4].to_vec();
         let (service, client) = QueryService::new(ServeConfig::default());
-        crossbeam::thread::scope(|s| {
-            s.spawn(move |_| {
+        std::thread::scope(|s| {
+            s.spawn(move || {
                 let bad = client.call(Request::new(queries.clone(), QueryPlan::knn(-1.0, 3)));
                 assert!(bad.outcome.is_err());
                 let good = client.call(Request::new(queries.clone(), QueryPlan::knn(1.0, 3)));
                 assert!(good.outcome.is_ok());
             });
             service.run(&mut index)
-        })
-        .unwrap();
+        });
     }
 }

@@ -1,11 +1,11 @@
 //! Exporters: JSONL trace dump, Prometheus-style text snapshot, and a
 //! minimal JSON parser for the round-trip check.
 //!
-//! The workspace's `serde_json` shim can only *serialize*, so the
-//! parse-back half of the JSONL round-trip (a nightly-CI gate) is a small
-//! recursive-descent parser here. It handles exactly the JSON this module
-//! emits — objects, arrays, strings with escapes, numbers, booleans, null —
-//! which is all of standard JSON anyway.
+//! The workspace has no JSON library, so the parse-back half of the JSONL
+//! round-trip (a nightly-CI gate) is a small recursive-descent parser
+//! here. It handles exactly the JSON this module emits — objects, arrays,
+//! strings with escapes, numbers, booleans, null — which is all of
+//! standard JSON anyway.
 
 use std::fmt::Write as _;
 
@@ -31,7 +31,7 @@ pub(crate) fn json_f64(v: f64) -> String {
 }
 
 /// Escape a string for inclusion in a JSON document (without quotes).
-pub(crate) fn json_escape(s: &str) -> String {
+pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {

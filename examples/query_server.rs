@@ -123,12 +123,12 @@ fn main() {
     let service = service
         .with_flight_recorder(flight.clone())
         .with_auto_tuner(tuner.clone());
-    let stats = crossbeam::thread::scope(|s| {
+    let stats = std::thread::scope(|s| {
         for c in 0..num_clients {
             let client = client.clone();
             let requests = requests_of(c);
             let expected = &expected[c];
-            s.spawn(move |_| {
+            s.spawn(move || {
                 for (ri, request) in requests.into_iter().enumerate() {
                     // Ticks may run at a tuner-decided opt level, and range
                     // results are set-equal (not bit-equal) across levels.
@@ -154,8 +154,7 @@ fn main() {
         }
         drop(client);
         service.run(&mut sharded)
-    })
-    .expect("client thread panicked");
+    });
 
     // 5. What the service saw.
     println!(

@@ -11,14 +11,36 @@
 //! * BVHs built over arbitrary AABB sets validate structurally.
 
 use proptest::prelude::*;
+use rtnn::pipeline::{CoherenceSchedule, ScheduleCx, ScheduleStage};
 use rtnn::verify::check_all;
 use rtnn::{
-    plan_bundles, CostCoefficients, EngineConfig, GpusimBackend, Index, KnnAabbRule, OptLevel,
-    QueryPlan, SearchMode, SearchParams,
+    plan_bundles, Backend, CostCoefficients, EngineConfig, GpusimBackend, Index, KnnAabbRule,
+    MegacellGrid, OptLevel, PartitionSet, QueryPlan, SearchMode, SearchParams,
 };
 use rtnn_bvh::{build_bvh, validate_bvh, BuildParams, BvhBuilder};
 use rtnn_gpusim::Device;
 use rtnn_math::{Aabb, Vec3};
+
+/// Partition `queries` in input order over a megacell grid built on
+/// `points` (budget `1 << 15`), without a cache.
+fn partition_over_fresh_grid(
+    device: &Device,
+    points: &[Vec3],
+    queries: &[Vec3],
+    params: &SearchParams,
+) -> PartitionSet {
+    let grid = MegacellGrid::build(points, 1 << 15).expect("clouds are never empty");
+    let order: Vec<u32> = (0..queries.len() as u32).collect();
+    rtnn::partition::partition_queries(
+        device,
+        &grid,
+        queries,
+        &order,
+        params,
+        KnnAabbRule::Guaranteed,
+        None,
+    )
+}
 
 /// A strategy for a random point in a box of the given half-extent.
 fn point_in(half: f32) -> impl Strategy<Value = Vec3> {
@@ -71,8 +93,16 @@ proptest! {
         radius in 0.5f32..4.0,
     ) {
         let device = Device::rtx_2080();
-        let gas = rtnn_optix::Gas::build_from_points(&device, &points, radius, BuildParams::default()).unwrap();
-        let schedule = rtnn::schedule_queries(&device, &gas, &points, &queries);
+        let backend = GpusimBackend::new(&device);
+        let accel = backend.build(&points, 2.0 * radius, BuildParams::default()).unwrap();
+        let ids: Vec<u32> = (0..queries.len() as u32).collect();
+        let schedule = CoherenceSchedule.schedule(&ScheduleCx {
+            backend: &backend,
+            accel: Some(accel.as_ref()),
+            points: &points,
+            queries: &queries,
+            query_ids: &ids,
+        });
         let mut seen = vec![false; queries.len()];
         for &q in &schedule.order {
             prop_assert!((q as usize) < queries.len());
@@ -93,10 +123,7 @@ proptest! {
         let device = Device::rtx_2080();
         let mode = if knn { SearchMode::Knn } else { SearchMode::Range };
         let params = SearchParams { radius, k, mode };
-        let order: Vec<u32> = (0..queries.len() as u32).collect();
-        let set = rtnn::partition::partition_queries(
-            &device, &points, &queries, &order, &params, KnnAabbRule::Guaranteed, 1 << 15,
-        );
+        let set = partition_over_fresh_grid(&device, &points, &queries, &params);
         prop_assert_eq!(set.total_queries(), queries.len());
         let mut seen = vec![false; queries.len()];
         for p in &set.partitions {
@@ -121,10 +148,7 @@ proptest! {
         let device = Device::rtx_2080();
         let mode = if knn { SearchMode::Knn } else { SearchMode::Range };
         let params = SearchParams { radius, k, mode };
-        let order: Vec<u32> = (0..queries.len() as u32).collect();
-        let set = rtnn::partition::partition_queries(
-            &device, &points, &queries, &order, &params, KnnAabbRule::Guaranteed, 1 << 15,
-        );
+        let set = partition_over_fresh_grid(&device, &points, &queries, &params);
         let coeffs = CostCoefficients::calibrate(&device);
         let plan = plan_bundles(&set.partitions, points.len(), &params, &coeffs);
         prop_assert!(plan.estimated_cost_ms <= plan.unbundled_cost_ms + 1e-12);

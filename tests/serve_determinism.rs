@@ -87,10 +87,10 @@ fn serve_and_check<E: TickExecutor>(
     client_threads: usize,
 ) {
     let (service, client) = QueryService::new(config);
-    crossbeam::thread::scope(|s| {
+    std::thread::scope(|s| {
         for chunk in order.chunks(order.len().div_ceil(client_threads)) {
             let client = client.clone();
-            s.spawn(move |_| {
+            s.spawn(move || {
                 for &ri in chunk {
                     let response = client.call(reqs[ri].clone());
                     assert_eq!(
@@ -103,8 +103,7 @@ fn serve_and_check<E: TickExecutor>(
         }
         drop(client);
         service.run(executor);
-    })
-    .unwrap();
+    });
 }
 
 #[test]
