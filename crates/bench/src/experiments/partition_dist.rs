@@ -5,9 +5,8 @@
 use crate::report::{FigureReport, Table};
 use crate::scale::ExperimentScale;
 use crate::workloads::{Workload, DEFAULT_K};
-use rtnn::megacell::MegacellGrid;
 use rtnn::partition::{partition_queries, KnnAabbRule};
-use rtnn::{SearchMode, SearchParams};
+use rtnn::{MegacellGrid, SearchMode, SearchParams};
 use rtnn_data::DatasetName;
 use rtnn_gpusim::Device;
 
