@@ -1,6 +1,7 @@
-//! Extension figure: adaptive stage tuning (`EngineConfig::auto()`) vs the
-//! static `OptLevel` ladder — regret, recovered regression gap, and the
-//! bit-equality proof that tuning never changes answers.
+//! Extension figure: adaptive stage tuning (a caller-owned `AutoTuner`
+//! driving `Index::query_with`) vs the static `OptLevel` ladder — regret,
+//! recovered regression gap, and the bit-equality proof that tuning never
+//! changes answers.
 
 use rtnn_bench::{experiments, ExperimentScale};
 

@@ -10,9 +10,10 @@
 //! * every (dataset × mode) cell runs the full static ladder to
 //!   steady state (second, warm run per rung — the regime an online
 //!   policy competes in) through [`rtnn::StageOverrides::for_level`];
-//! * the same cell then runs under `EngineConfig::auto()` for a handful
-//!   of rounds: cost-model cold start, one bootstrap round per arm, then
-//!   measured exploitation;
+//! * the same cell then runs a fresh index through a caller-owned
+//!   [`rtnn::AutoTuner`] (`AutoTuner::run` around `Index::query_with`) for
+//!   a handful of rounds: cost-model cold start, one bootstrap round per
+//!   arm, then measured exploitation;
 //! * headlines: `auto_regret_vs_best_pct` (worst-case loss to the best
 //!   static rung, hard-gated at ≤ 5% by an assertion in [`run`]),
 //!   `auto_gain_vs_worst_pct` on the regression workload (NBody range),
@@ -24,9 +25,10 @@
 use crate::report::{fmt_ms, headline_slug, FigureReport, Table};
 use crate::scale::ExperimentScale;
 use crate::workloads::{Workload, DEFAULT_K};
+use rtnn::autotune::DEFAULT_SEED;
 use rtnn::{
-    DecisionSource, EngineConfig, GpusimBackend, Index, OptLevel, QueryPlan, SearchMode,
-    SearchParams, StageOverrides, Tuning,
+    AutoTuner, Backend, CostCoefficients, DecisionSource, EngineConfig, GpusimBackend, Index,
+    OptLevel, QueryPlan, SearchMode, SearchParams, StageOverrides,
 };
 use rtnn_data::DatasetName;
 use rtnn_gpusim::Device;
@@ -141,21 +143,25 @@ fn run_cell(device: &Device, workload: &Workload, mode: SearchMode) -> Cell {
     }
     let reference = reference.expect("ladder populated the reference");
 
-    // Auto: a fresh index with the tuner enabled, run until it has
-    // exploited its measurements for a few rounds (cap as a safety net —
-    // with the deterministic seed the cap is never the exit path).
-    let mut auto = Index::build(
-        &backend,
-        &workload.points[..],
-        config.with_tuning(Tuning::auto()),
-    );
+    // Auto: a fresh index driven through a seeded tuner with the device's
+    // cost model, run until it has exploited its measurements for a few
+    // rounds (cap as a safety net — with the deterministic seed the cap is
+    // never the exit path).
+    let mut auto = Index::build(&backend, &workload.points[..], config);
+    let mut tuner =
+        AutoTuner::new(DEFAULT_SEED).with_cost_model(CostCoefficients::calibrate(device));
     let mut steady_auto_ms = f64::NAN;
     let mut chosen = OptLevel::default();
     let mut measured = 0usize;
     for _ in 0..MAX_ROUNDS {
-        let results = auto
-            .query(&workload.queries, &plan)
-            .expect("auto run fits the device");
+        let (decision, results) = tuner.run(
+            plan.kind_label(),
+            workload.points.len(),
+            backend.name(),
+            workload.queries.len(),
+            |overrides| auto.query_with(&workload.queries, &plan, overrides),
+        );
+        let results = results.expect("auto run fits the device");
         assert_eq!(
             canonical(mode, &results.neighbors),
             reference,
@@ -164,7 +170,6 @@ fn run_cell(device: &Device, workload: &Workload, mode: SearchMode) -> Cell {
             mode
         );
         bit_equal_checks += 1;
-        let decision = auto.last_decision().expect("auto mode always decides");
         if decision.source == DecisionSource::Measured {
             measured += 1;
             steady_auto_ms = results.total_time_ms();

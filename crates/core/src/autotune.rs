@@ -30,13 +30,15 @@
 //!                          AutoTuner::observe (EWMA fold)
 //! ```
 //!
-//! Every tuned entry point runs this loop through one call,
-//! [`AutoTuner::run`]: an [`Index`](crate::Index) whose
-//! [`EngineConfig::tuning`] is auto, a `DynamicIndex` frame under the same
-//! config knob (its tuner outlives the per-frame views), and a
-//! `QueryService` tick with an attached tuner (one decision per fused
-//! batch). [`AutoTuner::for_engine`] builds the tuner an engine config
-//! asks for.
+//! The caller owns the tuner and runs this loop through one call,
+//! [`AutoTuner::run`], around any entry point that takes per-call
+//! [`StageOverrides`]: [`Index::query_with`](crate::Index::query_with),
+//! `ShardedIndex::query_with`, `DynamicIndex::search_with` (one tuner
+//! carried across frames), and a `QueryService` tick with an attached
+//! tuner (one decision per fused batch). A tuner built as
+//! `AutoTuner::new(seed).with_cost_model(CostCoefficients::calibrate(device))`
+//! gets the device-aware cold start; [`AutoTuner::absorb_profile`]
+//! warm-starts it from a recorded profile.
 //!
 //! The four arms are the [`OptLevel`] ladder expressed as fully pinned
 //! [`StageOverrides`] sets, so a decision changes *which stages run*, never
@@ -53,13 +55,11 @@
 //! bias the policy against partitioning forever. The cost model already
 //! prices builds explicitly for the cold start.
 
-use crate::backend::Backend;
 use crate::cost_model::CostCoefficients;
 use crate::engine::{OptLevel, SearchError};
-use crate::index::EngineConfig;
 use crate::pipeline::StageOverrides;
 use crate::result::SearchResults;
-use rtnn_telemetry::{density_bucket, ProfileSnapshot, Telemetry};
+use rtnn_telemetry::{density_bucket, ProfileSnapshot};
 use std::collections::BTreeMap;
 
 /// Default policy seed (any fixed value works; tests pin this one).
@@ -76,30 +76,6 @@ const DECAY_ALPHA: f64 = 0.2;
 /// Observations kept per arm for the exact p50 (small and bounded: the
 /// tuner is consulted on every query).
 const P50_WINDOW: usize = 9;
-
-/// Whether an [`Index`](crate::Index) picks its pipeline stages statically
-/// (from [`EngineConfig::opt`](crate::EngineConfig)) or through a seeded
-/// [`AutoTuner`]. Carried by value on the `Copy` config; the mutable tuner
-/// state itself lives on the index / dynamic index / query service.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Tuning {
-    /// `EngineConfig::opt` decides every stage (the default).
-    #[default]
-    Static,
-    /// An [`AutoTuner`] seeded with `seed` picks an [`OptLevel`] arm per
-    /// query from the cost model and measured per-stage timings.
-    Auto {
-        /// Policy seed for the deterministic ε-greedy stream.
-        seed: u64,
-    },
-}
-
-impl Tuning {
-    /// Auto tuning under the default seed.
-    pub fn auto() -> Self {
-        Tuning::Auto { seed: DEFAULT_SEED }
-    }
-}
 
 /// Why a decision picked its arm.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -256,9 +232,9 @@ impl TunerReport {
 }
 
 /// The online stage-selection policy (see module docs). One instance per
-/// tuning domain: an [`Index`](crate::Index) in auto mode owns one, a
-/// `DynamicIndex` carries one across frames, a `QueryService` applies one
-/// per coalesced tick.
+/// tuning domain, owned by the caller: it runs an index's calls, rides
+/// across a `DynamicIndex`'s frames, or is attached to a `QueryService`
+/// for one decision per coalesced tick.
 #[derive(Debug, Clone)]
 pub struct AutoTuner {
     seed: u64,
@@ -281,25 +257,6 @@ impl AutoTuner {
             draws: 0,
             signatures: BTreeMap::new(),
         }
-    }
-
-    /// The tuner an engine configured with `config` runs under on
-    /// `backend`, or `None` when `config.tuning` is static: seeded from the
-    /// config, with the cost model calibrated for the backend's device, and
-    /// warm-started from the ambient continuous profiler when one is armed
-    /// (those measurements were collected under the static `config.opt`
-    /// level). [`Index`](crate::Index) builds its tuner with this on first
-    /// use; a `DynamicIndex` builds one and carries it across frames.
-    pub fn for_engine(config: &EngineConfig, backend: &dyn Backend) -> Option<Self> {
-        let Tuning::Auto { seed } = config.tuning else {
-            return None;
-        };
-        let mut tuner =
-            AutoTuner::new(seed).with_cost_model(CostCoefficients::calibrate(backend.device()));
-        if let Some(snapshot) = Telemetry::current().and_then(|t| t.profile_snapshot()) {
-            tuner.absorb_profile(&snapshot, config.opt);
-        }
-        Some(tuner)
     }
 
     /// Set the exploration rate (clamped to `[0, 1]`).
@@ -389,19 +346,22 @@ impl AutoTuner {
     /// signature coordinates, run `execute` under the decision's
     /// [`overrides`](TunerDecision::overrides), and on success
     /// [`observe`](Self::observe) the execution's per-stage trace net of
-    /// its `breakdown.bvh_ms` structure cost. A failed execution folds
-    /// nothing. Returns the decision with the execution's result.
-    pub fn run(
+    /// its `breakdown.bvh_ms` structure cost. `execute` may return anything
+    /// that carries [`SearchResults`] (a `DynamicIndex` frame, say). A
+    /// failed execution folds nothing. Returns the decision with the
+    /// execution's result.
+    pub fn run<T: AsRef<SearchResults>>(
         &mut self,
         plan_kind: &str,
         points: usize,
         backend: &str,
         queries: usize,
-        execute: impl FnOnce(StageOverrides<'static>) -> Result<SearchResults, SearchError>,
-    ) -> (TunerDecision, Result<SearchResults, SearchError>) {
+        execute: impl FnOnce(StageOverrides<'static>) -> Result<T, SearchError>,
+    ) -> (TunerDecision, Result<T, SearchError>) {
         let decision = self.decide(plan_kind, points, backend, queries);
         let result = execute(decision.overrides());
         if let Ok(results) = &result {
+            let results = results.as_ref();
             self.observe(
                 plan_kind,
                 points,
@@ -752,18 +712,12 @@ mod tests {
         // A failed execution folds nothing: the signature still cold-starts.
         let mut failing = AutoTuner::new(13).with_cost_model(calibrated());
         let (first, result) = failing.run("range", 9_000, "gpusim", 500, |_| {
-            Err(SearchError::InvalidPlan(PlanError::EmptyBatch))
+            Err::<SearchResults, _>(SearchError::InvalidPlan(PlanError::EmptyBatch))
         });
         assert_eq!(first.source, DecisionSource::CostModel);
         assert!(result.is_err());
         assert_eq!(failing.report()[0].measured_arms, 0);
         let next = failing.decide("range", 9_000, "gpusim", 500);
         assert_eq!(next.source, DecisionSource::CostModel);
-    }
-
-    #[test]
-    fn tuning_knob_defaults_to_static() {
-        assert_eq!(Tuning::default(), Tuning::Static);
-        assert_eq!(Tuning::auto(), Tuning::Auto { seed: DEFAULT_SEED });
     }
 }

@@ -40,7 +40,6 @@
 //! ```
 
 use crate::approx::ApproxMode;
-use crate::autotune::{AutoTuner, TunerDecision, Tuning};
 use crate::backend::{Accel, AccelRef, Backend, Traversal, TraversalJob, TraversalKind};
 use crate::engine::{OptLevel, SearchError};
 use crate::megacell::MegacellGrid;
@@ -74,11 +73,6 @@ pub struct EngineConfig {
     /// Grid-resolution budget for the megacell pass (stands in for the GPU
     /// memory cap the paper mentions). Must be at least 1.
     pub grid_max_cells: usize,
-    /// Static stage selection from [`Self::opt`] (the default) or adaptive
-    /// per-query selection through a seeded [`AutoTuner`]
-    /// (see [`EngineConfig::auto`]). An [`Index`] tunes every call, and a
-    /// `DynamicIndex` every frame, under this one knob.
-    pub tuning: Tuning,
 }
 
 impl Default for EngineConfig {
@@ -89,28 +83,11 @@ impl Default for EngineConfig {
             knn_rule: KnnAabbRule::default(),
             approx: ApproxMode::default(),
             grid_max_cells: 1 << 21,
-            tuning: Tuning::Static,
         }
     }
 }
 
 impl EngineConfig {
-    /// The default configuration with adaptive stage selection: every
-    /// query on an index built from this config is routed through an
-    /// [`AutoTuner`] (seeded with [`DEFAULT_SEED`](crate::autotune)) that
-    /// picks the [`OptLevel`] arm per (plan kind, density bucket, backend)
-    /// signature — cost-model first shot, measured per-stage timings after.
-    /// Explicit [`StageOverrides`] on [`Index::query_with`] still win.
-    pub fn auto() -> Self {
-        EngineConfig::default().with_tuning(Tuning::auto())
-    }
-
-    /// Set the tuning mode (static level vs seeded auto-tuner).
-    pub fn with_tuning(mut self, tuning: Tuning) -> Self {
-        self.tuning = tuning;
-        self
-    }
-
     /// Set the optimisation level.
     pub fn with_opt(mut self, opt: OptLevel) -> Self {
         self.opt = opt;
@@ -336,11 +313,6 @@ pub struct Index<'a> {
     cache_params: Option<SearchParams>,
     dirty_region: Aabb,
     pending_structure_ms: f64,
-    /// Created on first use when `config.tuning` is auto
-    /// ([`AutoTuner::for_engine`]); owns the per-signature decision state.
-    tuner: Option<AutoTuner>,
-    /// The most recent auto-tuning decision, `None` until one was made.
-    last_decision: Option<TunerDecision>,
 }
 
 impl<'a> Index<'a> {
@@ -363,8 +335,6 @@ impl<'a> Index<'a> {
             cache_params: None,
             dirty_region: Aabb::EMPTY,
             pending_structure_ms: 0.0,
-            tuner: None,
-            last_decision: None,
         }
     }
 
@@ -393,8 +363,6 @@ impl<'a> Index<'a> {
             cache_params: scene.cache_params,
             dirty_region: scene.dirty_region,
             pending_structure_ms: 0.0,
-            tuner: None,
-            last_decision: None,
         }
     }
 
@@ -434,17 +402,6 @@ impl<'a> Index<'a> {
     /// contract a `DynamicIndex` frame uses.
     pub fn charge_structure_ms(&mut self, ms: f64) {
         self.pending_structure_ms += ms;
-    }
-
-    /// The auto-tuner's most recent decision on this index (`None` until
-    /// an auto-tuned query ran).
-    pub fn last_decision(&self) -> Option<TunerDecision> {
-        self.last_decision
-    }
-
-    /// The index's tuner state, once auto tuning made a decision.
-    pub fn tuner(&self) -> Option<&AutoTuner> {
-        self.tuner.as_ref()
     }
 
     /// Pre-build every structure (and the megacell grid) that `plan` would
@@ -513,7 +470,8 @@ impl<'a> Index<'a> {
     /// disable individual pipeline stages for this one call (e.g.
     /// [`StageOverrides::without_reordering`] runs the plan without the
     /// coherence schedule while every other stage keeps its default). See
-    /// the [`pipeline`](crate::pipeline) module docs.
+    /// the [`pipeline`](crate::pipeline) module docs. This is the call an
+    /// [`AutoTuner::run`](crate::AutoTuner::run) round trip tunes.
     pub fn query_with(
         &mut self,
         queries: &[Vec3],
@@ -566,33 +524,7 @@ impl<'a> Index<'a> {
                 )
             }
         };
-        // Auto tuning: when the config asks for it and the caller pinned no
-        // stage explicitly, the index's `AutoTuner` picks the OptLevel arm
-        // for this call and learns from its per-stage timings.
-        let tuner = match self.config.tuning {
-            Tuning::Auto { .. } if overrides.is_empty() => self
-                .tuner
-                .take()
-                .or_else(|| AutoTuner::for_engine(&self.config, self.backend)),
-            _ => None,
-        };
-        let result = match tuner {
-            Some(mut tuner) => {
-                let (decision, result) = tuner.run(
-                    plan.as_ref().kind_label(),
-                    self.points.len(),
-                    self.backend.name(),
-                    queries.len(),
-                    |decided| self.execute(queries, &slices, use_cache, decided),
-                );
-                self.tuner = Some(tuner);
-                if result.is_ok() {
-                    self.last_decision = Some(decision);
-                }
-                result
-            }
-            None => self.execute(queries, &slices, use_cache, overrides),
-        };
+        let result = self.execute(queries, &slices, use_cache, overrides);
         if let (Some(span), Ok(results)) = (query_span.as_mut(), result.as_ref()) {
             span.attr("queries", queries.len() as f64)
                 .attr("points", self.points.len() as f64)

@@ -61,10 +61,11 @@
 //!
 //! A single plan is a one-slice batch: every call, whatever its plan,
 //! runs through the same driver and staged [`pipeline`]. The
-//! [`EngineConfig`] picks the stages — statically from its [`OptLevel`], or
-//! per call through a seeded [`AutoTuner`] ([`Tuning`]) — and
+//! [`EngineConfig`]'s [`OptLevel`] picks the stages, and
 //! [`StageOverrides`] on [`Index::query_with`] replace the `Schedule` or
-//! `Partition` stage for one call.
+//! `Partition` stage for one call. A caller-owned, seeded [`AutoTuner`]
+//! picks those overrides per call: [`AutoTuner::run`] wraps any entry
+//! point that takes them.
 
 pub mod approx;
 pub mod autotune;
@@ -83,7 +84,7 @@ pub mod shaders;
 pub mod verify;
 
 pub use approx::ApproxMode;
-pub use autotune::{AutoTuner, DecisionSource, TunerDecision, TunerReport, Tuning};
+pub use autotune::{AutoTuner, DecisionSource, TunerDecision, TunerReport};
 pub use backend::{
     exhaustive_traverse, Accel, AccelRef, Backend, GpusimBackend, RefitOutcome, Traversal,
     TraversalJob, TraversalKind,

@@ -148,15 +148,6 @@ impl StageOverrides<'static> {
     }
 }
 
-impl StageOverrides<'_> {
-    /// True when no slot is overridden (every stage falls back to the
-    /// engine's optimisation level) — the condition under which an
-    /// auto-tuning index is free to substitute its own decision.
-    pub fn is_empty(&self) -> bool {
-        self.schedule.is_none() && self.partition.is_none()
-    }
-}
-
 /// The stages one execution runs, resolved once: the call's
 /// [`StageOverrides`] laid over [`StageOverrides::for_level`] of the
 /// engine's optimisation level.

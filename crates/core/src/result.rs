@@ -150,6 +150,13 @@ impl SearchResults {
     }
 }
 
+/// Lets [`AutoTuner::run`](crate::AutoTuner::run) tune a plain query.
+impl AsRef<SearchResults> for SearchResults {
+    fn as_ref(&self) -> &SearchResults {
+        self
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Shard merging
 // ---------------------------------------------------------------------------

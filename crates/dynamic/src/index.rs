@@ -4,8 +4,8 @@
 
 use crate::policy::RebuildPolicy;
 use rtnn::{
-    Accel, AdoptedScene, AutoTuner, Backend, GpusimBackend, Index, MegacellCache, MegacellGrid,
-    QueryPlan, RtnnConfig, SearchError, SearchResults, StageOverrides, TunerDecision, Tuning,
+    Accel, AdoptedScene, Backend, GpusimBackend, Index, MegacellCache, MegacellGrid, QueryPlan,
+    RtnnConfig, SearchError, SearchResults, StageOverrides,
 };
 use rtnn_bvh::SahMonitor;
 use rtnn_gpusim::{Device, FrameAccumulator};
@@ -47,6 +47,13 @@ pub struct FrameResult {
     /// changes, measured directly so per-frame comparisons are not drowned
     /// by traversal wall-clock noise.
     pub host_structure_ms: f64,
+}
+
+/// Lets [`AutoTuner::run`](rtnn::AutoTuner::run) tune a frame.
+impl AsRef<SearchResults> for FrameResult {
+    fn as_ref(&self) -> &SearchResults {
+        &self.results
+    }
 }
 
 /// A per-frame [`Index`] view over a [`DynamicIndex`]'s live points —
@@ -170,13 +177,6 @@ pub struct DynamicIndex<'d> {
     pending_host_structure_ms: f64,
     last_traversal_ms: Option<f64>,
     metrics: FrameAccumulator,
-    /// Online stage tuner, carried *across* frames (the per-frame adopted
-    /// [`Index`] views are transient, so the learning state lives here):
-    /// built on the first [`search`](Self::search) when the config's
-    /// `engine.tuning` is auto, it picks the optimization level each frame
-    /// runs at and folds the frame's measured stage timings back in.
-    tuner: Option<AutoTuner>,
-    last_decision: Option<TunerDecision>,
 }
 
 impl<'d> DynamicIndex<'d> {
@@ -226,8 +226,6 @@ impl<'d> DynamicIndex<'d> {
             pending_dirty: Aabb::EMPTY,
             pending_structure_ms: 0.0,
             pending_host_structure_ms: 0.0,
-            tuner: None,
-            last_decision: None,
         }
     }
 
@@ -317,17 +315,6 @@ impl<'d> DynamicIndex<'d> {
         &self.metrics
     }
 
-    /// The tuner's most recent per-frame decision (`None` until an
-    /// auto-tuned [`search`](Self::search) frame ran).
-    pub fn last_decision(&self) -> Option<TunerDecision> {
-        self.last_decision
-    }
-
-    /// The carried tuner state, once an auto-tuned frame ran.
-    pub fn tuner(&self) -> Option<&AutoTuner> {
-        self.tuner.as_ref()
-    }
-
     /// Run one query round against the current point positions.
     ///
     /// Maintains the persistent structures first (refit / incremental grid
@@ -340,13 +327,20 @@ impl<'d> DynamicIndex<'d> {
     /// one is attached): the signature keys on the frame's *live* density
     /// and the dynamic index's backend, so drifting scenes profile under
     /// the buckets they currently occupy.
-    ///
-    /// When the config's `engine.tuning` is auto, an [`AutoTuner`] picks
-    /// each frame's optimization level and absorbs its measured stage
-    /// timings. The tuner persists across frames — and across refits and
-    /// rebuilds — so a long-running scene converges on its measured best
-    /// ladder rung. Tuning changes *which* stages run, never the answer.
     pub fn search(&mut self, queries: &[Vec3]) -> Result<FrameResult, SearchError> {
+        self.search_with(queries, StageOverrides::default())
+    }
+
+    /// [`search`](Self::search) with per-call [`StageOverrides`] for the
+    /// frame's query: the call an [`AutoTuner::run`](rtnn::AutoTuner::run)
+    /// round trip tunes. One caller-owned tuner carried across frames (and
+    /// across refits and rebuilds) converges on the scene's measured best
+    /// ladder rung. Overrides change *which* stages run, never the answer.
+    pub fn search_with(
+        &mut self,
+        queries: &[Vec3],
+        overrides: StageOverrides<'_>,
+    ) -> Result<FrameResult, SearchError> {
         let tel = rtnn_telemetry::Telemetry::current();
         let mut frame_span = tel.as_ref().map(|t| t.span("dynamic.frame"));
         if let Some(t) = &tel {
@@ -360,48 +354,27 @@ impl<'d> DynamicIndex<'d> {
         let host_structure_ms = std::mem::take(&mut self.pending_host_structure_ms);
 
         let plan = self.config.plan();
-        // Adaptive tuning: the carried tuner runs the frame. The decision
-        // keys on the frame's live density, so a drifting scene migrates
-        // between signatures exactly as the continuous profiler files it.
-        let points = self.compact.len();
-        let backend = self.backend.as_dyn().name();
-        let mut tuner = self
-            .tuner
-            .take()
-            .or_else(|| AutoTuner::for_engine(&self.config.engine, self.backend.as_dyn()));
-        let mut view = self.frame_view(sync.dirty_region, structure_ms);
-        let (decision, results) = match tuner.as_mut() {
-            Some(tuner) => {
-                let (d, results) = tuner.run(
-                    plan.kind_label(),
-                    points,
-                    backend,
-                    queries.len(),
-                    |decided| view.query_with(queries, &plan, decided),
-                );
-                (Some(d), results)
-            }
-            None => (None, view.query(queries, &plan)),
-        };
-        drop(view);
-        self.tuner = tuner;
-        let results = results?;
+        let results = self
+            .frame_view(sync.dirty_region, structure_ms)
+            .query_with(queries, &plan, overrides)?;
 
-        // The cached partitioning pass ran exactly when partitioning is on,
-        // a grid exists and the search was non-trivial — the pending dirty
-        // region has then been absorbed into the cache and can be retired.
-        // Under auto tuning "partitioning is on" is the *decision's* level,
-        // not the config's: a frame the tuner ran at a lower rung never
+        // The cached partitioning pass ran exactly when the frame's
+        // partition stage (the override's, else the configured level's)
+        // reads the grid, a grid exists and the search was non-trivial —
+        // the pending dirty region has then been absorbed into the cache
+        // and can be retired. A frame that ran without partitioning never
         // touched the cache, so its invalidations must stay pending.
-        let effective_opt = decision.map_or(self.config.engine.opt, |d| d.level);
-        if effective_opt >= rtnn::OptLevel::SchedPartition
+        let partition = overrides
+            .partition
+            .or(StageOverrides::for_level(self.config.engine.opt).partition)
+            .expect("StageOverrides::for_level fills every slot");
+        if partition.wants_grid()
             && self.grid.is_some()
             && !queries.is_empty()
             && !self.compact.is_empty()
         {
             self.pending_dirty = Aabb::EMPTY;
         }
-        self.last_decision = decision;
 
         self.last_traversal_ms = Some(results.breakdown.fs_ms + results.breakdown.search_ms);
         self.metrics.record_frame(
@@ -458,11 +431,7 @@ impl<'d> DynamicIndex<'d> {
 
     /// Build the per-frame adopted view both query paths share. The
     /// adopted megacell cache is tagged with the config's params, so view
-    /// plans with other radii/K bypass it instead of wiping it. The view
-    /// never auto-tunes by itself: its tuner would not outlive the frame,
-    /// and [`search`](Self::search) must know which level ran to retire
-    /// pending cache invalidations (frames tune through the tuner the
-    /// dynamic index carries instead).
+    /// plans with other radii/K bypass it instead of wiping it.
     fn frame_view(&mut self, dirty_region: Aabb, structure_ms: f64) -> FrameIndex<'_> {
         let accel = self
             .accel
@@ -471,7 +440,7 @@ impl<'d> DynamicIndex<'d> {
         let mut index = Index::adopt(
             self.backend.as_dyn(),
             &self.compact,
-            self.config.engine.with_tuning(Tuning::Static),
+            self.config.engine,
             AdoptedScene {
                 accel,
                 grid: self.grid.as_ref(),
@@ -881,9 +850,10 @@ mod tests {
     #[test]
     fn dropped_or_batch_only_views_never_lose_cache_invalidations() {
         // A FrameIndex that is dropped unused (or queried only with batch
-        // plans, which bypass the megacell cache) must not swallow the
-        // frame's grid dirty region: the next search still has to treat the
-        // cache entries whose reach the earlier motion touched as stale.
+        // plans, which bypass the megacell cache), or a frame searched
+        // without partitioning, must not swallow the frame's grid dirty
+        // region: the next search still has to treat the cache entries
+        // whose reach the earlier motion touched as stale.
         //
         // The scene is built to make a lost invalidation observable: a
         // dense clump right at the query (its cached megacell is tiny), a
@@ -932,39 +902,50 @@ mod tests {
         let k = 8;
         let params = SearchParams::knn(6.0, k);
         let config = RtnnConfig::new(params);
-        let mut index = DynamicIndex::with_points(&device, config, &points);
         let queries = vec![centre];
-        index.search(&queries).unwrap(); // cache: tiny megacell (clump)
+        // Frame 2 syncs the scattered clump in one of two ways, neither of
+        // which runs the cached partitioning pass: a view dropped unused,
+        // or a frame searched without partitioning.
+        for how in ["dropped view", "unpartitioned frame"] {
+            let mut points = points.clone();
+            let mut index = DynamicIndex::with_points(&device, config, &points);
+            index.search(&queries).unwrap(); // cache: tiny megacell (clump)
 
-        // Frame 2: the clump scatters out of the search radius entirely;
-        // structures are synced through a view that is immediately dropped.
-        for h in 0..clump as u32 {
-            let p = points[h as usize] + Vec3::new(0.0, 0.0, 8.0);
-            points[h as usize] = p;
-            index.move_point(h, p);
+            // Frame 2: the clump scatters out of the search radius entirely.
+            for h in 0..clump as u32 {
+                let p = points[h as usize] + Vec3::new(0.0, 0.0, 8.0);
+                points[h as usize] = p;
+                index.move_point(h, p);
+            }
+            if how == "dropped view" {
+                drop(index.as_index().unwrap());
+            } else {
+                index
+                    .search_with(&queries, StageOverrides::without_partitioning())
+                    .unwrap();
+            }
+
+            // Frame 3: only the far sentinel twitches — its dirty region
+            // does not overlap the query's reach, so a per-frame dirty
+            // region would let the stale tiny megacell pass the overlap
+            // check and miss the shell entirely.
+            let moved = points[sentinel as usize] + Vec3::new(0.5, 0.0, 0.0);
+            points[sentinel as usize] = moved;
+            index.move_point(sentinel, moved);
+
+            let frame = index.search(&queries).unwrap();
+            assert_eq!(
+                frame.action,
+                StructureAction::Refit,
+                "{how}: scenario precondition"
+            );
+            let expected = rtnn::verify::brute_force_knn(&points, centre, 6.0, k);
+            assert_eq!(
+                sorted(frame.results.neighbors[0].clone()),
+                sorted(expected),
+                "{how}: stale megacell cache leaked through frame 2"
+            );
         }
-        drop(index.as_index().unwrap());
-
-        // Frame 3: only the far sentinel twitches — its dirty region does
-        // not overlap the query's reach, so a per-frame dirty region would
-        // let the stale tiny megacell pass the overlap check and miss the
-        // shell entirely.
-        let moved = points[sentinel as usize] + Vec3::new(0.5, 0.0, 0.0);
-        points[sentinel as usize] = moved;
-        index.move_point(sentinel, moved);
-
-        let frame = index.search(&queries).unwrap();
-        assert_eq!(
-            frame.action,
-            StructureAction::Refit,
-            "scenario precondition"
-        );
-        let expected = rtnn::verify::brute_force_knn(&points, centre, 6.0, k);
-        assert_eq!(
-            sorted(frame.results.neighbors[0].clone()),
-            sorted(expected),
-            "stale megacell cache leaked through a dropped view"
-        );
     }
 
     #[test]
@@ -1062,17 +1043,16 @@ mod tests {
 
     #[test]
     fn auto_tuned_frames_stay_exact_and_carry_state_across_frames() {
+        use rtnn::{AutoTuner, CostCoefficients};
         let device = Device::rtx_2080();
         let points = jittered_block(6, 0.5);
-        let params = SearchParams::knn(1.2, 8);
-        let auto = |seed| RtnnConfig {
-            params,
-            engine: EngineConfig::default().with_tuning(Tuning::Auto { seed }),
-        };
+        let config = RtnnConfig::new(SearchParams::knn(1.2, 8));
         let queries: Vec<Vec3> = points.iter().step_by(3).copied().collect();
 
-        let drive = |seed: Option<u64>| -> (Vec<Vec<Vec<u32>>>, Vec<Option<rtnn::OptLevel>>) {
-            let config = seed.map_or(RtnnConfig::new(params), auto);
+        // Eight frames of motion, each searched through `tuner` when one is
+        // given (one caller-owned tuner carried across every frame).
+        type Frames = (Vec<Vec<Vec<u32>>>, Vec<Option<OptLevel>>);
+        let drive = |mut tuner: Option<&mut AutoTuner>| -> Frames {
             let mut index = DynamicIndex::with_points(&device, config, &points);
             let mut neighbors = Vec::new();
             let mut levels = Vec::new();
@@ -1081,18 +1061,31 @@ mod tests {
                     let p = index.position(h).unwrap();
                     index.move_point(h, p + Vec3::new(0.001 * frame as f32, -0.001, 0.0005));
                 }
-                let f = index.search(&queries).unwrap();
-                neighbors.push(f.results.neighbors.clone());
-                levels.push(index.last_decision().map(|d| d.level));
+                let (level, f) = match tuner.as_deref_mut() {
+                    Some(tuner) => {
+                        let (d, f) = tuner.run(
+                            config.plan().kind_label(),
+                            index.len(),
+                            index.backend().name(),
+                            queries.len(),
+                            |decided| index.search_with(&queries, decided),
+                        );
+                        (Some(d.level), f)
+                    }
+                    None => (None, index.search(&queries)),
+                };
+                neighbors.push(f.unwrap().results.neighbors);
+                levels.push(level);
             }
             (neighbors, levels)
         };
+        let tuner = || AutoTuner::new(7).with_cost_model(CostCoefficients::calibrate(&device));
 
-        let (static_neighbors, static_levels) = drive(None);
-        let (auto_neighbors, auto_levels) = drive(Some(7));
-        let (auto_again, auto_levels_again) = drive(Some(7));
+        let (static_neighbors, _) = drive(None);
+        let mut carried = tuner();
+        let (auto_neighbors, auto_levels) = drive(Some(&mut carried));
+        let (auto_again, auto_levels_again) = drive(Some(&mut tuner()));
 
-        assert!(static_levels.iter().all(Option::is_none));
         assert!(
             auto_levels.iter().all(Option::is_some),
             "every frame decides"
@@ -1108,11 +1101,7 @@ mod tests {
         assert_eq!(auto_neighbors, static_neighbors);
         // The state survived across frames: by frame 8 all four arms have
         // been bootstrapped, so later frames exploit measurements.
-        let mut index = DynamicIndex::with_points(&device, auto(7), &points);
-        for _ in 0..8 {
-            index.search(&queries).unwrap();
-        }
-        let report = index.tuner().unwrap().report();
+        let report = carried.report();
         assert_eq!(report.len(), 1, "one signature: knn at this density");
         assert_eq!(report[0].measured_arms, 4, "all arms bootstrapped");
         assert_eq!(report[0].decisions, 8);

@@ -28,7 +28,6 @@ use rtnn::SearchError;
 use rtnn::{
     Backend, CostCoefficients, EngineConfig, Index, LaunchMetrics, PipelineTrace, PlanSlice,
     QueryPlan, SearchParams, SearchResults, ShardMerge, StageKind, StageOverrides, TimeBreakdown,
-    Tuning,
 };
 use rtnn_math::{Aabb, Vec3};
 use rtnn_parallel::{par_map_collect, par_map_collect_mut};
@@ -135,14 +134,6 @@ impl<'a> ShardedIndex<'a> {
         } else {
             order.chunks(chunk).collect()
         };
-        // Shards always select stages statically: adaptive tuning operates
-        // at the *tick* level (one decision per fan-out, threaded through
-        // `query_with`), so a per-shard tuner would both double-decide and
-        // let shards diverge from each other within one tick.
-        let shard_config = EngineConfig {
-            tuning: Tuning::Static,
-            ..config
-        };
         let shards = par_map_collect(chunks.len(), |ci| {
             // Suppressed: worker-thread telemetry would land in the global
             // sink in scheduling order (see `query` for the rationale).
@@ -152,7 +143,7 @@ impl<'a> ShardedIndex<'a> {
                     global_ids.iter().map(|&id| points[id as usize]).collect();
                 let bounds = Aabb::from_points(&shard_points);
                 Shard {
-                    index: Index::build(backend, shard_points, shard_config),
+                    index: Index::build(backend, shard_points, config),
                     global_ids,
                     bounds,
                 }
@@ -226,8 +217,9 @@ impl<'a> ShardedIndex<'a> {
 
     /// [`query`](Self::query) with per-call pipeline [`StageOverrides`]:
     /// the same overrides are threaded into **every** overlapped shard's
-    /// pipeline execution, so one tick-level tuning decision governs the
-    /// whole fan-out (the stage traits are `Sync`, so the borrowed stages
+    /// pipeline execution, so one tuning decision (a tick's, or one
+    /// [`rtnn::AutoTuner::run`] round trip's) governs the whole fan-out
+    /// (the stage traits are `Sync`, so the borrowed stages
     /// cross the worker pool directly). The merge is override-agnostic —
     /// results stay bit-equal to the unsharded index under the same
     /// overrides.

@@ -9,7 +9,8 @@
 
 use rtnn::verify::{brute_force_knn, check_all};
 use rtnn::{
-    Backend, EngineConfig, GpusimBackend, Index, PlanSlice, QueryPlan, SearchParams, StageOverrides,
+    AutoTuner, Backend, CostCoefficients, EngineConfig, GpusimBackend, Index, PlanSlice, QueryPlan,
+    SearchParams, StageOverrides,
 };
 use rtnn_data::uniform::{self, UniformParams};
 use rtnn_gpusim::Device;
@@ -196,19 +197,30 @@ fn main() {
             .is_some(),
         "the observed knn call must be profiled under its signature"
     );
-    // 10. Adaptive stage tuning: `EngineConfig::auto()` lets the index pick
-    //     the `StageOverrides` rung per (plan kind, density bucket, backend)
-    //     signature — cost model first, then measured arm scores. Tuning
-    //     changes which stages run, never the answer.
-    let mut auto = Index::build(&backend, &points[..], EngineConfig::auto());
+    // 10. Adaptive stage tuning: a caller-owned `AutoTuner` picks the
+    //     `StageOverrides` rung per (plan kind, density bucket, backend)
+    //     signature — cost model first, then measured arm scores — and
+    //     `AutoTuner::run` feeds each call's stage timings back. The same
+    //     round trip tunes `ShardedIndex::query_with` and
+    //     `DynamicIndex::search_with`. Tuning changes which stages run,
+    //     never the answer.
+    let mut auto = Index::build(&backend, &points[..], EngineConfig::default());
+    let mut tuner = AutoTuner::new(rtnn::autotune::DEFAULT_SEED)
+        .with_cost_model(CostCoefficients::calibrate(&device));
     for round in 0..6 {
         let plan = if round % 2 == 0 {
             QueryPlan::knn(2.5, 8)
         } else {
             QueryPlan::range(2.5, 32)
         };
-        let tuned = auto.query(&queries, &plan).expect("auto-tuned search");
-        let d = auto.last_decision().expect("auto mode always decides");
+        let (d, tuned) = tuner.run(
+            plan.kind_label(),
+            points.len(),
+            backend.name(),
+            queries.len(),
+            |overrides| auto.query_with(&queries, &plan, overrides),
+        );
+        let tuned = tuned.expect("auto-tuned search");
         println!(
             "auto round {round}: {:?} via {:?}, simulated {:.2} ms",
             d.level,
@@ -223,7 +235,7 @@ fn main() {
         }
     }
     println!("tuner report (chosen overrides per signature):");
-    for sig in auto.tuner().expect("auto mode carries a tuner").report() {
+    for sig in tuner.report() {
         println!(
             "  {}: {} decision(s), {}/4 arms measured, steady choice {:?}",
             sig.label(),

@@ -3,7 +3,8 @@
 //! pipeline stages run — never the answer.
 //!
 //! Concretely, across all three backends (gpusim, the OptiX shim, and the
-//! brute-force oracle):
+//! brute-force oracle), with a caller-owned tuner driving
+//! `Index::query_with` through `AutoTuner::run`:
 //!
 //! * the same seed over the same query sequence replays the identical
 //!   decision sequence, with bit-equal results;
@@ -17,8 +18,8 @@
 
 use rtnn::telemetry::{SignatureProfiler, Telemetry, TelemetryLevel};
 use rtnn::{
-    AutoTuner, Backend, DecisionSource, EngineConfig, GpusimBackend, Index, OptLevel, QueryPlan,
-    StageOverrides, TunerDecision, Tuning,
+    AutoTuner, Backend, CostCoefficients, DecisionSource, EngineConfig, GpusimBackend, Index,
+    OptLevel, QueryPlan, StageOverrides, TunerDecision,
 };
 use rtnn_baselines::BruteForceBackend;
 use rtnn_data::uniform::{self, UniformParams};
@@ -66,8 +67,14 @@ fn plan_for(round: usize) -> QueryPlan {
     }
 }
 
-/// One auto-tuned session: `rounds` queries on a fresh auto index,
-/// returning each round's decision and neighbors.
+/// A seeded tuner with the backend device's calibrated cost model.
+fn tuner_for(backend: &dyn Backend, seed: u64) -> AutoTuner {
+    AutoTuner::new(seed).with_cost_model(CostCoefficients::calibrate(backend.device()))
+}
+
+/// One auto-tuned session: `rounds` queries on a fresh index, each run
+/// through one caller-owned tuner, returning each round's decision and
+/// neighbors.
 fn auto_session(
     backend: &dyn Backend,
     points: &[Vec3],
@@ -75,17 +82,20 @@ fn auto_session(
     seed: u64,
     rounds: usize,
 ) -> Vec<(TunerDecision, Vec<Vec<u32>>)> {
-    let config = EngineConfig::default().with_tuning(Tuning::Auto { seed });
-    let mut index = Index::build(backend, points, config);
+    let mut index = Index::build(backend, points, EngineConfig::default());
+    let mut tuner = tuner_for(backend, seed);
     (0..rounds)
         .map(|round| {
-            let results = index
-                .query(queries, &plan_for(round))
-                .expect("auto session fits the device");
-            (
-                index.last_decision().expect("auto mode always decides"),
-                results.neighbors,
-            )
+            let plan = plan_for(round);
+            let (decision, results) = tuner.run(
+                plan.kind_label(),
+                points.len(),
+                backend.name(),
+                queries.len(),
+                |overrides| index.query_with(queries, &plan, overrides),
+            );
+            let results = results.expect("auto session fits the device");
+            (decision, results.neighbors)
         })
         .collect()
 }
@@ -211,29 +221,27 @@ fn replayed_profiles_seed_identical_decisions() {
     // bootstraps the remaining arms instead.
     assert_ne!(first[0].source, DecisionSource::CostModel);
 
-    // The integrated path — an auto index created under the recorded
-    // telemetry — also starts from the absorbed profile, and stays exact.
-    Telemetry::scoped(&tel, || {
-        let mut auto = Index::build(
-            &backend,
-            &points,
-            EngineConfig::default().with_tuning(Tuning::auto()),
-        );
-        let results = auto
-            .query(&queries, &QueryPlan::knn(1.5, 8))
-            .expect("auto run fits the device");
-        let d = auto.last_decision().expect("decided");
-        assert_ne!(d.source, DecisionSource::CostModel, "profile was absorbed");
-        let mut statics = Index::build(&backend, &points, EngineConfig::default());
-        let reference = statics
-            .query_with(
-                &queries,
-                &QueryPlan::knn(1.5, 8),
-                StageOverrides::for_level(d.level),
-            )
-            .unwrap();
-        assert_eq!(results.neighbors, reference.neighbors);
-    });
+    // The integrated path — a calibrated tuner warm-started from the
+    // recorded profile, driving a real index — also starts from the
+    // absorbed profile, and stays exact.
+    let mut tuner = tuner_for(&backend, rtnn::autotune::DEFAULT_SEED);
+    tuner.absorb_profile(&snapshot, OptLevel::Full);
+    let mut auto = Index::build(&backend, &points, EngineConfig::default());
+    let plan = QueryPlan::knn(1.5, 8);
+    let (d, results) = tuner.run(
+        plan.kind_label(),
+        points.len(),
+        backend.name(),
+        queries.len(),
+        |overrides| auto.query_with(&queries, &plan, overrides),
+    );
+    let results = results.expect("auto run fits the device");
+    assert_ne!(d.source, DecisionSource::CostModel, "profile was absorbed");
+    let mut statics = Index::build(&backend, &points, EngineConfig::default());
+    let reference = statics
+        .query_with(&queries, &plan, StageOverrides::for_level(d.level))
+        .unwrap();
+    assert_eq!(results.neighbors, reference.neighbors);
 }
 
 #[test]
