@@ -11,7 +11,8 @@
 //!   window into one `QueryPlan::Batch` per tick (identical-parameter
 //!   slices merged), paying one data transfer, one shared scheduling pass
 //!   and one partitioning per merged parameter set;
-//! * **coalescing off** — the one-request-per-call baseline.
+//! * **coalescing off** — the one-request-per-call baseline
+//!   (`max_batch = 1`).
 //!
 //! Reported: achieved throughput and p50/p99 latency per offered load, the
 //! coalescing speedup at saturation, and — separately — how the simulated
@@ -76,7 +77,7 @@ pub fn run(scale: &ExperimentScale) -> FigureReport {
     let coalesced_cfg = ServeConfig::default()
         .with_window_us(500)
         .with_max_batch(32);
-    let serial_cfg = ServeConfig::default().without_coalescing();
+    let serial_cfg = ServeConfig::default().with_max_batch(1);
 
     // Capacity anchor: the one-request-per-call rate on a warm index when
     // requests are always waiting (everything arrives at t=0⁺).

@@ -20,11 +20,10 @@ pub struct ServeConfig {
     /// executing the fused batch. Longer windows trade per-request latency
     /// for throughput (bigger batches amortise more shared work).
     pub window_us: u64,
-    /// Whether in-flight requests are coalesced at all. With coalescing off
-    /// every tick executes exactly one request — the one-request-per-call
-    /// baseline the `fig_serve` experiment compares against.
-    pub coalescing: bool,
-    /// Upper bound on the number of requests fused into one tick.
+    /// Upper bound on the number of requests fused into one tick. At 1
+    /// every tick serves one request with no wait — the
+    /// one-request-per-call baseline the `fig_serve` experiment compares
+    /// against.
     pub max_batch: usize,
 }
 
@@ -33,7 +32,6 @@ impl Default for ServeConfig {
         ServeConfig {
             threads: 0,
             window_us: 200,
-            coalescing: true,
             max_batch: 64,
         }
     }
@@ -67,12 +65,6 @@ impl ServeConfig {
         Ok(c)
     }
 
-    /// Disable coalescing (one request per tick).
-    pub fn without_coalescing(mut self) -> Self {
-        self.coalescing = false;
-        self
-    }
-
     /// Set the coalescing window.
     pub fn with_window_us(mut self, window_us: u64) -> Self {
         self.window_us = window_us;
@@ -98,6 +90,17 @@ impl ServeConfig {
     /// The coalescing window as a [`std::time::Duration`].
     pub fn window(&self) -> std::time::Duration {
         std::time::Duration::from_micros(self.window_us)
+    }
+
+    /// The window a tick actually waits, in microseconds: `window_us` when
+    /// a tick may fuse more than one request, else 0 (a one-request tick
+    /// executes as soon as its request arrives).
+    pub(crate) fn tick_window_us(&self) -> u64 {
+        if self.max_batch > 1 {
+            self.window_us
+        } else {
+            0
+        }
     }
 }
 
@@ -130,7 +133,6 @@ mod tests {
     #[test]
     fn defaults_are_sane() {
         let c = ServeConfig::default();
-        assert!(c.coalescing);
         assert!(c.window_us >= 1);
         assert!(c.max_batch >= 1);
         assert_eq!(c.threads, 0, "default keeps the machine thread count");
@@ -182,12 +184,10 @@ mod tests {
 
     #[test]
     fn builder_helpers() {
-        let c = ServeConfig::default()
-            .without_coalescing()
-            .with_window_us(5)
-            .with_max_batch(0);
-        assert!(!c.coalescing);
+        let c = ServeConfig::default().with_window_us(5).with_max_batch(0);
         assert_eq!(c.window_us, 5);
         assert_eq!(c.max_batch, 1, "max_batch clamps to at least 1");
+        assert_eq!(c.tick_window_us(), 0, "a one-request tick never waits");
+        assert_eq!(c.with_max_batch(2).tick_window_us(), 5);
     }
 }

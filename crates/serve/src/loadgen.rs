@@ -76,7 +76,8 @@ pub fn poisson_arrivals(n: usize, offered_qps: f64, seed: u64) -> Vec<f64> {
 /// by its close, up to `max_batch`) — closing early the moment the batch
 /// is full, exactly like the live dispatcher — then executes; the next
 /// tick cannot start before the previous one's simulated execution
-/// finished. With coalescing off every tick serves exactly one request.
+/// finished. With `max_batch = 1` every tick serves exactly one request,
+/// without waiting.
 pub fn run_virtual<E: TickExecutor>(
     executor: &mut E,
     requests: &[Request],
@@ -172,20 +173,11 @@ fn replay<E: TickExecutor>(
         arrivals_ms.windows(2).all(|w| w[0] <= w[1]),
         "arrivals must be sorted"
     );
-    let window_ms = if config.coalescing {
-        config.window_us as f64 / 1e3
-    } else {
-        0.0
-    };
+    let window_us = config.tick_window_us();
+    let window_ms = window_us as f64 / 1e3;
     if let Some(obs) = &observer {
-        obs.telemetry.gauge_set(
-            "serve.coalescing_window_us",
-            if config.coalescing {
-                config.window_us as f64
-            } else {
-                0.0
-            },
-        );
+        obs.telemetry
+            .gauge_set("serve.coalescing_window_us", window_us as f64);
     }
 
     let mut stats = ServiceStats::default();
@@ -196,10 +188,8 @@ fn replay<E: TickExecutor>(
         let open = free_at.max(arrivals_ms[i]);
         let close = open + window_ms;
         let mut j = i + 1;
-        if config.coalescing {
-            while j < requests.len() && arrivals_ms[j] <= close && j - i < config.max_batch {
-                j += 1;
-            }
+        while j < requests.len() && arrivals_ms[j] <= close && j - i < config.max_batch {
+            j += 1;
         }
         // The window closes early once the batch is full (the live
         // dispatcher stops draining at max_batch and executes right away);
@@ -389,7 +379,7 @@ mod tests {
             &mut FixedCost,
             &requests,
             &arrivals,
-            &ServeConfig::default().without_coalescing(),
+            &ServeConfig::default().with_max_batch(1),
         );
         // Serial pays 3 ms per request; 16-request ticks pay 18 ms for 16.
         assert!(coalesced.stats.mean_tick_requests() > 4.0);
@@ -436,7 +426,7 @@ mod tests {
             &mut FixedCost,
             &requests,
             &arrivals,
-            &ServeConfig::default().without_coalescing(),
+            &ServeConfig::default().with_max_batch(1),
         );
         assert!((no_window.latency_ms(0.5) - 3.0).abs() < 1e-9);
     }

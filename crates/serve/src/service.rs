@@ -219,11 +219,7 @@ impl QueryService {
         let tel = &self.telemetry;
         tel.gauge_set(
             "serve.coalescing_window_us",
-            if self.config.coalescing {
-                self.config.window_us as f64
-            } else {
-                0.0
-            },
+            self.config.tick_window_us() as f64,
         );
         let mut stats = ServiceStats::default();
         loop {
@@ -232,21 +228,19 @@ impl QueryService {
             let Ok(first) = self.rx.recv() else { break };
             let mut tick: Vec<Envelope> = vec![first];
 
-            if self.config.coalescing {
-                // Keep draining whatever lands within the window.
-                let deadline = Instant::now() + self.config.window();
-                while tick.len() < self.config.max_batch {
-                    let now = Instant::now();
-                    let Some(remaining) = deadline
-                        .checked_duration_since(now)
-                        .filter(|d| !d.is_zero())
-                    else {
-                        break;
-                    };
-                    match self.rx.recv_timeout(remaining) {
-                        Ok(envelope) => tick.push(envelope),
-                        Err(_) => break, // window elapsed or all clients gone
-                    }
+            // Keep draining whatever lands within the window.
+            let deadline = Instant::now() + self.config.window();
+            while tick.len() < self.config.max_batch {
+                let now = Instant::now();
+                let Some(remaining) = deadline
+                    .checked_duration_since(now)
+                    .filter(|d| !d.is_zero())
+                else {
+                    break;
+                };
+                match self.rx.recv_timeout(remaining) {
+                    Ok(envelope) => tick.push(envelope),
+                    Err(_) => break, // window elapsed or all clients gone
                 }
             }
 
@@ -414,7 +408,7 @@ mod tests {
         let points = cloud(200);
         let mut index = Index::build(&backend, &points[..], EngineConfig::default());
         let queries = points[..8].to_vec();
-        let (service, client) = QueryService::new(ServeConfig::default().without_coalescing());
+        let (service, client) = QueryService::new(ServeConfig::default().with_max_batch(1));
         let stats = std::thread::scope(|s| {
             s.spawn(move || {
                 for _ in 0..5 {
@@ -499,7 +493,7 @@ mod tests {
             min_samples: 1,
         };
         let recorder = Arc::new(Mutex::new(FlightRecorder::with_slo(32, slo)));
-        let (service, client) = QueryService::new(ServeConfig::default().without_coalescing());
+        let (service, client) = QueryService::new(ServeConfig::default().with_max_batch(1));
         let service = service.with_flight_recorder(recorder.clone());
         std::thread::scope(|s| {
             s.spawn(move || {

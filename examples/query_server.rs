@@ -3,8 +3,8 @@
 //! dispatcher coalesces whatever is in flight into one fused batch per
 //! tick, and a spatially sharded index fans each tick out over the worker
 //! pool — with every response equal to a direct `Index::query` call
-//! (bit-equal KNN, set-equal range). An `AutoTuner` rides on the service
-//! and picks the stage-override rung once per coalesced tick.
+//! (bit-equal KNN, set-equal range). A caller-owned `AutoTuner` rides on
+//! the service and picks the stage-override rung once per coalesced tick.
 //!
 //! Run with:
 //! ```text
@@ -39,8 +39,8 @@ fn main() {
     let config = ServeConfig::from_env();
     config.apply_thread_limit();
     println!(
-        "serve config: window {} µs, max batch {}, coalescing {}",
-        config.window_us, config.max_batch, config.coalescing
+        "serve config: window {} µs, max batch {}",
+        config.window_us, config.max_batch
     );
 
     // 2. One shared scene: a 30k-point cloud served by 4 Morton-range

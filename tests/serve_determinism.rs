@@ -119,7 +119,7 @@ fn responses_are_bit_equal_across_windows_orders_threads_and_shards() {
     let interleaved: Vec<usize> = (0..reqs.len()).map(|i| (i * 7 + 3) % reqs.len()).collect();
 
     let configs = [
-        ServeConfig::default().without_coalescing(),
+        ServeConfig::default().with_max_batch(1),
         ServeConfig::default().with_window_us(1),
         ServeConfig::default()
             .with_window_us(3_000)
