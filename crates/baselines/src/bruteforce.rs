@@ -7,7 +7,7 @@
 //! the paper's introduction describes.
 
 use crate::common::{transfer_ms, Baseline, BaselineRun, SearchRequest};
-use rtnn_gpusim::kernel::{point_address, run_sm_kernel, SmKernelConfig, ThreadWork};
+use rtnn_gpusim::kernel::{point_address, run_sm_kernel, ThreadWork};
 use rtnn_gpusim::Device;
 use rtnn_math::Vec3;
 
@@ -28,39 +28,38 @@ impl BruteForce {
         knn: bool,
     ) -> BaselineRun {
         let r2 = request.radius * request.radius;
-        let (neighbors, metrics) =
-            run_sm_kernel(device, queries.len(), SmKernelConfig::default(), |qi| {
-                let q = queries[qi];
-                let mut found: Vec<(f32, u32)> = Vec::new();
-                for (pi, &p) in points.iter().enumerate() {
-                    let d2 = q.distance_squared(p);
-                    if d2 < r2 {
-                        found.push((d2, pi as u32));
-                    }
+        let (neighbors, metrics) = run_sm_kernel(device, queries.len(), |qi| {
+            let q = queries[qi];
+            let mut found: Vec<(f32, u32)> = Vec::new();
+            for (pi, &p) in points.iter().enumerate() {
+                let d2 = q.distance_squared(p);
+                if d2 < r2 {
+                    found.push((d2, pi as u32));
                 }
-                found.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap().then(a.1.cmp(&b.1)));
-                found.truncate(request.k);
-                let ids: Vec<u32> = found.into_iter().map(|(_, id)| id).collect();
-                // Every thread reads every point once; sample the address stream
-                // (one address per 32 points) to keep the trace bounded while the
-                // op count carries the full cost.
-                let addresses: Vec<u64> = (0..points.len() as u32)
-                    .step_by(32)
-                    .map(point_address)
-                    .collect();
-                let extra_sort_ops = if knn {
-                    (ids.len() as u64).max(1) * 4
-                } else {
-                    0
-                };
-                (
-                    ids,
-                    ThreadWork::new(
-                        points.len() as u64 * OPS_PER_DISTANCE_TEST + extra_sort_ops,
-                        addresses,
-                    ),
-                )
-            });
+            }
+            found.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap().then(a.1.cmp(&b.1)));
+            found.truncate(request.k);
+            let ids: Vec<u32> = found.into_iter().map(|(_, id)| id).collect();
+            // Every thread reads every point once; sample the address stream
+            // (one address per 32 points) to keep the trace bounded while the
+            // op count carries the full cost.
+            let addresses: Vec<u64> = (0..points.len() as u32)
+                .step_by(32)
+                .map(point_address)
+                .collect();
+            let extra_sort_ops = if knn {
+                (ids.len() as u64).max(1) * 4
+            } else {
+                0
+            };
+            (
+                ids,
+                ThreadWork::new(
+                    points.len() as u64 * OPS_PER_DISTANCE_TEST + extra_sort_ops,
+                    addresses,
+                ),
+            )
+        });
         BaselineRun {
             neighbors,
             build_ms: 0.0,

@@ -7,9 +7,7 @@
 //! maintaining a bounded priority queue of the `K` closest candidates.
 
 use crate::common::{transfer_ms, Baseline, BaselineRun, SearchRequest};
-use rtnn_gpusim::kernel::{
-    cell_offset_address, point_address, run_sm_kernel, SmKernelConfig, ThreadWork,
-};
+use rtnn_gpusim::kernel::{cell_offset_address, point_address, run_sm_kernel, ThreadWork};
 use rtnn_gpusim::Device;
 use rtnn_math::{Aabb, GridCoord, PointBins, UniformGrid, Vec3};
 
@@ -60,57 +58,55 @@ impl Baseline for GridKnn {
         }
         let grid = UniformGrid::new(bounds, request.radius);
         let bins = PointBins::build(grid, points);
-        let (_, build_metrics) =
-            run_sm_kernel(device, points.len(), SmKernelConfig::default(), |pi| {
-                (
-                    (),
-                    ThreadWork::new(OPS_PER_BUILD_POINT, vec![point_address(pi as u32)]),
-                )
-            });
+        let (_, build_metrics) = run_sm_kernel(device, points.len(), |pi| {
+            (
+                (),
+                ThreadWork::new(OPS_PER_BUILD_POINT, vec![point_address(pi as u32)]),
+            )
+        });
 
         let r2 = request.radius * request.radius;
-        let (neighbors, search_metrics) =
-            run_sm_kernel(device, queries.len(), SmKernelConfig::default(), |qi| {
-                let q = queries[qi];
-                let grid = bins.grid();
-                let dims = grid.dims();
-                let c = grid.cell_of(q);
-                let lo = GridCoord::new(
-                    c.x.saturating_sub(1),
-                    c.y.saturating_sub(1),
-                    c.z.saturating_sub(1),
-                );
-                let hi = GridCoord::new(
-                    (c.x + 1).min(dims[0] - 1),
-                    (c.y + 1).min(dims[1] - 1),
-                    (c.z + 1).min(dims[2] - 1),
-                );
-                let mut best: Vec<(f32, u32)> = Vec::with_capacity(request.k + 1);
-                let mut candidates = 0u64;
-                let mut addresses = Vec::new();
-                for cell in grid.iter_range(lo, hi) {
-                    addresses.push(cell_offset_address(grid.cell_index(cell)));
-                    for &pid in bins.cell_points(cell) {
-                        candidates += 1;
-                        addresses.push(point_address(pid));
-                        let d2 = q.distance_squared(points[pid as usize]);
-                        if d2 < r2 {
-                            // Insert keeping `best` sorted ascending; drop the worst
-                            // beyond K — a simple insertion queue like FRNN's.
-                            let pos = best.partition_point(|&(d, id)| (d, id) < (d2, pid));
-                            best.insert(pos, (d2, pid));
-                            if best.len() > request.k {
-                                best.pop();
-                            }
+        let (neighbors, search_metrics) = run_sm_kernel(device, queries.len(), |qi| {
+            let q = queries[qi];
+            let grid = bins.grid();
+            let dims = grid.dims();
+            let c = grid.cell_of(q);
+            let lo = GridCoord::new(
+                c.x.saturating_sub(1),
+                c.y.saturating_sub(1),
+                c.z.saturating_sub(1),
+            );
+            let hi = GridCoord::new(
+                (c.x + 1).min(dims[0] - 1),
+                (c.y + 1).min(dims[1] - 1),
+                (c.z + 1).min(dims[2] - 1),
+            );
+            let mut best: Vec<(f32, u32)> = Vec::with_capacity(request.k + 1);
+            let mut candidates = 0u64;
+            let mut addresses = Vec::new();
+            for cell in grid.iter_range(lo, hi) {
+                addresses.push(cell_offset_address(grid.cell_index(cell)));
+                for &pid in bins.cell_points(cell) {
+                    candidates += 1;
+                    addresses.push(point_address(pid));
+                    let d2 = q.distance_squared(points[pid as usize]);
+                    if d2 < r2 {
+                        // Insert keeping `best` sorted ascending; drop the worst
+                        // beyond K — a simple insertion queue like FRNN's.
+                        let pos = best.partition_point(|&(d, id)| (d, id) < (d2, pid));
+                        best.insert(pos, (d2, pid));
+                        if best.len() > request.k {
+                            best.pop();
                         }
                     }
                 }
-                let ids: Vec<u32> = best.into_iter().map(|(_, id)| id).collect();
-                (
-                    ids,
-                    ThreadWork::new(candidates * OPS_PER_CANDIDATE, addresses),
-                )
-            });
+            }
+            let ids: Vec<u32> = best.into_iter().map(|(_, id)| id).collect();
+            (
+                ids,
+                ThreadWork::new(candidates * OPS_PER_CANDIDATE, addresses),
+            )
+        });
         Some(BaselineRun {
             neighbors,
             build_ms: build_metrics.time_ms,

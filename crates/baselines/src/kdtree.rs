@@ -8,9 +8,7 @@
 //! test-suite bottleneck first).
 
 use crate::common::{transfer_ms, Baseline, BaselineRun, SearchRequest};
-use rtnn_gpusim::kernel::{
-    point_address, run_sm_kernel, tree_node_address, SmKernelConfig, ThreadWork,
-};
+use rtnn_gpusim::kernel::{point_address, run_sm_kernel, tree_node_address, ThreadWork};
 use rtnn_gpusim::Device;
 use rtnn_math::Vec3;
 
@@ -255,22 +253,20 @@ impl Baseline for KdTreeSearch {
                 data_ms,
             });
         };
-        let (_, build_metrics) =
-            run_sm_kernel(device, points.len(), SmKernelConfig::default(), |pi| {
-                (
-                    (),
-                    ThreadWork::new(OPS_PER_BUILD_POINT, vec![point_address(pi as u32)]),
-                )
-            });
-        let (neighbors, search_metrics) =
-            run_sm_kernel(device, queries.len(), SmKernelConfig::default(), |qi| {
-                let (ids, nodes, tests, addresses) =
-                    tree.radius_search(points, queries[qi], request.radius, request.k);
-                (
-                    ids,
-                    ThreadWork::new(nodes * OPS_PER_NODE + tests * OPS_PER_POINT_TEST, addresses),
-                )
-            });
+        let (_, build_metrics) = run_sm_kernel(device, points.len(), |pi| {
+            (
+                (),
+                ThreadWork::new(OPS_PER_BUILD_POINT, vec![point_address(pi as u32)]),
+            )
+        });
+        let (neighbors, search_metrics) = run_sm_kernel(device, queries.len(), |qi| {
+            let (ids, nodes, tests, addresses) =
+                tree.radius_search(points, queries[qi], request.radius, request.k);
+            (
+                ids,
+                ThreadWork::new(nodes * OPS_PER_NODE + tests * OPS_PER_POINT_TEST, addresses),
+            )
+        });
         Some(BaselineRun {
             neighbors,
             build_ms: build_metrics.time_ms,
@@ -295,22 +291,20 @@ impl Baseline for KdTreeSearch {
                 data_ms,
             });
         };
-        let (_, build_metrics) =
-            run_sm_kernel(device, points.len(), SmKernelConfig::default(), |pi| {
-                (
-                    (),
-                    ThreadWork::new(OPS_PER_BUILD_POINT, vec![point_address(pi as u32)]),
-                )
-            });
-        let (neighbors, search_metrics) =
-            run_sm_kernel(device, queries.len(), SmKernelConfig::default(), |qi| {
-                let (ids, nodes, tests, addresses) =
-                    tree.knn_search(points, queries[qi], request.radius, request.k);
-                (
-                    ids,
-                    ThreadWork::new(nodes * OPS_PER_NODE + tests * OPS_PER_POINT_TEST, addresses),
-                )
-            });
+        let (_, build_metrics) = run_sm_kernel(device, points.len(), |pi| {
+            (
+                (),
+                ThreadWork::new(OPS_PER_BUILD_POINT, vec![point_address(pi as u32)]),
+            )
+        });
+        let (neighbors, search_metrics) = run_sm_kernel(device, queries.len(), |qi| {
+            let (ids, nodes, tests, addresses) =
+                tree.knn_search(points, queries[qi], request.radius, request.k);
+            (
+                ids,
+                ThreadWork::new(nodes * OPS_PER_NODE + tests * OPS_PER_POINT_TEST, addresses),
+            )
+        });
         Some(BaselineRun {
             neighbors,
             build_ms: build_metrics.time_ms,

@@ -8,9 +8,7 @@
 //! `K = 1`; the same restrictions apply here.
 
 use crate::common::{transfer_ms, Baseline, BaselineRun, SearchRequest};
-use rtnn_gpusim::kernel::{
-    point_address, run_sm_kernel, tree_node_address, SmKernelConfig, ThreadWork,
-};
+use rtnn_gpusim::kernel::{point_address, run_sm_kernel, tree_node_address, ThreadWork};
 use rtnn_gpusim::Device;
 use rtnn_math::{Aabb, Vec3};
 
@@ -292,22 +290,20 @@ impl Baseline for OctreeSearch {
                 data_ms,
             });
         };
-        let (_, build_metrics) =
-            run_sm_kernel(device, points.len(), SmKernelConfig::default(), |pi| {
-                (
-                    (),
-                    ThreadWork::new(OPS_PER_BUILD_POINT, vec![point_address(pi as u32)]),
-                )
-            });
-        let (neighbors, search_metrics) =
-            run_sm_kernel(device, queries.len(), SmKernelConfig::default(), |qi| {
-                let (ids, nodes, tests, addresses) =
-                    tree.radius_search(points, queries[qi], request.radius, request.k);
-                (
-                    ids,
-                    ThreadWork::new(nodes * OPS_PER_NODE + tests * OPS_PER_POINT_TEST, addresses),
-                )
-            });
+        let (_, build_metrics) = run_sm_kernel(device, points.len(), |pi| {
+            (
+                (),
+                ThreadWork::new(OPS_PER_BUILD_POINT, vec![point_address(pi as u32)]),
+            )
+        });
+        let (neighbors, search_metrics) = run_sm_kernel(device, queries.len(), |qi| {
+            let (ids, nodes, tests, addresses) =
+                tree.radius_search(points, queries[qi], request.radius, request.k);
+            (
+                ids,
+                ThreadWork::new(nodes * OPS_PER_NODE + tests * OPS_PER_POINT_TEST, addresses),
+            )
+        });
         Some(BaselineRun {
             neighbors,
             build_ms: build_metrics.time_ms,
@@ -329,22 +325,20 @@ impl Baseline for OctreeSearch {
         }
         let data_ms = transfer_ms(device, points.len(), queries.len(), request.k);
         let tree = Octree::build(points)?;
-        let (_, build_metrics) =
-            run_sm_kernel(device, points.len(), SmKernelConfig::default(), |pi| {
-                (
-                    (),
-                    ThreadWork::new(OPS_PER_BUILD_POINT, vec![point_address(pi as u32)]),
-                )
-            });
-        let (neighbors, search_metrics) =
-            run_sm_kernel(device, queries.len(), SmKernelConfig::default(), |qi| {
-                let (nearest, nodes, tests, addresses) =
-                    tree.nearest(points, queries[qi], request.radius);
-                (
-                    nearest.into_iter().collect::<Vec<u32>>(),
-                    ThreadWork::new(nodes * OPS_PER_NODE + tests * OPS_PER_POINT_TEST, addresses),
-                )
-            });
+        let (_, build_metrics) = run_sm_kernel(device, points.len(), |pi| {
+            (
+                (),
+                ThreadWork::new(OPS_PER_BUILD_POINT, vec![point_address(pi as u32)]),
+            )
+        });
+        let (neighbors, search_metrics) = run_sm_kernel(device, queries.len(), |qi| {
+            let (nearest, nodes, tests, addresses) =
+                tree.nearest(points, queries[qi], request.radius);
+            (
+                nearest.into_iter().collect::<Vec<u32>>(),
+                ThreadWork::new(nodes * OPS_PER_NODE + tests * OPS_PER_POINT_TEST, addresses),
+            )
+        });
         Some(BaselineRun {
             neighbors,
             build_ms: build_metrics.time_ms,

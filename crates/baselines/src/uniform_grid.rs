@@ -9,9 +9,7 @@
 //! like the original.
 
 use crate::common::{transfer_ms, Baseline, BaselineRun, SearchRequest};
-use rtnn_gpusim::kernel::{
-    cell_offset_address, point_address, run_sm_kernel, SmKernelConfig, ThreadWork,
-};
+use rtnn_gpusim::kernel::{cell_offset_address, point_address, run_sm_kernel, ThreadWork};
 use rtnn_gpusim::Device;
 use rtnn_math::{Aabb, GridCoord, PointBins, UniformGrid, Vec3};
 
@@ -37,7 +35,7 @@ fn build_bins(device: &Device, points: &[Vec3], radius: f32) -> Option<(PointBin
     let grid = UniformGrid::new(bounds, radius);
     let bins = PointBins::build(grid, points);
     // Construction kernel: one thread per point (hash, histogram, scatter).
-    let (_, metrics) = run_sm_kernel(device, points.len(), SmKernelConfig::default(), |pi| {
+    let (_, metrics) = run_sm_kernel(device, points.len(), |pi| {
         (
             (),
             ThreadWork::new(OPS_PER_BUILD_POINT, vec![point_address(pi as u32)]),
@@ -109,25 +107,23 @@ impl Baseline for UniformGridSearch {
         // Two passes over the neighbourhood: count then fill — the scan work
         // is charged twice, the results are produced in the second pass.
         let mut search_ms = 0.0;
-        let (_, count_metrics) =
-            run_sm_kernel(device, queries.len(), SmKernelConfig::default(), |qi| {
-                let (_, candidates, addresses) =
-                    scan_neighborhood(&bins, points, queries[qi], request.radius, usize::MAX);
-                (
-                    (),
-                    ThreadWork::new(candidates * OPS_PER_CANDIDATE, addresses),
-                )
-            });
+        let (_, count_metrics) = run_sm_kernel(device, queries.len(), |qi| {
+            let (_, candidates, addresses) =
+                scan_neighborhood(&bins, points, queries[qi], request.radius, usize::MAX);
+            (
+                (),
+                ThreadWork::new(candidates * OPS_PER_CANDIDATE, addresses),
+            )
+        });
         search_ms += count_metrics.time_ms;
-        let (neighbors, fill_metrics) =
-            run_sm_kernel(device, queries.len(), SmKernelConfig::default(), |qi| {
-                let (ids, candidates, addresses) =
-                    scan_neighborhood(&bins, points, queries[qi], request.radius, request.k);
-                (
-                    ids,
-                    ThreadWork::new(candidates * OPS_PER_CANDIDATE, addresses),
-                )
-            });
+        let (neighbors, fill_metrics) = run_sm_kernel(device, queries.len(), |qi| {
+            let (ids, candidates, addresses) =
+                scan_neighborhood(&bins, points, queries[qi], request.radius, request.k);
+            (
+                ids,
+                ThreadWork::new(candidates * OPS_PER_CANDIDATE, addresses),
+            )
+        });
         search_ms += fill_metrics.time_ms;
         Some(BaselineRun {
             neighbors,

@@ -8,7 +8,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rtnn::partition::partition_queries;
-use rtnn::pipeline::{CoherenceSchedule, ScheduleCx, ScheduleStage};
+use rtnn::pipeline::{Schedule, ScheduleCx};
 use rtnn::{
     Backend, EngineConfig, GpusimBackend, Index, MegacellGrid, OptLevel, QueryPlan, SearchMode,
     SearchParams,
@@ -173,7 +173,7 @@ fn bench_baselines(c: &mut Criterion) {
 }
 
 /// The two optimisation passes as an `Index` runs them: the
-/// `CoherenceSchedule` stage over a backend structure at width `2·radius`,
+/// `Schedule::Coherence` stage over a backend structure at width `2·radius`,
 /// and the megacell kernel over the scheduled order on a grid built once.
 fn bench_scheduling_and_partitioning(c: &mut Criterion) {
     let f = fixture();
@@ -187,7 +187,7 @@ fn bench_scheduling_and_partitioning(c: &mut Criterion) {
         .unwrap();
     let ids: Vec<u32> = (0..f.queries.len() as u32).collect();
     let schedule = || {
-        CoherenceSchedule.schedule(&ScheduleCx {
+        Schedule::Coherence.run(&ScheduleCx {
             backend: &backend,
             accel: Some(accel.as_ref()),
             points: &f.points,

@@ -684,10 +684,11 @@ mod tests {
         let mut tuner = AutoTuner::new(13).with_cost_model(calibrated());
         let expected = tuner.clone().decide("knn", 9_000, "gpusim", 500);
         let (decision, result) = tuner.run("knn", 9_000, "gpusim", 500, |overrides| {
-            let schedule = overrides.schedule.expect("pinned schedule");
-            let partition = overrides.partition.expect("pinned partition");
-            assert_eq!(schedule.needs_structure(), expected.level.scheduling());
-            assert_eq!(partition.wants_grid(), expected.level.partitioning());
+            // Pinned to the decided level, whatever the engine's level.
+            let decided = StageOverrides::default().resolve(expected.level);
+            for engine_level in OptLevel::all() {
+                assert_eq!(overrides.resolve(engine_level), decided);
+            }
             Ok(results.clone())
         });
         assert_eq!(decision, expected);

@@ -23,7 +23,7 @@
 use crate::shaders::{FirstHitProgram, KnnHeap, KnnProgram, QueryIndexing, RangeProgram, NO_HIT};
 use rtnn_bvh::BuildParams;
 use rtnn_gpusim::device::OutOfDeviceMemory;
-use rtnn_gpusim::kernel::{point_address, run_sm_kernel, SmKernelConfig, ThreadWork};
+use rtnn_gpusim::kernel::{point_address, run_sm_kernel, ThreadWork};
 use rtnn_gpusim::{Device, IsShaderKind, StructureTiming};
 use rtnn_math::{Aabb, Vec3};
 use rtnn_optix::{Gas, LaunchMetrics, Pipeline};
@@ -227,80 +227,75 @@ pub fn exhaustive_traverse(
         hit: bool,
     }
 
-    let (outcomes, kernel) = run_sm_kernel(
-        device,
-        job.query_ids.len(),
-        SmKernelConfig::default(),
-        |launch_idx| {
-            let q = job.queries[job.query_ids[launch_idx] as usize];
-            let mut out = ScanOutcome::default();
-            // Candidate test: exactly what BVH traversal of a degenerate
-            // point probe reports — the point's width-w AABB contains q.
-            let contains = |p: Vec3| Aabb::cube(p, width).contains_point(q);
-            match job.kind {
-                TraversalKind::Range {
-                    radius,
-                    cap,
-                    sphere_test,
-                } => {
-                    let r2 = radius * radius;
-                    for (pi, &p) in points.iter().enumerate() {
-                        out.scanned += 1;
-                        if !contains(p) {
-                            continue;
-                        }
-                        out.is_calls += 1;
-                        if sphere_test && q.distance_squared(p) >= r2 {
-                            continue;
-                        }
-                        out.hit = true;
-                        out.ids.push(pi as u32);
-                        if out.ids.len() >= cap {
-                            out.terminated = true;
-                            break;
-                        }
+    let (outcomes, kernel) = run_sm_kernel(device, job.query_ids.len(), |launch_idx| {
+        let q = job.queries[job.query_ids[launch_idx] as usize];
+        let mut out = ScanOutcome::default();
+        // Candidate test: exactly what BVH traversal of a degenerate
+        // point probe reports — the point's width-w AABB contains q.
+        let contains = |p: Vec3| Aabb::cube(p, width).contains_point(q);
+        match job.kind {
+            TraversalKind::Range {
+                radius,
+                cap,
+                sphere_test,
+            } => {
+                let r2 = radius * radius;
+                for (pi, &p) in points.iter().enumerate() {
+                    out.scanned += 1;
+                    if !contains(p) {
+                        continue;
                     }
-                }
-                TraversalKind::Knn { radius, k } => {
-                    let r2 = radius * radius;
-                    let mut heap = KnnHeap::default();
-                    for (pi, &p) in points.iter().enumerate() {
-                        out.scanned += 1;
-                        if !contains(p) {
-                            continue;
-                        }
-                        out.is_calls += 1;
-                        let d2 = q.distance_squared(p);
-                        if d2 < r2 {
-                            out.hit = true;
-                            heap.offer(d2, pi as u32, k);
-                        }
+                    out.is_calls += 1;
+                    if sphere_test && q.distance_squared(p) >= r2 {
+                        continue;
                     }
-                    out.ids = heap.into_sorted_ids();
-                }
-                TraversalKind::FirstHit => {
-                    for (pi, &p) in points.iter().enumerate() {
-                        out.scanned += 1;
-                        if contains(p) {
-                            out.is_calls += 1;
-                            out.hit = true;
-                            out.terminated = true;
-                            out.ids.push(pi as u32);
-                            break;
-                        }
+                    out.hit = true;
+                    out.ids.push(pi as u32);
+                    if out.ids.len() >= cap {
+                        out.terminated = true;
+                        break;
                     }
                 }
             }
-            // Sample the address stream (one address per 32 points) to keep
-            // the trace bounded; the op count carries the full cost.
-            let addresses: Vec<u64> = (0..out.scanned as u32)
-                .step_by(32)
-                .map(point_address)
-                .collect();
-            let work = ThreadWork::new(out.scanned * OPS_PER_SCAN_TEST, addresses);
-            (out, work)
-        },
-    );
+            TraversalKind::Knn { radius, k } => {
+                let r2 = radius * radius;
+                let mut heap = KnnHeap::default();
+                for (pi, &p) in points.iter().enumerate() {
+                    out.scanned += 1;
+                    if !contains(p) {
+                        continue;
+                    }
+                    out.is_calls += 1;
+                    let d2 = q.distance_squared(p);
+                    if d2 < r2 {
+                        out.hit = true;
+                        heap.offer(d2, pi as u32, k);
+                    }
+                }
+                out.ids = heap.into_sorted_ids();
+            }
+            TraversalKind::FirstHit => {
+                for (pi, &p) in points.iter().enumerate() {
+                    out.scanned += 1;
+                    if contains(p) {
+                        out.is_calls += 1;
+                        out.hit = true;
+                        out.terminated = true;
+                        out.ids.push(pi as u32);
+                        break;
+                    }
+                }
+            }
+        }
+        // Sample the address stream (one address per 32 points) to keep
+        // the trace bounded; the op count carries the full cost.
+        let addresses: Vec<u64> = (0..out.scanned as u32)
+            .step_by(32)
+            .map(point_address)
+            .collect();
+        let work = ThreadWork::new(out.scanned * OPS_PER_SCAN_TEST, addresses);
+        (out, work)
+    });
 
     let mut metrics = LaunchMetrics {
         kernel,

@@ -44,10 +44,7 @@ use crate::backend::{Accel, AccelRef, Backend, Traversal, TraversalJob, Traversa
 use crate::engine::{OptLevel, SearchError};
 use crate::megacell::MegacellGrid;
 use crate::partition::{KnnAabbRule, MegacellCache, Partition};
-use crate::pipeline::{
-    assert_schedule_covers, ExecutionPipeline, PartitionCx, ScheduleCx, StageKind, StageMeter,
-    StageOverrides,
-};
+use crate::pipeline::{PartitionCx, ScheduleCx, StageKind, StageMeter, StageOverrides};
 use crate::plan::{PlanError, QueryPlan};
 use crate::result::{SearchMode, SearchParams, SearchResults, TimeBreakdown};
 use rtnn_bvh::BuildParams;
@@ -428,9 +425,8 @@ impl<'a> Index<'a> {
         for part in &parts {
             part.validate(0)?;
         }
-        let pipeline = ExecutionPipeline::new(cfg.opt, StageOverrides::default());
-        let widths: Vec<f32> = pipeline
-            .schedule
+        let (schedule, partitioning) = StageOverrides::default().resolve(cfg.opt);
+        let widths: Vec<f32> = schedule
             .needs_structure()
             .then(|| plan.max_radius())
             .into_iter()
@@ -443,7 +439,7 @@ impl<'a> Index<'a> {
         let built_ms = self
             .store
             .ensure_many(self.backend, &self.points, &widths, cfg.build)?;
-        if pipeline.partition.wants_grid() {
+        if partitioning.wants_grid() {
             grid_for(&mut self.grid, &self.points, cfg.grid_max_cells);
         }
         self.pending_structure_ms += built_ms;
@@ -466,8 +462,8 @@ impl<'a> Index<'a> {
         self.query_with(queries, plan, StageOverrides::default())
     }
 
-    /// [`query`](Self::query) with per-call [`StageOverrides`]: replace or
-    /// disable individual pipeline stages for this one call (e.g.
+    /// [`query`](Self::query) with per-call [`StageOverrides`]: pick
+    /// individual pipeline stages for this one call (e.g.
     /// [`StageOverrides::without_reordering`] runs the plan without the
     /// coherence schedule while every other stage keeps its default). See
     /// the [`pipeline`](crate::pipeline) module docs. This is the call an
@@ -572,7 +568,7 @@ impl<'a> Index<'a> {
         let cfg = self.config;
         let device = backend.device();
         let points: &[Vec3] = &self.points;
-        let pipeline = ExecutionPipeline::new(cfg.opt, overrides);
+        let (schedule_stage, partitioning) = overrides.resolve(cfg.opt);
 
         // Setup (not a stage): points + queries in, result ids out.
         let max_k = slices.iter().map(|(p, _)| p.k).max().unwrap_or(1);
@@ -597,8 +593,7 @@ impl<'a> Index<'a> {
         // traverses one (an identity schedule bills nothing), then each
         // populated slice's own.
         let widest = slices.iter().map(|(p, _)| p.radius).fold(0.0f32, f32::max);
-        let schedule_width = pipeline
-            .schedule
+        let schedule_width = schedule_stage
             .needs_structure()
             .then(|| cfg.aabb_width(widest));
         let mut widths: Vec<f32> = Vec::new();
@@ -630,7 +625,7 @@ impl<'a> Index<'a> {
 
         // `Schedule` (Section 4), once for every covered query.
         let schedule = meter.stage(StageKind::Schedule, || {
-            let schedule = pipeline.schedule.schedule(&ScheduleCx {
+            let schedule = schedule_stage.run(&ScheduleCx {
                 backend,
                 accel: schedule_width
                     .map(|w| store.accel_ref(store.find(w).expect("ensured above"))),
@@ -643,9 +638,6 @@ impl<'a> Index<'a> {
             let device_ms = schedule.fs_metrics.time_ms() + schedule.sort_metrics.time_ms;
             Ok((schedule, device_ms))
         })?;
-        if pipeline.custom_schedule {
-            assert_schedule_covers(&schedule.order, &covered, queries.len());
-        }
         // Each slice's order is the shared order filtered to its ids
         // (identical to sorting the slice by the shared keys).
         let mut slice_of: Vec<usize> = vec![usize::MAX; queries.len()];
@@ -676,13 +668,13 @@ impl<'a> Index<'a> {
             if order.is_empty() {
                 continue;
             }
-            let grid = if pipeline.partition.wants_grid() {
+            let grid = if partitioning.wants_grid() {
                 grid_for(&mut self.grid, points, cfg.grid_max_cells)
             } else {
                 None
             };
             let parts = meter.stage(StageKind::Partition, || {
-                let parts = pipeline.partition.partition(PartitionCx {
+                let parts = partitioning.run(PartitionCx {
                     backend,
                     config: &cfg,
                     params,

@@ -62,8 +62,10 @@
 //! A single plan is a one-slice batch: every call, whatever its plan,
 //! runs through the same driver and staged [`pipeline`]. The
 //! [`EngineConfig`]'s [`OptLevel`] picks the stages, and
-//! [`StageOverrides`] on [`Index::query_with`] replace the `Schedule` or
-//! `Partition` stage for one call. A caller-owned, seeded [`AutoTuner`]
+//! [`StageOverrides`] on [`Index::query_with`] pick the `Schedule` or
+//! `Partition` stage for one call. Both are closed choices, a
+//! [`pipeline::Schedule`] and a [`pipeline::Partitioning`], one per pass
+//! the paper runs before the search. A caller-owned, seeded [`AutoTuner`]
 //! picks those overrides per call: [`AutoTuner::run`] wraps any entry
 //! point that takes them.
 

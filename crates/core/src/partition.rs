@@ -26,7 +26,7 @@
 
 use crate::megacell::{MegacellGrid, MegacellResult};
 use crate::result::{SearchMode, SearchParams};
-use rtnn_gpusim::kernel::{cell_offset_address, run_sm_kernel, SmKernelConfig, ThreadWork};
+use rtnn_gpusim::kernel::{cell_offset_address, run_sm_kernel, ThreadWork};
 use rtnn_gpusim::{Device, KernelMetrics};
 use rtnn_math::{Aabb, Vec3};
 
@@ -155,16 +155,11 @@ pub fn partition_queries(
         // Megacell kernel: one thread per query. The host-side growth result
         // is returned as the thread's result; its work is charged to the
         // device.
-        None => run_sm_kernel(
-            device,
-            query_order.len(),
-            SmKernelConfig::default(),
-            |launch_idx| {
-                let q = queries[query_order[launch_idx] as usize];
-                let (mc, work) = grow_megacell(grid, q, params);
-                (Wrapped(mc), work)
-            },
-        ),
+        None => run_sm_kernel(device, query_order.len(), |launch_idx| {
+            let q = queries[query_order[launch_idx] as usize];
+            let (mc, work) = grow_megacell(grid, q, params);
+            (Wrapped(mc), work)
+        }),
         Some((cache, dirty_region)) => grow_cached(
             device,
             grid,
@@ -337,42 +332,37 @@ fn grow_cached(
 ) -> (Vec<Wrapped>, KernelMetrics) {
     cache.ensure_params(params, queries.len());
     let entries = &cache.entries;
-    let (outcomes, opt_metrics) = run_sm_kernel(
-        device,
-        query_order.len(),
-        SmKernelConfig::default(),
-        |launch_idx| {
-            let qid = query_order[launch_idx] as usize;
-            let q = queries[qid];
-            let in_grid = grid.grid().bounds().contains_point(q);
-            if in_grid {
-                if let Some((cell, cached)) = entries[qid] {
-                    let same_cell = cell as usize == grid.cell_index_of(q);
-                    if same_cell && !grid.reach_bounds(q, params.radius).overlaps(dirty_region) {
-                        // Cache hit: one probe of the per-query state.
-                        let work = ThreadWork::new(1, vec![cell_offset_address(cell as usize)]);
-                        return (
-                            CachedOutcome {
-                                mc: Wrapped(cached),
-                                recomputed: false,
-                                in_grid,
-                            },
-                            work,
-                        );
-                    }
+    let (outcomes, opt_metrics) = run_sm_kernel(device, query_order.len(), |launch_idx| {
+        let qid = query_order[launch_idx] as usize;
+        let q = queries[qid];
+        let in_grid = grid.grid().bounds().contains_point(q);
+        if in_grid {
+            if let Some((cell, cached)) = entries[qid] {
+                let same_cell = cell as usize == grid.cell_index_of(q);
+                if same_cell && !grid.reach_bounds(q, params.radius).overlaps(dirty_region) {
+                    // Cache hit: one probe of the per-query state.
+                    let work = ThreadWork::new(1, vec![cell_offset_address(cell as usize)]);
+                    return (
+                        CachedOutcome {
+                            mc: Wrapped(cached),
+                            recomputed: false,
+                            in_grid,
+                        },
+                        work,
+                    );
                 }
             }
-            let (mc, work) = grow_megacell(grid, q, params);
-            (
-                CachedOutcome {
-                    mc: Wrapped(mc),
-                    recomputed: true,
-                    in_grid,
-                },
-                work,
-            )
-        },
-    );
+        }
+        let (mc, work) = grow_megacell(grid, q, params);
+        (
+            CachedOutcome {
+                mc: Wrapped(mc),
+                recomputed: true,
+                in_grid,
+            },
+            work,
+        )
+    });
 
     // Fold the frame's outcomes back into the cache: recomputed in-grid
     // queries overwrite their entry; out-of-grid queries lose theirs (their

@@ -1,5 +1,5 @@
 //! The staged execution pipeline: `Schedule` → `Partition` → `Launch` →
-//! `Gather`, each metered, the first two swappable per call.
+//! `Gather`, each metered, the first two picked per call.
 //!
 //! The stages are the techniques the paper composes — coherence-driven
 //! query reordering (Section 4), megacell partitioning (Section 5.1) and
@@ -30,21 +30,23 @@
 //! through `Index::adopt`, and `rtnn-serve`'s `ShardedIndex` runs it per
 //! shard before the shared [`ShardMerge`](crate::ShardMerge) gather.
 //!
-//! ## Swapping stages
+//! ## Picking stages
 //!
-//! `Schedule` and `Partition` sit behind small traits ([`ScheduleStage`],
-//! [`PartitionStage`]); a [`StageOverrides`] passed to
-//! [`Index::query_with`](crate::Index::query_with) replaces either for one
-//! call. `Launch` (one traversal per non-empty partition) and `Gather`
+//! `Schedule` and `Partition` are closed choices: a [`Schedule`] and a
+//! [`Partitioning`]. The engine's [`OptLevel`] picks one of each, and a
+//! [`StageOverrides`] passed to
+//! [`Index::query_with`](crate::Index::query_with) picks either for one
+//! call; [`StageOverrides::resolve`] lays the call's picks over the
+//! level's. `Launch` (one traversal per non-empty partition) and `Gather`
 //! (scatter payloads by query id) are fixed driver steps, still metered as
-//! stages. The [`OptLevel`]s are preset stage selections:
+//! stages. The levels pick:
 //!
-//! | `OptLevel` | Schedule | Partition |
+//! | `OptLevel` | `Schedule` | `Partitioning` |
 //! |---|---|---|
-//! | `NoOpt` | [`IdentitySchedule`] | [`SinglePartition`] |
-//! | `Sched` | [`CoherenceSchedule`] | [`SinglePartition`] |
-//! | `SchedPartition` | [`CoherenceSchedule`] | [`MegacellPartition`]`{bundle: false}` |
-//! | `Full` | [`CoherenceSchedule`] | [`MegacellPartition`]`{bundle: true}` |
+//! | `NoOpt` | `Identity` | `Single` |
+//! | `Sched` | `Coherence` | `Single` |
+//! | `SchedPartition` | `Coherence` | `Megacell { bundle: false }` |
+//! | `Full` | `Coherence` | `Megacell { bundle: true }` |
 //!
 //! so an ablation can toggle exactly one stage
 //! ([`StageOverrides::without_reordering`],
@@ -64,172 +66,83 @@ pub mod stages;
 pub mod timing;
 
 pub use crate::scheduling::QuerySchedule;
-pub use stages::{
-    CoherenceSchedule, IdentitySchedule, MegacellPartition, PartitionCx, PartitionStage,
-    PartitionedQueries, ScheduleCx, ScheduleStage, SinglePartition,
-};
+pub(crate) use stages::PartitionCx;
+pub use stages::{Partitioning, Schedule, ScheduleCx};
 pub(crate) use timing::StageMeter;
 pub use timing::{PipelineTrace, StageKind, StageTiming};
 
 use crate::engine::OptLevel;
+use std::marker::PhantomData;
 
-static COHERENCE_SCHEDULE: CoherenceSchedule = CoherenceSchedule;
-static IDENTITY_SCHEDULE: IdentitySchedule = IdentitySchedule;
-static MEGACELL_BUNDLED: MegacellPartition = MegacellPartition { bundle: true };
-static MEGACELL_UNBUNDLED: MegacellPartition = MegacellPartition { bundle: false };
-static SINGLE_PARTITION: SinglePartition = SinglePartition;
-
-/// Per-call stage replacements for one pipeline execution (see the module
-/// docs). `None` slots fall back to the defaults the engine's
-/// [`OptLevel`] selects.
+/// Per-call stage picks for one pipeline execution (see the module docs):
+/// built by the four constructors below, read by
+/// [`resolve`](Self::resolve). A stage left unpicked falls back to the one
+/// the engine's [`OptLevel`] picks.
+///
+/// The lifetime parameter borrows nothing. It stays only because the
+/// benchmark adapter (`perfbench/src/layers.rs`) names
+/// `StageOverrides<'_>`.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct StageOverrides<'o> {
-    /// Replace the `Schedule` stage.
-    pub schedule: Option<&'o dyn ScheduleStage>,
-    /// Replace the `Partition` stage.
-    pub partition: Option<&'o dyn PartitionStage>,
+    schedule: Option<Schedule>,
+    partition: Option<Partitioning>,
+    _lifetime: PhantomData<&'o ()>,
 }
 
-impl std::fmt::Debug for dyn ScheduleStage + '_ {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("ScheduleStage")
-    }
-}
-impl std::fmt::Debug for dyn PartitionStage + '_ {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("PartitionStage")
-    }
-}
-
-impl StageOverrides<'static> {
-    /// Disable coherence reordering for this call (an [`IdentitySchedule`]
+impl StageOverrides<'_> {
+    /// Disable coherence reordering for this call ([`Schedule::Identity`]
     /// regardless of the optimisation level), leaving `Partition` at its
     /// default.
     pub fn without_reordering() -> Self {
         StageOverrides {
-            schedule: Some(&IDENTITY_SCHEDULE),
+            schedule: Some(Schedule::Identity),
             ..StageOverrides::default()
         }
     }
 
     /// Disable megacell partitioning (and with it bundling) for this call
-    /// (a [`SinglePartition`] regardless of the optimisation level),
+    /// ([`Partitioning::Single`] regardless of the optimisation level),
     /// leaving `Schedule` at its default.
     pub fn without_partitioning() -> Self {
         StageOverrides {
-            partition: Some(&SINGLE_PARTITION),
+            partition: Some(Partitioning::Single),
             ..StageOverrides::default()
         }
     }
 
     /// The fully pinned override set equivalent to a static [`OptLevel`]:
-    /// both slots filled with exactly the stages that level resolves to, so
-    /// the call's behaviour no longer depends on the engine's configured
-    /// level. This is the [`AutoTuner`](crate::AutoTuner)'s arm
-    /// ladder — results are bit-equal to running an engine configured at
-    /// `level`, because the same stage objects execute.
+    /// both slots filled with exactly the stages that level picks, so the
+    /// call's behaviour no longer depends on the engine's configured level.
+    /// This is the [`AutoTuner`](crate::AutoTuner)'s arm ladder — results
+    /// are bit-equal to running an engine configured at `level`, because
+    /// the same stages execute.
     pub fn for_level(level: OptLevel) -> Self {
+        let (schedule, partition) = StageOverrides::default().resolve(level);
         StageOverrides {
-            schedule: Some(if level.scheduling() {
-                &COHERENCE_SCHEDULE
-            } else {
-                &IDENTITY_SCHEDULE
-            }),
-            partition: Some(if level.partitioning() {
-                if level.bundling() {
-                    &MEGACELL_BUNDLED
-                } else {
-                    &MEGACELL_UNBUNDLED
-                }
-            } else {
-                &SINGLE_PARTITION
-            }),
+            schedule: Some(schedule),
+            partition: Some(partition),
+            _lifetime: PhantomData,
         }
     }
-}
 
-/// The stages one execution runs, resolved once: the call's
-/// [`StageOverrides`] laid over [`StageOverrides::for_level`] of the
-/// engine's optimisation level.
-pub(crate) struct ExecutionPipeline<'r> {
-    pub(crate) schedule: &'r dyn ScheduleStage,
-    pub(crate) partition: &'r dyn PartitionStage,
-    /// The caller supplied the `Schedule` stage, so the driver checks its
-    /// output contract ([`assert_schedule_covers`]).
-    pub(crate) custom_schedule: bool,
-}
-
-impl<'r> ExecutionPipeline<'r> {
-    pub(crate) fn new(level: OptLevel, overrides: StageOverrides<'r>) -> Self {
-        const FILLED: &str = "StageOverrides::for_level fills every slot";
-        let base = StageOverrides::for_level(level);
-        ExecutionPipeline {
-            schedule: overrides.schedule.or(base.schedule).expect(FILLED),
-            partition: overrides.partition.or(base.partition).expect(FILLED),
-            custom_schedule: overrides.schedule.is_some(),
-        }
-    }
-}
-
-/// Enforce the [`ScheduleStage`] output contract for *overriding* stages:
-/// the returned order must be a permutation of the launched ids. The
-/// provided stages satisfy this by construction; a custom stage that drops,
-/// duplicates or invents ids gets a contract-naming panic here instead of
-/// an opaque index error (or silently empty results) downstream.
-pub(crate) fn assert_schedule_covers(order: &[u32], launched: &[u32], num_queries: usize) {
-    assert_eq!(
-        order.len(),
-        launched.len(),
-        "ScheduleStage contract violation: the schedule must order exactly the launched \
-         queries (returned {}, launched {})",
-        order.len(),
-        launched.len()
-    );
-    let mut expected = vec![false; num_queries];
-    for &q in launched {
-        expected[q as usize] = true;
-    }
-    let mut seen = vec![false; num_queries];
-    for &q in order {
-        assert!(
-            (q as usize) < num_queries && expected[q as usize],
-            "ScheduleStage contract violation: the schedule order contains query id {q}, \
-             which is not in the launched set"
-        );
-        assert!(
-            !seen[q as usize],
-            "ScheduleStage contract violation: query id {q} appears twice in the schedule order"
-        );
-        seen[q as usize] = true;
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::assert_schedule_covers;
-
-    #[test]
-    fn permutations_of_the_launched_set_pass() {
-        assert_schedule_covers(&[2, 0, 1], &[0, 1, 2], 3);
-        assert_schedule_covers(&[5, 1], &[1, 5], 8);
-        assert_schedule_covers(&[], &[], 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "ScheduleStage contract violation")]
-    fn dropped_ids_are_rejected() {
-        assert_schedule_covers(&[0, 1], &[0, 1, 2], 3);
-    }
-
-    #[test]
-    #[should_panic(expected = "not in the launched set")]
-    fn invented_ids_are_rejected() {
-        assert_schedule_covers(&[0, 7, 2], &[0, 1, 2], 3);
-    }
-
-    #[test]
-    #[should_panic(expected = "appears twice")]
-    fn duplicated_ids_are_rejected() {
-        assert_schedule_covers(&[0, 1, 1], &[0, 1, 2], 3);
+    /// The stages one execution runs: these picks laid over the stages
+    /// `level` picks.
+    pub fn resolve(self, level: OptLevel) -> (Schedule, Partitioning) {
+        let schedule = if level.scheduling() {
+            Schedule::Coherence
+        } else {
+            Schedule::Identity
+        };
+        let partition = if level.partitioning() {
+            Partitioning::Megacell {
+                bundle: level.bundling(),
+            }
+        } else {
+            Partitioning::Single
+        };
+        (
+            self.schedule.unwrap_or(schedule),
+            self.partition.unwrap_or(partition),
+        )
     }
 }

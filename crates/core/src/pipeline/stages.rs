@@ -1,8 +1,9 @@
-//! The swappable pipeline stages, `Schedule` and `Partition`: a small
-//! trait per stage, the implementations the optimisation levels map onto,
-//! the contexts the driver hands them, and the [`PartitionedQueries`] IR
-//! the `Launch` step consumes. (`Launch` and `Gather` are fixed steps of
-//! the driver in [`crate::index`].)
+//! The two passes RTNN runs before the search, as closed choices:
+//! [`Schedule`] (query reordering, Section 4) and [`Partitioning`]
+//! (megacell partitioning with optional bundling, Section 5), the contexts
+//! the driver hands them, and the partitioned-query IR the `Launch` step
+//! consumes. (`Launch` and `Gather` are fixed steps of the driver in
+//! [`crate::index`].)
 
 use crate::backend::{Backend, TraversalJob, TraversalKind};
 use crate::bundling::{apply_bundles, plan_bundles};
@@ -27,9 +28,9 @@ pub struct ScheduleCx<'r> {
     /// The execution backend.
     pub backend: &'r dyn Backend,
     /// The structure the first-hit pass traverses (the widest one the call
-    /// uses). The driver supplies it exactly when the stage's
-    /// [`needs_structure`](ScheduleStage::needs_structure) is true, so no
-    /// structure is built for a stage that never traverses one.
+    /// uses). The driver supplies it exactly when the schedule's
+    /// [`needs_structure`](Schedule::needs_structure) is true, so no
+    /// structure is built for a schedule that never traverses one.
     pub accel: Option<AccelRef<'r>>,
     /// Search points.
     pub points: &'r [Vec3],
@@ -41,89 +42,77 @@ pub struct ScheduleCx<'r> {
 }
 
 /// The `Schedule` stage: decide the launch order of the queries.
-///
-/// Implementations must return a [`QuerySchedule`] whose `order` is a
-/// permutation of `cx.query_ids` — every launched query exactly once.
-pub trait ScheduleStage: Sync {
-    /// Produce the launch order (plus the metrics of whatever passes were
-    /// run to derive it).
-    fn schedule(&self, cx: &ScheduleCx<'_>) -> QuerySchedule;
-
-    /// Whether this stage traverses an acceleration structure
-    /// ([`ScheduleCx::accel`]). Stages that only permute ids return
-    /// `false` so the driver does not build (and bill) a coherence
-    /// structure no one will traverse.
-    fn needs_structure(&self) -> bool {
-        true
-    }
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Schedule {
+    /// Launch queries in input order, free of charge. What the optimisation
+    /// level picks when scheduling is disabled, and the
+    /// [`StageOverrides::without_reordering`](crate::pipeline::StageOverrides::without_reordering)
+    /// override.
+    Identity,
+    /// The paper's coherence schedule (Section 4): a truncated first-hit
+    /// launch anchors every query to an enclosing leaf AABB, and the
+    /// queries are sorted by the Morton code of that anchor. What the
+    /// optimisation level picks when scheduling is enabled.
+    Coherence,
 }
 
-/// The paper's coherence schedule (Section 4): a truncated first-hit launch
-/// anchors every query to an enclosing leaf AABB, and the queries are
-/// sorted by the Morton code of that anchor. The default when the
-/// optimisation level enables scheduling.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct CoherenceSchedule;
-
-impl ScheduleStage for CoherenceSchedule {
-    fn schedule(&self, cx: &ScheduleCx<'_>) -> QuerySchedule {
-        if cx.query_ids.is_empty() {
-            return QuerySchedule::identity(0);
-        }
-        let accel = cx
-            .accel
-            .expect("driver supplies a structure when needs_structure() is true");
-        // 1. First-hit launch: K = 1, terminate at the first IS call.
-        let fs = cx.backend.traverse(
-            accel,
-            &TraversalJob {
-                points: cx.points,
-                queries: cx.queries,
-                query_ids: cx.query_ids,
-                kind: TraversalKind::FirstHit,
+impl Schedule {
+    /// Produce the launch order, a permutation of `cx.query_ids` (every
+    /// launched query exactly once), plus the metrics of whatever passes
+    /// were run to derive it.
+    pub fn run(self, cx: &ScheduleCx<'_>) -> QuerySchedule {
+        match self {
+            Schedule::Identity => QuerySchedule {
+                order: cx.query_ids.to_vec(),
+                fs_metrics: LaunchMetrics::default(),
+                sort_metrics: KernelMetrics::default(),
             },
-        );
+            Schedule::Coherence => {
+                if cx.query_ids.is_empty() {
+                    return QuerySchedule::identity(0);
+                }
+                let accel = cx
+                    .accel
+                    .expect("driver supplies a structure when needs_structure() is true");
+                // 1. First-hit launch: K = 1, terminate at the first IS call.
+                let fs = cx.backend.traverse(
+                    accel,
+                    &TraversalJob {
+                        points: cx.points,
+                        queries: cx.queries,
+                        query_ids: cx.query_ids,
+                        kind: TraversalKind::FirstHit,
+                    },
+                );
 
-        // 2. Morton keys of the first-hit anchors, spread back over query
-        //    ids (queries with no hit use their own position).
-        let keys = anchor_keys(cx.points, cx.queries, cx.query_ids, &fs.payloads);
-        let mut key_of: Vec<u64> = vec![0; cx.queries.len()];
-        for (i, &qid) in cx.query_ids.iter().enumerate() {
-            key_of[qid as usize] = keys[i];
-        }
+                // 2. Morton keys of the first-hit anchors, spread back over
+                //    query ids (queries with no hit use their own position).
+                let keys = anchor_keys(cx.points, cx.queries, cx.query_ids, &fs.payloads);
+                let mut key_of: Vec<u64> = vec![0; cx.queries.len()];
+                for (i, &qid) in cx.query_ids.iter().enumerate() {
+                    key_of[qid as usize] = keys[i];
+                }
 
-        // 3. Sort the launched ids by key, charged to the device as one
-        //    sort kernel over the launched count.
-        let sort_metrics = charge_sort_kernel(cx.backend.device(), cx.query_ids.len());
-        let mut order = cx.query_ids.to_vec();
-        par_sort_by_key(&mut order, |&q| (key_of[q as usize], q));
+                // 3. Sort the launched ids by key, charged to the device as
+                //    one sort kernel over the launched count.
+                let sort_metrics = charge_sort_kernel(cx.backend.device(), cx.query_ids.len());
+                let mut order = cx.query_ids.to_vec();
+                par_sort_by_key(&mut order, |&q| (key_of[q as usize], q));
 
-        QuerySchedule {
-            order,
-            fs_metrics: fs.metrics,
-            sort_metrics,
+                QuerySchedule {
+                    order,
+                    fs_metrics: fs.metrics,
+                    sort_metrics,
+                }
+            }
         }
     }
-}
 
-/// The identity schedule: launch queries in input order, free of charge.
-/// The default when scheduling is disabled, and the
-/// [`StageOverrides::without_reordering`](crate::pipeline::StageOverrides::without_reordering)
-/// override.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct IdentitySchedule;
-
-impl ScheduleStage for IdentitySchedule {
-    fn schedule(&self, cx: &ScheduleCx<'_>) -> QuerySchedule {
-        QuerySchedule {
-            order: cx.query_ids.to_vec(),
-            fs_metrics: LaunchMetrics::default(),
-            sort_metrics: KernelMetrics::default(),
-        }
-    }
-
-    fn needs_structure(&self) -> bool {
-        false
+    /// Whether this schedule traverses an acceleration structure
+    /// ([`ScheduleCx::accel`]). The identity schedule only permutes ids, so
+    /// the driver builds (and bills) no coherence structure for it.
+    pub fn needs_structure(self) -> bool {
+        matches!(self, Schedule::Coherence)
     }
 }
 
@@ -136,7 +125,7 @@ impl ScheduleStage for IdentitySchedule {
 /// pre-bundling partition count and the simulated cost of the megacell
 /// kernel that derived them.
 #[derive(Debug, Clone)]
-pub struct PartitionedQueries {
+pub(crate) struct PartitionedQueries {
     /// The partitions `Launch` traverses, in ascending AABB-width order
     /// (one full-width partition when partitioning is disabled).
     pub partitions: Vec<Partition>,
@@ -152,7 +141,7 @@ pub struct PartitionedQueries {
 
 /// What the `Partition` stage sees: the scheduled order plus the megacell
 /// state the persistent index maintains.
-pub struct PartitionCx<'r> {
+pub(crate) struct PartitionCx<'r> {
     /// The execution backend (partition kernels are charged to its device).
     pub backend: &'r dyn Backend,
     /// Engine-wide tuning (KNN rule, approximation mode, grid budget).
@@ -166,8 +155,9 @@ pub struct PartitionCx<'r> {
     /// The launched query ids in scheduled order.
     pub order: &'r [u32],
     /// The megacell grid over the points. The driver supplies it exactly
-    /// when the stage's [`wants_grid`](PartitionStage::wants_grid) is true
-    /// (a stage runs only over a scene with points, so the grid exists).
+    /// when the partitioning's [`wants_grid`](Partitioning::wants_grid) is
+    /// true (a stage runs only over a scene with points, so the grid
+    /// exists).
     pub grid: Option<&'r MegacellGrid>,
     /// Bounds of grid cells whose population changed since the cache
     /// entries were written.
@@ -178,87 +168,80 @@ pub struct PartitionCx<'r> {
 
 /// The `Partition` stage: split the scheduled queries into partitions, each
 /// with the smallest safe AABB width (Section 5).
-pub trait PartitionStage: Sync {
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Partitioning {
+    /// No partitioning: every query in one partition at the full `2r` AABB
+    /// width. What the optimisation level picks when partitioning is
+    /// disabled, and the
+    /// [`StageOverrides::without_partitioning`](crate::pipeline::StageOverrides::without_partitioning)
+    /// override.
+    Single,
+    /// The paper's megacell partitioning (Section 5.1), optionally followed
+    /// by cost-model bundling (Section 5.2). What the optimisation level
+    /// picks when partitioning is enabled.
+    Megacell {
+        /// Whether to bundle partitions with the analytical cost model.
+        bundle: bool,
+    },
+}
+
+impl Partitioning {
     /// Produce the partitions `Launch` will traverse.
-    fn partition(&self, cx: PartitionCx<'_>) -> PartitionedQueries;
-
-    /// Whether this stage reads the persistent megacell grid
-    /// ([`PartitionCx::grid`]). The driver provisions (and lazily builds)
-    /// the index's cached grid exactly when the *resolved* stage wants it,
-    /// so disabling partitioning per call skips the grid build and
-    /// enabling it per call on a no-partitioning engine still hits the
-    /// persistent cache.
-    fn wants_grid(&self) -> bool {
-        true
-    }
-}
-
-/// The paper's megacell partitioning (Section 5.1), optionally followed by
-/// cost-model bundling (Section 5.2). The default when the optimisation
-/// level enables partitioning.
-#[derive(Debug, Clone, Copy)]
-pub struct MegacellPartition {
-    /// Whether to bundle partitions with the analytical cost model.
-    pub bundle: bool,
-}
-
-impl PartitionStage for MegacellPartition {
-    fn partition(&self, cx: PartitionCx<'_>) -> PartitionedQueries {
-        let device = cx.backend.device();
-        let grid = cx
-            .grid
-            .expect("driver supplies a grid when wants_grid() is true");
-        let set = partition_queries(
-            device,
-            grid,
-            cx.queries,
-            cx.order,
-            &cx.params,
-            cx.config.knn_rule,
-            cx.cache.map(|cache| (cache, cx.dirty_region)),
-        );
-        let num_partitions = set.partitions.len();
-        let partitions = if self.bundle {
-            let coeffs = CostCoefficients::calibrate(device);
-            let plan = plan_bundles(&set.partitions, cx.points.len(), &cx.params, &coeffs);
-            apply_bundles(&set.partitions, &plan, &cx.params)
-        } else {
-            set.partitions
-        };
-        PartitionedQueries {
-            num_partitions,
-            num_bundles: partitions.len(),
-            partitions,
-            opt_metrics: set.opt_metrics,
-        }
-    }
-}
-
-/// No partitioning: every query in one partition at the full `2r` AABB
-/// width. The default when partitioning is disabled, and the
-/// [`StageOverrides::without_partitioning`](crate::pipeline::StageOverrides::without_partitioning)
-/// override.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SinglePartition;
-
-impl PartitionStage for SinglePartition {
-    fn partition(&self, cx: PartitionCx<'_>) -> PartitionedQueries {
-        let full_width = cx.config.aabb_width(cx.params.radius);
-        PartitionedQueries {
-            partitions: vec![Partition {
-                aabb_width: full_width,
-                query_ids: cx.order.to_vec(),
-                megacell_width: full_width,
-                sphere_test: !cx.config.approx.skip_sphere_test(),
-                density: 0.0,
-            }],
-            num_partitions: 1,
-            num_bundles: 1,
-            opt_metrics: KernelMetrics::default(),
+    pub(crate) fn run(self, cx: PartitionCx<'_>) -> PartitionedQueries {
+        match self {
+            Partitioning::Single => {
+                let full_width = cx.config.aabb_width(cx.params.radius);
+                PartitionedQueries {
+                    partitions: vec![Partition {
+                        aabb_width: full_width,
+                        query_ids: cx.order.to_vec(),
+                        megacell_width: full_width,
+                        sphere_test: !cx.config.approx.skip_sphere_test(),
+                        density: 0.0,
+                    }],
+                    num_partitions: 1,
+                    num_bundles: 1,
+                    opt_metrics: KernelMetrics::default(),
+                }
+            }
+            Partitioning::Megacell { bundle } => {
+                let device = cx.backend.device();
+                let grid = cx
+                    .grid
+                    .expect("driver supplies a grid when wants_grid() is true");
+                let set = partition_queries(
+                    device,
+                    grid,
+                    cx.queries,
+                    cx.order,
+                    &cx.params,
+                    cx.config.knn_rule,
+                    cx.cache.map(|cache| (cache, cx.dirty_region)),
+                );
+                let num_partitions = set.partitions.len();
+                let partitions = if bundle {
+                    let coeffs = CostCoefficients::calibrate(device);
+                    let plan = plan_bundles(&set.partitions, cx.points.len(), &cx.params, &coeffs);
+                    apply_bundles(&set.partitions, &plan, &cx.params)
+                } else {
+                    set.partitions
+                };
+                PartitionedQueries {
+                    num_partitions,
+                    num_bundles: partitions.len(),
+                    partitions,
+                    opt_metrics: set.opt_metrics,
+                }
+            }
         }
     }
 
-    fn wants_grid(&self) -> bool {
-        false
+    /// Whether this partitioning reads the persistent megacell grid. The
+    /// driver provisions (and lazily builds) the index's cached grid
+    /// exactly when the *resolved* partitioning wants it, so disabling
+    /// partitioning per call skips the grid build and enabling it per call
+    /// on a no-partitioning engine still hits the persistent cache.
+    pub fn wants_grid(self) -> bool {
+        matches!(self, Partitioning::Megacell { .. })
     }
 }

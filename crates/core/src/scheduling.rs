@@ -20,13 +20,13 @@
 //! the simulated device as an SM kernel with `O(log n)` work per thread.
 //!
 //! The pass itself is the pipeline's
-//! [`CoherenceSchedule`](crate::pipeline::CoherenceSchedule) stage, run on
+//! [`Schedule::Coherence`](crate::pipeline::Schedule::Coherence) stage, run on
 //! the call's backend. This module holds its output ([`QuerySchedule`]),
 //! the anchor keys and the sort-kernel charge it uses, and the raster order
 //! of the Figure 5/6 experiment.
 
 use crate::plan::PlanError;
-use rtnn_gpusim::kernel::{point_address, run_sm_kernel, SmKernelConfig, ThreadWork};
+use rtnn_gpusim::kernel::{point_address, run_sm_kernel, ThreadWork};
 use rtnn_gpusim::{Device, KernelMetrics};
 use rtnn_math::morton::MortonEncoder;
 use rtnn_math::{Aabb, Vec3};
@@ -93,7 +93,7 @@ pub(crate) fn anchor_keys(
 /// (`O(log n)` comparisons + one key read per thread).
 pub(crate) fn charge_sort_kernel(device: &Device, n: usize) -> KernelMetrics {
     let log_n = (n as f64).log2().ceil().max(1.0) as u64;
-    let (_, sort_metrics) = run_sm_kernel(device, n, SmKernelConfig::default(), |i| {
+    let (_, sort_metrics) = run_sm_kernel(device, n, |i| {
         ((), ThreadWork::new(log_n, vec![point_address(i as u32)]))
     });
     sort_metrics
@@ -143,7 +143,7 @@ pub fn raster_order(queries: &[Vec3], cells_per_axis: u32) -> Result<Vec<u32>, P
 mod tests {
     use super::*;
     use crate::backend::{Backend, GpusimBackend};
-    use crate::pipeline::{CoherenceSchedule, ScheduleCx, ScheduleStage};
+    use crate::pipeline::{Schedule, ScheduleCx};
     use rtnn_bvh::BuildParams;
 
     /// Run the coherence schedule over every query the way the driver
@@ -155,7 +155,7 @@ mod tests {
             .build(points, 2.0 * radius, BuildParams::default())
             .unwrap();
         let ids: Vec<u32> = (0..queries.len() as u32).collect();
-        CoherenceSchedule.schedule(&ScheduleCx {
+        Schedule::Coherence.run(&ScheduleCx {
             backend: &backend,
             accel: Some(accel.as_ref()),
             points,

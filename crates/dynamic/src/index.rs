@@ -80,11 +80,10 @@ impl FrameIndex<'_> {
         self.query_with(queries, plan, StageOverrides::default())
     }
 
-    /// [`query`](Self::query) with per-call
-    /// [`StageOverrides`]: the frame executes through
-    /// the same staged pipeline as every other entry point, so individual
-    /// stages (reordering, partitioning) can be replaced or disabled per
-    /// call even on a streaming scene.
+    /// [`query`](Self::query) with per-call [`StageOverrides`]: the frame
+    /// executes through the same staged pipeline as every other entry
+    /// point, so individual stages (reordering, partitioning) can be picked
+    /// per call even on a streaming scene.
     pub fn query_with(
         &mut self,
         queries: &[Vec3],
@@ -364,11 +363,8 @@ impl<'d> DynamicIndex<'d> {
         // the pending dirty region has then been absorbed into the cache
         // and can be retired. A frame that ran without partitioning never
         // touched the cache, so its invalidations must stay pending.
-        let partition = overrides
-            .partition
-            .or(StageOverrides::for_level(self.config.engine.opt).partition)
-            .expect("StageOverrides::for_level fills every slot");
-        if partition.wants_grid()
+        let (_, partitioning) = overrides.resolve(self.config.engine.opt);
+        if partitioning.wants_grid()
             && self.grid.is_some()
             && !queries.is_empty()
             && !self.compact.is_empty()

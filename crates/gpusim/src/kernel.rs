@@ -38,20 +38,6 @@ impl ThreadWork {
     }
 }
 
-/// Optional knobs for [`run_sm_kernel`].
-#[derive(Debug, Clone, Copy)]
-pub struct SmKernelConfig {
-    /// Multiplier applied to every thread's `compute_ops` (lets a caller
-    /// express that its "operation" is heavier than the canonical SM op).
-    pub op_weight: f64,
-}
-
-impl Default for SmKernelConfig {
-    fn default() -> Self {
-        SmKernelConfig { op_weight: 1.0 }
-    }
-}
-
 /// Run a kernel of `num_threads` threads on `device`. `thread_fn(i)`
 /// performs thread `i`'s algorithmic work on the host (producing whatever
 /// results the caller accumulates on its own) and returns the simulated cost
@@ -61,7 +47,6 @@ impl Default for SmKernelConfig {
 pub fn run_sm_kernel<R, F>(
     device: &Device,
     num_threads: usize,
-    config: SmKernelConfig,
     thread_fn: F,
 ) -> (Vec<R>, KernelMetrics)
 where
@@ -82,7 +67,7 @@ where
             addresses.extend_from_slice(&work.mem_addresses);
         }
         // Lockstep arithmetic: the warp runs as long as its slowest lane.
-        shard.charge_sm_ops(max_ops as f64 * config.op_weight);
+        shard.charge_sm_ops(max_ops as f64);
         // Coalesced memory traffic for the whole warp.
         shard.access_warp_memory(&addresses);
         // Useful work = what lanes needed; issued = slowest lane times the
@@ -156,7 +141,7 @@ mod tests {
     fn kernel_results_and_metrics() {
         let d = Device::tiny_test_device();
         let n = 500;
-        let (results, metrics) = run_sm_kernel(&d, n, SmKernelConfig::default(), |i| {
+        let (results, metrics) = run_sm_kernel(&d, n, |i| {
             (i * 2, ThreadWork::new(10, vec![point_address(i as u32)]))
         });
         assert_eq!(results.len(), n);
@@ -173,24 +158,19 @@ mod tests {
     #[test]
     fn heavier_ops_cost_more() {
         let d = Device::tiny_test_device();
-        let run = |weight: f64| {
-            run_sm_kernel(&d, 1000, SmKernelConfig { op_weight: weight }, |_| {
-                ((), ThreadWork::new(50, vec![]))
-            })
-            .1
-            .time_ms
+        let run = |ops: u64| {
+            run_sm_kernel(&d, 1000, |_| ((), ThreadWork::new(ops, vec![])))
+                .1
+                .time_ms
         };
-        assert!(run(4.0) > run(1.0));
+        assert!(run(200) > run(50));
     }
 
     #[test]
     fn imbalanced_lanes_lower_simt_efficiency() {
         let d = Device::tiny_test_device();
-        let balanced = run_sm_kernel(&d, 3200, SmKernelConfig::default(), |_| {
-            ((), ThreadWork::new(20, vec![]))
-        })
-        .1;
-        let imbalanced = run_sm_kernel(&d, 3200, SmKernelConfig::default(), |i| {
+        let balanced = run_sm_kernel(&d, 3200, |_| ((), ThreadWork::new(20, vec![]))).1;
+        let imbalanced = run_sm_kernel(&d, 3200, |i| {
             let ops = if i % 32 == 0 { 640 } else { 0 };
             ((), ThreadWork::new(ops, vec![]))
         })
@@ -208,7 +188,7 @@ mod tests {
         // Coherent threads keep revisiting a small shared working set (the
         // way spatially-grouped queries revisit the same tree nodes);
         // scattered threads touch a huge address range.
-        let coherent = run_sm_kernel(&d, n, SmKernelConfig::default(), |i| {
+        let coherent = run_sm_kernel(&d, n, |i| {
             (
                 (),
                 ThreadWork::new(
@@ -221,7 +201,7 @@ mod tests {
             )
         })
         .1;
-        let scattered = run_sm_kernel(&d, n, SmKernelConfig::default(), |i| {
+        let scattered = run_sm_kernel(&d, n, |i| {
             let wild = ((i as u64).wrapping_mul(0x9E3779B97F4A7C15)) % (1 << 30);
             ((), ThreadWork::new(1, vec![POINTS_BASE + wild]))
         })

@@ -41,6 +41,6 @@ pub mod shard;
 pub use cache::{CacheConfig, CacheStats, SetAssociativeCache};
 pub use config::{CostModel, DeviceConfig, IsShaderKind};
 pub use device::{Device, StructureTiming};
-pub use kernel::{run_sm_kernel, SmKernelConfig, ThreadWork};
+pub use kernel::{run_sm_kernel, ThreadWork};
 pub use metrics::{FrameAccumulator, KernelMetrics, MemoryStats};
 pub use shard::SmShard;

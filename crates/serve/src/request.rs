@@ -48,8 +48,7 @@ impl Request {
 /// Per-request serving statistics, reported with every [`Response`].
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct RequestStats {
-    /// Wall microseconds from submission to response (live service) or
-    /// virtual milliseconds of sojourn time (load harness).
+    /// Wall microseconds from submission to response.
     pub latency_us: f64,
     /// How many requests shared this request's execution tick (1 when the
     /// request executed alone).

@@ -17,9 +17,13 @@
 //!
 //! Shards are contiguous chunks of the canonical traversal order, so each
 //! is a compact run of the Morton curve. A query is fanned out only to
-//! shards whose point bounds intersect its search sphere
-//! (`distance²(bounds, q) < r²`); shards that provably cannot contribute a
-//! neighbor are skipped, which is where the throughput scaling comes from.
+//! shards that can report a neighbor: the traversal reports a point only
+//! when the query lies in the point's AABB, so the query must lie in the
+//! shard's point bounds widened by half the AABB width, and, unless the
+//! range sphere test is skipped, those bounds must intersect its search
+//! sphere (`distance²(bounds, q) < r²`). Shards that provably cannot
+//! contribute a neighbor are skipped, which is where the throughput scaling
+//! comes from.
 //! Overlapping shards execute concurrently on the `rtnn-parallel` worker
 //! pool, each worker owning one shard's `Index` exclusively.
 
@@ -27,7 +31,8 @@ use crate::coalesce::TickExecutor;
 use rtnn::SearchError;
 use rtnn::{
     Backend, CostCoefficients, EngineConfig, Index, LaunchMetrics, PipelineTrace, PlanSlice,
-    QueryPlan, SearchParams, SearchResults, ShardMerge, StageKind, StageOverrides, TimeBreakdown,
+    QueryPlan, SearchMode, SearchParams, SearchResults, ShardMerge, StageKind, StageOverrides,
+    TimeBreakdown,
 };
 use rtnn_math::{Aabb, Vec3};
 use rtnn_parallel::{par_map_collect, par_map_collect_mut};
@@ -40,6 +45,22 @@ struct Shard<'a> {
     global_ids: Vec<u32>,
     /// Bounds of the shard's points (routing pruner).
     bounds: Aabb,
+}
+
+impl Shard<'_> {
+    /// Whether a query at `q` under `params` can get a neighbor from this
+    /// shard (see the module docs on routing). Without the sphere test a
+    /// range search reports points up to `√3·r` away, so only the box test
+    /// prunes then.
+    fn may_report(&self, q: Vec3, params: &SearchParams) -> bool {
+        let cfg = self.index.config();
+        let half_width = cfg.aabb_width(params.radius) * 0.5;
+        let skips_sphere_test = params.mode == SearchMode::Range && cfg.approx.skip_sphere_test();
+        !self.global_ids.is_empty()
+            && self.bounds.expanded(half_width).contains_point(q)
+            && (skips_sphere_test
+                || self.bounds.distance_squared_to_point(q) < params.radius * params.radius)
+    }
 }
 
 /// Per-tick shard timing, for scaling analysis.
@@ -216,13 +237,11 @@ impl<'a> ShardedIndex<'a> {
     }
 
     /// [`query`](Self::query) with per-call pipeline [`StageOverrides`]:
-    /// the same overrides are threaded into **every** overlapped shard's
-    /// pipeline execution, so one tuning decision (a tick's, or one
-    /// [`rtnn::AutoTuner::run`] round trip's) governs the whole fan-out
-    /// (the stage traits are `Sync`, so the borrowed stages
-    /// cross the worker pool directly). The merge is override-agnostic —
-    /// results stay bit-equal to the unsharded index under the same
-    /// overrides.
+    /// the same overrides (plain `Copy` values) are threaded into **every**
+    /// overlapped shard's pipeline execution, so one tuning decision (a
+    /// tick's, or one [`rtnn::AutoTuner::run`] round trip's) governs the
+    /// whole fan-out. The merge is override-agnostic — results stay
+    /// bit-equal to the unsharded index under the same overrides.
     pub fn query_with(
         &mut self,
         queries: &[Vec3],
@@ -269,8 +288,8 @@ impl<'a> ShardedIndex<'a> {
             }
         };
 
-        // Route every covered query to the shards its search sphere
-        // overlaps.
+        // Route every covered query to the shards that can report one of
+        // its neighbors.
         let mut jobs: Vec<ShardJob> = (0..self.shards.len())
             .map(|_| ShardJob {
                 queries: Vec::new(),
@@ -278,13 +297,10 @@ impl<'a> ShardedIndex<'a> {
             })
             .collect();
         for (sl, (params, ids)) in slices.iter().enumerate() {
-            let r2 = params.radius * params.radius;
             for &qid in ids.iter() {
                 let q = queries[qid as usize];
                 for (si, shard) in self.shards.iter().enumerate() {
-                    if shard.global_ids.is_empty()
-                        || shard.bounds.distance_squared_to_point(q) >= r2
-                    {
+                    if !shard.may_report(q, params) {
                         continue;
                     }
                     jobs[si].queries.push(q);
@@ -535,7 +551,7 @@ impl TickExecutor for ShardedIndex<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rtnn::GpusimBackend;
+    use rtnn::{ApproxMode, GpusimBackend, OptLevel};
     use rtnn_gpusim::Device;
 
     /// A hashed pseudo-random cloud: full-mantissa coordinates, so exact
@@ -577,35 +593,64 @@ mod tests {
         let backend = GpusimBackend::new(&device);
         let points = cloud(600);
         let queries: Vec<Vec3> = points.iter().step_by(7).copied().collect();
-        let mut reference = Index::build(&backend, &points[..], EngineConfig::default());
-        for shards in [1, 2, 5] {
-            let mut sharded =
-                ShardedIndex::build(&backend, &points, EngineConfig::default(), shards);
-            for plan in [
-                QueryPlan::knn(1.4, 6),
-                QueryPlan::range(1.1, 100_000),
-                QueryPlan::Batch(vec![
-                    PlanSlice::new(
-                        QueryPlan::knn(1.0, 4),
-                        (0..queries.len() as u32 / 2).collect(),
-                    ),
-                    PlanSlice::new(
-                        QueryPlan::range(1.6, 100_000),
-                        (queries.len() as u32 / 2..queries.len() as u32).collect(),
-                    ),
-                ]),
-            ] {
-                let expected = reference.query(&queries, &plan).unwrap();
-                let got = sharded.query(&queries, &plan).unwrap();
-                assert_eq!(
-                    got.neighbors, expected.neighbors,
-                    "{shards} shards, plan {plan:?}"
-                );
+        let plans = vec![
+            QueryPlan::knn(1.4, 6),
+            QueryPlan::range(1.1, 100_000),
+            QueryPlan::Batch(vec![
+                PlanSlice::new(
+                    QueryPlan::knn(1.0, 4),
+                    (0..queries.len() as u32 / 2).collect(),
+                ),
+                PlanSlice::new(
+                    QueryPlan::range(1.6, 100_000),
+                    (queries.len() as u32 / 2..queries.len() as u32).collect(),
+                ),
+            ]),
+        ];
+        // Without the sphere test a range search reports points up to √3·r
+        // away, so a shard whose bounds lie r or more from a query can hold
+        // reported neighbors. A unit lattice with off-lattice queries puts
+        // such points across shard borders; the hashed cloud does not.
+        // Range plans only: KNN on a lattice has exact distance ties.
+        let lattice: Vec<Vec3> = (0..12 * 12 * 12)
+            .map(|i| Vec3::new((i % 12) as f32, (i / 12 % 12) as f32, (i / 144) as f32))
+            .collect();
+        let lattice_queries: Vec<Vec3> = lattice
+            .iter()
+            .step_by(5)
+            .map(|&p| p + Vec3::new(0.3, 0.2, 0.1))
+            .collect();
+        let scenes = [
+            (&points, &queries, plans, [1, 2, 5]),
+            (
+                &lattice,
+                &lattice_queries,
+                vec![QueryPlan::range(1.5, 1000)],
+                [2, 5, 8],
+            ),
+        ];
+        for approx in [ApproxMode::Exact, ApproxMode::SkipSphereTest] {
+            for opt in [OptLevel::NoOpt, OptLevel::Full] {
+                let config = EngineConfig::default().with_opt(opt).with_approx(approx);
+                for (points, queries, plans, shard_counts) in &scenes {
+                    let mut reference = Index::build(&backend, &points[..], config);
+                    for shards in shard_counts {
+                        let mut sharded = ShardedIndex::build(&backend, points, config, *shards);
+                        for plan in plans {
+                            let expected = reference.query(queries, plan).unwrap();
+                            let got = sharded.query(queries, plan).unwrap();
+                            assert_eq!(
+                                got.neighbors, expected.neighbors,
+                                "{approx:?} {opt:?}, {shards} shards, plan {plan:?}"
+                            );
+                        }
+                        let timing = sharded.last_timing();
+                        assert_eq!(timing.per_shard_ms.len(), sharded.num_shards());
+                        assert!(timing.critical_path_ms() > 0.0);
+                        assert!(timing.total_ms() >= timing.critical_path_ms());
+                    }
+                }
             }
-            let timing = sharded.last_timing();
-            assert_eq!(timing.per_shard_ms.len(), sharded.num_shards());
-            assert!(timing.critical_path_ms() > 0.0);
-            assert!(timing.total_ms() >= timing.critical_path_ms());
         }
     }
 

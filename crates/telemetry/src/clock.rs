@@ -1,8 +1,7 @@
 //! Injectable time sources for the telemetry sink.
 //!
-//! Spans and events are stamped through a [`Clock`] owned by the sink, not
-//! through `Instant::now()` directly, so the same producers serve two
-//! regimes:
+//! Spans are stamped through a [`Clock`] owned by the sink, not through
+//! `Instant::now()` directly, so the same producers serve two regimes:
 //!
 //! * live serving uses a [`MonotonicClock`] (wall milliseconds since the
 //!   sink was created);

@@ -9,7 +9,7 @@
 
 use std::fmt::Write as _;
 
-use crate::span::{Event, FinishedSpan};
+use crate::span::FinishedSpan;
 use crate::TelemetrySnapshot;
 
 /// Format an `f64` as a JSON number. Uses Rust's shortest round-trip
@@ -77,26 +77,16 @@ fn span_line(span: &FinishedSpan) -> String {
     )
 }
 
-fn event_line(event: &Event) -> String {
-    format!(
-        "{{\"type\":\"event\",\"at_ms\":{},\"name\":\"{}\",\"attrs\":{}}}",
-        json_f64(event.at_ms),
-        json_escape(&event.name),
-        json_attrs(&event.attrs),
-    )
-}
-
 /// Serialize a snapshot as JSON Lines: one `meta` record, then one record
-/// per counter, gauge, histogram, span and event, in snapshot order.
+/// per counter, gauge, histogram and span, in snapshot order.
 pub fn to_jsonl(snapshot: &TelemetrySnapshot) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "{{\"type\":\"meta\",\"level\":\"{}\",\"deterministic\":{},\"dropped_spans\":{},\"dropped_events\":{}}}",
+        "{{\"type\":\"meta\",\"level\":\"{}\",\"deterministic\":{},\"dropped_spans\":{}}}",
         snapshot.level.as_str(),
         snapshot.deterministic,
         snapshot.dropped_spans,
-        snapshot.dropped_events,
     );
     for (name, value) in &snapshot.metrics.counters {
         let _ = writeln!(
@@ -139,9 +129,6 @@ pub fn to_jsonl(snapshot: &TelemetrySnapshot) -> String {
     for span in &snapshot.spans {
         let _ = writeln!(out, "{}", span_line(span));
     }
-    for event in &snapshot.events {
-        let _ = writeln!(out, "{}", event_line(event));
-    }
     out
 }
 
@@ -169,29 +156,10 @@ fn prom_f64(v: f64) -> String {
     }
 }
 
-/// Escape a label *value* per the Prometheus text exposition format:
-/// backslash, double quote and newline must be escaped (`\\`, `\"`, `\n`);
-/// everything else passes through. Without this, an event name carrying a
-/// quote or newline would break the sample line it is embedded in.
-fn prom_label_escape(value: &str) -> String {
-    let mut out = String::with_capacity(value.len());
-    for c in value.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '"' => out.push_str("\\\""),
-            '\n' => out.push_str("\\n"),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Serialize the metric side of a snapshot as Prometheus text exposition:
 /// counters and gauges as single samples, histograms as cumulative
 /// `_bucket{le=...}` series plus `_sum`/`_count` and exact
-/// `{quantile=...}` summary samples, and the event log aggregated into
-/// per-name `rtnn_events_total{name=...}` counters (label values escaped
-/// per the exposition format).
+/// `{quantile=...}` summary samples.
 pub fn to_prometheus(snapshot: &TelemetrySnapshot) -> String {
     let mut out = String::new();
     for (name, value) in &snapshot.metrics.counters {
@@ -219,20 +187,6 @@ pub fn to_prometheus(snapshot: &TelemetrySnapshot) -> String {
         let _ = writeln!(out, "{prom}_count {}", hist.count);
         for (q, v) in [("0.5", hist.p50), ("0.99", hist.p99), ("0.999", hist.p999)] {
             let _ = writeln!(out, "{prom}{{quantile=\"{q}\"}} {}", prom_f64(v));
-        }
-    }
-    if !snapshot.events.is_empty() {
-        let mut counts: std::collections::BTreeMap<&str, u64> = std::collections::BTreeMap::new();
-        for event in &snapshot.events {
-            *counts.entry(event.name.as_ref()).or_default() += 1;
-        }
-        let _ = writeln!(out, "# TYPE rtnn_events_total counter");
-        for (name, count) in counts {
-            let _ = writeln!(
-                out,
-                "rtnn_events_total{{name=\"{}\"}} {count}",
-                prom_label_escape(name)
-            );
         }
     }
     out
@@ -527,7 +481,6 @@ pub fn verify_jsonl_roundtrip(snapshot: &TelemetrySnapshot) -> Result<(), String
     expect_count("gauge", snapshot.metrics.gauges.len())?;
     expect_count("histogram", snapshot.metrics.histograms.len())?;
     expect_count("span", snapshot.spans.len())?;
-    expect_count("event", snapshot.events.len())?;
 
     for (record, span) in of_type(&records, "span").zip(snapshot.spans.iter()) {
         let id = record.get("id").and_then(JsonValue::as_f64);
@@ -616,66 +569,5 @@ mod tests {
         assert_eq!(prometheus_name("serve.latency.ms"), "rtnn_serve_latency_ms");
         assert_eq!(prometheus_name("a-b c"), "rtnn_a_b_c");
         assert_eq!(prometheus_name("slo.breach-p99"), "rtnn_slo_breach_p99");
-    }
-
-    #[test]
-    fn prometheus_label_values_escape_per_the_exposition_format() {
-        assert_eq!(prom_label_escape("plain"), "plain");
-        assert_eq!(
-            prom_label_escape("quote \" slash \\ line\nbreak"),
-            "quote \\\" slash \\\\ line\\nbreak"
-        );
-    }
-
-    #[test]
-    fn prometheus_event_labels_roundtrip_through_escaping() {
-        // Un-escape per the exposition format — the consumer half of the
-        // round-trip, kept local to the test on purpose (the crate only
-        // needs the emit direction).
-        fn prom_label_unescape(value: &str) -> String {
-            let mut out = String::new();
-            let mut chars = value.chars();
-            while let Some(c) = chars.next() {
-                if c != '\\' {
-                    out.push(c);
-                    continue;
-                }
-                match chars.next() {
-                    Some('\\') => out.push('\\'),
-                    Some('"') => out.push('"'),
-                    Some('n') => out.push('\n'),
-                    Some(other) => {
-                        out.push('\\');
-                        out.push(other);
-                    }
-                    None => out.push('\\'),
-                }
-            }
-            out
-        }
-
-        let hostile = "shed \"tenant-7\"\nslow\\consumer";
-        let t = crate::Telemetry::new(crate::TelemetryLevel::Full);
-        t.event(hostile.to_string(), &[]);
-        t.event(hostile.to_string(), &[]);
-        t.event("serve.shed", &[]);
-        let prom = t.snapshot().to_prometheus();
-        // Every emitted line stays a single line (the raw \n was escaped).
-        assert!(prom.lines().all(|l| !l.is_empty()));
-        assert!(prom.contains("# TYPE rtnn_events_total counter"));
-        let mut labeled: Vec<(String, u64)> = prom
-            .lines()
-            .filter_map(|l| {
-                let rest = l.strip_prefix("rtnn_events_total{name=\"")?;
-                let (value, tail) = rest.split_once("\"} ")?;
-                Some((prom_label_unescape(value), tail.parse().unwrap()))
-            })
-            .collect();
-        labeled.sort();
-        assert_eq!(
-            labeled,
-            vec![("serve.shed".to_string(), 1), (hostile.to_string(), 2)],
-            "escaped label values parse back to the original event names"
-        );
     }
 }

@@ -19,7 +19,7 @@ pub enum TelemetryLevel {
     Off,
     /// Metrics only: counters, gauges and latency histograms.
     Basic,
-    /// Metrics plus spans and the ring-buffer event log.
+    /// Metrics plus spans.
     Full,
 }
 
@@ -39,7 +39,7 @@ impl TelemetryLevel {
         *self >= TelemetryLevel::Basic
     }
 
-    /// True when spans and events are recorded.
+    /// True when spans are recorded.
     pub fn spans_enabled(&self) -> bool {
         *self >= TelemetryLevel::Full
     }

@@ -3,16 +3,16 @@
 //!
 //! One [`Telemetry`] sink owns a lock-light [`MetricsRegistry`] (counters,
 //! gauges, log-bucketed histograms with exact p50/p99/p999), a bounded
-//! ring buffer of completed [`FinishedSpan`]s, a bounded event log, and an
-//! injectable [`Clock`]. Producers — the execution pipeline, accel
-//! builders, the sharded index, the query service — record through it
-//! instead of growing private timing surfaces; consumers freeze it into a
+//! ring buffer of completed [`FinishedSpan`]s, and an injectable
+//! [`Clock`]. Producers — the execution pipeline, accel builders, the
+//! sharded index, the query service — record through it instead of
+//! growing private timing surfaces; consumers freeze it into a
 //! [`TelemetrySnapshot`] and export JSONL or Prometheus text.
 //!
 //! Recording is gated by [`TelemetryLevel`] (the validated `RTNN_TELEMETRY`
 //! env knob): `off` reduces every hook to a level check, `basic` records
-//! metrics, `full` adds spans and events. Two invariants the rest of the
-//! workspace leans on:
+//! metrics, `full` adds spans. Two invariants the rest of the workspace
+//! leans on:
 //!
 //! * **Results are never affected.** The sink only observes; `fig_obs` and
 //!   `tests/telemetry_equivalence.rs` pin bit-equal `SearchResults` across
@@ -63,7 +63,7 @@ pub use profile::{
     density_bucket, ProfileSample, ProfileSnapshot, Signature, SignatureProfile, SignatureProfiler,
     StageProfile,
 };
-pub use span::{Event, FinishedSpan, RingBuffer, SpanId};
+pub use span::{FinishedSpan, RingBuffer, SpanId};
 
 use std::borrow::Cow;
 use std::cell::RefCell;
@@ -73,18 +73,14 @@ use std::sync::{Arc, Mutex, OnceLock};
 
 /// Default capacity of the completed-span ring buffer.
 pub const DEFAULT_SPAN_CAPACITY: usize = 8192;
-/// Default capacity of the event log.
-pub const DEFAULT_EVENT_CAPACITY: usize = 1024;
 
-/// A telemetry sink: level gate, clock, metrics registry, span ring and
-/// event log. Shared as an `Arc` between producers and the snapshotting
-/// consumer.
+/// A telemetry sink: level gate, clock, metrics registry and span ring.
+/// Shared as an `Arc` between producers and the snapshotting consumer.
 pub struct Telemetry {
     level: TelemetryLevel,
     clock: Arc<dyn Clock>,
     metrics: MetricsRegistry,
     spans: Mutex<RingBuffer<FinishedSpan>>,
-    events: Mutex<RingBuffer<Event>>,
     next_span_id: AtomicU64,
     profiler: Mutex<Option<SignatureProfiler>>,
     profiler_on: AtomicBool,
@@ -163,22 +159,20 @@ impl Telemetry {
     /// [`VirtualClock`] here to make every recorded timestamp a
     /// deterministic function of the replayed schedule.
     pub fn with_clock(level: TelemetryLevel, clock: Arc<dyn Clock>) -> Arc<Self> {
-        Self::with_capacities(level, clock, DEFAULT_SPAN_CAPACITY, DEFAULT_EVENT_CAPACITY)
+        Self::with_capacities(level, clock, DEFAULT_SPAN_CAPACITY)
     }
 
-    /// A sink with explicit ring-buffer capacities.
+    /// A sink with an explicit span ring-buffer capacity.
     pub fn with_capacities(
         level: TelemetryLevel,
         clock: Arc<dyn Clock>,
         span_capacity: usize,
-        event_capacity: usize,
     ) -> Arc<Self> {
         Arc::new(Telemetry {
             level,
             clock,
             metrics: MetricsRegistry::new(),
             spans: Mutex::new(RingBuffer::new(span_capacity)),
-            events: Mutex::new(RingBuffer::new(event_capacity)),
             next_span_id: AtomicU64::new(1),
             profiler: Mutex::new(None),
             profiler_on: AtomicBool::new(false),
@@ -258,7 +252,7 @@ impl Telemetry {
         self.level.metrics_enabled()
     }
 
-    /// True when spans and events are recorded.
+    /// True when spans are recorded.
     pub fn spans_enabled(&self) -> bool {
         self.level.spans_enabled()
     }
@@ -451,34 +445,17 @@ impl Telemetry {
         self.spans.lock().expect("span ring lock").push(span);
     }
 
-    /// Append a point-in-time event to the bounded log (recorded at level
-    /// `full`, like spans).
-    pub fn event(&self, name: impl Into<Cow<'static, str>>, attrs: &[(&'static str, f64)]) {
-        if !self.spans_enabled() {
-            return;
-        }
-        let event = Event {
-            at_ms: self.clock.now_ms(),
-            name: name.into(),
-            attrs: attrs.iter().map(|(k, v)| (Cow::Borrowed(*k), *v)).collect(),
-        };
-        self.events.lock().expect("event ring lock").push(event);
-    }
-
     // ---- snapshot ---------------------------------------------------------
 
     /// Freeze everything recorded so far.
     pub fn snapshot(&self) -> TelemetrySnapshot {
         let spans = self.spans.lock().expect("span ring lock");
-        let events = self.events.lock().expect("event ring lock");
         TelemetrySnapshot {
             level: self.level,
             deterministic: self.is_deterministic(),
             metrics: self.metrics.snapshot(),
             spans: spans.to_vec(),
             dropped_spans: spans.dropped(),
-            events: events.to_vec(),
-            dropped_events: events.dropped(),
         }
     }
 }
@@ -557,7 +534,7 @@ impl Drop for SpanGuard {
 }
 
 /// Frozen view of a [`Telemetry`] sink: level, determinism flag, metric
-/// values, completed spans (oldest first) and events.
+/// values and completed spans (oldest first).
 #[derive(Debug, Clone, PartialEq)]
 pub struct TelemetrySnapshot {
     /// The sink's recording level.
@@ -571,10 +548,6 @@ pub struct TelemetrySnapshot {
     pub spans: Vec<FinishedSpan>,
     /// Spans evicted by ring-buffer overflow.
     pub dropped_spans: u64,
-    /// Logged events, oldest first.
-    pub events: Vec<Event>,
-    /// Events evicted by ring-buffer overflow.
-    pub dropped_events: u64,
 }
 
 impl TelemetrySnapshot {
@@ -695,7 +668,6 @@ mod tests {
         t.counter_add("a", 1);
         t.gauge_set("b", 2.0);
         t.observe("c", 3.0);
-        t.event("e", &[]);
         {
             let mut s = t.span("root");
             assert_eq!(s.id(), None);
@@ -706,7 +678,6 @@ mod tests {
         assert!(snap.metrics.gauges.is_empty());
         assert!(snap.metrics.histograms.is_empty());
         assert!(snap.spans.is_empty());
-        assert!(snap.events.is_empty());
     }
 
     #[test]
@@ -714,14 +685,12 @@ mod tests {
         let t = Telemetry::new(TelemetryLevel::Basic);
         t.counter_add("queries", 2);
         t.observe("lat", 5.0);
-        t.event("e", &[]);
         let _s = t.span("root");
         drop(_s);
         let snap = t.snapshot();
         assert_eq!(snap.metrics.counter("queries"), Some(2));
         assert_eq!(snap.metrics.histogram("lat").unwrap().count, 1);
         assert!(snap.spans.is_empty());
-        assert!(snap.events.is_empty());
     }
 
     #[test]
@@ -867,7 +836,6 @@ mod tests {
                 s.attr_wall("host_ms", std::time::Instant::now().elapsed().as_secs_f64());
                 clock.set_ms(2.0);
             }
-            t.event("departure", &[("req", 1.0)]);
             t.snapshot()
         };
         let a = run();
@@ -885,19 +853,16 @@ mod tests {
     #[test]
     fn ring_overflow_keeps_recent_spans_and_counts_drops() {
         let t =
-            Telemetry::with_capacities(TelemetryLevel::Full, Arc::new(MonotonicClock::new()), 4, 2);
+            Telemetry::with_capacities(TelemetryLevel::Full, Arc::new(MonotonicClock::new()), 4);
         for i in 0..6 {
             let mut s = t.span("s");
             s.attr("i", i as f64);
             drop(s);
-            t.event("e", &[("i", i as f64)]);
         }
         let snap = t.snapshot();
         assert_eq!(snap.spans.len(), 4);
         assert_eq!(snap.dropped_spans, 2);
         assert_eq!(snap.spans[0].attr("i"), Some(2.0));
-        assert_eq!(snap.events.len(), 2);
-        assert_eq!(snap.dropped_events, 4);
     }
 
     #[test]
@@ -912,7 +877,6 @@ mod tests {
             let mut s = t.span("serve.request");
             s.attr("points", 64.0);
         }
-        t.event("serve.enqueue", &[("depth", 1.0)]);
         let snap = t.snapshot();
         verify_jsonl_roundtrip(&snap).unwrap();
         let prom = snap.to_prometheus();

@@ -1,4 +1,4 @@
-//! Span and event data types, plus the bounded ring buffers that hold them.
+//! Span data types, plus the bounded ring buffer that holds them.
 //!
 //! A span is a named interval on the sink's clock with an optional parent —
 //! together they form the per-request trees the serve layer exposes
@@ -53,17 +53,6 @@ impl FinishedSpan {
     pub fn attr(&self, key: &str) -> Option<f64> {
         self.attrs.iter().find(|(k, _)| k == key).map(|(_, v)| *v)
     }
-}
-
-/// A point-in-time occurrence in the bounded event log.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Event {
-    /// When it happened, in the sink clock's milliseconds.
-    pub at_ms: f64,
-    /// Dotted event name.
-    pub name: Cow<'static, str>,
-    /// Numeric attributes, in recording order.
-    pub attrs: Vec<(Cow<'static, str>, f64)>,
 }
 
 /// A fixed-capacity FIFO that drops (and counts) the oldest element on

@@ -104,9 +104,9 @@ fn main() {
     println!("query {q}: nearest neighbors {:?}", &knn.neighbors[q]);
 
     // 7. Peek inside the execution pipeline: every result carries a
-    //    per-stage meter, and `StageOverrides` can disable or replace one
-    //    stage for a single call — here the coherence reordering is turned
-    //    off while partitioning, launching and gathering stay untouched.
+    //    per-stage meter, and `StageOverrides` can pick one stage for a
+    //    single call — here the coherence reordering is turned off while
+    //    partitioning, launching and gathering stay untouched.
     println!("per-stage breakdown of the knn call:");
     for stage in knn.trace.stages() {
         println!(

@@ -7,7 +7,6 @@
 //! * a heterogeneous batch answers several plans in one call and matches
 //!   the corresponding single-plan results.
 
-use rtnn::pipeline::{IdentitySchedule, MegacellPartition, SinglePartition};
 use rtnn::{
     EngineConfig, GpusimBackend, Index, OptLevel, PlanError, PlanSlice, QueryPlan, SearchError,
     StageKind, StageOverrides,
@@ -135,10 +134,10 @@ fn batch_results_match_single_plan_results_on_the_same_index() {
 }
 
 /// The `StageOverrides` ladder must be bit-equal to the `OptLevel` ladder:
-/// disabling a stage per call on a fully-optimised engine produces exactly
-/// the results (and counters, and simulated breakdown) of the engine level
-/// that never had the stage — the overrides subsume the `OptLevel`
-/// plumbing.
+/// pinning a level's stages per call on a fully-optimised engine, or
+/// disabling one stage, produces exactly the results (and counters, and
+/// simulated breakdown) of the engine level that never had the stage — the
+/// overrides subsume the `OptLevel` plumbing.
 #[test]
 fn stage_overrides_are_bit_equal_to_the_opt_level_ladder() {
     let device = Device::rtx_2080();
@@ -146,27 +145,15 @@ fn stage_overrides_are_bit_equal_to_the_opt_level_ladder() {
     let points = seeded_cloud(2500, 0x57A6E5);
     let queries: Vec<Vec3> = points.iter().step_by(6).copied().collect();
 
-    let ladder: [(OptLevel, StageOverrides<'static>); 4] = [
-        (
-            OptLevel::NoOpt,
-            StageOverrides {
-                schedule: Some(&IdentitySchedule),
-                partition: Some(&SinglePartition),
-            },
-        ),
-        (OptLevel::Sched, StageOverrides::without_partitioning()),
-        (
-            OptLevel::SchedPartition,
-            StageOverrides {
-                partition: Some(&MegacellPartition { bundle: false }),
-                ..StageOverrides::default()
-            },
-        ),
-        (OptLevel::Full, StageOverrides::default()),
-    ];
-
+    let ladder = OptLevel::all()
+        .map(|opt| (opt, StageOverrides::for_level(opt)))
+        .into_iter()
+        .chain([
+            (OptLevel::Sched, StageOverrides::without_partitioning()),
+            (OptLevel::Full, StageOverrides::default()),
+        ]);
     for plan in [QueryPlan::knn(5.0, 8), QueryPlan::range(4.0, 64)] {
-        for (opt, overrides) in ladder {
+        for (opt, overrides) in ladder.clone() {
             let mut levelled =
                 Index::build(&backend, &points[..], EngineConfig::default().with_opt(opt));
             let expected = levelled.query(&queries, &plan).unwrap();

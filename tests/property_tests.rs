@@ -11,7 +11,7 @@
 //! * BVHs built over arbitrary AABB sets validate structurally.
 
 use proptest::prelude::*;
-use rtnn::pipeline::{CoherenceSchedule, ScheduleCx, ScheduleStage};
+use rtnn::pipeline::{Schedule, ScheduleCx};
 use rtnn::verify::check_all;
 use rtnn::{
     plan_bundles, Backend, CostCoefficients, EngineConfig, GpusimBackend, Index, KnnAabbRule,
@@ -96,7 +96,7 @@ proptest! {
         let backend = GpusimBackend::new(&device);
         let accel = backend.build(&points, 2.0 * radius, BuildParams::default()).unwrap();
         let ids: Vec<u32> = (0..queries.len() as u32).collect();
-        let schedule = CoherenceSchedule.schedule(&ScheduleCx {
+        let schedule = Schedule::Coherence.run(&ScheduleCx {
             backend: &backend,
             accel: Some(accel.as_ref()),
             points: &points,
