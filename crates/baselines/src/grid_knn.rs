@@ -7,7 +7,7 @@
 //! maintaining a bounded priority queue of the `K` closest candidates.
 
 use crate::common::{transfer_ms, Baseline, BaselineRun, SearchRequest};
-use rtnn_gpusim::kernel::{cell_offset_address, point_address, run_sm_kernel, ThreadWork};
+use rtnn_gpusim::kernel::{cell_offset_address, point_address, run_sm_kernel};
 use rtnn_gpusim::Device;
 use rtnn_math::{Aabb, GridCoord, PointBins, UniformGrid, Vec3};
 
@@ -58,15 +58,13 @@ impl Baseline for GridKnn {
         }
         let grid = UniformGrid::new(bounds, request.radius);
         let bins = PointBins::build(grid, points);
-        let (_, build_metrics) = run_sm_kernel(device, points.len(), |pi| {
-            (
-                (),
-                ThreadWork::new(OPS_PER_BUILD_POINT, vec![point_address(pi as u32)]),
-            )
+        let (_, build_metrics) = run_sm_kernel(device, points.len(), |pi, work| {
+            work.ops(OPS_PER_BUILD_POINT);
+            work.read(point_address(pi as u32));
         });
 
         let r2 = request.radius * request.radius;
-        let (neighbors, search_metrics) = run_sm_kernel(device, queries.len(), |qi| {
+        let (neighbors, search_metrics) = run_sm_kernel(device, queries.len(), |qi, work| {
             let q = queries[qi];
             let grid = bins.grid();
             let dims = grid.dims();
@@ -83,12 +81,11 @@ impl Baseline for GridKnn {
             );
             let mut best: Vec<(f32, u32)> = Vec::with_capacity(request.k + 1);
             let mut candidates = 0u64;
-            let mut addresses = Vec::new();
             for cell in grid.iter_range(lo, hi) {
-                addresses.push(cell_offset_address(grid.cell_index(cell)));
+                work.read(cell_offset_address(grid.cell_index(cell)));
                 for &pid in bins.cell_points(cell) {
                     candidates += 1;
-                    addresses.push(point_address(pid));
+                    work.read(point_address(pid));
                     let d2 = q.distance_squared(points[pid as usize]);
                     if d2 < r2 {
                         // Insert keeping `best` sorted ascending; drop the worst
@@ -101,11 +98,8 @@ impl Baseline for GridKnn {
                     }
                 }
             }
-            let ids: Vec<u32> = best.into_iter().map(|(_, id)| id).collect();
-            (
-                ids,
-                ThreadWork::new(candidates * OPS_PER_CANDIDATE, addresses),
-            )
+            work.ops(candidates * OPS_PER_CANDIDATE);
+            best.into_iter().map(|(_, id)| id).collect::<Vec<u32>>()
         });
         Some(BaselineRun {
             neighbors,

@@ -8,7 +8,7 @@
 //! test-suite bottleneck first).
 
 use crate::common::{transfer_ms, Baseline, BaselineRun, SearchRequest};
-use rtnn_gpusim::kernel::{point_address, run_sm_kernel, tree_node_address, ThreadWork};
+use rtnn_gpusim::kernel::{point_address, run_sm_kernel, tree_node_address};
 use rtnn_gpusim::Device;
 use rtnn_math::Vec3;
 
@@ -109,25 +109,27 @@ impl KdTree {
         node_index
     }
 
-    /// Up to `k` ids within `radius` of `q`, plus traversal work.
+    /// Up to `k` ids within `radius` of `q`, plus traversal work
+    /// `(nodes_visited, point_tests)`; `read` gets the device address of
+    /// every node and point record the search reads.
     pub fn radius_search(
         &self,
         points: &[Vec3],
         q: Vec3,
         radius: f32,
         k: usize,
-    ) -> (Vec<u32>, u64, u64, Vec<u64>) {
+        mut read: impl FnMut(u64),
+    ) -> (Vec<u32>, u64, u64) {
         let r2 = radius * radius;
         let mut out = Vec::new();
         let (mut nodes_visited, mut point_tests) = (0u64, 0u64);
-        let mut addresses = Vec::new();
         let mut stack = vec![(0u32, 0.0f32)]; // (node, squared distance to its region)
         'outer: while let Some((ni, d2_region)) = stack.pop() {
             if d2_region > r2 {
                 continue;
             }
             nodes_visited += 1;
-            addresses.push(tree_node_address(ni));
+            read(tree_node_address(ni));
             match &self.nodes[ni as usize] {
                 KdNode::Internal {
                     axis,
@@ -147,7 +149,7 @@ impl KdTree {
                 KdNode::Leaf { start, count } => {
                     for &pid in &self.point_ids[*start as usize..(*start + *count) as usize] {
                         point_tests += 1;
-                        addresses.push(point_address(pid));
+                        read(point_address(pid));
                         if q.distance_squared(points[pid as usize]) < r2 {
                             out.push(pid);
                             if out.len() >= k {
@@ -158,21 +160,22 @@ impl KdTree {
                 }
             }
         }
-        (out, nodes_visited, point_tests, addresses)
+        (out, nodes_visited, point_tests)
     }
 
-    /// The `k` nearest ids within `radius`, sorted by distance, plus work.
+    /// The `k` nearest ids within `radius`, sorted by distance, plus work,
+    /// as [`radius_search`](Self::radius_search) reports it.
     pub fn knn_search(
         &self,
         points: &[Vec3],
         q: Vec3,
         radius: f32,
         k: usize,
-    ) -> (Vec<u32>, u64, u64, Vec<u64>) {
+        mut read: impl FnMut(u64),
+    ) -> (Vec<u32>, u64, u64) {
         let mut best: Vec<(f32, u32)> = Vec::with_capacity(k + 1);
         let mut worst = radius * radius;
         let (mut nodes_visited, mut point_tests) = (0u64, 0u64);
-        let mut addresses = Vec::new();
         let mut stack = vec![(0u32, 0.0f32)];
         while let Some((ni, d2_region)) = stack.pop() {
             if d2_region >= worst && best.len() >= k {
@@ -182,7 +185,7 @@ impl KdTree {
                 continue;
             }
             nodes_visited += 1;
-            addresses.push(tree_node_address(ni));
+            read(tree_node_address(ni));
             match &self.nodes[ni as usize] {
                 KdNode::Internal {
                     axis,
@@ -202,7 +205,7 @@ impl KdTree {
                 KdNode::Leaf { start, count } => {
                     for &pid in &self.point_ids[*start as usize..(*start + *count) as usize] {
                         point_tests += 1;
-                        addresses.push(point_address(pid));
+                        read(point_address(pid));
                         let d2 = q.distance_squared(points[pid as usize]);
                         if d2 < radius * radius && (best.len() < k || d2 < worst) {
                             let pos = best.partition_point(|&(d, id)| (d, id) < (d2, pid));
@@ -219,7 +222,7 @@ impl KdTree {
             }
         }
         let ids = best.into_iter().map(|(_, id)| id).collect();
-        (ids, nodes_visited, point_tests, addresses)
+        (ids, nodes_visited, point_tests)
     }
 
     /// Number of tree nodes.
@@ -253,19 +256,17 @@ impl Baseline for KdTreeSearch {
                 data_ms,
             });
         };
-        let (_, build_metrics) = run_sm_kernel(device, points.len(), |pi| {
-            (
-                (),
-                ThreadWork::new(OPS_PER_BUILD_POINT, vec![point_address(pi as u32)]),
-            )
+        let (_, build_metrics) = run_sm_kernel(device, points.len(), |pi, work| {
+            work.ops(OPS_PER_BUILD_POINT);
+            work.read(point_address(pi as u32));
         });
-        let (neighbors, search_metrics) = run_sm_kernel(device, queries.len(), |qi| {
-            let (ids, nodes, tests, addresses) =
-                tree.radius_search(points, queries[qi], request.radius, request.k);
-            (
-                ids,
-                ThreadWork::new(nodes * OPS_PER_NODE + tests * OPS_PER_POINT_TEST, addresses),
-            )
+        let (neighbors, search_metrics) = run_sm_kernel(device, queries.len(), |qi, work| {
+            let (ids, nodes, tests) =
+                tree.radius_search(points, queries[qi], request.radius, request.k, |a| {
+                    work.read(a)
+                });
+            work.ops(nodes * OPS_PER_NODE + tests * OPS_PER_POINT_TEST);
+            ids
         });
         Some(BaselineRun {
             neighbors,
@@ -291,19 +292,17 @@ impl Baseline for KdTreeSearch {
                 data_ms,
             });
         };
-        let (_, build_metrics) = run_sm_kernel(device, points.len(), |pi| {
-            (
-                (),
-                ThreadWork::new(OPS_PER_BUILD_POINT, vec![point_address(pi as u32)]),
-            )
+        let (_, build_metrics) = run_sm_kernel(device, points.len(), |pi, work| {
+            work.ops(OPS_PER_BUILD_POINT);
+            work.read(point_address(pi as u32));
         });
-        let (neighbors, search_metrics) = run_sm_kernel(device, queries.len(), |qi| {
-            let (ids, nodes, tests, addresses) =
-                tree.knn_search(points, queries[qi], request.radius, request.k);
-            (
-                ids,
-                ThreadWork::new(nodes * OPS_PER_NODE + tests * OPS_PER_POINT_TEST, addresses),
-            )
+        let (neighbors, search_metrics) = run_sm_kernel(device, queries.len(), |qi, work| {
+            let (ids, nodes, tests) =
+                tree.knn_search(points, queries[qi], request.radius, request.k, |a| {
+                    work.read(a)
+                });
+            work.ops(nodes * OPS_PER_NODE + tests * OPS_PER_POINT_TEST);
+            ids
         });
         Some(BaselineRun {
             neighbors,
@@ -383,7 +382,7 @@ mod tests {
     fn duplicate_points_build_a_finite_tree() {
         let points = vec![Vec3::ONE; 300];
         let tree = KdTree::build(&points).unwrap();
-        let (ids, _, _, _) = tree.radius_search(&points, Vec3::ONE, 0.1, 1000);
+        let (ids, _, _) = tree.radius_search(&points, Vec3::ONE, 0.1, 1000, |_| ());
         assert_eq!(ids.len(), 300);
     }
 

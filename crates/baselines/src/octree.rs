@@ -8,7 +8,7 @@
 //! `K = 1`; the same restrictions apply here.
 
 use crate::common::{transfer_ms, Baseline, BaselineRun, SearchRequest};
-use rtnn_gpusim::kernel::{point_address, run_sm_kernel, tree_node_address, ThreadWork};
+use rtnn_gpusim::kernel::{point_address, run_sm_kernel, tree_node_address};
 use rtnn_gpusim::Device;
 use rtnn_math::{Aabb, Vec3};
 
@@ -117,23 +117,24 @@ impl Octree {
     }
 
     /// Radius search: up to `k` point ids within `radius` of `q`, plus the
-    /// traversal work `(nodes_visited, point_tests, addresses)`.
+    /// traversal work `(nodes_visited, point_tests)`; `read` gets the device
+    /// address of every node and point record the search reads.
     pub fn radius_search(
         &self,
         points: &[Vec3],
         q: Vec3,
         radius: f32,
         k: usize,
-    ) -> (Vec<u32>, u64, u64, Vec<u64>) {
+        mut read: impl FnMut(u64),
+    ) -> (Vec<u32>, u64, u64) {
         let r2 = radius * radius;
         let mut out = Vec::new();
         let mut nodes_visited = 0u64;
         let mut point_tests = 0u64;
-        let mut addresses = Vec::new();
         let mut stack = vec![0u32];
         'outer: while let Some(ni) = stack.pop() {
             nodes_visited += 1;
-            addresses.push(tree_node_address(ni));
+            read(tree_node_address(ni));
             let bounds = match &self.nodes[ni as usize] {
                 OctNode::Internal { bounds, .. } => bounds,
                 OctNode::Leaf { bounds, .. } => bounds,
@@ -152,7 +153,7 @@ impl Octree {
                 OctNode::Leaf { start, count, .. } => {
                     for &pid in &self.point_ids[*start as usize..(*start + *count) as usize] {
                         point_tests += 1;
-                        addresses.push(point_address(pid));
+                        read(point_address(pid));
                         if q.distance_squared(points[pid as usize]) < r2 {
                             out.push(pid);
                             if out.len() >= k {
@@ -163,27 +164,28 @@ impl Octree {
                 }
             }
         }
-        (out, nodes_visited, point_tests, addresses)
+        (out, nodes_visited, point_tests)
     }
 
-    /// Approximate-free exact nearest neighbor (K = 1) within `radius`.
+    /// Approximate-free exact nearest neighbor (K = 1) within `radius`,
+    /// plus work, as [`radius_search`](Self::radius_search) reports it.
     pub fn nearest(
         &self,
         points: &[Vec3],
         q: Vec3,
         radius: f32,
-    ) -> (Option<u32>, u64, u64, Vec<u64>) {
+        mut read: impl FnMut(u64),
+    ) -> (Option<u32>, u64, u64) {
         let mut best: Option<(f32, u32)> = None;
         let mut best_r2 = radius * radius;
         let mut nodes_visited = 0u64;
         let mut point_tests = 0u64;
-        let mut addresses = Vec::new();
         // Best-first descent using a small manual stack ordered by node
         // distance (sufficiently close to PCL's behaviour for cost purposes).
         let mut stack = vec![0u32];
         while let Some(ni) = stack.pop() {
             nodes_visited += 1;
-            addresses.push(tree_node_address(ni));
+            read(tree_node_address(ni));
             match &self.nodes[ni as usize] {
                 OctNode::Internal { children, bounds } => {
                     if bounds.distance_squared_to_point(q) >= best_r2 {
@@ -212,7 +214,7 @@ impl Octree {
                     }
                     for &pid in &self.point_ids[*start as usize..(*start + *count) as usize] {
                         point_tests += 1;
-                        addresses.push(point_address(pid));
+                        read(point_address(pid));
                         let d2 = q.distance_squared(points[pid as usize]);
                         if d2 < best_r2 {
                             best_r2 = d2;
@@ -222,12 +224,7 @@ impl Octree {
                 }
             }
         }
-        (
-            best.map(|(_, id)| id),
-            nodes_visited,
-            point_tests,
-            addresses,
-        )
+        (best.map(|(_, id)| id), nodes_visited, point_tests)
     }
 
     fn node_bounds(&self, ni: u32) -> &Aabb {
@@ -290,19 +287,17 @@ impl Baseline for OctreeSearch {
                 data_ms,
             });
         };
-        let (_, build_metrics) = run_sm_kernel(device, points.len(), |pi| {
-            (
-                (),
-                ThreadWork::new(OPS_PER_BUILD_POINT, vec![point_address(pi as u32)]),
-            )
+        let (_, build_metrics) = run_sm_kernel(device, points.len(), |pi, work| {
+            work.ops(OPS_PER_BUILD_POINT);
+            work.read(point_address(pi as u32));
         });
-        let (neighbors, search_metrics) = run_sm_kernel(device, queries.len(), |qi| {
-            let (ids, nodes, tests, addresses) =
-                tree.radius_search(points, queries[qi], request.radius, request.k);
-            (
-                ids,
-                ThreadWork::new(nodes * OPS_PER_NODE + tests * OPS_PER_POINT_TEST, addresses),
-            )
+        let (neighbors, search_metrics) = run_sm_kernel(device, queries.len(), |qi, work| {
+            let (ids, nodes, tests) =
+                tree.radius_search(points, queries[qi], request.radius, request.k, |a| {
+                    work.read(a)
+                });
+            work.ops(nodes * OPS_PER_NODE + tests * OPS_PER_POINT_TEST);
+            ids
         });
         Some(BaselineRun {
             neighbors,
@@ -325,19 +320,15 @@ impl Baseline for OctreeSearch {
         }
         let data_ms = transfer_ms(device, points.len(), queries.len(), request.k);
         let tree = Octree::build(points)?;
-        let (_, build_metrics) = run_sm_kernel(device, points.len(), |pi| {
-            (
-                (),
-                ThreadWork::new(OPS_PER_BUILD_POINT, vec![point_address(pi as u32)]),
-            )
+        let (_, build_metrics) = run_sm_kernel(device, points.len(), |pi, work| {
+            work.ops(OPS_PER_BUILD_POINT);
+            work.read(point_address(pi as u32));
         });
-        let (neighbors, search_metrics) = run_sm_kernel(device, queries.len(), |qi| {
-            let (nearest, nodes, tests, addresses) =
-                tree.nearest(points, queries[qi], request.radius);
-            (
-                nearest.into_iter().collect::<Vec<u32>>(),
-                ThreadWork::new(nodes * OPS_PER_NODE + tests * OPS_PER_POINT_TEST, addresses),
-            )
+        let (neighbors, search_metrics) = run_sm_kernel(device, queries.len(), |qi, work| {
+            let (nearest, nodes, tests) =
+                tree.nearest(points, queries[qi], request.radius, |a| work.read(a));
+            work.ops(nodes * OPS_PER_NODE + tests * OPS_PER_POINT_TEST);
+            nearest.into_iter().collect::<Vec<u32>>()
         });
         Some(BaselineRun {
             neighbors,
@@ -424,7 +415,7 @@ mod tests {
         let points = vec![Vec3::ONE; 500];
         let tree = Octree::build(&points).unwrap();
         assert!(tree.num_nodes() >= 1);
-        let (ids, _, _, _) = tree.radius_search(&points, Vec3::ONE, 0.5, 1000);
+        let (ids, _, _) = tree.radius_search(&points, Vec3::ONE, 0.5, 1000, |_| ());
         assert_eq!(ids.len(), 500);
     }
 

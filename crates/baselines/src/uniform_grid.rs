@@ -35,31 +35,29 @@ fn build_bins(device: &Device, points: &[Vec3], radius: f32) -> Option<(PointBin
     let grid = UniformGrid::new(bounds, radius);
     let bins = PointBins::build(grid, points);
     // Construction kernel: one thread per point (hash, histogram, scatter).
-    let (_, metrics) = run_sm_kernel(device, points.len(), |pi| {
-        (
-            (),
-            ThreadWork::new(OPS_PER_BUILD_POINT, vec![point_address(pi as u32)]),
-        )
+    let (_, metrics) = run_sm_kernel(device, points.len(), |pi, work| {
+        work.ops(OPS_PER_BUILD_POINT);
+        work.read(point_address(pi as u32));
     });
     Some((bins, metrics.time_ms))
 }
 
-/// Scan the 27-cell neighbourhood of `q`, returning up to `k` in-radius
-/// neighbor ids plus the work performed.
+/// Scan the 27-cell neighbourhood of `q` as one kernel thread, returning
+/// up to `k` in-radius neighbor ids and charging the work to `work`.
 fn scan_neighborhood(
     bins: &PointBins,
     points: &[Vec3],
     q: Vec3,
     radius: f32,
     k: usize,
-) -> (Vec<u32>, u64, Vec<u64>) {
+    work: &mut ThreadWork<'_>,
+) -> Vec<u32> {
     let grid = bins.grid();
     let dims = grid.dims();
     let c = grid.cell_of(q);
     let r2 = radius * radius;
     let mut out = Vec::new();
     let mut candidates = 0u64;
-    let mut addresses = Vec::new();
     let lo = GridCoord::new(
         c.x.saturating_sub(1),
         c.y.saturating_sub(1),
@@ -71,16 +69,17 @@ fn scan_neighborhood(
         (c.z + 1).min(dims[2] - 1),
     );
     for cell in grid.iter_range(lo, hi) {
-        addresses.push(cell_offset_address(grid.cell_index(cell)));
+        work.read(cell_offset_address(grid.cell_index(cell)));
         for &pid in bins.cell_points(cell) {
             candidates += 1;
-            addresses.push(point_address(pid));
+            work.read(point_address(pid));
             if out.len() < k && q.distance_squared(points[pid as usize]) < r2 {
                 out.push(pid);
             }
         }
     }
-    (out, candidates, addresses)
+    work.ops(candidates * OPS_PER_CANDIDATE);
+    out
 }
 
 impl Baseline for UniformGridSearch {
@@ -107,22 +106,12 @@ impl Baseline for UniformGridSearch {
         // Two passes over the neighbourhood: count then fill — the scan work
         // is charged twice, the results are produced in the second pass.
         let mut search_ms = 0.0;
-        let (_, count_metrics) = run_sm_kernel(device, queries.len(), |qi| {
-            let (_, candidates, addresses) =
-                scan_neighborhood(&bins, points, queries[qi], request.radius, usize::MAX);
-            (
-                (),
-                ThreadWork::new(candidates * OPS_PER_CANDIDATE, addresses),
-            )
+        let (_, count_metrics) = run_sm_kernel(device, queries.len(), |qi, work| {
+            scan_neighborhood(&bins, points, queries[qi], request.radius, usize::MAX, work);
         });
         search_ms += count_metrics.time_ms;
-        let (neighbors, fill_metrics) = run_sm_kernel(device, queries.len(), |qi| {
-            let (ids, candidates, addresses) =
-                scan_neighborhood(&bins, points, queries[qi], request.radius, request.k);
-            (
-                ids,
-                ThreadWork::new(candidates * OPS_PER_CANDIDATE, addresses),
-            )
+        let (neighbors, fill_metrics) = run_sm_kernel(device, queries.len(), |qi, work| {
+            scan_neighborhood(&bins, points, queries[qi], request.radius, request.k, work)
         });
         search_ms += fill_metrics.time_ms;
         Some(BaselineRun {

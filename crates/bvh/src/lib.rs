@@ -46,5 +46,5 @@ pub use refit::{
 };
 pub use stats::BvhStats;
 pub use threads::BuildThreads;
-pub use traverse::{TraversalControl, TraversalStats, VisitMarks};
+pub use traverse::{AscendingSlots, TraversalControl, TraversalStats, VisitMarks};
 pub use validate::{validate_bvh, BvhValidationError};

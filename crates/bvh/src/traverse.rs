@@ -16,8 +16,8 @@
 //!   primitive slot the ray reads in a [`VisitMarks`] set. Marks accumulate
 //!   over calls until [`VisitMarks::clear`], so traversing each ray of a
 //!   warp into one set leaves the warp's footprint: the distinct slots its
-//!   rays read, each listed once, in first-visit order. The GPU simulator
-//!   charges RT-core tests and memory traffic for that footprint.
+//!   rays read, counted once each and walked in ascending order. The GPU
+//!   simulator charges RT-core tests and memory traffic for that footprint.
 
 use crate::node::{Bvh, NodeKind};
 use rtnn_math::Ray;
@@ -59,72 +59,130 @@ impl TraversalStats {
 
 /// The distinct node and primitive slots a group of rays read.
 ///
-/// Holds one bit per node slot and one bit per primitive slot, plus the
-/// marked slots of each kind in first-visit order. A bit is set exactly
-/// when its slot is on a list, so [`VisitMarks::clear`] walks the lists
-/// instead of the bitsets and costs the number of distinct slots, not the
-/// size of the BVH.
+/// Holds one bit per node slot and one bit per primitive slot. Beside each
+/// bitset it keeps the count of set bits and the indices of the bitset
+/// words that hold one, each listed once. [`VisitMarks::clear`] zeroes the
+/// listed words instead of the whole bitset, and
+/// [`ascending`](VisitMarks::ascending) sorts the listed words — on the
+/// order of a hundred for a warp that reads well over a thousand slots —
+/// and walks their set bits, so both cost the warp's footprint, not the
+/// size of the BVH, and no per-slot list is kept or sorted.
 ///
-/// The bitsets grow to fit the largest BVH traversed with these marks and
-/// never shrink: one bit per node slot and per primitive slot, so about
-/// 1.7 bits per point for this crate's LBVH (≈ 0.71 nodes per point), plus
-/// the lists' capacity. Slots are indices, not identities: clear the marks
-/// before using them on a different BVH.
+/// Memory: the bitsets grow to fit the largest BVH traversed with these
+/// marks and never shrink, one bit per node slot and per primitive slot,
+/// so about 1.7 bits per point for this crate's LBVH (≈ 0.71 nodes per
+/// point). The word lists hold at most one 32-bit index per 64 slots, so
+/// at most another 0.9 bits per point. Slots are indices, not identities:
+/// clear the marks before using them on a different BVH.
 #[derive(Debug, Clone, Default)]
 pub struct VisitMarks {
-    node_bits: Vec<u64>,
-    prim_bits: Vec<u64>,
-    nodes: Vec<u32>,
-    prims: Vec<u32>,
+    nodes: SlotSet,
+    prims: SlotSet,
 }
 
 impl VisitMarks {
-    /// Distinct indices into `Bvh::nodes` marked since the last clear, in
-    /// first-visit order.
-    pub fn nodes(&self) -> &[u32] {
-        &self.nodes
+    /// Number of distinct node slots marked since the last clear.
+    pub fn node_count(&self) -> usize {
+        self.nodes.len
     }
 
-    /// Distinct indices into `Bvh::prim_indices` (leaf slots) marked since
-    /// the last clear, in first-visit order.
-    pub fn prims(&self) -> &[u32] {
-        &self.prims
+    /// Number of distinct primitive slots marked since the last clear.
+    pub fn prim_count(&self) -> usize {
+        self.prims.len
+    }
+
+    /// The slots marked since the last clear, each kind in ascending order
+    /// and each slot once: indices into `Bvh::nodes`, then indices into
+    /// `Bvh::prim_indices` (leaf slots).
+    pub fn ascending(&mut self) -> (AscendingSlots<'_>, AscendingSlots<'_>) {
+        (self.nodes.ascending(), self.prims.ascending())
     }
 
     /// Unmark every slot, keeping the allocations.
     pub fn clear(&mut self) {
-        // Every set bit belongs to a listed slot, so zeroing the words the
-        // lists point at clears the bitsets.
-        for &n in &self.nodes {
-            self.node_bits[n as usize / 64] = 0;
-        }
-        for &p in &self.prims {
-            self.prim_bits[p as usize / 64] = 0;
-        }
         self.nodes.clear();
         self.prims.clear();
     }
+}
 
-    /// Grow the bitsets to cover every slot of `bvh`.
-    fn fit(&mut self, bvh: &Bvh) {
-        let words = |slots: usize| slots.div_ceil(64);
-        if self.node_bits.len() < words(bvh.nodes.len()) {
-            self.node_bits.resize(words(bvh.nodes.len()), 0);
-        }
-        if self.prim_bits.len() < words(bvh.prim_indices.len()) {
-            self.prim_bits.resize(words(bvh.prim_indices.len()), 0);
+/// One bitset of [`VisitMarks`] with its set-bit count and word list.
+#[derive(Debug, Clone, Default)]
+struct SlotSet {
+    bits: Vec<u64>,
+    /// Indices of the words of `bits` that are non-zero, each once.
+    words: Vec<u32>,
+    len: usize,
+}
+
+impl SlotSet {
+    /// Grow the bitset to cover `slots` slots.
+    fn fit(&mut self, slots: usize) {
+        let words = slots.div_ceil(64);
+        if self.bits.len() < words {
+            self.bits.resize(words, 0);
         }
     }
 
-    /// Mark `slot` in `bits`, listing it if this is its first visit.
+    /// Mark `slot`, counting it if this is its first visit.
     #[inline]
-    fn mark(bits: &mut [u64], list: &mut Vec<u32>, slot: u32) {
-        let word = &mut bits[slot as usize / 64];
+    fn mark(&mut self, slot: u32) {
+        let w = slot as usize / 64;
+        let word = &mut self.bits[w];
         let bit = 1u64 << (slot % 64);
         if *word & bit == 0 {
+            if *word == 0 {
+                self.words.push(w as u32);
+            }
             *word |= bit;
-            list.push(slot);
+            self.len += 1;
         }
+    }
+
+    fn clear(&mut self) {
+        // Only listed words have a bit set.
+        for &w in &self.words {
+            self.bits[w as usize] = 0;
+        }
+        self.words.clear();
+        self.len = 0;
+    }
+
+    fn ascending(&mut self) -> AscendingSlots<'_> {
+        self.words.sort_unstable();
+        AscendingSlots {
+            bits: &self.bits,
+            words: self.words.iter(),
+            word: 0,
+            base: 0,
+        }
+    }
+}
+
+/// The marked slots of one kind, in ascending order (see
+/// [`VisitMarks::ascending`]).
+#[derive(Debug, Clone)]
+pub struct AscendingSlots<'a> {
+    bits: &'a [u64],
+    words: std::slice::Iter<'a, u32>,
+    /// The unvisited set bits of the current word.
+    word: u64,
+    /// The slot of the current word's bit 0.
+    base: u32,
+}
+
+impl Iterator for AscendingSlots<'_> {
+    type Item = u32;
+
+    #[inline]
+    fn next(&mut self) -> Option<u32> {
+        while self.word == 0 {
+            let &w = self.words.next()?;
+            self.word = self.bits[w as usize];
+            self.base = w * 64;
+        }
+        let bit = self.word.trailing_zeros();
+        self.word &= self.word - 1;
+        Some(self.base + bit)
     }
 }
 
@@ -140,7 +198,7 @@ impl Bvh {
 
     /// As [`Bvh::traverse`], additionally marking every node and primitive
     /// slot the ray reads in `marks`. Earlier marks are kept, so slots this
-    /// ray shares with rays traversed before it are listed once.
+    /// ray shares with rays traversed before it are counted once.
     pub fn traverse_marked<F>(
         &self,
         ray: &Ray,
@@ -150,7 +208,8 @@ impl Bvh {
     where
         F: FnMut(u32) -> TraversalControl,
     {
-        marks.fit(self);
+        marks.nodes.fit(self.nodes.len());
+        marks.prims.fit(self.prim_indices.len());
         self.traverse_impl(ray, &mut on_hit, Some(marks))
     }
 
@@ -175,7 +234,7 @@ impl Bvh {
             let node = &self.nodes[node_idx as usize];
             stats.nodes_visited += 1;
             if let Some(m) = marks.as_deref_mut() {
-                VisitMarks::mark(&mut m.node_bits, &mut m.nodes, node_idx);
+                m.nodes.mark(node_idx);
             }
             if !node.aabb.intersects_ray(ray) {
                 continue;
@@ -191,7 +250,7 @@ impl Bvh {
                         let prim_id = self.prim_indices[slot as usize];
                         stats.prim_tests += 1;
                         if let Some(m) = marks.as_deref_mut() {
-                            VisitMarks::mark(&mut m.prim_bits, &mut m.prims, slot);
+                            m.prims.mark(slot);
                         }
                         if self.prim_aabbs[prim_id as usize].intersects_ray(ray) {
                             stats.is_calls += 1;
@@ -301,7 +360,7 @@ mod tests {
     }
 
     #[test]
-    fn marks_list_each_slot_a_ray_reads_once() {
+    fn marks_count_each_slot_a_ray_reads_once() {
         let points = sample_points();
         let bvh = build_point_bvh(&points, 0.7, BuildParams::default());
         let mut marks = VisitMarks::default();
@@ -310,26 +369,36 @@ mod tests {
             &mut marks,
             |_| TraversalControl::Continue,
         );
-        assert_eq!(marks.nodes().len() as u64, stats.nodes_visited);
-        assert_eq!(marks.prims().len() as u64, stats.prim_tests);
-        assert_eq!(marks.nodes()[0], 0, "traversal starts at the root");
+        assert_eq!(marks.node_count() as u64, stats.nodes_visited);
+        assert_eq!(marks.prim_count() as u64, stats.prim_tests);
+        // The walks list every counted slot once, in ascending order.
+        let (nodes, prims) = marks.ascending();
+        let (nodes, prims): (Vec<u32>, Vec<u32>) = (nodes.collect(), prims.collect());
+        assert_eq!(nodes.len(), marks.node_count());
+        assert_eq!(prims.len(), marks.prim_count());
+        assert!(nodes.windows(2).all(|w| w[0] < w[1]));
+        assert!(prims.windows(2).all(|w| w[0] < w[1]));
+        assert_eq!(nodes[0], 0, "traversal reads the root");
         // A second ray adds only the slots the first did not read.
-        let first = marks.nodes().len();
+        let first = marks.node_count();
         let stats2 = bvh.traverse_marked(
             &Ray::point_probe(Vec3::new(2.6, 2.5, 2.5)),
             &mut marks,
             |_| TraversalControl::Continue,
         );
-        assert!(marks.nodes().len() < first + stats2.nodes_visited as usize);
+        assert!(marks.node_count() < first + stats2.nodes_visited as usize);
+        assert_eq!(marks.ascending().0.count(), marks.node_count());
         // Clearing forgets every mark.
         marks.clear();
-        assert!(marks.nodes().is_empty() && marks.prims().is_empty());
+        assert_eq!((marks.node_count(), marks.prim_count()), (0, 0));
+        let (nodes, prims) = marks.ascending();
+        assert_eq!(nodes.count() + prims.count(), 0);
         let stats3 = bvh.traverse_marked(
             &Ray::point_probe(Vec3::new(-10.0, 0.0, 0.0)),
             &mut marks,
             |_| TraversalControl::Continue,
         );
-        assert_eq!(marks.nodes(), [0]);
+        assert_eq!(marks.ascending().0.collect::<Vec<_>>(), [0]);
         assert_eq!(stats3.nodes_visited, 1);
     }
 
@@ -339,7 +408,8 @@ mod tests {
         for &q in queries {
             bvh.traverse_marked(&Ray::point_probe(q), marks, |_| TraversalControl::Continue);
         }
-        (marks.nodes().to_vec(), marks.prims().to_vec())
+        let (nodes, prims) = marks.ascending();
+        (nodes.collect(), prims.collect())
     }
 
     #[test]
@@ -415,9 +485,8 @@ mod tests {
                 TraversalControl::Continue
             });
             marks
-                .nodes()
-                .iter()
-                .copied()
+                .ascending()
+                .0
                 .collect::<std::collections::HashSet<_>>()
         };
         let a = trace_of(Vec3::new(1.0, 1.0, 1.0));

@@ -1,11 +1,11 @@
 //! Property tests pinning a warp's footprint to its definition: the
-//! distinct node and primitive slots of one `VisitMarks` set, traversed by
-//! every ray of a warp in turn, are exactly the union of the rays'
-//! single-ray visit sets — for arbitrary clouds, AABB widths, query orders
-//! and warp sizes 1–32.
+//! ascending walk of one `VisitMarks` set, traversed by every ray of a warp
+//! in turn, is exactly the sorted, deduplicated union of the rays'
+//! single-ray visit sets, and its counts are that union's sizes — for
+//! arbitrary clouds, AABB widths, query orders and warp sizes 1–32.
 //!
 //! A single ray reads each slot at most once, so a fresh set per ray must
-//! list as many slots as the ray's own work counters report.
+//! count as many slots as the ray's own work counters report.
 
 use proptest::prelude::*;
 use rtnn_bvh::{build_point_bvh, BuildParams, TraversalControl, VisitMarks};
@@ -53,33 +53,24 @@ proptest! {
                 let ray = Ray::point_probe(queries[q]);
                 let mut single = VisitMarks::default();
                 let stats = bvh.traverse_marked(&ray, &mut single, |_| TraversalControl::Continue);
-                prop_assert_eq!(single.nodes().len() as u64, stats.nodes_visited);
-                prop_assert_eq!(single.prims().len() as u64, stats.prim_tests);
-                union_nodes.extend_from_slice(single.nodes());
-                union_prims.extend_from_slice(single.prims());
+                prop_assert_eq!(single.node_count() as u64, stats.nodes_visited);
+                prop_assert_eq!(single.prim_count() as u64, stats.prim_tests);
+                let (nodes, prims) = single.ascending();
+                union_nodes.extend(nodes);
+                union_prims.extend(prims);
 
                 let warp_stats =
                     bvh.traverse_marked(&ray, &mut warp_marks, |_| TraversalControl::Continue);
                 // Marks never change the traversal itself.
                 prop_assert_eq!(warp_stats, stats);
             }
-            prop_assert_eq!(
-                sorted_distinct(warp_marks.nodes().to_vec()),
-                sorted_distinct(union_nodes)
-            );
-            prop_assert_eq!(
-                sorted_distinct(warp_marks.prims().to_vec()),
-                sorted_distinct(union_prims)
-            );
-            // The lists hold each slot once.
-            prop_assert_eq!(
-                sorted_distinct(warp_marks.nodes().to_vec()).len(),
-                warp_marks.nodes().len()
-            );
-            prop_assert_eq!(
-                sorted_distinct(warp_marks.prims().to_vec()).len(),
-                warp_marks.prims().len()
-            );
+            let union_nodes = sorted_distinct(union_nodes);
+            let union_prims = sorted_distinct(union_prims);
+            prop_assert_eq!(warp_marks.node_count(), union_nodes.len());
+            prop_assert_eq!(warp_marks.prim_count(), union_prims.len());
+            let (nodes, prims) = warp_marks.ascending();
+            prop_assert_eq!(nodes.collect::<Vec<_>>(), union_nodes);
+            prop_assert_eq!(prims.collect::<Vec<_>>(), union_prims);
         }
     }
 }

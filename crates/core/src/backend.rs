@@ -23,7 +23,7 @@
 use crate::shaders::{FirstHitProgram, KnnHeap, KnnProgram, QueryIndexing, RangeProgram, NO_HIT};
 use rtnn_bvh::BuildParams;
 use rtnn_gpusim::device::OutOfDeviceMemory;
-use rtnn_gpusim::kernel::{point_address, run_sm_kernel, ThreadWork};
+use rtnn_gpusim::kernel::{point_address, run_sm_kernel};
 use rtnn_gpusim::{Device, IsShaderKind, StructureTiming};
 use rtnn_math::{Aabb, Vec3};
 use rtnn_optix::{Gas, LaunchMetrics, Pipeline};
@@ -227,7 +227,7 @@ pub fn exhaustive_traverse(
         hit: bool,
     }
 
-    let (outcomes, kernel) = run_sm_kernel(device, job.query_ids.len(), |launch_idx| {
+    let (outcomes, kernel) = run_sm_kernel(device, job.query_ids.len(), |launch_idx, work| {
         let q = job.queries[job.query_ids[launch_idx] as usize];
         let mut out = ScanOutcome::default();
         // Candidate test: exactly what BVH traversal of a degenerate
@@ -287,14 +287,13 @@ pub fn exhaustive_traverse(
                 }
             }
         }
-        // Sample the address stream (one address per 32 points) to keep
-        // the trace bounded; the op count carries the full cost.
-        let addresses: Vec<u64> = (0..out.scanned as u32)
-            .step_by(32)
-            .map(point_address)
-            .collect();
-        let work = ThreadWork::new(out.scanned * OPS_PER_SCAN_TEST, addresses);
-        (out, work)
+        // Sample the reads (one point per 32) to keep the trace bounded;
+        // the op count carries the full cost.
+        work.ops(out.scanned * OPS_PER_SCAN_TEST);
+        for pi in (0..out.scanned as u32).step_by(32) {
+            work.read(point_address(pi));
+        }
+        out
     });
 
     let mut metrics = LaunchMetrics {

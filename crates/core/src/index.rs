@@ -45,7 +45,7 @@ use crate::engine::{OptLevel, SearchError};
 use crate::megacell::MegacellGrid;
 use crate::partition::{KnnAabbRule, MegacellCache, Partition};
 use crate::pipeline::{PartitionCx, ScheduleCx, StageKind, StageMeter, StageOverrides};
-use crate::plan::{PlanError, QueryPlan};
+use crate::plan::{validate_points, PlanError, QueryPlan};
 use crate::result::{SearchMode, SearchParams, SearchResults, TimeBreakdown};
 use rtnn_bvh::BuildParams;
 use rtnn_gpusim::kernel::point_cloud_bytes;
@@ -310,13 +310,18 @@ pub struct Index<'a> {
     cache_params: Option<SearchParams>,
     dirty_region: Aabb,
     pending_structure_ms: f64,
+    /// The outcome of the one finiteness scan of `points`, run at the
+    /// first query (`None` until then).
+    point_check: Option<Result<(), PlanError>>,
 }
 
 impl<'a> Index<'a> {
     /// Build an index over `points` on `backend`. Structures are built
     /// lazily — each AABB width the plans demand is built on first use and
     /// cached — so construction is cheap; validation happens at
-    /// [`query`](Self::query) time.
+    /// [`query`](Self::query) time, the points' included: every query
+    /// fails with [`PlanError::NonFinitePoint`] if one of them is NaN or
+    /// infinite.
     pub fn build(
         backend: &'a dyn Backend,
         points: impl Into<Cow<'a, [Vec3]>>,
@@ -332,6 +337,7 @@ impl<'a> Index<'a> {
             cache_params: None,
             dirty_region: Aabb::EMPTY,
             pending_structure_ms: 0.0,
+            point_check: None,
         }
     }
 
@@ -360,6 +366,7 @@ impl<'a> Index<'a> {
             cache_params: scene.cache_params,
             dirty_region: scene.dirty_region,
             pending_structure_ms: 0.0,
+            point_check: None,
         }
     }
 
@@ -480,6 +487,9 @@ impl<'a> Index<'a> {
         let plan = plan.resolve_caps(self.points.len());
         let plan = plan.normalized();
         plan.validate_for(queries)?;
+        self.point_check
+            .get_or_insert_with(|| validate_points(&self.points))
+            .clone()?;
         let tel = Telemetry::current();
         let mut query_span = tel.as_ref().map(|t| {
             t.span(match plan.as_ref().kind_label() {

@@ -155,10 +155,9 @@ pub fn partition_queries(
         // Megacell kernel: one thread per query. The host-side growth result
         // is returned as the thread's result; its work is charged to the
         // device.
-        None => run_sm_kernel(device, query_order.len(), |launch_idx| {
+        None => run_sm_kernel(device, query_order.len(), |launch_idx, work| {
             let q = queries[query_order[launch_idx] as usize];
-            let (mc, work) = grow_megacell(grid, q, params);
-            (Wrapped(mc), work)
+            Wrapped(grow_megacell(grid, q, params, work))
         }),
         Some((cache, dirty_region)) => grow_cached(
             device,
@@ -174,21 +173,25 @@ pub fn partition_queries(
 }
 
 /// Grow one query's megacell and account its device-side work: the
-/// cell-count records the growth examined (the address list is capped to
-/// keep it bounded; the op count carries the full cost).
+/// cell-count records the growth examined (the read is capped at a run of
+/// 32 records from the query's cell to keep it bounded; the op count
+/// carries the full cost).
 fn grow_megacell(
     grid: &MegacellGrid,
     q: Vec3,
     params: &SearchParams,
-) -> (MegacellResult, ThreadWork) {
+    work: &mut ThreadWork<'_>,
+) -> MegacellResult {
     let mc = grid.megacell_for(q, params.radius, params.k);
     let centre_cell = grid.grid().cell_index(grid.grid().cell_of(q));
     let touched = (mc.cells_scanned as usize).min(32);
-    let addresses = (0..touched)
-        .map(|i| cell_offset_address(centre_cell + i))
-        .collect();
-    let work = ThreadWork::new(mc.cells_scanned as u64, addresses);
-    (mc, work)
+    work.ops(mc.cells_scanned as u64);
+    if touched > 0 {
+        work.read_range(
+            cell_offset_address(centre_cell)..=cell_offset_address(centre_cell + touched - 1),
+        );
+    }
+    mc
 }
 
 /// Group per-query megacell results (aligned with `query_order`) into
@@ -332,7 +335,7 @@ fn grow_cached(
 ) -> (Vec<Wrapped>, KernelMetrics) {
     cache.ensure_params(params, queries.len());
     let entries = &cache.entries;
-    let (outcomes, opt_metrics) = run_sm_kernel(device, query_order.len(), |launch_idx| {
+    let (outcomes, opt_metrics) = run_sm_kernel(device, query_order.len(), |launch_idx, work| {
         let qid = query_order[launch_idx] as usize;
         let q = queries[qid];
         let in_grid = grid.grid().bounds().contains_point(q);
@@ -341,27 +344,21 @@ fn grow_cached(
                 let same_cell = cell as usize == grid.cell_index_of(q);
                 if same_cell && !grid.reach_bounds(q, params.radius).overlaps(dirty_region) {
                     // Cache hit: one probe of the per-query state.
-                    let work = ThreadWork::new(1, vec![cell_offset_address(cell as usize)]);
-                    return (
-                        CachedOutcome {
-                            mc: Wrapped(cached),
-                            recomputed: false,
-                            in_grid,
-                        },
-                        work,
-                    );
+                    work.ops(1);
+                    work.read(cell_offset_address(cell as usize));
+                    return CachedOutcome {
+                        mc: Wrapped(cached),
+                        recomputed: false,
+                        in_grid,
+                    };
                 }
             }
         }
-        let (mc, work) = grow_megacell(grid, q, params);
-        (
-            CachedOutcome {
-                mc: Wrapped(mc),
-                recomputed: true,
-                in_grid,
-            },
-            work,
-        )
+        CachedOutcome {
+            mc: Wrapped(grow_megacell(grid, q, params, work)),
+            recomputed: true,
+            in_grid,
+        }
     });
 
     // Fold the frame's outcomes back into the cache: recomputed in-grid

@@ -370,6 +370,30 @@ impl QueryPlan {
     }
 }
 
+/// Check that every indexed point is finite
+/// ([`PlanError::NonFinitePoint`] names the first that is not). An
+/// [`Index`](crate::Index) runs this once, at its first query: a NaN or
+/// infinite point has no distance to compare, so no answer over it can
+/// agree with the brute-force oracle.
+///
+/// ```
+/// use rtnn::plan::validate_points;
+/// use rtnn::PlanError;
+/// use rtnn_math::Vec3;
+///
+/// let points = [Vec3::ZERO, Vec3::ONE, Vec3::new(0.0, f32::INFINITY, 0.0)];
+/// assert_eq!(
+///     validate_points(&points).unwrap_err(),
+///     PlanError::NonFinitePoint { point_id: 2 }
+/// );
+/// ```
+pub fn validate_points(points: &[Vec3]) -> Result<(), PlanError> {
+    match points.iter().position(|p| !p.is_finite()) {
+        Some(i) => Err(PlanError::NonFinitePoint { point_id: i as u32 }),
+        None => Ok(()),
+    }
+}
+
 /// Append every (transitively nested) slice of `slices` to `merged`,
 /// grouping by exact parameters (per-group deduplication happens in the
 /// caller once the groups are complete).
@@ -471,6 +495,13 @@ pub enum PlanError {
         /// Index of the offending query in the call's query array.
         query_id: u32,
     },
+    /// An indexed point has a NaN or infinite coordinate.
+    NonFinitePoint {
+        /// The caller's id of the offending point: its index in the points
+        /// the index was built over (the global id for a sharded index, the
+        /// stable handle for a streaming frame).
+        point_id: u32,
+    },
 }
 
 impl std::fmt::Display for PlanError {
@@ -512,6 +543,10 @@ impl std::fmt::Display for PlanError {
             PlanError::NonFiniteQuery { query_id } => write!(
                 f,
                 "query {query_id}: query positions must be finite, got a NaN or infinite coordinate"
+            ),
+            PlanError::NonFinitePoint { point_id } => write!(
+                f,
+                "point {point_id}: indexed points must be finite, got a NaN or infinite coordinate"
             ),
         }
     }

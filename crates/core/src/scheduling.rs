@@ -26,7 +26,7 @@
 //! of the Figure 5/6 experiment.
 
 use crate::plan::PlanError;
-use rtnn_gpusim::kernel::{point_address, run_sm_kernel, ThreadWork};
+use rtnn_gpusim::kernel::{point_address, run_sm_kernel};
 use rtnn_gpusim::{Device, KernelMetrics};
 use rtnn_math::morton::MortonEncoder;
 use rtnn_math::{Aabb, Vec3};
@@ -93,8 +93,9 @@ pub(crate) fn anchor_keys(
 /// (`O(log n)` comparisons + one key read per thread).
 pub(crate) fn charge_sort_kernel(device: &Device, n: usize) -> KernelMetrics {
     let log_n = (n as f64).log2().ceil().max(1.0) as u64;
-    let (_, sort_metrics) = run_sm_kernel(device, n, |i| {
-        ((), ThreadWork::new(log_n, vec![point_address(i as u32)]))
+    let (_, sort_metrics) = run_sm_kernel(device, n, |i, work| {
+        work.ops(log_n);
+        work.read(point_address(i as u32));
     });
     sort_metrics
 }

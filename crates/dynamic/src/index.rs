@@ -4,8 +4,8 @@
 
 use crate::policy::RebuildPolicy;
 use rtnn::{
-    Accel, AdoptedScene, Backend, GpusimBackend, Index, MegacellCache, MegacellGrid, QueryPlan,
-    RtnnConfig, SearchError, SearchResults, StageOverrides,
+    Accel, AdoptedScene, Backend, GpusimBackend, Index, MegacellCache, MegacellGrid, PlanError,
+    QueryPlan, RtnnConfig, SearchError, SearchResults, StageOverrides,
 };
 use rtnn_bvh::SahMonitor;
 use rtnn_gpusim::{Device, FrameAccumulator};
@@ -237,7 +237,10 @@ impl<'d> DynamicIndex<'d> {
         index
     }
 
-    /// Insert a point; returns its stable handle.
+    /// Insert a point; returns its stable handle. A NaN or infinite `p` is
+    /// accepted here; the next frame ([`search`](Self::search) or
+    /// [`as_index`](Self::as_index)) fails with
+    /// [`PlanError::NonFinitePoint`] naming the handle.
     pub fn insert(&mut self, p: Vec3) -> u32 {
         let handle = self.positions.len() as u32;
         self.positions.push(p);
@@ -263,7 +266,8 @@ impl<'d> DynamicIndex<'d> {
     }
 
     /// Move a live point to a new position. Returns false for unknown or
-    /// removed handles.
+    /// removed handles. As with [`insert`](Self::insert), a NaN or
+    /// infinite `p` is reported by the next frame.
     pub fn move_point(&mut self, handle: u32, p: Vec3) -> bool {
         match self.live.get(handle as usize) {
             Some(true) => {
@@ -458,6 +462,19 @@ impl<'d> DynamicIndex<'d> {
     fn sync_structures(&mut self) -> Result<SyncInfo, SearchError> {
         // Validate early so invalid configs fail before touching state.
         self.config.params.validate().map_err(SearchError::from)?;
+        // So do non-finite positions: a frame that reports one leaves every
+        // mutation pending, so the frame after the point is repaired runs
+        // as if this one never had. Every folded position is finite, so
+        // only pending ones need a look.
+        let non_finite = |h: u32| !self.positions[h as usize].is_finite();
+        let first_bad = if self.membership_dirty {
+            (0..self.positions.len() as u32).find(|&h| self.live[h as usize] && non_finite(h))
+        } else {
+            self.moved_slots.iter().copied().find(|&h| non_finite(h))
+        };
+        if let Some(handle) = first_bad {
+            return Err(PlanError::NonFinitePoint { point_id: handle }.into());
+        }
         let width = self.config.engine.aabb_width(self.config.params.radius);
 
         let membership_was_dirty = self.membership_dirty;

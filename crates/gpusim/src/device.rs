@@ -2,6 +2,7 @@
 //! structure build timing, and PCIe transfer timing.
 
 use crate::config::DeviceConfig;
+use crate::kernel::validate_device_config;
 use crate::metrics::KernelMetrics;
 use crate::shard::SmShard;
 use rtnn_parallel::par_map_collect_mut;
@@ -118,7 +119,16 @@ impl std::fmt::Debug for Device {
 
 impl Device {
     /// Wrap a configuration.
+    ///
+    /// # Panics
+    ///
+    /// Panics with the message of [`validate_device_config`] if the
+    /// simulator cannot run `config` (no SMs, a zero warp size or clock, a
+    /// cache without ways or with a line size that is not a power of two).
     pub fn new(config: DeviceConfig) -> Self {
+        if let Err(e) = validate_device_config(&config) {
+            panic!("error: invalid device config {:?}: {e}", config.name);
+        }
         Device {
             config,
             spare_shards: Mutex::new(Vec::new()),
@@ -403,6 +413,55 @@ mod tests {
         assert!(err.to_string().contains("exceeds device memory"));
     }
 
+    /// A device over the tiny test config with one field broken.
+    fn tiny_with(edit: impl FnOnce(&mut DeviceConfig)) -> Device {
+        let mut config = DeviceConfig::tiny_test_device();
+        edit(&mut config);
+        Device::new(config)
+    }
+
+    #[test]
+    #[should_panic(expected = "device must have at least one SM")]
+    fn a_device_without_sms_is_rejected() {
+        tiny_with(|c| c.num_sms = 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "warp size must be positive")]
+    fn a_zero_warp_size_is_rejected() {
+        tiny_with(|c| c.warp_size = 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "clock must be positive")]
+    fn a_zero_clock_is_rejected() {
+        tiny_with(|c| c.clock_ghz = 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "L1 must have at least one way")]
+    fn an_l1_without_ways_is_rejected() {
+        tiny_with(|c| c.l1.ways = 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "L2 must have at least one way")]
+    fn an_l2_without_ways_is_rejected() {
+        tiny_with(|c| c.l2.ways = 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "L1 line size must be a power of two, got 96 bytes")]
+    fn an_l1_line_size_that_is_not_a_power_of_two_is_rejected() {
+        tiny_with(|c| c.l1.line_bytes = 96);
+    }
+
+    #[test]
+    #[should_panic(expected = "L2 line size must be a power of two, got 0 bytes")]
+    fn an_empty_l2_line_is_rejected() {
+        tiny_with(|c| c.l2.line_bytes = 0);
+    }
+
     #[test]
     fn run_warps_returns_per_thread_results_in_order() {
         let d = Device::tiny_test_device();
@@ -471,11 +530,11 @@ mod tests {
             d.run_warps(num_sms * 32 * 8, |range, shard| {
                 let w = range.start / 32;
                 let sm = w % num_sms;
-                let addrs: Vec<u64> = range
+                let lines: std::collections::BTreeSet<u64> = range
                     .clone()
-                    .map(|i| (i as u64).wrapping_mul(2_654_435_761) % 100_003 * 64)
+                    .map(|i| (i as u64).wrapping_mul(2_654_435_761) % 100_003 / 2)
                     .collect();
-                shard.access_warp_memory(&addrs);
+                shard.access_lines(&lines.into_iter().collect::<Vec<_>>());
                 shard.charge_sm_cycles((1.0 + w as f64 / 3.0) * 10f64.powi((sm % 9) as i32));
                 shard.charge_rt_node_tests(w as f64 / 7.0);
                 shard.note_simt_work(w as f64 * 0.7, 32.0);
@@ -507,8 +566,9 @@ mod tests {
         let d = Device::rtx_2080();
         let run = || {
             d.run_warps(10_000, |range, shard| {
-                let addrs: Vec<u64> = range.clone().map(|i| (i as u64 % 997) * 64).collect();
-                shard.access_warp_memory(&addrs);
+                let lines: std::collections::BTreeSet<u64> =
+                    range.clone().map(|i| i as u64 % 997 / 2).collect();
+                shard.access_lines(&lines.into_iter().collect::<Vec<_>>());
                 shard.charge_sm_ops(range.len() as f64);
                 vec![(); range.len()]
             })

@@ -14,10 +14,14 @@
 //!   reported as *SIMT efficiency*, the analogue of the SM occupancy the
 //!   paper measures in Figure 6.
 //! * **Memory hierarchy**: a per-SM L1 and a (sharded) L2, both
-//!   set-associative with LRU replacement, fed with the cache-line addresses
-//!   each warp touches (after intra-warp coalescing). Incoherent rays touch
-//!   more distinct lines, so their hit rates drop — the second half of
-//!   Figure 6.
+//!   set-associative with LRU replacement, fed with the distinct cache
+//!   lines each warp touches, in ascending order (intra-warp coalescing:
+//!   one transaction per line, [`SmShard::access_lines`]). Incoherent rays
+//!   touch more distinct lines, so their hit rates drop — the second half
+//!   of Figure 6. The caches keep tags only, in most-recently-used order,
+//!   and line sizes are powers of two, so the host cost of a probe is a
+//!   scan of one set with no division ([`cache`]); a launch or kernel pays
+//!   for the distinct lines its warps touch, not for every address.
 //! * **RT cores vs. SMs**: BVH node tests are charged at RT-core rates;
 //!   intersection-shader work is charged at SM rates, with the
 //!   range/KNN/no-sphere-test cost split the paper describes (Sections 3.1,

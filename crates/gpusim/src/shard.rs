@@ -26,8 +26,6 @@ pub struct SmShard {
     useful_lane_work: f64,
     issued_warp_work: f64,
     warps_executed: u64,
-    /// Scratch buffer for intra-warp coalescing.
-    line_scratch: Vec<u64>,
 }
 
 impl SmShard {
@@ -48,7 +46,6 @@ impl SmShard {
             useful_lane_work: 0.0,
             issued_warp_work: 0.0,
             warps_executed: 0,
-            line_scratch: Vec::with_capacity(64),
         }
     }
 
@@ -113,37 +110,38 @@ impl SmShard {
         self.cycles += cycles;
     }
 
-    /// Issue one warp-level memory transaction for every distinct cache line
-    /// touched by `addresses` (intra-warp coalescing), probe the cache
-    /// hierarchy and charge the resulting stall cycles.
-    pub fn access_warp_memory(&mut self, addresses: &[u64]) {
-        if addresses.is_empty() {
+    /// `log2` of the L1 line size: a warp's reads of byte addresses `a`
+    /// and `b` coalesce into one transaction when
+    /// `a >> line_shift() == b >> line_shift()`.
+    #[inline]
+    pub fn line_shift(&self) -> u32 {
+        self.l1.line_shift()
+    }
+
+    /// Issue one warp-level memory transaction per L1 line in `lines` — the
+    /// distinct lines the warp reads, in ascending order — probe the cache
+    /// hierarchy and charge the resulting stall cycles, summed in that
+    /// order. An L1 miss probes the L2 line holding the same bytes.
+    pub fn access_lines(&mut self, lines: &[u64]) {
+        debug_assert!(
+            lines.windows(2).all(|w| w[0] < w[1]),
+            "a warp's lines must be ascending and distinct"
+        );
+        if lines.is_empty() {
             return;
         }
-        // Coalesce: one transaction per distinct line.
-        self.line_scratch.clear();
-        for &a in addresses {
-            self.line_scratch.push(self.l1.line_of(a));
-        }
-        self.line_scratch.sort_unstable();
-        self.line_scratch.dedup();
-
+        let (l1_shift, l2_shift) = (self.l1.line_shift(), self.l2.line_shift());
         let mut stall = 0.0;
-        let line_bytes = self.l1.config().line_bytes as u64;
-        // Iterate lines; borrow rules: compute addresses first.
-        let lines = std::mem::take(&mut self.line_scratch);
-        for &line in &lines {
-            let addr = line * line_bytes;
-            if self.l1.access(addr) {
+        for &line in lines {
+            if self.l1.access(line) {
                 stall += self.cost.l1_hit_cycles;
-            } else if self.l2.access(addr) {
+            } else if self.l2.access((line << l1_shift) >> l2_shift) {
                 stall += self.cost.l2_hit_cycles;
             } else {
                 self.dram_accesses += 1;
                 stall += self.cost.dram_cycles;
             }
         }
-        self.line_scratch = lines;
         let visible = stall * (1.0 - self.cost.latency_hiding);
         self.mem_stall_cycles += visible;
         self.cycles += visible;
@@ -215,25 +213,36 @@ mod tests {
     }
 
     #[test]
-    fn coalescing_counts_one_access_per_line() {
+    fn every_listed_line_is_one_access() {
         let mut s = shard();
-        // 32 addresses inside a single 64-byte line: one L1 access.
-        let addrs: Vec<u64> = (0..32u64).map(|i| 1024 + i).collect();
-        s.access_warp_memory(&addrs);
+        s.access_lines(&[16]);
         assert_eq!(s.memory_stats().l1.accesses, 1);
-        // 32 addresses on 32 different lines: 32 accesses.
-        let spread: Vec<u64> = (0..32u64).map(|i| 100_000 + i * 64).collect();
-        s.access_warp_memory(&spread);
+        let spread: Vec<u64> = (0..32u64).map(|i| 1_000 + i * 3).collect();
+        s.access_lines(&spread);
         assert_eq!(s.memory_stats().l1.accesses, 33);
+    }
+
+    #[test]
+    fn an_l1_miss_probes_the_l2_line_holding_the_same_bytes() {
+        // 64-byte L1 lines inside 256-byte L2 lines: L1 lines 8..12 share
+        // one L2 line, so only the first of them reaches DRAM.
+        let mut config = DeviceConfig::tiny_test_device();
+        config.l2.line_bytes = 256;
+        let mut s = SmShard::new(&config);
+        s.access_lines(&[8, 9, 10, 11, 12]);
+        let m = s.memory_stats();
+        assert_eq!((m.l1.accesses, m.l1.hits), (5, 0));
+        assert_eq!((m.l2.accesses, m.l2.hits), (5, 3));
+        assert_eq!(m.dram_accesses, 2);
     }
 
     #[test]
     fn repeated_warp_accesses_hit_in_l1() {
         let mut s = shard();
-        let addrs: Vec<u64> = (0..4u64).map(|i| i * 64).collect();
-        s.access_warp_memory(&addrs);
+        let lines = [0, 1, 2, 3];
+        s.access_lines(&lines);
         let cold_cycles = s.cycles();
-        s.access_warp_memory(&addrs);
+        s.access_lines(&lines);
         let warm_cycles = s.cycles() - cold_cycles;
         assert!(
             warm_cycles < cold_cycles,
@@ -246,8 +255,8 @@ mod tests {
     fn dram_accesses_are_counted() {
         let mut s = shard();
         // Stream far more distinct lines than L1+L2 shard capacity.
-        for i in 0..2000u64 {
-            s.access_warp_memory(&[i * 64]);
+        for line in 0..2000u64 {
+            s.access_lines(&[line]);
         }
         let m = s.memory_stats();
         assert!(m.dram_accesses > 0);
@@ -257,7 +266,7 @@ mod tests {
     #[test]
     fn empty_memory_access_is_free() {
         let mut s = shard();
-        s.access_warp_memory(&[]);
+        s.access_lines(&[]);
         assert_eq!(s.cycles(), 0.0);
         assert_eq!(s.memory_stats().l1.accesses, 0);
     }
@@ -269,10 +278,10 @@ mod tests {
         let replay = |s: &mut SmShard, seed: u64| {
             for w in 0..200u64 {
                 s.begin_warp();
-                let addrs: Vec<u64> = (0..32u64)
-                    .map(|lane| ((w * 977 + lane * 131 + seed) % 5000) * 96)
+                let lines: std::collections::BTreeSet<u64> = (0..32u64)
+                    .map(|lane| ((w * 977 + lane * 131 + seed) % 5000 * 96) >> s.line_shift())
                     .collect();
-                s.access_warp_memory(&addrs);
+                s.access_lines(&lines.into_iter().collect::<Vec<_>>());
                 s.charge_rt_node_tests(w as f64 / 3.0);
                 s.charge_is_calls(w as f64 / 7.0, IsShaderKind::Knn);
                 s.note_simt_work(w as f64 * 0.3, 32.0);

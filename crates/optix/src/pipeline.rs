@@ -15,27 +15,34 @@
 //!
 //! A warp traverses each of its rays with
 //! [`Bvh::traverse_marked`](rtnn_bvh::Bvh::traverse_marked) into one
-//! [`VisitMarks`] set, which lists a node or primitive slot the first time
-//! any of the warp's rays reads it. The lengths of those distinct lists are
-//! the warp's RT-core tests and its issued SIMT work. For memory, each list
-//! is mapped to addresses and sorted, nodes then primitives, so the cost
-//! grows with the distinct slots rather than with every ray's visits.
+//! [`VisitMarks`] set, which counts a node or primitive slot the first time
+//! any of the warp's rays reads it. Those distinct counts are the warp's
+//! RT-core tests and its issued SIMT work. For memory, the marks walk their
+//! node slots and then their primitive slots in ascending order; each walk
+//! maps slots to ascending addresses and so to ascending cache lines, and
+//! consecutive equal lines collapse into one. The shard gets the two runs
+//! of lines as one ascending set without a sort of slots, addresses or
+//! lines, so the cost grows with the distinct slots rather than with every
+//! ray's visits. The node records reach the primitive region only past
+//! about 25M nodes (`BVH_PRIMS_BASE − BVH_NODES_BASE` over 32 bytes a
+//! node); from there the two runs interleave, and they are merged.
 //!
-//! Each host thread keeps one footprint (the marks plus the address
-//! buffer) in a thread-local and reuses it for every warp it runs, in every
+//! Each host thread keeps one footprint (the marks plus the line buffer)
+//! in a thread-local and reuses it for every warp it runs, in every
 //! launch. Before its first ray, a warp clears what the thread's previous
-//! warp marked, by walking that warp's distinct lists rather than scanning
-//! the bitsets. This also covers a warp that unwound mid-way because a
-//! shader panicked. Marks never outlive the next warp on their thread, so
-//! the reuse cannot change an answer or a simulated number.
+//! warp marked, by zeroing only the bitset words that warp touched. This
+//! also covers a warp that unwound mid-way because a shader panicked.
+//! Marks never outlive the next warp on their thread, so the reuse cannot
+//! change an answer or a simulated number.
 //!
 //! Memory: a thread's footprint holds one bit per node slot and per
-//! primitive slot of the largest BVH it has traversed, for the life of the
-//! thread (the worker pool's threads live as long as the process), plus
-//! list and address capacity for the largest warp footprint it has
-//! metered. An LBVH here has about 0.71 nodes per point, so at the paper's
-//! 12M-point scale the bits take about 2.6 MB per thread (u32 visit stamps
-//! would take about 82 MB).
+//! primitive slot of the largest BVH it has traversed, plus at most one
+//! 32-bit word index per 64 of those slots, for the life of the thread
+//! (the worker pool's threads live as long as the process), and line
+//! capacity for the largest warp footprint it has metered. An LBVH here
+//! has about 0.71 nodes per point, so at the paper's 12M-point scale the
+//! bits take about 2.6 MB per thread and the word lists at most 1.3 MB
+//! (u32 visit stamps would take about 82 MB).
 
 use crate::gas::{Gas, NODE_BYTES, PRIM_BYTES};
 use crate::shader::{IsVerdict, RayProgram};
@@ -106,11 +113,11 @@ struct RayOutput<P> {
     active: bool,
 }
 
-/// A warp's footprint and the address slice built from it.
+/// A warp's footprint and the cache lines built from it.
 #[derive(Default)]
 struct WarpFootprint {
     marks: VisitMarks,
-    addresses: Vec<u64>,
+    lines: Vec<u64>,
 }
 
 impl WarpFootprint {
@@ -125,7 +132,7 @@ impl WarpFootprint {
         range: Range<usize>,
         shard: &mut SmShard,
     ) -> Vec<RayOutput<P::Payload>> {
-        let WarpFootprint { marks, addresses } = self;
+        let WarpFootprint { marks, lines } = self;
         // Marks left by this thread's previous warp, one that unwound
         // mid-way included, must not count towards this one.
         marks.clear();
@@ -172,33 +179,20 @@ impl WarpFootprint {
         // RT-core work: one node test per distinct node, one AABB test per
         // distinct primitive slot the warp scanned. A node shared by several
         // rays in the warp is broadcast, so it is charged once.
-        let distinct_nodes = marks.nodes().len();
+        let distinct_nodes = marks.node_count();
         shard.charge_rt_node_tests(distinct_nodes as f64);
-        shard.charge_rt_prim_tests(marks.prims().len() as f64);
+        shard.charge_rt_prim_tests(marks.prim_count() as f64);
         // SM shader work: IS invocations interrupt hardware traversal at
         // lane-specific points, so they are only partially SIMT-parallel;
         // every lane's IS calls are charged, packed `is_simt_width` wide.
         let is_width = shard.cost().is_simt_width.max(1.0);
         shard.charge_is_calls(sum_lane_is as f64 / is_width, is_kind);
 
-        // Memory traffic: BVH nodes and primitive records the warp read,
-        // each kind in address order.
-        addresses.clear();
-        addresses.extend(
-            marks
-                .nodes()
-                .iter()
-                .map(|&n| BVH_NODES_BASE + n as u64 * NODE_BYTES),
-        );
-        addresses.sort_unstable();
-        addresses.extend(
-            marks
-                .prims()
-                .iter()
-                .map(|&p| BVH_PRIMS_BASE + p as u64 * PRIM_BYTES),
-        );
-        addresses[distinct_nodes..].sort_unstable();
-        shard.access_warp_memory(addresses);
+        // Memory traffic: the lines of the BVH nodes and primitive records
+        // the warp read.
+        let (nodes, prims) = marks.ascending();
+        footprint_lines(lines, nodes, prims, shard.line_shift());
+        shard.access_lines(lines);
 
         // SIMT efficiency: useful lane-work over issued warp-work.
         let issued = (distinct_nodes as f64).max(1e-9) * warp_size;
@@ -206,6 +200,60 @@ impl WarpFootprint {
 
         warp_results
     }
+}
+
+/// Fill `lines` with the distinct L1 lines (`addr >> line_shift`) of the
+/// node slots `nodes` and primitive slots `prims`, both ascending, in
+/// ascending order.
+fn footprint_lines(
+    lines: &mut Vec<u64>,
+    nodes: impl Iterator<Item = u32>,
+    prims: impl Iterator<Item = u32>,
+    line_shift: u32,
+) {
+    lines.clear();
+    push_run(
+        lines,
+        nodes.map(|n| BVH_NODES_BASE + n as u64 * NODE_BYTES),
+        line_shift,
+    );
+    let split = lines.len();
+    push_run(
+        lines,
+        prims.map(|p| BVH_PRIMS_BASE + p as u64 * PRIM_BYTES),
+        line_shift,
+    );
+    if split > 0 && split < lines.len() && lines[split] <= lines[split - 1] {
+        merge_runs(lines, split);
+    }
+}
+
+/// Append the distinct lines of the ascending addresses `addrs` to `lines`.
+fn push_run(lines: &mut Vec<u64>, addrs: impl Iterator<Item = u64>, line_shift: u32) {
+    let mut last = None;
+    for line in addrs.map(|addr| addr >> line_shift) {
+        if last != Some(line) {
+            lines.push(line);
+            last = Some(line);
+        }
+    }
+}
+
+/// Merge the ascending distinct runs `lines[..split]` and `lines[split..]`
+/// into one ascending distinct sequence.
+fn merge_runs(lines: &mut Vec<u64>, split: usize) {
+    let (a, b) = lines.split_at(split);
+    let mut merged = Vec::with_capacity(lines.len());
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() && j < b.len() {
+        let (x, y) = (a[i], b[j]);
+        merged.push(x.min(y));
+        i += (x <= y) as usize;
+        j += (y <= x) as usize;
+    }
+    merged.extend_from_slice(&a[i..]);
+    merged.extend_from_slice(&b[j..]);
+    *lines = merged;
 }
 
 thread_local! {
@@ -552,6 +600,128 @@ mod tests {
             .metrics;
         assert!(direct.node_visits > 0);
         assert_eq!(format!("{nested:?}"), format!("{direct:?}"));
+    }
+
+    /// The reference for `footprint_lines`: every slot's address mapped to
+    /// its line, then sorted and deduplicated.
+    fn lines_by_sorting(nodes: &[u32], prims: &[u32], line_shift: u32) -> Vec<u64> {
+        let addresses = nodes
+            .iter()
+            .map(|&n| BVH_NODES_BASE + n as u64 * NODE_BYTES)
+            .chain(
+                prims
+                    .iter()
+                    .map(|&p| BVH_PRIMS_BASE + p as u64 * PRIM_BYTES),
+            );
+        let mut lines: Vec<u64> = addresses.map(|a| a >> line_shift).collect();
+        lines.sort_unstable();
+        lines.dedup();
+        lines
+    }
+
+    /// `footprint_lines` over ascending slot lists.
+    fn lines_by_walking(nodes: &[u32], prims: &[u32], line_shift: u32) -> Vec<u64> {
+        let mut lines = vec![7]; // stale content the call must drop
+        footprint_lines(
+            &mut lines,
+            nodes.iter().copied(),
+            prims.iter().copied(),
+            line_shift,
+        );
+        lines
+    }
+
+    #[test]
+    fn warp_lines_equal_the_sorted_lines_of_their_slots() {
+        let device = Device::rtx_2080();
+        let points: Vec<Vec3> = (0..3000u32)
+            .map(|i| {
+                let h = i.wrapping_mul(2_654_435_761);
+                Vec3::new(
+                    (h % 97) as f32,
+                    (h / 97 % 89) as f32,
+                    (h / 8633 % 83) as f32,
+                ) * 0.1
+            })
+            .collect();
+        let gas = Gas::build_from_points(&device, &points, 0.4, BuildParams::default()).unwrap();
+        let mut marks = VisitMarks::default();
+        let mut state = 0x853C_49E6_748F_EA9Bu64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for warp in 0..200 {
+            marks.clear();
+            let rays = 1 + next() % 32;
+            for _ in 0..rays {
+                let q = points[(next() % points.len() as u64) as usize];
+                let jitter = Vec3::new((next() % 7) as f32, (next() % 5) as f32, 0.0) * 0.05;
+                gas.bvh()
+                    .traverse_marked(&Ray::point_probe(q + jitter), &mut marks, |_| {
+                        TraversalControl::Continue
+                    });
+            }
+            let (nodes, prims) = marks.ascending();
+            let (nodes, prims): (Vec<u32>, Vec<u32>) = (nodes.collect(), prims.collect());
+            for line_shift in [6, 7] {
+                assert_eq!(
+                    lines_by_walking(&nodes, &prims, line_shift),
+                    lines_by_sorting(&nodes, &prims, line_shift),
+                    "warp {warp}, {} B lines",
+                    1 << line_shift
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn node_lines_that_reach_the_primitive_region_are_merged() {
+        // Node slot `reach` sits at BVH_PRIMS_BASE, so nodes from there on
+        // share lines with the first primitive slots.
+        let reach = ((BVH_PRIMS_BASE - BVH_NODES_BASE) / NODE_BYTES) as u32;
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        let mut pick = |lo: u32, n: u32| -> Vec<u32> {
+            let mut slots: Vec<u32> = (0..n)
+                .map(|_| {
+                    state ^= state << 13;
+                    state ^= state >> 7;
+                    state ^= state << 17;
+                    lo + (state % 900) as u32
+                })
+                .collect();
+            slots.sort_unstable();
+            slots.dedup();
+            slots
+        };
+        let mut interleaved = 0;
+        for case in 0..60 {
+            let nodes = [pick(0, 40), pick(reach - 300, 1 + case * 3)].concat();
+            let prims = pick(0, 1 + (case * 7) % 100);
+            for line_shift in [6, 7] {
+                let want = lines_by_sorting(&nodes, &prims, line_shift);
+                assert_eq!(
+                    lines_by_walking(&nodes, &prims, line_shift),
+                    want,
+                    "case {case}, {} B lines",
+                    1 << line_shift
+                );
+                let node_lines = lines_by_sorting(&nodes, &[], line_shift);
+                let prim_lines = lines_by_sorting(&[], &prims, line_shift);
+                if node_lines.last() > prim_lines.first() {
+                    interleaved += 1;
+                }
+            }
+        }
+        assert!(interleaved > 60, "the cases must interleave the runs");
+        for (nodes, prims) in [(vec![], vec![]), (vec![reach], vec![]), (vec![], vec![0])] {
+            assert_eq!(
+                lines_by_walking(&nodes, &prims, 7),
+                lines_by_sorting(&nodes, &prims, 7)
+            );
+        }
     }
 
     #[test]

@@ -276,8 +276,9 @@ pub fn execute_tick_tuned<E: TickExecutor>(
                 }
             }
             Err(e) => {
-                // An execution-level failure (device OOM) fails the whole
-                // tick: every fused request learns about it.
+                // An execution-level failure (device OOM, a non-finite
+                // indexed point) fails the whole tick: every fused request
+                // learns about it.
                 for &ri in &valid {
                     outcomes[ri] = Some(Err(e.clone()));
                 }

@@ -28,11 +28,12 @@
 //! pool, each worker owning one shard's `Index` exclusively.
 
 use crate::coalesce::TickExecutor;
+use rtnn::plan::validate_points;
 use rtnn::SearchError;
 use rtnn::{
-    Backend, CostCoefficients, EngineConfig, Index, LaunchMetrics, PipelineTrace, PlanSlice,
-    QueryPlan, SearchMode, SearchParams, SearchResults, ShardMerge, StageKind, StageOverrides,
-    TimeBreakdown,
+    Backend, CostCoefficients, EngineConfig, Index, LaunchMetrics, PipelineTrace, PlanError,
+    PlanSlice, QueryPlan, SearchMode, SearchParams, SearchResults, ShardMerge, StageKind,
+    StageOverrides, TimeBreakdown,
 };
 use rtnn_math::{Aabb, Vec3};
 use rtnn_parallel::{par_map_collect, par_map_collect_mut};
@@ -129,6 +130,9 @@ pub struct ShardedIndex<'a> {
     /// shader distances against it).
     points: Vec<Vec3>,
     last_timing: ShardTiming,
+    /// The outcome of the one finiteness scan of `points`, run at the
+    /// first query (`None` until then).
+    point_check: Option<Result<(), PlanError>>,
 }
 
 impl<'a> ShardedIndex<'a> {
@@ -175,6 +179,7 @@ impl<'a> ShardedIndex<'a> {
             merge,
             points: points.to_vec(),
             last_timing: ShardTiming::default(),
+            point_check: None,
         }
     }
 
@@ -251,6 +256,11 @@ impl<'a> ShardedIndex<'a> {
         let plan = plan.normalized();
         plan.validate_for(queries)
             .map_err(SearchError::InvalidPlan)?;
+        // Scanned here, in global ids, so the error names the caller's id
+        // and a shard no query reaches cannot hide a bad point.
+        self.point_check
+            .get_or_insert_with(|| validate_points(&self.points))
+            .clone()?;
 
         // One query span over the whole fan-out + merge; the per-shard
         // spans synthesized below nest under it. Worker threads run

@@ -8,18 +8,19 @@
 //!
 //! Also proves the `Backend` trait stays object-safe: every backend in the
 //! suite is driven through a `Box<dyn Backend>`, and that every backend
-//! rejects inputs outside the API's domain (non-finite queries) the same
-//! way at every entry point.
+//! rejects inputs outside the API's domain (non-finite queries and points)
+//! the same way at every entry point.
 
 use rtnn::{
     Backend, EngineConfig, GpusimBackend, Index, OptLevel, PlanError, PlanSlice, QueryPlan,
-    SearchError, StageOverrides,
+    RtnnConfig, SearchError, SearchParams, StageOverrides,
 };
 use rtnn_baselines::BruteForceBackend;
 use rtnn_data::uniform::{self, UniformParams};
+use rtnn_dynamic::{DynamicIndex, RebuildPolicy};
 use rtnn_gpusim::Device;
 use rtnn_math::Vec3;
-use rtnn_serve::{execute_tick, Request, ShardedIndex};
+use rtnn_serve::{execute_tick, QueryService, Request, ServeConfig, ShardedIndex};
 
 /// A seeded random cloud (no grid degeneracies, so float distance ties —
 /// the one thing that could legitimately differ between candidate visit
@@ -285,4 +286,98 @@ fn non_finite_queries_are_rejected_on_every_backend_and_entry_point() {
         );
         assert_eq!(outcomes[0].as_ref().unwrap(), &expected, "{name}");
     }
+}
+
+#[test]
+fn non_finite_points_are_rejected_on_every_backend_and_entry_point() {
+    let device = Device::rtx_2080();
+    // A 10³ unit grid; point 555 is (5, 5, 5) until it is broken below.
+    let grid: Vec<Vec3> = (0..1000)
+        .map(|i| Vec3::new((i % 10) as f32, ((i / 10) % 10) as f32, (i / 100) as f32))
+        .collect();
+    let plan = QueryPlan::range(1.5, 32);
+    let queries = [Vec3::ZERO, Vec3::new(5.0, 5.0, 4.0)];
+    let rejected = |point_id: u32| SearchError::InvalidPlan(PlanError::NonFinitePoint { point_id });
+    let backends: [(&str, Box<dyn Backend>); 3] = [
+        ("gpusim", Box::new(GpusimBackend::new(&device))),
+        ("optix-shim", Box::new(GpusimBackend::optix_shim(&device))),
+        ("brute-force", Box::new(BruteForceBackend::new(&device))),
+    ];
+    let bads = [
+        Vec3::new(f32::NAN, 0.0, 0.0),
+        Vec3::new(0.0, f32::INFINITY, 0.0),
+        Vec3::new(0.0, 0.0, f32::NEG_INFINITY),
+    ];
+    for (name, backend) in &backends {
+        for bad in bads {
+            let mut points = grid.clone();
+            points[555] = bad;
+            for opt in [OptLevel::NoOpt, OptLevel::Full] {
+                let config = EngineConfig::default().with_opt(opt);
+                let mut index = Index::build(backend.as_ref(), &points[..], config);
+                for _ in 0..2 {
+                    assert_eq!(
+                        index.query(&queries, &plan).unwrap_err(),
+                        rejected(555),
+                        "{name} {opt:?} {bad:?}: Index"
+                    );
+                }
+                for shards in [1, 4] {
+                    let mut sharded =
+                        ShardedIndex::build(backend.as_ref(), &points, config, shards);
+                    assert_eq!(
+                        sharded.query(&queries, &plan).unwrap_err(),
+                        rejected(555),
+                        "{name} {opt:?} {bad:?}: {shards}-shard ShardedIndex"
+                    );
+                }
+            }
+
+            // A streaming frame names the stable handle. Removing handle 3
+            // first shifts every later point's position in the frame.
+            let config = RtnnConfig::new(SearchParams::range(1.5, 32));
+            let mut dynamic =
+                DynamicIndex::with_backend(backend.as_ref(), config, RebuildPolicy::default());
+            for &p in &grid {
+                dynamic.insert(p);
+            }
+            assert!(dynamic.remove(3));
+            assert!(dynamic.search(&queries).is_ok(), "{name}: finite frame");
+            assert!(dynamic.move_point(555, bad));
+            assert_eq!(
+                dynamic.search(&queries).unwrap_err(),
+                rejected(555),
+                "{name} {bad:?}: moved DynamicIndex point"
+            );
+            assert!(dynamic.move_point(555, grid[555]));
+            assert!(dynamic.search(&queries).is_ok(), "{name}: repaired frame");
+            let inserted = dynamic.insert(bad);
+            assert_eq!(
+                dynamic.as_index().err(),
+                Some(rejected(inserted)),
+                "{name} {bad:?}: inserted DynamicIndex point"
+            );
+            assert!(dynamic.remove(inserted));
+            assert!(dynamic.search(&queries).is_ok(), "{name}: repaired frame");
+
+            // A service reply carries the error.
+            let mut index = Index::build(backend.as_ref(), &points[..], EngineConfig::default());
+            let (service, client) = QueryService::new(ServeConfig::default());
+            let request = Request::new(queries.to_vec(), plan.clone());
+            let response = std::thread::scope(|s| {
+                let reply = s.spawn(move || client.call(request));
+                service.run(&mut index);
+                reply.join().unwrap()
+            });
+            assert_eq!(
+                response.outcome.unwrap_err(),
+                rejected(555),
+                "{name} {bad:?}: QueryService"
+            );
+        }
+    }
+    // With every point finite, the same calls answer.
+    let backend = GpusimBackend::new(&device);
+    let mut index = Index::build(&backend, &grid[..], EngineConfig::default());
+    assert!(index.query(&queries, &plan).is_ok());
 }
