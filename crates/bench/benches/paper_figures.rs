@@ -10,8 +10,8 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rtnn::partition::partition_queries;
 use rtnn::pipeline::{Schedule, ScheduleCx};
 use rtnn::{
-    Backend, EngineConfig, GpusimBackend, Index, MegacellGrid, OptLevel, QueryPlan, SearchMode,
-    SearchParams,
+    Backend, EngineConfig, GpusimBackend, GridRefresh, Index, MegacellGrid, OptLevel, QueryPlan,
+    SearchMode, SearchParams,
 };
 use rtnn_baselines::fastrnn::FastRnn;
 use rtnn_baselines::grid_knn::GridKnn;
@@ -211,6 +211,30 @@ fn bench_scheduling_and_partitioning(c: &mut Criterion) {
                 None,
             )
         });
+    });
+    // The grid every partitioned `Index` and shard builds on its first
+    // query, and the refresh a `DynamicIndex` frame pays when a point
+    // changes cell: two frames that swap the positions of every 16th point
+    // alternate, so each refresh moves points across cells.
+    group.bench_function("megacell_grid_build", |b| {
+        b.iter(|| MegacellGrid::build(&f.points, config.grid_max_cells))
+    });
+    let moved: Vec<u32> = (0..f.points.len() as u32).step_by(16).collect();
+    let mut swapped = f.points.clone();
+    for (i, &id) in moved.iter().enumerate() {
+        swapped[id as usize] = f.points[moved[(i + 1) % moved.len()] as usize];
+    }
+    let frames = [&f.points, &swapped];
+    let mut refreshed = grid;
+    let mut frame = 0;
+    group.bench_function("megacell_grid_refresh", |b| {
+        b.iter(|| {
+            frame ^= 1;
+            match refreshed.refresh(frames[frame], &moved) {
+                GridRefresh::Incremental { cells_changed, .. } => assert!(cells_changed > 0),
+                GridRefresh::NeedsRebuild => unreachable!("swapped positions stay in bounds"),
+            }
+        })
     });
     group.finish();
 }

@@ -8,25 +8,40 @@
 //! bigger block would only add points outside the search radius along the
 //! axes).
 //!
+//! The grid stores one `u32` per cell: an inclusive summed-volume table of
+//! the cells' point counts. Counting the points in any block of cells then
+//! takes at most eight table reads, so a growth step costs the host the
+//! same whether its block holds one cell or the whole grid. A streaming
+//! scene refills the table in place when points change cell.
+//!
 //! The megacell width determines the per-partition AABB width (see
 //! [`crate::partition`]); the number of points it holds estimates the local
 //! density used by the bundling cost model (Equation 4).
 
-use rtnn_math::{Aabb, GridCoord, PointBins, UniformGrid, Vec3};
+use rtnn_math::{Aabb, GridCoord, UniformGrid, Vec3};
 
-/// The grid + binned points the megacell pass operates on.
+/// The grid the megacell pass operates on: a [`UniformGrid`] over the
+/// search points, the cell each point is binned into, and a count table.
+///
+/// The table holds exactly one `u32` per grid cell, in
+/// [`UniformGrid::cell_index`] order: the entry of cell `(x, y, z)` is the
+/// number of points in the cells `[0, x] × [0, y] × [0, z]`. A block of
+/// cells is counted from the entries at its corners by
+/// inclusion–exclusion, at constant cost whatever its size.
 ///
 /// For streaming scenes the grid supports *incremental* maintenance: it
 /// remembers which cell every point was binned into, so when a frame moves a
-/// subset of the points only those points' cells are recomputed and the bins
-/// re-sorted ([`MegacellGrid::refresh`]) — the grid geometry (bounds, cell
-/// size, dimensions) survives, and the refresh reports the world-space
-/// region whose cell populations changed so downstream per-query megacell
-/// caches can be invalidated selectively instead of wholesale.
+/// subset of the points only those points' cells are recomputed and the
+/// table is refilled in its own buffer ([`MegacellGrid::refresh`]) — the
+/// grid geometry (bounds, cell size, dimensions) survives, and the refresh
+/// reports the world-space region whose cell populations changed so
+/// downstream per-query megacell caches can be invalidated selectively
+/// instead of wholesale.
 #[derive(Debug, Clone)]
 pub struct MegacellGrid {
-    bins: PointBins,
-    cell_size: f32,
+    grid: UniformGrid,
+    /// Inclusive summed-volume table of per-cell point counts.
+    counts: Vec<u32>,
     /// Cell index each point is currently binned into (indexed by point id).
     point_cells: Vec<u32>,
 }
@@ -64,7 +79,8 @@ pub struct MegacellResult {
     /// `2r` AABB.
     pub capped: bool,
     /// Grid cells examined — the work estimate charged to the device for the
-    /// `Opt` component of Figure 12.
+    /// `Opt` component of Figure 12. Saturates at `u32::MAX`, so a larger
+    /// radius never charges less.
     pub cells_scanned: u32,
 }
 
@@ -86,22 +102,99 @@ impl MegacellGrid {
             bounds
         };
         let grid = UniformGrid::with_max_cells(bounds, max_cells.max(8));
-        let cell_size = grid.cell_size();
-        let point_cells: Vec<u32> = points
+        Some(MegacellGrid::on_grid(grid, points))
+    }
+
+    /// Bin `points` into the cells of `grid` and fill the count table.
+    fn on_grid(grid: UniformGrid, points: &[Vec3]) -> Self {
+        let point_cells = points
             .iter()
             .map(|&p| grid.cell_index(grid.cell_of(p)) as u32)
             .collect();
-        Some(MegacellGrid {
-            bins: PointBins::from_cell_indices(grid, &point_cells),
-            cell_size,
+        let mut mg = MegacellGrid {
+            counts: vec![0; grid.num_cells()],
+            grid,
             point_cells,
-        })
+        };
+        mg.fill_counts();
+        mg
+    }
+
+    /// Refill the count table from `point_cells`, in place: one count per
+    /// point into its cell, then inclusive prefix sums along x rows, y
+    /// within each z slab, and z across slabs.
+    fn fill_counts(&mut self) {
+        let counts = &mut self.counts[..];
+        counts.fill(0);
+        for &c in &self.point_cells {
+            counts[c as usize] += 1;
+        }
+        let [nx, ny, _] = self.grid.dims();
+        let (row, slab) = (nx as usize, nx as usize * ny as usize);
+        for cells in counts.chunks_exact_mut(row) {
+            let mut sum = 0;
+            for c in cells {
+                sum += *c;
+                *c = sum;
+            }
+        }
+        prefix_runs(counts, slab, row);
+        prefix_runs(counts, counts.len(), slab);
+    }
+
+    /// Number of points in the inclusive cell box `[lo, hi]`: the table
+    /// entries at the box's eight outer corners, combined by
+    /// inclusion–exclusion. A corner below the grid (an axis where `lo` is
+    /// 0) reads 0. The sum wraps in `u32`, which is exact because the true
+    /// count never exceeds the point count.
+    fn count_in_box(&self, lo: GridCoord, hi: GridCoord) -> u32 {
+        let [nx, ny, _] = self.grid.dims();
+        let (row, slab) = (nx as usize, nx as usize * ny as usize);
+        // Per axis, the `hi` plane adds and the plane below `lo` subtracts.
+        let planes = |lo: u32, hi: u32, stride: usize| {
+            [
+                Some((hi as usize * stride, false)),
+                lo.checked_sub(1).map(|b| (b as usize * stride, true)),
+            ]
+        };
+        let mut total = 0u32;
+        for (z, z_sub) in planes(lo.z, hi.z, slab).into_iter().flatten() {
+            for (y, y_sub) in planes(lo.y, hi.y, row).into_iter().flatten() {
+                for (x, x_sub) in planes(lo.x, hi.x, 1).into_iter().flatten() {
+                    let c = self.counts[z + y + x];
+                    total = if z_sub ^ y_sub ^ x_sub {
+                        total.wrapping_sub(c)
+                    } else {
+                        total.wrapping_add(c)
+                    };
+                }
+            }
+        }
+        total
+    }
+
+    /// The cell box `steps` cells out from `centre` on every side, clamped
+    /// to the grid.
+    fn box_around(&self, centre: GridCoord, steps: u32) -> (GridCoord, GridCoord) {
+        let [nx, ny, nz] = self.grid.dims();
+        let lo = GridCoord::new(
+            centre.x.saturating_sub(steps),
+            centre.y.saturating_sub(steps),
+            centre.z.saturating_sub(steps),
+        );
+        let hi = GridCoord::new(
+            centre.x.saturating_add(steps).min(nx - 1),
+            centre.y.saturating_add(steps).min(ny - 1),
+            centre.z.saturating_add(steps).min(nz - 1),
+        );
+        (lo, hi)
     }
 
     /// Absorb a frame of motion: `points` are the current positions (same
     /// ids as at build time) and `moved` lists the ids whose position
     /// changed since the last build/refresh. Only the moved points' cells
-    /// are recomputed; the bins are re-sorted when any point changed cell.
+    /// are recomputed; the count table is refilled in place when any point
+    /// changed cell.
     ///
     /// Returns [`GridRefresh::NeedsRebuild`] — leaving `self` untouched —
     /// when the motion cannot be absorbed: the point count changed, or a
@@ -113,7 +206,7 @@ impl MegacellGrid {
         if points.len() != self.point_cells.len() {
             return GridRefresh::NeedsRebuild;
         }
-        let grid = self.bins.grid();
+        let grid = &self.grid;
         let mut changes: Vec<(u32, u32)> = Vec::new(); // (id, new cell)
         for &id in moved {
             let p = points[id as usize];
@@ -143,7 +236,7 @@ impl MegacellGrid {
             self.point_cells[id as usize] = new_cell;
         }
         let cells_changed = dirty_cells.len();
-        self.bins = PointBins::from_cell_indices(self.bins.grid().clone(), &self.point_cells);
+        self.fill_counts();
         GridRefresh::Incremental {
             dirty_region,
             cells_changed,
@@ -156,37 +249,30 @@ impl MegacellGrid {
     /// contains no population-changed cell and the query's central cell is
     /// unchanged.
     pub fn reach_bounds(&self, q: Vec3, radius: f32) -> Aabb {
-        let grid = self.bins.grid();
-        let centre = grid.cell_of(q);
-        let dims = grid.dims();
-        let steps = self.max_steps(radius);
-        let lo = GridCoord::new(
-            centre.x.saturating_sub(steps),
-            centre.y.saturating_sub(steps),
-            centre.z.saturating_sub(steps),
-        );
-        let hi = GridCoord::new(
-            (centre.x + steps).min(dims[0] - 1),
-            (centre.y + steps).min(dims[1] - 1),
-            (centre.z + steps).min(dims[2] - 1),
-        );
-        grid.cell_bounds(lo).union(&grid.cell_bounds(hi))
+        let (lo, hi) = self.box_around(self.grid.cell_of(q), self.max_steps(radius));
+        self.grid.cell_bounds(lo).union(&self.grid.cell_bounds(hi))
     }
 
     /// Linear index of the cell containing `q` (clamped to the grid).
     pub fn cell_index_of(&self, q: Vec3) -> usize {
-        let grid = self.bins.grid();
-        grid.cell_index(grid.cell_of(q))
+        self.grid.cell_index(self.grid.cell_of(q))
     }
 
     /// Edge length of one grid cell.
     pub fn cell_size(&self) -> f32 {
-        self.cell_size
+        self.grid.cell_size()
     }
 
     /// The underlying grid.
     pub fn grid(&self) -> &UniformGrid {
-        self.bins.grid()
+        &self.grid
+    }
+
+    /// Width of a megacell grown `steps` cells out from its central cell:
+    /// `(2·steps + 1) · cell_size`. The cell count is formed in `u64`, so
+    /// the step cap of an arbitrarily large radius does not overflow.
+    pub(crate) fn width_at(&self, steps: u32) -> f32 {
+        (2 * u64::from(steps) + 1) as f32 * self.cell_size()
     }
 
     /// Maximum number of growth steps for search radius `radius`: the
@@ -194,19 +280,18 @@ impl MegacellGrid {
     /// (width `2r/√3`).
     pub fn max_steps(&self, radius: f32) -> u32 {
         let inscribed = 2.0 * radius / 3.0_f32.sqrt();
-        if inscribed <= self.cell_size {
+        if inscribed <= self.cell_size() {
             return 0;
         }
-        (((inscribed / self.cell_size) - 1.0) / 2.0)
+        (((inscribed / self.cell_size()) - 1.0) / 2.0)
             .floor()
             .max(0.0) as u32
     }
 
     /// Grow the megacell for one query (Figure 10a).
     pub fn megacell_for(&self, query: Vec3, radius: f32, k: usize) -> MegacellResult {
-        let grid = self.bins.grid();
+        let grid = &self.grid;
         let centre = grid.cell_of(query);
-        let dims = grid.dims();
         let max_steps = self.max_steps(radius);
 
         // Every width rule downstream (partition.rs) bounds the K-th-neighbor
@@ -220,7 +305,7 @@ impl MegacellGrid {
         if !grid.bounds().contains_point(query) {
             return MegacellResult {
                 steps: 0,
-                width: self.cell_size,
+                width: self.cell_size(),
                 found: 0,
                 capped: true,
                 cells_scanned: 1,
@@ -231,19 +316,10 @@ impl MegacellGrid {
         let mut cells_scanned = 0u32;
         let mut found;
         loop {
-            let lo = GridCoord::new(
-                centre.x.saturating_sub(steps),
-                centre.y.saturating_sub(steps),
-                centre.z.saturating_sub(steps),
-            );
-            let hi = GridCoord::new(
-                (centre.x + steps).min(dims[0] - 1),
-                (centre.y + steps).min(dims[1] - 1),
-                (centre.z + steps).min(dims[2] - 1),
-            );
-            found = self.bins.count_in_cell_box(lo, hi);
+            let (lo, hi) = self.box_around(centre, steps);
+            found = self.count_in_box(lo, hi);
             let volume = (hi.x - lo.x + 1) * (hi.y - lo.y + 1) * (hi.z - lo.z + 1);
-            cells_scanned += volume;
+            cells_scanned = cells_scanned.saturating_add(volume);
             if found as usize >= k || steps >= max_steps {
                 break;
             }
@@ -252,14 +328,9 @@ impl MegacellGrid {
             // per-step volume the step-by-step loop would have (this is the
             // sparse-region regime: a large `k` or search radius over a
             // small cloud would otherwise re-count every cell per step).
-            if lo.x == 0
-                && lo.y == 0
-                && lo.z == 0
-                && hi.x == dims[0] - 1
-                && hi.y == dims[1] - 1
-                && hi.z == dims[2] - 1
-            {
-                cells_scanned += (max_steps - steps) * volume;
+            if volume as usize == grid.num_cells() {
+                cells_scanned =
+                    cells_scanned.saturating_add((max_steps - steps).saturating_mul(volume));
                 steps = max_steps;
                 break;
             }
@@ -267,10 +338,23 @@ impl MegacellGrid {
         }
         MegacellResult {
             steps,
-            width: (2 * steps + 1) as f32 * self.cell_size,
+            width: self.width_at(steps),
             found,
             capped: (found as usize) < k,
             cells_scanned,
+        }
+    }
+}
+
+/// Within each `span`-long chunk of `counts`, add every `stride`-long run to
+/// the run after it, front to back: an inclusive prefix sum over the runs.
+fn prefix_runs(counts: &mut [u32], span: usize, stride: usize) {
+    for chunk in counts.chunks_exact_mut(span) {
+        for start in (stride..span).step_by(stride) {
+            let (below, run) = chunk.split_at_mut(start);
+            for (c, b) in run[..stride].iter_mut().zip(&below[start - stride..]) {
+                *c += b;
+            }
         }
     }
 }
@@ -486,5 +570,303 @@ mod tests {
             assert!(!r.capped, "in-grid query {q:?} must not be capped");
             assert!(r.found >= 4);
         }
+    }
+
+    /// The row scan the count table replaced: a prefix over per-cell counts
+    /// in `cell_index` order, with a box summed one x-row at a time. Every
+    /// table count and every growth result must match it.
+    struct RowScan {
+        grid: UniformGrid,
+        cell_start: Vec<u32>,
+    }
+
+    impl RowScan {
+        fn new(grid: &UniformGrid, points: &[Vec3]) -> Self {
+            let mut cell_start = vec![0u32; grid.num_cells() + 1];
+            for &p in points {
+                cell_start[grid.cell_index(grid.cell_of(p)) + 1] += 1;
+            }
+            for i in 1..cell_start.len() {
+                cell_start[i] += cell_start[i - 1];
+            }
+            RowScan {
+                grid: grid.clone(),
+                cell_start,
+            }
+        }
+
+        fn count_in_cell_box(&self, lo: GridCoord, hi: GridCoord) -> u32 {
+            let mut total = 0;
+            for z in lo.z..=hi.z {
+                for y in lo.y..=hi.y {
+                    let row_lo = self.grid.cell_index(GridCoord { x: lo.x, y, z });
+                    let row_hi = self.grid.cell_index(GridCoord { x: hi.x, y, z });
+                    total += self.cell_start[row_hi + 1] - self.cell_start[row_lo];
+                }
+            }
+            total
+        }
+
+        /// The growth loop as it ran over the row scan.
+        fn megacell_for(&self, max_steps: u32, query: Vec3, k: usize) -> MegacellResult {
+            let grid = &self.grid;
+            let centre = grid.cell_of(query);
+            let dims = grid.dims();
+            if !grid.bounds().contains_point(query) {
+                return MegacellResult {
+                    steps: 0,
+                    width: grid.cell_size(),
+                    found: 0,
+                    capped: true,
+                    cells_scanned: 1,
+                };
+            }
+            let mut steps = 0u32;
+            let mut cells_scanned = 0u32;
+            let mut found;
+            loop {
+                let lo = GridCoord::new(
+                    centre.x.saturating_sub(steps),
+                    centre.y.saturating_sub(steps),
+                    centre.z.saturating_sub(steps),
+                );
+                let hi = GridCoord::new(
+                    (centre.x + steps).min(dims[0] - 1),
+                    (centre.y + steps).min(dims[1] - 1),
+                    (centre.z + steps).min(dims[2] - 1),
+                );
+                found = self.count_in_cell_box(lo, hi);
+                let volume = (hi.x - lo.x + 1) * (hi.y - lo.y + 1) * (hi.z - lo.z + 1);
+                cells_scanned += volume;
+                if found as usize >= k || steps >= max_steps {
+                    break;
+                }
+                if lo.x == 0
+                    && lo.y == 0
+                    && lo.z == 0
+                    && hi.x == dims[0] - 1
+                    && hi.y == dims[1] - 1
+                    && hi.z == dims[2] - 1
+                {
+                    cells_scanned += (max_steps - steps) * volume;
+                    steps = max_steps;
+                    break;
+                }
+                steps += 1;
+            }
+            MegacellResult {
+                steps,
+                width: (2 * steps + 1) as f32 * grid.cell_size(),
+                found,
+                capped: (found as usize) < k,
+                cells_scanned,
+            }
+        }
+    }
+
+    /// Every inclusive cell box of `grid`.
+    fn every_box(grid: &UniformGrid) -> Vec<(GridCoord, GridCoord)> {
+        let [nx, ny, nz] = grid.dims();
+        let spans = |n: u32| (0..n).flat_map(move |lo| (lo..n).map(move |hi| (lo, hi)));
+        let mut boxes = Vec::new();
+        for (lz, hz) in spans(nz) {
+            for (ly, hy) in spans(ny) {
+                for (lx, hx) in spans(nx) {
+                    boxes.push((GridCoord::new(lx, ly, lz), GridCoord::new(hx, hy, hz)));
+                }
+            }
+        }
+        boxes
+    }
+
+    /// A seeded stream of uniform floats in `[0, 1)` (SplitMix64).
+    fn unit_floats(seed: u64) -> impl FnMut() -> f32 {
+        let mut state = seed;
+        move || {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            ((z ^ (z >> 31)) >> 40) as f32 / (1u64 << 24) as f32
+        }
+    }
+
+    /// Seeded uniform, clustered and planar clouds, and a single point.
+    fn test_clouds(seed: u64) -> Vec<(&'static str, Vec<Vec3>)> {
+        let mut next = unit_floats(seed);
+        let mut in_box = |scale: f32| Vec3::new(next(), next(), next()) * scale;
+        let uniform: Vec<Vec3> = (0..400).map(|_| in_box(10.0)).collect();
+        let centres = [
+            Vec3::splat(2.0),
+            Vec3::new(15.0, 3.0, 8.0),
+            Vec3::splat(17.0),
+        ];
+        let mut clustered: Vec<Vec3> = (0..360).map(|i| centres[i % 3] + in_box(1.0)).collect();
+        clustered.extend((0..12).map(|_| in_box(20.0)));
+        let planar: Vec<Vec3> = (0..300)
+            .map(|_| {
+                let p = in_box(10.0);
+                Vec3::new(p.x, p.y, 2.0)
+            })
+            .collect();
+        vec![
+            ("uniform", uniform),
+            ("clustered", clustered),
+            ("planar", planar),
+            ("single", vec![Vec3::new(1.0, 2.0, 3.0)]),
+        ]
+    }
+
+    #[test]
+    fn table_counts_match_the_row_scan_on_every_box() {
+        // Four points on a 2×2×2 unit grid.
+        let pts = [
+            Vec3::splat(0.5),         // cell (0,0,0)
+            Vec3::new(1.5, 0.5, 0.5), // cell (1,0,0)
+            Vec3::new(1.5, 1.5, 0.5), // cell (1,1,0)
+            Vec3::new(1.5, 1.5, 1.5), // cell (1,1,1)
+        ];
+        let unit = UniformGrid::new(Aabb::new(Vec3::ZERO, Vec3::splat(2.0)), 1.0);
+        let mg = MegacellGrid::on_grid(unit, &pts);
+        let (o, l) = (GridCoord::new(0, 0, 0), GridCoord::new(1, 1, 1));
+        assert_eq!(mg.count_in_box(o, o), 1);
+        assert_eq!(mg.count_in_box(o, l), 4);
+        let (a, b) = (GridCoord::new(1, 0, 0), GridCoord::new(1, 1, 0));
+        assert_eq!(mg.count_in_box(a, b), 2);
+
+        // Seeded clouds, and one on a grid of unequal sides: every box.
+        let mut checked = 0;
+        for seed in 1..=3u64 {
+            let mut grids: Vec<_> = test_clouds(seed)
+                .into_iter()
+                .map(|(name, points)| (name, MegacellGrid::build(&points, 125).unwrap(), points))
+                .collect();
+            let stretched: Vec<Vec3> = grids[0]
+                .2
+                .iter()
+                .map(|&p| p * Vec3::new(1.0, 0.6, 0.4))
+                .collect();
+            let sides = Aabb::new(Vec3::ZERO, Vec3::new(10.0, 6.0, 4.0));
+            let unequal = MegacellGrid::on_grid(UniformGrid::new(sides, 1.5), &stretched);
+            assert_eq!(unequal.grid().dims(), [7, 4, 3]);
+            grids.push(("unequal sides", unequal, stretched));
+            for (name, mg, points) in grids {
+                assert_eq!(mg.counts.len(), mg.grid().num_cells(), "{name}");
+                let reference = RowScan::new(mg.grid(), &points);
+                for (lo, hi) in every_box(mg.grid()) {
+                    assert_eq!(
+                        mg.count_in_box(lo, hi),
+                        reference.count_in_cell_box(lo, hi),
+                        "{name}, seed {seed}, box {lo:?}..={hi:?}"
+                    );
+                    checked += 1;
+                }
+            }
+        }
+        assert!(checked > 1000, "only {checked} boxes");
+    }
+
+    #[test]
+    fn growth_matches_the_row_scan_reference() {
+        for (name, points) in test_clouds(7) {
+            let mg = MegacellGrid::build(&points, 1 << 12).unwrap();
+            let grid = mg.grid();
+            if name == "planar" {
+                assert_eq!(grid.dims()[2], 1);
+            }
+            let reference = RowScan::new(grid, &points);
+            let bounds = *grid.bounds();
+            let (lo, hi, mid) = (bounds.min, bounds.max, bounds.center());
+            let mut queries: Vec<Vec3> = points.iter().step_by(37).copied().collect();
+            queries.extend([
+                lo,
+                mid,
+                hi,
+                // On each max face.
+                Vec3::new(hi.x, mid.y, mid.z),
+                Vec3::new(mid.x, hi.y, mid.z),
+                Vec3::new(mid.x, mid.y, hi.z),
+                // Outside.
+                hi + Vec3::splat(1.0),
+                lo - Vec3::splat(0.25),
+                Vec3::new(mid.x, mid.y, hi.z + 0.5),
+            ]);
+            let cell = mg.cell_size();
+            let past_grid = 3.0 * bounds.extent().length() + cell;
+            let radii = [
+                0.5 * cell,
+                cell,
+                2.0 * cell,
+                5.0 * cell,
+                20.0 * cell,
+                past_grid,
+            ];
+            assert_eq!(mg.max_steps(radii[0]), 0);
+            let widest = grid.dims().into_iter().max().unwrap();
+            assert!(mg.max_steps(past_grid) > widest, "{name}");
+            let n = points.len();
+            for &q in &queries {
+                for &r in &radii {
+                    for k in [1, 2, 7, n, n + 1, 3 * n] {
+                        assert_eq!(
+                            mg.megacell_for(q, r, k),
+                            reference.megacell_for(mg.max_steps(r), q, k),
+                            "{name}: q {q:?}, r {r}, k {k}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn refresh_leaves_every_box_count_equal_to_a_fresh_build() {
+        let mut points = test_clouds(11).swap_remove(0).1;
+        let mut mg = MegacellGrid::build(&points, 6 * 6 * 6).unwrap();
+        let before = mg.counts.clone();
+        // Move every fifth point onto another point's position: each stays
+        // in bounds, and cell populations change.
+        let moved: Vec<u32> = (0..points.len() as u32).step_by(5).collect();
+        for &id in &moved {
+            points[id as usize] = points[id as usize / 5 + 1];
+        }
+        let GridRefresh::Incremental { cells_changed, .. } = mg.refresh(&points, &moved) else {
+            panic!("in-bounds motion must refresh in place");
+        };
+        assert!(cells_changed > 0);
+        assert_ne!(mg.counts, before, "the motion must change some count");
+        let fresh = MegacellGrid::on_grid(mg.grid().clone(), &points);
+        for (lo, hi) in every_box(mg.grid()) {
+            assert_eq!(
+                mg.count_in_box(lo, hi),
+                fresh.count_in_box(lo, hi),
+                "box {lo:?}..={hi:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn huge_radii_saturate_the_charge_instead_of_overflowing() {
+        // A 12³ unit grid under the engine's default 2^21-cell budget. A
+        // query that never finds k points jumps to the step cap and is
+        // charged the whole grid for every remaining step; past r ≈ 1e2
+        // that charge, the cap's box bounds and its width no longer fit
+        // `u32` (a panic in a debug build, a wrapped charge in release).
+        let points = dense_grid_points(12, 1.0);
+        let mg = MegacellGrid::build(&points, 1 << 21).unwrap();
+        let q = Vec3::splat(5.5);
+        let home = mg.grid().cell_bounds(mg.grid().cell_of(q));
+        let mut charge = 0;
+        for r in [1e1, 1e2, 1e3, 1e5, 1e9, 1e30, f32::MAX] {
+            let mc = mg.megacell_for(q, r, 4000);
+            assert!(mc.capped && mc.found == 1728, "r {r}: {mc:?}");
+            assert!(mc.cells_scanned >= charge, "r {r}: charge fell");
+            charge = mc.cells_scanned;
+            assert!(mc.width.is_finite() && mc.width > 0.0, "r {r}: {mc:?}");
+            let reach = mg.reach_bounds(q, r);
+            assert!(reach.contains_aabb(&home), "r {r}: {reach:?}");
+            assert!(reach.contains_point(Vec3::ZERO) && reach.contains_point(Vec3::splat(11.0)));
+        }
+        assert_eq!(charge, u32::MAX);
     }
 }

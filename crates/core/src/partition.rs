@@ -221,7 +221,7 @@ fn group_into_partitions(
         .map(|((steps, capped), query_ids)| {
             let mc = MegacellResult {
                 steps,
-                width: (2 * steps + 1) as f32 * cell,
+                width: grid.width_at(steps),
                 found: params.k as u32,
                 capped,
                 cells_scanned: 0,

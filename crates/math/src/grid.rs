@@ -7,9 +7,10 @@
 //! * the grid-based baselines (cuNSearch-like fixed-radius search and
 //!   FRNN-like KNN) bin points into cells and scan neighbouring cells.
 //!
-//! [`UniformGrid`] is pure geometry (point ↔ cell mapping); [`PointBins`]
-//! adds a counting-sort of point ids by cell, the layout GPU implementations
-//! use and the one our simulated kernels charge memory accesses against.
+//! [`UniformGrid`] is pure geometry (point ↔ cell mapping) and serves both.
+//! [`PointBins`] adds a counting-sort of point ids by cell, the layout the
+//! grid baselines use and charge memory accesses against; the megacell pass
+//! counts points with a table of its own (`rtnn::MegacellGrid`).
 
 use crate::{Aabb, Vec3};
 
@@ -181,8 +182,9 @@ impl UniformGrid {
 /// Points binned into the cells of a [`UniformGrid`] by counting sort.
 ///
 /// `cell_start[i]..cell_start[i+1]` indexes `point_ids` for cell `i`; this is
-/// the standard GPU layout (cuNSearch, FRNN) and the one the simulated
-/// kernels charge memory traffic against.
+/// the standard GPU layout (cuNSearch, FRNN) and the one the grid baselines'
+/// simulated kernels charge memory traffic against. The megacell pass does
+/// not use it: it only counts points, and keeps one count per cell.
 #[derive(Debug, Clone)]
 pub struct PointBins {
     grid: UniformGrid,
@@ -197,21 +199,9 @@ impl PointBins {
             .iter()
             .map(|&p| grid.cell_index(grid.cell_of(p)) as u32)
             .collect();
-        PointBins::from_cell_indices(grid, &cells)
-    }
-
-    /// Bin points whose cell indices are already known (point `i` lives in
-    /// cell `cells[i]`). This is the incremental-maintenance entry point:
-    /// a caller that tracks per-point cells across frames only recomputes
-    /// the cells of points that moved and re-runs the (cheap, linear)
-    /// counting sort — skipping the per-point `cell_of` geometry pass and
-    /// any re-derivation of the grid itself. Panics if a cell index is out
-    /// of range.
-    pub fn from_cell_indices(grid: UniformGrid, cells: &[u32]) -> Self {
         let n_cells = grid.num_cells();
         let mut counts = vec![0u32; n_cells + 1];
-        for &c in cells {
-            assert!((c as usize) < n_cells, "cell index {c} out of range");
+        for &c in &cells {
             counts[c as usize + 1] += 1;
         }
         for i in 0..n_cells {
@@ -253,25 +243,6 @@ impl PointBins {
         self.cell_start[idx + 1] - self.cell_start[idx]
     }
 
-    /// Number of points in the inclusive cell-coordinate box `[lo, hi]`.
-    ///
-    /// Cells are linearised x-fastest, so an x-run at fixed `(y, z)` is a
-    /// contiguous index range and its population is one prefix-sum
-    /// subtraction — the box costs one subtraction per row, not per cell
-    /// (the megacell growth loop calls this with boxes of up to the whole
-    /// grid).
-    pub fn count_in_cell_box(&self, lo: GridCoord, hi: GridCoord) -> u32 {
-        let mut total = 0;
-        for z in lo.z..=hi.z {
-            for y in lo.y..=hi.y {
-                let row_lo = self.grid.cell_index(GridCoord { x: lo.x, y, z });
-                let row_hi = self.grid.cell_index(GridCoord { x: hi.x, y, z });
-                total += self.cell_start[row_hi + 1] - self.cell_start[row_lo];
-            }
-        }
-        total
-    }
-
     /// Total number of binned points.
     #[inline]
     pub fn len(&self) -> usize {
@@ -282,13 +253,6 @@ impl PointBins {
     #[inline]
     pub fn is_empty(&self) -> bool {
         self.point_ids.is_empty()
-    }
-
-    /// All point ids, grouped by cell (raster cell order). Useful for
-    /// generating spatially coherent orderings.
-    #[inline]
-    pub fn ids_in_cell_order(&self) -> &[u32] {
-        &self.point_ids
     }
 }
 
@@ -386,9 +350,11 @@ mod tests {
             .collect();
         let bins = PointBins::build(g, &pts);
         assert_eq!(bins.len(), pts.len());
+        assert!(!bins.is_empty());
         let mut seen = vec![false; pts.len()];
         for idx in 0..bins.grid().num_cells() {
             let c = bins.grid().coord_of_index(idx);
+            assert_eq!(bins.cell_count(c) as usize, bins.cell_points(c).len());
             for &pid in bins.cell_points(c) {
                 assert!(!seen[pid as usize], "point {pid} binned twice");
                 seen[pid as usize] = true;
@@ -401,47 +367,6 @@ mod tests {
             }
         }
         assert!(seen.iter().all(|&s| s));
-    }
-
-    #[test]
-    fn from_cell_indices_matches_build() {
-        let g = unit_grid(3);
-        let pts: Vec<Vec3> = (0..50)
-            .map(|i| {
-                let f = i as f32;
-                Vec3::new((f * 0.31) % 3.0, (f * 0.47) % 3.0, (f * 0.11) % 3.0)
-            })
-            .collect();
-        let built = PointBins::build(g.clone(), &pts);
-        let cells: Vec<u32> = pts
-            .iter()
-            .map(|&p| g.cell_index(g.cell_of(p)) as u32)
-            .collect();
-        let from_cells = PointBins::from_cell_indices(g, &cells);
-        assert_eq!(built.cell_start, from_cells.cell_start);
-        assert_eq!(built.point_ids, from_cells.point_ids);
-    }
-
-    #[test]
-    fn counting_in_cell_boxes() {
-        let g = unit_grid(2);
-        let pts = vec![
-            Vec3::splat(0.5),         // cell (0,0,0)
-            Vec3::new(1.5, 0.5, 0.5), // cell (1,0,0)
-            Vec3::new(1.5, 1.5, 0.5), // cell (1,1,0)
-            Vec3::new(1.5, 1.5, 1.5), // cell (1,1,1)
-        ];
-        let bins = PointBins::build(g, &pts);
-        assert_eq!(bins.cell_count(GridCoord::new(0, 0, 0)), 1);
-        assert_eq!(
-            bins.count_in_cell_box(GridCoord::new(0, 0, 0), GridCoord::new(1, 1, 1)),
-            4
-        );
-        assert_eq!(
-            bins.count_in_cell_box(GridCoord::new(1, 0, 0), GridCoord::new(1, 1, 0)),
-            2
-        );
-        assert!(!bins.is_empty());
     }
 
     #[test]

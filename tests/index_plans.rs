@@ -7,6 +7,7 @@
 //! * a heterogeneous batch answers several plans in one call and matches
 //!   the corresponding single-plan results.
 
+use rtnn::verify::check_all;
 use rtnn::{
     EngineConfig, GpusimBackend, Index, OptLevel, PlanError, PlanSlice, QueryPlan, SearchError,
     StageKind, StageOverrides,
@@ -253,6 +254,43 @@ fn stage_timings_sum_to_the_launch_metrics_totals() {
                     trace.stage(StageKind::Gather).invocations > 0,
                     "{opt:?} {plan:?}: gather must have run"
                 );
+            }
+        }
+    }
+}
+
+#[test]
+fn radii_far_past_the_cloud_answer_exactly_and_never_charge_less() {
+    // A 12³ unit grid under the default 2^21-cell grid budget. No query
+    // finds k points, so its megacell jumps to a step cap far past the
+    // grid, charged the whole grid per step. Radii this large used to
+    // overflow the megacell arithmetic: a panic in a debug build, a wrapped
+    // and smaller charge in release.
+    let device = Device::rtx_2080();
+    let backend = GpusimBackend::new(&device);
+    let points: Vec<Vec3> = (0..12 * 12 * 12)
+        .map(|i| Vec3::new((i % 12) as f32, (i / 12 % 12) as f32, (i / 144) as f32))
+        .collect();
+    let queries: Vec<Vec3> = (0..8).map(|i| Vec3::splat(1.5 + i as f32)).collect();
+    for opt in OptLevel::all() {
+        let mut index = Index::build(&backend, &points[..], EngineConfig::default().with_opt(opt));
+        let mut charge = [0.0; 2];
+        for r in [1e2, 1e3, 1e5, 1e9, 1e30, f32::MAX] {
+            for (plan, last) in [QueryPlan::range(r, 4000), QueryPlan::knn(r, 4000)]
+                .into_iter()
+                .zip(&mut charge)
+            {
+                let results = index.query(&queries, &plan).unwrap();
+                let params = plan.params().unwrap();
+                if let Err((q, e)) = check_all(&points, &queries, &params, &results.neighbors) {
+                    panic!("{opt:?} {plan:?}: query {q}: {e}");
+                }
+                let partition = results.trace.stage(StageKind::Partition).device_ms;
+                assert!(
+                    partition >= *last,
+                    "{opt:?} {plan:?}: {partition} < {last} ms"
+                );
+                *last = partition;
             }
         }
     }
