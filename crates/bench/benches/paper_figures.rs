@@ -55,11 +55,7 @@ fn bench_bvh_builders(c: &mut Criterion) {
     let f = fixture();
     let mut group = c.benchmark_group("bvh_build");
     configure(&mut group);
-    for builder in [
-        BvhBuilder::Lbvh,
-        BvhBuilder::MedianSplit,
-        BvhBuilder::BinnedSah,
-    ] {
+    for builder in [BvhBuilder::Lbvh, BvhBuilder::LbvhSerial] {
         group.bench_with_input(
             BenchmarkId::new("builder", format!("{builder:?}")),
             &builder,
@@ -183,7 +179,11 @@ fn bench_scheduling_and_partitioning(c: &mut Criterion) {
     let mut group = c.benchmark_group("optimisation_passes");
     configure(&mut group);
     let accel = backend
-        .build(&f.points, config.aabb_width(f.radius), config.build)
+        .build(
+            &f.points,
+            config.aabb_width(f.radius),
+            BuildParams::default(),
+        )
         .unwrap();
     let ids: Vec<u32> = (0..f.queries.len() as u32).collect();
     let schedule = || {

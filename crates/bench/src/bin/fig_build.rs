@@ -2,12 +2,8 @@
 //! threads, refit vs cut depth, shard-concurrent cold start.
 
 use rtnn_bench::{experiments, ExperimentScale};
-use rtnn_bvh::BuildThreads;
 
 fn main() {
-    // `RTNN_BUILD_THREADS` overrides the worker-pool width for the whole
-    // run (set-but-invalid values exit with a clear message).
-    BuildThreads::from_env().apply_global();
     let report = experiments::build::run(&ExperimentScale::from_env());
     println!("{}", report.render());
     if let Err(e) = report.save("results") {

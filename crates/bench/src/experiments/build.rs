@@ -9,28 +9,25 @@
 //! Three sweeps:
 //!
 //! 1. **Build vs threads** — host wall ms per million AABBs of the parallel
-//!    LBVH at 1/2/4/8 worker threads, with the aggregate work ms alongside
-//!    (the work/span ratio is the machine-independent parallelism the
-//!    pipeline exposes). Every tree is checked bit-identical to the serial
-//!    oracle before its wall time is reported.
+//!    LBVH at 1/2/4/8 worker threads. Every tree is checked bit-identical
+//!    to the serial oracle before its wall time is reported.
 //! 2. **Refit vs cut depth** — wall ms of the subtree-parallel refit as the
 //!    frontier cut deepens, against the serial refit oracle.
 //! 3. **Cold start** — wall ms to build *and warm* a `ShardedIndex`
 //!    (structures for the serving plan pre-built on every shard) at one
 //!    thread vs the machine width.
 //!
-//! Wall times are honest host measurements: on a single-core runner the
-//! thread sweep shows flat (or worse) walls while the work/span ratio
-//! still reports the exposed parallelism, so CI asserts bit-equality and
-//! report structure, never a measured multi-thread speedup. The policy
-//! delta shows how the measured profile moves the adaptive rebuild policy's
-//! `(q−1)·S > B−R` break-even point (`StructureTiming::parallel_premium_ms`).
+//! Every time here is host wall clock; none of it feeds a simulated cost
+//! (the device charges a build by its own model, `T_build = k1 · M`). On a
+//! runner with fewer cores than a sweep's thread count the walls stay flat
+//! or get worse, so CI asserts bit-equality and report structure, never a
+//! measured multi-thread speedup.
 
 use crate::report::{fmt_ms, fmt_speedup, FigureReport, Table};
 use crate::scale::ExperimentScale;
-use rtnn::{Backend, EngineConfig, GpusimBackend, QueryPlan};
+use rtnn::{EngineConfig, GpusimBackend, QueryPlan};
 use rtnn_bvh::{
-    build_point_bvh_profiled, refit_bvh_serial, refit_bvh_with_cut, BuildParams, Bvh, BvhBuilder,
+    build_point_bvh, refit_bvh_serial, refit_bvh_with_cut, BuildParams, Bvh, BvhBuilder,
 };
 use rtnn_data::uniform::{self, UniformParams};
 use rtnn_gpusim::Device;
@@ -52,6 +49,10 @@ fn trees_bit_identical(a: &Bvh, b: &Bvh) -> bool {
         })
 }
 
+fn ms_since(start: Instant) -> f64 {
+    start.elapsed().as_secs_f64() * 1e3
+}
+
 /// Run the parallel-construction experiment.
 pub fn run(scale: &ExperimentScale) -> FigureReport {
     let mut report = FigureReport::new(
@@ -70,51 +71,43 @@ pub fn run(scale: &ExperimentScale) -> FigureReport {
     let side = Aabb::from_points(&points).longest_extent();
     let radius = side * (8.0 / num_points as f32).cbrt() * 0.5;
 
-    // --- Sweep 1: build wall/work vs thread count, pinned to the oracle.
+    // --- Sweep 1: build wall vs thread count, pinned to the oracle.
     let serial_params = BuildParams {
         builder: BvhBuilder::LbvhSerial,
         ..BuildParams::default()
     };
-    let (oracle, serial_profile) = build_point_bvh_profiled(&points, radius, serial_params);
+    let serial_start = Instant::now();
+    let oracle = build_point_bvh(&points, radius, serial_params);
+    let serial_wall = ms_since(serial_start);
     let mut build_table = Table::new(
         format!(
             "parallel LBVH host build, {} points (serial oracle: {})",
             points.len(),
-            fmt_ms(serial_profile.host_wall_ms),
+            fmt_ms(serial_wall),
         ),
-        &[
-            "threads",
-            "wall",
-            "ms / M AABBs",
-            "work",
-            "work/span",
-            "bit-identical",
-        ],
+        &["threads", "wall", "ms / M AABBs", "bit-identical"],
     );
     let mut wall_1t = 0.0f64;
     let mut wall_4t = 0.0f64;
-    let mut best_ratio: f64 = 1.0;
     let mut all_identical = true;
     for threads in [1usize, 2, 4, 8] {
-        let (tree, profile) = with_thread_count(threads, || {
-            build_point_bvh_profiled(&points, radius, BuildParams::default())
+        let wall_start = Instant::now();
+        let tree = with_thread_count(threads, || {
+            build_point_bvh(&points, radius, BuildParams::default())
         });
+        let wall = ms_since(wall_start);
         let identical = trees_bit_identical(&tree, &oracle);
         all_identical &= identical;
         if threads == 1 {
-            wall_1t = profile.host_wall_ms;
+            wall_1t = wall;
         }
         if threads == 4 {
-            wall_4t = profile.host_wall_ms;
+            wall_4t = wall;
         }
-        let ratio = profile.work_span_ratio().unwrap_or(1.0);
-        best_ratio = best_ratio.max(ratio);
         build_table.push_row(vec![
             threads.to_string(),
-            fmt_ms(profile.host_wall_ms),
-            format!("{:.2}", profile.host_wall_ms / points.len() as f64 * 1e6),
-            fmt_ms(profile.work_ms),
-            format!("{ratio:.2}"),
+            fmt_ms(wall),
+            format!("{:.2}", wall / points.len() as f64 * 1e6),
             if identical { "yes" } else { "NO" }.to_string(),
         ]);
     }
@@ -137,26 +130,20 @@ pub fn run(scale: &ExperimentScale) -> FigureReport {
     let mut serial_tree = oracle.clone();
     let serial_refit_start = Instant::now();
     refit_bvh_serial(&mut serial_tree, &moved).expect("same primitive count");
-    let serial_refit_wall = serial_refit_start.elapsed().as_secs_f64() * 1e3;
+    let serial_refit_wall = ms_since(serial_refit_start);
     let mut refit_table = Table::new(
         format!(
             "subtree-parallel refit at machine width (serial oracle: {})",
             fmt_ms(serial_refit_wall),
         ),
-        &[
-            "cut depth",
-            "wall",
-            "work",
-            "speedup vs serial",
-            "bit-identical",
-        ],
+        &["cut depth", "wall", "speedup vs serial", "bit-identical"],
     );
     let mut best_refit_speedup: f64 = 0.0;
     for cut in [0u32, 2, 4, 8] {
         let mut tree = oracle.clone();
         let wall_start = Instant::now();
-        let (_, profile) = refit_bvh_with_cut(&mut tree, &moved, cut).expect("same count");
-        let wall = wall_start.elapsed().as_secs_f64() * 1e3;
+        refit_bvh_with_cut(&mut tree, &moved, cut).expect("same count");
+        let wall = ms_since(wall_start);
         let identical = trees_bit_identical(&tree, &serial_tree);
         all_identical &= identical;
         let speedup = serial_refit_wall / wall.max(1e-9);
@@ -164,7 +151,6 @@ pub fn run(scale: &ExperimentScale) -> FigureReport {
         refit_table.push_row(vec![
             cut.to_string(),
             fmt_ms(wall),
-            fmt_ms(profile.work_ms),
             fmt_speedup(speedup),
             if identical { "yes" } else { "NO" }.to_string(),
         ]);
@@ -189,7 +175,7 @@ pub fn run(scale: &ExperimentScale) -> FigureReport {
                 ShardedIndex::build(&backend, &points, EngineConfig::default(), shards);
             sharded.warm(&plan).expect("valid plan")
         });
-        let wall = wall_start.elapsed().as_secs_f64() * 1e3;
+        let wall = ms_since(wall_start);
         assert!(built > 0.0, "cold start must build structures");
         cold_walls.push(wall);
         cold_table.push_row(vec![threads.to_string(), fmt_ms(wall)]);
@@ -197,47 +183,25 @@ pub fn run(scale: &ExperimentScale) -> FigureReport {
     report.tables.push(cold_table);
     let cold_speedup = cold_walls[0] / cold_walls[1].max(1e-9);
 
-    // --- Policy: the measured host profile re-derives the adaptive
-    // rebuild policy's break-even coefficients.
-    let timing = backend.timing(points.len());
-    let measured = with_thread_count(machine_threads.max(2), || {
-        let (_, build) = build_point_bvh_profiled(&points, radius, BuildParams::default());
-        let mut tree = oracle.clone();
-        let (_, refit) = refit_bvh_with_cut(&mut tree, &moved, 4).expect("same count");
-        build.combine(&refit)
-    });
-    let parallel_timing = timing.with_host_profile(measured.host_wall_ms, measured.work_ms);
-    let premium_delta = timing.rebuild_premium_ms() - parallel_timing.parallel_premium_ms();
-
     report.headline_metric(
         "build_ms_per_million_1t",
         wall_1t / points.len() as f64 * 1e6,
     );
     report.headline_metric("build_speedup_4t", wall_1t / wall_4t.max(1e-9));
-    report.headline_metric("build_work_span_ratio", best_ratio);
     report.headline_metric("refit_best_cut_speedup", best_refit_speedup);
     report.headline_metric("cold_start_ms_1t", cold_walls[0]);
     report.headline_metric("cold_start_speedup", cold_speedup);
-    report.headline_metric("policy_break_even_delta_ms", premium_delta);
     report.headline_metric("bit_identical", if all_identical { 1.0 } else { 0.0 });
 
     report.notes.push(format!(
         "runner exposes {machine_threads} hardware thread(s); wall times are honest host \
-         measurements — on a single-core runner the thread sweep stays flat while the \
-         work/span ratio ({best_ratio:.2}) reports the parallelism the pipeline exposes"
+         measurements, so thread counts above that stay flat or get worse"
     ));
     report.notes.push(
         "every parallel tree (build and refit, at every thread count and cut depth) is \
          checked bit-identical to the serial oracle before its time is reported"
             .into(),
     );
-    report.notes.push(format!(
-        "measured host profile shifts the adaptive policy's rebuild break-even premium by \
-         {} (simulated premium {} → effective {})",
-        fmt_ms(premium_delta),
-        fmt_ms(timing.rebuild_premium_ms()),
-        fmt_ms(parallel_timing.parallel_premium_ms()),
-    ));
     report
 }
 
@@ -263,9 +227,6 @@ mod tests {
         assert_eq!(metric("bit_identical"), 1.0);
         assert!(metric("build_ms_per_million_1t") > 0.0);
         assert!(metric("cold_start_ms_1t") > 0.0);
-        assert!(metric("build_work_span_ratio") >= 1.0);
-        // Deflating the premium by a measured speedup can only lower it.
-        assert!(metric("policy_break_even_delta_ms") >= 0.0);
         assert_eq!(report.tables.len(), 3);
         assert_eq!(report.tables[0].rows.len(), 4, "thread sweep rows");
         assert_eq!(report.tables[1].rows.len(), 4, "cut sweep rows");

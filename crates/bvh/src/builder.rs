@@ -1,12 +1,11 @@
-//! BVH builders.
+//! The LBVH builder and its serial oracle.
 //!
-//! The default is the LBVH-style builder: primitive centroids are encoded as
-//! 63-bit Morton keys, sorted (in parallel), and the hierarchy is emitted by
-//! splitting each sorted range at the highest Morton bit that differs inside
-//! the range. Build time is `O(n log n)` dominated by the sort — in practice
-//! linear in the primitive count for the sizes the paper sweeps (Figure 15),
-//! which is the property the bundling cost model relies on
-//! (`T_build = k1 · M`, Equation 3).
+//! Primitive centroids are encoded as 63-bit Morton keys, sorted (in
+//! parallel), and the hierarchy is emitted by splitting each sorted range at
+//! the highest Morton bit that differs inside the range. Build time is
+//! `O(n log n)` dominated by the sort — in practice linear in the primitive
+//! count for the sizes the paper sweeps (Figure 15), which is the property
+//! the bundling cost model relies on (`T_build = k1 · M`, Equation 3).
 //!
 //! ## The staged parallel pipeline ([`BvhBuilder::Lbvh`])
 //!
@@ -31,10 +30,10 @@
 use crate::node::{Bvh, BvhNode, NodeKind};
 use rtnn_math::morton::MortonEncoder;
 use rtnn_math::{Aabb, Vec3};
-use rtnn_parallel::{current_num_threads, par_chunks_mut, par_sort_by_key};
+use rtnn_parallel::{par_chunks_mut, par_sort_by_key};
 use std::time::Instant;
 
-/// Which construction algorithm to use.
+/// Which LBVH construction path to run. Both emit the same tree.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum BvhBuilder {
     /// Morton-code linear BVH built by the staged parallel pipeline
@@ -46,46 +45,6 @@ pub enum BvhBuilder {
     /// pipeline is validated against, and a way to opt out of host
     /// parallelism entirely.
     LbvhSerial,
-    /// Object-median split on the longest axis.
-    MedianSplit,
-    /// Binned surface-area heuristic (8 bins per axis).
-    BinnedSah,
-}
-
-/// Host-side cost accounting of one build or refit: wall-clock time next to
-/// the aggregate busy time across workers, so a parallel build reports its
-/// speedup as *parallelism* instead of silently reporting less work.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct BuildProfile {
-    /// Wall-clock milliseconds of the whole operation on the host.
-    pub host_wall_ms: f64,
-    /// Aggregate busy milliseconds summed across all workers (serial stages
-    /// count their wall time). On one thread this matches `host_wall_ms`;
-    /// on `t` threads it can approach `t ×` the wall time.
-    pub work_ms: f64,
-    /// Worker threads configured when the operation ran.
-    pub threads: usize,
-}
-
-impl BuildProfile {
-    /// `work_ms / host_wall_ms` — the work/span ratio, a measured (not
-    /// modelled) lower bound on the parallel speedup over a serial run of
-    /// the same stages. `None` when either term was not measured.
-    pub fn work_span_ratio(&self) -> Option<f64> {
-        (self.host_wall_ms > 0.0 && self.work_ms > 0.0)
-            .then(|| (self.work_ms / self.host_wall_ms).max(1.0))
-    }
-
-    /// Merge two profiles of consecutive operations (e.g. a build and the
-    /// refits that followed): walls and work add, the thread count is the
-    /// wider of the two.
-    pub fn combine(&self, other: &BuildProfile) -> BuildProfile {
-        BuildProfile {
-            host_wall_ms: self.host_wall_ms + other.host_wall_ms,
-            work_ms: self.work_ms + other.work_ms,
-            threads: self.threads.max(other.threads),
-        }
-    }
 }
 
 /// Build-time parameters.
@@ -110,82 +69,37 @@ impl Default for BuildParams {
 ///
 /// An empty primitive list yields [`Bvh::empty`].
 pub fn build_bvh(prim_aabbs: &[Aabb], params: BuildParams) -> Bvh {
-    build_bvh_profiled(prim_aabbs, params).0
-}
-
-/// [`build_bvh`] plus the measured host-side [`BuildProfile`].
-pub fn build_bvh_profiled(prim_aabbs: &[Aabb], params: BuildParams) -> (Bvh, BuildProfile) {
-    let wall = Instant::now();
-    let threads = current_num_threads();
     if prim_aabbs.is_empty() {
-        return (
-            Bvh::empty(),
-            BuildProfile {
-                threads,
-                ..BuildProfile::default()
-            },
-        );
+        return Bvh::empty();
     }
     assert!(
         params.max_leaf_size >= 1,
         "max_leaf_size must be at least 1"
     );
-    let (bvh, work_ms) = match params.builder {
+    let wall = Instant::now();
+    let bvh = match params.builder {
         BvhBuilder::Lbvh => build_lbvh_parallel(prim_aabbs, params.max_leaf_size),
-        BvhBuilder::LbvhSerial => {
-            let t = Instant::now();
-            let bvh = build_lbvh_serial(prim_aabbs, params.max_leaf_size);
-            (bvh, t.elapsed().as_secs_f64() * 1e3)
-        }
-        BvhBuilder::MedianSplit => {
-            let t = Instant::now();
-            let bvh = build_recursive(prim_aabbs, params.max_leaf_size, SplitRule::Median);
-            (bvh, t.elapsed().as_secs_f64() * 1e3)
-        }
-        BvhBuilder::BinnedSah => {
-            let t = Instant::now();
-            let bvh = build_recursive(prim_aabbs, params.max_leaf_size, SplitRule::Sah);
-            (bvh, t.elapsed().as_secs_f64() * 1e3)
-        }
-    };
-    let profile = BuildProfile {
-        host_wall_ms: wall.elapsed().as_secs_f64() * 1e3,
-        work_ms,
-        threads,
+        BvhBuilder::LbvhSerial => build_lbvh_serial(prim_aabbs, params.max_leaf_size),
     };
     if let Some(t) = rtnn_telemetry::Telemetry::current() {
         t.counter_add("bvh.builds", 1);
         t.counter_add("bvh.build_prims", prim_aabbs.len() as u64);
-        t.observe_wall("bvh.build.wall_ms", profile.host_wall_ms);
+        t.observe_wall("bvh.build.wall_ms", wall.elapsed().as_secs_f64() * 1e3);
     }
-    (bvh, profile)
+    bvh
 }
 
 /// Convenience: build a BVH where every primitive is the cube of width
 /// `2 * radius` centred at a point — exactly Listing 1's `buildBVH(points,
 /// radius)`.
 pub fn build_point_bvh(points: &[Vec3], radius: f32, params: BuildParams) -> Bvh {
-    build_point_bvh_profiled(points, radius, params).0
-}
-
-/// [`build_point_bvh`] plus the measured host-side [`BuildProfile`] (the
-/// point-to-AABB expansion is included in the accounting).
-pub fn build_point_bvh_profiled(
-    points: &[Vec3],
-    radius: f32,
-    params: BuildParams,
-) -> (Bvh, BuildProfile) {
-    let wall = Instant::now();
     let mut aabbs = vec![Aabb::EMPTY; points.len()];
-    let expand_work = par_chunks_mut(&mut aabbs, 256, |start, chunk| {
+    par_chunks_mut(&mut aabbs, 256, |start, chunk| {
         for (off, slot) in chunk.iter_mut().enumerate() {
             *slot = Aabb::cube(points[start + off], 2.0 * radius);
         }
     });
-    let (bvh, mut profile) = build_bvh_profiled(&aabbs, params);
-    profile.host_wall_ms = wall.elapsed().as_secs_f64() * 1e3;
-    profile.work_ms += expand_work;
-    (bvh, profile)
+    build_bvh(&aabbs, params)
 }
 
 // ---------------------------------------------------------------------------
@@ -312,26 +226,22 @@ impl LevelTask {
 }
 
 /// The staged parallel LBVH build (see the module docs for the pipeline
-/// diagram). Returns the tree and the aggregate busy milliseconds across
-/// workers. Bit-identical to [`build_lbvh_serial`] at every thread count.
-fn build_lbvh_parallel(prim_aabbs: &[Aabb], max_leaf_size: u32) -> (Bvh, f64) {
+/// diagram). Bit-identical to [`build_lbvh_serial`] at every thread count.
+fn build_lbvh_parallel(prim_aabbs: &[Aabb], max_leaf_size: u32) -> Bvh {
     let n = prim_aabbs.len();
-    let mut work_ms = 0.0;
 
     // Stage 1 — centroid bounds, kept serial: the fold must visit the
     // primitives in exactly the oracle's order so the Morton grid (and with
     // it every code, split and box) is bit-equal.
-    let t = Instant::now();
     let mut centroid_bounds = Aabb::EMPTY;
     for a in prim_aabbs {
         centroid_bounds.grow_point(a.center());
     }
     let encoder = MortonEncoder::new(&centroid_bounds);
-    work_ms += t.elapsed().as_secs_f64() * 1e3;
 
     // Stage 2 — Morton keys, parallel over primitives.
     let mut keyed: Vec<(u64, u32)> = vec![(0, 0); n];
-    work_ms += par_chunks_mut(&mut keyed, 256, |start, chunk| {
+    par_chunks_mut(&mut keyed, 256, |start, chunk| {
         for (off, slot) in chunk.iter_mut().enumerate() {
             let i = start + off;
             *slot = (encoder.encode(prim_aabbs[i].center()), i as u32);
@@ -340,12 +250,10 @@ fn build_lbvh_parallel(prim_aabbs: &[Aabb], max_leaf_size: u32) -> (Bvh, f64) {
 
     // Stage 3 — parallel sort. The `(morton, id)` compound key is unique,
     // so the permutation does not depend on chunking or thread count.
-    work_ms += par_sort_by_key(&mut keyed, |&(k, id)| (k, id));
+    par_sort_by_key(&mut keyed, |&(k, id)| (k, id));
 
-    let t = Instant::now();
     let prim_indices: Vec<u32> = keyed.iter().map(|&(_, id)| id).collect();
     let codes: Vec<u64> = keyed.iter().map(|&(k, _)| k).collect();
-    work_ms += t.elapsed().as_secs_f64() * 1e3;
 
     // Stage 4 — split discovery, level-synchronous: every task of a level
     // finds its Morton split in parallel, then a serial prefix pass lays
@@ -353,7 +261,7 @@ fn build_lbvh_parallel(prim_aabbs: &[Aabb], max_leaf_size: u32) -> (Bvh, f64) {
     let mut levels: Vec<Vec<LevelTask>> = Vec::new();
     let mut current = vec![LevelTask::over(0, n as u32, u32::MAX)];
     loop {
-        work_ms += par_chunks_mut(&mut current, 16, |_, chunk| {
+        par_chunks_mut(&mut current, 16, |_, chunk| {
             for task in chunk.iter_mut() {
                 let count = task.end - task.start;
                 task.split = if count <= max_leaf_size {
@@ -388,7 +296,7 @@ fn build_lbvh_parallel(prim_aabbs: &[Aabb], max_leaf_size: u32) -> (Bvh, f64) {
     for li in (0..levels.len()).rev() {
         let (head, tail) = levels.split_at_mut(li + 1);
         let children: &[LevelTask] = tail.first().map(|v| v.as_slice()).unwrap_or(&[]);
-        work_ms += par_chunks_mut(&mut head[li], 16, |_, chunk| {
+        par_chunks_mut(&mut head[li], 16, |_, chunk| {
             for task in chunk.iter_mut() {
                 if task.split == u32::MAX {
                     task.subtree = 1;
@@ -416,7 +324,7 @@ fn build_lbvh_parallel(prim_aabbs: &[Aabb], max_leaf_size: u32) -> (Bvh, f64) {
     for li in 0..levels.len().saturating_sub(1) {
         let (head, tail) = levels.split_at_mut(li + 1);
         let parents: &[LevelTask] = head[li].as_slice();
-        work_ms += par_chunks_mut(&mut tail[0], 16, |start, chunk| {
+        par_chunks_mut(&mut tail[0], 16, |start, chunk| {
             for (off, task) in chunk.iter_mut().enumerate() {
                 let j = (start + off) as u32;
                 let p = parents[task.parent as usize];
@@ -430,8 +338,7 @@ fn build_lbvh_parallel(prim_aabbs: &[Aabb], max_leaf_size: u32) -> (Bvh, f64) {
     }
 
     // Stage 7 — scatter the finished tasks into their preorder slots. A
-    // trivial linear pass; kept serial and charged as such.
-    let t = Instant::now();
+    // trivial linear pass, kept serial.
     let total = levels[0][0].subtree as usize;
     let mut nodes = vec![
         BvhNode {
@@ -458,15 +365,13 @@ fn build_lbvh_parallel(prim_aabbs: &[Aabb], max_leaf_size: u32) -> (Bvh, f64) {
             };
         }
     }
-    work_ms += t.elapsed().as_secs_f64() * 1e3;
 
-    let bvh = Bvh {
+    Bvh {
         nodes,
         prim_indices,
         prim_aabbs: prim_aabbs.to_vec(),
         max_leaf_size,
-    };
-    (bvh, work_ms)
+    }
 }
 
 /// Position (relative to the slice start) at which to split a Morton-sorted
@@ -496,179 +401,6 @@ fn find_morton_split(codes: &[u64]) -> usize {
     hi.clamp(1, n - 1)
 }
 
-// ---------------------------------------------------------------------------
-// Recursive median / SAH builders
-// ---------------------------------------------------------------------------
-
-enum SplitRule {
-    Median,
-    Sah,
-}
-
-fn build_recursive(prim_aabbs: &[Aabb], max_leaf_size: u32, rule: SplitRule) -> Bvh {
-    let n = prim_aabbs.len();
-    let mut prim_indices: Vec<u32> = (0..n as u32).collect();
-    let centroids: Vec<Vec3> = prim_aabbs.iter().map(|a| a.center()).collect();
-    let mut nodes: Vec<BvhNode> = Vec::with_capacity(2 * n);
-
-    fn emit(
-        prim_aabbs: &[Aabb],
-        centroids: &[Vec3],
-        prim_indices: &mut [u32],
-        nodes: &mut Vec<BvhNode>,
-        offset: usize,
-        max_leaf: usize,
-        rule: &SplitRule,
-    ) -> u32 {
-        let count = prim_indices.len();
-        let mut aabb = Aabb::EMPTY;
-        let mut centroid_bounds = Aabb::EMPTY;
-        for &pid in prim_indices.iter() {
-            aabb.grow_aabb(&prim_aabbs[pid as usize]);
-            centroid_bounds.grow_point(centroids[pid as usize]);
-        }
-        let node_index = nodes.len() as u32;
-        if count <= max_leaf {
-            nodes.push(BvhNode {
-                aabb,
-                kind: NodeKind::Leaf {
-                    start: offset as u32,
-                    count: count as u32,
-                },
-            });
-            return node_index;
-        }
-        let axis = centroid_bounds.longest_axis();
-        // Degenerate centroid spread (e.g. duplicated points): fall back to an
-        // arbitrary midpoint split so leaves still respect max_leaf.
-        let degenerate = centroid_bounds.longest_extent() <= 0.0;
-        let mid = if degenerate {
-            count / 2
-        } else {
-            match rule {
-                SplitRule::Median => {
-                    let mid = count / 2;
-                    prim_indices.select_nth_unstable_by(mid, |&a, &b| {
-                        centroids[a as usize][axis]
-                            .partial_cmp(&centroids[b as usize][axis])
-                            .unwrap_or(std::cmp::Ordering::Equal)
-                    });
-                    mid
-                }
-                SplitRule::Sah => {
-                    sah_partition(prim_aabbs, centroids, prim_indices, axis, &centroid_bounds)
-                }
-            }
-        };
-        let mid = mid.clamp(1, count - 1);
-        nodes.push(BvhNode {
-            aabb,
-            kind: NodeKind::Internal { left: 0, right: 0 },
-        });
-        let (left_ids, right_ids) = prim_indices.split_at_mut(mid);
-        let left = emit(
-            prim_aabbs, centroids, left_ids, nodes, offset, max_leaf, rule,
-        );
-        let right = emit(
-            prim_aabbs,
-            centroids,
-            right_ids,
-            nodes,
-            offset + mid,
-            max_leaf,
-            rule,
-        );
-        nodes[node_index as usize].kind = NodeKind::Internal { left, right };
-        node_index
-    }
-
-    emit(
-        prim_aabbs,
-        &centroids,
-        &mut prim_indices,
-        &mut nodes,
-        0,
-        max_leaf_size as usize,
-        &rule,
-    );
-
-    Bvh {
-        nodes,
-        prim_indices,
-        prim_aabbs: prim_aabbs.to_vec(),
-        max_leaf_size,
-    }
-}
-
-/// Partition `prim_indices` in place around the best of 8 binned SAH split
-/// candidates on `axis`; returns the split position. Falls back to the
-/// median when binning degenerates.
-fn sah_partition(
-    prim_aabbs: &[Aabb],
-    centroids: &[Vec3],
-    prim_indices: &mut [u32],
-    axis: usize,
-    centroid_bounds: &Aabb,
-) -> usize {
-    const BINS: usize = 8;
-    let count = prim_indices.len();
-    let lo = centroid_bounds.min[axis];
-    let extent = centroid_bounds.max[axis] - lo;
-    if extent <= 0.0 {
-        return count / 2;
-    }
-    let bin_of = |pid: u32| -> usize {
-        let t = (centroids[pid as usize][axis] - lo) / extent;
-        ((t * BINS as f32) as usize).min(BINS - 1)
-    };
-    let mut bin_counts = [0usize; BINS];
-    let mut bin_bounds = [Aabb::EMPTY; BINS];
-    for &pid in prim_indices.iter() {
-        let b = bin_of(pid);
-        bin_counts[b] += 1;
-        bin_bounds[b].grow_aabb(&prim_aabbs[pid as usize]);
-    }
-    // Evaluate SAH cost for each of the BINS-1 split planes.
-    let mut best_cost = f32::INFINITY;
-    let mut best_split = BINS / 2;
-    for split in 1..BINS {
-        let (mut la, mut ra) = (Aabb::EMPTY, Aabb::EMPTY);
-        let (mut lc, mut rc) = (0usize, 0usize);
-        for b in 0..split {
-            if bin_counts[b] > 0 {
-                la.grow_aabb(&bin_bounds[b]);
-                lc += bin_counts[b];
-            }
-        }
-        for b in split..BINS {
-            if bin_counts[b] > 0 {
-                ra.grow_aabb(&bin_bounds[b]);
-                rc += bin_counts[b];
-            }
-        }
-        if lc == 0 || rc == 0 {
-            continue;
-        }
-        let cost = la.surface_area() * lc as f32 + ra.surface_area() * rc as f32;
-        if cost < best_cost {
-            best_cost = cost;
-            best_split = split;
-        }
-    }
-    if !best_cost.is_finite() {
-        return count / 2;
-    }
-    // Partition in place: everything in bins < best_split goes left.
-    let mut left = 0usize;
-    for i in 0..count {
-        if bin_of(prim_indices[i]) < best_split {
-            prim_indices.swap(i, left);
-            left += 1;
-        }
-    }
-    left.clamp(1, count - 1)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -686,13 +418,8 @@ mod tests {
         pts
     }
 
-    fn all_builders() -> [BvhBuilder; 4] {
-        [
-            BvhBuilder::Lbvh,
-            BvhBuilder::LbvhSerial,
-            BvhBuilder::MedianSplit,
-            BvhBuilder::BinnedSah,
-        ]
+    fn all_builders() -> [BvhBuilder; 2] {
+        [BvhBuilder::Lbvh, BvhBuilder::LbvhSerial]
     }
 
     fn assert_bit_identical(a: &Bvh, b: &Bvh, context: &str) {
@@ -865,21 +592,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn build_profile_reports_wall_and_work() {
-        let points = grid_points(8);
-        let (bvh, profile) = build_point_bvh_profiled(&points, 0.5, BuildParams::default());
-        assert_eq!(bvh.num_primitives(), points.len());
-        assert!(profile.host_wall_ms > 0.0);
-        assert!(profile.work_ms > 0.0);
-        assert!(profile.threads >= 1);
-        assert!(profile.work_span_ratio().unwrap() >= 1.0);
-        let doubled = profile.combine(&profile);
-        assert!((doubled.work_ms - 2.0 * profile.work_ms).abs() < 1e-12);
-        assert_eq!(doubled.threads, profile.threads);
-        // Unmeasured profiles report no ratio.
-        assert_eq!(BuildProfile::default().work_span_ratio(), None);
     }
 }

@@ -11,7 +11,6 @@
 //! nodes. The [`crate::node::Bvh::sah_cost`] monitor quantifies that
 //! degradation; the `rtnn-dynamic` crate's rebuild policy acts on it.
 
-use crate::builder::BuildProfile;
 use crate::node::{Bvh, NodeKind};
 use rtnn_math::Aabb;
 use rtnn_parallel::{current_num_threads, par_map_collect};
@@ -72,38 +71,21 @@ pub struct RefitStats {
 /// [`crate::validate::validate_bvh`]; a violation is a bug in this function
 /// or in the input tree and panics.
 pub fn refit_bvh(bvh: &mut Bvh, new_prim_aabbs: &[Aabb]) -> Result<RefitStats, RefitError> {
-    refit_bvh_profiled(bvh, new_prim_aabbs).map(|(stats, _)| stats)
-}
-
-/// [`refit_bvh`] plus the measured host-side [`BuildProfile`].
-pub fn refit_bvh_profiled(
-    bvh: &mut Bvh,
-    new_prim_aabbs: &[Aabb],
-) -> Result<(RefitStats, BuildProfile), RefitError> {
+    let wall = Instant::now();
     let threads = current_num_threads();
     // Cut deep enough to hand every worker several subtrees for load
     // balancing; a serial run or a small tree dispatches to the oracle.
-    let result = if threads <= 1 || bvh.nodes.len() < 4096 {
-        let wall = Instant::now();
-        let stats = refit_bvh_serial(bvh, new_prim_aabbs)?;
-        let ms = wall.elapsed().as_secs_f64() * 1e3;
-        Ok((
-            stats,
-            BuildProfile {
-                host_wall_ms: ms,
-                work_ms: ms,
-                threads,
-            },
-        ))
+    let stats = if threads <= 1 || bvh.nodes.len() < 4096 {
+        refit_bvh_serial(bvh, new_prim_aabbs)?
     } else {
         let cut_depth = (threads * 8).next_power_of_two().trailing_zeros();
-        refit_bvh_with_cut(bvh, new_prim_aabbs, cut_depth)
+        refit_bvh_with_cut(bvh, new_prim_aabbs, cut_depth)?
     };
-    if let (Ok((_, profile)), Some(t)) = (&result, rtnn_telemetry::Telemetry::current()) {
+    if let Some(t) = rtnn_telemetry::Telemetry::current() {
         t.counter_add("bvh.refits", 1);
-        t.observe_wall("bvh.refit.wall_ms", profile.host_wall_ms);
+        t.observe_wall("bvh.refit.wall_ms", wall.elapsed().as_secs_f64() * 1e3);
     }
-    result
+    Ok(stats)
 }
 
 /// The serial refit oracle: one explicit post-order traversal of the whole
@@ -154,25 +136,15 @@ pub fn refit_bvh_with_cut(
     bvh: &mut Bvh,
     new_prim_aabbs: &[Aabb],
     cut_depth: u32,
-) -> Result<(RefitStats, BuildProfile), RefitError> {
-    let wall = Instant::now();
-    let threads = current_num_threads();
+) -> Result<RefitStats, RefitError> {
     let sah_before = check_and_adopt(bvh, new_prim_aabbs)?;
     let Some(sah_before) = sah_before else {
-        return Ok((
-            empty_stats(bvh),
-            BuildProfile {
-                threads,
-                ..BuildProfile::default()
-            },
-        ));
+        return Ok(empty_stats(bvh));
     };
-    let mut work_ms = 0.0;
 
     // BFS from the root: nodes shallower than the cut stay in `upper`
     // (recomputed serially afterwards); the frontier — subtree roots at the
     // cut depth, plus leaves encountered above it — becomes the job list.
-    let t = Instant::now();
     let mut upper: Vec<u32> = Vec::new();
     let mut frontier: Vec<u32> = Vec::new();
     let mut queue: Vec<(u32, u32)> = vec![(0, 0)]; // (node, depth)
@@ -189,27 +161,15 @@ pub fn refit_bvh_with_cut(
             _ => frontier.push(idx),
         }
     }
-    work_ms += t.elapsed().as_secs_f64() * 1e3;
 
     // Refit the frontier subtrees concurrently. Workers only read the tree
     // and return (node, aabb) pairs; a serial pass applies them, so no two
     // threads ever alias a node.
-    let busy_nanos = std::sync::atomic::AtomicU64::new(0);
     let jobs: Vec<Vec<(u32, Aabb)>> = {
         let bvh: &Bvh = bvh;
-        par_map_collect(frontier.len(), |i| {
-            let t = Instant::now();
-            let out = eval_subtree(bvh, frontier[i]);
-            busy_nanos.fetch_add(
-                t.elapsed().as_nanos() as u64,
-                std::sync::atomic::Ordering::Relaxed,
-            );
-            out
-        })
+        par_map_collect(frontier.len(), |i| eval_subtree(bvh, frontier[i]))
     };
-    work_ms += busy_nanos.load(std::sync::atomic::Ordering::Relaxed) as f64 / 1e6;
 
-    let t = Instant::now();
     for job in jobs {
         for (idx, aabb) in job {
             bvh.nodes[idx as usize].aabb = aabb;
@@ -225,17 +185,8 @@ pub fn refit_bvh_with_cut(
             .aabb
             .union(&bvh.nodes[right as usize].aabb);
     }
-    work_ms += t.elapsed().as_secs_f64() * 1e3;
 
-    let stats = finish(bvh, sah_before)?;
-    Ok((
-        stats,
-        BuildProfile {
-            host_wall_ms: wall.elapsed().as_secs_f64() * 1e3,
-            work_ms,
-            threads,
-        },
-    ))
+    finish(bvh, sah_before)
 }
 
 /// Post-order evaluation of one subtree's new AABBs against the (already
@@ -372,7 +323,7 @@ impl SahMonitor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::builder::{build_bvh, build_point_bvh, BuildParams, BvhBuilder};
+    use crate::builder::{build_bvh, build_point_bvh, BuildParams};
     use crate::validate::validate_bvh;
     use rtnn_math::Vec3;
 
@@ -391,24 +342,14 @@ mod tests {
     #[test]
     fn refit_with_identical_primitives_is_a_fixed_point() {
         let pts = grid_points(5);
-        for builder in [
-            BvhBuilder::Lbvh,
-            BvhBuilder::MedianSplit,
-            BvhBuilder::BinnedSah,
-        ] {
-            let params = BuildParams {
-                builder,
-                max_leaf_size: 4,
-            };
-            let mut bvh = build_point_bvh(&pts, 0.5, params);
-            let reference = bvh.clone();
-            let stats = refit_point_bvh(&mut bvh, &pts, 0.5).unwrap();
-            assert_eq!(stats.nodes_updated, bvh.nodes.len());
-            assert!((stats.sah_after - stats.sah_before).abs() < 1e-9);
-            for (a, b) in bvh.nodes.iter().zip(&reference.nodes) {
-                assert_eq!(a.aabb, b.aabb, "{builder:?}");
-                assert_eq!(a.kind, b.kind);
-            }
+        let mut bvh = build_point_bvh(&pts, 0.5, BuildParams::default());
+        let reference = bvh.clone();
+        let stats = refit_point_bvh(&mut bvh, &pts, 0.5).unwrap();
+        assert_eq!(stats.nodes_updated, bvh.nodes.len());
+        assert!((stats.sah_after - stats.sah_before).abs() < 1e-9);
+        for (a, b) in bvh.nodes.iter().zip(&reference.nodes) {
+            assert_eq!(a.aabb, b.aabb);
+            assert_eq!(a.kind, b.kind);
         }
     }
 
@@ -502,11 +443,10 @@ mod tests {
         for cut in [0u32, 1, 3, 6, 30] {
             for threads in [1usize, 2, 5] {
                 let mut parallel = bvh0.clone();
-                let (stats, profile) = rtnn_parallel::with_thread_count(threads, || {
+                let stats = rtnn_parallel::with_thread_count(threads, || {
                     refit_bvh_with_cut(&mut parallel, &moved, cut).unwrap()
                 });
                 assert_eq!(stats, serial_stats, "cut={cut} threads={threads}");
-                assert!(profile.host_wall_ms >= 0.0);
                 for (i, (a, b)) in parallel.nodes.iter().zip(&serial.nodes).enumerate() {
                     assert_eq!(a.aabb, b.aabb, "cut={cut} threads={threads} node {i}");
                     assert_eq!(a.kind, b.kind);
@@ -531,8 +471,8 @@ mod tests {
         let mut bvh = build_bvh(
             &prim_aabbs,
             BuildParams {
-                builder: BvhBuilder::MedianSplit,
                 max_leaf_size: 1,
+                ..BuildParams::default()
             },
         );
         let NodeKind::Internal { left, right } = bvh.nodes[0].kind else {
@@ -571,8 +511,8 @@ mod tests {
         let mut bvh = build_bvh(
             &prim_aabbs,
             BuildParams {
-                builder: BvhBuilder::MedianSplit,
                 max_leaf_size: 1,
+                ..BuildParams::default()
             },
         );
         // Swap the two leaves in the node array and fix up the root's child

@@ -133,7 +133,7 @@ pub fn validate_bvh(bvh: &Bvh) -> Result<(), BvhValidationError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::builder::{build_bvh, BuildParams, BvhBuilder};
+    use crate::builder::{build_bvh, BuildParams};
     use crate::node::BvhNode;
     use rtnn_math::{Aabb, Vec3};
 
@@ -145,8 +145,8 @@ mod tests {
         build_bvh(
             &prim_aabbs,
             BuildParams {
-                builder: BvhBuilder::MedianSplit,
                 max_leaf_size: 1,
+                ..BuildParams::default()
             },
         )
     }
@@ -180,8 +180,8 @@ mod tests {
         let mut bvh = build_bvh(
             &prim_aabbs,
             BuildParams {
-                builder: BvhBuilder::MedianSplit,
                 max_leaf_size: 1,
+                ..BuildParams::default()
             },
         );
         for slot in bvh.prim_indices.iter_mut() {
@@ -199,8 +199,8 @@ mod tests {
         let mut bvh = build_bvh(
             &prim_aabbs,
             BuildParams {
-                builder: BvhBuilder::MedianSplit,
                 max_leaf_size: 4,
+                ..BuildParams::default()
             },
         );
         bvh.max_leaf_size = 1; // pretend the builder was configured tighter

@@ -11,8 +11,7 @@
 
 use proptest::prelude::*;
 use rtnn_bvh::{
-    build_bvh_profiled, refit_bvh_serial, refit_bvh_with_cut, validate_bvh, BuildParams, Bvh,
-    BvhBuilder,
+    build_bvh, refit_bvh_serial, refit_bvh_with_cut, validate_bvh, BuildParams, Bvh, BvhBuilder,
 };
 use rtnn_data::dynamics::{DriftModel, DriftScene};
 use rtnn_data::PointCloud;
@@ -89,14 +88,11 @@ proptest! {
             builder: BvhBuilder::Lbvh,
             max_leaf_size: max_leaf,
         };
-        let (oracle, _) = build_bvh_profiled(&aabbs, serial_params);
+        let oracle = build_bvh(&aabbs, serial_params);
         validate_bvh(&oracle).unwrap();
         for threads in [1usize, 2, 6] {
-            let (tree, profile) =
-                with_thread_count(threads, || build_bvh_profiled(&aabbs, parallel_params));
+            let tree = with_thread_count(threads, || build_bvh(&aabbs, parallel_params));
             assert_trees_bit_identical(&tree, &oracle, &format!("{threads} threads"))?;
-            prop_assert!(profile.host_wall_ms > 0.0);
-            prop_assert!(profile.work_ms > 0.0);
         }
     }
 
@@ -112,7 +108,7 @@ proptest! {
             builder: BvhBuilder::Lbvh,
             max_leaf_size: 4,
         };
-        let built = build_bvh_profiled(&aabbs_for(&points, width), params).0;
+        let built = build_bvh(&aabbs_for(&points, width), params);
         let mut scene = DriftScene::new(
             &PointCloud::new("prop", points),
             drift_model(model_idx),
@@ -128,7 +124,7 @@ proptest! {
                     let mut tree = built.clone();
                     // Catch up to the serial tree's frame, then refit the
                     // final frame through the parallel path under test.
-                    let (stats, profile) = with_thread_count(threads, || {
+                    let stats = with_thread_count(threads, || {
                         refit_bvh_with_cut(&mut tree, &moved, cut)
                     })
                     .unwrap();
@@ -140,7 +136,6 @@ proptest! {
                         "{context}: adopted primitive boxes differ"
                     );
                     prop_assert_eq!(stats.nodes_updated, tree.nodes.len());
-                    prop_assert!(profile.host_wall_ms >= 0.0);
                     validate_bvh(&tree).unwrap();
                 }
             }

@@ -11,8 +11,7 @@
 //!   query time with typed [`PlanError`]s.
 //!
 //! Engine-wide tuning that is *not* per-query (optimisation level, KNN
-//! AABB rule, approximation mode, grid budget, BVH build knobs) lives in
-//! [`EngineConfig`].
+//! AABB rule, approximation mode, grid budget) lives in [`EngineConfig`].
 //!
 //! Every call runs through one driver: a single plan is a one-slice batch
 //! over every query, so single plans and heterogeneous batches share the
@@ -61,8 +60,6 @@ use std::borrow::Cow;
 pub struct EngineConfig {
     /// Which of the paper's optimisations are enabled.
     pub opt: OptLevel,
-    /// BVH builder configuration.
-    pub build: BuildParams,
     /// How KNN partition AABB widths are derived (default: guaranteed-exact).
     pub knn_rule: KnnAabbRule,
     /// Approximation mode (default: exact).
@@ -76,7 +73,6 @@ impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
             opt: OptLevel::Full,
-            build: BuildParams::default(),
             knn_rule: KnnAabbRule::default(),
             approx: ApproxMode::default(),
             grid_max_cells: 1 << 21,
@@ -88,12 +84,6 @@ impl EngineConfig {
     /// Set the optimisation level.
     pub fn with_opt(mut self, opt: OptLevel) -> Self {
         self.opt = opt;
-        self
-    }
-
-    /// Set the BVH build parameters.
-    pub fn with_build(mut self, build: BuildParams) -> Self {
-        self.build = build;
         self
     }
 
@@ -207,13 +197,12 @@ impl<'a> AccelStore<'a> {
         backend: &dyn Backend,
         points: &[Vec3],
         aabb_width: f32,
-        build: BuildParams,
     ) -> Result<(usize, f64), SearchError> {
         if let Some(id) = self.find(aabb_width) {
             return Ok((id, 0.0));
         }
         let accel = backend
-            .build(points, aabb_width, build)
+            .build(points, aabb_width, BuildParams::default())
             .map_err(SearchError::OutOfDeviceMemory)?;
         let build_ms = accel.build_time_ms();
         self.entries.push(StoreEntry::Owned(accel));
@@ -232,7 +221,6 @@ impl<'a> AccelStore<'a> {
         backend: &dyn Backend,
         points: &[Vec3],
         aabb_widths: &[f32],
-        build: BuildParams,
     ) -> Result<f64, SearchError> {
         let mut missing: Vec<f32> = Vec::new();
         for &w in aabb_widths {
@@ -243,7 +231,9 @@ impl<'a> AccelStore<'a> {
         if missing.is_empty() {
             return Ok(0.0);
         }
-        let built = par_map_collect(missing.len(), |i| backend.build(points, missing[i], build));
+        let built = par_map_collect(missing.len(), |i| {
+            backend.build(points, missing[i], BuildParams::default())
+        });
         let mut total_ms = 0.0;
         for accel in built {
             let accel = accel.map_err(SearchError::OutOfDeviceMemory)?;
@@ -445,7 +435,7 @@ impl<'a> Index<'a> {
         }
         let built_ms = self
             .store
-            .ensure_many(self.backend, &self.points, &widths, cfg.build)?;
+            .ensure_many(self.backend, &self.points, &widths)?;
         if partitioning.wants_grid() {
             grid_for(&mut self.grid, &self.points, cfg.grid_max_cells);
         }
@@ -619,8 +609,7 @@ impl<'a> Index<'a> {
         let pending_ms = std::mem::take(&mut self.pending_structure_ms);
         let store = &mut self.store;
         meter.structures(|| {
-            let structure_ms =
-                pending_ms + store.ensure_many(backend, points, &widths, cfg.build)?;
+            let structure_ms = pending_ms + store.ensure_many(backend, points, &widths)?;
             breakdown.bvh_ms += structure_ms;
             Ok(structure_ms)
         })?;
@@ -756,7 +745,7 @@ fn traverse_partition(
         (store.find(full_width).expect("ensured by the driver"), 0.0)
     } else {
         let eff_width = part.aabb_width * cfg.approx.aabb_width_factor().min(1.0);
-        store.ensure(backend, points, eff_width, cfg.build)?
+        store.ensure(backend, points, eff_width)?
     };
     let sphere_test = part.sphere_test && !cfg.approx.skip_sphere_test();
     let kind = match params.mode {

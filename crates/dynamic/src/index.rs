@@ -7,7 +7,7 @@ use rtnn::{
     Accel, AdoptedScene, Backend, GpusimBackend, Index, MegacellCache, MegacellGrid, PlanError,
     QueryPlan, RtnnConfig, SearchError, SearchResults, StageOverrides,
 };
-use rtnn_bvh::SahMonitor;
+use rtnn_bvh::{BuildParams, SahMonitor};
 use rtnn_gpusim::{Device, FrameAccumulator};
 use rtnn_math::{Aabb, Vec3};
 use std::collections::BTreeSet;
@@ -524,23 +524,7 @@ impl<'d> DynamicIndex<'d> {
                         }
                         _ => 1.0,
                     };
-                    // Attach the measured host-side construction profile so
-                    // the policy's `(q − 1)·S > B − R` coefficients reflect
-                    // *parallel* build/refit costs: the build profile of the
-                    // structure we would be replacing, combined with the
-                    // refit we just ran.
-                    let host = {
-                        let accel = self.accel.as_ref().expect("checked above");
-                        match accel.host_build_profile() {
-                            Some(build) => build.combine(&refit.host),
-                            None => refit.host,
-                        }
-                    };
-                    let timing = self
-                        .backend
-                        .as_dyn()
-                        .timing(n)
-                        .with_host_profile(host.host_wall_ms, host.work_ms);
+                    let timing = self.backend.as_dyn().timing(n);
                     if self
                         .policy
                         .should_rebuild(quality_ratio, &timing, self.last_traversal_ms)
@@ -612,12 +596,11 @@ impl<'d> DynamicIndex<'d> {
     /// simulated build time.
     fn rebuild_structures(&mut self, width: f32) -> Result<f64, SearchError> {
         let budget = self.grid_budget();
-        let accel = {
-            let backend = self.backend.as_dyn();
-            backend
-                .build(&self.compact, width, self.config.engine.build)
-                .map_err(SearchError::OutOfDeviceMemory)?
-        };
+        let accel = self
+            .backend
+            .as_dyn()
+            .build(&self.compact, width, BuildParams::default())
+            .map_err(SearchError::OutOfDeviceMemory)?;
         let build_ms = accel.build_time_ms();
         // Backends that expose tree quality seed the SAH baseline; opaque
         // backends leave the monitor empty (quality stays 1.0).

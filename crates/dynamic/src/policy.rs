@@ -16,11 +16,13 @@
 //! * rebuild now:    `T_build = B + S`
 //!
 //! with `R`/`B` the refit/build cost the *backend* reports for the current
-//! structure size ([`StructureTiming`]) and `S` the last measured
-//! traversal time. The adaptive policy rebuilds exactly when
-//! `(q − 1)·S > B − R` — when the predicted traversal penalty of the stale
-//! topology exceeds what the rebuild would cost over a refit — plus a hard
-//! quality cap as a safety net for workloads whose `S` is noisy or unknown.
+//! structure size ([`StructureTiming`]) and `S` the last frame's traversal
+//! time. All three are simulated device milliseconds, never host
+//! measurements, so a seed replays the same rebuild frames at any thread
+//! count. The adaptive policy rebuilds exactly when `(q − 1)·S > B − R` —
+//! when the predicted traversal penalty of the stale topology exceeds what
+//! the rebuild would cost over a refit — plus a hard quality cap as a
+//! safety net for workloads whose `S` is noisy or unknown.
 //!
 //! Backends that expose no tree quality (the opaque OptiX shim, the
 //! brute-force oracle) report `q = 1`, so the adaptive policy degrades
@@ -91,10 +93,10 @@ impl RebuildPolicy {
         self.mode == PolicyMode::AlwaysRebuild
     }
 
-    /// Decide whether this frame should rebuild, given the measured quality
-    /// ratio `q` of the already-refitted tree, the backend's structure
-    /// timing at the current size, and the last frame's traversal time
-    /// (`None` until a frame has run).
+    /// Decide whether this frame should rebuild, given the quality ratio
+    /// `q` of the already-refitted tree, the backend's simulated structure
+    /// timing at the current size, and the last frame's simulated traversal
+    /// time (`None` until a frame has run).
     pub fn should_rebuild(
         &self,
         quality_ratio: f64,
@@ -111,13 +113,7 @@ impl RebuildPolicy {
                 let Some(s) = last_traversal_ms else {
                     return false;
                 };
-                // `(q − 1)·S > B − R`, with the premium deflated by the
-                // measured host-side parallelism of the construction path:
-                // when the backend carries a host profile showing the build
-                // ran at a work/wall ratio of p, the effective rebuild cost
-                // drops by that factor and the break-even point moves with
-                // it ([`StructureTiming::parallel_premium_ms`]).
-                (quality_ratio - 1.0) * s > timing.parallel_premium_ms()
+                (quality_ratio - 1.0) * s > timing.rebuild_premium_ms()
             }
         }
     }
@@ -172,25 +168,6 @@ mod tests {
     fn no_history_means_no_speculative_rebuild_below_the_cap() {
         let p = RebuildPolicy::adaptive();
         assert!(!p.should_rebuild(1.5, &timing(1_000_000), None));
-    }
-
-    #[test]
-    fn measured_parallelism_lowers_the_break_even_point() {
-        // A host profile showing the build ran 4 workers wide (work = 4×
-        // wall) quarters the effective rebuild premium, so a (q, S) pair
-        // the serial coefficients reject now justifies the rebuild.
-        let p = RebuildPolicy::adaptive();
-        let serial = timing(1_000_000);
-        let parallel = serial.with_host_profile(2.0, 8.0);
-        assert_eq!(parallel.rebuild_premium_ms(), serial.rebuild_premium_ms());
-        assert_eq!(parallel.host_speedup(), Some(4.0));
-
-        let q = 1.1;
-        // Sit between the two break-even points: above premium/4, below
-        // premium.
-        let s = serial.rebuild_premium_ms() / (q - 1.0) / 2.0;
-        assert!(!p.should_rebuild(q, &serial, Some(s)));
-        assert!(p.should_rebuild(q, &parallel, Some(s)));
     }
 
     #[test]

@@ -34,24 +34,14 @@ impl std::error::Error for OutOfDeviceMemory {}
 /// (and forwarded by search backends): what a from-scratch build and an
 /// in-place refit of an acceleration structure cost at a given size. The
 /// refit-vs-rebuild policies consume this instead of talking to a device
-/// directly.
+/// directly. Both terms are simulated device milliseconds, so a policy that
+/// reads them decides the same way on any host at any thread count.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct StructureTiming {
     /// Simulated milliseconds of a from-scratch structure build.
     pub build_ms: f64,
     /// Simulated milliseconds of an in-place refit.
     pub refit_ms: f64,
-    /// Measured host wall-clock milliseconds of the most recent structure
-    /// maintenance (build and/or refit) on the host-parallel construction
-    /// path; `0.0` means "not measured" (model-only timing).
-    ///
-    /// Reported separately from `work_ms` so a parallel build shows up as
-    /// *parallelism* (same work, less wall time) instead of silently
-    /// reporting less work.
-    pub host_wall_ms: f64,
-    /// Aggregate busy milliseconds across all construction workers for the
-    /// same operations; `0.0` means "not measured".
-    pub work_ms: f64,
 }
 
 impl StructureTiming {
@@ -60,30 +50,6 @@ impl StructureTiming {
     /// stale tree.
     pub fn rebuild_premium_ms(&self) -> f64 {
         self.build_ms - self.refit_ms
-    }
-
-    /// Measured host-parallel speedup of structure maintenance
-    /// (`work_ms / host_wall_ms`, clamped to ≥ 1); `None` until both terms
-    /// have been measured.
-    pub fn host_speedup(&self) -> Option<f64> {
-        (self.host_wall_ms > 0.0 && self.work_ms > 0.0)
-            .then(|| (self.work_ms / self.host_wall_ms).max(1.0))
-    }
-
-    /// The rebuild premium with the `(q−1)·S > B−R` coefficients re-derived
-    /// for parallel construction: both the build and refit terms shrink by
-    /// the *measured* host speedup, so a structure that builds `s×` faster
-    /// on the pool breaks even at an `s×` smaller traversal penalty. Equal
-    /// to [`Self::rebuild_premium_ms`] while unmeasured.
-    pub fn parallel_premium_ms(&self) -> f64 {
-        self.rebuild_premium_ms() / self.host_speedup().unwrap_or(1.0)
-    }
-
-    /// Attach a measured host profile (wall/work pair) to a model timing.
-    pub fn with_host_profile(mut self, host_wall_ms: f64, work_ms: f64) -> Self {
-        self.host_wall_ms = host_wall_ms;
-        self.work_ms = work_ms;
-        self
     }
 }
 
@@ -193,10 +159,6 @@ impl Device {
         StructureTiming {
             build_ms: self.accel_build_time_ms(num_prims),
             refit_ms: self.accel_refit_time_ms(num_prims),
-            // Host-side measurements are attached by the layer that actually
-            // ran a build/refit; the device model alone has none.
-            host_wall_ms: 0.0,
-            work_ms: 0.0,
         }
     }
 

@@ -122,19 +122,6 @@ impl Aabb {
         self.extent().max_component()
     }
 
-    /// Index (0=x, 1=y, 2=z) of the longest axis.
-    #[inline]
-    pub fn longest_axis(&self) -> usize {
-        let e = self.extent();
-        if e.x >= e.y && e.x >= e.z {
-            0
-        } else if e.y >= e.z {
-            1
-        } else {
-            2
-        }
-    }
-
     /// Grow to include a point.
     #[inline]
     pub fn grow_point(&mut self, p: Vec3) {
@@ -306,22 +293,6 @@ mod tests {
         assert!(small.overlaps(&big));
         assert!(!big.overlaps(&apart));
         assert_eq!(big.union(&apart).max.x, 10.5);
-    }
-
-    #[test]
-    fn longest_axis_selection() {
-        assert_eq!(
-            Aabb::new(Vec3::ZERO, Vec3::new(3.0, 1.0, 2.0)).longest_axis(),
-            0
-        );
-        assert_eq!(
-            Aabb::new(Vec3::ZERO, Vec3::new(1.0, 3.0, 2.0)).longest_axis(),
-            1
-        );
-        assert_eq!(
-            Aabb::new(Vec3::ZERO, Vec3::new(1.0, 2.0, 3.0)).longest_axis(),
-            2
-        );
     }
 
     #[test]

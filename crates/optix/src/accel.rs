@@ -12,7 +12,6 @@
 //! backends a cheap copyable reference per launch.
 
 use crate::gas::Gas;
-use rtnn_bvh::BuildProfile;
 use rtnn_gpusim::Device;
 use rtnn_math::{Aabb, Vec3};
 use rtnn_parallel::par_map;
@@ -26,9 +25,6 @@ pub struct RefitOutcome {
     /// quality (`None` for structure-less backends and for hardware shims
     /// that treat the tree as opaque).
     pub sah_after: Option<f64>,
-    /// Measured host-side cost of the refit (wall vs aggregate work);
-    /// all-zero for structure-less handles whose refit is free.
-    pub host: BuildProfile,
 }
 
 #[derive(Debug, Clone)]
@@ -125,17 +121,6 @@ impl Accel {
         self.build_ms
     }
 
-    /// Measured host-side cost of the build. Available for *every*
-    /// BVH-backed handle — including opaque hardware trees, since host
-    /// build time is observable without SAH introspection — and `None` for
-    /// structure-less handles.
-    pub fn host_build_profile(&self) -> Option<BuildProfile> {
-        match &self.kind {
-            AccelKind::Gas { gas, .. } => Some(gas.host_build_profile()),
-            AccelKind::Flat { .. } => None,
-        }
-    }
-
     /// Number of point primitives covered.
     pub fn num_primitives(&self) -> usize {
         match &self.kind {
@@ -163,7 +148,6 @@ impl Accel {
                 Some(RefitOutcome {
                     refit_ms: refit.refit_time_ms,
                     sah_after: expose_quality.then_some(refit.stats.sah_after),
-                    host: refit.host,
                 })
             }
             AccelKind::Flat { num_points } => {
@@ -177,7 +161,6 @@ impl Accel {
                 Some(RefitOutcome {
                     refit_ms: 0.0,
                     sah_after: None,
-                    host: BuildProfile::default(),
                 })
             }
         }

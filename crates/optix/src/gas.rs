@@ -6,9 +6,7 @@
 //! the simulated build time reported by the device's build-rate model along
 //! with the structure itself.
 
-use rtnn_bvh::{
-    build_bvh_profiled, refit_bvh_profiled, BuildParams, BuildProfile, Bvh, RefitError, RefitStats,
-};
+use rtnn_bvh::{build_bvh, refit_bvh, BuildParams, Bvh, RefitError, RefitStats};
 use rtnn_gpusim::device::OutOfDeviceMemory;
 use rtnn_gpusim::Device;
 use rtnn_math::{Aabb, Vec3};
@@ -27,8 +25,6 @@ pub struct GasRefit {
     pub refit_time_ms: f64,
     /// BVH-level statistics (nodes updated, SAH cost before/after).
     pub stats: RefitStats,
-    /// Measured host-side cost of the refit (wall vs aggregate work).
-    pub host: BuildProfile,
 }
 
 /// An acceleration structure over custom AABB primitives.
@@ -37,8 +33,6 @@ pub struct Gas {
     bvh: Bvh,
     build_time_ms: f64,
     memory_bytes: u64,
-    host_build: BuildProfile,
-    host_refit: Option<BuildProfile>,
 }
 
 impl Gas {
@@ -53,7 +47,9 @@ impl Gas {
     ) -> Result<Gas, OutOfDeviceMemory> {
         let tel = Telemetry::current();
         let mut span = tel.as_ref().map(|t| t.span("accel.build"));
-        let (bvh, host_build) = build_bvh_profiled(prim_aabbs, params);
+        let wall = std::time::Instant::now();
+        let bvh = build_bvh(prim_aabbs, params);
+        let host_wall_ms = wall.elapsed().as_secs_f64() * 1e3;
         let memory_bytes =
             bvh.num_nodes() as u64 * NODE_BYTES + bvh.num_primitives() as u64 * PRIM_BYTES;
         device.check_allocation(memory_bytes)?;
@@ -66,17 +62,13 @@ impl Gas {
             span.attr("device_ms", build_time_ms)
                 .attr("primitives", prim_aabbs.len() as f64)
                 .attr("memory_bytes", memory_bytes as f64)
-                .attr_wall("host_wall_ms", host_build.host_wall_ms)
-                .attr_wall("work_ms", host_build.work_ms)
-                .attr_wall("threads", host_build.threads as f64);
+                .attr_wall("host_wall_ms", host_wall_ms);
         }
         drop(span);
         Ok(Gas {
             bvh,
             build_time_ms,
             memory_bytes,
-            host_build,
-            host_refit: None,
         })
     }
 
@@ -101,8 +93,9 @@ impl Gas {
     pub fn refit(&mut self, device: &Device, prim_aabbs: &[Aabb]) -> Result<GasRefit, RefitError> {
         let tel = Telemetry::current();
         let mut span = tel.as_ref().map(|t| t.span("accel.refit"));
-        let (stats, host) = refit_bvh_profiled(&mut self.bvh, prim_aabbs)?;
-        self.host_refit = Some(host);
+        let wall = std::time::Instant::now();
+        let stats = refit_bvh(&mut self.bvh, prim_aabbs)?;
+        let host_wall_ms = wall.elapsed().as_secs_f64() * 1e3;
         let refit_time_ms = device.accel_refit_time_ms(prim_aabbs.len());
         if let Some(t) = &tel {
             t.counter_add("accel.refits", 1);
@@ -112,14 +105,12 @@ impl Gas {
             span.attr("device_ms", refit_time_ms)
                 .attr("primitives", prim_aabbs.len() as f64)
                 .attr("nodes_updated", stats.nodes_updated as f64)
-                .attr_wall("host_wall_ms", host.host_wall_ms)
-                .attr_wall("work_ms", host.work_ms);
+                .attr_wall("host_wall_ms", host_wall_ms);
         }
         drop(span);
         Ok(GasRefit {
             refit_time_ms,
             stats,
-            host,
         })
     }
 
@@ -145,19 +136,6 @@ impl Gas {
     #[inline]
     pub fn build_time_ms(&self) -> f64 {
         self.build_time_ms
-    }
-
-    /// Measured host-side cost of the build (wall vs aggregate work across
-    /// the construction workers).
-    #[inline]
-    pub fn host_build_profile(&self) -> BuildProfile {
-        self.host_build
-    }
-
-    /// Measured host-side cost of the most recent refit, if any.
-    #[inline]
-    pub fn host_refit_profile(&self) -> Option<BuildProfile> {
-        self.host_refit
     }
 
     /// Simulated device-memory footprint in bytes.
@@ -215,21 +193,6 @@ mod tests {
         for &p in &pts {
             assert!(gas.bvh().root_bounds().contains_point(p));
         }
-    }
-
-    #[test]
-    fn host_profiles_are_measured_for_build_and_refit() {
-        let device = Device::rtx_2080();
-        let pts = grid_points(400);
-        let mut gas = Gas::build_from_points(&device, &pts, 0.5, BuildParams::default()).unwrap();
-        let build = gas.host_build_profile();
-        assert!(build.host_wall_ms > 0.0);
-        assert!(build.work_ms > 0.0);
-        assert!(build.threads >= 1);
-        assert!(gas.host_refit_profile().is_none(), "no refit ran yet");
-        let refit = gas.refit_from_points(&device, &pts, 0.5).unwrap();
-        assert!(refit.host.host_wall_ms > 0.0);
-        assert_eq!(gas.host_refit_profile(), Some(refit.host));
     }
 
     #[test]

@@ -19,8 +19,8 @@
 //!   that collects one result per element (used by `rtnn-serve` to fan one
 //!   query tick out over its shard indexes, each run owning one shard
 //!   exclusively, and by the simulator to run one SM shard per element);
-//! * [`par_chunks_mut`] — disjoint mutable chunks of a slice with
-//!   aggregate busy-time metering (the builder's work/wall accounting);
+//! * [`par_chunks_mut`] — disjoint mutable chunks of a slice (the LBVH
+//!   builder's Morton keys and level passes);
 //! * [`par_sort_by_key`] — parallel merge of per-chunk sorts (used for the
 //!   Morton sorts in the LBVH builder and the query scheduler).
 //!
@@ -212,57 +212,40 @@ where
 
 /// Visit disjoint chunks of `items` (at least `min_chunk` elements each,
 /// dynamically scheduled) with `&mut` access; `f` receives the chunk's
-/// start index and the chunk slice. Returns the *aggregate busy time* in
-/// milliseconds the workers spent inside `f` — the "work" term of a
-/// work/wall accounting: on one thread it matches the wall time of the
-/// region, on `t` threads it can approach `t ×` the wall time.
-pub fn par_chunks_mut<T, F>(items: &mut [T], min_chunk: usize, f: F) -> f64
+/// start index and the chunk slice.
+pub fn par_chunks_mut<T, F>(items: &mut [T], min_chunk: usize, f: F)
 where
     T: Send,
     F: Fn(usize, &mut [T]) + Sync,
 {
-    use std::sync::atomic::AtomicU64;
-    use std::time::Instant;
-    let n = items.len();
-    let busy_nanos = AtomicU64::new(0);
     let base = SendPtr(items.as_mut_ptr());
-    par_for_chunks(n, min_chunk, |range| {
+    par_for_chunks(items.len(), min_chunk, |range| {
         let ptr = base;
         // SAFETY: chunk ranges are disjoint, so the chunk slices never
         // alias, and `items` outlives the `par_for_chunks` call, which
         // returns only after every run.
         let slice = unsafe { std::slice::from_raw_parts_mut(ptr.0.add(range.start), range.len()) };
-        let t = Instant::now();
         f(range.start, slice);
-        busy_nanos.fetch_add(t.elapsed().as_nanos() as u64, Ordering::Relaxed);
     });
-    busy_nanos.into_inner() as f64 / 1e6
 }
 
 /// Parallel stable sort of `items` by a key function: the slice is split
 /// into per-thread chunks, each chunk is sorted, and the chunks are merged.
-///
-/// Returns the aggregate busy time in milliseconds spent sorting and
-/// merging across all workers (see [`par_chunks_mut`] for the work/wall
-/// convention); callers that don't meter simply ignore it. The sorted order
-/// is deterministic for unique keys regardless of thread count.
-pub fn par_sort_by_key<T, K, F>(items: &mut [T], key: F) -> f64
+/// The sorted order is deterministic for unique keys regardless of thread
+/// count.
+pub fn par_sort_by_key<T, K, F>(items: &mut [T], key: F)
 where
     T: Send + Clone,
     K: Ord,
     F: Fn(&T) -> K + Sync,
 {
-    use std::sync::atomic::AtomicU64;
-    use std::time::Instant;
     let n = items.len();
     let threads = current_num_threads();
     if n <= SEQUENTIAL_CUTOFF || threads <= 1 {
-        let t = Instant::now();
         items.sort_by_key(|t| key(t));
-        return t.elapsed().as_secs_f64() * 1e3;
+        return;
     }
     let chunk = n.div_ceil(threads);
-    let busy_nanos = AtomicU64::new(0);
     // Sort each chunk in parallel.
     {
         let base = SendPtr(items.as_mut_ptr());
@@ -279,16 +262,13 @@ where
                 // SAFETY: chunks are disjoint.
                 let slice =
                     unsafe { std::slice::from_raw_parts_mut(ptr.0.add(start), end - start) };
-                let timer = Instant::now();
                 slice.sort_by_key(|t| key(t));
-                busy_nanos.fetch_add(timer.elapsed().as_nanos() as u64, Ordering::Relaxed);
             }
         });
     }
     // Iteratively merge neighbouring sorted runs. The merge passes are
     // sequential (there are only log2(threads) of them and they are
     // memory-bandwidth bound); each pass copies the current contents once.
-    let merge_timer = Instant::now();
     let mut run = chunk;
     while run < n {
         let src = items.to_vec();
@@ -306,7 +286,6 @@ where
         }
         run *= 2;
     }
-    busy_nanos.load(Ordering::Relaxed) as f64 / 1e6 + merge_timer.elapsed().as_secs_f64() * 1e3
 }
 
 fn merge_by_key<T: Clone, K: Ord, F: Fn(&T) -> K>(a: &[T], b: &[T], out: &mut [T], key: &F) {
@@ -449,25 +428,21 @@ mod tests {
     }
 
     #[test]
-    fn chunks_mut_covers_the_slice_and_reports_busy_time() {
+    fn chunks_mut_covers_the_slice() {
         let n = 50_000;
         let mut items: Vec<u64> = vec![0; n];
-        let busy_ms = par_chunks_mut(&mut items, 64, |start, chunk| {
+        par_chunks_mut(&mut items, 64, |start, chunk| {
             for (off, item) in chunk.iter_mut().enumerate() {
                 *item = (start + off) as u64 * 3;
             }
         });
         assert!(items.iter().enumerate().all(|(i, &v)| v == i as u64 * 3));
-        assert!(busy_ms >= 0.0);
         let mut empty: Vec<u64> = Vec::new();
-        assert_eq!(
-            par_chunks_mut(&mut empty, 16, |_, _| panic!("no chunks")),
-            0.0
-        );
+        par_chunks_mut(&mut empty, 16, |_, _| panic!("no chunks"));
     }
 
     #[test]
-    fn sort_returns_busy_time_and_is_thread_count_invariant() {
+    fn sort_is_thread_count_invariant() {
         let make = |n: usize| -> Vec<(u64, u32)> {
             (0..n)
                 .map(|i| {
@@ -484,10 +459,8 @@ mod tests {
         reference.sort_by_key(|&(k, id)| (k, id));
         for threads in [1, 2, 7] {
             let mut data = make(30_000);
-            let busy =
-                with_thread_count(threads, || par_sort_by_key(&mut data, |&(k, id)| (k, id)));
+            with_thread_count(threads, || par_sort_by_key(&mut data, |&(k, id)| (k, id)));
             assert_eq!(data, reference, "threads={threads}");
-            assert!(busy >= 0.0);
         }
     }
 

@@ -1,14 +1,18 @@
 //! Nondeterminism hazards: every dataset generator must produce bit-identical
 //! clouds across repeated runs and across worker-thread counts, and the
-//! engine's results and *simulated* timings must be independent of the host
-//! thread count.
+//! engine's results, *simulated* timings and the structure decisions made
+//! from them must be independent of the host thread count.
 //!
 //! These tests mutate the process-global `rtnn_parallel` thread count, so
 //! they live in their own integration-test binary (own process) and
 //! serialise the mutation behind a lock.
 
-use rtnn::{EngineConfig, GpusimBackend, Index, QueryPlan};
+use rtnn::{EngineConfig, GpusimBackend, Index, QueryPlan, RtnnConfig, SearchParams};
+use rtnn_bvh::{build_point_bvh, BuildParams};
+use rtnn_data::dynamics::{DriftModel, DriftScene};
+use rtnn_data::uniform::{self, UniformParams};
 use rtnn_data::{Dataset, DatasetName};
+use rtnn_dynamic::{DynamicIndex, StructureAction};
 use rtnn_gpusim::Device;
 use rtnn_math::Vec3;
 use std::sync::Mutex;
@@ -95,6 +99,69 @@ fn engine_results_and_simulated_times_are_independent_of_thread_count() {
         serial.search_metrics, parallel.search_metrics,
         "simulated search metrics depend on thread count"
     );
+}
+
+#[test]
+fn adaptive_dynamic_frames_are_independent_of_thread_count() {
+    // A shearing orbit under the default (adaptive) rebuild policy: the
+    // policy weighs `(q − 1)·S` against `B − R` every frame, so any host
+    // timing that leaked into those terms would move the rebuild frames
+    // between thread counts, and every later frame with them.
+    let device = Device::rtx_2080();
+    let cloud = uniform::generate(&UniformParams {
+        num_points: 6_000,
+        seed: 7,
+        ..Default::default()
+    });
+    let radius = 8.25;
+    // At 2 threads a refit of at least 4,096 nodes takes the parallel cut
+    // path; at 1 thread it runs the serial oracle.
+    let nodes = build_point_bvh(&cloud.points, radius, BuildParams::default()).num_nodes();
+    assert!(nodes >= 4_096, "{nodes} nodes: refits would stay serial");
+    let run = || {
+        let mut scene = DriftScene::new(&cloud, DriftModel::NBodyOrbit { angular_step: 1.5 }, 3);
+        let config = RtnnConfig::new(SearchParams::knn(radius, 8));
+        let mut index = DynamicIndex::with_points(&device, config, &cloud.points);
+        (0..16)
+            .map(|frame| {
+                if frame > 0 {
+                    for slot in scene.step().moved {
+                        index.move_point(slot, scene.position(slot).unwrap());
+                    }
+                }
+                let queries: Vec<Vec3> = scene.live_points().into_iter().step_by(4).collect();
+                let f = index.search(&queries).unwrap();
+                (
+                    f.action,
+                    f.structure_ms.to_bits(),
+                    f.results.total_time_ms().to_bits(),
+                    f.results.neighbors,
+                )
+            })
+            .collect::<Vec<_>>()
+    };
+    let threads = [1, 1, 2, 2];
+    let runs = threads.map(|t| with_threads(t, run));
+    let rebuilds = runs[0][1..]
+        .iter()
+        .filter(|f| f.0 == StructureAction::Rebuilt)
+        .count();
+    assert!(
+        rebuilds >= 2,
+        "only {rebuilds} policy rebuilds after frame 0"
+    );
+    for (i, other) in runs.iter().enumerate().skip(1) {
+        for (frame, (want, got)) in runs[0].iter().zip(other).enumerate() {
+            assert!(
+                want == got,
+                "run {i} ({} threads) differs from run 0 (1 thread) at frame {frame}: \
+                 {:?} vs {:?}",
+                threads[i],
+                (want.0, f64::from_bits(want.1), f64::from_bits(want.2)),
+                (got.0, f64::from_bits(got.1), f64::from_bits(got.2)),
+            );
+        }
+    }
 }
 
 #[test]
