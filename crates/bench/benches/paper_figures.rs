@@ -9,6 +9,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rtnn::partition::partition_queries;
 use rtnn::pipeline::{Schedule, ScheduleCx};
+use rtnn::shaders::{KnnProgram, QueryIndexing, RangeProgram};
 use rtnn::{
     Backend, EngineConfig, GpusimBackend, GridRefresh, Index, MegacellGrid, OptLevel, QueryPlan,
     SearchMode, SearchParams,
@@ -19,10 +20,14 @@ use rtnn_baselines::kdtree::KdTreeSearch;
 use rtnn_baselines::octree::OctreeSearch;
 use rtnn_baselines::uniform_grid::UniformGridSearch;
 use rtnn_baselines::{Baseline, SearchRequest};
+use rtnn_bench::workloads::compensated_radius;
 use rtnn_bvh::{build_point_bvh, BuildParams, BvhBuilder};
 use rtnn_data::{Dataset, DatasetName};
-use rtnn_gpusim::Device;
-use rtnn_math::Vec3;
+use rtnn_gpusim::{Device, IsShaderKind};
+use rtnn_math::morton::MortonEncoder;
+use rtnn_math::{Aabb, Vec3};
+use rtnn_optix::{Gas, Pipeline};
+use rtnn_parallel::with_thread_count;
 use std::time::Duration;
 
 struct Fixture {
@@ -191,6 +196,7 @@ fn bench_scheduling_and_partitioning(c: &mut Criterion) {
             backend: &backend,
             accel: Some(accel.as_ref()),
             points: &f.points,
+            point_bounds: Aabb::from_points(&f.points),
             queries: &f.queries,
             query_ids: &ids,
         })
@@ -239,12 +245,66 @@ fn bench_scheduling_and_partitioning(c: &mut Criterion) {
     group.finish();
 }
 
+/// The launch's per-ray loop (traversal, shaders and warp metering) on one
+/// thread, over the cloud and radius `batch_kitti` queries: `Kitti12M / 100`
+/// (about 120k points) at its density-compensated radius, every 12th point
+/// a query, launched in Morton order of the queries, range(r, 32) and
+/// knn(r, 32) on one full-width structure.
+fn bench_launch_warp_loop(c: &mut Criterion) {
+    let points = Dataset::scaled(DatasetName::Kitti12M, 100)
+        .generate()
+        .points;
+    let radius = compensated_radius(DatasetName::Kitti12M, 100);
+    let k = 32;
+    let queries: Vec<Vec3> = points.iter().step_by(12).copied().collect();
+    let encoder = MortonEncoder::new(&Aabb::from_points(&queries));
+    let mut order: Vec<u32> = (0..queries.len() as u32).collect();
+    order.sort_by_key(|&q| (encoder.encode(queries[q as usize]), q));
+    let device = Device::rtx_2080();
+    let gas = Gas::build_from_points(&device, &points, radius, BuildParams::default()).unwrap();
+    let pipeline = Pipeline::new(&device);
+    let indexing = QueryIndexing::Mapped(&order);
+    let range = RangeProgram {
+        points: &points,
+        queries: &queries,
+        indexing,
+        radius,
+        k,
+        sphere_test: true,
+    };
+    let knn = KnnProgram {
+        points: &points,
+        queries: &queries,
+        indexing,
+        radius,
+        k,
+    };
+    let mut group = c.benchmark_group("launch_warp_loop");
+    configure(&mut group);
+    group.bench_function("range", |b| {
+        b.iter(|| {
+            with_thread_count(1, || {
+                pipeline.launch(&gas, order.len(), &range, IsShaderKind::RangeSphereTest)
+            })
+        })
+    });
+    group.bench_function("knn", |b| {
+        b.iter(|| {
+            with_thread_count(1, || {
+                pipeline.launch(&gas, order.len(), &knn, IsShaderKind::Knn)
+            })
+        })
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_bvh_builders,
     bench_rtnn_opt_levels,
     bench_rtnn_warm_index,
     bench_baselines,
-    bench_scheduling_and_partitioning
+    bench_scheduling_and_partitioning,
+    bench_launch_warp_loop
 );
 criterion_main!(benches);

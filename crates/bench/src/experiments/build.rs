@@ -17,6 +17,10 @@
 //!    (structures for the serving plan pre-built on every shard) at one
 //!    thread vs the machine width.
 //!
+//! Each build and refit row (the serial oracles' included) is the median
+//! of five timed runs: one run at the smoke scale takes about a
+//! millisecond, so a single timing swings with scheduler noise.
+//!
 //! Every time here is host wall clock; none of it feeds a simulated cost
 //! (the device charges a build by its own model, `T_build = k1 · M`). On a
 //! runner with fewer cores than a sweep's thread count the walls stay flat
@@ -49,8 +53,27 @@ fn trees_bit_identical(a: &Bvh, b: &Bvh) -> bool {
         })
 }
 
-fn ms_since(start: Instant) -> f64 {
-    start.elapsed().as_secs_f64() * 1e3
+/// Timed runs per build and refit row; the row reports their median.
+const REPEATS: usize = 5;
+
+/// Wall ms of `f` and its output.
+fn timed<T>(f: impl FnOnce() -> T) -> (f64, T) {
+    let start = Instant::now();
+    let out = f();
+    (start.elapsed().as_secs_f64() * 1e3, out)
+}
+
+/// The median wall ms of [`REPEATS`] runs of `run` (each returning its
+/// own wall ms, so untimed set-up stays out), and the last run's output.
+fn median_of_repeats<T>(mut run: impl FnMut() -> (f64, T)) -> (f64, T) {
+    let (mut walls, mut last) = (Vec::with_capacity(REPEATS), None);
+    for _ in 0..REPEATS {
+        let (wall, out) = run();
+        walls.push(wall);
+        last = Some(out);
+    }
+    walls.sort_by(f64::total_cmp);
+    (walls[REPEATS / 2], last.expect("at least one repeat"))
 }
 
 /// Run the parallel-construction experiment.
@@ -76,9 +99,8 @@ pub fn run(scale: &ExperimentScale) -> FigureReport {
         builder: BvhBuilder::LbvhSerial,
         ..BuildParams::default()
     };
-    let serial_start = Instant::now();
-    let oracle = build_point_bvh(&points, radius, serial_params);
-    let serial_wall = ms_since(serial_start);
+    let (serial_wall, oracle) =
+        median_of_repeats(|| timed(|| build_point_bvh(&points, radius, serial_params)));
     let mut build_table = Table::new(
         format!(
             "parallel LBVH host build, {} points (serial oracle: {})",
@@ -91,12 +113,16 @@ pub fn run(scale: &ExperimentScale) -> FigureReport {
     let mut wall_4t = 0.0f64;
     let mut all_identical = true;
     for threads in [1usize, 2, 4, 8] {
-        let wall_start = Instant::now();
-        let tree = with_thread_count(threads, || {
-            build_point_bvh(&points, radius, BuildParams::default())
+        let mut identical = true;
+        let (wall, ()) = median_of_repeats(|| {
+            let (wall, tree) = timed(|| {
+                with_thread_count(threads, || {
+                    build_point_bvh(&points, radius, BuildParams::default())
+                })
+            });
+            identical &= trees_bit_identical(&tree, &oracle);
+            (wall, ())
         });
-        let wall = ms_since(wall_start);
-        let identical = trees_bit_identical(&tree, &oracle);
         all_identical &= identical;
         if threads == 1 {
             wall_1t = wall;
@@ -127,10 +153,12 @@ pub fn run(scale: &ExperimentScale) -> FigureReport {
         .iter()
         .map(|&p| Aabb::cube(p, 2.0 * radius))
         .collect();
-    let mut serial_tree = oracle.clone();
-    let serial_refit_start = Instant::now();
-    refit_bvh_serial(&mut serial_tree, &moved).expect("same primitive count");
-    let serial_refit_wall = ms_since(serial_refit_start);
+    let (serial_refit_wall, serial_tree) = median_of_repeats(|| {
+        let mut tree = oracle.clone();
+        let (wall, refit) = timed(|| refit_bvh_serial(&mut tree, &moved));
+        refit.expect("same primitive count");
+        (wall, tree)
+    });
     let mut refit_table = Table::new(
         format!(
             "subtree-parallel refit at machine width (serial oracle: {})",
@@ -140,11 +168,14 @@ pub fn run(scale: &ExperimentScale) -> FigureReport {
     );
     let mut best_refit_speedup: f64 = 0.0;
     for cut in [0u32, 2, 4, 8] {
-        let mut tree = oracle.clone();
-        let wall_start = Instant::now();
-        refit_bvh_with_cut(&mut tree, &moved, cut).expect("same count");
-        let wall = ms_since(wall_start);
-        let identical = trees_bit_identical(&tree, &serial_tree);
+        let mut identical = true;
+        let (wall, ()) = median_of_repeats(|| {
+            let mut tree = oracle.clone();
+            let (wall, refit) = timed(|| refit_bvh_with_cut(&mut tree, &moved, cut));
+            refit.expect("same count");
+            identical &= trees_bit_identical(&tree, &serial_tree);
+            (wall, ())
+        });
         all_identical &= identical;
         let speedup = serial_refit_wall / wall.max(1e-9);
         best_refit_speedup = best_refit_speedup.max(speedup);
@@ -169,13 +200,13 @@ pub fn run(scale: &ExperimentScale) -> FigureReport {
     );
     let mut cold_walls = Vec::new();
     for threads in [1usize, machine_threads.max(2)] {
-        let wall_start = Instant::now();
-        let built = with_thread_count(threads, || {
-            let mut sharded =
-                ShardedIndex::build(&backend, &points, EngineConfig::default(), shards);
-            sharded.warm(&plan).expect("valid plan")
+        let (wall, built) = timed(|| {
+            with_thread_count(threads, || {
+                let mut sharded =
+                    ShardedIndex::build(&backend, &points, EngineConfig::default(), shards);
+                sharded.warm(&plan).expect("valid plan")
+            })
         });
-        let wall = ms_since(wall_start);
         assert!(built > 0.0, "cold start must build structures");
         cold_walls.push(wall);
         cold_table.push_row(vec![threads.to_string(), fmt_ms(wall)]);

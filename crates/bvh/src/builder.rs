@@ -13,6 +13,7 @@
 //! centroid bounds (serial)            — the Morton grid must match the oracle
 //!   → Morton keys      (par_chunks_mut)
 //!   → (key, id) sort   (par_sort_by_key; unique compound keys)
+//!   → boxes into leaf-slot order (par_chunks_mut gather)
 //!   → split discovery  (level-wise, parallel within a level)
 //!   → subtree sizes + AABBs (bottom-up over levels, parallel within a level)
 //!   → preorder index assignment (top-down over levels, parallel)
@@ -128,11 +129,14 @@ fn build_lbvh_serial(prim_aabbs: &[Aabb], max_leaf_size: u32) -> Bvh {
     let mut nodes = Vec::with_capacity(2 * n);
     let prim_indices: Vec<u32> = keyed.iter().map(|&(_, id)| id).collect();
     let codes: Vec<u64> = keyed.iter().map(|&(k, _)| k).collect();
+    let slot_aabbs: Vec<Aabb> = prim_indices
+        .iter()
+        .map(|&pid| prim_aabbs[pid as usize])
+        .collect();
 
     // Recursive split on the highest differing Morton bit.
     struct Ctx<'a> {
-        prim_aabbs: &'a [Aabb],
-        prim_indices: &'a [u32],
+        slot_aabbs: &'a [Aabb],
         codes: &'a [u64],
         max_leaf: usize,
     }
@@ -140,8 +144,8 @@ fn build_lbvh_serial(prim_aabbs: &[Aabb], max_leaf_size: u32) -> Bvh {
     fn emit(ctx: &Ctx, nodes: &mut Vec<BvhNode>, start: usize, end: usize) -> u32 {
         let count = end - start;
         let mut aabb = Aabb::EMPTY;
-        for &pid in &ctx.prim_indices[start..end] {
-            aabb.grow_aabb(&ctx.prim_aabbs[pid as usize]);
+        for slot_aabb in &ctx.slot_aabbs[start..end] {
+            aabb.grow_aabb(slot_aabb);
         }
         let node_index = nodes.len() as u32;
         if count <= ctx.max_leaf {
@@ -166,8 +170,7 @@ fn build_lbvh_serial(prim_aabbs: &[Aabb], max_leaf_size: u32) -> Bvh {
     }
 
     let ctx = Ctx {
-        prim_aabbs,
-        prim_indices: &prim_indices,
+        slot_aabbs: &slot_aabbs,
         codes: &codes,
         max_leaf: max_leaf_size as usize,
     };
@@ -176,7 +179,7 @@ fn build_lbvh_serial(prim_aabbs: &[Aabb], max_leaf_size: u32) -> Bvh {
     Bvh {
         nodes,
         prim_indices,
-        prim_aabbs: prim_aabbs.to_vec(),
+        prim_aabbs: slot_aabbs,
         max_leaf_size,
     }
 }
@@ -254,6 +257,13 @@ fn build_lbvh_parallel(prim_aabbs: &[Aabb], max_leaf_size: u32) -> Bvh {
 
     let prim_indices: Vec<u32> = keyed.iter().map(|&(_, id)| id).collect();
     let codes: Vec<u64> = keyed.iter().map(|&(k, _)| k).collect();
+    // The boxes in leaf-slot order, gathered in parallel.
+    let mut slot_aabbs = vec![Aabb::EMPTY; n];
+    par_chunks_mut(&mut slot_aabbs, 256, |start, chunk| {
+        for (slot_aabb, &pid) in chunk.iter_mut().zip(&prim_indices[start..]) {
+            *slot_aabb = prim_aabbs[pid as usize];
+        }
+    });
 
     // Stage 4 — split discovery, level-synchronous: every task of a level
     // finds its Morton split in parallel, then a serial prefix pass lays
@@ -301,8 +311,8 @@ fn build_lbvh_parallel(prim_aabbs: &[Aabb], max_leaf_size: u32) -> Bvh {
                 if task.split == u32::MAX {
                     task.subtree = 1;
                     let mut aabb = Aabb::EMPTY;
-                    for &pid in &prim_indices[task.start as usize..task.end as usize] {
-                        aabb.grow_aabb(&prim_aabbs[pid as usize]);
+                    for slot_aabb in &slot_aabbs[task.start as usize..task.end as usize] {
+                        aabb.grow_aabb(slot_aabb);
                     }
                     task.aabb = aabb;
                 } else {
@@ -369,7 +379,7 @@ fn build_lbvh_parallel(prim_aabbs: &[Aabb], max_leaf_size: u32) -> Bvh {
     Bvh {
         nodes,
         prim_indices,
-        prim_aabbs: prim_aabbs.to_vec(),
+        prim_aabbs: slot_aabbs,
         max_leaf_size,
     }
 }
@@ -505,9 +515,9 @@ mod tests {
     fn point_bvh_uses_width_2r() {
         let points = vec![Vec3::ZERO, Vec3::new(5.0, 0.0, 0.0)];
         let bvh = build_point_bvh(&points, 0.75, BuildParams::default());
-        // Each leaf primitive AABB must be the cube of width 1.5 around its point.
-        for (i, &p) in points.iter().enumerate() {
-            assert_eq!(bvh.prim_aabbs[i], Aabb::cube(p, 1.5));
+        // Each leaf slot's box must be the cube of width 1.5 around its point.
+        for (slot, &pid) in bvh.prim_indices.iter().enumerate() {
+            assert_eq!(bvh.prim_aabbs[slot], Aabb::cube(points[pid as usize], 1.5));
         }
         validate_bvh(&bvh).unwrap();
     }

@@ -1,11 +1,13 @@
 //! BVH node layout and the [`Bvh`] container.
 //!
 //! Nodes are stored in a flat `Vec<BvhNode>`; node 0 is the root. Leaves
-//! reference a contiguous range of `prim_indices`, which is a permutation of
-//! the primitive ids the BVH was built over. The flat layout matters beyond
-//! convenience: the GPU simulator derives memory addresses for cache
-//! modelling from node indices, so two rays that touch the same node also
-//! touch the same simulated cache lines.
+//! reference a contiguous range of leaf slots: `prim_indices[s]` is the
+//! primitive id in slot `s` (a permutation of the ids the BVH was built
+//! over) and `prim_aabbs[s]` is its box, so a leaf's boxes sit next to each
+//! other. The flat layout matters beyond convenience: the GPU simulator
+//! derives memory addresses for cache modelling from node and slot
+//! indices, so two rays that touch the same node or slot also touch the
+//! same simulated cache lines.
 
 use rtnn_math::Aabb;
 
@@ -15,7 +17,8 @@ use rtnn_math::Aabb;
 pub enum NodeKind {
     /// Internal node; fields are indices into [`Bvh::nodes`].
     Internal { left: u32, right: u32 },
-    /// Leaf node; fields index into [`Bvh::prim_indices`].
+    /// Leaf node; `start..start + count` are its leaf slots, indices into
+    /// [`Bvh::prim_indices`] and [`Bvh::prim_aabbs`].
     Leaf { start: u32, count: u32 },
 }
 
@@ -45,9 +48,13 @@ impl BvhNode {
 pub struct Bvh {
     /// Flat node array; index 0 is the root (when non-empty).
     pub nodes: Vec<BvhNode>,
-    /// Permutation of primitive ids referenced by leaf ranges.
+    /// The primitive id in each leaf slot: a permutation of the ids the
+    /// BVH was built over, referenced by leaf ranges.
     pub prim_indices: Vec<u32>,
-    /// Primitive bounding boxes, indexed by primitive id.
+    /// Primitive bounding boxes, indexed by leaf slot: `prim_aabbs[s]` is
+    /// the box of primitive `prim_indices[s]`, so a leaf scan reads
+    /// adjacent memory (the order the simulator bills primitive records
+    /// in). Look a box up by id through `prim_indices`, not directly.
     pub prim_aabbs: Vec<Aabb>,
     /// Maximum leaf size the builder was configured with.
     pub max_leaf_size: u32,

@@ -56,7 +56,8 @@ pub struct RefitStats {
 /// Recompute every node AABB of `bvh` bottom-up from `new_prim_aabbs`
 /// without re-topologizing. The new primitive set must have exactly the same
 /// length as the one the tree was built over; primitive ids keep their
-/// meaning.
+/// meaning: `new_prim_aabbs` is indexed by id, like the builder's input,
+/// and the tree stores it in leaf-slot order ([`Bvh::prim_aabbs`]).
 ///
 /// Works for any structurally valid tree regardless of node layout (explicit
 /// traversals are used throughout, so children need not follow their parent
@@ -229,7 +230,8 @@ fn eval_subtree(bvh: &Bvh, root: u32) -> Vec<(u32, Aabb)> {
     out
 }
 
-/// Count-check `new_prim_aabbs` against the tree and adopt them. Returns
+/// Count-check `new_prim_aabbs` (indexed by primitive id) against the tree
+/// and adopt them, gathered into the tree's leaf-slot order. Returns
 /// `Ok(None)` for the empty tree (nothing to refit), otherwise the SAH cost
 /// before the refit.
 fn check_and_adopt(bvh: &mut Bvh, new_prim_aabbs: &[Aabb]) -> Result<Option<f64>, RefitError> {
@@ -243,8 +245,9 @@ fn check_and_adopt(bvh: &mut Bvh, new_prim_aabbs: &[Aabb]) -> Result<Option<f64>
     if bvh.nodes.is_empty() {
         return Ok(None);
     }
-    bvh.prim_aabbs.clear();
-    bvh.prim_aabbs.extend_from_slice(new_prim_aabbs);
+    for (slot_aabb, &pid) in bvh.prim_aabbs.iter_mut().zip(&bvh.prim_indices) {
+        *slot_aabb = new_prim_aabbs[pid as usize];
+    }
     Ok(Some(sah_before))
 }
 
@@ -257,10 +260,11 @@ fn empty_stats(bvh: &Bvh) -> RefitStats {
     }
 }
 
+/// The box of the leaf slots `start..start + count`.
 fn leaf_aabb(bvh: &Bvh, start: u32, count: u32) -> Aabb {
     let mut aabb = Aabb::EMPTY;
-    for &pid in &bvh.prim_indices[start as usize..(start + count) as usize] {
-        aabb.grow_aabb(&bvh.prim_aabbs[pid as usize]);
+    for slot_aabb in &bvh.prim_aabbs[start as usize..(start + count) as usize] {
+        aabb.grow_aabb(slot_aabb);
     }
     aabb
 }
@@ -364,14 +368,58 @@ mod tests {
         }
         refit_point_bvh(&mut bvh, &pts, 0.4).unwrap();
         validate_bvh(&bvh).unwrap();
-        // Every primitive AABB is the cube at its new position.
-        for (i, &p) in pts.iter().enumerate() {
-            assert_eq!(bvh.prim_aabbs[i], Aabb::cube(p, 0.8));
+        // Every leaf slot's box is the cube at its primitive's new position.
+        for (slot, &pid) in bvh.prim_indices.iter().enumerate() {
+            assert_eq!(bvh.prim_aabbs[slot], Aabb::cube(pts[pid as usize], 0.8));
         }
         // The root must bound all new positions.
         let root = bvh.root_bounds();
         for &p in &pts {
             assert!(root.contains_point(p));
+        }
+    }
+
+    #[test]
+    fn primitive_boxes_are_stored_in_leaf_slot_order() {
+        use crate::builder::BvhBuilder;
+        let pts = grid_points(7);
+        let boxes =
+            |pts: &[Vec3]| -> Vec<Aabb> { pts.iter().map(|&p| Aabb::cube(p, 0.9)).collect() };
+        let built = boxes(&pts);
+        let moved = boxes(
+            &pts.iter()
+                .enumerate()
+                .map(|(i, &p)| p + Vec3::new(0.3 * (i % 5) as f32, -0.2 * (i % 3) as f32, 0.1))
+                .collect::<Vec<_>>(),
+        );
+        let assert_slot_order = |bvh: &Bvh, boxes: &[Aabb], context: &str| {
+            for (slot, &pid) in bvh.prim_indices.iter().enumerate() {
+                assert_eq!(
+                    bvh.prim_aabbs[slot], boxes[pid as usize],
+                    "{context}: slot {slot}"
+                );
+            }
+        };
+        for builder in [BvhBuilder::Lbvh, BvhBuilder::LbvhSerial] {
+            for max_leaf_size in [1u32, 4] {
+                let context = format!("{builder:?} leaf={max_leaf_size}");
+                let bvh = build_bvh(
+                    &built,
+                    BuildParams {
+                        builder,
+                        max_leaf_size,
+                    },
+                );
+                assert_slot_order(&bvh, &built, &format!("{context} build"));
+                let mut serial = bvh.clone();
+                refit_bvh_serial(&mut serial, &moved).unwrap();
+                assert_slot_order(&serial, &moved, &format!("{context} serial refit"));
+                for cut in [0u32, 2, 4, 8] {
+                    let mut cut_tree = bvh.clone();
+                    refit_bvh_with_cut(&mut cut_tree, &moved, cut).unwrap();
+                    assert_slot_order(&cut_tree, &moved, &format!("{context} cut {cut}"));
+                }
+            }
         }
     }
 

@@ -18,6 +18,12 @@
 //!   warp into one set leaves the warp's footprint: the distinct slots its
 //!   rays read, counted once each and walked in ascending order. The GPU
 //!   simulator charges RT-core tests and memory traffic for that footprint.
+//!   The set also holds the traversal stack, so a thread that reuses one
+//!   set for every ray allocates nothing per ray.
+//!
+//! A leaf scans its slots in order, reading the adjacent boxes
+//! `prim_aabbs[start..start + count]` (stored in leaf-slot order), and
+//! looks a primitive id up only for a box the ray hits.
 
 use crate::node::{Bvh, NodeKind};
 use rtnn_math::Ray;
@@ -57,43 +63,51 @@ impl TraversalStats {
     }
 }
 
-/// The distinct node and primitive slots a group of rays read.
+/// The distinct node and primitive slots a group of rays read, plus the
+/// traversal stack the rays reuse.
 ///
 /// Holds one bit per node slot and one bit per primitive slot. Beside each
-/// bitset it keeps the count of set bits and the indices of the bitset
-/// words that hold one, each listed once. [`VisitMarks::clear`] zeroes the
-/// listed words instead of the whole bitset, and
-/// [`ascending`](VisitMarks::ascending) sorts the listed words — on the
-/// order of a hundred for a warp that reads well over a thousand slots —
-/// and walks their set bits, so both cost the warp's footprint, not the
-/// size of the BVH, and no per-slot list is kept or sorted.
+/// bitset it keeps the indices of the bitset words that hold a set bit,
+/// each listed once. A mark only sets its bit (and lists its word if the
+/// word was empty); the counts popcount the listed words when asked, so a
+/// caller that reads them once per warp pays per listed word, not per
+/// mark. [`VisitMarks::clear`] zeroes the listed words instead of the
+/// whole bitset, and [`ascending`](VisitMarks::ascending) sorts the listed
+/// words — on the order of a hundred for a warp that reads well over a
+/// thousand slots — and walks their set bits, so all three cost the warp's
+/// footprint, not the size of the BVH, and no per-slot list is kept or
+/// sorted.
 ///
 /// Memory: the bitsets grow to fit the largest BVH traversed with these
 /// marks and never shrink, one bit per node slot and per primitive slot,
 /// so about 1.7 bits per point for this crate's LBVH (≈ 0.71 nodes per
 /// point). The word lists hold at most one 32-bit index per 64 slots, so
-/// at most another 0.9 bits per point. Slots are indices, not identities:
-/// clear the marks before using them on a different BVH.
+/// at most another 0.9 bits per point. The stack holds one 32-bit node
+/// index per pending subtree, bounded by the tree depth. Slots are
+/// indices, not identities: clear the marks before using them on a
+/// different BVH.
 #[derive(Debug, Clone, Default)]
 pub struct VisitMarks {
     nodes: SlotSet,
     prims: SlotSet,
+    /// The stack of [`Bvh::traverse_marked`], emptied at each ray's start.
+    stack: Vec<u32>,
 }
 
 impl VisitMarks {
     /// Number of distinct node slots marked since the last clear.
     pub fn node_count(&self) -> usize {
-        self.nodes.len
+        self.nodes.count()
     }
 
     /// Number of distinct primitive slots marked since the last clear.
     pub fn prim_count(&self) -> usize {
-        self.prims.len
+        self.prims.count()
     }
 
     /// The slots marked since the last clear, each kind in ascending order
-    /// and each slot once: indices into `Bvh::nodes`, then indices into
-    /// `Bvh::prim_indices` (leaf slots).
+    /// and each slot once: indices into `Bvh::nodes`, then leaf slots
+    /// (indices into `Bvh::prim_indices` and `Bvh::prim_aabbs`).
     pub fn ascending(&mut self) -> (AscendingSlots<'_>, AscendingSlots<'_>) {
         (self.nodes.ascending(), self.prims.ascending())
     }
@@ -105,13 +119,12 @@ impl VisitMarks {
     }
 }
 
-/// One bitset of [`VisitMarks`] with its set-bit count and word list.
+/// One bitset of [`VisitMarks`] with its word list.
 #[derive(Debug, Clone, Default)]
 struct SlotSet {
     bits: Vec<u64>,
     /// Indices of the words of `bits` that are non-zero, each once.
     words: Vec<u32>,
-    len: usize,
 }
 
 impl SlotSet {
@@ -123,19 +136,23 @@ impl SlotSet {
         }
     }
 
-    /// Mark `slot`, counting it if this is its first visit.
+    /// Mark `slot`, listing its word if this is the word's first mark.
     #[inline]
     fn mark(&mut self, slot: u32) {
         let w = slot as usize / 64;
         let word = &mut self.bits[w];
-        let bit = 1u64 << (slot % 64);
-        if *word & bit == 0 {
-            if *word == 0 {
-                self.words.push(w as u32);
-            }
-            *word |= bit;
-            self.len += 1;
+        if *word == 0 {
+            self.words.push(w as u32);
         }
+        *word |= 1u64 << (slot % 64);
+    }
+
+    /// Number of marked slots: the set bits of the listed words.
+    fn count(&self) -> usize {
+        self.words
+            .iter()
+            .map(|&w| self.bits[w as usize].count_ones() as usize)
+            .sum()
     }
 
     fn clear(&mut self) {
@@ -144,7 +161,6 @@ impl SlotSet {
             self.bits[w as usize] = 0;
         }
         self.words.clear();
-        self.len = 0;
     }
 
     fn ascending(&mut self) -> AscendingSlots<'_> {
@@ -170,6 +186,26 @@ pub struct AscendingSlots<'a> {
     base: u32,
 }
 
+impl<'a> AscendingSlots<'a> {
+    /// The slots not yet yielded, one bitset word at a time and in
+    /// ascending order: `(w, bits)` where bit `b` of `bits` marks slot
+    /// `64·w + b`. A caller that maps runs of slots to one value (say, 32-
+    /// byte records to a cache line) can fold a word at once instead of
+    /// walking its bits.
+    pub fn words(self) -> impl Iterator<Item = (u32, u64)> + 'a {
+        let AscendingSlots {
+            bits,
+            words,
+            word,
+            base,
+        } = self;
+        (word != 0)
+            .then_some((base / 64, word))
+            .into_iter()
+            .chain(words.map(move |&w| (w, bits[w as usize])))
+    }
+}
+
 impl Iterator for AscendingSlots<'_> {
     type Item = u32;
 
@@ -193,12 +229,17 @@ impl Bvh {
     where
         F: FnMut(u32) -> TraversalControl,
     {
-        self.traverse_impl(ray, &mut on_hit, None)
+        // Depth is O(log n) for this crate's builder; the stack grows past
+        // the reservation for skewed trees.
+        let mut stack = Vec::with_capacity(64);
+        self.traverse_impl(ray, &mut on_hit, &mut stack, None)
     }
 
     /// As [`Bvh::traverse`], additionally marking every node and primitive
     /// slot the ray reads in `marks`. Earlier marks are kept, so slots this
-    /// ray shares with rays traversed before it are counted once.
+    /// ray shares with rays traversed before it are counted once. The
+    /// traversal runs on the stack `marks` keeps, which allocates only
+    /// when a ray goes deeper than every ray before it.
     pub fn traverse_marked<F>(
         &self,
         ray: &Ray,
@@ -208,16 +249,22 @@ impl Bvh {
     where
         F: FnMut(u32) -> TraversalControl,
     {
-        marks.nodes.fit(self.nodes.len());
-        marks.prims.fit(self.prim_indices.len());
-        self.traverse_impl(ray, &mut on_hit, Some(marks))
+        let VisitMarks {
+            nodes,
+            prims,
+            stack,
+        } = marks;
+        nodes.fit(self.nodes.len());
+        prims.fit(self.prim_indices.len());
+        self.traverse_impl(ray, &mut on_hit, stack, Some((nodes, prims)))
     }
 
     fn traverse_impl<F>(
         &self,
         ray: &Ray,
         on_hit: &mut F,
-        mut marks: Option<&mut VisitMarks>,
+        stack: &mut Vec<u32>,
+        mut marks: Option<(&mut SlotSet, &mut SlotSet)>,
     ) -> TraversalStats
     where
         F: FnMut(u32) -> TraversalControl,
@@ -226,15 +273,14 @@ impl Bvh {
         if self.nodes.is_empty() {
             return stats;
         }
-        // Explicit stack; depth is bounded by tree depth which is O(log n)
-        // for our builders, but size generously to cope with skewed trees.
-        let mut stack: Vec<u32> = Vec::with_capacity(64);
+        // A terminated or unwound ray may have left entries behind.
+        stack.clear();
         stack.push(0);
         'rays: while let Some(node_idx) = stack.pop() {
             let node = &self.nodes[node_idx as usize];
             stats.nodes_visited += 1;
-            if let Some(m) = marks.as_deref_mut() {
-                m.nodes.mark(node_idx);
+            if let Some((nodes, _)) = marks.as_mut() {
+                nodes.mark(node_idx);
             }
             if !node.aabb.intersects_ray(ray) {
                 continue;
@@ -246,15 +292,15 @@ impl Bvh {
                 }
                 NodeKind::Leaf { start, count } => {
                     stats.leaves_visited += 1;
-                    for slot in start..start + count {
-                        let prim_id = self.prim_indices[slot as usize];
+                    let slots = start as usize..(start + count) as usize;
+                    for (slot, slot_aabb) in slots.clone().zip(&self.prim_aabbs[slots]) {
                         stats.prim_tests += 1;
-                        if let Some(m) = marks.as_deref_mut() {
-                            m.prims.mark(slot);
+                        if let Some((_, prims)) = marks.as_mut() {
+                            prims.mark(slot as u32);
                         }
-                        if self.prim_aabbs[prim_id as usize].intersects_ray(ray) {
+                        if slot_aabb.intersects_ray(ray) {
                             stats.is_calls += 1;
-                            if on_hit(prim_id) == TraversalControl::Terminate {
+                            if on_hit(self.prim_indices[slot]) == TraversalControl::Terminate {
                                 stats.terminated = true;
                                 break 'rays;
                             }
@@ -400,6 +446,34 @@ mod tests {
         );
         assert_eq!(marks.ascending().0.collect::<Vec<_>>(), [0]);
         assert_eq!(stats3.nodes_visited, 1);
+    }
+
+    #[test]
+    fn words_resume_where_the_slot_walk_stopped() {
+        let points = sample_points();
+        let bvh = build_point_bvh(&points, 0.7, BuildParams::default());
+        let mut marks = VisitMarks::default();
+        for &q in &points {
+            bvh.traverse_marked(&Ray::point_probe(q), &mut marks, |_| {
+                TraversalControl::Continue
+            });
+        }
+        // Primitive slots: every one of the 125, so two bitset words.
+        let all: Vec<u32> = marks.ascending().1.collect();
+        assert_eq!(all.len(), points.len());
+        for taken in [0, 1, 5, 63, 64, 100, all.len()] {
+            let mut slots = marks.ascending().1;
+            slots.by_ref().take(taken).for_each(drop);
+            let rest: Vec<u32> = slots
+                .words()
+                .flat_map(|(w, bits)| {
+                    (0..64)
+                        .filter(move |b| bits >> b & 1 == 1)
+                        .map(move |b| w * 64 + b)
+                })
+                .collect();
+            assert_eq!(rest, all[taken..], "after {taken} slots");
+        }
     }
 
     /// The footprint of one warp of point probes at `queries`.

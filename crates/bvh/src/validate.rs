@@ -27,7 +27,7 @@ pub enum BvhValidationError {
     PrimitiveCoverage { prim: u32, occurrences: usize },
     /// A parent AABB does not enclose one of its children.
     ParentDoesNotEncloseChild { parent: usize, child: usize },
-    /// A leaf AABB does not enclose one of its primitives.
+    /// A leaf AABB does not enclose the box in one of its slots.
     LeafDoesNotEnclosePrimitive { node: usize, prim: u32 },
 }
 
@@ -90,7 +90,11 @@ pub fn validate_bvh(bvh: &Bvh) -> Result<(), BvhValidationError> {
                         max: bvh.max_leaf_size,
                     });
                 }
-                for &pid in &bvh.prim_indices[start as usize..end] {
+                let slots = start as usize..end;
+                for (&pid, slot_aabb) in bvh.prim_indices[slots.clone()]
+                    .iter()
+                    .zip(&bvh.prim_aabbs[slots])
+                {
                     if pid as usize >= bvh.prim_aabbs.len() {
                         return Err(BvhValidationError::PrimIdOutOfRange {
                             node: idx,
@@ -98,11 +102,7 @@ pub fn validate_bvh(bvh: &Bvh) -> Result<(), BvhValidationError> {
                         });
                     }
                     prim_seen[pid as usize] += 1;
-                    if !node
-                        .aabb
-                        .expanded(1e-5)
-                        .contains_aabb(&bvh.prim_aabbs[pid as usize])
-                    {
+                    if !node.aabb.expanded(1e-5).contains_aabb(slot_aabb) {
                         return Err(BvhValidationError::LeafDoesNotEnclosePrimitive {
                             node: idx,
                             prim: pid,

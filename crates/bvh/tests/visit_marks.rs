@@ -6,10 +6,15 @@
 //!
 //! A single ray reads each slot at most once, so a fresh set per ray must
 //! count as many slots as the ray's own work counters report.
+//!
+//! The counts are popcounts of the listed bitset words, taken when asked;
+//! a reused set must report exactly the distinct slots marked since its
+//! last clear, however many warps it has served.
 
 use proptest::prelude::*;
 use rtnn_bvh::{build_point_bvh, BuildParams, TraversalControl, VisitMarks};
 use rtnn_math::{Ray, Vec3};
+use std::collections::BTreeSet;
 
 fn point_in(half: f32) -> impl Strategy<Value = Vec3> {
     (-half..half, -half..half, -half..half).prop_map(|(x, y, z)| Vec3::new(x, y, z))
@@ -73,4 +78,60 @@ proptest! {
             prop_assert_eq!(prims.collect::<Vec<_>>(), union_prims);
         }
     }
+}
+
+#[test]
+fn popcounted_counts_equal_the_distinct_slots_of_reused_marks() {
+    let mut state = 0x9E37_79B9_7F4A_7C15u64;
+    let mut next = move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state
+    };
+    let unit = |x: u64| (x % 10_000) as f32 / 10_000.0;
+    let points: Vec<Vec3> = (0..4000)
+        .map(|_| Vec3::new(unit(next()), unit(next()), unit(next())) * 20.0)
+        .collect();
+    let bvh = build_point_bvh(&points, 0.6, BuildParams::default());
+    let mut marks = VisitMarks::default();
+    let (mut nodes, mut prims) = (BTreeSet::new(), BTreeSet::new());
+    let mut widest_prim_footprint = 0;
+    for warp in 0..400 {
+        // Every third warp keeps the marks of the warps before it.
+        if warp % 3 != 0 {
+            marks.clear();
+            assert_eq!(
+                (marks.node_count(), marks.prim_count()),
+                (0, 0),
+                "warp {warp}"
+            );
+            nodes.clear();
+            prims.clear();
+        }
+        let rays = 1 + next() % 32;
+        for _ in 0..rays {
+            let q = points[(next() % points.len() as u64) as usize]
+                + Vec3::new(unit(next()), unit(next()), 0.0);
+            let mut single = VisitMarks::default();
+            let ray = Ray::point_probe(q);
+            bvh.traverse_marked(&ray, &mut single, |_| TraversalControl::Continue);
+            let (n, p) = single.ascending();
+            nodes.extend(n);
+            prims.extend(p);
+            bvh.traverse_marked(&ray, &mut marks, |_| TraversalControl::Continue);
+        }
+        assert_eq!(marks.node_count(), nodes.len(), "warp {warp} nodes");
+        assert_eq!(marks.prim_count(), prims.len(), "warp {warp} prims");
+        let (n, p) = marks.ascending();
+        assert!(n.eq(nodes.iter().copied()), "warp {warp} node walk");
+        assert!(p.eq(prims.iter().copied()), "warp {warp} prim walk");
+        // Walking does not consume the marks.
+        assert_eq!(marks.node_count(), nodes.len(), "warp {warp} after walk");
+        widest_prim_footprint = widest_prim_footprint.max(prims.len());
+    }
+    assert!(
+        widest_prim_footprint > 64,
+        "footprints must span several words"
+    );
 }

@@ -301,8 +301,9 @@ pub struct Index<'a> {
     dirty_region: Aabb,
     pending_structure_ms: f64,
     /// The outcome of the one finiteness scan of `points`, run at the
-    /// first query (`None` until then).
-    point_check: Option<Result<(), PlanError>>,
+    /// first query (`None` until then): their bounds, which the coherence
+    /// schedule reuses, or the first non-finite point.
+    point_check: Option<Result<Aabb, PlanError>>,
 }
 
 impl<'a> Index<'a> {
@@ -477,7 +478,8 @@ impl<'a> Index<'a> {
         let plan = plan.resolve_caps(self.points.len());
         let plan = plan.normalized();
         plan.validate_for(queries)?;
-        self.point_check
+        let point_bounds = self
+            .point_check
             .get_or_insert_with(|| validate_points(&self.points))
             .clone()?;
         let tel = Telemetry::current();
@@ -520,7 +522,7 @@ impl<'a> Index<'a> {
                 )
             }
         };
-        let result = self.execute(queries, &slices, use_cache, overrides);
+        let result = self.execute(queries, point_bounds, &slices, use_cache, overrides);
         if let (Some(span), Ok(results)) = (query_span.as_mut(), result.as_ref()) {
             span.attr("queries", queries.len() as f64)
                 .attr("points", self.points.len() as f64)
@@ -559,6 +561,7 @@ impl<'a> Index<'a> {
     fn execute(
         &mut self,
         queries: &[Vec3],
+        point_bounds: Aabb,
         slices: &[(SearchParams, &[u32])],
         use_cache: bool,
         overrides: StageOverrides<'_>,
@@ -629,6 +632,7 @@ impl<'a> Index<'a> {
                 accel: schedule_width
                     .map(|w| store.accel_ref(store.find(w).expect("ensured above"))),
                 points,
+                point_bounds,
                 queries,
                 query_ids: &covered,
             });

@@ -34,6 +34,9 @@ pub struct ScheduleCx<'r> {
     pub accel: Option<AccelRef<'r>>,
     /// Search points.
     pub points: &'r [Vec3],
+    /// The bounds of `points` ([`Aabb::from_points`]); the driver keeps
+    /// them from its one scan of the points, so no call folds them again.
+    pub point_bounds: Aabb,
     /// All query positions (indexed by query id).
     pub queries: &'r [Vec3],
     /// The query ids this execution launches, in pre-schedule order (all of
@@ -87,7 +90,7 @@ impl Schedule {
 
                 // 2. Morton keys of the first-hit anchors, spread back over
                 //    query ids (queries with no hit use their own position).
-                let keys = anchor_keys(cx.points, cx.queries, cx.query_ids, &fs.payloads);
+                let keys = anchor_keys(cx, &fs.payloads);
                 let mut key_of: Vec<u64> = vec![0; cx.queries.len()];
                 for (i, &qid) in cx.query_ids.iter().enumerate() {
                     key_of[qid as usize] = keys[i];

@@ -14,7 +14,7 @@
 //! offending field or query.
 
 use crate::result::{SearchMode, SearchParams};
-use rtnn_math::Vec3;
+use rtnn_math::{Aabb, Vec3};
 use std::borrow::Cow;
 
 /// A typed description of one neighbor search (or a batch of them),
@@ -371,27 +371,34 @@ impl QueryPlan {
 }
 
 /// Check that every indexed point is finite
-/// ([`PlanError::NonFinitePoint`] names the first that is not). An
-/// [`Index`](crate::Index) runs this once, at its first query: a NaN or
-/// infinite point has no distance to compare, so no answer over it can
-/// agree with the brute-force oracle.
+/// ([`PlanError::NonFinitePoint`] names the first that is not) and return
+/// their bounds. An [`Index`](crate::Index) runs this once, at its first
+/// query: a NaN or infinite point has no distance to compare, so no answer
+/// over it can agree with the brute-force oracle. The bounds are the
+/// points' in-order fold, bit-equal to [`Aabb::from_points`]; the
+/// coherence schedule grows them by each call's queries.
 ///
 /// ```
 /// use rtnn::plan::validate_points;
 /// use rtnn::PlanError;
-/// use rtnn_math::Vec3;
+/// use rtnn_math::{Aabb, Vec3};
 ///
 /// let points = [Vec3::ZERO, Vec3::ONE, Vec3::new(0.0, f32::INFINITY, 0.0)];
 /// assert_eq!(
 ///     validate_points(&points).unwrap_err(),
 ///     PlanError::NonFinitePoint { point_id: 2 }
 /// );
+/// assert_eq!(validate_points(&points[..2]), Ok(Aabb::from_points(&points[..2])));
 /// ```
-pub fn validate_points(points: &[Vec3]) -> Result<(), PlanError> {
-    match points.iter().position(|p| !p.is_finite()) {
-        Some(i) => Err(PlanError::NonFinitePoint { point_id: i as u32 }),
-        None => Ok(()),
+pub fn validate_points(points: &[Vec3]) -> Result<Aabb, PlanError> {
+    let mut bounds = Aabb::EMPTY;
+    for (i, &p) in points.iter().enumerate() {
+        if !p.is_finite() {
+            return Err(PlanError::NonFinitePoint { point_id: i as u32 });
+        }
+        bounds.grow_point(p);
     }
+    Ok(bounds)
 }
 
 /// Append every (transitively nested) slice of `slices` to `merged`,

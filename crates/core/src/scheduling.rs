@@ -25,6 +25,7 @@
 //! the anchor keys and the sort-kernel charge it uses, and the raster order
 //! of the Figure 5/6 experiment.
 
+use crate::pipeline::ScheduleCx;
 use crate::plan::PlanError;
 use rtnn_gpusim::kernel::{point_address, run_sm_kernel};
 use rtnn_gpusim::{Device, KernelMetrics};
@@ -68,21 +69,22 @@ impl QuerySchedule {
 
 /// Morton key of every covered query's first-hit anchor: the first-hit
 /// point when one exists, the query's own position otherwise. `hits[i]` is
-/// the first-hit payload of query `ids[i]`.
-pub(crate) fn anchor_keys(
-    points: &[Vec3],
-    queries: &[Vec3],
-    ids: &[u32],
-    hits: &[Vec<u32>],
-) -> Vec<u64> {
-    let scene_bounds = scene_bounds_for(points, queries);
+/// the first-hit payload of query `cx.query_ids[i]`. The Morton grid spans
+/// the points' bounds grown by every query (queries may lie outside the
+/// point cloud).
+pub(crate) fn anchor_keys(cx: &ScheduleCx<'_>, hits: &[Vec<u32>]) -> Vec<u64> {
+    let mut scene_bounds = cx.point_bounds;
+    for &q in cx.queries {
+        scene_bounds.grow_point(q);
+    }
     let encoder = MortonEncoder::new(&scene_bounds);
-    ids.iter()
+    cx.query_ids
+        .iter()
         .zip(hits)
         .map(|(&qid, hit)| {
             let anchor = match hit.first() {
-                Some(&h) => points[h as usize],
-                None => queries[qid as usize],
+                Some(&h) => cx.points[h as usize],
+                None => cx.queries[qid as usize],
             };
             encoder.encode(anchor)
         })
@@ -98,16 +100,6 @@ pub(crate) fn charge_sort_kernel(device: &Device, n: usize) -> KernelMetrics {
         work.read(point_address(i as u32));
     });
     sort_metrics
-}
-
-/// Scene bounds covering both points and queries (queries may lie outside
-/// the point cloud).
-fn scene_bounds_for(points: &[Vec3], queries: &[Vec3]) -> Aabb {
-    let mut b = Aabb::from_points(points);
-    for &q in queries {
-        b.grow_point(q);
-    }
-    b
 }
 
 /// Generate a raster-scan ordering of queries over a uniform grid — the
@@ -144,7 +136,7 @@ pub fn raster_order(queries: &[Vec3], cells_per_axis: u32) -> Result<Vec<u32>, P
 mod tests {
     use super::*;
     use crate::backend::{Backend, GpusimBackend};
-    use crate::pipeline::{Schedule, ScheduleCx};
+    use crate::pipeline::Schedule;
     use rtnn_bvh::BuildParams;
 
     /// Run the coherence schedule over every query the way the driver
@@ -160,6 +152,7 @@ mod tests {
             backend: &backend,
             accel: Some(accel.as_ref()),
             points,
+            point_bounds: Aabb::from_points(points),
             queries,
             query_ids: &ids,
         })

@@ -21,6 +21,11 @@ use rtnn_optix::{IsVerdict, RayProgram};
 /// Sentinel for "no first hit found".
 pub const NO_HIT: u32 = u32::MAX;
 
+/// The most entries a payload reserves when its ray starts: a ray with a
+/// smaller cap never grows its list, and no ray reserves more up front,
+/// however large its cap (an unbounded range's cap is the point count).
+const PAYLOAD_RESERVE: usize = 64;
+
 /// Maps launch indices to query ids: either the identity (launch `i` is
 /// query `i`) or an explicit permutation / subset (scheduled order,
 /// per-partition query lists).
@@ -82,7 +87,8 @@ impl<'a> RayProgram for RangeProgram<'a> {
 
     fn ray_gen(&self, launch_index: u32) -> Option<(Ray, RangePayload)> {
         let q = self.queries[self.indexing.query_id(launch_index) as usize];
-        Some((Ray::point_probe(q), Vec::new()))
+        let payload = Vec::with_capacity(self.k.min(PAYLOAD_RESERVE));
+        Some((Ray::point_probe(q), payload))
     }
 
     fn intersection(
@@ -120,6 +126,13 @@ pub struct KnnHeap {
 }
 
 impl KnnHeap {
+    /// An empty heap with room for `capacity` entries.
+    pub(crate) fn with_capacity(capacity: usize) -> Self {
+        KnnHeap {
+            entries: Vec::with_capacity(capacity),
+        }
+    }
+
     /// Number of neighbors currently held.
     pub fn len(&self) -> usize {
         self.entries.len()
@@ -208,7 +221,8 @@ impl<'a> RayProgram for KnnProgram<'a> {
 
     fn ray_gen(&self, launch_index: u32) -> Option<(Ray, KnnHeap)> {
         let q = self.queries[self.indexing.query_id(launch_index) as usize];
-        Some((Ray::point_probe(q), KnnHeap::default()))
+        let heap = KnnHeap::with_capacity(self.k.min(PAYLOAD_RESERVE));
+        Some((Ray::point_probe(q), heap))
     }
 
     fn intersection(&self, launch_index: u32, prim_id: u32, payload: &mut KnnHeap) -> IsVerdict {
@@ -382,6 +396,46 @@ mod tests {
         assert_eq!(prog.intersection(0, 0, &mut heap), IsVerdict::Ignore);
         assert_eq!(prog.intersection(0, 1, &mut heap), IsVerdict::Accept);
         assert_eq!(heap.into_sorted_ids(), vec![1]);
+    }
+
+    #[test]
+    fn ray_gen_reserves_the_cap_up_to_a_bound() {
+        let points = vec![Vec3::ZERO; 3];
+        let queries = vec![Vec3::ZERO];
+        for cap in [
+            1usize,
+            7,
+            32,
+            PAYLOAD_RESERVE - 1,
+            PAYLOAD_RESERVE,
+            1_000_000,
+        ] {
+            let range = RangeProgram {
+                points: &points,
+                queries: &queries,
+                indexing: QueryIndexing::Identity,
+                radius: 1.0,
+                k: cap,
+                sphere_test: true,
+            };
+            let knn = KnnProgram {
+                points: &points,
+                queries: &queries,
+                indexing: QueryIndexing::Identity,
+                radius: 1.0,
+                k: cap,
+            };
+            let range_reserved = range.ray_gen(0).unwrap().1.capacity();
+            let knn_reserved = knn.ray_gen(0).unwrap().1.entries.capacity();
+            for (kind, reserved) in [("range", range_reserved), ("knn", knn_reserved)] {
+                if cap < PAYLOAD_RESERVE {
+                    assert_eq!(reserved, cap, "{kind} cap {cap}");
+                } else {
+                    assert!(reserved <= PAYLOAD_RESERVE, "{kind} cap {cap}: {reserved}");
+                    assert!(reserved > 0, "{kind} cap {cap}");
+                }
+            }
+        }
     }
 
     #[test]

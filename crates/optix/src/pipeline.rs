@@ -15,34 +15,50 @@
 //!
 //! A warp traverses each of its rays with
 //! [`Bvh::traverse_marked`](rtnn_bvh::Bvh::traverse_marked) into one
-//! [`VisitMarks`] set, which counts a node or primitive slot the first time
-//! any of the warp's rays reads it. Those distinct counts are the warp's
-//! RT-core tests and its issued SIMT work. For memory, the marks walk their
-//! node slots and then their primitive slots in ascending order; each walk
-//! maps slots to ascending addresses and so to ascending cache lines, and
-//! consecutive equal lines collapse into one. The shard gets the two runs
+//! [`VisitMarks`] set, which sets a bit for every node or primitive slot
+//! any of the warp's rays reads. Once the rays are done, the warp
+//! popcounts the marked bitset words for its distinct node and primitive
+//! counts: its RT-core tests and its issued SIMT work. For memory, the
+//! marks hand over their node words and then their primitive words in
+//! ascending order. A line holds `line_bytes / 32` records, so each word
+//! folds to one bit per cache line (one line per slot when a line is
+//! smaller than a 32-byte record) and the walk takes one step per line.
+//! The lines come out ascending and each once. The shard gets the two runs
 //! of lines as one ascending set without a sort of slots, addresses or
-//! lines, so the cost grows with the distinct slots rather than with every
+//! lines, so the cost grows with the distinct lines rather than with every
 //! ray's visits. The node records reach the primitive region only past
 //! about 25M nodes (`BVH_PRIMS_BASE − BVH_NODES_BASE` over 32 bytes a
 //! node); from there the two runs interleave, and they are merged.
 //!
-//! Each host thread keeps one footprint (the marks plus the line buffer)
-//! in a thread-local and reuses it for every warp it runs, in every
-//! launch. Before its first ray, a warp clears what the thread's previous
-//! warp marked, by zeroing only the bitset words that warp touched. This
-//! also covers a warp that unwound mid-way because a shader panicked.
-//! Marks never outlive the next warp on their thread, so the reuse cannot
-//! change an answer or a simulated number.
+//! # What a ray costs the host
+//!
+//! The per-ray loop is the traversal and the shaders, with nothing
+//! allocated or counted per ray on top:
+//! - the traversal stack lives in the thread's reused marks;
+//! - a leaf scans its primitive boxes in leaf-slot order, adjacent in
+//!   memory ([`Bvh::prim_aabbs`](rtnn_bvh::Bvh::prim_aabbs)), the order the
+//!   simulator bills primitive records in;
+//! - a mark only sets a bit, and the counts are taken once per warp;
+//! - the RTNN programs reserve their payloads once, when the ray starts.
+//!
+//! Each host thread keeps one footprint (the marks, their stack and the
+//! line buffer) in a thread-local and reuses it for every warp it runs, in
+//! every launch. Before its first ray, a warp clears what the thread's
+//! previous warp marked, by zeroing only the bitset words that warp
+//! touched, and each ray empties the stack before it starts. This also
+//! covers a warp that unwound mid-way because a shader panicked. Marks
+//! never outlive the next warp on their thread, so the reuse cannot change
+//! an answer or a simulated number.
 //!
 //! Memory: a thread's footprint holds one bit per node slot and per
 //! primitive slot of the largest BVH it has traversed, plus at most one
 //! 32-bit word index per 64 of those slots, for the life of the thread
-//! (the worker pool's threads live as long as the process), and line
-//! capacity for the largest warp footprint it has metered. An LBVH here
-//! has about 0.71 nodes per point, so at the paper's 12M-point scale the
-//! bits take about 2.6 MB per thread and the word lists at most 1.3 MB
-//! (u32 visit stamps would take about 82 MB).
+//! (the worker pool's threads live as long as the process), a stack as
+//! deep as the deepest ray it has traversed, and line capacity for the
+//! largest warp footprint it has metered. An LBVH here has about 0.71
+//! nodes per point, so at the paper's 12M-point scale the bits take about
+//! 2.6 MB per thread and the word lists at most 1.3 MB (u32 visit stamps
+//! would take about 82 MB).
 
 use crate::gas::{Gas, NODE_BYTES, PRIM_BYTES};
 use crate::shader::{IsVerdict, RayProgram};
@@ -191,7 +207,7 @@ impl WarpFootprint {
         // Memory traffic: the lines of the BVH nodes and primitive records
         // the warp read.
         let (nodes, prims) = marks.ascending();
-        footprint_lines(lines, nodes, prims, shard.line_shift());
+        footprint_lines(lines, nodes.words(), prims.words(), shard.line_shift());
         shard.access_lines(lines);
 
         // SIMT efficiency: useful lane-work over issued warp-work.
@@ -203,41 +219,77 @@ impl WarpFootprint {
 }
 
 /// Fill `lines` with the distinct L1 lines (`addr >> line_shift`) of the
-/// node slots `nodes` and primitive slots `prims`, both ascending, in
-/// ascending order.
+/// marked node slots `nodes` and primitive slots `prims`, both given as
+/// ascending bitset words (see `AscendingSlots::words`), in ascending
+/// order.
 fn footprint_lines(
     lines: &mut Vec<u64>,
-    nodes: impl Iterator<Item = u32>,
-    prims: impl Iterator<Item = u32>,
+    nodes: impl Iterator<Item = (u32, u64)>,
+    prims: impl Iterator<Item = (u32, u64)>,
     line_shift: u32,
 ) {
     lines.clear();
-    push_run(
-        lines,
-        nodes.map(|n| BVH_NODES_BASE + n as u64 * NODE_BYTES),
-        line_shift,
-    );
+    push_run(lines, nodes, BVH_NODES_BASE, NODE_BYTES, line_shift);
     let split = lines.len();
-    push_run(
-        lines,
-        prims.map(|p| BVH_PRIMS_BASE + p as u64 * PRIM_BYTES),
-        line_shift,
-    );
+    push_run(lines, prims, BVH_PRIMS_BASE, PRIM_BYTES, line_shift);
     if split > 0 && split < lines.len() && lines[split] <= lines[split - 1] {
         merge_runs(lines, split);
     }
 }
 
-/// Append the distinct lines of the ascending addresses `addrs` to `lines`.
-fn push_run(lines: &mut Vec<u64>, addrs: impl Iterator<Item = u64>, line_shift: u32) {
+/// Append to `lines` the distinct lines of the records at
+/// `base + slot · record_bytes` for the slots marked in `words`.
+///
+/// When a line holds `2^g` records (`g = line_shift − log2 record_bytes`),
+/// each aligned group of `2^g` slots shares one line, so each word is
+/// folded to one bit per group and the walk costs one step per line, not
+/// per slot. A line no larger than a record gives one line per slot; a
+/// line wider than a word's 64 records gives one line per word, and
+/// consecutive words on one line collapse. Both rest on `base` starting a
+/// word's span of records and on a power-of-two `record_bytes` (asserted
+/// at compile time below), so no group or word straddles two lines.
+fn push_run(
+    lines: &mut Vec<u64>,
+    words: impl Iterator<Item = (u32, u64)>,
+    base: u64,
+    record_bytes: u64,
+    line_shift: u32,
+) {
+    let group_shift = line_shift.saturating_sub(record_bytes.trailing_zeros());
+    // The bits that start a group: every `2^g`-th bit, or only bit 0 once
+    // a group spans the whole word.
+    let group_starts = match group_shift {
+        0..=5 => u64::MAX / ((1u64 << (1u32 << group_shift)) - 1),
+        _ => 1,
+    };
     let mut last = None;
-    for line in addrs.map(|addr| addr >> line_shift) {
-        if last != Some(line) {
-            lines.push(line);
-            last = Some(line);
+    for (w, bits) in words {
+        // OR each group's bits into its first bit.
+        let mut folded = bits;
+        for step in 0..group_shift.min(6) {
+            folded |= folded >> (1u32 << step);
+        }
+        folded &= group_starts;
+        while folded != 0 {
+            let slot = u64::from(w) * 64 + u64::from(folded.trailing_zeros());
+            folded &= folded - 1;
+            let line = (base + slot * record_bytes) >> line_shift;
+            if last != Some(line) {
+                lines.push(line);
+                last = Some(line);
+            }
         }
     }
 }
+
+// `push_run`'s fold: a bitset word's 64 records start a line of any size
+// up to 64 records, and lie inside one line of any larger size.
+const _: () = assert!(
+    NODE_BYTES.is_power_of_two()
+        && PRIM_BYTES.is_power_of_two()
+        && BVH_NODES_BASE.is_multiple_of(64 * NODE_BYTES)
+        && BVH_PRIMS_BASE.is_multiple_of(64 * PRIM_BYTES)
+);
 
 /// Merge the ascending distinct runs `lines[..split]` and `lines[split..]`
 /// into one ascending distinct sequence.
@@ -619,13 +671,26 @@ mod tests {
         lines
     }
 
+    /// The ascending bitset words of the ascending slot list `slots`.
+    fn words_of(slots: &[u32]) -> Vec<(u32, u64)> {
+        let mut words: Vec<(u32, u64)> = Vec::new();
+        for &slot in slots {
+            let (w, bit) = (slot / 64, 1u64 << (slot % 64));
+            match words.last_mut() {
+                Some((last, bits)) if *last == w => *bits |= bit,
+                _ => words.push((w, bit)),
+            }
+        }
+        words
+    }
+
     /// `footprint_lines` over ascending slot lists.
     fn lines_by_walking(nodes: &[u32], prims: &[u32], line_shift: u32) -> Vec<u64> {
         let mut lines = vec![7]; // stale content the call must drop
         footprint_lines(
             &mut lines,
-            nodes.iter().copied(),
-            prims.iter().copied(),
+            words_of(nodes).into_iter(),
+            words_of(prims).into_iter(),
             line_shift,
         );
         lines
@@ -666,9 +731,20 @@ mod tests {
             }
             let (nodes, prims) = marks.ascending();
             let (nodes, prims): (Vec<u32>, Vec<u32>) = (nodes.collect(), prims.collect());
-            for line_shift in [6, 7] {
+            // Up to 256 B lines, then lines wider than a bitset word's 64
+            // records (4 KiB) and far wider (512 MiB).
+            for line_shift in (3..=8).chain([12, 29]) {
+                // The launch's own walk: the marks' words, folded per line.
+                let mut walked = vec![7];
+                let (node_words, prim_words) = marks.ascending();
+                footprint_lines(
+                    &mut walked,
+                    node_words.words(),
+                    prim_words.words(),
+                    line_shift,
+                );
                 assert_eq!(
-                    lines_by_walking(&nodes, &prims, line_shift),
+                    walked,
                     lines_by_sorting(&nodes, &prims, line_shift),
                     "warp {warp}, {} B lines",
                     1 << line_shift
@@ -700,7 +776,7 @@ mod tests {
         for case in 0..60 {
             let nodes = [pick(0, 40), pick(reach - 300, 1 + case * 3)].concat();
             let prims = pick(0, 1 + (case * 7) % 100);
-            for line_shift in [6, 7] {
+            for line_shift in (3..=8).chain([12, 29]) {
                 let want = lines_by_sorting(&nodes, &prims, line_shift);
                 assert_eq!(
                     lines_by_walking(&nodes, &prims, line_shift),

@@ -132,7 +132,7 @@ pub struct ShardedIndex<'a> {
     last_timing: ShardTiming,
     /// The outcome of the one finiteness scan of `points`, run at the
     /// first query (`None` until then).
-    point_check: Option<Result<(), PlanError>>,
+    point_check: Option<Result<Aabb, PlanError>>,
 }
 
 impl<'a> ShardedIndex<'a> {

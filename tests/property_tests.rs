@@ -100,6 +100,7 @@ proptest! {
             backend: &backend,
             accel: Some(accel.as_ref()),
             points: &points,
+            point_bounds: Aabb::from_points(&points),
             queries: &queries,
             query_ids: &ids,
         });
