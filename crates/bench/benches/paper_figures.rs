@@ -12,7 +12,7 @@ use rtnn::pipeline::{Schedule, ScheduleCx};
 use rtnn::shaders::{KnnProgram, QueryIndexing, RangeProgram};
 use rtnn::{
     Backend, EngineConfig, GpusimBackend, GridRefresh, Index, MegacellGrid, OptLevel, QueryPlan,
-    SearchMode, SearchParams,
+    RtnnConfig, SearchMode, SearchParams,
 };
 use rtnn_baselines::fastrnn::FastRnn;
 use rtnn_baselines::grid_knn::GridKnn;
@@ -22,7 +22,8 @@ use rtnn_baselines::uniform_grid::UniformGridSearch;
 use rtnn_baselines::{Baseline, SearchRequest};
 use rtnn_bench::workloads::compensated_radius;
 use rtnn_bvh::{build_point_bvh, BuildParams, BvhBuilder};
-use rtnn_data::{Dataset, DatasetName};
+use rtnn_data::{Dataset, DatasetName, DriftModel, DriftScene};
+use rtnn_dynamic::{DynamicIndex, RebuildPolicy};
 use rtnn_gpusim::{Device, IsShaderKind};
 use rtnn_math::morton::MortonEncoder;
 use rtnn_math::{Aabb, Vec3};
@@ -237,9 +238,46 @@ fn bench_scheduling_and_partitioning(c: &mut Criterion) {
         b.iter(|| {
             frame ^= 1;
             match refreshed.refresh(frames[frame], &moved) {
-                GridRefresh::Incremental { cells_changed, .. } => assert!(cells_changed > 0),
+                GridRefresh::Incremental { dirty_region } => assert!(!dirty_region.is_empty()),
                 GridRefresh::NeedsRebuild => unreachable!("swapped positions stay in bounds"),
             }
+        })
+    });
+    group.finish();
+}
+
+/// What a `stream_nbody` frame costs the host before its search: a
+/// `DynamicIndex` over `NBody9M / 400` (22.5k points) at the workload's
+/// knn(r, 16) and never-rebuild policy, each sample moving every point
+/// one orbit step with `move_point` and bringing the structures up to date
+/// (`as_index`: refit, grid refresh or rebuild, no query). Two orbit
+/// frames alternate, so every sample moves every point.
+fn bench_dynamic_frame_upkeep(c: &mut Criterion) {
+    let cloud = Dataset::scaled(DatasetName::NBody9M, 400).generate();
+    let radius = compensated_radius(DatasetName::NBody9M, 400);
+    let mut orbit = DriftScene::new(&cloud, DriftModel::NBodyOrbit { angular_step: 0.01 }, 1);
+    orbit.step();
+    let frames = [cloud.points.clone(), orbit.live_points()];
+    let device = Device::rtx_2080();
+    let config = RtnnConfig::new(SearchParams::knn(radius, 16));
+    let mut index = DynamicIndex::with_policy(&device, config, RebuildPolicy::never_rebuild());
+    for &p in &cloud.points {
+        index.insert(p);
+    }
+    let queries: Vec<Vec3> = cloud.points.iter().step_by(32).copied().collect();
+    index
+        .search(&queries)
+        .expect("the first frame builds every structure");
+    let mut group = c.benchmark_group("dynamic_frame_upkeep");
+    configure(&mut group);
+    let mut frame = 0;
+    group.bench_function("nbody_orbit_frame", |b| {
+        b.iter(|| {
+            frame ^= 1;
+            for (h, &p) in frames[frame].iter().enumerate() {
+                index.move_point(h as u32, p);
+            }
+            drop(index.as_index().expect("finite positions"));
         })
     });
     group.finish();
@@ -305,6 +343,7 @@ criterion_group!(
     bench_rtnn_warm_index,
     bench_baselines,
     bench_scheduling_and_partitioning,
+    bench_dynamic_frame_upkeep,
     bench_launch_warp_loop
 );
 criterion_main!(benches);

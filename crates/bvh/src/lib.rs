@@ -18,7 +18,11 @@
 //!   every thread count.
 //!
 //! The refit ([`refit::refit_bvh`]) has the same pair: a subtree-parallel
-//! path for large trees and the serial oracle it matches bit for bit.
+//! path for large trees and the serial oracle it matches bit for bit. The
+//! builders lay nodes out in preorder, so each subtree below the
+//! parallel path's cut is one contiguous run of the node array, which a
+//! pool worker refits in place by sweeping it from its last node to its
+//! first.
 //! Neither reports host timings to its callers; what a build or refit
 //! costs on the simulated device is the `rtnn-gpusim` model's business.
 //!

@@ -9,11 +9,19 @@
 //! tree quality: as primitives drift from the positions the topology was
 //! chosen for, sibling AABBs start to overlap and traversal visits more
 //! nodes. The [`crate::node::Bvh::sah_cost`] monitor quantifies that
-//! degradation; the `rtnn-dynamic` crate's rebuild policy acts on it.
+//! degradation; the `rtnn-dynamic` crate's rebuild policy acts on it, from
+//! the SAH cost each refit folds once, after its last box.
+//!
+//! A large tree refits in parallel and in place ([`refit_bvh_with_cut`]):
+//! in the builders' preorder layout every subtree below a cut depth is a
+//! contiguous run of `Bvh::nodes`, so the array splits into disjoint
+//! mutable runs, one pool worker sweeps each run from its last node to its
+//! first (children follow their parent), and the few nodes above the cut
+//! are folded last.
 
-use crate::node::{Bvh, NodeKind};
+use crate::node::{Bvh, BvhNode, NodeKind};
 use rtnn_math::Aabb;
-use rtnn_parallel::{current_num_threads, par_map_collect};
+use rtnn_parallel::{current_num_threads, par_map_collect_mut};
 use std::time::Instant;
 
 /// Ways a refit request can be invalid.
@@ -47,8 +55,6 @@ impl std::error::Error for RefitError {}
 pub struct RefitStats {
     /// Nodes whose AABB was recomputed (all of them).
     pub nodes_updated: usize,
-    /// SAH cost of the tree before the refit.
-    pub sah_before: f64,
     /// SAH cost of the tree after the refit.
     pub sah_after: f64,
 }
@@ -59,14 +65,11 @@ pub struct RefitStats {
 /// meaning: `new_prim_aabbs` is indexed by id, like the builder's input,
 /// and the tree stores it in leaf-slot order ([`Bvh::prim_aabbs`]).
 ///
-/// Works for any structurally valid tree regardless of node layout (explicit
-/// traversals are used throughout, so children need not follow their parent
-/// in the node array).
-///
-/// Large trees are refitted in parallel over independent subtrees (see
-/// [`refit_bvh_with_cut`]); the result is bit-identical to the serial oracle
-/// ([`refit_bvh_serial`]) at every thread count, because every node box is
-/// computed from exactly the same operands either way.
+/// Works for any structurally valid tree regardless of node layout; the
+/// builders' preorder layout lets large trees refit in place, in parallel
+/// (see [`refit_bvh_with_cut`]). The result is bit-identical to the serial
+/// oracle ([`refit_bvh_serial`]) at every thread count, because every node
+/// box is computed from exactly the same operands either way.
 ///
 /// In debug and test builds the refitted tree is re-validated with
 /// [`crate::validate::validate_bvh`]; a violation is a bug in this function
@@ -92,19 +95,23 @@ pub fn refit_bvh(bvh: &mut Bvh, new_prim_aabbs: &[Aabb]) -> Result<RefitStats, R
 /// The serial refit oracle: one explicit post-order traversal of the whole
 /// tree. The parallel path must match it bit for bit.
 pub fn refit_bvh_serial(bvh: &mut Bvh, new_prim_aabbs: &[Aabb]) -> Result<RefitStats, RefitError> {
-    let sah_before = check_and_adopt(bvh, new_prim_aabbs)?;
-    let Some(sah_before) = sah_before else {
+    if !check_and_adopt(bvh, new_prim_aabbs)? {
         return Ok(empty_stats(bvh));
-    };
+    }
+    refit_post_order(bvh);
+    finish(bvh)
+}
 
-    // Iterative post-order: visit children before recomputing the parent.
+/// Recompute every node box from the adopted primitive boxes by one
+/// iterative post-order traversal, which needs no particular node layout.
+fn refit_post_order(bvh: &mut Bvh) {
     // `(node, expanded)` pairs; on the second visit both children are done.
     let mut stack: Vec<(u32, bool)> = vec![(0, false)];
     while let Some((idx, expanded)) = stack.pop() {
         let node = bvh.nodes[idx as usize];
         match node.kind {
             NodeKind::Leaf { start, count } => {
-                bvh.nodes[idx as usize].aabb = leaf_aabb(bvh, start, count);
+                bvh.nodes[idx as usize].aabb = leaf_aabb(&bvh.prim_aabbs, start, count);
             }
             NodeKind::Internal { left, right } => {
                 if expanded {
@@ -120,15 +127,23 @@ pub fn refit_bvh_serial(bvh: &mut Bvh, new_prim_aabbs: &[Aabb]) -> Result<RefitS
             }
         }
     }
-
-    finish(bvh, sah_before)
 }
 
-/// Parallel refit with an explicit subtree cut: a breadth-first sweep from
-/// the root collects the frontier at `cut_depth` (plus any leaves above it),
-/// the frontier subtrees are refitted concurrently, and a serial top-up
-/// pass recomputes the internal nodes above the cut in reverse BFS order.
-/// `cut_depth = 0` degenerates to one job — the whole tree.
+/// Parallel refit with an explicit subtree cut, in place. A breadth-first
+/// sweep from the root collects the *upper* nodes shallower than
+/// `cut_depth` and the frontier below them: the subtree roots at the cut,
+/// plus any leaves above it. The builders emit nodes in preorder, so each
+/// frontier subtree is the contiguous run of nodes from its root to the
+/// next upper node or frontier root. The node array is split into those
+/// runs (`split_at_mut`), one pool worker refits a run by sweeping it from
+/// its last node to its first (every child follows its parent), and a
+/// serial top-up recomputes the upper nodes in reverse BFS order.
+/// `cut_depth = 0` makes the whole tree one run.
+///
+/// A layout that is not preorder is detected during the sweep: some
+/// frontier subtree is then not one run, so a node of it has a child
+/// outside its run or before it. Such a tree is refitted by the serial
+/// post-order instead.
 ///
 /// Bit-identical to [`refit_bvh_serial`] for every cut depth and thread
 /// count: each node's box is computed from the same operands in the same
@@ -138,17 +153,16 @@ pub fn refit_bvh_with_cut(
     new_prim_aabbs: &[Aabb],
     cut_depth: u32,
 ) -> Result<RefitStats, RefitError> {
-    let sah_before = check_and_adopt(bvh, new_prim_aabbs)?;
-    let Some(sah_before) = sah_before else {
+    if !check_and_adopt(bvh, new_prim_aabbs)? {
         return Ok(empty_stats(bvh));
-    };
+    }
 
-    // BFS from the root: nodes shallower than the cut stay in `upper`
-    // (recomputed serially afterwards); the frontier — subtree roots at the
-    // cut depth, plus leaves encountered above it — becomes the job list.
-    let mut upper: Vec<u32> = Vec::new();
-    let mut frontier: Vec<u32> = Vec::new();
+    // BFS from the root, listing every node it reaches as the start of a
+    // run: `(node, is a frontier root)`. Upper nodes only end the runs
+    // before them; in preorder each is a run of one.
     let mut queue: Vec<(u32, u32)> = vec![(0, 0)]; // (node, depth)
+    let mut upper: Vec<u32> = Vec::new();
+    let mut starts: Vec<(u32, bool)> = Vec::new();
     let mut head = 0;
     while head < queue.len() {
         let (idx, depth) = queue[head];
@@ -156,25 +170,38 @@ pub fn refit_bvh_with_cut(
         match bvh.nodes[idx as usize].kind {
             NodeKind::Internal { left, right } if depth < cut_depth => {
                 upper.push(idx);
+                starts.push((idx, false));
                 queue.push((left, depth + 1));
                 queue.push((right, depth + 1));
             }
-            _ => frontier.push(idx),
+            _ => starts.push((idx, true)),
         }
     }
+    starts.sort_unstable();
 
-    // Refit the frontier subtrees concurrently. Workers only read the tree
-    // and return (node, aabb) pairs; a serial pass applies them, so no two
-    // threads ever alias a node.
-    let jobs: Vec<Vec<(u32, Aabb)>> = {
-        let bvh: &Bvh = bvh;
-        par_map_collect(frontier.len(), |i| eval_subtree(bvh, frontier[i]))
-    };
-
-    for job in jobs {
-        for (idx, aabb) in job {
-            bvh.nodes[idx as usize].aabb = aabb;
+    let Bvh {
+        nodes, prim_aabbs, ..
+    } = bvh;
+    let mut runs: Vec<(u32, &mut [BvhNode])> = Vec::with_capacity(starts.len());
+    // The nodes from the current start on; node 0, the root, starts first.
+    let mut rest: &mut [BvhNode] = nodes;
+    for (i, &(first, frontier)) in starts.iter().enumerate() {
+        let end = starts
+            .get(i + 1)
+            .map_or(first as usize + rest.len(), |s| s.0 as usize);
+        let (run, tail) = std::mem::take(&mut rest).split_at_mut(end - first as usize);
+        rest = tail;
+        if frontier {
+            runs.push((first, run));
         }
+    }
+    let prim_aabbs: &[Aabb] = prim_aabbs;
+    let swept = par_map_collect_mut(&mut runs, |_, (first, run)| {
+        refit_run(*first, run, prim_aabbs)
+    });
+    if !swept.into_iter().all(|ok| ok) {
+        refit_post_order(bvh);
+        return finish(bvh);
     }
     // Serial top-up: reverse BFS order guarantees both children of every
     // upper node — frontier roots or deeper upper nodes — are final.
@@ -186,96 +213,73 @@ pub fn refit_bvh_with_cut(
             .aabb
             .union(&bvh.nodes[right as usize].aabb);
     }
-
-    finish(bvh, sah_before)
+    finish(bvh)
 }
 
-/// Post-order evaluation of one subtree's new AABBs against the (already
-/// adopted) primitive boxes. Returns `(node, aabb)` pairs in post-order; an
-/// explicit two-stack machine, so degenerate SAH chains cannot overflow the
-/// call stack.
-fn eval_subtree(bvh: &Bvh, root: u32) -> Vec<(u32, Aabb)> {
-    enum Visit {
-        Enter(u32),
-        Exit(u32),
-    }
-    let mut out: Vec<(u32, Aabb)> = Vec::new();
-    let mut values: Vec<Aabb> = Vec::new();
-    let mut stack = vec![Visit::Enter(root)];
-    while let Some(visit) = stack.pop() {
-        match visit {
-            Visit::Enter(idx) => match bvh.nodes[idx as usize].kind {
-                NodeKind::Leaf { start, count } => {
-                    let aabb = leaf_aabb(bvh, start, count);
-                    out.push((idx, aabb));
-                    values.push(aabb);
-                }
-                NodeKind::Internal { left, right } => {
-                    stack.push(Visit::Exit(idx));
-                    // Enter right first so left's value lands below right's,
-                    // and the union below reads (left, right) in order.
-                    stack.push(Visit::Enter(right));
-                    stack.push(Visit::Enter(left));
-                }
-            },
-            Visit::Exit(idx) => {
-                let r = values.pop().expect("right child evaluated");
-                let l = values.pop().expect("left child evaluated");
-                let aabb = l.union(&r);
-                out.push((idx, aabb));
-                values.push(aabb);
+/// Refit the run of nodes `first..first + run.len()` in place, from its
+/// last node to its first. Returns false, leaving the run part-refitted,
+/// when a child lies outside the run or before its parent (a layout that
+/// is not preorder).
+fn refit_run(first: u32, run: &mut [BvhNode], prim_aabbs: &[Aabb]) -> bool {
+    for i in (0..run.len()).rev() {
+        run[i].aabb = match run[i].kind {
+            NodeKind::Leaf { start, count } => leaf_aabb(prim_aabbs, start, count),
+            NodeKind::Internal { left, right } => {
+                let child = |c: u32| {
+                    let c = c.wrapping_sub(first) as usize;
+                    (c > i && c < run.len()).then_some(c)
+                };
+                let (Some(l), Some(r)) = (child(left), child(right)) else {
+                    return false;
+                };
+                run[l].aabb.union(&run[r].aabb)
             }
-        }
+        };
     }
-    out
+    true
 }
 
 /// Count-check `new_prim_aabbs` (indexed by primitive id) against the tree
 /// and adopt them, gathered into the tree's leaf-slot order. Returns
-/// `Ok(None)` for the empty tree (nothing to refit), otherwise the SAH cost
-/// before the refit.
-fn check_and_adopt(bvh: &mut Bvh, new_prim_aabbs: &[Aabb]) -> Result<Option<f64>, RefitError> {
+/// `Ok(false)` for the empty tree (nothing to refit).
+fn check_and_adopt(bvh: &mut Bvh, new_prim_aabbs: &[Aabb]) -> Result<bool, RefitError> {
     if new_prim_aabbs.len() != bvh.prim_aabbs.len() {
         return Err(RefitError::PrimitiveCountChanged {
             tree: bvh.prim_aabbs.len(),
             supplied: new_prim_aabbs.len(),
         });
     }
-    let sah_before = bvh.sah_cost();
     if bvh.nodes.is_empty() {
-        return Ok(None);
+        return Ok(false);
     }
     for (slot_aabb, &pid) in bvh.prim_aabbs.iter_mut().zip(&bvh.prim_indices) {
         *slot_aabb = new_prim_aabbs[pid as usize];
     }
-    Ok(Some(sah_before))
+    Ok(true)
 }
 
 fn empty_stats(bvh: &Bvh) -> RefitStats {
-    let sah = bvh.sah_cost();
     RefitStats {
         nodes_updated: 0,
-        sah_before: sah,
-        sah_after: sah,
+        sah_after: bvh.sah_cost(),
     }
 }
 
 /// The box of the leaf slots `start..start + count`.
-fn leaf_aabb(bvh: &Bvh, start: u32, count: u32) -> Aabb {
+fn leaf_aabb(prim_aabbs: &[Aabb], start: u32, count: u32) -> Aabb {
     let mut aabb = Aabb::EMPTY;
-    for slot_aabb in &bvh.prim_aabbs[start as usize..(start + count) as usize] {
+    for slot_aabb in &prim_aabbs[start as usize..(start + count) as usize] {
         aabb.grow_aabb(slot_aabb);
     }
     aabb
 }
 
-fn finish(bvh: &mut Bvh, sah_before: f64) -> Result<RefitStats, RefitError> {
+fn finish(bvh: &mut Bvh) -> Result<RefitStats, RefitError> {
     #[cfg(any(debug_assertions, test))]
     crate::validate::validate_bvh(bvh).expect("refit produced an invalid BVH");
 
     Ok(RefitStats {
         nodes_updated: bvh.nodes.len(),
-        sah_before,
         sah_after: bvh.sah_cost(),
     })
 }
@@ -350,7 +354,7 @@ mod tests {
         let reference = bvh.clone();
         let stats = refit_point_bvh(&mut bvh, &pts, 0.5).unwrap();
         assert_eq!(stats.nodes_updated, bvh.nodes.len());
-        assert!((stats.sah_after - stats.sah_before).abs() < 1e-9);
+        assert_eq!(stats.sah_after, reference.sah_cost());
         for (a, b) in bvh.nodes.iter().zip(&reference.nodes) {
             assert_eq!(a.aabb, b.aabb);
             assert_eq!(a.kind, b.kind);
@@ -462,11 +466,12 @@ mod tests {
         for (i, p) in pts.iter_mut().enumerate() {
             p.y += ((i % 13) as f32) * 0.9;
         }
+        let sah_before = bvh.sah_cost();
         let stats = refit_point_bvh(&mut bvh, &pts, 0.4).unwrap();
         assert!(
-            stats.sah_after > stats.sah_before * 1.2,
+            stats.sah_after > sah_before * 1.2,
             "expected clear SAH degradation, got {} -> {}",
-            stats.sah_before,
+            sah_before,
             stats.sah_after
         );
         assert!(monitor.quality_ratio(&bvh) > 1.2);
@@ -475,10 +480,58 @@ mod tests {
         assert!(rebuilt.sah_cost() < bvh.sah_cost());
     }
 
+    /// Depth of every leaf (root = 0).
+    fn leaf_depths(bvh: &Bvh) -> Vec<u32> {
+        let mut depths = Vec::new();
+        let mut stack = vec![(0u32, 0u32)];
+        while let Some((idx, depth)) = stack.pop() {
+            match bvh.nodes[idx as usize].kind {
+                NodeKind::Leaf { .. } => depths.push(depth),
+                NodeKind::Internal { left, right } => {
+                    stack.push((left, depth + 1));
+                    stack.push((right, depth + 1));
+                }
+            }
+        }
+        depths
+    }
+
+    /// Refit `bvh` through the cut path at cut depths 0–8 and 30 and at 1,
+    /// 2 and 4 threads; every tree must equal the serial oracle's.
+    fn assert_cut_refits_match_the_oracle(bvh: &Bvh, moved: &[Aabb], context: &str) {
+        let mut serial = bvh.clone();
+        let serial_stats = refit_bvh_serial(&mut serial, moved).unwrap();
+        for cut in (0u32..=8).chain([30]) {
+            for threads in [1usize, 2, 4] {
+                let mut parallel = bvh.clone();
+                let stats = rtnn_parallel::with_thread_count(threads, || {
+                    refit_bvh_with_cut(&mut parallel, moved, cut).unwrap()
+                });
+                let context = format!("{context}: cut={cut} threads={threads}");
+                assert_eq!(stats, serial_stats, "{context}");
+                for (i, (a, b)) in parallel.nodes.iter().zip(&serial.nodes).enumerate() {
+                    assert_eq!(a.aabb, b.aabb, "{context} node {i}");
+                    assert_eq!(a.kind, b.kind, "{context} node {i}");
+                }
+                assert_eq!(parallel.prim_aabbs, serial.prim_aabbs, "{context}");
+            }
+        }
+    }
+
     #[test]
     fn parallel_refit_matches_the_serial_oracle_at_every_cut_and_thread_count() {
-        let mut pts = grid_points(9); // 729 points
+        // A 9³ grid plus far outliers: the outliers split off near the
+        // root, so some leaves sit above every cut from 2 to 8.
+        let mut pts = grid_points(9);
+        pts.extend([
+            Vec3::new(60.0, 2.0, 3.0),
+            Vec3::new(-40.0, -30.0, 5.0),
+            Vec3::new(4.0, 90.0, -70.0),
+        ]);
         let bvh0 = build_point_bvh(&pts, 0.4, BuildParams::default());
+        let depths = leaf_depths(&bvh0);
+        assert!(depths.iter().any(|&d| d < 2), "no leaf above cut 2");
+        assert!(depths.iter().any(|&d| d > 8), "no subtree below cut 8");
         // Drift the points so the refit actually changes every box.
         for (i, p) in pts.iter_mut().enumerate() {
             p.x += 0.4 * ((i % 11) as f32 - 5.0) / 5.0;
@@ -486,23 +539,10 @@ mod tests {
             p.z *= 0.9;
         }
         let moved: Vec<Aabb> = pts.iter().map(|&p| Aabb::cube(p, 0.8)).collect();
+        assert_cut_refits_match_the_oracle(&bvh0, &moved, "grid + outliers");
+        // The public dispatcher agrees too.
         let mut serial = bvh0.clone();
         let serial_stats = refit_bvh_serial(&mut serial, &moved).unwrap();
-        for cut in [0u32, 1, 3, 6, 30] {
-            for threads in [1usize, 2, 5] {
-                let mut parallel = bvh0.clone();
-                let stats = rtnn_parallel::with_thread_count(threads, || {
-                    refit_bvh_with_cut(&mut parallel, &moved, cut).unwrap()
-                });
-                assert_eq!(stats, serial_stats, "cut={cut} threads={threads}");
-                for (i, (a, b)) in parallel.nodes.iter().zip(&serial.nodes).enumerate() {
-                    assert_eq!(a.aabb, b.aabb, "cut={cut} threads={threads} node {i}");
-                    assert_eq!(a.kind, b.kind);
-                }
-                assert_eq!(parallel.prim_aabbs, serial.prim_aabbs);
-            }
-        }
-        // The public dispatcher agrees too.
         let mut dispatched = bvh0.clone();
         let dispatched_stats = refit_bvh(&mut dispatched, &moved).unwrap();
         assert_eq!(dispatched_stats, serial_stats);
@@ -510,41 +550,64 @@ mod tests {
 
     #[test]
     fn parallel_refit_handles_hand_reordered_layouts() {
-        // Same hand-reordered layout as the serial test below: children do
-        // not follow their parent, so the BFS cut must still be correct.
-        let prim_aabbs = vec![
-            Aabb::cube(Vec3::ZERO, 1.0),
-            Aabb::cube(Vec3::new(4.0, 0.0, 0.0), 1.0),
-        ];
-        let mut bvh = build_bvh(
-            &prim_aabbs,
+        // Renumber the nodes of `bvh` by `order` (old index → new index,
+        // keeping the root at 0), fixing up child indices.
+        fn renumbered(bvh: &Bvh, order: impl Fn(usize) -> usize) -> Bvh {
+            let mut out = bvh.clone();
+            for (i, node) in bvh.nodes.iter().enumerate() {
+                let mut node = *node;
+                if let NodeKind::Internal { left, right } = node.kind {
+                    node.kind = NodeKind::Internal {
+                        left: order(left as usize) as u32,
+                        right: order(right as usize) as u32,
+                    };
+                }
+                out.nodes[order(i)] = node;
+            }
+            validate_bvh(&out).unwrap();
+            out
+        }
+        let pts = grid_points(6);
+        let built = build_point_bvh(&pts, 0.5, BuildParams::default());
+        let n = built.nodes.len();
+        let moved: Vec<Aabb> = pts
+            .iter()
+            .enumerate()
+            .map(|(i, &p)| Aabb::cube(p + Vec3::new(0.1 * (i % 7) as f32, 0.0, -0.3), 1.0))
+            .collect();
+        // Every child before its parent: no run sweep applies, so the cut
+        // path falls back to the post-order at every depth.
+        let reversed = renumbered(&built, |i| if i == 0 { 0 } else { n - i });
+        assert_cut_refits_match_the_oracle(&reversed, &moved, "reversed");
+        // The root's two children swapped in the array: the left child's
+        // subtree now sits after the right one's.
+        let NodeKind::Internal { left, right } = built.nodes[0].kind else {
+            panic!("expected internal root");
+        };
+        let (left, right) = (left as usize, right as usize);
+        let swapped = renumbered(&built, |i| match i {
+            0 => 0,
+            i if i >= right => i - right + 1,
+            i => i - left + 1 + (n - right),
+        });
+        assert_cut_refits_match_the_oracle(&swapped, &moved, "swapped subtrees");
+        // Two leaves under the root, swapped in the array.
+        let two = build_bvh(
+            &[
+                Aabb::cube(Vec3::ZERO, 1.0),
+                Aabb::cube(Vec3::new(4.0, 0.0, 0.0), 1.0),
+            ],
             BuildParams {
                 max_leaf_size: 1,
                 ..BuildParams::default()
             },
         );
-        let NodeKind::Internal { left, right } = bvh.nodes[0].kind else {
-            panic!("expected internal root");
-        };
-        bvh.nodes.swap(left as usize, right as usize);
-        bvh.nodes[0].kind = NodeKind::Internal {
-            left: right,
-            right: left,
-        };
-        let moved = vec![
+        let two_moved = [
             Aabb::cube(Vec3::new(0.0, 3.0, 0.0), 1.0),
             Aabb::cube(Vec3::new(4.0, -3.0, 0.0), 1.0),
         ];
-        let mut serial = bvh.clone();
-        refit_bvh_serial(&mut serial, &moved).unwrap();
-        for cut in [0u32, 1, 2] {
-            let mut parallel = bvh.clone();
-            refit_bvh_with_cut(&mut parallel, &moved, cut).unwrap();
-            validate_bvh(&parallel).unwrap();
-            for (a, b) in parallel.nodes.iter().zip(&serial.nodes) {
-                assert_eq!(a.aabb, b.aabb, "cut={cut}");
-            }
-        }
+        let two_swapped = renumbered(&two, |i| [0, 2, 1][i]);
+        assert_cut_refits_match_the_oracle(&two_swapped, &two_moved, "two leaves");
     }
 
     #[test]

@@ -11,8 +11,10 @@
 //! The grid stores one `u32` per cell: an inclusive summed-volume table of
 //! the cells' point counts. Counting the points in any block of cells then
 //! takes at most eight table reads, so a growth step costs the host the
-//! same whether its block holds one cell or the whole grid. A streaming
-//! scene refills the table in place when points change cell.
+//! same whether its block holds one cell or the whole grid, and a growth
+//! past a few dozen steps (an elongated grid, a wide radius) bisects its
+//! last step in O(log n) counts. A streaming scene refills the table in
+//! place when points change cell.
 //!
 //! The megacell width determines the per-partition AABB width (see
 //! [`crate::partition`]); the number of points it holds estimates the local
@@ -51,13 +53,10 @@ pub struct MegacellGrid {
 pub enum GridRefresh {
     /// The grid absorbed the motion in place. `dirty_region` bounds every
     /// cell whose population changed (empty when points only moved within
-    /// their cells — megacell results are then unchanged everywhere);
-    /// `cells_changed` counts those cells.
+    /// their cells — megacell results are then unchanged everywhere).
     Incremental {
         /// World-space bounds of all population-changed cells.
         dirty_region: Aabb,
-        /// Number of cells whose population changed.
-        cells_changed: usize,
     },
     /// The motion cannot be absorbed (a point left the grid bounds, or the
     /// point count changed): the caller must rebuild the grid from scratch
@@ -146,7 +145,9 @@ impl MegacellGrid {
     /// entries at the box's eight outer corners, combined by
     /// inclusion–exclusion. A corner below the grid (an axis where `lo` is
     /// 0) reads 0. The sum wraps in `u32`, which is exact because the true
-    /// count never exceeds the point count.
+    /// count never exceeds the point count. Inlined into the growth loop,
+    /// where its address arithmetic folds into the step's.
+    #[inline(always)]
     fn count_in_box(&self, lo: GridCoord, hi: GridCoord) -> u32 {
         let [nx, ny, _] = self.grid.dims();
         let (row, slab) = (nx as usize, nx as usize * ny as usize);
@@ -207,39 +208,43 @@ impl MegacellGrid {
             return GridRefresh::NeedsRebuild;
         }
         let grid = &self.grid;
-        let mut changes: Vec<(u32, u32)> = Vec::new(); // (id, new cell)
+        // Each change as (id, new cell), and the smallest and largest grid
+        // coordinates, per axis, of every cell a change leaves or enters.
+        let mut changes: Vec<(u32, u32)> = Vec::new();
+        let (mut lo, mut hi) = ([u32::MAX; 3], [0; 3]);
         for &id in moved {
             let p = points[id as usize];
             if !grid.bounds().contains_point(p) {
                 return GridRefresh::NeedsRebuild;
             }
-            let cell = grid.cell_index(grid.cell_of(p)) as u32;
-            if cell != self.point_cells[id as usize] {
+            let coord = grid.cell_of(p);
+            let cell = grid.cell_index(coord) as u32;
+            let old_cell = self.point_cells[id as usize];
+            if cell != old_cell {
                 changes.push((id, cell));
+                for c in [coord, grid.coord_of_index(old_cell as usize)] {
+                    for (axis, v) in [c.x, c.y, c.z].into_iter().enumerate() {
+                        lo[axis] = lo[axis].min(v);
+                        hi[axis] = hi[axis].max(v);
+                    }
+                }
             }
         }
         if changes.is_empty() {
             return GridRefresh::Incremental {
                 dirty_region: Aabb::EMPTY,
-                cells_changed: 0,
             };
         }
-        let mut dirty_region = Aabb::EMPTY;
-        let mut dirty_cells = std::collections::HashSet::new();
         for &(id, new_cell) in &changes {
-            let old_cell = self.point_cells[id as usize];
-            for cell in [old_cell, new_cell] {
-                if dirty_cells.insert(cell) {
-                    dirty_region.grow_aabb(&grid.cell_bounds(grid.coord_of_index(cell as usize)));
-                }
-            }
             self.point_cells[id as usize] = new_cell;
         }
-        let cells_changed = dirty_cells.len();
         self.fill_counts();
+        // `cell_bounds` grows with the coordinate on every axis, so the
+        // union of the two corner cells' bounds is, bit for bit, the union
+        // of every changed cell's bounds.
+        let corner = |[x, y, z]: [u32; 3]| self.grid.cell_bounds(GridCoord::new(x, y, z));
         GridRefresh::Incremental {
-            dirty_region,
-            cells_changed,
+            dirty_region: corner(lo).union(&corner(hi)),
         }
     }
 
@@ -312,6 +317,10 @@ impl MegacellGrid {
             };
         }
 
+        // Short growths, the common case, walk step by step: the boxes of
+        // consecutive steps read neighbouring table entries. A longer one
+        // searches its remaining steps.
+        let walk = max_steps.min(Self::STEP_BY_STEP);
         let mut steps = 0u32;
         let mut cells_scanned = 0u32;
         let mut found;
@@ -320,7 +329,7 @@ impl MegacellGrid {
             found = self.count_in_box(lo, hi);
             let volume = (hi.x - lo.x + 1) * (hi.y - lo.y + 1) * (hi.z - lo.z + 1);
             cells_scanned = cells_scanned.saturating_add(volume);
-            if found as usize >= k || steps >= max_steps {
+            if found as usize >= k || steps >= walk {
                 break;
             }
             // Once the clamped box spans the whole grid, further growth
@@ -336,6 +345,10 @@ impl MegacellGrid {
             }
             steps += 1;
         }
+        if (found as usize) < k && steps < max_steps {
+            (steps, found) = self.long_growth(centre, k, steps + 1, max_steps);
+            cells_scanned = self.cells_through(centre, steps);
+        }
         MegacellResult {
             steps,
             width: self.width_at(steps),
@@ -343,6 +356,121 @@ impl MegacellGrid {
             capped: (found as usize) < k,
             cells_scanned,
         }
+    }
+
+    /// Growth steps [`megacell_for`](Self::megacell_for) takes one at a
+    /// time before it searches for the step that reaches k.
+    const STEP_BY_STEP: u32 = 32;
+
+    /// The first step in `from..=max_steps` whose box around `centre`
+    /// holds `k` points, with its count; `max_steps` and the count at the
+    /// cap when none does. `found` never falls as the box grows and stops
+    /// changing once the box spans the grid, so the step is bracketed by
+    /// doubling it, up to the cap or the whole grid if nearer, and then
+    /// bisected: O(log n) box counts for a growth of n steps.
+    ///
+    /// Kept out of line: a long growth is rare, and inlined into
+    /// [`megacell_for`](Self::megacell_for) it would keep the box count
+    /// out of the step-by-step loop there.
+    #[cold]
+    fn long_growth(&self, centre: GridCoord, k: usize, from: u32, max_steps: u32) -> (u32, u32) {
+        let count = |steps| {
+            let (lo, hi) = self.box_around(centre, steps);
+            self.count_in_box(lo, hi)
+        };
+        let whole_grid = self.gaps(centre).into_iter().flatten().max().unwrap_or(0);
+        let last = max_steps.min(whole_grid);
+        // Every step below `lo` holds fewer than k points.
+        let (mut lo, mut hi) = (from, from);
+        let mut found = count(from);
+        while (found as usize) < k && hi < last {
+            lo = hi + 1;
+            hi = hi.saturating_mul(2).min(last);
+            found = count(hi);
+        }
+        if (found as usize) < k {
+            return (max_steps, found);
+        }
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            let at_mid = count(mid);
+            if at_mid as usize >= k {
+                (hi, found) = (mid, at_mid);
+            } else {
+                lo = mid + 1;
+            }
+        }
+        (hi, found)
+    }
+
+    /// The cells on either side of `centre` along each axis: the box of
+    /// growth step `s` reaches `min(s, gap)` cells out on each side.
+    fn gaps(&self, centre: GridCoord) -> [[u32; 2]; 3] {
+        let dims = self.grid.dims();
+        let centre = [centre.x, centre.y, centre.z];
+        std::array::from_fn(|a| [centre[a], dims[a] - 1 - centre[a]])
+    }
+
+    /// The growth charge: the cells of every box from step 0 to `steps`
+    /// around `centre`, summed and saturated at `u32::MAX`, without reading
+    /// the table.
+    ///
+    /// Along one axis the box of step `s` spans `1 + min(s, a) + min(s, b)`
+    /// cells, where `a` and `b` are the axis's [`gaps`](Self::gaps).
+    /// Between two consecutive gaps each side either still grows by one
+    /// cell a step or is clamped at its gap, so the box volume is a product
+    /// of three linear terms in `s`, a cubic, and its sum over those steps
+    /// follows from power sums: at most seven runs of steps, however many
+    /// steps there are.
+    fn cells_through(&self, centre: GridCoord, steps: u32) -> u32 {
+        let gaps = self.gaps(centre).map(|axis| axis.map(u64::from));
+        let end = u64::from(steps) + 1;
+        // Run ends: every gap below `end`, then `end`; runs are half-open.
+        let mut ends = [end; 7];
+        for (slot, &g) in ends.iter_mut().zip(gaps.as_flattened()) {
+            *slot = g.min(end);
+        }
+        ends.sort_unstable();
+        let (mut total, mut from) = (0u128, 0u64);
+        for to in ends {
+            if to <= from {
+                continue;
+            }
+            // Coefficients of s⁰…s³ of the box volume over steps `from..to`.
+            let mut poly = [1u128, 0, 0, 0];
+            for axis in gaps {
+                let (mut constant, mut slope) = (1u128, 0u128);
+                for g in axis {
+                    if g >= to {
+                        slope += 1;
+                    } else {
+                        constant += u128::from(g);
+                    }
+                }
+                for d in (0..4).rev() {
+                    let carried = if d > 0 { poly[d - 1] * slope } else { 0 };
+                    poly[d] = poly[d] * constant + carried;
+                }
+            }
+            for (d, c) in poly.into_iter().enumerate() {
+                let sum = power_sum(d, to) - power_sum(d, from);
+                total = total.saturating_add(c.saturating_mul(sum));
+            }
+            from = to;
+        }
+        total.min(u128::from(u32::MAX)) as u32
+    }
+}
+
+/// `Σ s^d` over `s` in `0..n`, for `d` ≤ 3.
+fn power_sum(d: usize, n: u64) -> u128 {
+    let n = u128::from(n);
+    let m = n.saturating_sub(1);
+    match d {
+        0 => n,
+        1 => n * m / 2,
+        2 => n * m * (2 * n).saturating_sub(1) / 6,
+        _ => (n * m / 2).pow(2),
     }
 }
 
@@ -461,14 +589,9 @@ mod tests {
             p.y = (p.y + 1.0) % 5.0;
         }
         let refresh = mg.refresh(&points, &moved);
-        let GridRefresh::Incremental {
-            dirty_region,
-            cells_changed,
-        } = refresh
-        else {
+        let GridRefresh::Incremental { dirty_region } = refresh else {
             panic!("expected incremental refresh, got {refresh:?}");
         };
-        assert!(cells_changed > 0);
         assert!(!dirty_region.is_empty());
         // Every megacell result equals a freshly built grid's (geometry was
         // preserved, so cell size and dims agree).
@@ -498,16 +621,9 @@ mod tests {
             }
         }
         match mg.refresh(&points, &moved) {
-            GridRefresh::Incremental {
-                dirty_region,
-                cells_changed,
-            } => {
-                // Most nudges stay within the cell; tolerate a few boundary
-                // crossings but the dirty region must be far from covering
-                // the whole grid when motion is this small.
-                assert!(cells_changed < points.len() / 4);
-                let _ = dirty_region;
-            }
+            // The points sit on cell faces and move a hundredth of a cell
+            // into the cell above, so none changes cell.
+            GridRefresh::Incremental { dirty_region } => assert!(dirty_region.is_empty()),
             GridRefresh::NeedsRebuild => panic!("tiny motion should not force a rebuild"),
         }
     }
@@ -607,7 +723,8 @@ mod tests {
             total
         }
 
-        /// The growth loop as it ran over the row scan.
+        /// The growth loop as it ran over the row scan: one step at a time,
+        /// the charge saturating at `u32::MAX`.
         fn megacell_for(&self, max_steps: u32, query: Vec3, k: usize) -> MegacellResult {
             let grid = &self.grid;
             let centre = grid.cell_of(query);
@@ -637,7 +754,7 @@ mod tests {
                 );
                 found = self.count_in_cell_box(lo, hi);
                 let volume = (hi.x - lo.x + 1) * (hi.y - lo.y + 1) * (hi.z - lo.z + 1);
-                cells_scanned += volume;
+                cells_scanned = cells_scanned.saturating_add(volume);
                 if found as usize >= k || steps >= max_steps {
                     break;
                 }
@@ -648,7 +765,8 @@ mod tests {
                     && hi.y == dims[1] - 1
                     && hi.z == dims[2] - 1
                 {
-                    cells_scanned += (max_steps - steps) * volume;
+                    cells_scanned =
+                        cells_scanned.saturating_add((max_steps - steps).saturating_mul(volume));
                     steps = max_steps;
                     break;
                 }
@@ -656,7 +774,7 @@ mod tests {
             }
             MegacellResult {
                 steps,
-                width: (2 * steps + 1) as f32 * grid.cell_size(),
+                width: (2 * u64::from(steps) + 1) as f32 * grid.cell_size(),
                 found,
                 capped: (found as usize) < k,
                 cells_scanned,
@@ -830,10 +948,10 @@ mod tests {
         for &id in &moved {
             points[id as usize] = points[id as usize / 5 + 1];
         }
-        let GridRefresh::Incremental { cells_changed, .. } = mg.refresh(&points, &moved) else {
+        let GridRefresh::Incremental { dirty_region } = mg.refresh(&points, &moved) else {
             panic!("in-bounds motion must refresh in place");
         };
-        assert!(cells_changed > 0);
+        assert!(!dirty_region.is_empty());
         assert_ne!(mg.counts, before, "the motion must change some count");
         let fresh = MegacellGrid::on_grid(mg.grid().clone(), &points);
         for (lo, hi) in every_box(mg.grid()) {
@@ -868,5 +986,115 @@ mod tests {
             assert!(reach.contains_point(Vec3::ZERO) && reach.contains_point(Vec3::splat(11.0)));
         }
         assert_eq!(charge, u32::MAX);
+    }
+
+    #[test]
+    fn long_growths_match_the_step_loop() {
+        // 10k points 0.1 apart along x under the default cell budget: a
+        // 1,000,000×1×1 grid, where a wide radius and a large k take the
+        // step-by-step growth hundreds of thousands of steps.
+        let line: Vec<Vec3> = (0..10_000)
+            .map(|i| Vec3::new(0.1 * i as f32, 0.0, 0.0))
+            .collect();
+        // A 100×100 lattice on a plane: a 1317×1317×1 grid, where a long
+        // growth from a corner or an edge clamps on one side of an axis
+        // long before the other.
+        let plane: Vec<Vec3> = (0..10_000)
+            .map(|i| Vec3::new((i % 100) as f32, (i / 100) as f32, 0.0))
+            .collect();
+        // 2,000 seeded points in a 100³ box: a 128³ grid, where a long
+        // growth clamps on each side of each axis at a different step.
+        let mut next = unit_floats(29);
+        let mut cube: Vec<Vec3> = (0..2_000)
+            .map(|_| Vec3::new(next(), next(), next()) * 100.0)
+            .collect();
+        cube.extend([Vec3::ZERO, Vec3::splat(100.0)]);
+        for (name, points, dims, queries, radii) in [
+            (
+                "line",
+                line.clone(),
+                [1_000_000, 1, 1],
+                vec![line[0], line[3_700], line[9_999]],
+                [100.0, 1_000.0],
+            ),
+            (
+                "plane",
+                plane.clone(),
+                [1317, 1317, 1],
+                vec![
+                    plane[0],
+                    plane[50],
+                    plane[4_950],
+                    Vec3::new(30.3, 80.6, 0.0),
+                ],
+                [20.0, 200.0],
+            ),
+            (
+                "cube",
+                cube.clone(),
+                [128, 128, 128],
+                vec![cube[0], cube[7], Vec3::new(10.0, 90.0, 40.0)],
+                [60.0, 200.0],
+            ),
+        ] {
+            let mg = MegacellGrid::build(&points, 1 << 21).unwrap();
+            assert_eq!(mg.grid().dims(), dims, "{name}");
+            let reference = RowScan::new(mg.grid(), &points);
+            let mut longest = 0;
+            for &q in &queries {
+                for r in radii {
+                    for k in [1_500, 2_000, 10_000, 20_000] {
+                        let got = mg.megacell_for(q, r, k);
+                        let want = reference.megacell_for(mg.max_steps(r), q, k);
+                        assert_eq!(got, want, "{name}: q {q:?}, r {r}, k {k}");
+                        longest = longest.max(got.steps);
+                    }
+                }
+            }
+            assert!(longest > 64, "{name}: longest growth {longest} steps");
+        }
+    }
+
+    #[test]
+    fn refresh_dirty_region_is_the_union_of_every_changed_cell() {
+        let bits = |a: &Aabb| [a.min, a.max].map(|v| v.to_array().map(f32::to_bits));
+        for (name, mut points) in test_clouds(13) {
+            let mut mg = MegacellGrid::build(&points, 512).unwrap();
+            let grid = mg.grid().clone();
+            let bounds = *grid.bounds();
+            let cell_of = |p: Vec3| grid.cell_index(grid.cell_of(p));
+            let mut next = unit_floats(17);
+            for round in 0..24 {
+                // Each round moves about a tenth of the points: even rounds
+                // anywhere in the grid, odd rounds by under a cell.
+                let before = points.clone();
+                let moved: Vec<u32> = (0..points.len() as u32).filter(|_| next() < 0.1).collect();
+                for &id in &moved {
+                    let u = Vec3::new(next(), next(), next());
+                    let p = if round % 2 == 0 {
+                        bounds.min + bounds.extent() * u
+                    } else {
+                        before[id as usize] + (u - Vec3::splat(0.5)) * grid.cell_size()
+                    };
+                    points[id as usize] = p.max(bounds.min).min(bounds.max);
+                }
+                let mut cells = std::collections::HashSet::new();
+                let mut want = Aabb::EMPTY;
+                for &id in &moved {
+                    let (old, new) = (cell_of(before[id as usize]), cell_of(points[id as usize]));
+                    if old != new {
+                        for c in [old, new] {
+                            if cells.insert(c) {
+                                want.grow_aabb(&grid.cell_bounds(grid.coord_of_index(c)));
+                            }
+                        }
+                    }
+                }
+                let GridRefresh::Incremental { dirty_region } = mg.refresh(&points, &moved) else {
+                    panic!("{name}, round {round}: in-bounds motion must refresh in place");
+                };
+                assert_eq!(bits(&dirty_region), bits(&want), "{name}, round {round}");
+            }
+        }
     }
 }

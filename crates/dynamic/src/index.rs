@@ -10,7 +10,6 @@ use rtnn::{
 use rtnn_bvh::{BuildParams, SahMonitor};
 use rtnn_gpusim::{Device, FrameAccumulator};
 use rtnn_math::{Aabb, Vec3};
-use std::collections::BTreeSet;
 
 /// What a frame did to the acceleration structure.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -128,9 +127,11 @@ struct SyncInfo {
 /// A persistent neighbor-search index over a mutable point cloud.
 ///
 /// Mutations ([`insert`](Self::insert), [`remove`](Self::remove),
-/// [`move_point`](Self::move_point)) are cheap bookkeeping; the expensive
+/// [`move_point`](Self::move_point)) are O(1) bookkeeping; the expensive
 /// state — global acceleration structure, megacell grid, per-query megacell
-/// cache — is maintained lazily at the next [`search`](Self::search):
+/// cache — is maintained lazily at the next [`search`](Self::search), at a
+/// cost that grows with the moved points and the tree's nodes (see the
+/// crate docs):
 ///
 /// * pure motion refits the structure in place (through the backend) and
 ///   refreshes the grid incrementally, then lets the [`RebuildPolicy`]
@@ -155,7 +156,8 @@ pub struct DynamicIndex<'d> {
     compact_to_slot: Vec<u32>,
     slot_to_compact: Vec<u32>,
     membership_dirty: bool,
-    moved_slots: BTreeSet<u32>,
+    /// Handles moved since the last frame.
+    moved: MovedHandles,
     /// Structure state (None until the first search).
     accel: Option<Accel>,
     monitor: Option<SahMonitor>,
@@ -215,7 +217,7 @@ impl<'d> DynamicIndex<'d> {
             compact_to_slot: Vec::new(),
             slot_to_compact: Vec::new(),
             membership_dirty: false,
-            moved_slots: BTreeSet::new(),
+            moved: MovedHandles::default(),
             accel: None,
             monitor: None,
             grid: None,
@@ -245,6 +247,7 @@ impl<'d> DynamicIndex<'d> {
         let handle = self.positions.len() as u32;
         self.positions.push(p);
         self.live.push(true);
+        self.moved.fit(self.positions.len());
         self.num_live += 1;
         self.membership_dirty = true;
         handle
@@ -257,8 +260,10 @@ impl<'d> DynamicIndex<'d> {
             Some(alive) if *alive => {
                 *alive = false;
                 self.num_live -= 1;
+                // A removal makes the next frame rebuild from the live
+                // points, which never reads the moved handles, so a moved
+                // mark the handle may carry needs no unmarking.
                 self.membership_dirty = true;
-                self.moved_slots.remove(&handle);
                 true
             }
             _ => false,
@@ -272,7 +277,7 @@ impl<'d> DynamicIndex<'d> {
         match self.live.get(handle as usize) {
             Some(true) => {
                 self.positions[handle as usize] = p;
-                self.moved_slots.insert(handle);
+                self.moved.mark(handle);
                 true
             }
             _ => false,
@@ -470,7 +475,7 @@ impl<'d> DynamicIndex<'d> {
         let first_bad = if self.membership_dirty {
             (0..self.positions.len() as u32).find(|&h| self.live[h as usize] && non_finite(h))
         } else {
-            self.moved_slots.iter().copied().find(|&h| non_finite(h))
+            self.moved.ascending().find(|&h| non_finite(h))
         };
         if let Some(handle) = first_bad {
             return Err(PlanError::NonFinitePoint { point_id: handle }.into());
@@ -482,7 +487,7 @@ impl<'d> DynamicIndex<'d> {
             self.refresh_compact();
             self.membership_dirty = false;
         } else {
-            for &slot in &self.moved_slots {
+            for slot in self.moved.ascending() {
                 let c = self.slot_to_compact[slot as usize];
                 if c != u32::MAX {
                     self.compact[c as usize] = self.positions[slot as usize];
@@ -498,15 +503,13 @@ impl<'d> DynamicIndex<'d> {
         let structural = membership_was_dirty
             || self.accel.is_none()
             || self.accel.as_ref().map(Accel::num_primitives) != Some(n);
-        let action = if structural
-            || (!self.moved_slots.is_empty() && self.policy.always_rebuilds())
-        {
+        let action = if structural || (!self.moved.is_empty() && self.policy.always_rebuilds()) {
             // Structural changes cannot be refitted; a rebuild-every-frame
             // policy goes straight to the build so the baseline pays exactly
             // one build per motion frame (no exploratory refit).
             structure_ms += self.rebuild_structures(width)?;
             StructureAction::Rebuilt
-        } else if !self.moved_slots.is_empty() {
+        } else if !self.moved.is_empty() {
             // Refit first (cheap), measure the quality, then let the policy
             // decide from the backend's timing whether a rebuild pays for
             // itself.
@@ -548,7 +551,7 @@ impl<'d> DynamicIndex<'d> {
         let host_structure_ms = host_structure_start.elapsed().as_secs_f64() * 1e3;
         self.pending_structure_ms += structure_ms;
         self.pending_host_structure_ms += host_structure_ms;
-        self.moved_slots.clear();
+        self.moved.clear();
 
         // Fold this frame's invalidation into the not-yet-absorbed union;
         // a rebuild dropped the cache wholesale, so nothing is pending.
@@ -623,9 +626,9 @@ impl<'d> DynamicIndex<'d> {
             return Aabb::EMPTY;
         };
         let moved_compact: Vec<u32> = self
-            .moved_slots
-            .iter()
-            .map(|&slot| self.slot_to_compact[slot as usize])
+            .moved
+            .ascending()
+            .map(|slot| self.slot_to_compact[slot as usize])
             .filter(|&c| c != u32::MAX)
             .collect();
         match grid.refresh(&self.compact, &moved_compact) {
@@ -636,6 +639,65 @@ impl<'d> DynamicIndex<'d> {
                 Aabb::EMPTY
             }
         }
+    }
+}
+
+/// The handles moved since the last frame: one bit per handle, plus the
+/// list of the bitset words that hold a set bit. Marking a handle is O(1);
+/// a frame visits the marked handles in ascending order, sorting only the
+/// listed words (at most one per 64 handles), and clearing unmarks only
+/// those words.
+#[derive(Debug, Default)]
+struct MovedHandles {
+    bits: Vec<u64>,
+    /// Indices of the words of `bits` that are non-zero, each once.
+    words: Vec<u32>,
+}
+
+impl MovedHandles {
+    /// Grow the bitset to cover `handles` handles.
+    fn fit(&mut self, handles: usize) {
+        let words = handles.div_ceil(64);
+        if self.bits.len() < words {
+            self.bits.resize(words, 0);
+        }
+    }
+
+    /// Mark `handle`, listing its word if this is the word's first mark.
+    fn mark(&mut self, handle: u32) {
+        let w = handle as usize / 64;
+        let word = &mut self.bits[w];
+        if *word == 0 {
+            self.words.push(w as u32);
+        }
+        *word |= 1 << (handle % 64);
+    }
+
+    fn is_empty(&self) -> bool {
+        self.words.is_empty()
+    }
+
+    /// The marked handles, in ascending order.
+    fn ascending(&mut self) -> impl Iterator<Item = u32> + '_ {
+        self.words.sort_unstable();
+        let bits = &self.bits;
+        self.words.iter().flat_map(move |&w| {
+            let mut word = bits[w as usize];
+            std::iter::from_fn(move || {
+                (word != 0).then(|| {
+                    let bit = word.trailing_zeros();
+                    word &= word - 1;
+                    w * 64 + bit
+                })
+            })
+        })
+    }
+
+    fn clear(&mut self) {
+        for &w in &self.words {
+            self.bits[w as usize] = 0;
+        }
+        self.words.clear();
     }
 }
 
@@ -725,6 +787,210 @@ mod tests {
                     "frame {frame} query {qi}: dynamic vs fresh mismatch"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn moved_handle_bookkeeping_matches_a_fresh_index_every_frame() {
+        enum Op {
+            Insert(Vec3),
+            Remove(u32),
+            Move(u32, Vec3),
+        }
+        use Op::{Insert, Move, Remove};
+        let device = Device::rtx_2080();
+        let gpusim = GpusimBackend::new(&device);
+        let points = jittered_block(6, 0.5);
+        let n = points.len() as u32;
+        let nan = Vec3::new(f32::NAN, 0.0, 0.0);
+        // Contractions towards the block's centre (expansions for a
+        // negative step) of up to about a point spacing: a position the
+        // index missed changes answers, and a contraction stays inside the
+        // megacell grid, so a refit frame refreshes it in place.
+        let centre = Vec3::splat(1.25);
+        let drift =
+            |h: u32, step: f32| centre + (points[h as usize] - centre) * (1.0 - 0.08 * step);
+        // The grid budget of a dynamic frame over 129–256 live points is
+        // 4,096 cells; a fresh index on the same budget bins its points
+        // into the same grid.
+        let config = RtnnConfig {
+            params: SearchParams::range(1.1, 1000),
+            engine: EngineConfig::default().with_grid_max_cells(4096),
+        };
+        // Each frame's mutations, and the handle its frame must report as
+        // non-finite (`None`: the frame succeeds).
+        let frames: Vec<(Vec<Op>, Option<u32>)> = vec![
+            (Vec::new(), None),
+            (
+                // Every third handle; handle 1, the lowest, twice and into
+                // another grid cell; handle 20 away and back to where it
+                // was.
+                (1..n)
+                    .step_by(3)
+                    .map(|h| Move(h, drift(h, 1.0)))
+                    .chain([
+                        Move(1, drift(1, 2.0)),
+                        Move(1, drift(1, 4.0)),
+                        Move(20, drift(20, 4.0)),
+                        Move(20, points[20]),
+                    ])
+                    .collect(),
+                None,
+            ),
+            (
+                // A move then a removal of the same handle, among others.
+                vec![
+                    Move(7, drift(7, 2.0)),
+                    Remove(7),
+                    Insert(Vec3::new(1.3, 1.2, 0.4)),
+                    Remove(5),
+                    Move(40, drift(40, -1.0)),
+                    Insert(Vec3::new(0.2, 2.2, 1.9)),
+                ],
+                None,
+            ),
+            (
+                // Two bad moves, the higher handle (in a higher bitset
+                // word) first.
+                vec![Move(150, nan), Move(9, drift(9, 1.0)), Move(30, nan)],
+                Some(30),
+            ),
+            (vec![Move(30, drift(30, 1.0)), Move(150, points[150])], None),
+            (
+                // A bad insert (the highest handle) and a bad move.
+                vec![Insert(nan), Move(12, Vec3::splat(f32::INFINITY))],
+                Some(12),
+            ),
+            (vec![Remove(n + 2), Move(12, drift(12, -2.0))], None),
+            (
+                (0..n)
+                    .filter(|h| ![5, 7].contains(h))
+                    .map(|h| Move(h, drift(h, 0.5)))
+                    .collect(),
+                None,
+            ),
+        ];
+
+        // The frames that succeed (0, 1, 2, 4, 6, 7) rebuild on a
+        // membership change and otherwise refit, unless the policy
+        // rebuilds on every motion.
+        use StructureAction::{Rebuilt, Refit};
+        for (policy, want_actions) in [
+            (RebuildPolicy::always_rebuild(), [Rebuilt; 6]),
+            (
+                RebuildPolicy::never_rebuild(),
+                [Rebuilt, Refit, Rebuilt, Refit, Rebuilt, Refit],
+            ),
+        ] {
+            let context = format!("{:?}", policy.mode);
+            let mut actions = Vec::new();
+            let mut index = DynamicIndex::with_policy(&device, config, policy);
+            // A second index marks every live handle every frame, so its
+            // moved handles are complete by construction.
+            let mut marks_all = DynamicIndex::with_policy(&device, config, policy);
+            let mut model: Vec<Option<Vec3>> = Vec::new();
+            for &p in &points {
+                model.push(Some(p));
+                index.insert(p);
+                marks_all.insert(p);
+            }
+            for (frame, (ops, bad)) in frames.iter().enumerate() {
+                let context = format!("{context}, frame {frame}");
+                for op in ops {
+                    match *op {
+                        Insert(p) => {
+                            let h = index.insert(p);
+                            assert_eq!(marks_all.insert(p), h);
+                            assert_eq!(h as usize, model.len());
+                            model.push(Some(p));
+                        }
+                        Remove(h) => {
+                            assert!(index.remove(h) && marks_all.remove(h), "{context}");
+                            model[h as usize] = None;
+                        }
+                        Move(h, p) => {
+                            assert!(index.move_point(h, p), "{context}");
+                            model[h as usize] = Some(p);
+                        }
+                    }
+                }
+                for (h, p) in model.iter().enumerate() {
+                    if let Some(p) = *p {
+                        marks_all.move_point(h as u32, p);
+                    }
+                }
+                let handles: Vec<u32> = (0..model.len() as u32)
+                    .filter(|&h| model[h as usize].is_some())
+                    .collect();
+                let live: Vec<Vec3> = handles
+                    .iter()
+                    .map(|&h| model[h as usize].unwrap())
+                    .collect();
+                let queries: Vec<Vec3> = live.iter().step_by(5).copied().collect();
+                let (got, reference) = (index.search(&queries), marks_all.search(&queries));
+                if let Some(bad) = *bad {
+                    let rejected = |r: &Result<FrameResult, SearchError>| {
+                        matches!(
+                            r,
+                            Err(SearchError::InvalidPlan(PlanError::NonFinitePoint { point_id }))
+                                if *point_id == bad
+                        )
+                    };
+                    assert!(rejected(&got) && rejected(&reference), "{context}");
+                    continue;
+                }
+                let (got, reference) = (got.unwrap(), reference.unwrap());
+                for index in [&mut index, &mut marks_all] {
+                    let view = index.as_index().unwrap();
+                    assert_eq!(view.index.points(), &live[..], "{context}");
+                    assert_eq!(view.handles, &handles[..], "{context}");
+                }
+                actions.push(got.action);
+                assert_eq!(got.action, reference.action, "{context}");
+                assert_eq!(got.structure_ms, reference.structure_ms, "{context}");
+                assert_eq!(
+                    got.results.total_time_ms().to_bits(),
+                    reference.results.total_time_ms().to_bits(),
+                    "{context}"
+                );
+                let (a, b) = (&got.results, &reference.results);
+                assert_eq!(a.neighbors, b.neighbors, "{context}");
+                assert_eq!(a.search_metrics, b.search_metrics, "{context}");
+                assert_eq!(a.fs_metrics, b.fs_metrics, "{context}");
+                let mut fresh = Index::build(&gpusim, &live[..], config.engine)
+                    .query(&queries, &config.plan())
+                    .unwrap();
+                for ids in fresh.neighbors.iter_mut() {
+                    for id in ids.iter_mut() {
+                        *id = handles[*id as usize];
+                    }
+                }
+                if got.action == StructureAction::Rebuilt {
+                    // Rebuilt from the live points, the frame's structures
+                    // are a fresh index's.
+                    assert_eq!(got.results.neighbors, fresh.neighbors, "{context}");
+                    assert_eq!(
+                        got.results.search_metrics, fresh.search_metrics,
+                        "{context}"
+                    );
+                    assert_eq!(got.results.fs_metrics, fresh.fs_metrics, "{context}");
+                } else {
+                    for (qi, (d, f)) in got
+                        .results
+                        .neighbors
+                        .iter()
+                        .zip(&fresh.neighbors)
+                        .enumerate()
+                    {
+                        assert_eq!(
+                            sorted(d.clone()),
+                            sorted(f.clone()),
+                            "{context}, query {qi}"
+                        );
+                    }
+                }
+            }
+            assert_eq!(actions, want_actions, "{context}");
         }
     }
 

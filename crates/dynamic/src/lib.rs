@@ -33,6 +33,19 @@
 //!   against the maintained structures without rebuilding anything, with
 //!   neighbor ids translated back to stable handles.
 //!
+//! ## Host cost per frame
+//!
+//! A mutation is O(1) and allocation-free once the index has reached its
+//! size: [`DynamicIndex::move_point`] sets the handle's bit in a bitset
+//! (listing the bitset word on its first mark) and
+//! [`DynamicIndex::remove`] clears a liveness flag. The next frame visits
+//! the moved handles in ascending order, so its upkeep grows with the
+//! moved points (finiteness check, compact copy, grid rebinning) and with
+//! the tree's nodes (the refit recomputes every node box, on the worker
+//! pool for trees of 4,096 nodes or more), plus a grid refill when points
+//! change cell or a grid rebuild when one leaves the grid. An insert or a
+//! removal makes the next frame rebuild from every live point.
+//!
 //! ## Quick start
 //!
 //! ```
