@@ -17,12 +17,12 @@
 //!   the oracle: the parallel pipeline is pinned bit-identical to it at
 //!   every thread count.
 //!
-//! The refit ([`refit::refit_bvh`]) has the same pair: a subtree-parallel
-//! path for large trees and the serial oracle it matches bit for bit. The
-//! builders lay nodes out in preorder, so each subtree below the
-//! parallel path's cut is one contiguous run of the node array, which a
-//! pool worker refits in place by sweeping it from its last node to its
-//! first.
+//! The refit ([`refit::refit_bvh`]) has the same pair: an in-place path
+//! and the serial oracle it matches bit for bit. The builders lay nodes
+//! out in preorder, so each subtree below a cut depth is one contiguous
+//! run of the node array, which a pool worker refits in place by sweeping
+//! it from its last node to its first; a small tree or a one-thread pool
+//! sweeps the whole array as one run.
 //! Neither reports host timings to its callers; what a build or refit
 //! costs on the simulated device is the `rtnn-gpusim` model's business.
 //!
@@ -45,5 +45,5 @@ pub use refit::{
     SahMonitor,
 };
 pub use stats::BvhStats;
-pub use traverse::{AscendingSlots, TraversalControl, TraversalStats, VisitMarks};
+pub use traverse::{AscendingSlots, SlotSet, TraversalControl, TraversalStats, VisitMarks};
 pub use validate::{validate_bvh, BvhValidationError};

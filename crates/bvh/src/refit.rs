@@ -66,10 +66,11 @@ pub struct RefitStats {
 /// and the tree stores it in leaf-slot order ([`Bvh::prim_aabbs`]).
 ///
 /// Works for any structurally valid tree regardless of node layout; the
-/// builders' preorder layout lets large trees refit in place, in parallel
-/// (see [`refit_bvh_with_cut`]). The result is bit-identical to the serial
-/// oracle ([`refit_bvh_serial`]) at every thread count, because every node
-/// box is computed from exactly the same operands either way.
+/// builders' preorder layout lets every tree refit in place, and a large
+/// one in parallel (see [`refit_bvh_with_cut`]). The result is
+/// bit-identical to the serial oracle ([`refit_bvh_serial`]) at every
+/// thread count, because every node box is computed from exactly the same
+/// operands either way.
 ///
 /// In debug and test builds the refitted tree is re-validated with
 /// [`crate::validate::validate_bvh`]; a violation is a bug in this function
@@ -78,13 +79,14 @@ pub fn refit_bvh(bvh: &mut Bvh, new_prim_aabbs: &[Aabb]) -> Result<RefitStats, R
     let wall = Instant::now();
     let threads = current_num_threads();
     // Cut deep enough to hand every worker several subtrees for load
-    // balancing; a serial run or a small tree dispatches to the oracle.
-    let stats = if threads <= 1 || bvh.nodes.len() < 4096 {
-        refit_bvh_serial(bvh, new_prim_aabbs)?
+    // balancing; a serial run or a small tree sweeps the whole node array
+    // as one run on the calling thread.
+    let cut_depth = if threads <= 1 || bvh.nodes.len() < 4096 {
+        0
     } else {
-        let cut_depth = (threads * 8).next_power_of_two().trailing_zeros();
-        refit_bvh_with_cut(bvh, new_prim_aabbs, cut_depth)?
+        (threads * 8).next_power_of_two().trailing_zeros()
     };
+    let stats = refit_bvh_with_cut(bvh, new_prim_aabbs, cut_depth)?;
     if let Some(t) = rtnn_telemetry::Telemetry::current() {
         t.counter_add("bvh.refits", 1);
         t.observe_wall("bvh.refit.wall_ms", wall.elapsed().as_secs_f64() * 1e3);
@@ -93,7 +95,9 @@ pub fn refit_bvh(bvh: &mut Bvh, new_prim_aabbs: &[Aabb]) -> Result<RefitStats, R
 }
 
 /// The serial refit oracle: one explicit post-order traversal of the whole
-/// tree. The parallel path must match it bit for bit.
+/// tree, which needs no particular node layout. [`refit_bvh_with_cut`]
+/// must match it bit for bit, and falls back to its traversal for a layout
+/// that is not preorder.
 pub fn refit_bvh_serial(bvh: &mut Bvh, new_prim_aabbs: &[Aabb]) -> Result<RefitStats, RefitError> {
     if !check_and_adopt(bvh, new_prim_aabbs)? {
         return Ok(empty_stats(bvh));

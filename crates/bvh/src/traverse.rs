@@ -119,9 +119,14 @@ impl VisitMarks {
     }
 }
 
-/// One bitset of [`VisitMarks`] with its word list.
+/// A set of `u32` slots: one bit per slot, plus the list of the bitset
+/// words that hold a set bit. Marking is O(1) and allocates nothing once
+/// the word list has its capacity; counting, visiting in ascending order
+/// and clearing touch only the listed words (at most one per 64 slots).
+/// [`VisitMarks`] keeps one per slot kind; a streaming index keeps its
+/// moved point handles in one.
 #[derive(Debug, Clone, Default)]
-struct SlotSet {
+pub struct SlotSet {
     bits: Vec<u64>,
     /// Indices of the words of `bits` that are non-zero, each once.
     words: Vec<u32>,
@@ -129,7 +134,7 @@ struct SlotSet {
 
 impl SlotSet {
     /// Grow the bitset to cover `slots` slots.
-    fn fit(&mut self, slots: usize) {
+    pub fn fit(&mut self, slots: usize) {
         let words = slots.div_ceil(64);
         if self.bits.len() < words {
             self.bits.resize(words, 0);
@@ -137,8 +142,9 @@ impl SlotSet {
     }
 
     /// Mark `slot`, listing its word if this is the word's first mark.
+    /// Panics if `slot` is past the slots the set was [fit](Self::fit) to.
     #[inline]
-    fn mark(&mut self, slot: u32) {
+    pub fn mark(&mut self, slot: u32) {
         let w = slot as usize / 64;
         let word = &mut self.bits[w];
         if *word == 0 {
@@ -148,14 +154,20 @@ impl SlotSet {
     }
 
     /// Number of marked slots: the set bits of the listed words.
-    fn count(&self) -> usize {
+    pub fn count(&self) -> usize {
         self.words
             .iter()
             .map(|&w| self.bits[w as usize].count_ones() as usize)
             .sum()
     }
 
-    fn clear(&mut self) {
+    /// True if no slot is marked.
+    pub fn is_empty(&self) -> bool {
+        self.words.is_empty()
+    }
+
+    /// Unmark every slot, keeping the allocations.
+    pub fn clear(&mut self) {
         // Only listed words have a bit set.
         for &w in &self.words {
             self.bits[w as usize] = 0;
@@ -163,7 +175,9 @@ impl SlotSet {
         self.words.clear();
     }
 
-    fn ascending(&mut self) -> AscendingSlots<'_> {
+    /// The marked slots in ascending order, each once; sorts the listed
+    /// words in place.
+    pub fn ascending(&mut self) -> AscendingSlots<'_> {
         self.words.sort_unstable();
         AscendingSlots {
             bits: &self.bits,
@@ -174,8 +188,8 @@ impl SlotSet {
     }
 }
 
-/// The marked slots of one kind, in ascending order (see
-/// [`VisitMarks::ascending`]).
+/// The marked slots of one [`SlotSet`], in ascending order (see
+/// [`SlotSet::ascending`] and [`VisitMarks::ascending`]).
 #[derive(Debug, Clone)]
 pub struct AscendingSlots<'a> {
     bits: &'a [u64],

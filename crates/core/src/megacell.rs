@@ -11,10 +11,10 @@
 //! The grid stores one `u32` per cell: an inclusive summed-volume table of
 //! the cells' point counts. Counting the points in any block of cells then
 //! takes at most eight table reads, so a growth step costs the host the
-//! same whether its block holds one cell or the whole grid, and a growth
-//! past a few dozen steps (an elongated grid, a wide radius) bisects its
-//! last step in O(log n) counts. A streaming scene refills the table in
-//! place when points change cell.
+//! same whether its block holds one cell or the whole grid, and the last
+//! step of a growth of n steps (an elongated grid, a wide radius) is found
+//! by bracketing and bisecting in O(log n) counts. A streaming scene
+//! refills the table in place when points change cell.
 //!
 //! The megacell width determines the per-partition AABB width (see
 //! [`crate::partition`]); the number of points it holds estimates the local
@@ -145,8 +145,8 @@ impl MegacellGrid {
     /// entries at the box's eight outer corners, combined by
     /// inclusion–exclusion. A corner below the grid (an axis where `lo` is
     /// 0) reads 0. The sum wraps in `u32`, which is exact because the true
-    /// count never exceeds the point count. Inlined into the growth loop,
-    /// where its address arithmetic folds into the step's.
+    /// count never exceeds the point count. Inlined into the growth search,
+    /// where its address arithmetic folds into the search's.
     #[inline(always)]
     fn count_in_box(&self, lo: GridCoord, hi: GridCoord) -> u32 {
         let [nx, ny, _] = self.grid.dims();
@@ -317,75 +317,49 @@ impl MegacellGrid {
             };
         }
 
-        // Short growths, the common case, walk step by step: the boxes of
-        // consecutive steps read neighbouring table entries. A longer one
-        // searches its remaining steps.
-        let walk = max_steps.min(Self::STEP_BY_STEP);
-        let mut steps = 0u32;
-        let mut cells_scanned = 0u32;
-        let mut found;
-        loop {
-            let (lo, hi) = self.box_around(centre, steps);
-            found = self.count_in_box(lo, hi);
-            let volume = (hi.x - lo.x + 1) * (hi.y - lo.y + 1) * (hi.z - lo.z + 1);
-            cells_scanned = cells_scanned.saturating_add(volume);
-            if found as usize >= k || steps >= walk {
-                break;
-            }
-            // Once the clamped box spans the whole grid, further growth
-            // cannot change `found` — jump to the cap, charging the same
-            // per-step volume the step-by-step loop would have (this is the
-            // sparse-region regime: a large `k` or search radius over a
-            // small cloud would otherwise re-count every cell per step).
-            if volume as usize == grid.num_cells() {
-                cells_scanned =
-                    cells_scanned.saturating_add((max_steps - steps).saturating_mul(volume));
-                steps = max_steps;
-                break;
-            }
-            steps += 1;
-        }
-        if (found as usize) < k && steps < max_steps {
-            (steps, found) = self.long_growth(centre, k, steps + 1, max_steps);
-            cells_scanned = self.cells_through(centre, steps);
-        }
+        let (steps, found) = self.growth(centre, k, max_steps);
         MegacellResult {
             steps,
             width: self.width_at(steps),
             found,
             capped: (found as usize) < k,
-            cells_scanned,
+            cells_scanned: self.cells_through(centre, steps),
         }
     }
 
-    /// Growth steps [`megacell_for`](Self::megacell_for) takes one at a
-    /// time before it searches for the step that reaches k.
-    const STEP_BY_STEP: u32 = 32;
-
-    /// The first step in `from..=max_steps` whose box around `centre`
+    /// The first growth step up to `max_steps` whose box around `centre`
     /// holds `k` points, with its count; `max_steps` and the count at the
     /// cap when none does. `found` never falls as the box grows and stops
     /// changing once the box spans the grid, so the step is bracketed by
-    /// doubling it, up to the cap or the whole grid if nearer, and then
-    /// bisected: O(log n) box counts for a growth of n steps.
-    ///
-    /// Kept out of line: a long growth is rare, and inlined into
-    /// [`megacell_for`](Self::megacell_for) it would keep the box count
-    /// out of the step-by-step loop there.
-    #[cold]
-    fn long_growth(&self, centre: GridCoord, k: usize, from: u32, max_steps: u32) -> (u32, u32) {
+    /// steps that grow by one and an eighth, up to the cap or the whole
+    /// grid if nearer, and then bisected: O(log n) box counts for a growth
+    /// of n steps. Up to step 8 the brackets are single steps, so a short
+    /// growth, the common case, counts each of its boxes in turn, and
+    /// consecutive boxes read neighbouring table entries.
+    fn growth(&self, centre: GridCoord, k: usize, max_steps: u32) -> (u32, u32) {
         let count = |steps| {
             let (lo, hi) = self.box_around(centre, steps);
             self.count_in_box(lo, hi)
         };
-        let whole_grid = self.gaps(centre).into_iter().flatten().max().unwrap_or(0);
+        // The first step whose box spans the grid.
+        let [nx, ny, nz] = self.grid.dims();
+        let whole_grid = [
+            centre.x,
+            nx - 1 - centre.x,
+            centre.y,
+            ny - 1 - centre.y,
+            centre.z,
+            nz - 1 - centre.z,
+        ]
+        .into_iter()
+        .fold(0, u32::max);
         let last = max_steps.min(whole_grid);
         // Every step below `lo` holds fewer than k points.
-        let (mut lo, mut hi) = (from, from);
-        let mut found = count(from);
+        let (mut lo, mut hi) = (0, 0);
+        let mut found = count(0);
         while (found as usize) < k && hi < last {
             lo = hi + 1;
-            hi = hi.saturating_mul(2).min(last);
+            hi = hi.saturating_add(1 + hi / 8).min(last);
             found = count(hi);
         }
         if (found as usize) < k {
@@ -403,74 +377,32 @@ impl MegacellGrid {
         (hi, found)
     }
 
-    /// The cells on either side of `centre` along each axis: the box of
-    /// growth step `s` reaches `min(s, gap)` cells out on each side.
-    fn gaps(&self, centre: GridCoord) -> [[u32; 2]; 3] {
-        let dims = self.grid.dims();
-        let centre = [centre.x, centre.y, centre.z];
-        std::array::from_fn(|a| [centre[a], dims[a] - 1 - centre[a]])
-    }
-
     /// The growth charge: the cells of every box from step 0 to `steps`
-    /// around `centre`, summed and saturated at `u32::MAX`, without reading
-    /// the table.
-    ///
-    /// Along one axis the box of step `s` spans `1 + min(s, a) + min(s, b)`
-    /// cells, where `a` and `b` are the axis's [`gaps`](Self::gaps).
-    /// Between two consecutive gaps each side either still grows by one
-    /// cell a step or is clamped at its gap, so the box volume is a product
-    /// of three linear terms in `s`, a cubic, and its sum over those steps
-    /// follows from power sums: at most seven runs of steps, however many
-    /// steps there are.
+    /// around `centre`, summed and saturated at `u32::MAX`, from the box
+    /// sizes alone. Until its box spans the grid, step `s` adds at least
+    /// `s + 1` cells, so the sum saturates within about 92,700 steps; from
+    /// the first box that spans the grid on, every step adds the whole
+    /// grid, and those steps are charged at once.
     fn cells_through(&self, centre: GridCoord, steps: u32) -> u32 {
-        let gaps = self.gaps(centre).map(|axis| axis.map(u64::from));
-        let end = u64::from(steps) + 1;
-        // Run ends: every gap below `end`, then `end`; runs are half-open.
-        let mut ends = [end; 7];
-        for (slot, &g) in ends.iter_mut().zip(gaps.as_flattened()) {
-            *slot = g.min(end);
+        let cap = u64::from(u32::MAX);
+        let whole_grid = self.grid.num_cells() as u64;
+        let mut total = 0u64;
+        for s in 0..=steps {
+            let (lo, hi) = self.box_around(centre, s);
+            let volume = [hi.x - lo.x, hi.y - lo.y, hi.z - lo.z]
+                .into_iter()
+                .map(|span| u64::from(span) + 1)
+                .product::<u64>();
+            if volume == whole_grid {
+                total = total.saturating_add(u64::from(steps - s + 1).saturating_mul(volume));
+                break;
+            }
+            total += volume;
+            if total >= cap {
+                break;
+            }
         }
-        ends.sort_unstable();
-        let (mut total, mut from) = (0u128, 0u64);
-        for to in ends {
-            if to <= from {
-                continue;
-            }
-            // Coefficients of s⁰…s³ of the box volume over steps `from..to`.
-            let mut poly = [1u128, 0, 0, 0];
-            for axis in gaps {
-                let (mut constant, mut slope) = (1u128, 0u128);
-                for g in axis {
-                    if g >= to {
-                        slope += 1;
-                    } else {
-                        constant += u128::from(g);
-                    }
-                }
-                for d in (0..4).rev() {
-                    let carried = if d > 0 { poly[d - 1] * slope } else { 0 };
-                    poly[d] = poly[d] * constant + carried;
-                }
-            }
-            for (d, c) in poly.into_iter().enumerate() {
-                let sum = power_sum(d, to) - power_sum(d, from);
-                total = total.saturating_add(c.saturating_mul(sum));
-            }
-            from = to;
-        }
-        total.min(u128::from(u32::MAX)) as u32
-    }
-}
-
-/// `Σ s^d` over `s` in `0..n`, for `d` ≤ 3.
-fn power_sum(d: usize, n: u64) -> u128 {
-    let n = u128::from(n);
-    let m = n.saturating_sub(1);
-    match d {
-        0 => n,
-        1 => n * m / 2,
-        2 => n * m * (2 * n).saturating_sub(1) / 6,
-        _ => (n * m / 2).pow(2),
+        total.min(cap) as u32
     }
 }
 

@@ -7,7 +7,7 @@ use rtnn::{
     Accel, AdoptedScene, Backend, GpusimBackend, Index, MegacellCache, MegacellGrid, PlanError,
     QueryPlan, RtnnConfig, SearchError, SearchResults, StageOverrides,
 };
-use rtnn_bvh::{BuildParams, SahMonitor};
+use rtnn_bvh::{BuildParams, SahMonitor, SlotSet};
 use rtnn_gpusim::{Device, FrameAccumulator};
 use rtnn_math::{Aabb, Vec3};
 
@@ -155,9 +155,11 @@ pub struct DynamicIndex<'d> {
     compact: Vec<Vec3>,
     compact_to_slot: Vec<u32>,
     slot_to_compact: Vec<u32>,
+    /// An insert or removal since the last frame that succeeded.
     membership_dirty: bool,
-    /// Handles moved since the last frame.
-    moved: MovedHandles,
+    /// Handles moved since the last frame that succeeded; all live unless
+    /// `membership_dirty` is set.
+    moved: SlotSet,
     /// Structure state (None until the first search).
     accel: Option<Accel>,
     monitor: Option<SahMonitor>,
@@ -217,7 +219,7 @@ impl<'d> DynamicIndex<'d> {
             compact_to_slot: Vec::new(),
             slot_to_compact: Vec::new(),
             membership_dirty: false,
-            moved: MovedHandles::default(),
+            moved: SlotSet::default(),
             accel: None,
             monitor: None,
             grid: None,
@@ -485,7 +487,6 @@ impl<'d> DynamicIndex<'d> {
         let membership_was_dirty = self.membership_dirty;
         if membership_was_dirty {
             self.refresh_compact();
-            self.membership_dirty = false;
         } else {
             for slot in self.moved.ascending() {
                 let c = self.slot_to_compact[slot as usize];
@@ -551,6 +552,10 @@ impl<'d> DynamicIndex<'d> {
         let host_structure_ms = host_structure_start.elapsed().as_secs_f64() * 1e3;
         self.pending_structure_ms += structure_ms;
         self.pending_host_structure_ms += host_structure_ms;
+        // Only a frame that succeeded folds its mutations: one whose
+        // rebuild ran out of device memory leaves them pending, like one
+        // that met a non-finite point.
+        self.membership_dirty = false;
         self.moved.clear();
 
         // Fold this frame's invalidation into the not-yet-absorbed union;
@@ -642,69 +647,15 @@ impl<'d> DynamicIndex<'d> {
     }
 }
 
-/// The handles moved since the last frame: one bit per handle, plus the
-/// list of the bitset words that hold a set bit. Marking a handle is O(1);
-/// a frame visits the marked handles in ascending order, sorting only the
-/// listed words (at most one per 64 handles), and clearing unmarks only
-/// those words.
-#[derive(Debug, Default)]
-struct MovedHandles {
-    bits: Vec<u64>,
-    /// Indices of the words of `bits` that are non-zero, each once.
-    words: Vec<u32>,
-}
-
-impl MovedHandles {
-    /// Grow the bitset to cover `handles` handles.
-    fn fit(&mut self, handles: usize) {
-        let words = handles.div_ceil(64);
-        if self.bits.len() < words {
-            self.bits.resize(words, 0);
-        }
-    }
-
-    /// Mark `handle`, listing its word if this is the word's first mark.
-    fn mark(&mut self, handle: u32) {
-        let w = handle as usize / 64;
-        let word = &mut self.bits[w];
-        if *word == 0 {
-            self.words.push(w as u32);
-        }
-        *word |= 1 << (handle % 64);
-    }
-
-    fn is_empty(&self) -> bool {
-        self.words.is_empty()
-    }
-
-    /// The marked handles, in ascending order.
-    fn ascending(&mut self) -> impl Iterator<Item = u32> + '_ {
-        self.words.sort_unstable();
-        let bits = &self.bits;
-        self.words.iter().flat_map(move |&w| {
-            let mut word = bits[w as usize];
-            std::iter::from_fn(move || {
-                (word != 0).then(|| {
-                    let bit = word.trailing_zeros();
-                    word &= word - 1;
-                    w * 64 + bit
-                })
-            })
-        })
-    }
-
-    fn clear(&mut self) {
-        for &w in &self.words {
-            self.bits[w as usize] = 0;
-        }
-        self.words.clear();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rtnn::{EngineConfig, OptLevel, PlanSlice, SearchParams};
+    use rtnn::{
+        AccelRef, EngineConfig, OptLevel, PlanSlice, RefitOutcome, SearchParams, StructureTiming,
+        Traversal, TraversalJob,
+    };
+    use rtnn_gpusim::device::OutOfDeviceMemory;
+    use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
 
     fn jittered_block(n_per_axis: usize, spacing: f32) -> Vec<Vec3> {
         let mut pts = Vec::new();
@@ -992,6 +943,115 @@ mod tests {
             }
             assert_eq!(actions, want_actions, "{context}");
         }
+    }
+
+    /// The gpusim backend, except that its builds fail while
+    /// `out_of_memory` is set.
+    struct StarvedBackend<'d> {
+        inner: GpusimBackend<'d>,
+        out_of_memory: AtomicBool,
+    }
+
+    impl Backend for StarvedBackend<'_> {
+        fn name(&self) -> &'static str {
+            self.inner.name()
+        }
+
+        fn device(&self) -> &Device {
+            self.inner.device()
+        }
+
+        fn build(
+            &self,
+            points: &[Vec3],
+            aabb_width: f32,
+            build: BuildParams,
+        ) -> Result<Accel, OutOfDeviceMemory> {
+            if self.out_of_memory.load(Relaxed) {
+                return Err(OutOfDeviceMemory {
+                    requested_bytes: 1,
+                    capacity_bytes: 0,
+                });
+            }
+            self.inner.build(points, aabb_width, build)
+        }
+
+        fn refit(&self, accel: &mut Accel, points: &[Vec3]) -> Option<RefitOutcome> {
+            self.inner.refit(accel, points)
+        }
+
+        fn traverse(&self, accel: AccelRef<'_>, job: &TraversalJob<'_>) -> Traversal {
+            self.inner.traverse(accel, job)
+        }
+
+        fn timing(&self, num_prims: usize) -> StructureTiming {
+            self.inner.timing(num_prims)
+        }
+    }
+
+    #[test]
+    fn a_frame_that_runs_out_of_memory_leaves_its_mutations_pending() {
+        let device = Device::rtx_2080();
+        let backend = StarvedBackend {
+            inner: GpusimBackend::new(&device),
+            out_of_memory: false.into(),
+        };
+        let config = RtnnConfig {
+            params: SearchParams::range(1.1, 1000),
+            engine: EngineConfig::default(),
+        };
+        let points = jittered_block(6, 0.5);
+        let queries: Vec<Vec3> = points.iter().step_by(5).copied().collect();
+        let mut index =
+            DynamicIndex::with_backend(&backend, config, RebuildPolicy::never_rebuild());
+        for &p in &points {
+            index.insert(p);
+        }
+        index.search(&queries).unwrap();
+
+        // A handle moved to NaN and then removed, a moved handle, and an
+        // insert that restores the live count, so a stale structure would
+        // have the current one's size.
+        let mut live = points.clone();
+        index.move_point(5, Vec3::splat(f32::NAN));
+        assert!(index.remove(5));
+        live.remove(5);
+        let moved = points[40] + Vec3::new(0.3, -0.2, 0.1);
+        index.move_point(40, moved);
+        live[39] = moved;
+        let extra = Vec3::new(1.3, 1.2, 0.4);
+        index.insert(extra);
+        live.push(extra);
+        let handles: Vec<u32> = (0..=points.len() as u32).filter(|&h| h != 5).collect();
+
+        backend.out_of_memory.store(true, Relaxed);
+        for _ in 0..2 {
+            assert!(matches!(
+                index.search(&queries),
+                Err(SearchError::OutOfDeviceMemory(_))
+            ));
+        }
+        backend.out_of_memory.store(false, Relaxed);
+        // The first frame with memory folds every pending mutation.
+        let frame = index.search(&queries).unwrap();
+        assert_eq!(frame.action, StructureAction::Rebuilt);
+        let view = index.as_index().unwrap();
+        assert_eq!(view.index.points(), &live[..]);
+        assert_eq!(view.handles, &handles[..]);
+        let mut fresh = Index::build(&backend.inner, &live[..], config.engine)
+            .query(&queries, &config.plan())
+            .unwrap();
+        for ids in fresh.neighbors.iter_mut() {
+            for id in ids.iter_mut() {
+                *id = handles[*id as usize];
+            }
+        }
+        assert_eq!(frame.results.neighbors, fresh.neighbors);
+        assert_eq!(frame.results.search_metrics, fresh.search_metrics);
+        // And the next frame, with nothing pending, reuses it.
+        let again = index.search(&queries).unwrap();
+        assert_eq!(again.action, StructureAction::Reused);
+        assert_eq!(again.results.neighbors, fresh.neighbors);
     }
 
     #[test]

@@ -36,8 +36,8 @@
 //! ## Host cost per frame
 //!
 //! A mutation is O(1) and allocation-free once the index has reached its
-//! size: [`DynamicIndex::move_point`] sets the handle's bit in a bitset
-//! (listing the bitset word on its first mark) and
+//! size: [`DynamicIndex::move_point`] sets the handle's bit in an
+//! [`rtnn_bvh::SlotSet`] (listing the bitset word on its first mark) and
 //! [`DynamicIndex::remove`] clears a liveness flag. The next frame visits
 //! the moved handles in ascending order, so its upkeep grows with the
 //! moved points (finiteness check, compact copy, grid rebinning) and with
