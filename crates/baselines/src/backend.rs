@@ -1,7 +1,7 @@
 //! [`BruteForceBackend`]: the structure-less `rtnn::Backend` that doubles
 //! as the oracle.
 //!
-//! Where the ray-tracing backends build a BVH and traverse it, this backend
+//! Where the ray-tracing backend builds a BVH and traverses it, this backend
 //! keeps nothing and answers every traversal by exhaustive scan over the
 //! basic-mapping semantics (`rtnn::exhaustive_traverse`): a point is a
 //! candidate exactly when its width-`w` AABB contains the query, and the
@@ -16,7 +16,7 @@
 //! backend, so its end-to-end numbers double as the "GPU brute force"
 //! comparison point of the paper's introduction.
 
-use rtnn::{exhaustive_traverse, Accel, AccelRef, Backend, RefitOutcome, Traversal, TraversalJob};
+use rtnn::{exhaustive_traverse, Accel, Backend, RefitOutcome, Traversal, TraversalJob};
 use rtnn_bvh::BuildParams;
 use rtnn_gpusim::device::OutOfDeviceMemory;
 use rtnn_gpusim::{Device, StructureTiming};
@@ -59,7 +59,7 @@ impl<'d> Backend for BruteForceBackend<'d> {
         accel.refit_in_place(self.device, points)
     }
 
-    fn traverse(&self, accel: AccelRef<'_>, job: &TraversalJob<'_>) -> Traversal {
+    fn traverse(&self, accel: &Accel, job: &TraversalJob<'_>) -> Traversal {
         exhaustive_traverse(self.device, accel, job)
     }
 

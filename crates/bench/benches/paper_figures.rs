@@ -27,7 +27,7 @@ use rtnn_dynamic::{DynamicIndex, RebuildPolicy};
 use rtnn_gpusim::{Device, IsShaderKind};
 use rtnn_math::morton::MortonEncoder;
 use rtnn_math::{Aabb, Vec3};
-use rtnn_optix::{Gas, Pipeline};
+use rtnn_optix::Pipeline;
 use rtnn_parallel::with_thread_count;
 use std::time::Duration;
 
@@ -195,7 +195,7 @@ fn bench_scheduling_and_partitioning(c: &mut Criterion) {
     let schedule = || {
         Schedule::Coherence.run(&ScheduleCx {
             backend: &backend,
-            accel: Some(accel.as_ref()),
+            accel: Some(&accel),
             points: &f.points,
             point_bounds: Aabb::from_points(&f.points),
             queries: &f.queries,
@@ -299,7 +299,7 @@ fn bench_launch_warp_loop(c: &mut Criterion) {
     let mut order: Vec<u32> = (0..queries.len() as u32).collect();
     order.sort_by_key(|&q| (encoder.encode(queries[q as usize]), q));
     let device = Device::rtx_2080();
-    let gas = Gas::build_from_points(&device, &points, radius, BuildParams::default()).unwrap();
+    let bvh = build_point_bvh(&points, radius, BuildParams::default());
     let pipeline = Pipeline::new(&device);
     let indexing = QueryIndexing::Mapped(&order);
     let range = RangeProgram {
@@ -322,14 +322,14 @@ fn bench_launch_warp_loop(c: &mut Criterion) {
     group.bench_function("range", |b| {
         b.iter(|| {
             with_thread_count(1, || {
-                pipeline.launch(&gas, order.len(), &range, IsShaderKind::RangeSphereTest)
+                pipeline.launch(&bvh, order.len(), &range, IsShaderKind::RangeSphereTest)
             })
         })
     });
     group.bench_function("knn", |b| {
         b.iter(|| {
             with_thread_count(1, || {
-                pipeline.launch(&gas, order.len(), &knn, IsShaderKind::Knn)
+                pipeline.launch(&bvh, order.len(), &knn, IsShaderKind::Knn)
             })
         })
     });

@@ -10,10 +10,10 @@ use crate::report::{fmt_ms, FigureReport, Table};
 use crate::scale::ExperimentScale;
 use crate::workloads::characterization_workload;
 use rtnn::shaders::{QueryIndexing, RangeProgram};
-use rtnn_bvh::BuildParams;
+use rtnn_bvh::{build_point_bvh, BuildParams};
 use rtnn_gpusim::{Device, IsShaderKind};
 use rtnn_math::Vec3;
-use rtnn_optix::{Gas, Pipeline};
+use rtnn_optix::Pipeline;
 
 /// Width multipliers applied to the dataset's default radius; the paper's
 /// sweep spans two orders of magnitude.
@@ -40,13 +40,7 @@ pub fn run(scale: &ExperimentScale) -> FigureReport {
     let mut series: Vec<(f32, f64, u64)> = Vec::new();
     for factor in WIDTH_FACTORS {
         let width = workload.radius * factor;
-        let gas = Gas::build_from_points(
-            &device,
-            &workload.points,
-            width / 2.0,
-            BuildParams::default(),
-        )
-        .expect("sweep workload fits the device");
+        let bvh = build_point_bvh(&workload.points, width / 2.0, BuildParams::default());
         // A pure step-1/step-2 exercise: range search with an effectively
         // unbounded K and a radius matching the AABB (the paper varies only
         // the AABB in the BVH).
@@ -59,7 +53,7 @@ pub fn run(scale: &ExperimentScale) -> FigureReport {
             sphere_test: true,
         };
         let launch = Pipeline::new(&device).launch(
-            &gas,
+            &bvh,
             queries.len(),
             &program,
             IsShaderKind::RangeSphereTest,

@@ -11,7 +11,7 @@ use crate::scale::ExperimentScale;
 use rtnn_bvh::BuildParams;
 use rtnn_data::uniform::{self, UniformParams};
 use rtnn_gpusim::Device;
-use rtnn_optix::Gas;
+use rtnn_optix::Accel;
 
 /// Linear regression of `y` on `x`; returns `(slope, intercept, r_squared)`.
 pub fn linear_fit(x: &[f64], y: &[f64]) -> (f64, f64, f64) {
@@ -57,11 +57,11 @@ pub fn run(scale: &ExperimentScale) -> FigureReport {
             seed: 42,
             ..Default::default()
         });
-        let gas = Gas::build_from_points(&device, &cloud.points, 0.5, BuildParams::default())
+        let accel = Accel::build(&device, &cloud.points, 1.0, BuildParams::default())
             .expect("build sweep fits the device");
-        table.push_row(vec![n.to_string(), fmt_ms(gas.build_time_ms())]);
+        table.push_row(vec![n.to_string(), fmt_ms(accel.build_time_ms())]);
         xs.push(n as f64);
-        ys.push(gas.build_time_ms());
+        ys.push(accel.build_time_ms());
     }
     report.tables.push(table);
 

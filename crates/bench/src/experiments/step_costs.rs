@@ -6,10 +6,10 @@ use crate::report::{FigureReport, Table};
 use crate::scale::ExperimentScale;
 use crate::workloads::characterization_workload;
 use rtnn::shaders::{QueryIndexing, RangeProgram};
-use rtnn_bvh::BuildParams;
+use rtnn_bvh::{build_point_bvh, BuildParams};
 use rtnn_gpusim::{Device, IsShaderKind};
 use rtnn_math::Vec3;
-use rtnn_optix::{Gas, Pipeline};
+use rtnn_optix::Pipeline;
 
 /// Run the micro-benchmark.
 pub fn run(scale: &ExperimentScale) -> FigureReport {
@@ -24,13 +24,7 @@ pub fn run(scale: &ExperimentScale) -> FigureReport {
         .take(scale.query_cap.min(10_000))
         .copied()
         .collect();
-    let gas = Gas::build_from_points(
-        &device,
-        &workload.points,
-        workload.radius,
-        BuildParams::default(),
-    )
-    .expect("micro workload fits the device");
+    let bvh = build_point_bvh(&workload.points, workload.radius, BuildParams::default());
     let program = RangeProgram {
         points: &workload.points,
         queries: &queries,
@@ -40,7 +34,7 @@ pub fn run(scale: &ExperimentScale) -> FigureReport {
         sphere_test: true,
     };
     let launch =
-        Pipeline::new(&device).launch(&gas, queries.len(), &program, IsShaderKind::RangeSphereTest);
+        Pipeline::new(&device).launch(&bvh, queries.len(), &program, IsShaderKind::RangeSphereTest);
     let m = &launch.metrics;
     let cost = device.config().cost;
 

@@ -17,8 +17,9 @@
 //!   the oracle: the parallel pipeline is pinned bit-identical to it at
 //!   every thread count.
 //!
-//! The refit ([`refit::refit_bvh`]) has the same pair: an in-place path
-//! and the serial oracle it matches bit for bit. The builders lay nodes
+//! The refit ([`refit::refit_point_bvh`]) has the same pair: an in-place
+//! path that writes each leaf slot's cube straight into the tree, and the
+//! serial oracle it matches bit for bit. The builders lay nodes
 //! out in preorder, so each subtree below a cut depth is one contiguous
 //! run of the node array, which a pool worker refits in place by sweeping
 //! it from its last node to its first; a small tree or a one-thread pool
@@ -40,10 +41,7 @@ pub mod validate;
 
 pub use builder::{build_bvh, build_point_bvh, BuildParams, BvhBuilder};
 pub use node::{Bvh, BvhNode, NodeKind};
-pub use refit::{
-    refit_bvh, refit_bvh_serial, refit_bvh_with_cut, refit_point_bvh, RefitError, RefitStats,
-    SahMonitor,
-};
+pub use refit::{refit_bvh_serial, refit_bvh_with_cut, refit_point_bvh, RefitError, RefitStats};
 pub use stats::BvhStats;
 pub use traverse::{AscendingSlots, SlotSet, TraversalControl, TraversalStats, VisitMarks};
 pub use validate::{validate_bvh, BvhValidationError};

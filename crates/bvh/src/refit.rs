@@ -20,8 +20,8 @@
 //! are folded last.
 
 use crate::node::{Bvh, BvhNode, NodeKind};
-use rtnn_math::Aabb;
-use rtnn_parallel::{current_num_threads, par_map_collect_mut};
+use rtnn_math::{Aabb, Vec3};
+use rtnn_parallel::{current_num_threads, par_chunks_mut, par_map_collect_mut};
 use std::time::Instant;
 
 /// Ways a refit request can be invalid.
@@ -59,34 +59,39 @@ pub struct RefitStats {
     pub sah_after: f64,
 }
 
-/// Recompute every node AABB of `bvh` bottom-up from `new_prim_aabbs`
-/// without re-topologizing. The new primitive set must have exactly the same
-/// length as the one the tree was built over; primitive ids keep their
-/// meaning: `new_prim_aabbs` is indexed by id, like the builder's input,
-/// and the tree stores it in leaf-slot order ([`Bvh::prim_aabbs`]).
+/// Refit `bvh` in place over width-`width` cubes centred at `points`
+/// (Listing 1's mapping; the moving counterpart of
+/// [`crate::builder::build_point_bvh`]) without re-topologizing. `points`
+/// is indexed by primitive id, like the builder's input, and must have
+/// exactly as many entries as the tree has primitives; each leaf slot's
+/// cube is written straight into [`Bvh::prim_aabbs`].
 ///
-/// Works for any structurally valid tree regardless of node layout; the
-/// builders' preorder layout lets every tree refit in place, and a large
-/// one in parallel (see [`refit_bvh_with_cut`]). The result is
-/// bit-identical to the serial oracle ([`refit_bvh_serial`]) at every
-/// thread count, because every node box is computed from exactly the same
-/// operands either way.
+/// The cut depth suits the pool: deep enough to hand every worker several
+/// subtrees for load balancing, while a serial run or a small tree sweeps
+/// the whole node array as one run on the calling thread (see
+/// [`refit_bvh_with_cut`]). The result is bit-identical to the serial
+/// oracle ([`refit_bvh_serial`]) over the same cubes at every thread count,
+/// because every node box is computed from exactly the same operands
+/// either way.
 ///
 /// In debug and test builds the refitted tree is re-validated with
 /// [`crate::validate::validate_bvh`]; a violation is a bug in this function
 /// or in the input tree and panics.
-pub fn refit_bvh(bvh: &mut Bvh, new_prim_aabbs: &[Aabb]) -> Result<RefitStats, RefitError> {
+pub fn refit_point_bvh(
+    bvh: &mut Bvh,
+    points: &[Vec3],
+    width: f32,
+) -> Result<RefitStats, RefitError> {
     let wall = Instant::now();
     let threads = current_num_threads();
-    // Cut deep enough to hand every worker several subtrees for load
-    // balancing; a serial run or a small tree sweeps the whole node array
-    // as one run on the calling thread.
     let cut_depth = if threads <= 1 || bvh.nodes.len() < 4096 {
         0
     } else {
         (threads * 8).next_power_of_two().trailing_zeros()
     };
-    let stats = refit_bvh_with_cut(bvh, new_prim_aabbs, cut_depth)?;
+    let stats = refit_runs(bvh, points.len(), cut_depth, |bvh| {
+        adopt_point_cubes(bvh, points, width)
+    })?;
     if let Some(t) = rtnn_telemetry::Telemetry::current() {
         t.counter_add("bvh.refits", 1);
         t.observe_wall("bvh.refit.wall_ms", wall.elapsed().as_secs_f64() * 1e3);
@@ -94,12 +99,15 @@ pub fn refit_bvh(bvh: &mut Bvh, new_prim_aabbs: &[Aabb]) -> Result<RefitStats, R
     Ok(stats)
 }
 
-/// The serial refit oracle: one explicit post-order traversal of the whole
-/// tree, which needs no particular node layout. [`refit_bvh_with_cut`]
-/// must match it bit for bit, and falls back to its traversal for a layout
+/// The serial refit oracle over explicit primitive boxes (`new_prim_aabbs`
+/// is indexed by primitive id): one explicit post-order traversal of the
+/// whole tree, which needs no particular node layout. The cut path must
+/// match it bit for bit, and falls back to its traversal for a layout
 /// that is not preorder.
 pub fn refit_bvh_serial(bvh: &mut Bvh, new_prim_aabbs: &[Aabb]) -> Result<RefitStats, RefitError> {
-    if !check_and_adopt(bvh, new_prim_aabbs)? {
+    if !check_and_adopt(bvh, new_prim_aabbs.len(), |bvh| {
+        adopt_by_id(bvh, new_prim_aabbs)
+    })? {
         return Ok(empty_stats(bvh));
     }
     refit_post_order(bvh);
@@ -157,7 +165,20 @@ pub fn refit_bvh_with_cut(
     new_prim_aabbs: &[Aabb],
     cut_depth: u32,
 ) -> Result<RefitStats, RefitError> {
-    if !check_and_adopt(bvh, new_prim_aabbs)? {
+    refit_runs(bvh, new_prim_aabbs.len(), cut_depth, |bvh| {
+        adopt_by_id(bvh, new_prim_aabbs)
+    })
+}
+
+/// [`refit_bvh_with_cut`] over the `supplied` primitive boxes `adopt`
+/// writes into the tree's leaf slots once their count has been checked.
+fn refit_runs(
+    bvh: &mut Bvh,
+    supplied: usize,
+    cut_depth: u32,
+    adopt: impl FnOnce(&mut Bvh),
+) -> Result<RefitStats, RefitError> {
+    if !check_and_adopt(bvh, supplied, adopt)? {
         return Ok(empty_stats(bvh));
     }
 
@@ -243,23 +264,49 @@ fn refit_run(first: u32, run: &mut [BvhNode], prim_aabbs: &[Aabb]) -> bool {
     true
 }
 
-/// Count-check `new_prim_aabbs` (indexed by primitive id) against the tree
-/// and adopt them, gathered into the tree's leaf-slot order. Returns
-/// `Ok(false)` for the empty tree (nothing to refit).
-fn check_and_adopt(bvh: &mut Bvh, new_prim_aabbs: &[Aabb]) -> Result<bool, RefitError> {
-    if new_prim_aabbs.len() != bvh.prim_aabbs.len() {
+/// Count-check `supplied` primitives against the tree, then let `adopt`
+/// write their boxes into the tree's leaf slots. Returns `Ok(false)`,
+/// adopting nothing, for the empty tree (nothing to refit).
+fn check_and_adopt(
+    bvh: &mut Bvh,
+    supplied: usize,
+    adopt: impl FnOnce(&mut Bvh),
+) -> Result<bool, RefitError> {
+    if supplied != bvh.prim_aabbs.len() {
         return Err(RefitError::PrimitiveCountChanged {
             tree: bvh.prim_aabbs.len(),
-            supplied: new_prim_aabbs.len(),
+            supplied,
         });
     }
     if bvh.nodes.is_empty() {
         return Ok(false);
     }
+    adopt(bvh);
+    Ok(true)
+}
+
+/// Gather `new_prim_aabbs` (indexed by primitive id) into the tree's
+/// leaf-slot order.
+fn adopt_by_id(bvh: &mut Bvh, new_prim_aabbs: &[Aabb]) {
     for (slot_aabb, &pid) in bvh.prim_aabbs.iter_mut().zip(&bvh.prim_indices) {
         *slot_aabb = new_prim_aabbs[pid as usize];
     }
-    Ok(true)
+}
+
+/// Write each leaf slot's width-`width` cube, centred at its primitive's
+/// point (`points` is indexed by primitive id), straight into the tree.
+fn adopt_point_cubes(bvh: &mut Bvh, points: &[Vec3], width: f32) {
+    let Bvh {
+        prim_indices,
+        prim_aabbs,
+        ..
+    } = bvh;
+    let prim_indices: &[u32] = prim_indices;
+    par_chunks_mut(prim_aabbs, 256, |start, slots| {
+        for (slot_aabb, &pid) in slots.iter_mut().zip(&prim_indices[start..]) {
+            *slot_aabb = Aabb::cube(points[pid as usize], width);
+        }
+    });
 }
 
 fn empty_stats(bvh: &Bvh) -> RefitStats {
@@ -288,50 +335,6 @@ fn finish(bvh: &mut Bvh) -> Result<RefitStats, RefitError> {
     })
 }
 
-/// Refit helper mirroring [`crate::builder::build_point_bvh`]: primitives
-/// are the width-`2·radius` cubes centred at `points` (Listing 1's mapping).
-pub fn refit_point_bvh(
-    bvh: &mut Bvh,
-    points: &[rtnn_math::Vec3],
-    radius: f32,
-) -> Result<RefitStats, RefitError> {
-    let aabbs = rtnn_parallel::par_map(points.len(), |i| Aabb::cube(points[i], 2.0 * radius));
-    refit_bvh(bvh, &aabbs)
-}
-
-/// A quality monitor for a tree that is refitted across frames: remembers
-/// the SAH cost the tree had when it was last *built* and reports the
-/// degradation ratio of the current (refitted) tree against it.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SahMonitor {
-    built_sah: f64,
-}
-
-impl SahMonitor {
-    /// Record the freshly built tree's SAH cost as the quality baseline.
-    pub fn baseline(bvh: &Bvh) -> Self {
-        SahMonitor {
-            built_sah: bvh.sah_cost(),
-        }
-    }
-
-    /// The SAH cost at the last rebuild.
-    pub fn built_sah(&self) -> f64 {
-        self.built_sah
-    }
-
-    /// Quality-degradation ratio of `bvh` against the baseline: 1.0 means
-    /// as good as freshly built, 2.0 means traversal is predicted to cost
-    /// about twice as much. Never below 1.0 (a refit can coincidentally
-    /// tighten boxes; the policy only cares about degradation).
-    pub fn quality_ratio(&self, bvh: &Bvh) -> f64 {
-        if self.built_sah <= 0.0 {
-            return 1.0;
-        }
-        (bvh.sah_cost() / self.built_sah).max(1.0)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -356,7 +359,7 @@ mod tests {
         let pts = grid_points(5);
         let mut bvh = build_point_bvh(&pts, 0.5, BuildParams::default());
         let reference = bvh.clone();
-        let stats = refit_point_bvh(&mut bvh, &pts, 0.5).unwrap();
+        let stats = refit_point_bvh(&mut bvh, &pts, 1.0).unwrap();
         assert_eq!(stats.nodes_updated, bvh.nodes.len());
         assert_eq!(stats.sah_after, reference.sah_cost());
         for (a, b) in bvh.nodes.iter().zip(&reference.nodes) {
@@ -374,7 +377,7 @@ mod tests {
             p.x += 0.3 * ((i % 7) as f32 - 3.0) / 3.0;
             p.z *= 0.8;
         }
-        refit_point_bvh(&mut bvh, &pts, 0.4).unwrap();
+        refit_point_bvh(&mut bvh, &pts, 0.8).unwrap();
         validate_bvh(&bvh).unwrap();
         // Every leaf slot's box is the cube at its primitive's new position.
         for (slot, &pid) in bvh.prim_indices.iter().enumerate() {
@@ -435,8 +438,7 @@ mod tests {
     fn refit_rejects_changed_primitive_count() {
         let pts = grid_points(3);
         let mut bvh = build_point_bvh(&pts, 0.5, BuildParams::default());
-        let fewer: Vec<Aabb> = pts[..10].iter().map(|&p| Aabb::cube(p, 1.0)).collect();
-        let err = refit_bvh(&mut bvh, &fewer).unwrap_err();
+        let err = refit_point_bvh(&mut bvh, &pts[..10], 1.0).unwrap_err();
         assert!(matches!(
             err,
             RefitError::PrimitiveCountChanged {
@@ -450,17 +452,15 @@ mod tests {
     #[test]
     fn refit_of_empty_bvh_is_a_noop() {
         let mut bvh = Bvh::empty();
-        let stats = refit_bvh(&mut bvh, &[]).unwrap();
+        let stats = refit_point_bvh(&mut bvh, &[], 1.0).unwrap();
         assert_eq!(stats.nodes_updated, 0);
         assert!(bvh.is_empty());
     }
 
     #[test]
-    fn drift_degrades_sah_and_monitor_reports_it() {
+    fn drift_degrades_the_refitted_sah() {
         let mut pts = grid_points(8);
         let mut bvh = build_point_bvh(&pts, 0.4, BuildParams::default());
-        let monitor = SahMonitor::baseline(&bvh);
-        assert!((monitor.quality_ratio(&bvh) - 1.0).abs() < 1e-9);
         // Heavy scrambling drift: points swap regions, so the frozen topology
         // groups far-apart points under common ancestors.
         let n = pts.len();
@@ -471,14 +471,13 @@ mod tests {
             p.y += ((i % 13) as f32) * 0.9;
         }
         let sah_before = bvh.sah_cost();
-        let stats = refit_point_bvh(&mut bvh, &pts, 0.4).unwrap();
+        let stats = refit_point_bvh(&mut bvh, &pts, 0.8).unwrap();
         assert!(
             stats.sah_after > sah_before * 1.2,
             "expected clear SAH degradation, got {} -> {}",
             sah_before,
             stats.sah_after
         );
-        assert!(monitor.quality_ratio(&bvh) > 1.2);
         // A rebuild restores the baseline-level quality.
         let rebuilt = build_point_bvh(&pts, 0.4, BuildParams::default());
         assert!(rebuilt.sah_cost() < bvh.sah_cost());
@@ -544,11 +543,11 @@ mod tests {
         }
         let moved: Vec<Aabb> = pts.iter().map(|&p| Aabb::cube(p, 0.8)).collect();
         assert_cut_refits_match_the_oracle(&bvh0, &moved, "grid + outliers");
-        // The public dispatcher agrees too.
+        // The point refit agrees too.
         let mut serial = bvh0.clone();
         let serial_stats = refit_bvh_serial(&mut serial, &moved).unwrap();
         let mut dispatched = bvh0.clone();
-        let dispatched_stats = refit_bvh(&mut dispatched, &moved).unwrap();
+        let dispatched_stats = refit_point_bvh(&mut dispatched, &pts, 0.8).unwrap();
         assert_eq!(dispatched_stats, serial_stats);
     }
 
@@ -641,13 +640,65 @@ mod tests {
             right: left,
         };
         validate_bvh(&bvh).unwrap();
-        let moved = vec![
-            Aabb::cube(Vec3::new(0.0, 2.0, 0.0), 1.0),
-            Aabb::cube(Vec3::new(4.0, -2.0, 0.0), 1.0),
-        ];
-        refit_bvh(&mut bvh, &moved).unwrap();
+        let moved = [Vec3::new(0.0, 2.0, 0.0), Vec3::new(4.0, -2.0, 0.0)];
+        refit_point_bvh(&mut bvh, &moved, 1.0).unwrap();
         validate_bvh(&bvh).unwrap();
-        assert!(bvh.root_bounds().contains_aabb(&moved[0]));
-        assert!(bvh.root_bounds().contains_aabb(&moved[1]));
+        for p in moved {
+            assert!(bvh.root_bounds().contains_aabb(&Aabb::cube(p, 1.0)));
+        }
+    }
+
+    /// Every node and leaf slot box of `bvh`. Debug prints each f32 in its
+    /// shortest round-trip form, so equal strings mean bit-equal trees.
+    fn tree_bits(bvh: &Bvh) -> String {
+        format!("{:?} {:?}", bvh.nodes, bvh.prim_aabbs)
+    }
+
+    #[test]
+    fn point_refit_matches_the_serial_oracle_over_id_ordered_cubes() {
+        let width = 0.9;
+        for n_per_axis in [4, 20] {
+            let mut pts = grid_points(n_per_axis);
+            let built = build_point_bvh(&pts, 0.5 * width, BuildParams::default());
+            if n_per_axis == 20 {
+                assert!(built.nodes.len() > 4096, "big enough to cut in parallel");
+            }
+            for (i, p) in pts.iter_mut().enumerate() {
+                *p += Vec3::new(0.3 * (i % 7) as f32, -0.2 * (i % 3) as f32, 0.1);
+            }
+            let cubes: Vec<Aabb> = pts.iter().map(|&p| Aabb::cube(p, width)).collect();
+            let mut serial = built.clone();
+            let serial_stats = refit_bvh_serial(&mut serial, &cubes).unwrap();
+            for threads in [1usize, 2, 4] {
+                let mut tree = built.clone();
+                let stats = rtnn_parallel::with_thread_count(threads, || {
+                    refit_point_bvh(&mut tree, &pts, width).unwrap()
+                });
+                let context = format!("{n_per_axis}³ grid, {threads} threads");
+                assert_eq!(stats, serial_stats, "{context}");
+                assert!(tree_bits(&tree) == tree_bits(&serial), "{context}");
+            }
+            // A count mismatch is rejected before any slot is written.
+            let mut tree = built.clone();
+            let err = refit_point_bvh(&mut tree, &pts[1..], width).unwrap_err();
+            assert_eq!(
+                err,
+                RefitError::PrimitiveCountChanged {
+                    tree: pts.len(),
+                    supplied: pts.len() - 1
+                }
+            );
+            assert!(tree_bits(&tree) == tree_bits(&built));
+        }
+        let mut empty = Bvh::empty();
+        let stats = refit_point_bvh(&mut empty, &[], width).unwrap();
+        assert_eq!(stats, refit_bvh_serial(&mut Bvh::empty(), &[]).unwrap());
+        assert!(matches!(
+            refit_point_bvh(&mut empty, &[Vec3::ZERO], width),
+            Err(RefitError::PrimitiveCountChanged {
+                tree: 0,
+                supplied: 1
+            })
+        ));
     }
 }

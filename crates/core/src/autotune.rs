@@ -660,10 +660,10 @@ mod tests {
     #[test]
     fn report_labels_match_the_profiler_signature_format() {
         let mut t = AutoTuner::new(1).with_cost_model(calibrated());
-        t.decide("range", 9_000, "optix-shim", 100);
+        t.decide("range", 9_000, "bruteforce-oracle", 100);
         let r = t.report();
         assert_eq!(r.len(), 1);
-        assert_eq!(r[0].label(), "range/2^13/optix-shim");
+        assert_eq!(r[0].label(), "range/2^13/bruteforce-oracle");
         assert_eq!(r[0].decisions, 1);
         assert_eq!(r[0].choice, None, "nothing measured yet");
         assert_eq!(t.decisions(), 1);

@@ -7,29 +7,24 @@
 //! a [`Backend`], which owns *how* the traversal executes and what
 //! structures back it. Two implementations ship:
 //!
-//! * [`GpusimBackend`] — the one ray-tracing backend: traversals run on the
-//!   simulated Turing-class device through the OptiX-like pipeline, with
-//!   full microarchitectural metrics. [`GpusimBackend::new`] exposes the
-//!   BVH and its SAH quality; [`GpusimBackend::optix_shim`] is the
-//!   integration shim for a real OptiX 7 device, which honours the hardware
-//!   contract — the acceleration structure is opaque, no BVH or SAH
-//!   introspection, exactly what `optixAccelBuild` would hand back — with
-//!   bit-identical results.
+//! * [`GpusimBackend`] — the one ray-tracing backend: it builds an
+//!   [`Accel`] over the points' cubes, and traversals run on the simulated
+//!   Turing-class device through the OptiX-like pipeline, with full
+//!   microarchitectural metrics.
 //! * `BruteForceBackend` (in `rtnn-baselines`) — keeps no structure and
 //!   answers every traversal by exhaustive scan over the mapping semantics
 //!   ([`exhaustive_traverse`]); it doubles as the oracle the cross-backend
 //!   equivalence suite checks the ray-tracing backend against.
 
 use crate::shaders::{FirstHitProgram, KnnHeap, KnnProgram, QueryIndexing, RangeProgram, NO_HIT};
-use rtnn_bvh::BuildParams;
+use rtnn_bvh::{BuildParams, Bvh};
 use rtnn_gpusim::device::OutOfDeviceMemory;
 use rtnn_gpusim::kernel::{point_address, run_sm_kernel};
 use rtnn_gpusim::{Device, IsShaderKind, StructureTiming};
 use rtnn_math::{Aabb, Vec3};
-use rtnn_optix::{Gas, LaunchMetrics, Pipeline};
-use rtnn_parallel::par_map;
+use rtnn_optix::{LaunchMetrics, Pipeline};
 
-pub use rtnn_optix::{Accel, AccelRef, RefitOutcome};
+pub use rtnn_optix::{Accel, RefitOutcome};
 
 /// What one traversal pass computes.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -115,21 +110,16 @@ pub trait Backend: Sync {
     fn refit(&self, accel: &mut Accel, points: &[Vec3]) -> Option<RefitOutcome>;
 
     /// Execute one traversal pass against `accel`.
-    fn traverse(&self, accel: AccelRef<'_>, job: &TraversalJob<'_>) -> Traversal;
+    fn traverse(&self, accel: &Accel, job: &TraversalJob<'_>) -> Traversal;
 
     /// Structure build/refit timing at a given size — what refit-vs-rebuild
     /// policies consult.
     fn timing(&self, num_prims: usize) -> StructureTiming;
 }
 
-/// Width-`width` cubes centred at the points (the Listing 1 mapping).
-fn point_aabbs(points: &[Vec3], width: f32) -> Vec<Aabb> {
-    par_map(points.len(), |i| Aabb::cube(points[i], width))
-}
-
-/// Run `job` against a BVH-backed structure through the OptiX-like
+/// Run `job` against a built structure's BVH through the OptiX-like
 /// pipeline.
-fn pipeline_traverse(device: &Device, gas: &Gas, job: &TraversalJob<'_>) -> Traversal {
+fn pipeline_traverse(device: &Device, bvh: &Bvh, job: &TraversalJob<'_>) -> Traversal {
     let pipeline = Pipeline::new(device);
     let n = job.query_ids.len();
     let indexing = QueryIndexing::Mapped(job.query_ids);
@@ -152,7 +142,7 @@ fn pipeline_traverse(device: &Device, gas: &Gas, job: &TraversalJob<'_>) -> Trav
             } else {
                 IsShaderKind::RangeNoSphereTest
             };
-            let launch = pipeline.launch(gas, n, &program, kind);
+            let launch = pipeline.launch(bvh, n, &program, kind);
             Traversal {
                 payloads: launch.payloads,
                 metrics: launch.metrics,
@@ -166,7 +156,7 @@ fn pipeline_traverse(device: &Device, gas: &Gas, job: &TraversalJob<'_>) -> Trav
                 radius,
                 k,
             };
-            let launch = pipeline.launch(gas, n, &program, IsShaderKind::Knn);
+            let launch = pipeline.launch(bvh, n, &program, IsShaderKind::Knn);
             Traversal {
                 payloads: launch
                     .payloads
@@ -181,7 +171,7 @@ fn pipeline_traverse(device: &Device, gas: &Gas, job: &TraversalJob<'_>) -> Trav
                 queries: job.queries,
                 indexing,
             };
-            let launch = pipeline.launch(gas, n, &program, IsShaderKind::RangeNoSphereTest);
+            let launch = pipeline.launch(bvh, n, &program, IsShaderKind::RangeNoSphereTest);
             Traversal {
                 payloads: launch
                     .payloads
@@ -207,13 +197,9 @@ const OPS_PER_SCAN_TEST: u64 = 4;
 ///
 /// This is the structure-less oracle path: `BruteForceBackend` (in
 /// `rtnn-baselines`) delegates here, and so does any backend handed a
-/// [`AccelRef::Flat`] handle. The scan is charged to the simulated device
-/// as one thread per query streaming every point.
-pub fn exhaustive_traverse(
-    device: &Device,
-    accel: AccelRef<'_>,
-    job: &TraversalJob<'_>,
-) -> Traversal {
+/// flat handle ([`Accel::flat`]). The scan is charged to the simulated
+/// device as one thread per query streaming every point.
+pub fn exhaustive_traverse(device: &Device, accel: &Accel, job: &TraversalJob<'_>) -> Traversal {
     let width = accel.aabb_width();
     let num_points = accel.num_primitives().min(job.points.len());
     let points = &job.points[..num_points];
@@ -317,42 +303,18 @@ pub fn exhaustive_traverse(
 #[derive(Debug, Clone, Copy)]
 pub struct GpusimBackend<'d> {
     device: &'d Device,
-    /// Build opaque structures (no BVH or SAH introspection).
-    opaque: bool,
 }
 
 impl<'d> GpusimBackend<'d> {
-    /// The default backend on `device`, with BVH and SAH quality
-    /// introspection.
+    /// The backend on `device`.
     pub fn new(device: &'d Device) -> Self {
-        GpusimBackend {
-            device,
-            opaque: false,
-        }
-    }
-
-    /// The integration shim for a real OptiX 7 device: same launch
-    /// semantics and bit-identical results (without an RTX card the rays
-    /// execute on the same simulated pipeline), but the acceleration
-    /// structure honours the hardware contract — it is opaque, with no BVH
-    /// or SAH introspection, so quality-driven policies fall back to their
-    /// introspection-free behaviour. Named `"optix-shim"`, so profiler and
-    /// tuner signatures keep it apart from the default backend.
-    pub fn optix_shim(device: &'d Device) -> Self {
-        GpusimBackend {
-            device,
-            opaque: true,
-        }
+        GpusimBackend { device }
     }
 }
 
 impl<'d> Backend for GpusimBackend<'d> {
     fn name(&self) -> &'static str {
-        if self.opaque {
-            "optix-shim"
-        } else {
-            "gpusim"
-        }
+        "gpusim"
     }
 
     fn device(&self) -> &Device {
@@ -365,22 +327,17 @@ impl<'d> Backend for GpusimBackend<'d> {
         aabb_width: f32,
         build: BuildParams,
     ) -> Result<Accel, OutOfDeviceMemory> {
-        let gas = Gas::build(self.device, &point_aabbs(points, aabb_width), build)?;
-        Ok(if self.opaque {
-            Accel::from_gas_opaque(gas, aabb_width)
-        } else {
-            Accel::from_gas(gas, aabb_width)
-        })
+        Accel::build(self.device, points, aabb_width, build)
     }
 
     fn refit(&self, accel: &mut Accel, points: &[Vec3]) -> Option<RefitOutcome> {
         accel.refit_in_place(self.device, points)
     }
 
-    fn traverse(&self, accel: AccelRef<'_>, job: &TraversalJob<'_>) -> Traversal {
-        match accel {
-            AccelRef::Gas { gas, .. } => pipeline_traverse(self.device, gas, job),
-            flat @ AccelRef::Flat { .. } => exhaustive_traverse(self.device, flat, job),
+    fn traverse(&self, accel: &Accel, job: &TraversalJob<'_>) -> Traversal {
+        match accel.bvh() {
+            Some(bvh) => pipeline_traverse(self.device, bvh, job),
+            None => exhaustive_traverse(self.device, accel, job),
         }
     }
 
@@ -407,27 +364,25 @@ mod tests {
     }
 
     #[test]
-    fn trait_is_object_safe_and_backends_agree_on_knn() {
+    fn trait_is_object_safe_and_both_handle_kinds_agree_on_knn() {
         let device = Device::rtx_2080();
         let points = cloud();
         let queries: Vec<Vec3> = points.iter().step_by(13).copied().collect();
         let ids = identity(queries.len());
-        let backends: Vec<Box<dyn Backend + '_>> = vec![
-            Box::new(GpusimBackend::new(&device)),
-            Box::new(GpusimBackend::optix_shim(&device)),
-        ];
+        let backend: Box<dyn Backend + '_> = Box::new(GpusimBackend::new(&device));
         let job = TraversalJob {
             points: &points,
             queries: &queries,
             query_ids: &ids,
             kind: TraversalKind::Knn { radius: 1.5, k: 6 },
         };
-        let mut results = Vec::new();
-        for b in &backends {
-            let accel = b.build(&points, 3.0, BuildParams::default()).unwrap();
-            results.push(b.traverse(accel.as_ref(), &job).payloads);
-        }
-        assert_eq!(results[0], results[1], "gpusim and optix shim must agree");
+        let accel = backend.build(&points, 3.0, BuildParams::default()).unwrap();
+        let rt = backend.traverse(&accel, &job);
+        // Handed a flat handle, the same backend scans exhaustively.
+        let flat = backend.traverse(&Accel::flat(points.len(), 3.0), &job);
+        assert_eq!(rt.payloads, flat.payloads);
+        assert!(rt.metrics.node_visits > 0);
+        assert_eq!(flat.metrics.node_visits, 0);
     }
 
     #[test]
@@ -444,8 +399,8 @@ mod tests {
         };
         let backend = GpusimBackend::new(&device);
         let accel = backend.build(&points, 2.4, BuildParams::default()).unwrap();
-        let rt = backend.traverse(accel.as_ref(), &job);
-        let flat = exhaustive_traverse(&device, Accel::flat(points.len(), 2.4).as_ref(), &job);
+        let rt = backend.traverse(&accel, &job);
+        let flat = exhaustive_traverse(&device, &Accel::flat(points.len(), 2.4), &job);
         assert_eq!(rt.payloads, flat.payloads);
         assert!(flat.metrics.time_ms() > 0.0);
         assert_eq!(flat.metrics.active_rays, queries.len() as u64);
@@ -465,7 +420,7 @@ mod tests {
         let accel = Accel::flat(points.len(), 2.0);
         let with_test = exhaustive_traverse(
             &device,
-            accel.as_ref(),
+            &accel,
             &TraversalJob {
                 points: &points,
                 queries: &queries,
@@ -482,7 +437,7 @@ mod tests {
         assert_eq!(with_test.metrics.terminated_rays, 1);
         let without_test = exhaustive_traverse(
             &device,
-            accel.as_ref(),
+            &accel,
             &TraversalJob {
                 points: &points,
                 queries: &queries,
@@ -505,7 +460,7 @@ mod tests {
         let ids = identity(2);
         let t = exhaustive_traverse(
             &device,
-            Accel::flat(2, 1.0).as_ref(),
+            &Accel::flat(2, 1.0),
             &TraversalJob {
                 points: &points,
                 queries: &queries,

@@ -39,7 +39,7 @@
 //! ```
 
 use crate::approx::ApproxMode;
-use crate::backend::{Accel, AccelRef, Backend, Traversal, TraversalJob, TraversalKind};
+use crate::backend::{Accel, Backend, Traversal, TraversalJob, TraversalKind};
 use crate::engine::{OptLevel, SearchError};
 use crate::megacell::MegacellGrid;
 use crate::partition::{KnnAabbRule, MegacellCache, Partition};
@@ -139,25 +139,11 @@ impl EngineConfig {
 // Structure cache
 // ---------------------------------------------------------------------------
 
-enum StoreEntry<'a> {
-    Owned(Accel),
-    Shared(&'a Accel),
-}
-
-impl StoreEntry<'_> {
-    fn accel(&self) -> &Accel {
-        match self {
-            StoreEntry::Owned(a) => a,
-            StoreEntry::Shared(a) => a,
-        }
-    }
-}
-
 /// A width-keyed cache of acceleration structures: the index's global
 /// structure per plan radius plus the per-partition structures, owned or
 /// adopted (borrowed from a streaming index).
 pub(crate) struct AccelStore<'a> {
-    entries: Vec<StoreEntry<'a>>,
+    entries: Vec<Cow<'a, Accel>>,
 }
 
 impl<'a> AccelStore<'a> {
@@ -169,15 +155,15 @@ impl<'a> AccelStore<'a> {
 
     /// Adopt a caller-owned structure (hit by width like any other entry).
     pub(crate) fn adopt(&mut self, accel: &'a Accel) {
-        self.entries.push(StoreEntry::Shared(accel));
+        self.entries.push(Cow::Borrowed(accel));
     }
 
     pub(crate) fn len(&self) -> usize {
         self.entries.len()
     }
 
-    pub(crate) fn accel_ref(&self, id: usize) -> AccelRef<'_> {
-        self.entries[id].accel().as_ref()
+    pub(crate) fn accel(&self, id: usize) -> &Accel {
+        &self.entries[id]
     }
 
     /// The entry id of the structure cached at `aabb_width`, if any.
@@ -185,7 +171,7 @@ impl<'a> AccelStore<'a> {
         let key = aabb_width.to_bits();
         self.entries
             .iter()
-            .position(|e| e.accel().aabb_width().to_bits() == key)
+            .position(|e| e.aabb_width().to_bits() == key)
     }
 
     /// Get the structure for `aabb_width`, building (and charging) it on a
@@ -205,7 +191,7 @@ impl<'a> AccelStore<'a> {
             .build(points, aabb_width, BuildParams::default())
             .map_err(SearchError::OutOfDeviceMemory)?;
         let build_ms = accel.build_time_ms();
-        self.entries.push(StoreEntry::Owned(accel));
+        self.entries.push(Cow::Owned(accel));
         Ok((self.entries.len() - 1, build_ms))
     }
 
@@ -238,7 +224,7 @@ impl<'a> AccelStore<'a> {
         for accel in built {
             let accel = accel.map_err(SearchError::OutOfDeviceMemory)?;
             total_ms += accel.build_time_ms();
-            self.entries.push(StoreEntry::Owned(accel));
+            self.entries.push(Cow::Owned(accel));
         }
         Ok(total_ms)
     }
@@ -629,8 +615,7 @@ impl<'a> Index<'a> {
         let schedule = meter.stage(StageKind::Schedule, || {
             let schedule = schedule_stage.run(&ScheduleCx {
                 backend,
-                accel: schedule_width
-                    .map(|w| store.accel_ref(store.find(w).expect("ensured above"))),
+                accel: schedule_width.map(|w| store.accel(store.find(w).expect("ensured above"))),
                 points,
                 point_bounds,
                 queries,
@@ -764,7 +749,7 @@ fn traverse_partition(
         },
     };
     let traversal = backend.traverse(
-        store.accel_ref(aid),
+        store.accel(aid),
         &TraversalJob {
             points,
             queries,

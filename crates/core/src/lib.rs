@@ -33,9 +33,9 @@
 //! [`Index`] once over the points, then answer typed [`QueryPlan`]s
 //! against it — different radii, Ks and variants, even a heterogeneous
 //! [`QueryPlan::Batch`] in one call — on a pluggable [`Backend`]
-//! ([`GpusimBackend`], whose [`GpusimBackend::optix_shim`] constructor is
-//! the real-hardware shim, and `BruteForceBackend` in `rtnn-baselines` as
-//! the oracle).
+//! ([`GpusimBackend`], the one ray-tracing backend, or `BruteForceBackend`
+//! in `rtnn-baselines`, the structure-less oracle). Either backend builds
+//! an [`Accel`], the one handle for a structure from build to traversal.
 //!
 //! ```
 //! use rtnn::{EngineConfig, GpusimBackend, Index, QueryPlan};
@@ -88,8 +88,8 @@ pub mod verify;
 pub use approx::ApproxMode;
 pub use autotune::{AutoTuner, DecisionSource, TunerDecision, TunerReport};
 pub use backend::{
-    exhaustive_traverse, Accel, AccelRef, Backend, GpusimBackend, RefitOutcome, Traversal,
-    TraversalJob, TraversalKind,
+    exhaustive_traverse, Accel, Backend, GpusimBackend, RefitOutcome, Traversal, TraversalJob,
+    TraversalKind,
 };
 pub use bundling::{apply_bundles, plan_bundles, BundlePlan};
 pub use cost_model::CostCoefficients;

@@ -5,7 +5,7 @@
 //! consumes. (`Launch` and `Gather` are fixed steps of the driver in
 //! [`crate::index`].)
 
-use crate::backend::{Backend, TraversalJob, TraversalKind};
+use crate::backend::{Accel, Backend, TraversalJob, TraversalKind};
 use crate::bundling::{apply_bundles, plan_bundles};
 use crate::cost_model::CostCoefficients;
 use crate::index::EngineConfig;
@@ -15,7 +15,7 @@ use crate::result::SearchParams;
 use crate::scheduling::{anchor_keys, charge_sort_kernel, QuerySchedule};
 use rtnn_gpusim::KernelMetrics;
 use rtnn_math::{Aabb, Vec3};
-use rtnn_optix::{AccelRef, LaunchMetrics};
+use rtnn_optix::LaunchMetrics;
 use rtnn_parallel::par_sort_by_key;
 
 // ---------------------------------------------------------------------------
@@ -31,7 +31,7 @@ pub struct ScheduleCx<'r> {
     /// uses). The driver supplies it exactly when the schedule's
     /// [`needs_structure`](Schedule::needs_structure) is true, so no
     /// structure is built for a schedule that never traverses one.
-    pub accel: Option<AccelRef<'r>>,
+    pub accel: Option<&'r Accel>,
     /// Search points.
     pub points: &'r [Vec3],
     /// The bounds of `points` ([`Aabb::from_points`]); the driver keeps

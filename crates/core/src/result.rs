@@ -391,7 +391,7 @@ mod tests {
         // Unsharded reference: one structure over every point.
         let accel = backend.build(&points, 3.2, BuildParams::default()).unwrap();
         let reference = backend.traverse(
-            accel.as_ref(),
+            &accel,
             &TraversalJob {
                 points: &points,
                 queries: &queries,
@@ -412,7 +412,7 @@ mod tests {
                     .build(&shard_points, 3.2, BuildParams::default())
                     .unwrap();
                 let local = backend.traverse(
-                    shard_accel.as_ref(),
+                    &shard_accel,
                     &TraversalJob {
                         points: &shard_points,
                         queries: &queries,

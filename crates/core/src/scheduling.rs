@@ -150,7 +150,7 @@ mod tests {
         let ids: Vec<u32> = (0..queries.len() as u32).collect();
         Schedule::Coherence.run(&ScheduleCx {
             backend: &backend,
-            accel: Some(accel.as_ref()),
+            accel: Some(&accel),
             points,
             point_bounds: Aabb::from_points(points),
             queries,

@@ -7,7 +7,7 @@ use rtnn::{
     Accel, AdoptedScene, Backend, GpusimBackend, Index, MegacellCache, MegacellGrid, PlanError,
     QueryPlan, RtnnConfig, SearchError, SearchResults, StageOverrides,
 };
-use rtnn_bvh::{BuildParams, SahMonitor, SlotSet};
+use rtnn_bvh::{BuildParams, Bvh, SlotSet};
 use rtnn_gpusim::{Device, FrameAccumulator};
 use rtnn_math::{Aabb, Vec3};
 
@@ -35,7 +35,7 @@ pub struct FrameResult {
     pub action: StructureAction,
     /// SAH quality ratio of the (refitted) tree against its last rebuild
     /// (1.0 right after a rebuild; grows as the topology goes stale; stays
-    /// 1.0 on backends that expose no tree quality).
+    /// 1.0 on backends that build no tree).
     pub quality_ratio: f64,
     /// Simulated milliseconds spent on structure maintenance this frame
     /// (refit and/or rebuild time; also included in the results' breakdown).
@@ -162,7 +162,9 @@ pub struct DynamicIndex<'d> {
     moved: SlotSet,
     /// Structure state (None until the first search).
     accel: Option<Accel>,
-    monitor: Option<SahMonitor>,
+    /// SAH cost of the tree at its last rebuild (`None` for a backend that
+    /// builds no tree): the baseline of every refit's quality ratio.
+    built_sah: Option<f64>,
     grid: Option<MegacellGrid>,
     cache: MegacellCache,
     /// Union of every grid dirty region not yet durably absorbed into the
@@ -221,7 +223,7 @@ impl<'d> DynamicIndex<'d> {
             membership_dirty: false,
             moved: SlotSet::default(),
             accel: None,
-            monitor: None,
+            built_sah: None,
             grid: None,
             cache: MegacellCache::default(),
             last_traversal_ms: None,
@@ -522,10 +524,10 @@ impl<'d> DynamicIndex<'d> {
             match outcome {
                 Some(refit) => {
                     structure_ms += refit.refit_ms;
-                    quality_ratio = match (refit.sah_after, self.monitor.as_ref()) {
-                        (Some(sah), Some(m)) if m.built_sah() > 0.0 => {
-                            (sah / m.built_sah()).max(1.0)
-                        }
+                    // Never below 1.0: a refit can coincidentally tighten
+                    // boxes, and the policy only weighs degradation.
+                    quality_ratio = match (refit.sah_after, self.built_sah) {
+                        (Some(sah), Some(built)) if built > 0.0 => (sah / built).max(1.0),
                         _ => 1.0,
                     };
                     let timing = self.backend.as_dyn().timing(n);
@@ -610,9 +612,8 @@ impl<'d> DynamicIndex<'d> {
             .build(&self.compact, width, BuildParams::default())
             .map_err(SearchError::OutOfDeviceMemory)?;
         let build_ms = accel.build_time_ms();
-        // Backends that expose tree quality seed the SAH baseline; opaque
-        // backends leave the monitor empty (quality stays 1.0).
-        self.monitor = accel.gas().map(|g| SahMonitor::baseline(g.bvh()));
+        // A built tree seeds the SAH baseline; without one, quality stays 1.0.
+        self.built_sah = accel.bvh().map(Bvh::sah_cost);
         self.accel = Some(accel);
         self.grid = MegacellGrid::build(&self.compact, budget);
         self.cache.invalidate_all(0);
@@ -651,8 +652,8 @@ impl<'d> DynamicIndex<'d> {
 mod tests {
     use super::*;
     use rtnn::{
-        AccelRef, EngineConfig, OptLevel, PlanSlice, RefitOutcome, SearchParams, StructureTiming,
-        Traversal, TraversalJob,
+        exhaustive_traverse, EngineConfig, OptLevel, PlanSlice, RefitOutcome, SearchParams,
+        StructureTiming, Traversal, TraversalJob,
     };
     use rtnn_gpusim::device::OutOfDeviceMemory;
     use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
@@ -980,7 +981,7 @@ mod tests {
             self.inner.refit(accel, points)
         }
 
-        fn traverse(&self, accel: AccelRef<'_>, job: &TraversalJob<'_>) -> Traversal {
+        fn traverse(&self, accel: &Accel, job: &TraversalJob<'_>) -> Traversal {
             self.inner.traverse(accel, job)
         }
 
@@ -1429,12 +1430,49 @@ mod tests {
         assert_eq!(report[0].decisions, 8);
     }
 
+    /// A backend that builds no tree: flat handles, answered by exhaustive
+    /// scan on the device.
+    struct FlatBackend<'d> {
+        device: &'d Device,
+    }
+
+    impl Backend for FlatBackend<'_> {
+        fn name(&self) -> &'static str {
+            "flat"
+        }
+
+        fn device(&self) -> &Device {
+            self.device
+        }
+
+        fn build(
+            &self,
+            points: &[Vec3],
+            aabb_width: f32,
+            _build: BuildParams,
+        ) -> Result<Accel, OutOfDeviceMemory> {
+            Ok(Accel::flat(points.len(), aabb_width))
+        }
+
+        fn refit(&self, accel: &mut Accel, points: &[Vec3]) -> Option<RefitOutcome> {
+            accel.refit_in_place(self.device, points)
+        }
+
+        fn traverse(&self, accel: &Accel, job: &TraversalJob<'_>) -> Traversal {
+            exhaustive_traverse(self.device, accel, job)
+        }
+
+        fn timing(&self, _num_prims: usize) -> StructureTiming {
+            StructureTiming::default()
+        }
+    }
+
     #[test]
     fn explicit_backends_drive_the_dynamic_index() {
-        // The opaque OptiX shim exposes no SAH, so quality stays 1.0 and
-        // the adaptive policy relies on its cap — results stay exact.
+        // A backend without a tree has no SAH, so quality stays 1.0 and the
+        // adaptive policy relies on its cap — results stay exact.
         let device = Device::rtx_2080();
-        let backend = GpusimBackend::optix_shim(&device);
+        let backend = FlatBackend { device: &device };
         let points = jittered_block(5, 0.7);
         let config = RtnnConfig::new(SearchParams::knn(1.4, 6));
         let mut index = DynamicIndex::with_backend(&backend, config, RebuildPolicy::adaptive());
@@ -1450,7 +1488,7 @@ mod tests {
         }
         let f1 = index.search(&queries).unwrap();
         assert_eq!(f1.action, StructureAction::Refit);
-        assert_eq!(f1.quality_ratio, 1.0, "opaque backend exposes no SAH");
+        assert_eq!(f1.quality_ratio, 1.0, "a backend without a tree has no SAH");
         // Exactness against the default backend's fresh engine.
         let moved: Vec<Vec3> = (0..points.len() as u32)
             .filter_map(|h| index.position(h))
@@ -1459,5 +1497,42 @@ mod tests {
         let mut fresh = Index::build(&gpusim, &moved[..], config.engine);
         let reference = fresh.query(&queries, &config.plan()).unwrap();
         assert_eq!(f1.results.neighbors, reference.neighbors);
+    }
+
+    #[test]
+    fn a_refit_frame_reports_the_refitted_over_the_built_sah() {
+        let device = Device::rtx_2080();
+        let mut points = jittered_block(7, 0.5);
+        let config = RtnnConfig::new(SearchParams::knn(1.2, 8));
+        let mut index = DynamicIndex::with_policy(&device, config, RebuildPolicy::never_rebuild());
+        for &p in &points {
+            index.insert(p);
+        }
+        let queries: Vec<Vec3> = points.iter().step_by(5).copied().collect();
+        assert_eq!(
+            index.search(&queries).unwrap().action,
+            StructureAction::Rebuilt
+        );
+        // Scatter every point to another's place (37 is coprime with the
+        // 7³ points): the frozen topology now groups far-apart points, so
+        // the refitted tree is clearly worse.
+        let built_points = points.clone();
+        for (h, p) in points.iter_mut().enumerate() {
+            *p = built_points[h * 37 % built_points.len()] + Vec3::new(0.1, -0.05, 0.02);
+            index.move_point(h as u32, *p);
+        }
+        let frame = index.search(&queries).unwrap();
+        assert_eq!(frame.action, StructureAction::Refit);
+
+        // The same ratio, straight from rtnn-bvh over the same cubes.
+        let width = config.engine.aabb_width(config.params.radius);
+        let cubes =
+            |pts: &[Vec3]| -> Vec<Aabb> { pts.iter().map(|&p| Aabb::cube(p, width)).collect() };
+        let built = rtnn_bvh::build_bvh(&cubes(&built_points), BuildParams::default());
+        let mut refitted = built.clone();
+        rtnn_bvh::refit_bvh_serial(&mut refitted, &cubes(&points)).unwrap();
+        let want = (refitted.sah_cost() / built.sah_cost()).max(1.0);
+        assert!(want > 1.2, "the swap must degrade the tree, got {want}");
+        assert_eq!(frame.quality_ratio, want);
     }
 }

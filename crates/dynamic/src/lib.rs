@@ -23,8 +23,9 @@
 //!   whose reachable cells changed population.
 //! * A **refit-vs-rebuild policy** ([`RebuildPolicy`]) driven by the
 //!   execution backend's structure timing (`rtnn::Backend::timing`):
-//!   refitting degrades tree quality (the SAH monitor measures by how
-//!   much), so each frame the policy compares the predicted traversal
+//!   refitting degrades tree quality (the refitted tree's SAH cost over the
+//!   built one's measures by how much), so each frame the policy compares
+//!   the predicted traversal
 //!   penalty of keeping the refitted tree against the backend-reported
 //!   rebuild premium and picks whichever is faster. Structural changes
 //!   (insert/remove) always rebuild — a refit cannot re-topologize.
@@ -41,8 +42,9 @@
 //! [`DynamicIndex::remove`] clears a liveness flag. The next frame visits
 //! the moved handles in ascending order, so its upkeep grows with the
 //! moved points (finiteness check, compact copy, grid rebinning) and with
-//! the tree's nodes (the refit recomputes every node box, on the worker
-//! pool for trees of 4,096 nodes or more), plus a grid refill when points
+//! the tree's nodes (the refit writes every leaf slot's cube and
+//! recomputes every node box, on the worker pool for trees of 4,096 nodes
+//! or more), plus a grid refill when points
 //! change cell or a grid rebuild when one leaves the grid. An insert or a
 //! removal makes the next frame rebuild from every live point.
 //!

@@ -3,9 +3,9 @@
 //!
 //! Refitting a BVH in place is several times cheaper than a rebuild but
 //! freezes the topology: as points drift from the positions the tree was
-//! built for, sibling AABBs overlap and traversal slows down. The SAH
-//! monitor (`rtnn_bvh::SahMonitor`) expresses that degradation as a
-//! quality ratio `q ≥ 1` (refitted SAH cost over freshly-built SAH cost),
+//! built for, sibling AABBs overlap and traversal slows down. The
+//! `DynamicIndex` expresses that degradation as a quality ratio `q ≥ 1`
+//! (refitted SAH cost over freshly-built SAH cost, `rtnn_bvh::Bvh::sah_cost`),
 //! which is a first-order predictor of traversal time: a query round that
 //! took `S` ms on a fresh tree is predicted to take `q·S` on the refitted
 //! one.
@@ -24,9 +24,9 @@
 //! the rebuild would cost over a refit — plus a hard quality cap as a
 //! safety net for workloads whose `S` is noisy or unknown.
 //!
-//! Backends that expose no tree quality (the opaque OptiX shim, the
-//! brute-force oracle) report `q = 1`, so the adaptive policy degrades
-//! gracefully to refit-only behaviour there.
+//! A backend that builds no tree (the brute-force oracle) reports `q = 1`,
+//! so the adaptive policy degrades gracefully to refit-only behaviour
+//! there.
 
 use rtnn::StructureTiming;
 

@@ -1,114 +1,102 @@
-//! The opaque acceleration-structure handle a search backend returns.
+//! The acceleration structure a search backend builds (the OptiX "GAS").
 //!
-//! Search backends (`rtnn::Backend` implementations) build different things:
-//! the ray-tracing backends build a [`Gas`] over per-point AABBs, while the
-//! brute-force oracle keeps no structure at all and scans the flat point
-//! array at traversal time. [`Accel`] is the common handle: it records the
-//! per-point AABB width the structure was built for, the simulated build
-//! cost, and — for structure-owning backends — the [`Gas`] itself.
-//!
-//! [`AccelRef`] is the borrowed, traversal-facing view: engines can hold a
-//! structure in a cache (or adopt one from a streaming index) and hand
-//! backends a cheap copyable reference per launch.
+//! In OptiX, `optixAccelBuild` runs on the SMs, is non-programmable, and its
+//! cost is what the bundling optimisation of Section 5.2 trades against
+//! search time (`T_build = k1 · M`, Equation 3). An [`Accel`] therefore
+//! records the simulated build time reported by the device's build-rate
+//! model along with the structure itself: a BVH over width-`aabb_width`
+//! cubes centred at the points (Listing 1's `buildBVH(points, radius)`).
+//! The brute-force oracle keeps no structure and scans the flat point
+//! array at traversal time; its [`Accel::flat`] handle records only the
+//! point count.
 
-use crate::gas::Gas;
+use rtnn_bvh::{build_point_bvh, refit_point_bvh, BuildParams, Bvh};
+use rtnn_gpusim::device::OutOfDeviceMemory;
 use rtnn_gpusim::Device;
-use rtnn_math::{Aabb, Vec3};
-use rtnn_parallel::par_map;
+use rtnn_math::Vec3;
+use rtnn_telemetry::Telemetry;
+use std::time::Instant;
 
-/// Outcome of an in-place [`Accel`] refit through a backend.
+/// Simulated device-side size of one BVH node in bytes.
+pub const NODE_BYTES: u64 = 32;
+/// Simulated device-side size of one primitive record (AABB + id) in bytes.
+pub const PRIM_BYTES: u64 = 32;
+
+/// Outcome of an in-place [`Accel`] refit.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RefitOutcome {
     /// Simulated milliseconds the refit cost.
     pub refit_ms: f64,
-    /// SAH cost of the tree after the refit, when the backend exposes tree
-    /// quality (`None` for structure-less backends and for hardware shims
-    /// that treat the tree as opaque).
+    /// SAH cost of the tree after the refit (`None` for flat handles).
     pub sah_after: Option<f64>,
 }
 
-#[derive(Debug, Clone)]
-enum AccelKind {
-    /// A BVH-backed structure. `expose_quality` is false for backends that
-    /// treat the hardware tree as opaque (no SAH introspection).
-    Gas { gas: Gas, expose_quality: bool },
-    /// No structure: the backend scans the flat point array at traversal
-    /// time (the brute-force oracle).
-    Flat { num_points: usize },
-}
-
-/// An acceleration structure built by a search backend (see module docs).
+/// An acceleration structure over per-point cubes (see module docs).
 #[derive(Debug, Clone)]
 pub struct Accel {
-    kind: AccelKind,
+    /// The BVH, or `None` for a flat handle.
+    bvh: Option<Bvh>,
+    num_primitives: usize,
     aabb_width: f32,
     build_ms: f64,
 }
 
 impl Accel {
-    /// Wrap a built [`Gas`] whose primitives are width-`aabb_width` cubes,
-    /// exposing its tree quality (SAH) to policies.
-    pub fn from_gas(gas: Gas, aabb_width: f32) -> Self {
-        let build_ms = gas.build_time_ms();
-        Accel {
-            kind: AccelKind::Gas {
-                gas,
-                expose_quality: true,
-            },
+    /// Build a BVH over width-`aabb_width` cubes centred at `points` on
+    /// `device`.
+    ///
+    /// Fails with [`OutOfDeviceMemory`] if the structure does not fit in the
+    /// device's memory (the `OOM` outcomes of Figure 11).
+    pub fn build(
+        device: &Device,
+        points: &[Vec3],
+        aabb_width: f32,
+        params: BuildParams,
+    ) -> Result<Accel, OutOfDeviceMemory> {
+        let tel = Telemetry::current();
+        let mut span = tel.as_ref().map(|t| t.span("accel.build"));
+        let wall = Instant::now();
+        // `build_point_bvh` takes the cube's half width. Halving a width,
+        // doubling it back and halving it again gives the bits of one
+        // halving, so every cube is bit-equal to `Aabb::cube(p, aabb_width)`.
+        let bvh = build_point_bvh(points, 0.5 * aabb_width, params);
+        let host_wall_ms = wall.elapsed().as_secs_f64() * 1e3;
+        let memory_bytes =
+            bvh.num_nodes() as u64 * NODE_BYTES + bvh.num_primitives() as u64 * PRIM_BYTES;
+        device.check_allocation(memory_bytes)?;
+        let build_ms = device.accel_build_time_ms(points.len());
+        if let Some(t) = &tel {
+            t.counter_add("accel.builds", 1);
+            t.observe("accel.build.device_ms", build_ms);
+        }
+        if let Some(span) = span.as_mut() {
+            span.attr("device_ms", build_ms)
+                .attr("primitives", points.len() as f64)
+                .attr("memory_bytes", memory_bytes as f64)
+                .attr_wall("host_wall_ms", host_wall_ms);
+        }
+        Ok(Accel {
+            bvh: Some(bvh),
+            num_primitives: points.len(),
             aabb_width,
             build_ms,
-        }
-    }
-
-    /// Wrap a built [`Gas`] as an *opaque* hardware structure: traversable,
-    /// refittable, but without SAH introspection — the contract a real
-    /// OptiX 7 device gives you.
-    pub fn from_gas_opaque(gas: Gas, aabb_width: f32) -> Self {
-        let build_ms = gas.build_time_ms();
-        Accel {
-            kind: AccelKind::Gas {
-                gas,
-                expose_quality: false,
-            },
-            aabb_width,
-            build_ms,
-        }
+        })
     }
 
     /// A structure-less handle over `num_points` points with a nominal
     /// per-point AABB width (the brute-force oracle's "structure").
     pub fn flat(num_points: usize, aabb_width: f32) -> Self {
         Accel {
-            kind: AccelKind::Flat { num_points },
+            bvh: None,
+            num_primitives: num_points,
             aabb_width,
             build_ms: 0.0,
         }
     }
 
-    /// Borrowed traversal-facing view.
-    pub fn as_ref(&self) -> AccelRef<'_> {
-        match &self.kind {
-            AccelKind::Gas { gas, .. } => AccelRef::Gas {
-                gas,
-                aabb_width: self.aabb_width,
-            },
-            AccelKind::Flat { num_points } => AccelRef::Flat {
-                num_points: *num_points,
-                aabb_width: self.aabb_width,
-            },
-        }
-    }
-
-    /// The underlying BVH-backed structure, when the backend exposes tree
-    /// quality (`None` for flat handles and opaque hardware trees).
-    pub fn gas(&self) -> Option<&Gas> {
-        match &self.kind {
-            AccelKind::Gas {
-                gas,
-                expose_quality: true,
-            } => Some(gas),
-            _ => None,
-        }
+    /// The BVH (`None` for flat handles).
+    pub fn bvh(&self) -> Option<&Bvh> {
+        self.bvh.as_ref()
     }
 
     /// Per-point AABB width the structure was built for.
@@ -123,139 +111,105 @@ impl Accel {
 
     /// Number of point primitives covered.
     pub fn num_primitives(&self) -> usize {
-        match &self.kind {
-            AccelKind::Gas { gas, .. } => gas.num_primitives(),
-            AccelKind::Flat { num_points } => *num_points,
-        }
+        self.num_primitives
     }
 
-    /// Refit the structure in place over moved `points` (same count, same
-    /// AABB width). Returns `None` when the handle cannot absorb the update
-    /// — primitive count changed, or the structure kind does not support
-    /// refits — in which case the caller should rebuild.
+    /// Refit the structure in place over moved `points` (the OptiX
+    /// `BUILD_OPERATION_UPDATE` path): the cubes keep their width, the tree
+    /// keeps its topology and with it its device-memory footprint, and the
+    /// boxes are recomputed bottom-up. Returns `None` when the primitive
+    /// count changed (a refit cannot re-topologize): the caller should
+    /// rebuild. A flat handle reads positions from the caller's array at
+    /// traversal time, so its same-count refit is free.
     pub fn refit_in_place(&mut self, device: &Device, points: &[Vec3]) -> Option<RefitOutcome> {
-        let width = self.aabb_width;
-        match &mut self.kind {
-            AccelKind::Gas {
-                gas,
-                expose_quality,
-            } => {
-                if gas.num_primitives() != points.len() {
-                    return None;
-                }
-                let aabbs = par_map(points.len(), |i| Aabb::cube(points[i], width));
-                let refit = gas.refit(device, &aabbs).ok()?;
-                Some(RefitOutcome {
-                    refit_ms: refit.refit_time_ms,
-                    sah_after: expose_quality.then_some(refit.stats.sah_after),
-                })
-            }
-            AccelKind::Flat { num_points } => {
-                // Positions are read from the caller's array at traversal
-                // time, so a same-count "refit" is free; a count change
-                // needs a (also free) rebuild, reported as unsupported for
-                // uniformity with the structure-owning backends.
-                if *num_points != points.len() {
-                    return None;
-                }
-                Some(RefitOutcome {
-                    refit_ms: 0.0,
-                    sah_after: None,
-                })
-            }
+        if points.len() != self.num_primitives {
+            return None;
         }
-    }
-}
-
-/// Borrowed view of an [`Accel`], cheap to copy per launch. Engines that
-/// keep structures in caches (or adopt one from a streaming index) hand
-/// backends this view instead of the owning handle.
-#[derive(Debug, Clone, Copy)]
-pub enum AccelRef<'a> {
-    /// A BVH-backed structure.
-    Gas {
-        /// The structure.
-        gas: &'a Gas,
-        /// Per-point AABB width it was built for.
-        aabb_width: f32,
-    },
-    /// No structure: scan the flat point array.
-    Flat {
-        /// Number of point primitives.
-        num_points: usize,
-        /// Nominal per-point AABB width (containment tests use it).
-        aabb_width: f32,
-    },
-}
-
-impl<'a> AccelRef<'a> {
-    /// Number of point primitives covered.
-    pub fn num_primitives(&self) -> usize {
-        match self {
-            AccelRef::Gas { gas, .. } => gas.num_primitives(),
-            AccelRef::Flat { num_points, .. } => *num_points,
+        let Some(bvh) = self.bvh.as_mut() else {
+            return Some(RefitOutcome {
+                refit_ms: 0.0,
+                sah_after: None,
+            });
+        };
+        let tel = Telemetry::current();
+        let mut span = tel.as_ref().map(|t| t.span("accel.refit"));
+        let wall = Instant::now();
+        let stats = refit_point_bvh(bvh, points, self.aabb_width)
+            .expect("the primitive count was checked above");
+        let host_wall_ms = wall.elapsed().as_secs_f64() * 1e3;
+        let refit_ms = device.accel_refit_time_ms(points.len());
+        if let Some(t) = &tel {
+            t.counter_add("accel.refits", 1);
+            t.observe("accel.refit.device_ms", refit_ms);
         }
-    }
-
-    /// Per-point AABB width the structure was built for.
-    pub fn aabb_width(&self) -> f32 {
-        match self {
-            AccelRef::Gas { aabb_width, .. } | AccelRef::Flat { aabb_width, .. } => *aabb_width,
+        if let Some(span) = span.as_mut() {
+            span.attr("device_ms", refit_ms)
+                .attr("primitives", points.len() as f64)
+                .attr("nodes_updated", stats.nodes_updated as f64)
+                .attr_wall("host_wall_ms", host_wall_ms);
         }
+        Some(RefitOutcome {
+            refit_ms,
+            sah_after: Some(stats.sah_after),
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rtnn_bvh::BuildParams;
+    use rtnn_bvh::validate_bvh;
 
     fn cloud(n: usize) -> Vec<Vec3> {
         (0..n)
-            .map(|i| Vec3::new((i % 7) as f32, ((i / 7) % 7) as f32, (i / 49) as f32))
+            .map(|i| Vec3::new((i % 10) as f32, ((i / 10) % 10) as f32, (i / 100) as f32))
             .collect()
     }
 
-    #[test]
-    fn gas_handle_round_trip() {
-        let device = Device::rtx_2080();
-        let pts = cloud(200);
-        let gas = Gas::build_from_points(&device, &pts, 0.5, BuildParams::default()).unwrap();
-        let accel = Accel::from_gas(gas, 1.0);
-        assert_eq!(accel.num_primitives(), 200);
-        assert_eq!(accel.aabb_width(), 1.0);
-        assert!(accel.build_time_ms() > 0.0);
-        assert!(accel.gas().is_some());
-        assert!(matches!(accel.as_ref(), AccelRef::Gas { aabb_width, .. } if aabb_width == 1.0));
-        assert_eq!(accel.as_ref().num_primitives(), 200);
+    fn build(device: &Device, points: &[Vec3]) -> Accel {
+        Accel::build(device, points, 1.0, BuildParams::default()).unwrap()
     }
 
     #[test]
-    fn opaque_handle_hides_the_tree_but_still_refits() {
+    fn build_produces_valid_structure_with_costs() {
         let device = Device::rtx_2080();
-        let mut pts = cloud(150);
-        let gas = Gas::build_from_points(&device, &pts, 0.5, BuildParams::default()).unwrap();
-        let mut accel = Accel::from_gas_opaque(gas, 1.0);
-        assert!(accel.gas().is_none(), "opaque trees expose no BVH");
-        for p in pts.iter_mut() {
-            p.x += 0.05;
+        let accel = build(&device, &cloud(500));
+        assert_eq!(accel.num_primitives(), 500);
+        assert_eq!(accel.aabb_width(), 1.0);
+        assert!(accel.build_time_ms() > 0.0);
+        let bvh = accel.bvh().expect("a built structure owns its BVH");
+        validate_bvh(bvh).unwrap();
+        assert_eq!(bvh.prim_aabbs[0].extent(), Vec3::splat(1.0));
+    }
+
+    #[test]
+    fn refit_updates_structure_cheaply_and_keeps_its_topology() {
+        let device = Device::rtx_2080();
+        let mut pts = cloud(600);
+        let mut accel = build(&device, &pts);
+        let built = accel.bvh().unwrap().clone();
+        for (i, p) in pts.iter_mut().enumerate() {
+            p.x += 0.2 * ((i % 5) as f32);
         }
-        let outcome = accel.refit_in_place(&device, &pts).unwrap();
-        assert!(outcome.refit_ms > 0.0);
-        assert_eq!(outcome.sah_after, None, "opaque trees expose no SAH");
-        // Transparent handles report quality.
-        let gas2 = Gas::build_from_points(&device, &pts, 0.5, BuildParams::default()).unwrap();
-        let mut transparent = Accel::from_gas(gas2, 1.0);
-        let o2 = transparent.refit_in_place(&device, &pts).unwrap();
-        assert!(o2.sah_after.is_some());
+        let refit = accel.refit_in_place(&device, &pts).unwrap();
+        assert!(refit.refit_ms > 0.0);
+        assert!(refit.refit_ms < accel.build_time_ms());
+        let bvh = accel.bvh().unwrap();
+        assert_eq!(refit.sah_after, Some(bvh.sah_cost()));
+        assert_eq!(bvh.num_nodes(), built.num_nodes());
+        assert_eq!(bvh.prim_indices, built.prim_indices);
+        validate_bvh(bvh).unwrap();
+        // The refit tracked the motion: root bounds cover the moved points.
+        for &p in &pts {
+            assert!(bvh.root_bounds().contains_point(p));
+        }
     }
 
     #[test]
     fn refit_rejects_count_changes() {
         let device = Device::rtx_2080();
         let pts = cloud(100);
-        let gas = Gas::build_from_points(&device, &pts, 0.5, BuildParams::default()).unwrap();
-        let mut accel = Accel::from_gas(gas, 1.0);
+        let mut accel = build(&device, &pts);
         assert!(accel.refit_in_place(&device, &pts[..50]).is_none());
         let mut flat = Accel::flat(100, 1.0);
         assert!(flat.refit_in_place(&device, &pts).is_some());
@@ -264,16 +218,44 @@ mod tests {
 
     #[test]
     fn flat_handle_has_no_structure_cost() {
-        let accel = Accel::flat(42, 2.0);
+        let device = Device::rtx_2080();
+        let mut accel = Accel::flat(42, 2.0);
         assert_eq!(accel.num_primitives(), 42);
+        assert_eq!(accel.aabb_width(), 2.0);
         assert_eq!(accel.build_time_ms(), 0.0);
-        assert!(accel.gas().is_none());
-        assert!(matches!(
-            accel.as_ref(),
-            AccelRef::Flat {
-                num_points: 42,
-                aabb_width
-            } if aabb_width == 2.0
-        ));
+        assert!(accel.bvh().is_none());
+        let refit = accel.refit_in_place(&device, &cloud(42)).unwrap();
+        assert_eq!(refit.refit_ms, 0.0);
+        assert_eq!(refit.sah_after, None);
+    }
+
+    #[test]
+    fn build_time_scales_linearly_with_primitives() {
+        let device = Device::rtx_2080();
+        let t = |n: usize| build(&device, &cloud(n)).build_time_ms();
+        let (t1, t2, t4) = (t(200), t(400), t(800));
+        assert!(((t4 - t2) - 2.0 * (t2 - t1)).abs() < 1e-9);
+    }
+
+    #[test]
+    fn empty_build_is_cheap_and_valid() {
+        let device = Device::rtx_2080();
+        let accel = build(&device, &[]);
+        assert_eq!(accel.num_primitives(), 0);
+        assert_eq!(accel.build_time_ms(), 0.0);
+    }
+
+    #[test]
+    fn oversized_build_reports_oom() {
+        // The tiny test device has 256 MB; ask for more primitives than fit.
+        let device = Device::tiny_test_device();
+        let too_many = (device.config().memory_bytes / PRIM_BYTES + 1) as usize;
+        // Constructing that many real points would blow host memory, so
+        // check the allocation path directly with the device API instead.
+        assert!(device
+            .check_allocation(too_many as u64 * PRIM_BYTES)
+            .is_err());
+        // And a small build on the same device succeeds.
+        assert!(Accel::build(&device, &cloud(100), 0.6, BuildParams::default()).is_ok());
     }
 }

@@ -12,9 +12,11 @@
 //!
 //! This crate reproduces that model:
 //!
-//! * [`Gas`] is the acceleration structure: it owns a BVH over the primitive
-//!   AABBs and carries the simulated build time (linear in the primitive
-//!   count) and device-memory footprint.
+//! * [`Accel`] is the acceleration structure, from build to traversal: it
+//!   owns a BVH over width-`w` cubes centred at the points and carries the
+//!   simulated build time (linear in the primitive count); it refits in
+//!   place when the points move. The brute-force oracle's flat handle
+//!   records only the point count.
 //! * [`RayProgram`] is the shader binding table: user code implements
 //!   `ray_gen` / `intersection` / `closest_hit` / `miss`, and terminates
 //!   rays from the IS shader exactly the way RTNN's AH shader does.
@@ -25,11 +27,9 @@
 //!   the distinct BVH slots the warp's rays read (see [`pipeline`]).
 
 pub mod accel;
-pub mod gas;
 pub mod pipeline;
 pub mod shader;
 
-pub use accel::{Accel, AccelRef, RefitOutcome};
-pub use gas::{Gas, GasRefit};
+pub use accel::{Accel, RefitOutcome};
 pub use pipeline::{LaunchMetrics, LaunchResult, Pipeline};
 pub use shader::{IsVerdict, RayProgram};

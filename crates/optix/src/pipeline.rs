@@ -1,5 +1,5 @@
 //! The launch path: map launch indices to rays, group 32 consecutive rays
-//! into a warp, traverse the GAS for every ray, run the shaders, and charge
+//! into a warp, traverse the BVH for every ray, run the shaders, and charge
 //! the work to the simulated device.
 //!
 //! The warp grouping matters: the paper's Section 3.2.1 observes that
@@ -60,7 +60,7 @@
 //! 2.6 MB per thread and the word lists at most 1.3 MB (u32 visit stamps
 //! would take about 82 MB).
 
-use crate::gas::{Gas, NODE_BYTES, PRIM_BYTES};
+use crate::accel::{NODE_BYTES, PRIM_BYTES};
 use crate::shader::{IsVerdict, RayProgram};
 use rtnn_bvh::{Bvh, TraversalControl, VisitMarks};
 use rtnn_gpusim::kernel::{BVH_NODES_BASE, BVH_PRIMS_BASE};
@@ -330,19 +330,18 @@ impl<'d> Pipeline<'d> {
         self.device
     }
 
-    /// Launch `num_rays` rays of `program` against `gas`.
+    /// Launch `num_rays` rays of `program` against `bvh`.
     ///
     /// `is_kind` selects the simulated cost of each IS invocation (range
     /// with/without sphere test, or KNN) — see
     /// [`rtnn_gpusim::CostModel`].
     pub fn launch<P: RayProgram>(
         &self,
-        gas: &Gas,
+        bvh: &Bvh,
         num_rays: usize,
         program: &P,
         is_kind: IsShaderKind,
     ) -> LaunchResult<P::Payload> {
-        let bvh = gas.bvh();
         let warp_size = self.device.config().warp_size as f64;
 
         let (outputs, kernel) = self.device.run_warps(num_rays, |range, shard| {
@@ -377,7 +376,7 @@ impl<'d> Pipeline<'d> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rtnn_bvh::BuildParams;
+    use rtnn_bvh::{build_point_bvh, BuildParams};
     use rtnn_math::{Ray, Vec3};
 
     /// The unoptimised RTNN range-search shader from Listing 1, specialised
@@ -445,7 +444,7 @@ mod tests {
         let device = Device::rtx_2080();
         let points = cloud();
         let radius = 1.1;
-        let gas = Gas::build_from_points(&device, &points, radius, BuildParams::default()).unwrap();
+        let bvh = build_point_bvh(&points, radius, BuildParams::default());
         let queries: Vec<Vec3> = vec![
             Vec3::new(3.5, 3.5, 3.5),
             Vec3::new(0.0, 0.0, 0.0),
@@ -458,7 +457,7 @@ mod tests {
             k: 1000,
         };
         let pipeline = Pipeline::new(&device);
-        let result = pipeline.launch(&gas, queries.len(), &program, IsShaderKind::RangeSphereTest);
+        let result = pipeline.launch(&bvh, queries.len(), &program, IsShaderKind::RangeSphereTest);
         for (qi, q) in queries.iter().enumerate() {
             let mut got = result.payloads[qi].clone();
             got.sort();
@@ -474,7 +473,7 @@ mod tests {
         let device = Device::rtx_2080();
         let points = cloud();
         let radius = 2.5;
-        let gas = Gas::build_from_points(&device, &points, radius, BuildParams::default()).unwrap();
+        let bvh = build_point_bvh(&points, radius, BuildParams::default());
         let queries = vec![Vec3::new(4.0, 4.0, 4.0)];
         let program = RangeProgram {
             queries,
@@ -483,7 +482,7 @@ mod tests {
             k: 5,
         };
         let result =
-            Pipeline::new(&device).launch(&gas, 1, &program, IsShaderKind::RangeSphereTest);
+            Pipeline::new(&device).launch(&bvh, 1, &program, IsShaderKind::RangeSphereTest);
         assert_eq!(result.payloads[0].len(), 5);
         assert_eq!(result.metrics.terminated_rays, 1);
     }
@@ -492,7 +491,7 @@ mod tests {
     fn masked_lanes_do_no_work() {
         let device = Device::rtx_2080();
         let points = cloud();
-        let gas = Gas::build_from_points(&device, &points, 1.0, BuildParams::default()).unwrap();
+        let bvh = build_point_bvh(&points, 1.0, BuildParams::default());
         struct MaskedProgram;
         impl RayProgram for MaskedProgram {
             type Payload = u32;
@@ -504,7 +503,7 @@ mod tests {
             }
         }
         let result =
-            Pipeline::new(&device).launch(&gas, 100, &MaskedProgram, IsShaderKind::RangeSphereTest);
+            Pipeline::new(&device).launch(&bvh, 100, &MaskedProgram, IsShaderKind::RangeSphereTest);
         assert_eq!(result.metrics.active_rays, 0);
         assert_eq!(result.metrics.is_calls, 0);
         assert_eq!(result.metrics.node_visits, 0);
@@ -515,7 +514,7 @@ mod tests {
     fn miss_and_closest_hit_dispatch() {
         let device = Device::rtx_2080();
         let points = vec![Vec3::ZERO];
-        let gas = Gas::build_from_points(&device, &points, 0.5, BuildParams::default()).unwrap();
+        let bvh = build_point_bvh(&points, 0.5, BuildParams::default());
         /// Payload records which terminal shader ran.
         struct TerminalProgram;
         impl RayProgram for TerminalProgram {
@@ -539,7 +538,7 @@ mod tests {
             }
         }
         let result =
-            Pipeline::new(&device).launch(&gas, 2, &TerminalProgram, IsShaderKind::RangeSphereTest);
+            Pipeline::new(&device).launch(&bvh, 2, &TerminalProgram, IsShaderKind::RangeSphereTest);
         assert_eq!(result.payloads[0], (true, false));
         assert_eq!(result.payloads[1], (false, true));
         assert_eq!(result.metrics.hit_rays, 1);
@@ -553,7 +552,7 @@ mod tests {
         let device = Device::rtx_2080();
         let points = cloud();
         let radius = 1.2;
-        let gas = Gas::build_from_points(&device, &points, radius, BuildParams::default()).unwrap();
+        let bvh = build_point_bvh(&points, radius, BuildParams::default());
         let program = |z: f32| RangeProgram {
             queries: (0..40)
                 .map(|i| Vec3::new((i % 8) as f32, (i / 8) as f32, z))
@@ -578,13 +577,13 @@ mod tests {
         let one_thread = |f: &dyn Fn() -> LaunchMetrics| rtnn_parallel::with_thread_count(1, f);
         let launch_near = || {
             Pipeline::new(&device)
-                .launch(&gas, 40, &near, IsShaderKind::RangeSphereTest)
+                .launch(&bvh, 40, &near, IsShaderKind::RangeSphereTest)
                 .metrics
         };
         let after_fault = one_thread(&|| {
             let faulty = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 Pipeline::new(&device).launch(
-                    &gas,
+                    &bvh,
                     40,
                     &FaultOnFifthRay(&far),
                     IsShaderKind::RangeSphereTest,
@@ -605,7 +604,7 @@ mod tests {
         // outer warp holds, and must meter exactly as a launch of its own.
         let device = Device::rtx_2080();
         let points = cloud();
-        let gas = Gas::build_from_points(&device, &points, 1.1, BuildParams::default()).unwrap();
+        let bvh = build_point_bvh(&points, 1.1, BuildParams::default());
         let inner = RangeProgram {
             queries: vec![Vec3::new(3.5, 3.5, 3.5)],
             points,
@@ -615,7 +614,7 @@ mod tests {
         /// Launches `inner` from its miss shader.
         struct Nesting<'a> {
             device: &'a Device,
-            gas: &'a Gas,
+            bvh: &'a Bvh,
             inner: &'a RangeProgram,
         }
         impl RayProgram for Nesting<'_> {
@@ -628,7 +627,7 @@ mod tests {
             }
             fn miss(&self, _: u32, payload: &mut Option<LaunchMetrics>) {
                 let launch = Pipeline::new(self.device).launch(
-                    self.gas,
+                    self.bvh,
                     1,
                     self.inner,
                     IsShaderKind::RangeSphereTest,
@@ -638,17 +637,17 @@ mod tests {
         }
         let outer = Nesting {
             device: &device,
-            gas: &gas,
+            bvh: &bvh,
             inner: &inner,
         };
         let nested = rtnn_parallel::with_thread_count(1, || {
-            Pipeline::new(&device).launch(&gas, 1, &outer, IsShaderKind::RangeSphereTest)
+            Pipeline::new(&device).launch(&bvh, 1, &outer, IsShaderKind::RangeSphereTest)
         })
         .payloads[0]
             .clone()
             .expect("the miss shader ran");
         let direct = Pipeline::new(&device)
-            .launch(&gas, 1, &inner, IsShaderKind::RangeSphereTest)
+            .launch(&bvh, 1, &inner, IsShaderKind::RangeSphereTest)
             .metrics;
         assert!(direct.node_visits > 0);
         assert_eq!(format!("{nested:?}"), format!("{direct:?}"));
@@ -698,7 +697,6 @@ mod tests {
 
     #[test]
     fn warp_lines_equal_the_sorted_lines_of_their_slots() {
-        let device = Device::rtx_2080();
         let points: Vec<Vec3> = (0..3000u32)
             .map(|i| {
                 let h = i.wrapping_mul(2_654_435_761);
@@ -709,7 +707,7 @@ mod tests {
                 ) * 0.1
             })
             .collect();
-        let gas = Gas::build_from_points(&device, &points, 0.4, BuildParams::default()).unwrap();
+        let bvh = build_point_bvh(&points, 0.4, BuildParams::default());
         let mut marks = VisitMarks::default();
         let mut state = 0x853C_49E6_748F_EA9Bu64;
         let mut next = move || {
@@ -724,10 +722,9 @@ mod tests {
             for _ in 0..rays {
                 let q = points[(next() % points.len() as u64) as usize];
                 let jitter = Vec3::new((next() % 7) as f32, (next() % 5) as f32, 0.0) * 0.05;
-                gas.bvh()
-                    .traverse_marked(&Ray::point_probe(q + jitter), &mut marks, |_| {
-                        TraversalControl::Continue
-                    });
+                bvh.traverse_marked(&Ray::point_probe(q + jitter), &mut marks, |_| {
+                    TraversalControl::Continue
+                });
             }
             let (nodes, prims) = marks.ascending();
             let (nodes, prims): (Vec<u32>, Vec<u32>) = (nodes.collect(), prims.collect());
@@ -807,7 +804,7 @@ mod tests {
         let device = Device::rtx_2080();
         let points = cloud();
         let radius = 1.2;
-        let gas = Gas::build_from_points(&device, &points, radius, BuildParams::default()).unwrap();
+        let bvh = build_point_bvh(&points, radius, BuildParams::default());
         // Queries on a fine grid, in raster order.
         let mut queries = Vec::new();
         for x in 0..16 {
@@ -832,7 +829,7 @@ mod tests {
                 k: 1000,
             };
             Pipeline::new(&device)
-                .launch(&gas, n, &program, IsShaderKind::RangeSphereTest)
+                .launch(&bvh, n, &program, IsShaderKind::RangeSphereTest)
                 .metrics
         };
         let ordered = run(queries);

@@ -49,7 +49,7 @@ pub struct Signature {
     pub plan_kind: String,
     /// [`density_bucket`] of the scene's point count.
     pub density_bucket: u32,
-    /// Backend name (`Backend::name()`: `"gpusim"`, `"optix-shim"`, ...).
+    /// Backend name (`Backend::name()`: `"gpusim"`, `"bruteforce-oracle"`, ...).
     pub backend: String,
 }
 
@@ -421,7 +421,7 @@ mod tests {
         assert_eq!(p.stage("Launch").unwrap().p50_ms, 4.0);
         assert_eq!(p.total.count, 2);
         assert_eq!(p.total.p99_ms, 4.0, "total sums the stage devices");
-        assert!(snap.lookup("knn", 6000, "optix-shim").is_none());
+        assert!(snap.lookup("knn", 6000, "bruteforce-oracle").is_none());
     }
 
     #[test]
@@ -461,7 +461,7 @@ mod tests {
         prof.record(&sample("knn", 5000, &[("Launch", 4.0)]));
         let snap = prof.snapshot();
         assert!(snap.lookup("range", 9000, "gpusim").is_none());
-        assert!(snap.lookup("knn", 9000, "optix-shim").is_none());
+        assert!(snap.lookup("knn", 9000, "bruteforce-oracle").is_none());
     }
 
     #[test]

@@ -28,9 +28,8 @@ fn main() {
     println!("points: {}, queries: {}", points.len(), queries.len());
 
     // 2. Pick an execution backend (the simulated RTX 2080 by default;
-    //    `GpusimBackend::optix_shim` is the real-hardware shim,
-    //    `BruteForceBackend` in rtnn-baselines the exhaustive oracle) and
-    //    build the index ONCE.
+    //    `BruteForceBackend` in rtnn-baselines is the exhaustive oracle)
+    //    and build the index ONCE.
     let device = Device::rtx_2080();
     let backend = GpusimBackend::new(&device);
     let mut index = Index::build(&backend, &points[..], EngineConfig::default());

@@ -1,7 +1,7 @@
 //! Analytics equivalence suite: DBSCAN labels and reverse-k-NN member sets
 //! must be **bit-equal** to the O(n²) oracles in `rtnn-baselines` no matter
-//! which execution backend answers the neighborhood queries (gpusim, the
-//! OptiX shim, or brute force), how the executor is sharded (plain `Index`
+//! which execution backend answers the neighborhood queries (gpusim or
+//! brute force), how the executor is sharded (plain `Index`
 //! vs `ShardedIndex` at several shard counts), or whether a dynamic scene
 //! is clustered from scratch or maintained incrementally across frames.
 //!
@@ -38,7 +38,6 @@ fn dbscan_labels_match_the_oracle_on_every_backend() {
     let device = Device::rtx_2080();
     let backends: Vec<(&str, Box<dyn Backend>)> = vec![
         ("gpusim", Box::new(GpusimBackend::new(&device))),
-        ("optix", Box::new(GpusimBackend::optix_shim(&device))),
         ("brute-force", Box::new(BruteForceBackend::new(&device))),
     ];
     let points = seeded_cloud(420, 0xD85C);
@@ -63,7 +62,6 @@ fn rknn_members_match_the_oracle_on_every_backend() {
     let device = Device::rtx_2080();
     let backends: Vec<(&str, Box<dyn Backend>)> = vec![
         ("gpusim", Box::new(GpusimBackend::new(&device))),
-        ("optix", Box::new(GpusimBackend::optix_shim(&device))),
         ("brute-force", Box::new(BruteForceBackend::new(&device))),
     ];
     let points = seeded_cloud(380, 0x4B1D);

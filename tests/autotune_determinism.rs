@@ -2,8 +2,8 @@
 //! of its seed and its observation history, and tuning must change *which*
 //! pipeline stages run — never the answer.
 //!
-//! Concretely, across all three backends (gpusim, the OptiX shim, and the
-//! brute-force oracle), with a caller-owned tuner driving
+//! Concretely, across both backends (gpusim and the brute-force oracle),
+//! with a caller-owned tuner driving
 //! `Index::query_with` through `AutoTuner::run`:
 //!
 //! * the same seed over the same query sequence replays the identical
@@ -105,9 +105,8 @@ fn same_seed_replays_identical_decisions_and_bit_equal_results_per_backend() {
     let device = Device::rtx_2080();
     let points = seeded_cloud(2_000, 0xA0_70);
     let queries = queries_for(&points);
-    let backends: [(&str, Box<dyn Backend>); 3] = [
+    let backends: [(&str, Box<dyn Backend>); 2] = [
         ("gpusim", Box::new(GpusimBackend::new(&device))),
-        ("optix-shim", Box::new(GpusimBackend::optix_shim(&device))),
         ("brute-force", Box::new(BruteForceBackend::new(&device))),
     ];
     for (name, backend) in &backends {

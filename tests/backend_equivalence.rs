@@ -1,7 +1,6 @@
 //! Cross-backend equivalence suite: for every plan kind × optimisation
-//! level, the ray-tracing backend (`GpusimBackend`, default and OptiX-shim
-//! builds) must agree with the exhaustive `BruteForceBackend` oracle on
-//! seeded clouds —
+//! level, the ray-tracing backend (`GpusimBackend`) must agree with the
+//! exhaustive `BruteForceBackend` oracle on seeded clouds —
 //! bit-equal for KNN (whose distance-sorted output erases traversal-order
 //! differences) and set-equal for range search (whose within-radius *order*
 //! is traversal-defined, so an uncapped comparison is order-normalised).
@@ -78,37 +77,24 @@ fn all_backends_agree_for_every_plan_kind_and_opt_level() {
         PlanSlice::new(QueryPlan::range(7.0, 100_000), (n / 2..n).collect()),
     ]);
 
-    let rt_backends: Vec<(&str, Box<dyn Backend + '_>)> = vec![
-        ("gpusim", Box::new(GpusimBackend::new(&device))),
-        ("optix-shim", Box::new(GpusimBackend::optix_shim(&device))),
-    ];
+    let rt: Box<dyn Backend + '_> = Box::new(GpusimBackend::new(&device));
     let oracle: Box<dyn Backend + '_> = Box::new(BruteForceBackend::new(&device));
 
     for opt in OptLevel::all() {
         // KNN: bit-equal (same sets, same distance-sorted order).
         let oracle_knn = run_plan(oracle.as_ref(), &points, &queries, opt, &knn);
-        for (name, backend) in &rt_backends {
-            let got = run_plan(backend.as_ref(), &points, &queries, opt, &knn);
-            assert_eq!(
-                got, oracle_knn,
-                "{name} vs oracle, {opt:?}: KNN results must be bit-equal"
-            );
-        }
-
-        // Range: set-equal against the oracle (order is traversal-defined);
-        // the two RT backends must agree bit-for-bit with each other.
-        let oracle_range = run_plan(oracle.as_ref(), &points, &queries, opt, &range);
-        let rt_range: Vec<Vec<Vec<u32>>> = rt_backends
-            .iter()
-            .map(|(_, b)| run_plan(b.as_ref(), &points, &queries, opt, &range))
-            .collect();
+        let got = run_plan(rt.as_ref(), &points, &queries, opt, &knn);
         assert_eq!(
-            rt_range[0], rt_range[1],
-            "{opt:?}: the two RT backends must agree bit-for-bit on range search"
+            got, oracle_knn,
+            "{opt:?}: KNN results must be bit-equal to the oracle"
         );
+
+        // Range: set-equal against the oracle (order is traversal-defined).
+        let oracle_range = run_plan(oracle.as_ref(), &points, &queries, opt, &range);
+        let rt_range = run_plan(rt.as_ref(), &points, &queries, opt, &range);
         for (qi, oracle_ids) in oracle_range.iter().enumerate() {
             assert_eq!(
-                sorted(rt_range[0][qi].clone()),
+                sorted(rt_range[qi].clone()),
                 sorted(oracle_ids.clone()),
                 "{opt:?} query {qi}: range sets must match the oracle"
             );
@@ -116,21 +102,19 @@ fn all_backends_agree_for_every_plan_kind_and_opt_level() {
 
         // Heterogeneous batch: per-slice, same contracts as above.
         let oracle_batch = run_plan(oracle.as_ref(), &points, &queries, opt, &batch);
-        for (name, backend) in &rt_backends {
-            let got = run_plan(backend.as_ref(), &points, &queries, opt, &batch);
-            for qi in 0..(n / 2) as usize {
-                assert_eq!(
-                    got[qi], oracle_batch[qi],
-                    "{name} vs oracle, {opt:?}: batch KNN slice, query {qi}"
-                );
-            }
-            for qi in (n / 2) as usize..n as usize {
-                assert_eq!(
-                    sorted(got[qi].clone()),
-                    sorted(oracle_batch[qi].clone()),
-                    "{name} vs oracle, {opt:?}: batch range slice, query {qi}"
-                );
-            }
+        let got = run_plan(rt.as_ref(), &points, &queries, opt, &batch);
+        for qi in 0..(n / 2) as usize {
+            assert_eq!(
+                got[qi], oracle_batch[qi],
+                "{opt:?}: batch KNN slice, query {qi}"
+            );
+        }
+        for qi in (n / 2) as usize..n as usize {
+            assert_eq!(
+                sorted(got[qi].clone()),
+                sorted(oracle_batch[qi].clone()),
+                "{opt:?}: batch range slice, query {qi}"
+            );
         }
     }
 }
@@ -144,7 +128,6 @@ fn boxed_backends_are_interchangeable_at_runtime() {
     let queries: Vec<Vec3> = points.iter().step_by(13).copied().collect();
     let backends: Vec<Box<dyn Backend + '_>> = vec![
         Box::new(GpusimBackend::new(&device)),
-        Box::new(GpusimBackend::optix_shim(&device)),
         Box::new(BruteForceBackend::new(&device)),
     ];
     let mut all = Vec::new();
@@ -159,7 +142,6 @@ fn boxed_backends_are_interchangeable_at_runtime() {
         );
     }
     assert_eq!(all[0], all[1]);
-    assert_eq!(all[0], all[2]);
 }
 
 #[test]
@@ -176,7 +158,6 @@ fn stage_overrides_preserve_backend_equivalence() {
     let plan = QueryPlan::knn(6.0, 8);
     let backends: Vec<(&str, Box<dyn Backend + '_>)> = vec![
         ("gpusim", Box::new(GpusimBackend::new(&device))),
-        ("optix-shim", Box::new(GpusimBackend::optix_shim(&device))),
         ("brute-force", Box::new(BruteForceBackend::new(&device))),
     ];
     let toggles = [
@@ -237,9 +218,8 @@ fn non_finite_queries_are_rejected_on_every_backend_and_entry_point() {
         .collect();
     let plan = QueryPlan::knn(1.5, 4);
     let rejected = SearchError::InvalidPlan(PlanError::NonFiniteQuery { query_id: 1 });
-    let backends: [(&str, Box<dyn Backend>); 3] = [
+    let backends: [(&str, Box<dyn Backend>); 2] = [
         ("gpusim", Box::new(GpusimBackend::new(&device))),
-        ("optix-shim", Box::new(GpusimBackend::optix_shim(&device))),
         ("brute-force", Box::new(BruteForceBackend::new(&device))),
     ];
     for (name, backend) in &backends {
@@ -298,9 +278,8 @@ fn non_finite_points_are_rejected_on_every_backend_and_entry_point() {
     let plan = QueryPlan::range(1.5, 32);
     let queries = [Vec3::ZERO, Vec3::new(5.0, 5.0, 4.0)];
     let rejected = |point_id: u32| SearchError::InvalidPlan(PlanError::NonFinitePoint { point_id });
-    let backends: [(&str, Box<dyn Backend>); 3] = [
+    let backends: [(&str, Box<dyn Backend>); 2] = [
         ("gpusim", Box::new(GpusimBackend::new(&device))),
-        ("optix-shim", Box::new(GpusimBackend::optix_shim(&device))),
         ("brute-force", Box::new(BruteForceBackend::new(&device))),
     ];
     let bads = [

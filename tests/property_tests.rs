@@ -98,7 +98,7 @@ proptest! {
         let ids: Vec<u32> = (0..queries.len() as u32).collect();
         let schedule = Schedule::Coherence.run(&ScheduleCx {
             backend: &backend,
-            accel: Some(accel.as_ref()),
+            accel: Some(&accel),
             points: &points,
             point_bounds: Aabb::from_points(&points),
             queries: &queries,

@@ -1,7 +1,7 @@
 //! Telemetry equivalence suite: recording must never change what the
 //! library computes, and what it records must be internally consistent.
 //!
-//! Three contracts are pinned here:
+//! Five contracts are pinned here:
 //!
 //! 1. **Bit-equality** — for every backend × plan kind, the neighbor lists
 //!    under a scoped telemetry sink at every `RTNN_TELEMETRY` level
@@ -19,6 +19,10 @@
 //!    profiler attached and the SLO flight recorder riding the replay,
 //!    results stay bit-equal per backend, and a breached SLO pins the
 //!    same exemplar trace on every run of the same schedule.
+//! 5. **Structure telemetry** — one build and one refit through
+//!    `GpusimBackend` record one `accel.build` and one `accel.refit` span
+//!    with their attributes, the structure counters and the device-time
+//!    histograms.
 
 use rtnn::telemetry::{
     verify_jsonl_roundtrip, FlightRecorder, SignatureProfiler, SloConfig, SloEvent, Telemetry,
@@ -26,6 +30,7 @@ use rtnn::telemetry::{
 };
 use rtnn::{Backend, EngineConfig, GpusimBackend, Index, PlanSlice, QueryPlan};
 use rtnn_baselines::BruteForceBackend;
+use rtnn_bvh::BuildParams;
 use rtnn_data::uniform::{self, UniformParams};
 use rtnn_gpusim::Device;
 use rtnn_math::Vec3;
@@ -64,7 +69,6 @@ fn results_are_bit_equal_at_every_level_for_every_backend_and_plan_kind() {
     ];
     let backends: Vec<(&str, Box<dyn Backend + '_>)> = vec![
         ("gpusim", Box::new(GpusimBackend::new(&device))),
-        ("optix-shim", Box::new(GpusimBackend::optix_shim(&device))),
         ("brute-force", Box::new(BruteForceBackend::new(&device))),
     ];
 
@@ -121,7 +125,6 @@ fn profiler_and_flight_recorder_are_bit_invisible_for_every_backend() {
     ];
     let backends: Vec<(&str, Box<dyn Backend + '_>)> = vec![
         ("gpusim", Box::new(GpusimBackend::new(&device))),
-        ("optix-shim", Box::new(GpusimBackend::optix_shim(&device))),
         ("brute-force", Box::new(BruteForceBackend::new(&device))),
     ];
 
@@ -217,6 +220,78 @@ fn one_observed_query_yields_a_nested_tree_that_accounts_device_time() {
     verify_jsonl_roundtrip(&snapshot).expect("JSONL round trip");
     let prom = snapshot.to_prometheus();
     assert!(prom.contains("rtnn_index_queries 1"));
+}
+
+#[test]
+fn a_structure_build_and_refit_record_their_spans_counters_and_device_times() {
+    let device = Device::rtx_2080();
+    let backend = GpusimBackend::new(&device);
+    let mut points = seeded_cloud(3000, 0xACCE);
+    let n = points.len();
+
+    let sink = Telemetry::new(TelemetryLevel::Full);
+    let (build_ms, refit_ms) = Telemetry::scoped(&sink, || {
+        let mut accel = backend
+            .build(&points, 1.5, BuildParams::default())
+            .expect("fits the device");
+        for p in points.iter_mut() {
+            p.x += 0.25;
+        }
+        let refit = backend.refit(&mut accel, &points).expect("same count");
+        (accel.build_time_ms(), refit.refit_ms)
+    });
+    assert_eq!(build_ms, device.accel_build_time_ms(n));
+    assert_eq!(refit_ms, device.accel_refit_time_ms(n));
+    let snapshot = sink.snapshot();
+
+    let attr_names = |name: &str| -> Vec<String> {
+        let spans: Vec<_> = snapshot.spans_named(name).collect();
+        assert_eq!(spans.len(), 1, "one {name} span");
+        spans[0].attrs.iter().map(|(k, _)| k.to_string()).collect()
+    };
+    let attr = |name: &str, key: &str| {
+        let span = snapshot.spans_named(name).next().expect("span recorded");
+        span.attr(key)
+            .unwrap_or_else(|| panic!("{name} carries {key}"))
+    };
+    assert_eq!(
+        attr_names("accel.build"),
+        ["device_ms", "primitives", "memory_bytes", "host_wall_ms"]
+    );
+    assert_eq!(
+        attr_names("accel.refit"),
+        ["device_ms", "primitives", "nodes_updated", "host_wall_ms"]
+    );
+    assert_eq!(attr("accel.build", "device_ms"), build_ms);
+    assert_eq!(attr("accel.build", "primitives"), n as f64);
+    assert_eq!(attr("accel.refit", "device_ms"), refit_ms);
+    assert_eq!(attr("accel.refit", "primitives"), n as f64);
+    // A refit updates every node, and the structure's footprint is 32
+    // bytes a node plus 32 bytes a primitive record.
+    let nodes = attr("accel.refit", "nodes_updated");
+    assert!(nodes >= 1.0 && nodes < 2.0 * n as f64);
+    assert_eq!(
+        attr("accel.build", "memory_bytes"),
+        32.0 * (nodes + n as f64)
+    );
+
+    let metrics = &snapshot.metrics;
+    for (counter, want) in [
+        ("accel.builds", 1),
+        ("accel.refits", 1),
+        ("bvh.builds", 1),
+        ("bvh.build_prims", n as u64),
+        ("bvh.refits", 1),
+    ] {
+        assert_eq!(metrics.counter(counter), Some(want), "{counter}");
+    }
+    for (histogram, want) in [
+        ("accel.build.device_ms", build_ms),
+        ("accel.refit.device_ms", refit_ms),
+    ] {
+        let h = metrics.histogram(histogram).expect(histogram);
+        assert_eq!((h.count, h.sum), (1, want), "{histogram}");
+    }
 }
 
 #[test]
