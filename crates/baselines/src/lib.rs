@@ -13,10 +13,6 @@
 //! * [`octree`] — PCLOctree-like search: an octree over the points is
 //!   traversed on the SMs (no RT cores). Range search with arbitrary `K`;
 //!   KNN restricted to `K = 1` exactly like the PCL GPU octree.
-//! * [`kdtree`] — a k-d tree searcher, used both as an additional baseline
-//!   and as a fast exact oracle for the test suite.
-//! * [`bruteforce`] — exhaustive scan; the ground truth everything else is
-//!   validated against.
 //! * [`fastrnn`] — FastRNN: the RT-core mapping *without* RTNN's
 //!   optimisations (query scheduling / partitioning / bundling), i.e. the
 //!   `OptLevel::NoOpt` configuration of the `rtnn` crate, KNN only like the
@@ -24,8 +20,8 @@
 //!
 //! Every baseline returns a [`BaselineRun`] with the neighbor lists and the
 //! simulated time split into build / search / transfer components, and every
-//! baseline's results are validated against the brute-force oracle in its
-//! tests.
+//! baseline's results are validated in its tests against the ground truth,
+//! the exhaustive scans of `rtnn::verify`.
 //!
 //! The crate also provides [`backend::BruteForceBackend`], an exhaustive
 //! `rtnn::Backend` implementation that plugs the brute-force scan into the
@@ -35,11 +31,9 @@
 
 pub mod analytics_oracle;
 pub mod backend;
-pub mod bruteforce;
 pub mod common;
 pub mod fastrnn;
 pub mod grid_knn;
-pub mod kdtree;
 pub mod octree;
 pub mod uniform_grid;
 

@@ -16,7 +16,6 @@ use rtnn::{
 };
 use rtnn_baselines::fastrnn::FastRnn;
 use rtnn_baselines::grid_knn::GridKnn;
-use rtnn_baselines::kdtree::KdTreeSearch;
 use rtnn_baselines::octree::OctreeSearch;
 use rtnn_baselines::uniform_grid::UniformGridSearch;
 use rtnn_baselines::{Baseline, SearchRequest};
@@ -146,7 +145,6 @@ fn bench_baselines(c: &mut Criterion) {
     let range_baselines: Vec<(&str, Box<dyn Baseline>)> = vec![
         ("cuNSearch", Box::new(UniformGridSearch)),
         ("PCLOctree", Box::new(OctreeSearch)),
-        ("KdTree", Box::new(KdTreeSearch)),
     ];
     for (name, baseline) in &range_baselines {
         group.bench_function(BenchmarkId::new("range", *name), |b| {
@@ -157,11 +155,8 @@ fn bench_baselines(c: &mut Criterion) {
             });
         });
     }
-    let knn_baselines: Vec<(&str, Box<dyn Baseline>)> = vec![
-        ("FRNN", Box::new(GridKnn)),
-        ("FastRNN", Box::new(FastRnn)),
-        ("KdTree", Box::new(KdTreeSearch)),
-    ];
+    let knn_baselines: Vec<(&str, Box<dyn Baseline>)> =
+        vec![("FRNN", Box::new(GridKnn)), ("FastRNN", Box::new(FastRnn))];
     for (name, baseline) in &knn_baselines {
         group.bench_function(BenchmarkId::new("knn", *name), |b| {
             b.iter(|| {

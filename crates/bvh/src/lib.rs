@@ -42,6 +42,5 @@ pub mod validate;
 pub use builder::{build_bvh, build_point_bvh, BuildParams, BvhBuilder};
 pub use node::{Bvh, BvhNode, NodeKind};
 pub use refit::{refit_bvh_serial, refit_bvh_with_cut, refit_point_bvh, RefitError, RefitStats};
-pub use stats::BvhStats;
 pub use traverse::{AscendingSlots, SlotSet, TraversalControl, TraversalStats, VisitMarks};
 pub use validate::{validate_bvh, BvhValidationError};

@@ -1,28 +1,6 @@
-//! Structural statistics of a built BVH.
+//! The surface-area-heuristic quality metric of a built BVH.
 
 use crate::node::{Bvh, NodeKind};
-
-/// Summary statistics describing the shape of a BVH.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BvhStats {
-    /// Total node count.
-    pub num_nodes: usize,
-    /// Number of leaf nodes.
-    pub num_leaves: usize,
-    /// Number of internal nodes.
-    pub num_internal: usize,
-    /// Number of primitives.
-    pub num_primitives: usize,
-    /// Maximum tree depth (root = 1).
-    pub max_depth: usize,
-    /// Average number of primitives per leaf.
-    pub avg_leaf_size: f64,
-    /// Largest leaf.
-    pub max_leaf_size: usize,
-    /// Sum of leaf AABB volumes (a proxy for how much space step-1 tests
-    /// cover; grows with the AABB width exactly as Section 3.2.2 describes).
-    pub total_leaf_volume: f64,
-}
 
 impl Bvh {
     /// Surface-area-heuristic cost of the tree: the expected traversal work
@@ -48,36 +26,6 @@ impl Bvh {
         }
         cost
     }
-
-    /// Compute structural statistics.
-    pub fn stats(&self) -> BvhStats {
-        let mut num_leaves = 0usize;
-        let mut max_leaf = 0usize;
-        let mut leaf_prims = 0usize;
-        let mut total_leaf_volume = 0.0f64;
-        for node in &self.nodes {
-            if let NodeKind::Leaf { count, .. } = node.kind {
-                num_leaves += 1;
-                leaf_prims += count as usize;
-                max_leaf = max_leaf.max(count as usize);
-                total_leaf_volume += node.aabb.volume() as f64;
-            }
-        }
-        BvhStats {
-            num_nodes: self.nodes.len(),
-            num_leaves,
-            num_internal: self.nodes.len() - num_leaves,
-            num_primitives: self.prim_aabbs.len(),
-            max_depth: self.depth(),
-            avg_leaf_size: if num_leaves == 0 {
-                0.0
-            } else {
-                leaf_prims as f64 / num_leaves as f64
-            },
-            max_leaf_size: max_leaf,
-            total_leaf_volume,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -85,30 +33,6 @@ mod tests {
     use super::*;
     use crate::builder::{build_point_bvh, BuildParams};
     use rtnn_math::Vec3;
-
-    #[test]
-    fn stats_of_empty_bvh() {
-        let s = Bvh::empty().stats();
-        assert_eq!(s.num_nodes, 0);
-        assert_eq!(s.num_leaves, 0);
-        assert_eq!(s.avg_leaf_size, 0.0);
-    }
-
-    #[test]
-    fn stats_are_internally_consistent() {
-        let pts: Vec<Vec3> = (0..200)
-            .map(|i| Vec3::new((i % 10) as f32, ((i / 10) % 10) as f32, (i / 100) as f32))
-            .collect();
-        let bvh = build_point_bvh(&pts, 0.4, BuildParams::default());
-        let s = bvh.stats();
-        assert_eq!(s.num_nodes, s.num_leaves + s.num_internal);
-        assert_eq!(s.num_primitives, 200);
-        assert!(s.max_leaf_size as u32 <= bvh.max_leaf_size);
-        assert!(s.avg_leaf_size > 0.0 && s.avg_leaf_size <= s.max_leaf_size as f64);
-        // A binary tree with L leaves has L-1 internal nodes.
-        assert_eq!(s.num_internal, s.num_leaves - 1);
-        assert!(s.max_depth >= 2);
-    }
 
     #[test]
     fn sah_cost_properties() {
@@ -125,17 +49,5 @@ mod tests {
         // radius must cost more to traverse.
         let wide = build_point_bvh(&pts, 2.0, BuildParams::default());
         assert!(wide.sah_cost() > cost);
-    }
-
-    #[test]
-    fn leaf_volume_grows_with_aabb_width() {
-        // Observation 2: larger per-point AABBs mean more (and bigger) leaf
-        // volume, hence more work.
-        let pts: Vec<Vec3> = (0..64)
-            .map(|i| Vec3::new((i % 4) as f32, ((i / 4) % 4) as f32, (i / 16) as f32))
-            .collect();
-        let small = build_point_bvh(&pts, 0.2, BuildParams::default()).stats();
-        let large = build_point_bvh(&pts, 1.5, BuildParams::default()).stats();
-        assert!(large.total_leaf_volume > small.total_leaf_volume);
     }
 }

@@ -105,11 +105,6 @@ impl TunerDecision {
     pub fn overrides(&self) -> StageOverrides<'static> {
         StageOverrides::for_level(self.level)
     }
-
-    /// True when the arm was picked to gather data rather than to win.
-    pub fn explored(&self) -> bool {
-        self.source == DecisionSource::Explore
-    }
 }
 
 /// Rolling measurements of one arm under one signature.

@@ -184,8 +184,9 @@ fn pipeline_traverse(device: &Device, bvh: &Bvh, job: &TraversalJob<'_>) -> Trav
     }
 }
 
-/// Cost (in generic SM ops) of one exhaustive distance/containment test —
-/// matches the brute-force baseline's accounting.
+/// Cost (in generic SM ops) of one exhaustive distance/containment test.
+/// The exhaustive scan's simulated time scales with it, so changing it
+/// moves every "GPU brute force" number.
 const OPS_PER_SCAN_TEST: u64 = 4;
 
 /// Answer `job` by exhaustive scan over the basic-mapping semantics: a

@@ -46,14 +46,6 @@ impl<'a> QueryIndexing<'a> {
             QueryIndexing::Mapped(ids) => ids[launch_index as usize],
         }
     }
-
-    /// Number of launches needed to cover this indexing given `n_queries`.
-    pub fn launch_count(&self, n_queries: usize) -> usize {
-        match self {
-            QueryIndexing::Identity => n_queries,
-            QueryIndexing::Mapped(ids) => ids.len(),
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -141,11 +133,6 @@ impl KnnHeap {
     /// True if no neighbors are held.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
-    }
-
-    /// The largest distance² currently held (as an f32), if any.
-    pub fn worst_distance_squared(&self) -> Option<f32> {
-        self.entries.first().map(|&(bits, _)| f32::from_bits(bits))
     }
 
     /// Offer a candidate; keeps only the `k` closest.
@@ -285,10 +272,8 @@ mod tests {
         let ids = [5u32, 9, 2];
         let mapped = QueryIndexing::Mapped(&ids);
         assert_eq!(mapped.query_id(1), 9);
-        assert_eq!(mapped.launch_count(100), 3);
         let identity = QueryIndexing::Identity;
         assert_eq!(identity.query_id(7), 7);
-        assert_eq!(identity.launch_count(100), 100);
     }
 
     #[test]
@@ -310,7 +295,6 @@ mod tests {
         heap.offer(0.5, 3, 10);
         assert_eq!(heap.len(), 2);
         assert!(!heap.is_empty());
-        assert_eq!(heap.worst_distance_squared(), Some(1.0));
         assert_eq!(heap.into_sorted_ids(), vec![3, 7]);
     }
 

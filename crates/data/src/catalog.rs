@@ -100,15 +100,6 @@ pub struct Dataset {
 }
 
 impl Dataset {
-    /// A dataset at the paper's full scale.
-    pub fn full_scale(name: DatasetName) -> Self {
-        Dataset {
-            name,
-            scale_divisor: 1,
-            seed: default_seed(name),
-        }
-    }
-
     /// A dataset scaled down by `divisor` (the default experiment
     /// configuration uses 20–100 depending on machine budget).
     pub fn scaled(name: DatasetName, divisor: usize) -> Self {

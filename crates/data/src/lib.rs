@@ -1,8 +1,8 @@
 //! # rtnn-data
 //!
 //! Synthetic dataset generators standing in for the three dataset families
-//! of the paper's evaluation (Section 6.1), plus `.xyz` I/O and a catalog
-//! that names the paper's inputs at a configurable scale.
+//! of the paper's evaluation (Section 6.1), plus a catalog that names the
+//! paper's inputs at a configurable scale.
 //!
 //! | Paper dataset | Generator | Distribution property preserved |
 //! |---|---|---|
@@ -15,7 +15,6 @@
 
 pub mod catalog;
 pub mod dynamics;
-pub mod io;
 pub mod lidar;
 pub mod nbody;
 pub mod scan;

@@ -471,6 +471,7 @@ impl<'d> DynamicIndex<'d> {
     fn sync_structures(&mut self) -> Result<SyncInfo, SearchError> {
         // Validate early so invalid configs fail before touching state.
         self.config.params.validate().map_err(SearchError::from)?;
+        self.config.engine.validate()?;
         // So do non-finite positions: a frame that reports one leaves every
         // mutation pending, so the frame after the point is repaired runs
         // as if this one never had. Every folded position is finite, so
@@ -652,8 +653,8 @@ impl<'d> DynamicIndex<'d> {
 mod tests {
     use super::*;
     use rtnn::{
-        exhaustive_traverse, EngineConfig, OptLevel, PlanSlice, RefitOutcome, SearchParams,
-        StructureTiming, Traversal, TraversalJob,
+        exhaustive_traverse, ApproxMode, EngineConfig, OptLevel, PlanSlice, RefitOutcome,
+        SearchParams, StructureTiming, Traversal, TraversalJob,
     };
     use rtnn_gpusim::device::OutOfDeviceMemory;
     use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
@@ -1053,6 +1054,37 @@ mod tests {
         let again = index.search(&queries).unwrap();
         assert_eq!(again.action, StructureAction::Reused);
         assert_eq!(again.results.neighbors, fresh.neighbors);
+    }
+
+    #[test]
+    fn a_frame_with_an_invalid_engine_config_fails_before_structure_work() {
+        let device = Device::rtx_2080();
+        let config = RtnnConfig {
+            params: SearchParams::knn(1.2, 8),
+            engine: EngineConfig::default().with_approx(ApproxMode::ShrunkenAabb { factor: 2.0 }),
+        };
+        let points = jittered_block(8, 0.5);
+        let queries: Vec<Vec3> = points.iter().step_by(5).copied().collect();
+        let rejected = |r: Result<(), SearchError>| {
+            matches!(
+                r,
+                Err(SearchError::InvalidPlan(PlanError::InvalidShrinkFactor { factor }))
+                    if factor == 2.0
+            )
+        };
+        let mut index = DynamicIndex::with_points(&device, config, &points);
+        assert!(rejected(index.as_index().map(drop)));
+        assert!(rejected(index.search(&queries).map(drop)));
+        // A backend that fails every build: the config error comes first.
+        let backend = StarvedBackend {
+            inner: GpusimBackend::new(&device),
+            out_of_memory: true.into(),
+        };
+        let mut starved = DynamicIndex::with_backend(&backend, config, RebuildPolicy::default());
+        for &p in &points {
+            starved.insert(p);
+        }
+        assert!(rejected(starved.search(&queries).map(drop)));
     }
 
     #[test]

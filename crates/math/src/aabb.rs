@@ -62,12 +62,6 @@ impl Aabb {
         }
     }
 
-    /// The tightest AABB circumscribing the sphere `(center, radius)`.
-    #[inline]
-    pub fn around_sphere(center: Vec3, radius: f32) -> Self {
-        Aabb::cube(center, 2.0 * radius)
-    }
-
     /// The bounding box of a set of points. Returns [`Aabb::EMPTY`] for an
     /// empty slice.
     pub fn from_points(points: &[Vec3]) -> Self {
@@ -94,16 +88,6 @@ impl Aabb {
     #[inline]
     pub fn extent(&self) -> Vec3 {
         self.max - self.min
-    }
-
-    /// Volume (zero for empty or degenerate boxes).
-    #[inline]
-    pub fn volume(&self) -> f32 {
-        if self.is_empty() {
-            return 0.0;
-        }
-        let e = self.extent();
-        e.x * e.y * e.z
     }
 
     /// Surface area; used by the SAH BVH builder.
@@ -244,12 +228,11 @@ mod tests {
         assert_eq!(b.max, Vec3::new(2.0, 3.0, 4.0));
         assert_eq!(b.center(), Vec3::new(1.0, 2.0, 3.0));
         assert_eq!(b.extent(), Vec3::splat(2.0));
-        assert_eq!(b.volume(), 8.0);
         assert_eq!(b.surface_area(), 24.0);
         // Listing 1 semantics: AABB circumscribing the r-sphere has width 2r.
         assert_eq!(
-            Aabb::around_sphere(Vec3::ZERO, 0.5),
-            Aabb::cube(Vec3::ZERO, 1.0)
+            Aabb::cube(Vec3::ZERO, 2.0 * 0.5),
+            Aabb::new(Vec3::splat(-0.5), Vec3::splat(0.5))
         );
     }
 
@@ -257,7 +240,6 @@ mod tests {
     fn empty_box_behaviour() {
         let e = Aabb::EMPTY;
         assert!(e.is_empty());
-        assert_eq!(e.volume(), 0.0);
         assert_eq!(e.surface_area(), 0.0);
         assert!(!e.contains_point(Vec3::ZERO));
         let mut g = e;
@@ -368,7 +350,7 @@ mod tests {
         // short rays in Section 3.1.
         let point = Vec3::new(0.0, 0.0, 0.0);
         let r = 1.0;
-        let aabb = Aabb::around_sphere(point, r);
+        let aabb = Aabb::cube(point, 2.0 * r);
         let far_query = Vec3::new(-5.0, 0.9, 0.9); // outside the sphere
         let long_ray = Ray::new(far_query, Vec3::UNIT_X, 0.0, 100.0);
         let short_ray = Ray::point_probe(far_query);

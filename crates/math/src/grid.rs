@@ -155,18 +155,6 @@ impl UniformGrid {
         Aabb::new(min, min + Vec3::splat(self.cell_size))
     }
 
-    /// Centre of a cell.
-    #[inline]
-    pub fn cell_center(&self, c: GridCoord) -> Vec3 {
-        self.cell_bounds(c).center()
-    }
-
-    /// The inclusive cell-coordinate range overlapped by `aabb`, clamped to
-    /// the grid. Used to enumerate candidate cells for range queries.
-    pub fn cell_range(&self, aabb: &Aabb) -> (GridCoord, GridCoord) {
-        (self.cell_of(aabb.min), self.cell_of(aabb.max))
-    }
-
     /// Iterate all cell coordinates in the inclusive range `[lo, hi]` in
     /// raster order.
     pub fn iter_range(&self, lo: GridCoord, hi: GridCoord) -> impl Iterator<Item = GridCoord> {
@@ -305,7 +293,6 @@ mod tests {
         let b = g.cell_bounds(GridCoord::new(1, 0, 1));
         assert_eq!(b.min, Vec3::new(1.0, 0.0, 1.0));
         assert_eq!(b.max, Vec3::new(2.0, 1.0, 2.0));
-        assert_eq!(g.cell_center(GridCoord::new(0, 0, 0)), Vec3::splat(0.5));
     }
 
     #[test]
@@ -334,9 +321,6 @@ mod tests {
             .collect();
         assert_eq!(cells.len(), 2 * 3); // 2 × 3 × 1 cells
         assert!(cells.contains(&GridCoord::new(2, 3, 1)));
-        let (lo, hi) = g.cell_range(&Aabb::new(Vec3::splat(0.5), Vec3::splat(2.5)));
-        assert_eq!(lo, GridCoord::new(0, 0, 0));
-        assert_eq!(hi, GridCoord::new(2, 2, 2));
     }
 
     #[test]

@@ -7,25 +7,13 @@
 //! * query scheduling (Section 4) sorts queries by the Morton code of their
 //!   first-hit AABB centre so that adjacent rays are spatially close.
 //!
-//! Codes interleave 10 bits per axis (30-bit [`morton3d`]) or 21 bits per
-//! axis (63-bit [`morton3d_u64`]); the 63-bit variant is the default key so
+//! Codes interleave 21 bits per axis (63-bit [`morton3d_u64`]), so
 //! multi-million-point clouds do not alias.
 
 use crate::{Aabb, Vec3};
 
 /// The key type produced by [`MortonEncoder::encode`].
 pub type MortonKey = u64;
-
-/// Expand a 10-bit integer so its bits occupy every third position.
-#[inline]
-fn expand_bits_10(v: u32) -> u32 {
-    let mut v = v & 0x3ff;
-    v = (v | (v << 16)) & 0x030000ff;
-    v = (v | (v << 8)) & 0x0300f00f;
-    v = (v | (v << 4)) & 0x030c30c3;
-    v = (v | (v << 2)) & 0x09249249;
-    v
-}
 
 /// Expand a 21-bit integer so its bits occupy every third position of a u64.
 #[inline]
@@ -37,18 +25,6 @@ fn expand_bits_21(v: u64) -> u64 {
     v = (v | (v << 4)) & 0x10c30c30c30c30c3;
     v = (v | (v << 2)) & 0x1249249249249249;
     v
-}
-
-/// 30-bit Morton code from normalised coordinates in `[0, 1]`.
-///
-/// Coordinates outside the unit cube are clamped.
-#[inline]
-pub fn morton3d(x: f32, y: f32, z: f32) -> u32 {
-    let scale = 1024.0;
-    let xi = (x * scale).clamp(0.0, 1023.0) as u32;
-    let yi = (y * scale).clamp(0.0, 1023.0) as u32;
-    let zi = (z * scale).clamp(0.0, 1023.0) as u32;
-    (expand_bits_10(xi) << 2) | (expand_bits_10(yi) << 1) | expand_bits_10(zi)
 }
 
 /// 63-bit Morton code from normalised coordinates in `[0, 1]`.
@@ -94,28 +70,14 @@ impl MortonEncoder {
     }
 }
 
-/// Extension trait so call sites can write `key.encode(...)`-style helpers.
-pub trait MortonKeyExt {
-    /// Number of leading bits shared with `other` (used by LBVH split finding).
-    fn common_prefix(self, other: Self) -> u32;
-}
-
-impl MortonKeyExt for u64 {
-    #[inline]
-    fn common_prefix(self, other: Self) -> u32 {
-        (self ^ other).leading_zeros()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn expansion_patterns() {
-        assert_eq!(expand_bits_10(0b1), 0b1);
-        assert_eq!(expand_bits_10(0b11), 0b1001);
-        assert_eq!(expand_bits_10(0x3ff).count_ones(), 10);
+        assert_eq!(expand_bits_21(0b1), 0b1);
+        assert_eq!(expand_bits_21(0b11), 0b1001);
         assert_eq!(expand_bits_21(0x1f_ffff).count_ones(), 21);
     }
 
@@ -126,7 +88,7 @@ mod tests {
         for x in 0..8 {
             for y in 0..8 {
                 for z in 0..8 {
-                    let code = morton3d(x as f32 / 8.0, y as f32 / 8.0, z as f32 / 8.0);
+                    let code = morton3d_u64(x as f32 / 8.0, y as f32 / 8.0, z as f32 / 8.0);
                     assert!(seen.insert(code), "collision at ({x},{y},{z})");
                 }
             }
@@ -141,12 +103,12 @@ mod tests {
         let b = morton3d_u64(0.12, 0.11, 0.09);
         let c = morton3d_u64(0.9, 0.9, 0.9);
         assert!(a.abs_diff(b) < a.abs_diff(c));
-        assert!(MortonKeyExt::common_prefix(a, b) > MortonKeyExt::common_prefix(a, c));
+        assert!((a ^ b).leading_zeros() > (a ^ c).leading_zeros());
     }
 
     #[test]
     fn clamping_out_of_range_inputs() {
-        assert_eq!(morton3d(-1.0, -5.0, -0.1), morton3d(0.0, 0.0, 0.0));
+        assert_eq!(morton3d_u64(-1.0, -5.0, -0.1), morton3d_u64(0.0, 0.0, 0.0));
         assert_eq!(morton3d_u64(2.0, 1.5, 7.0), morton3d_u64(1.0, 1.0, 1.0));
     }
 
@@ -169,11 +131,5 @@ mod tests {
         let enc = MortonEncoder::new(&bounds);
         let k = enc.encode(Vec3::new(2.0, 2.0, 1.0));
         assert!(k > 0);
-    }
-
-    #[test]
-    fn common_prefix_of_equal_keys_is_64() {
-        assert_eq!(MortonKeyExt::common_prefix(42u64, 42u64), 64);
-        assert_eq!(MortonKeyExt::common_prefix(0u64, 1u64), 63);
     }
 }

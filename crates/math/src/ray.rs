@@ -64,12 +64,6 @@ impl Ray {
     pub fn at(&self, t: f32) -> Vec3 {
         self.origin + self.direction * t
     }
-
-    /// True if `t` lies in the valid segment.
-    #[inline]
-    pub fn contains_t(&self, t: f32) -> bool {
-        t >= self.t_min && t <= self.t_max
-    }
 }
 
 #[cfg(test)]
@@ -100,23 +94,5 @@ mod tests {
         // any realistic AABB size, so Condition 1 hits are impossible in
         // practice and Condition 2 (origin inside the box) dominates.
         assert!(r.at(r.t_max).distance(q) < 1e-12);
-    }
-
-    #[test]
-    fn t_containment() {
-        let r = Ray::new(Vec3::ZERO, Vec3::UNIT_X, 1.0, 5.0);
-        assert!(!r.contains_t(0.5));
-        assert!(r.contains_t(1.0));
-        assert!(r.contains_t(3.0));
-        assert!(r.contains_t(5.0));
-        assert!(!r.contains_t(5.1));
-    }
-
-    #[test]
-    fn unbounded_ray_accepts_any_nonnegative_t() {
-        let r = Ray::unbounded(Vec3::ZERO, Vec3::UNIT_X);
-        assert!(r.contains_t(0.0));
-        assert!(r.contains_t(1e30));
-        assert!(!r.contains_t(-1.0));
     }
 }

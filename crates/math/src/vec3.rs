@@ -157,12 +157,6 @@ impl Vec3 {
         self.x.min(self.y).min(self.z)
     }
 
-    /// Linear interpolation: `self * (1 - t) + other * t`.
-    #[inline]
-    pub fn lerp(self, other: Vec3, t: f32) -> Vec3 {
-        self * (1.0 - t) + other * t
-    }
-
     /// True if all components are finite.
     #[inline]
     pub fn is_finite(self) -> bool {
@@ -367,15 +361,6 @@ mod tests {
     #[should_panic]
     fn index_out_of_range_panics() {
         let _ = Vec3::ZERO[3];
-    }
-
-    #[test]
-    fn lerp_endpoints() {
-        let a = Vec3::new(0.0, 0.0, 0.0);
-        let b = Vec3::new(2.0, 4.0, 8.0);
-        assert_eq!(a.lerp(b, 0.0), a);
-        assert_eq!(a.lerp(b, 1.0), b);
-        assert_eq!(a.lerp(b, 0.5), Vec3::new(1.0, 2.0, 4.0));
     }
 
     #[test]

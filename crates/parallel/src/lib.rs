@@ -10,10 +10,8 @@
 //!
 //! * [`par_for_chunks`] — dynamic (work-stealing-ish) scheduling of index
 //!   ranges over the pool;
-//! * [`par_map`] — parallel map over `0..n` producing a `Vec<R>`;
-//! * [`par_map_collect`] — parallel indexed map for coarse work items,
-//!   without the `Default + Clone` bound of [`par_map`] (used by the
-//!   parallel LBVH builder's level pipeline and the concurrent
+//! * [`par_map_collect`] — parallel indexed map over `0..n` for coarse
+//!   work items, producing a `Vec<R>` (used by the concurrent
 //!   structure-cache/shard builds);
 //! * [`par_map_collect_mut`] — parallel mutable visit of a slice's elements
 //!   that collects one result per element (used by `rtnn-serve` to fan one
@@ -105,38 +103,15 @@ where
     run_claimed(n, chunk, threads, &f);
 }
 
-/// Parallel map over `0..n`: returns `vec![f(0), f(1), ..., f(n-1)]`.
-pub fn par_map<R, F>(n: usize, f: F) -> Vec<R>
-where
-    R: Send + Default + Clone,
-    F: Fn(usize) -> R + Sync,
-{
-    let mut out = vec![R::default(); n];
-    {
-        let out_ptr = SendPtr(out.as_mut_ptr());
-        par_for_chunks(n, 64, |range| {
-            let ptr = out_ptr;
-            for i in range {
-                // SAFETY: each index is visited by exactly one chunk, so no
-                // two threads write the same element, and `out` outlives the
-                // `par_for_chunks` call, which returns only after every run.
-                unsafe { ptr.0.add(i).write(f(i)) };
-            }
-        });
-    }
-    out
-}
-
 /// Parallel indexed map over `0..n` with the same deterministic-ordering
 /// guarantee as [`par_map_collect_mut`]: slot `i` of the result is always
 /// `f(i)`, regardless of thread count or claim order.
 ///
-/// Unlike [`par_map`] the result type needs neither `Default` nor `Clone`
-/// (results are written exactly once into uninitialised slots), and the
-/// scheduler claims aggressively (chunks shrink to a single item), so it is
-/// the right primitive for *coarse* work items — one acceleration structure,
-/// one spatial shard, one BVH subtree per index. For large maps of cheap
-/// elements prefer [`par_map`].
+/// The result type needs neither `Default` nor `Clone` (results are
+/// written exactly once into uninitialised slots), and the scheduler claims
+/// aggressively (chunks shrink to a single item), so it is the right
+/// primitive for *coarse* work items — one acceleration structure, one
+/// spatial shard, one BVH subtree per index.
 pub fn par_map_collect<R, F>(n: usize, f: F) -> Vec<R>
 where
     R: Send,
@@ -356,13 +331,13 @@ mod tests {
             seen.fetch_add(1, Ordering::Relaxed);
         });
         assert_eq!(seen.load(Ordering::Relaxed), 1);
-        assert!(par_map(0, |i| i).is_empty());
+        assert!(par_map_collect(0, |i| i).is_empty());
     }
 
     #[test]
-    fn par_map_matches_sequential() {
+    fn map_collect_matches_sequential_on_a_large_map() {
         let n = 50_000;
-        let par = par_map(n, |i| (i * i) as u64);
+        let par = par_map_collect(n, |i| (i * i) as u64);
         let seq: Vec<u64> = (0..n).map(|i| (i * i) as u64).collect();
         assert_eq!(par, seq);
     }
@@ -388,8 +363,7 @@ mod tests {
 
     #[test]
     fn map_collect_matches_sequential_at_every_thread_count() {
-        // The element type is neither Default nor Clone — the bound par_map
-        // cannot satisfy.
+        // The element type is neither Default nor Clone.
         struct Opaque(String);
         for threads in [1, 2, 5] {
             let out = with_thread_count(threads, || {

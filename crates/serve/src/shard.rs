@@ -261,6 +261,9 @@ impl<'a> ShardedIndex<'a> {
         self.point_check
             .get_or_insert_with(|| validate_points(&self.points))
             .clone()?;
+        // Every shard runs this one config, and a call no query routes to a
+        // shard must still reject it.
+        self.shards[0].index.config().validate()?;
 
         // One query span over the whole fan-out + merge; the per-shard
         // spans synthesized below nest under it. Worker threads run
@@ -771,6 +774,18 @@ mod tests {
             .query(&[Vec3::ZERO], &QueryPlan::range(1.0, 8))
             .unwrap();
         assert_eq!(results.neighbors, vec![Vec::<u32>::new()]);
+
+        // An invalid engine config fails as it fails `Index::query`, also
+        // when no query reaches a shard.
+        let shrunk = EngineConfig::default().with_approx(ApproxMode::ShrunkenAabb { factor: 2.0 });
+        let mut invalid = ShardedIndex::build(&backend, &points, shrunk, 2);
+        for queries in [&[Vec3::splat(1000.0)][..], &[]] {
+            assert!(matches!(
+                invalid.query(queries, &QueryPlan::knn(1.0, 4)),
+                Err(SearchError::InvalidPlan(PlanError::InvalidShrinkFactor { factor }))
+                    if factor == 2.0
+            ));
+        }
     }
 
     #[test]

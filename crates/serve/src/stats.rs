@@ -9,7 +9,7 @@
 //! `ServiceClient::telemetry_snapshot()` reports.
 
 pub use rtnn_telemetry::percentile;
-use rtnn_telemetry::{Histogram, HistogramSnapshot};
+use rtnn_telemetry::Histogram;
 
 /// Aggregate statistics of a service run (live or virtual-time).
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -69,22 +69,6 @@ impl ServiceStats {
     pub fn latency_p999(&self) -> f64 {
         self.latencies.percentile(0.999)
     }
-
-    /// Freeze the latency distribution: count/sum/min/max, exact
-    /// p50/p99/p999, and the non-empty log buckets.
-    pub fn latency_snapshot(&self) -> HistogramSnapshot {
-        self.latencies.snapshot()
-    }
-
-    /// Requests per *simulated* second — the device-side throughput the
-    /// coalescing comparison uses (wall time would measure the host).
-    pub fn sim_qps(&self) -> f64 {
-        if self.sim_ms <= 0.0 {
-            0.0
-        } else {
-            self.requests as f64 / (self.sim_ms / 1e3)
-        }
-    }
 }
 
 #[cfg(test)]
@@ -114,7 +98,7 @@ mod tests {
         assert_eq!(s.max_tick_requests, 3);
         assert_eq!(s.queries, 40);
         assert!((s.mean_tick_requests() - 2.0).abs() < 1e-12);
-        assert!((s.sim_qps() - 4.0 / 6e-3).abs() < 1e-9);
+        assert_eq!(s.sim_ms, 6.0);
     }
 
     #[test]
@@ -126,7 +110,7 @@ mod tests {
         assert_eq!(s.latency_percentile(0.5), 500.0);
         assert_eq!(s.latency_percentile(0.99), 990.0);
         assert_eq!(s.latency_p999(), 999.0);
-        let snap = s.latency_snapshot();
+        let snap = s.latencies.snapshot();
         assert_eq!(snap.count, 1000);
         assert_eq!(snap.p999, 999.0);
         // Same distribution, same stats: Histogram is comparable, which the
