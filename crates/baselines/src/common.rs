@@ -40,11 +40,6 @@ impl BaselineRun {
     pub fn total_ms(&self) -> f64 {
         self.build_ms + self.search_ms + self.data_ms
     }
-
-    /// Total neighbor links reported.
-    pub fn total_neighbors(&self) -> usize {
-        self.neighbors.iter().map(Vec::len).sum()
-    }
 }
 
 /// A uniform interface over the baselines so the bench harness can sweep
@@ -94,7 +89,6 @@ mod tests {
             data_ms: 0.5,
         };
         assert_eq!(run.total_ms(), 3.5);
-        assert_eq!(run.total_neighbors(), 3);
     }
 
     #[test]

@@ -11,8 +11,8 @@ use rtnn::partition::partition_queries;
 use rtnn::pipeline::{Schedule, ScheduleCx};
 use rtnn::shaders::{KnnProgram, QueryIndexing, RangeProgram};
 use rtnn::{
-    Backend, EngineConfig, GpusimBackend, GridRefresh, Index, MegacellGrid, OptLevel, QueryPlan,
-    RtnnConfig, SearchMode, SearchParams,
+    Backend, EngineConfig, GpusimBackend, Index, MegacellGrid, OptLevel, QueryPlan, RtnnConfig,
+    SearchMode, SearchParams,
 };
 use rtnn_baselines::fastrnn::FastRnn;
 use rtnn_baselines::grid_knn::GridKnn;
@@ -202,17 +202,7 @@ fn bench_scheduling_and_partitioning(c: &mut Criterion) {
     let params = SearchParams::knn(f.radius, f.k);
     let grid = MegacellGrid::build(&f.points, config.grid_max_cells).unwrap();
     group.bench_function("query_partitioning", |b| {
-        b.iter(|| {
-            partition_queries(
-                &device,
-                &grid,
-                &f.queries,
-                &order,
-                &params,
-                config.knn_rule,
-                None,
-            )
-        });
+        b.iter(|| partition_queries(&device, &grid, &f.queries, &order, &params, config.knn_rule));
     });
     // The grid every partitioned `Index` and shard builds on its first
     // query, and the refresh a `DynamicIndex` frame pays when a point
@@ -232,10 +222,10 @@ fn bench_scheduling_and_partitioning(c: &mut Criterion) {
     group.bench_function("megacell_grid_refresh", |b| {
         b.iter(|| {
             frame ^= 1;
-            match refreshed.refresh(frames[frame], &moved) {
-                GridRefresh::Incremental { dirty_region } => assert!(!dirty_region.is_empty()),
-                GridRefresh::NeedsRebuild => unreachable!("swapped positions stay in bounds"),
-            }
+            assert!(
+                refreshed.refresh(frames[frame], &moved),
+                "swapped positions stay in bounds"
+            );
         })
     });
     group.finish();

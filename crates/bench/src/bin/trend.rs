@@ -20,7 +20,11 @@
 //!
 //! Baselines are scale-stamped: a check silently skips figures whose
 //! baseline was recorded at a different `RTNN_SCALE`, so smoke baselines
-//! and full-scale baselines coexist in the same directory.
+//! and full-scale baselines coexist in the same directory. A baseline
+//! recorded at the current scale must be met, though: a metric of a judged
+//! class that it holds and the current results lack fails the check, so a
+//! check run before the figures (or after one that wrote nothing) cannot
+//! pass by judging nothing.
 //!
 //! ```text
 //! rtnn-trend --record              # fold current results into baselines
@@ -156,7 +160,8 @@ struct Verdict {
     name: String,
     class: MetricClass,
     baseline: f64,
-    current: f64,
+    /// `None` when the current results lack the metric.
+    current: Option<f64>,
     regressed: bool,
     note: &'static str,
 }
@@ -376,12 +381,15 @@ fn record(results: &Path, baselines: &Path) -> Result<usize, String> {
     Ok(recorded)
 }
 
-/// Judge one metric against its baseline.
-fn judge(slug: &str, name: &str, current: f64, baseline: &MetricBaseline) -> Verdict {
+/// Judge one metric against its baseline; a judged metric the current
+/// results lack (`current` is `None`) regressed.
+fn judge(slug: &str, name: &str, current: Option<f64>, baseline: &MetricBaseline) -> Verdict {
     let base = baseline.baseline();
     let tol = baseline.tolerance_pct / 100.0;
-    let (regressed, note) = match baseline.class {
-        MetricClass::Equality => {
+    let (regressed, note) = match (baseline.class, current) {
+        (MetricClass::Track, _) => (false, "tracked only"),
+        (_, None) => (true, "missing from the current results"),
+        (MetricClass::Equality, Some(current)) => {
             if current + ABS_FLOOR < base {
                 (true, "structure/equality headline shrank")
             } else if current > base + ABS_FLOOR {
@@ -390,21 +398,20 @@ fn judge(slug: &str, name: &str, current: f64, baseline: &MetricBaseline) -> Ver
                 (false, "unchanged")
             }
         }
-        MetricClass::HigherIsBetter => {
+        (MetricClass::HigherIsBetter, Some(current)) => {
             if base > ABS_FLOOR && current < base * (1.0 - tol) {
                 (true, "fell past the tolerance band")
             } else {
                 (false, "within band")
             }
         }
-        MetricClass::LowerIsBetter => {
+        (MetricClass::LowerIsBetter, Some(current)) => {
             if base > ABS_FLOOR && current > base * (1.0 + tol) {
                 (true, "rose past the tolerance band")
             } else {
                 (false, "within band")
             }
         }
-        MetricClass::Track => (false, "tracked only"),
     };
     Verdict {
         slug: slug.to_string(),
@@ -417,26 +424,48 @@ fn judge(slug: &str, name: &str, current: f64, baseline: &MetricBaseline) -> Ver
     }
 }
 
-/// Diff current headlines against the baselines; returns every verdict.
+/// The slugs of every baseline file under `baselines`, sorted (none when
+/// the directory does not exist).
+fn baseline_slugs(baselines: &Path) -> Result<Vec<String>, String> {
+    let entries = match std::fs::read_dir(baselines) {
+        Ok(entries) => entries,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Vec::new()),
+        Err(e) => return Err(format!("cannot read {}: {e}", baselines.display())),
+    };
+    let mut slugs: Vec<String> = entries
+        .flatten()
+        .map(|entry| entry.path())
+        .filter(|path| path.extension().and_then(|e| e.to_str()) == Some("json"))
+        .filter_map(|path| Some(path.file_stem()?.to_str()?.to_string()))
+        .collect();
+    slugs.sort();
+    Ok(slugs)
+}
+
+/// Diff current headlines against every baseline recorded at the current
+/// `RTNN_SCALE`; returns every verdict. A baseline metric of a judged class
+/// (equality only under `equality_only`, any but `Track` otherwise) that the
+/// current results lack is a regression.
 fn check(results: &Path, baselines: &Path, equality_only: bool) -> Result<Vec<Verdict>, String> {
     let scale = scale_stamp();
     let current = read_current(results)?;
     let mut verdicts = Vec::new();
-    for fig in &current {
-        let Some(baseline) = read_baseline(&baseline_path(baselines, &fig.slug))? else {
-            continue; // never recorded: nothing to diff against
+    for slug in baseline_slugs(baselines)? {
+        let Some(baseline) = read_baseline(&baseline_path(baselines, &slug))? else {
+            continue;
         };
         if baseline.scale != scale {
             continue; // recorded at another RTNN_SCALE: not comparable
         }
-        for (name, value) in &fig.metrics {
-            let Some(metric) = baseline.metrics.get(name) else {
-                continue;
-            };
+        let fig = current.iter().find(|f| f.slug == slug);
+        for (name, metric) in &baseline.metrics {
             if equality_only && metric.class != MetricClass::Equality {
                 continue;
             }
-            verdicts.push(judge(&fig.slug, name, *value, metric));
+            let value = fig.and_then(|f| f.metrics.iter().find(|(n, _)| n == name));
+            if value.is_some() || metric.class != MetricClass::Track {
+                verdicts.push(judge(&slug, name, value.map(|(_, v)| *v), metric));
+            }
         }
     }
     Ok(verdicts)
@@ -488,9 +517,9 @@ fn append_trajectory(
         .map_err(|e| format!("cannot append {}: {e}", path.display()))
 }
 
-/// End-to-end detector exercise in a temp dir: duplicate runs must pass,
-/// an injected 2x regression must fail. Returns an error string on any
-/// deviation.
+/// End-to-end detector exercise in a temp dir: duplicate runs must pass;
+/// an injected 2x regression, a missing figure report and empty results
+/// must fail. Returns an error string on any deviation.
 fn self_test() -> Result<(), String> {
     let dir = std::env::temp_dir().join(format!("rtnn_trend_selftest_{}", std::process::id()));
     let results = dir.join("results");
@@ -502,18 +531,21 @@ fn self_test() -> Result<(), String> {
         );
         std::fs::write(results.join("self_test_figure.json"), report).map_err(|e| e.to_string())
     };
+    let other = results.join("self_test_other.json");
+    let other_report = "{\"figure\": \"Self test other\", \"headline\": [[\"other_equal\", 1.0]]}";
 
     // Record three identical runs, then re-check the same numbers.
     for _ in 0..3 {
         write_fig(4.0, 14.0)?;
+        std::fs::write(&other, other_report).map_err(|e| e.to_string())?;
         record(&results, &baselines)?;
     }
     let verdicts = check(&results, &baselines, false)?;
     if verdicts.iter().any(|v| v.regressed) {
         return Err("duplicate runs flagged as regression".to_string());
     }
-    if verdicts.len() != 3 {
-        return Err(format!("expected 3 verdicts, got {}", verdicts.len()));
+    if verdicts.len() != 4 {
+        return Err(format!("expected 4 verdicts, got {}", verdicts.len()));
     }
 
     // Inject a 2x latency regression: must trip the lower-is-better band.
@@ -537,6 +569,25 @@ fn self_test() -> Result<(), String> {
     let eq_only = check(&results, &baselines, true)?;
     if !eq_only.iter().any(|v| v.regressed) {
         return Err("shrunken equality headline not detected".to_string());
+    }
+
+    // A figure whose report is missing fails the gate, naming its metric ...
+    write_fig(4.0, 14.0)?;
+    std::fs::remove_file(&other).map_err(|e| e.to_string())?;
+    let eq_only = check(&results, &baselines, true)?;
+    let regressed: Vec<(&str, &str)> = eq_only
+        .iter()
+        .filter(|v| v.regressed)
+        .map(|v| (v.slug.as_str(), v.name.as_str()))
+        .collect();
+    if regressed != [("self_test_other", "other_equal")] {
+        return Err(format!("missing figure report not detected: {regressed:?}"));
+    }
+    // ... and so do results that hold no figure report at all.
+    std::fs::remove_file(results.join("self_test_figure.json")).map_err(|e| e.to_string())?;
+    let eq_only = check(&results, &baselines, true)?;
+    if eq_only.len() != 2 || !eq_only.iter().all(|v| v.regressed) {
+        return Err("empty results not detected".to_string());
     }
 
     std::fs::remove_dir_all(&dir).ok();
@@ -632,13 +683,15 @@ fn main() -> ExitCode {
             let regressions: Vec<&Verdict> = verdicts.iter().filter(|v| v.regressed).collect();
             for v in &verdicts {
                 let marker = if v.regressed { "REGRESSION" } else { "ok" };
+                let current = v
+                    .current
+                    .map_or("missing".to_string(), |c| format!("{c:.6}"));
                 println!(
-                    "{marker:10} {}::{} [{}] baseline {:.6} -> current {:.6} ({})",
+                    "{marker:10} {}::{} [{}] baseline {:.6} -> current {current} ({})",
                     v.slug,
                     v.name,
                     v.class.label(),
                     v.baseline,
-                    v.current,
                     v.note,
                 );
             }
@@ -718,26 +771,39 @@ mod tests {
             tolerance_pct: 25.0,
             runs: vec![4.0, 4.2, 3.9],
         };
-        assert!(!judge("f", "m_ms", 4.5, &lower).regressed, "within band");
-        assert!(judge("f", "m_ms", 8.0, &lower).regressed, "2x is out");
-        assert!(!judge("f", "m_ms", 1.0, &lower).regressed, "faster is fine");
+        assert!(
+            !judge("f", "m_ms", Some(4.5), &lower).regressed,
+            "within band"
+        );
+        assert!(judge("f", "m_ms", Some(8.0), &lower).regressed, "2x is out");
+        assert!(
+            !judge("f", "m_ms", Some(1.0), &lower).regressed,
+            "faster is fine"
+        );
 
         let higher = MetricBaseline {
             class: MetricClass::HigherIsBetter,
             tolerance_pct: 25.0,
             runs: vec![10.0],
         };
-        assert!(judge("f", "speedup", 5.0, &higher).regressed);
-        assert!(!judge("f", "speedup", 9.0, &higher).regressed);
+        assert!(judge("f", "speedup", Some(5.0), &higher).regressed);
+        assert!(!judge("f", "speedup", Some(9.0), &higher).regressed);
 
         let eq = MetricBaseline {
             class: MetricClass::Equality,
             tolerance_pct: 25.0,
             runs: vec![14.0],
         };
-        assert!(judge("f", "checks", 13.0, &eq).regressed, "shrink fails");
-        assert!(!judge("f", "checks", 15.0, &eq).regressed, "growth warns");
-        assert!(!judge("f", "checks", 14.0, &eq).regressed);
+        assert!(
+            judge("f", "checks", Some(13.0), &eq).regressed,
+            "shrink fails"
+        );
+        assert!(
+            !judge("f", "checks", Some(15.0), &eq).regressed,
+            "growth warns"
+        );
+        assert!(!judge("f", "checks", Some(14.0), &eq).regressed);
+        assert!(judge("f", "checks", None, &eq).regressed, "missing fails");
     }
 
     #[test]

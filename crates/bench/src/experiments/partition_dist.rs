@@ -64,7 +64,6 @@ pub fn run(scale: &ExperimentScale) -> FigureReport {
         &order,
         &params,
         KnnAabbRule::Guaranteed,
-        None,
     );
 
     let mut table = Table::new(

@@ -5,8 +5,7 @@
 //!
 //! * [`Index`] — built once from points (or adopted from a streaming
 //!   `DynamicIndex`), owning the acceleration structures (one per AABB
-//!   width, built lazily and cached), the megacell grid and the per-query
-//!   caches;
+//!   width, built lazily and cached) and the megacell grid;
 //! * [`QueryPlan`] — passed per call to [`Index::query`], validated at
 //!   query time with typed [`PlanError`]s.
 //!
@@ -42,9 +41,9 @@ use crate::approx::ApproxMode;
 use crate::backend::{Accel, Backend, Traversal, TraversalJob, TraversalKind};
 use crate::engine::{OptLevel, SearchError};
 use crate::megacell::MegacellGrid;
-use crate::partition::{KnnAabbRule, MegacellCache, Partition};
+use crate::partition::{KnnAabbRule, Partition};
 use crate::pipeline::{PartitionCx, ScheduleCx, StageKind, StageMeter, StageOverrides};
-use crate::plan::{validate_points, PlanError, QueryPlan};
+use crate::plan::{plan_slices, validate_points, PlanError, QueryPlan};
 use crate::result::{SearchMode, SearchParams, SearchResults, TimeBreakdown};
 use rtnn_bvh::BuildParams;
 use rtnn_gpusim::kernel::point_cloud_bytes;
@@ -263,15 +262,6 @@ pub struct AdoptedScene<'a> {
     /// Megacell grid over the current positions (`None` falls back to a
     /// lazily built grid).
     pub grid: Option<&'a MegacellGrid>,
-    /// Bounds of grid cells whose population changed since `cache` entries
-    /// were written ([`Aabb::EMPTY`] when none did).
-    pub dirty_region: Aabb,
-    /// Per-query megacell cache, updated in place across frames.
-    pub cache: Option<&'a mut MegacellCache>,
-    /// The search parameters the adopted cache serves (`None`: any). Plans
-    /// with different parameters *bypass* the cache instead of wiping the
-    /// owner's warm entries — megacell results depend on `(radius, k)`.
-    pub cache_params: Option<SearchParams>,
 }
 
 /// A persistent neighbor-search index: scene-side state built once, typed
@@ -282,9 +272,6 @@ pub struct Index<'a> {
     points: Cow<'a, [Vec3]>,
     store: AccelStore<'a>,
     grid: GridSlot<'a>,
-    cache: Option<&'a mut MegacellCache>,
-    cache_params: Option<SearchParams>,
-    dirty_region: Aabb,
     pending_structure_ms: f64,
     /// The outcome of the one finiteness scan of `points`, run at the
     /// first query (`None` until then): their bounds, which the coherence
@@ -310,9 +297,6 @@ impl<'a> Index<'a> {
             points: points.into(),
             store: AccelStore::new(),
             grid: GridSlot::Unbuilt,
-            cache: None,
-            cache_params: None,
-            dirty_region: Aabb::EMPTY,
             pending_structure_ms: 0.0,
             point_check: None,
         }
@@ -339,9 +323,6 @@ impl<'a> Index<'a> {
                 Some(g) => GridSlot::Shared(g),
                 None => GridSlot::Unbuilt,
             },
-            cache: scene.cache,
-            cache_params: scene.cache_params,
-            dirty_region: scene.dirty_region,
             pending_structure_ms: 0.0,
             point_check: None,
         }
@@ -480,35 +461,8 @@ impl<'a> Index<'a> {
             t.counter_add("index.queries", 1);
             t.counter_add("index.query_points", queries.len() as u64);
         }
-        // A single plan is one slice over every query. An adopted megacell
-        // cache serves exactly the params it was grown under: other plans
-        // bypass it (reading its entries would be wrong, wiping them would
-        // cost the owner its warm state), and so do batches, whose slices
-        // carry several parameter sets.
-        let all_ids: Vec<u32>;
-        let (slices, use_cache) = match plan.as_ref() {
-            QueryPlan::Batch(slices) => (
-                slices
-                    .iter()
-                    .map(|s| {
-                        (
-                            s.plan.params().expect("validated non-batch slice"),
-                            s.query_ids.as_slice(),
-                        )
-                    })
-                    .collect(),
-                false,
-            ),
-            single => {
-                let params = single.params().expect("non-batch plan has params");
-                all_ids = (0..queries.len() as u32).collect();
-                (
-                    vec![(params, all_ids.as_slice())],
-                    self.cache_params.is_none_or(|cp| cp == params),
-                )
-            }
-        };
-        let result = self.execute(queries, point_bounds, &slices, use_cache, overrides);
+        let slices = plan_slices(&plan, queries.len());
+        let result = self.execute(queries, point_bounds, &slices, overrides);
         if let (Some(span), Ok(results)) = (query_span.as_mut(), result.as_ref()) {
             span.attr("queries", queries.len() as f64)
                 .attr("points", self.points.len() as f64)
@@ -537,19 +491,11 @@ impl<'a> Index<'a> {
     /// the slice's share of the shared order. `Launch` traverses every
     /// non-empty partition ([`traverse_partition`]) and `Gather` scatters
     /// each traversal's payloads back by query id.
-    ///
-    /// `use_cache` hands the adopted megacell cache to the partitioning of
-    /// a single-slice call. The adopted dirty region is applied on *every*
-    /// such call for the lifetime of this view (re-invalidating an entry
-    /// that was already recomputed is wasted work, never wrong); the
-    /// adopting owner decides when the invalidation has been durably
-    /// absorbed and stops resupplying it.
     fn execute(
         &mut self,
         queries: &[Vec3],
         point_bounds: Aabb,
-        slices: &[(SearchParams, &[u32])],
-        use_cache: bool,
+        slices: &[(SearchParams, Cow<'_, [u32]>)],
         overrides: StageOverrides<'_>,
     ) -> Result<SearchResults, SearchError> {
         self.config.validate()?;
@@ -644,11 +590,6 @@ impl<'a> Index<'a> {
 
         // `Partition` → `Launch` → `Gather` per slice, over the shared
         // store and grid.
-        let mut cache = if use_cache {
-            self.cache.as_deref_mut()
-        } else {
-            None
-        };
         let mut neighbors: Vec<Vec<u32>> = vec![Vec::new(); queries.len()];
         let mut search_metrics = LaunchMetrics::default();
         let (mut num_partitions, mut num_bundles) = (0, 0);
@@ -670,8 +611,6 @@ impl<'a> Index<'a> {
                     queries,
                     order,
                     grid,
-                    dirty_region: &self.dirty_region,
-                    cache: cache.take(),
                 });
                 breakdown.opt_ms += parts.opt_metrics.time_ms;
                 let device_ms = parts.opt_metrics.time_ms;

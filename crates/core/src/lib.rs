@@ -95,8 +95,8 @@ pub use bundling::{apply_bundles, plan_bundles, BundlePlan};
 pub use cost_model::CostCoefficients;
 pub use engine::{OptLevel, RtnnConfig, SearchError};
 pub use index::{AdoptedScene, EngineConfig, Index};
-pub use megacell::{GridRefresh, MegacellGrid, MegacellResult};
-pub use partition::{KnnAabbRule, MegacellCache, Partition, PartitionSet};
+pub use megacell::{MegacellGrid, MegacellResult};
+pub use partition::{KnnAabbRule, Partition, PartitionSet};
 pub use pipeline::{PipelineTrace, StageKind, StageOverrides, StageTiming};
 pub use plan::{PlanError, PlanSlice, QueryPlan};
 pub use result::{SearchMode, SearchParams, SearchResults, ShardMerge, TimeBreakdown};

@@ -34,11 +34,8 @@ use rtnn_math::{Aabb, GridCoord, UniformGrid, Vec3};
 /// For streaming scenes the grid supports *incremental* maintenance: it
 /// remembers which cell every point was binned into, so when a frame moves a
 /// subset of the points only those points' cells are recomputed and the
-/// table is refilled in its own buffer ([`MegacellGrid::refresh`]) — the
-/// grid geometry (bounds, cell size, dimensions) survives, and the refresh
-/// reports the world-space region whose cell populations changed so
-/// downstream per-query megacell caches can be invalidated selectively
-/// instead of wholesale.
+/// table is refilled in its own buffer ([`MegacellGrid::refresh`]); the
+/// grid geometry (bounds, cell size, dimensions) survives.
 #[derive(Debug, Clone)]
 pub struct MegacellGrid {
     grid: UniformGrid,
@@ -48,24 +45,8 @@ pub struct MegacellGrid {
     point_cells: Vec<u32>,
 }
 
-/// Outcome of [`MegacellGrid::refresh`].
-#[derive(Debug, Clone, PartialEq)]
-pub enum GridRefresh {
-    /// The grid absorbed the motion in place. `dirty_region` bounds every
-    /// cell whose population changed (empty when points only moved within
-    /// their cells — megacell results are then unchanged everywhere).
-    Incremental {
-        /// World-space bounds of all population-changed cells.
-        dirty_region: Aabb,
-    },
-    /// The motion cannot be absorbed (a point left the grid bounds, or the
-    /// point count changed): the caller must rebuild the grid from scratch
-    /// with [`MegacellGrid::build`]. `self` is left unchanged.
-    NeedsRebuild,
-}
-
 /// Result of growing one query's megacell.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct MegacellResult {
     /// Growth steps beyond the central cell (0 = just the query's cell).
     pub steps: u32,
@@ -197,70 +178,37 @@ impl MegacellGrid {
     /// are recomputed; the count table is refilled in place when any point
     /// changed cell.
     ///
-    /// Returns [`GridRefresh::NeedsRebuild`] — leaving `self` untouched —
-    /// when the motion cannot be absorbed: the point count changed, or a
-    /// moved point escaped the grid bounds (binning clamps out-of-bounds
-    /// points into boundary cells, which would let the megacell counts claim
-    /// points that are geometrically far outside the counted box and break
-    /// the AABB-width soundness argument).
-    pub fn refresh(&mut self, points: &[Vec3], moved: &[u32]) -> GridRefresh {
+    /// Returns `false`, leaving `self` untouched, when the motion cannot be
+    /// absorbed and the caller must rebuild the grid with
+    /// [`MegacellGrid::build`]: the point count changed, or a moved point
+    /// escaped the grid bounds (binning clamps out-of-bounds points into
+    /// boundary cells, which would let the megacell counts claim points
+    /// that are geometrically far outside the counted box and break the
+    /// AABB-width soundness argument).
+    pub fn refresh(&mut self, points: &[Vec3], moved: &[u32]) -> bool {
         if points.len() != self.point_cells.len() {
-            return GridRefresh::NeedsRebuild;
+            return false;
         }
         let grid = &self.grid;
-        // Each change as (id, new cell), and the smallest and largest grid
-        // coordinates, per axis, of every cell a change leaves or enters.
+        // Each change as (id, new cell).
         let mut changes: Vec<(u32, u32)> = Vec::new();
-        let (mut lo, mut hi) = ([u32::MAX; 3], [0; 3]);
         for &id in moved {
             let p = points[id as usize];
             if !grid.bounds().contains_point(p) {
-                return GridRefresh::NeedsRebuild;
+                return false;
             }
-            let coord = grid.cell_of(p);
-            let cell = grid.cell_index(coord) as u32;
-            let old_cell = self.point_cells[id as usize];
-            if cell != old_cell {
+            let cell = grid.cell_index(grid.cell_of(p)) as u32;
+            if cell != self.point_cells[id as usize] {
                 changes.push((id, cell));
-                for c in [coord, grid.coord_of_index(old_cell as usize)] {
-                    for (axis, v) in [c.x, c.y, c.z].into_iter().enumerate() {
-                        lo[axis] = lo[axis].min(v);
-                        hi[axis] = hi[axis].max(v);
-                    }
-                }
             }
         }
-        if changes.is_empty() {
-            return GridRefresh::Incremental {
-                dirty_region: Aabb::EMPTY,
-            };
+        if !changes.is_empty() {
+            for &(id, new_cell) in &changes {
+                self.point_cells[id as usize] = new_cell;
+            }
+            self.fill_counts();
         }
-        for &(id, new_cell) in &changes {
-            self.point_cells[id as usize] = new_cell;
-        }
-        self.fill_counts();
-        // `cell_bounds` grows with the coordinate on every axis, so the
-        // union of the two corner cells' bounds is, bit for bit, the union
-        // of every changed cell's bounds.
-        let corner = |[x, y, z]: [u32; 3]| self.grid.cell_bounds(GridCoord::new(x, y, z));
-        GridRefresh::Incremental {
-            dirty_region: corner(lo).union(&corner(hi)),
-        }
-    }
-
-    /// World-space bounds of every cell the megacell growth for a query at
-    /// `q` could possibly scan (the maximum-steps box around its central
-    /// cell). A cached megacell result stays valid as long as this region
-    /// contains no population-changed cell and the query's central cell is
-    /// unchanged.
-    pub fn reach_bounds(&self, q: Vec3, radius: f32) -> Aabb {
-        let (lo, hi) = self.box_around(self.grid.cell_of(q), self.max_steps(radius));
-        self.grid.cell_bounds(lo).union(&self.grid.cell_bounds(hi))
-    }
-
-    /// Linear index of the cell containing `q` (clamped to the grid).
-    pub fn cell_index_of(&self, q: Vec3) -> usize {
-        self.grid.cell_index(self.grid.cell_of(q))
+        true
     }
 
     /// Edge length of one grid cell.
@@ -520,11 +468,12 @@ mod tests {
             p.x = (p.x + 2.0) % 5.0;
             p.y = (p.y + 1.0) % 5.0;
         }
-        let refresh = mg.refresh(&points, &moved);
-        let GridRefresh::Incremental { dirty_region } = refresh else {
-            panic!("expected incremental refresh, got {refresh:?}");
-        };
-        assert!(!dirty_region.is_empty());
+        let before = mg.counts.clone();
+        assert!(
+            mg.refresh(&points, &moved),
+            "in-bounds motion must refresh in place"
+        );
+        assert_ne!(mg.counts, before, "the motion must change some count");
         // Every megacell result equals a freshly built grid's (geometry was
         // preserved, so cell size and dims agree).
         let fresh = MegacellGrid::build(&points, 4096).unwrap();
@@ -539,7 +488,7 @@ mod tests {
     }
 
     #[test]
-    fn refresh_with_intra_cell_motion_reports_nothing_dirty() {
+    fn refresh_with_intra_cell_motion_leaves_the_counts_unchanged() {
         let mut points = dense_grid_points(5, 1.0);
         let mut mg = MegacellGrid::build(&points, 4096).unwrap();
         let cell = mg.cell_size();
@@ -552,40 +501,30 @@ mod tests {
                 moved.push(i as u32);
             }
         }
-        match mg.refresh(&points, &moved) {
-            // The points sit on cell faces and move a hundredth of a cell
-            // into the cell above, so none changes cell.
-            GridRefresh::Incremental { dirty_region } => assert!(dirty_region.is_empty()),
-            GridRefresh::NeedsRebuild => panic!("tiny motion should not force a rebuild"),
-        }
+        let before = mg.counts.clone();
+        assert!(
+            mg.refresh(&points, &moved),
+            "tiny motion should not force a rebuild"
+        );
+        // The points sit on cell faces and move a hundredth of a cell into
+        // the cell above, so none changes cell.
+        assert_eq!(mg.counts, before);
     }
 
     #[test]
     fn refresh_demands_rebuild_when_points_escape_or_counts_change() {
         let mut points = dense_grid_points(4, 1.0);
         let mut mg = MegacellGrid::build(&points, 4096).unwrap();
-        // A point leaves the grid bounds entirely.
+        let before = (mg.counts.clone(), mg.point_cells.clone());
+        // A point leaves the grid bounds entirely, after one that changes
+        // cell: the grid is left untouched.
+        points[3] = Vec3::splat(2.5);
         points[7] = Vec3::new(100.0, 0.0, 0.0);
-        assert_eq!(mg.refresh(&points, &[7]), GridRefresh::NeedsRebuild);
+        assert!(!mg.refresh(&points, &[3, 7]));
+        assert_eq!((mg.counts.clone(), mg.point_cells.clone()), before);
         // Point-count changes always force a rebuild.
         points.pop();
-        assert_eq!(mg.refresh(&points, &[]), GridRefresh::NeedsRebuild);
-    }
-
-    #[test]
-    fn reach_bounds_cover_the_growth_region() {
-        let points = dense_grid_points(8, 1.0);
-        let mg = MegacellGrid::build(&points, 32 * 32 * 32).unwrap();
-        let q = Vec3::new(3.5, 3.5, 3.5);
-        let radius = 3.0;
-        let reach = mg.reach_bounds(q, radius);
-        // The megacell the growth actually produced fits inside the reach.
-        let mc = mg.megacell_for(q, radius, 64);
-        assert!(reach.longest_extent() >= mc.width - 1e-5);
-        assert!(reach.contains_point(q));
-        // A larger radius can only widen the reach.
-        let wider = mg.reach_bounds(q, 2.0 * radius);
-        assert!(wider.contains_aabb(&reach));
+        assert!(!mg.refresh(&points, &[]));
     }
 
     #[test]
@@ -880,10 +819,10 @@ mod tests {
         for &id in &moved {
             points[id as usize] = points[id as usize / 5 + 1];
         }
-        let GridRefresh::Incremental { dirty_region } = mg.refresh(&points, &moved) else {
-            panic!("in-bounds motion must refresh in place");
-        };
-        assert!(!dirty_region.is_empty());
+        assert!(
+            mg.refresh(&points, &moved),
+            "in-bounds motion must refresh in place"
+        );
         assert_ne!(mg.counts, before, "the motion must change some count");
         let fresh = MegacellGrid::on_grid(mg.grid().clone(), &points);
         for (lo, hi) in every_box(mg.grid()) {
@@ -905,7 +844,6 @@ mod tests {
         let points = dense_grid_points(12, 1.0);
         let mg = MegacellGrid::build(&points, 1 << 21).unwrap();
         let q = Vec3::splat(5.5);
-        let home = mg.grid().cell_bounds(mg.grid().cell_of(q));
         let mut charge = 0;
         for r in [1e1, 1e2, 1e3, 1e5, 1e9, 1e30, f32::MAX] {
             let mc = mg.megacell_for(q, r, 4000);
@@ -913,9 +851,6 @@ mod tests {
             assert!(mc.cells_scanned >= charge, "r {r}: charge fell");
             charge = mc.cells_scanned;
             assert!(mc.width.is_finite() && mc.width > 0.0, "r {r}: {mc:?}");
-            let reach = mg.reach_bounds(q, r);
-            assert!(reach.contains_aabb(&home), "r {r}: {reach:?}");
-            assert!(reach.contains_point(Vec3::ZERO) && reach.contains_point(Vec3::splat(11.0)));
         }
         assert_eq!(charge, u32::MAX);
     }
@@ -984,49 +919,6 @@ mod tests {
                 }
             }
             assert!(longest > 64, "{name}: longest growth {longest} steps");
-        }
-    }
-
-    #[test]
-    fn refresh_dirty_region_is_the_union_of_every_changed_cell() {
-        let bits = |a: &Aabb| [a.min, a.max].map(|v| v.to_array().map(f32::to_bits));
-        for (name, mut points) in test_clouds(13) {
-            let mut mg = MegacellGrid::build(&points, 512).unwrap();
-            let grid = mg.grid().clone();
-            let bounds = *grid.bounds();
-            let cell_of = |p: Vec3| grid.cell_index(grid.cell_of(p));
-            let mut next = unit_floats(17);
-            for round in 0..24 {
-                // Each round moves about a tenth of the points: even rounds
-                // anywhere in the grid, odd rounds by under a cell.
-                let before = points.clone();
-                let moved: Vec<u32> = (0..points.len() as u32).filter(|_| next() < 0.1).collect();
-                for &id in &moved {
-                    let u = Vec3::new(next(), next(), next());
-                    let p = if round % 2 == 0 {
-                        bounds.min + bounds.extent() * u
-                    } else {
-                        before[id as usize] + (u - Vec3::splat(0.5)) * grid.cell_size()
-                    };
-                    points[id as usize] = p.max(bounds.min).min(bounds.max);
-                }
-                let mut cells = std::collections::HashSet::new();
-                let mut want = Aabb::EMPTY;
-                for &id in &moved {
-                    let (old, new) = (cell_of(before[id as usize]), cell_of(points[id as usize]));
-                    if old != new {
-                        for c in [old, new] {
-                            if cells.insert(c) {
-                                want.grow_aabb(&grid.cell_bounds(grid.coord_of_index(c)));
-                            }
-                        }
-                    }
-                }
-                let GridRefresh::Incremental { dirty_region } = mg.refresh(&points, &moved) else {
-                    panic!("{name}, round {round}: in-bounds motion must refresh in place");
-                };
-                assert_eq!(bits(&dirty_region), bits(&want), "{name}, round {round}");
-            }
         }
     }
 }

@@ -10,7 +10,7 @@ use crate::bundling::{apply_bundles, plan_bundles};
 use crate::cost_model::CostCoefficients;
 use crate::index::EngineConfig;
 use crate::megacell::MegacellGrid;
-use crate::partition::{partition_queries, MegacellCache, Partition};
+use crate::partition::{partition_queries, Partition};
 use crate::result::SearchParams;
 use crate::scheduling::{anchor_keys, charge_sort_kernel, QuerySchedule};
 use rtnn_gpusim::KernelMetrics;
@@ -143,7 +143,7 @@ pub(crate) struct PartitionedQueries {
 }
 
 /// What the `Partition` stage sees: the scheduled order plus the megacell
-/// state the persistent index maintains.
+/// grid the persistent index maintains.
 pub(crate) struct PartitionCx<'r> {
     /// The execution backend (partition kernels are charged to its device).
     pub backend: &'r dyn Backend,
@@ -162,11 +162,6 @@ pub(crate) struct PartitionCx<'r> {
     /// true (a stage runs only over a scene with points, so the grid
     /// exists).
     pub grid: Option<&'r MegacellGrid>,
-    /// Bounds of grid cells whose population changed since the cache
-    /// entries were written.
-    pub dirty_region: &'r Aabb,
-    /// Per-query megacell cache, updated in place across frames.
-    pub cache: Option<&'r mut MegacellCache>,
 }
 
 /// The `Partition` stage: split the scheduled queries into partitions, each
@@ -219,7 +214,6 @@ impl Partitioning {
                     cx.order,
                     &cx.params,
                     cx.config.knn_rule,
-                    cx.cache.map(|cache| (cache, cx.dirty_region)),
                 );
                 let num_partitions = set.partitions.len();
                 let partitions = if bundle {
@@ -243,7 +237,7 @@ impl Partitioning {
     /// driver provisions (and lazily builds) the index's cached grid
     /// exactly when the *resolved* partitioning wants it, so disabling
     /// partitioning per call skips the grid build and enabling it per call
-    /// on a no-partitioning engine still hits the persistent cache.
+    /// on a no-partitioning engine still reuses the persistent grid.
     pub fn wants_grid(self) -> bool {
         matches!(self, Partitioning::Megacell { .. })
     }

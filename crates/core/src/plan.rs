@@ -370,6 +370,26 @@ impl QueryPlan {
     }
 }
 
+/// The `(params, query ids)` slices a normalized, validated plan runs as:
+/// a batch's own slices, or a single plan as one slice over all
+/// `num_queries` queries. [`Index`](crate::Index) and `rtnn-serve`'s
+/// sharded index both drive every plan through this one view.
+pub fn plan_slices(plan: &QueryPlan, num_queries: usize) -> Vec<(SearchParams, Cow<'_, [u32]>)> {
+    match plan {
+        QueryPlan::Batch(slices) => slices
+            .iter()
+            .map(|s| {
+                let params = s.plan.params().expect("validated non-batch slice");
+                (params, Cow::Borrowed(s.query_ids.as_slice()))
+            })
+            .collect(),
+        single => {
+            let params = single.params().expect("non-batch plan has params");
+            vec![(params, (0..num_queries as u32).collect())]
+        }
+    }
+}
+
 /// Check that every indexed point is finite
 /// ([`PlanError::NonFinitePoint`] names the first that is not) and return
 /// their bounds. An [`Index`](crate::Index) runs this once, at its first

@@ -4,12 +4,12 @@
 
 use crate::policy::RebuildPolicy;
 use rtnn::{
-    Accel, AdoptedScene, Backend, GpusimBackend, Index, MegacellCache, MegacellGrid, PlanError,
-    QueryPlan, RtnnConfig, SearchError, SearchResults, StageOverrides,
+    Accel, AdoptedScene, Backend, GpusimBackend, Index, MegacellGrid, PlanError, QueryPlan,
+    RtnnConfig, SearchError, SearchResults, StageOverrides,
 };
 use rtnn_bvh::{BuildParams, Bvh, SlotSet};
 use rtnn_gpusim::{Device, FrameAccumulator};
-use rtnn_math::{Aabb, Vec3};
+use rtnn_math::Vec3;
 
 /// What a frame did to the acceleration structure.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -121,17 +121,15 @@ impl<'d> BackendHolder<'d> {
 struct SyncInfo {
     action: StructureAction,
     quality_ratio: f64,
-    dirty_region: Aabb,
 }
 
 /// A persistent neighbor-search index over a mutable point cloud.
 ///
 /// Mutations ([`insert`](Self::insert), [`remove`](Self::remove),
 /// [`move_point`](Self::move_point)) are O(1) bookkeeping; the expensive
-/// state — global acceleration structure, megacell grid, per-query megacell
-/// cache — is maintained lazily at the next [`search`](Self::search), at a
-/// cost that grows with the moved points and the tree's nodes (see the
-/// crate docs):
+/// state — global acceleration structure and megacell grid — is maintained
+/// lazily at the next [`search`](Self::search), at a cost that grows with
+/// the moved points and the tree's nodes (see the crate docs):
 ///
 /// * pure motion refits the structure in place (through the backend) and
 ///   refreshes the grid incrementally, then lets the [`RebuildPolicy`]
@@ -166,14 +164,6 @@ pub struct DynamicIndex<'d> {
     /// builds no tree): the baseline of every refit's quality ratio.
     built_sah: Option<f64>,
     grid: Option<MegacellGrid>,
-    cache: MegacellCache,
-    /// Union of every grid dirty region not yet durably absorbed into the
-    /// megacell cache: refits accumulate it, and it is only cleared when a
-    /// search actually ran the cached partitioning pass (or a rebuild
-    /// dropped the cache wholesale). A [`FrameIndex`] that is dropped
-    /// unused, or queried only with batches, therefore never loses an
-    /// invalidation.
-    pending_dirty: Aabb,
     /// Structure-maintenance cost (simulated / host wall-clock) incurred
     /// but not yet reported through a [`FrameResult`]: maintenance done for
     /// a dropped-or-unqueried view accumulates here and the next search
@@ -225,10 +215,8 @@ impl<'d> DynamicIndex<'d> {
             accel: None,
             built_sah: None,
             grid: None,
-            cache: MegacellCache::default(),
             last_traversal_ms: None,
             metrics: FrameAccumulator::default(),
-            pending_dirty: Aabb::EMPTY,
             pending_structure_ms: 0.0,
             pending_host_structure_ms: 0.0,
         }
@@ -367,23 +355,8 @@ impl<'d> DynamicIndex<'d> {
 
         let plan = self.config.plan();
         let results = self
-            .frame_view(sync.dirty_region, structure_ms)
+            .frame_view(structure_ms)
             .query_with(queries, &plan, overrides)?;
-
-        // The cached partitioning pass ran exactly when the frame's
-        // partition stage (the override's, else the configured level's)
-        // reads the grid, a grid exists and the search was non-trivial —
-        // the pending dirty region has then been absorbed into the cache
-        // and can be retired. A frame that ran without partitioning never
-        // touched the cache, so its invalidations must stay pending.
-        let (_, partitioning) = overrides.resolve(self.config.engine.opt);
-        if partitioning.wants_grid()
-            && self.grid.is_some()
-            && !queries.is_empty()
-            && !self.compact.is_empty()
-        {
-            self.pending_dirty = Aabb::EMPTY;
-        }
 
         self.last_traversal_ms = Some(results.breakdown.fs_ms + results.breakdown.search_ms);
         self.metrics.record_frame(
@@ -434,14 +407,12 @@ impl<'d> DynamicIndex<'d> {
     /// is dropped without a query loses no accounting. View queries are not
     /// recorded in [`frame_metrics`](Self::frame_metrics).
     pub fn as_index(&mut self) -> Result<FrameIndex<'_>, SearchError> {
-        let sync = self.sync_structures()?;
-        Ok(self.frame_view(sync.dirty_region, 0.0))
+        self.sync_structures()?;
+        Ok(self.frame_view(0.0))
     }
 
-    /// Build the per-frame adopted view both query paths share. The
-    /// adopted megacell cache is tagged with the config's params, so view
-    /// plans with other radii/K bypass it instead of wiping it.
-    fn frame_view(&mut self, dirty_region: Aabb, structure_ms: f64) -> FrameIndex<'_> {
+    /// Build the per-frame adopted view both query paths share.
+    fn frame_view(&self, structure_ms: f64) -> FrameIndex<'_> {
         let accel = self
             .accel
             .as_ref()
@@ -453,9 +424,6 @@ impl<'d> DynamicIndex<'d> {
             AdoptedScene {
                 accel,
                 grid: self.grid.as_ref(),
-                dirty_region,
-                cache: Some(&mut self.cache),
-                cache_params: Some(self.config.params),
             },
         );
         index.charge_structure_ms(structure_ms);
@@ -503,7 +471,6 @@ impl<'d> DynamicIndex<'d> {
         let host_structure_start = std::time::Instant::now();
         let mut structure_ms = 0.0;
         let mut quality_ratio = 1.0;
-        let mut dirty_region = Aabb::EMPTY;
         let structural = membership_was_dirty
             || self.accel.is_none()
             || self.accel.as_ref().map(Accel::num_primitives) != Some(n);
@@ -539,7 +506,7 @@ impl<'d> DynamicIndex<'d> {
                         structure_ms += self.rebuild_structures(width)?;
                         StructureAction::Rebuilt
                     } else {
-                        dirty_region = self.refresh_grid();
+                        self.refresh_grid();
                         StructureAction::Refit
                     }
                 }
@@ -560,18 +527,9 @@ impl<'d> DynamicIndex<'d> {
         // that met a non-finite point.
         self.membership_dirty = false;
         self.moved.clear();
-
-        // Fold this frame's invalidation into the not-yet-absorbed union;
-        // a rebuild dropped the cache wholesale, so nothing is pending.
-        self.pending_dirty = match action {
-            StructureAction::Rebuilt => Aabb::EMPTY,
-            _ => self.pending_dirty.union(&dirty_region),
-        };
-
         Ok(SyncInfo {
             action,
             quality_ratio,
-            dirty_region: self.pending_dirty,
         })
     }
 
@@ -602,8 +560,8 @@ impl<'d> DynamicIndex<'d> {
             .min((16 * self.compact.len().max(1)).next_power_of_two())
     }
 
-    /// Rebuild the global structure, SAH baseline, megacell grid and cache
-    /// from the current compact positions through the backend; returns the
+    /// Rebuild the global structure, SAH baseline and megacell grid from
+    /// the current compact positions through the backend; returns the
     /// simulated build time.
     fn rebuild_structures(&mut self, width: f32) -> Result<f64, SearchError> {
         let budget = self.grid_budget();
@@ -617,35 +575,24 @@ impl<'d> DynamicIndex<'d> {
         self.built_sah = accel.bvh().map(Bvh::sah_cost);
         self.accel = Some(accel);
         self.grid = MegacellGrid::build(&self.compact, budget);
-        self.cache.invalidate_all(0);
         Ok(build_ms)
     }
 
-    /// Absorb this frame's motion into the megacell grid; returns the dirty
-    /// region for the per-query cache (empty when nothing changed cells).
-    /// Falls back to a wholesale grid rebuild when the motion escaped the
-    /// grid bounds.
-    fn refresh_grid(&mut self) -> Aabb {
-        let budget = self.grid_budget();
-        let Some(grid) = self.grid.as_mut() else {
-            self.grid = MegacellGrid::build(&self.compact, budget);
-            self.cache.invalidate_all(0);
-            return Aabb::EMPTY;
-        };
-        let moved_compact: Vec<u32> = self
-            .moved
-            .ascending()
-            .map(|slot| self.slot_to_compact[slot as usize])
-            .filter(|&c| c != u32::MAX)
-            .collect();
-        match grid.refresh(&self.compact, &moved_compact) {
-            rtnn::GridRefresh::Incremental { dirty_region, .. } => dirty_region,
-            rtnn::GridRefresh::NeedsRebuild => {
-                self.grid = MegacellGrid::build(&self.compact, budget);
-                self.cache.invalidate_all(0);
-                Aabb::EMPTY
+    /// Absorb this frame's motion into the megacell grid, falling back to
+    /// a wholesale grid rebuild when the motion escaped the grid bounds.
+    fn refresh_grid(&mut self) {
+        if let Some(grid) = self.grid.as_mut() {
+            let moved_compact: Vec<u32> = self
+                .moved
+                .ascending()
+                .map(|slot| self.slot_to_compact[slot as usize])
+                .filter(|&c| c != u32::MAX)
+                .collect();
+            if grid.refresh(&self.compact, &moved_compact) {
+                return;
             }
         }
+        self.grid = MegacellGrid::build(&self.compact, self.grid_budget());
     }
 }
 
@@ -657,6 +604,7 @@ mod tests {
         SearchParams, StructureTiming, Traversal, TraversalJob,
     };
     use rtnn_gpusim::device::OutOfDeviceMemory;
+    use rtnn_math::Aabb;
     use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
 
     fn jittered_block(n_per_axis: usize, spacing: f32) -> Vec<Vec3> {
@@ -1203,25 +1151,23 @@ mod tests {
     }
 
     #[test]
-    fn dropped_or_batch_only_views_never_lose_cache_invalidations() {
-        // A FrameIndex that is dropped unused (or queried only with batch
-        // plans, which bypass the megacell cache), or a frame searched
-        // without partitioning, must not swallow the frame's grid dirty
-        // region: the next search still has to treat the cache entries
-        // whose reach the earlier motion touched as stale.
+    fn motion_synced_without_a_partitioned_search_stays_exact() {
+        // Motion folded in by a FrameIndex that is dropped unused, or by a
+        // frame searched without partitioning, must show in the next
+        // partitioned search, even one whose own frame moves only a point
+        // far from the query.
         //
-        // The scene is built to make a lost invalidation observable: a
-        // dense clump right at the query (its cached megacell is tiny), a
-        // mid-distance shell that becomes the true nearest set once the
-        // clump scatters, and a lone far sentinel whose later motion
-        // produces a dirty region that does NOT overlap the query's reach.
+        // The scene makes a stale megacell observable: a dense clump right
+        // at the query (its megacell is tiny), a mid-distance shell that
+        // becomes the true nearest set once the clump scatters, and a lone
+        // far sentinel whose later motion is nowhere near the query.
         let device = Device::rtx_2080();
         let mut points: Vec<Vec3> = Vec::new();
         let centre = Vec3::new(10.0, 10.0, 10.0);
         let clump = 30usize;
         for i in 0..clump {
-            // Dense clump within ~0.1 of the query position: its cached
-            // megacell is a single fine grid cell.
+            // Dense clump within ~0.1 of the query position: its megacell
+            // is a single fine grid cell.
             let f = i as f32;
             points.push(
                 centre
@@ -1241,8 +1187,8 @@ mod tests {
             points.push(centre + Vec3::new(a.sin() * b.cos(), a.cos() * b.cos(), b.sin()) * rho);
         }
         // Filler far outside the query's reach: raises the point count so
-        // the megacell grid gets a fine cell size (the staleness window
-        // only exists when the cached box is much smaller than the radius).
+        // the megacell grid gets a fine cell size (a stale megacell only
+        // misses the shell when its box is much smaller than the radius).
         let filler_base = points.len();
         for i in 0..3400 {
             let f = i as f32;
@@ -1259,12 +1205,12 @@ mod tests {
         let config = RtnnConfig::new(params);
         let queries = vec![centre];
         // Frame 2 syncs the scattered clump in one of two ways, neither of
-        // which runs the cached partitioning pass: a view dropped unused,
-        // or a frame searched without partitioning.
+        // which runs the partitioning pass: a view dropped unused, or a
+        // frame searched without partitioning.
         for how in ["dropped view", "unpartitioned frame"] {
             let mut points = points.clone();
             let mut index = DynamicIndex::with_points(&device, config, &points);
-            index.search(&queries).unwrap(); // cache: tiny megacell (clump)
+            index.search(&queries).unwrap(); // a tiny megacell (clump)
 
             // Frame 2: the clump scatters out of the search radius entirely.
             for h in 0..clump as u32 {
@@ -1280,10 +1226,9 @@ mod tests {
                     .unwrap();
             }
 
-            // Frame 3: only the far sentinel twitches — its dirty region
-            // does not overlap the query's reach, so a per-frame dirty
-            // region would let the stale tiny megacell pass the overlap
-            // check and miss the shell entirely.
+            // Frame 3: only the far sentinel twitches, far from the query's
+            // reach; a megacell still sized for the clump would miss the
+            // shell entirely.
             let moved = points[sentinel as usize] + Vec3::new(0.5, 0.0, 0.0);
             points[sentinel as usize] = moved;
             index.move_point(sentinel, moved);
@@ -1298,7 +1243,7 @@ mod tests {
             assert_eq!(
                 sorted(frame.results.neighbors[0].clone()),
                 sorted(expected),
-                "{how}: stale megacell cache leaked through frame 2"
+                "{how}: frame 3 missed frame 2's motion"
             );
         }
     }
@@ -1337,23 +1282,23 @@ mod tests {
 
     #[test]
     fn view_plans_with_other_params_stay_exact() {
-        // The persistent megacell cache is populated under the config's
-        // params; a view plan with a *larger* K (or radius) must not trust
-        // those undersized megacells.
+        // A view plan with a *larger* K and radius than the config's must
+        // answer exactly: megacells sized for the config's k = 2 would be
+        // too small for it.
         let device = Device::rtx_2080();
         let points = jittered_block(7, 0.5);
         let config = RtnnConfig::new(SearchParams::knn(1.0, 2));
         let mut index = DynamicIndex::with_points(&device, config, &points);
         let queries: Vec<Vec3> = points.iter().step_by(3).copied().collect();
-        index.search(&queries).unwrap(); // cache grown for k = 2
+        index.search(&queries).unwrap(); // a frame at k = 2
 
         let mut view = index.as_index().unwrap();
         let wide = view.query(&queries, &QueryPlan::knn(1.6, 24)).unwrap();
         drop(view);
         // Compare distance sequences (the jittered block has equidistant
-        // ties at the k-boundary, where ids are traversal-order-defined; a
-        // stale undersized megacell would *miss* a closer point and shift
-        // the distances).
+        // ties at the k-boundary, where ids are traversal-order-defined; an
+        // undersized megacell would *miss* a closer point and shift the
+        // distances).
         for (qi, q) in queries.iter().enumerate() {
             let dists = |ids: &[u32]| -> Vec<f32> {
                 ids.iter()
@@ -1363,7 +1308,7 @@ mod tests {
             assert_eq!(
                 dists(&wide.neighbors[qi]),
                 dists(&rtnn::verify::brute_force_knn(&points, *q, 1.6, 24)),
-                "query {qi}: k=2 megacells must not serve a k=24 plan"
+                "query {qi}: the k=24 view plan must match the oracle"
             );
         }
     }

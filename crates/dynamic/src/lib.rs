@@ -18,9 +18,9 @@
 //! * An in-place **refit** path: when points merely move, the global BVH's
 //!   AABBs are recomputed bottom-up (`rtnn_bvh::refit`) instead of
 //!   re-topologized — roughly `accel_refit_speedup`× cheaper on the
-//!   simulated device — and the megacell grid absorbs the motion
-//!   incrementally, invalidating only the per-query megacell cache entries
-//!   whose reachable cells changed population.
+//!   simulated device — and the megacell grid absorbs the motion in place,
+//!   refilling its count table only when a point changes cell. Megacells
+//!   are grown afresh at every search, as in the paper's static pipeline.
 //! * A **refit-vs-rebuild policy** ([`RebuildPolicy`]) driven by the
 //!   execution backend's structure timing (`rtnn::Backend::timing`):
 //!   refitting degrades tree quality (the refitted tree's SAH cost over the

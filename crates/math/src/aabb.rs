@@ -157,17 +157,6 @@ impl Aabb {
         self.contains_point(other.min) && self.contains_point(other.max)
     }
 
-    /// Box-box overlap test (inclusive).
-    #[inline]
-    pub fn overlaps(&self, other: &Aabb) -> bool {
-        self.min.x <= other.max.x
-            && self.max.x >= other.min.x
-            && self.min.y <= other.max.y
-            && self.max.y >= other.min.y
-            && self.min.z <= other.max.z
-            && self.max.z >= other.min.z
-    }
-
     /// Squared distance from a point to the box (zero if inside).
     #[inline]
     pub fn distance_squared_to_point(&self, p: Vec3) -> f32 {
@@ -265,15 +254,12 @@ mod tests {
     }
 
     #[test]
-    fn containment_and_overlap() {
+    fn containment_and_union() {
         let big = Aabb::cube(Vec3::ZERO, 4.0);
         let small = Aabb::cube(Vec3::new(0.5, 0.5, 0.5), 1.0);
         let apart = Aabb::cube(Vec3::new(10.0, 0.0, 0.0), 1.0);
         assert!(big.contains_aabb(&small));
         assert!(!small.contains_aabb(&big));
-        assert!(big.overlaps(&small));
-        assert!(small.overlaps(&big));
-        assert!(!big.overlaps(&apart));
         assert_eq!(big.union(&apart).max.x, 10.5);
     }
 

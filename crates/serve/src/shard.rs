@@ -28,7 +28,7 @@
 //! pool, each worker owning one shard's `Index` exclusively.
 
 use crate::coalesce::TickExecutor;
-use rtnn::plan::validate_points;
+use rtnn::plan::{plan_slices, validate_points};
 use rtnn::SearchError;
 use rtnn::{
     Backend, CostCoefficients, EngineConfig, Index, LaunchMetrics, PipelineTrace, PlanError,
@@ -280,26 +280,7 @@ impl<'a> ShardedIndex<'a> {
             })
         });
 
-        // Uniform slice view: a single plan is one slice over every query.
-        let all_ids: Vec<u32>;
-        let slices: Vec<(SearchParams, &[u32])> = match plan.as_ref() {
-            QueryPlan::Batch(slices) => slices
-                .iter()
-                .map(|s| {
-                    (
-                        s.plan.params().expect("validated non-batch slice"),
-                        s.query_ids.as_slice(),
-                    )
-                })
-                .collect(),
-            single => {
-                all_ids = (0..queries.len() as u32).collect();
-                vec![(
-                    single.params().expect("non-batch plan has params"),
-                    all_ids.as_slice(),
-                )]
-            }
-        };
+        let slices = plan_slices(&plan, queries.len());
 
         // Route every covered query to the shards that can report one of
         // its neighbors.

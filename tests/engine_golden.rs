@@ -19,15 +19,15 @@
 //! Two scenes are pinned. A fresh `Index` answers {knn, range, capped
 //! range, two-slice batch} at every `OptLevel`. A `DynamicIndex` runs a
 //! frame sequence (first search, pure motion, no motion, remove + insert)
-//! whose refit frames must keep hitting the megacell cache; a frame that
-//! recomputed its megacells would charge a different partition kernel.
+//! through its refit, reuse and rebuild paths, each frame growing its
+//! megacells over the grid the index maintains.
 //!
 //! If a change is *meant* to move simulated numbers, say so in the change
 //! and update the constants from the `got` values the failures print.
 
 use rtnn::{
     EngineConfig, GpusimBackend, Index, LaunchMetrics, OptLevel, PlanSlice, QueryPlan, RtnnConfig,
-    SearchParams, SearchResults, StageKind,
+    SearchParams, SearchResults,
 };
 use rtnn_data::uniform::{self, UniformParams};
 use rtnn_dynamic::{DynamicIndex, RebuildPolicy, StructureAction};
@@ -182,8 +182,8 @@ const DYNAMIC_FRAMES: [(&str, StructureAction, u64); 4] = [
         StructureAction::Rebuilt,
         0x19FB_70BC_CC49_DE5C,
     ),
-    ("pure motion", StructureAction::Refit, 0x4D00_5041_158E_72EB),
-    ("no motion", StructureAction::Reused, 0x97B2_088F_6CC2_3FB1),
+    ("pure motion", StructureAction::Refit, 0x71DD_ED44_CA8D_3E9D),
+    ("no motion", StructureAction::Reused, 0x0D03_D7F9_72EE_7DCD),
     (
         "remove + insert",
         StructureAction::Rebuilt,
@@ -241,13 +241,12 @@ fn dynamic_frame_fingerprints_are_unchanged() {
         index.insert(p);
     }
     let mut drift = Vec::new();
-    let mut first_partition_ms = None;
     for (frame, action, want) in DYNAMIC_FRAMES {
         match frame {
             "pure motion" => {
                 // A slight contraction towards the centre: points stay
-                // inside the grid bounds and few change cells, so most
-                // queries keep their cached megacells.
+                // inside the grid bounds and few change cells, so the grid
+                // absorbs the motion in place.
                 let centre = Vec3::splat(50.0);
                 for h in 0..points.len() as u32 {
                     let p = index.position(h).unwrap();
@@ -266,18 +265,6 @@ fn dynamic_frame_fingerprints_are_unchanged() {
         }
         let f = index.search(&queries).unwrap();
         assert_eq!(f.action, action, "{frame}: structure action");
-        // Cache hits probe one entry instead of growing a megacell, so the
-        // refit and reuse frames charge a cheaper partition kernel.
-        let partition_ms = f.results.trace.stage(StageKind::Partition).device_ms;
-        match action {
-            StructureAction::Rebuilt => {
-                first_partition_ms = first_partition_ms.or(Some(partition_ms))
-            }
-            _ => assert!(
-                partition_ms < first_partition_ms.unwrap(),
-                "{frame}: the megacell cache was not hit"
-            ),
-        }
         let mut h = Fnv::new();
         h.results(&f.results);
         h.f64(f.structure_ms);

@@ -22,7 +22,7 @@ use rtnn_gpusim::Device;
 use rtnn_math::{Aabb, Vec3};
 
 /// Partition `queries` in input order over a megacell grid built on
-/// `points` (budget `1 << 15`), without a cache.
+/// `points` (budget `1 << 15`).
 fn partition_over_fresh_grid(
     device: &Device,
     points: &[Vec3],
@@ -38,7 +38,6 @@ fn partition_over_fresh_grid(
         &order,
         params,
         KnnAabbRule::Guaranteed,
-        None,
     )
 }
 
