@@ -200,7 +200,7 @@ fn bench_scheduling_and_partitioning(c: &mut Criterion) {
     group.bench_function("query_scheduling", |b| b.iter(schedule));
     let order = schedule().order;
     let params = SearchParams::knn(f.radius, f.k);
-    let grid = MegacellGrid::build(&f.points, config.grid_max_cells).unwrap();
+    let grid = MegacellGrid::build(&f.points, config.grid_max_cells.get()).unwrap();
     group.bench_function("query_partitioning", |b| {
         b.iter(|| partition_queries(&device, &grid, &f.queries, &order, &params, config.knn_rule));
     });
@@ -209,7 +209,7 @@ fn bench_scheduling_and_partitioning(c: &mut Criterion) {
     // changes cell: two frames that swap the positions of every 16th point
     // alternate, so each refresh moves points across cells.
     group.bench_function("megacell_grid_build", |b| {
-        b.iter(|| MegacellGrid::build(&f.points, config.grid_max_cells))
+        b.iter(|| MegacellGrid::build(&f.points, config.grid_max_cells.get()))
     });
     let moved: Vec<u32> = (0..f.points.len() as u32).step_by(16).collect();
     let mut swapped = f.points.clone();

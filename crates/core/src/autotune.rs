@@ -59,6 +59,7 @@ use crate::cost_model::CostCoefficients;
 use crate::engine::{OptLevel, SearchError};
 use crate::pipeline::StageOverrides;
 use crate::result::SearchResults;
+use rtnn_telemetry::profile::DEFAULT_DECAY_ALPHA;
 use rtnn_telemetry::{density_bucket, ProfileSnapshot};
 use std::collections::BTreeMap;
 
@@ -68,10 +69,6 @@ pub const DEFAULT_SEED: u64 = 0x52_54_4E_4E; // "RTNN"
 /// Default ε: fraction of steady-state decisions spent re-exploring a
 /// non-best arm so a drifting scene can escape a stale choice.
 pub const DEFAULT_EPSILON: f64 = 0.05;
-
-/// EWMA decay for measured arm timings (matches the profiler's
-/// `DEFAULT_DECAY_ALPHA`).
-const DECAY_ALPHA: f64 = 0.2;
 
 /// Observations kept per arm for the exact p50 (small and bounded: the
 /// tuner is consulted on every query).
@@ -135,7 +132,7 @@ impl ArmStats {
             if self.count == 0 {
                 self.stage_mean_ms[slot] = ms;
             } else {
-                self.stage_mean_ms[slot] += DECAY_ALPHA * (ms - self.stage_mean_ms[slot]);
+                self.stage_mean_ms[slot] += DEFAULT_DECAY_ALPHA * (ms - self.stage_mean_ms[slot]);
             }
         }
         self.count += 1;

@@ -31,7 +31,7 @@ pub use rtnn_optix::{Accel, RefitOutcome};
 pub enum TraversalKind {
     /// Fixed-radius search: up to `cap` neighbors within `radius`;
     /// `sphere_test` elided when the partition's AABB is inscribed in the
-    /// search sphere (Section 5.1) or the approximation mode skips it.
+    /// search sphere (Section 5.1).
     Range {
         /// Search radius.
         radius: f32,

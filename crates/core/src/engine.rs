@@ -73,7 +73,7 @@ pub struct RtnnConfig {
 
 impl RtnnConfig {
     /// `params` under the default engine configuration (every optimisation
-    /// enabled, exact results).
+    /// enabled).
     pub fn new(params: SearchParams) -> Self {
         RtnnConfig {
             params,
@@ -90,8 +90,8 @@ impl RtnnConfig {
 /// Errors a search can report.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SearchError {
-    /// The query plan, search parameters or engine configuration are
-    /// invalid; the typed [`PlanError`] names the offending field.
+    /// The query plan, its search parameters or the positions it runs
+    /// over are invalid; the typed [`PlanError`] names the offending field.
     InvalidPlan(PlanError),
     /// The working set does not fit in the simulated device memory (the
     /// `OOM` outcomes of Figure 11).

@@ -10,7 +10,7 @@
 //!   query time with typed [`PlanError`]s.
 //!
 //! Engine-wide tuning that is *not* per-query (optimisation level, KNN
-//! AABB rule, approximation mode, grid budget) lives in [`EngineConfig`].
+//! AABB rule, grid budget) lives in [`EngineConfig`].
 //!
 //! Every call runs through one driver: a single plan is a one-slice batch
 //! over every query, so single plans and heterogeneous batches share the
@@ -37,7 +37,6 @@
 //! assert!(index.cached_structures() >= 1);
 //! ```
 
-use crate::approx::ApproxMode;
 use crate::backend::{Accel, Backend, Traversal, TraversalJob, TraversalKind};
 use crate::engine::{OptLevel, SearchError};
 use crate::megacell::MegacellGrid;
@@ -52,6 +51,7 @@ use rtnn_optix::LaunchMetrics;
 use rtnn_parallel::par_map_collect;
 use rtnn_telemetry::{ProfileSample, Telemetry};
 use std::borrow::Cow;
+use std::num::NonZeroUsize;
 
 /// Engine-wide tuning, shared by every plan an [`Index`] serves. Per-query
 /// parameters (radius, K, variant) live in the [`QueryPlan`] instead.
@@ -61,11 +61,10 @@ pub struct EngineConfig {
     pub opt: OptLevel,
     /// How KNN partition AABB widths are derived (default: guaranteed-exact).
     pub knn_rule: KnnAabbRule,
-    /// Approximation mode (default: exact).
-    pub approx: ApproxMode,
     /// Grid-resolution budget for the megacell pass (stands in for the GPU
-    /// memory cap the paper mentions). Must be at least 1.
-    pub grid_max_cells: usize,
+    /// memory cap the paper mentions). [`MegacellGrid::build`] raises any
+    /// budget below 8 cells to 8.
+    pub grid_max_cells: NonZeroUsize,
 }
 
 impl Default for EngineConfig {
@@ -73,8 +72,7 @@ impl Default for EngineConfig {
         EngineConfig {
             opt: OptLevel::Full,
             knn_rule: KnnAabbRule::default(),
-            approx: ApproxMode::default(),
-            grid_max_cells: 1 << 21,
+            grid_max_cells: NonZeroUsize::new(1 << 21).expect("2^21 is nonzero"),
         }
     }
 }
@@ -92,45 +90,17 @@ impl EngineConfig {
         self
     }
 
-    /// Set the approximation mode.
-    pub fn with_approx(mut self, approx: ApproxMode) -> Self {
-        self.approx = approx;
-        self
-    }
-
     /// Set the megacell grid budget.
-    ///
-    /// # Panics
-    ///
-    /// Panics on `cells == 0` with a clear message — a zero-cell grid
-    /// budget silently disabled partitioning in earlier versions. (Configs
-    /// assembled by hand are additionally rejected with
-    /// [`PlanError::ZeroGridBudget`] at query time.)
-    pub fn with_grid_max_cells(mut self, cells: usize) -> Self {
-        assert!(
-            cells >= 1,
-            "error: grid_max_cells must be a positive cell budget, got 0 \
-             (the megacell pass needs at least one grid cell)"
-        );
+    pub fn with_grid_max_cells(mut self, cells: NonZeroUsize) -> Self {
         self.grid_max_cells = cells;
         self
     }
 
-    /// The full AABB width of a radius-`radius` search: `2r` scaled by the
-    /// approximation mode. Every plan with this radius traverses the
-    /// structure built at this width.
+    /// The full AABB width of a radius-`radius` search, `2r`: the cube
+    /// that encloses the search sphere. Every plan with this radius
+    /// traverses the structure built at this width.
     pub fn aabb_width(&self, radius: f32) -> f32 {
-        2.0 * radius * self.approx.aabb_width_factor()
-    }
-
-    /// Validate the engine-wide knobs (approximation parameters, grid
-    /// budget); run automatically at query time.
-    pub fn validate(&self) -> Result<(), PlanError> {
-        self.approx.validate()?;
-        if self.grid_max_cells == 0 {
-            return Err(PlanError::ZeroGridBudget);
-        }
-        Ok(())
+        2.0 * radius
     }
 }
 
@@ -242,10 +212,10 @@ enum GridSlot<'a> {
 fn grid_for<'s, 'a>(
     slot: &'s mut GridSlot<'a>,
     points: &[Vec3],
-    budget: usize,
+    budget: NonZeroUsize,
 ) -> Option<&'s MegacellGrid> {
     if let GridSlot::Unbuilt = slot {
-        *slot = GridSlot::Owned(MegacellGrid::build(points, budget));
+        *slot = GridSlot::Owned(MegacellGrid::build(points, budget.get()));
     }
     match slot {
         GridSlot::Shared(g) => Some(g),
@@ -376,7 +346,6 @@ impl<'a> Index<'a> {
     /// into the next query's `BVH` breakdown slot — warming is part of the
     /// scene's structure cost, not free work.
     pub fn warm(&mut self, plan: &QueryPlan) -> Result<f64, SearchError> {
-        self.config.validate()?;
         let cfg = self.config;
         let plan = plan.normalized();
         let parts: Vec<&QueryPlan> = match plan.as_ref() {
@@ -498,7 +467,6 @@ impl<'a> Index<'a> {
         slices: &[(SearchParams, Cow<'_, [u32]>)],
         overrides: StageOverrides<'_>,
     ) -> Result<SearchResults, SearchError> {
-        self.config.validate()?;
         let backend = self.backend;
         let cfg = self.config;
         let device = backend.device();
@@ -672,15 +640,13 @@ fn traverse_partition(
     let (aid, built_ms) = if (part.aabb_width - full_width).abs() <= f32::EPSILON * full_width {
         (store.find(full_width).expect("ensured by the driver"), 0.0)
     } else {
-        let eff_width = part.aabb_width * cfg.approx.aabb_width_factor().min(1.0);
-        store.ensure(backend, points, eff_width)?
+        store.ensure(backend, points, part.aabb_width)?
     };
-    let sphere_test = part.sphere_test && !cfg.approx.skip_sphere_test();
     let kind = match params.mode {
         SearchMode::Range => TraversalKind::Range {
             radius: params.radius,
             cap: params.k,
-            sphere_test,
+            sphere_test: part.sphere_test,
         },
         SearchMode::Knn => TraversalKind::Knn {
             radius: params.radius,
@@ -882,25 +848,6 @@ mod tests {
                 query_id: 0
             })
         );
-
-        // A hand-assembled config with a zero grid budget is rejected with
-        // a typed error too (the builder panics instead, see below).
-        let bad_cfg = EngineConfig {
-            grid_max_cells: 0,
-            ..EngineConfig::default()
-        };
-        let mut bad = Index::build(&backend, &points[..], bad_cfg);
-        assert_eq!(
-            bad.query(&[Vec3::ZERO], &QueryPlan::knn(1.0, 4))
-                .unwrap_err(),
-            SearchError::InvalidPlan(PlanError::ZeroGridBudget)
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "grid_max_cells must be a positive cell budget")]
-    fn zero_grid_budget_builder_panics() {
-        let _ = EngineConfig::default().with_grid_max_cells(0);
     }
 
     #[test]
@@ -996,21 +943,6 @@ mod tests {
     }
 
     #[test]
-    fn invalid_approximation_configs_are_rejected() {
-        let config = EngineConfig::default().with_approx(ApproxMode::ShrunkenAabb { factor: 2.0 });
-        let err = run(
-            &Device::rtx_2080(),
-            config,
-            &QueryPlan::range(1.0, 4),
-            &[Vec3::ZERO],
-            &[Vec3::ZERO],
-        )
-        .unwrap_err();
-        assert!(matches!(err, SearchError::InvalidPlan(_)));
-        assert!(err.to_string().contains("invalid configuration"));
-    }
-
-    #[test]
     fn oom_is_reported_for_clouds_that_do_not_fit() {
         // 100k queries x 1M results would need terabytes; the footprint
         // check fires before any allocation happens host-side.
@@ -1067,44 +999,6 @@ mod tests {
         );
         check_all(&points, &points, &plan.params().unwrap(), &part.neighbors)
             .unwrap_or_else(|(q, e)| panic!("query {q}: {e}"));
-    }
-
-    #[test]
-    fn approximate_modes_trade_recall_for_speed_within_bounds() {
-        let device = Device::rtx_2080();
-        let points = grid_points(8, 0.5);
-        let queries: Vec<Vec3> = points.iter().step_by(7).copied().collect();
-        let plan = QueryPlan::range(1.0, 1000);
-        let radius = 1.0;
-        let with = |approx| {
-            let config = EngineConfig::default()
-                .with_opt(OptLevel::Sched)
-                .with_approx(approx);
-            run(&device, config, &plan, &points, &queries).unwrap()
-        };
-        let exact = with(ApproxMode::Exact);
-        // Shrunken AABBs: subset of the exact result, never outside r.
-        let shrunk = with(ApproxMode::ShrunkenAabb { factor: 0.6 });
-        for (qi, q) in queries.iter().enumerate() {
-            let exact_set: std::collections::HashSet<u32> =
-                exact.neighbors[qi].iter().copied().collect();
-            for &id in &shrunk.neighbors[qi] {
-                assert!(exact_set.contains(&id));
-                assert!(q.distance(points[id as usize]) < radius);
-            }
-            assert!(shrunk.neighbors[qi].len() <= exact.neighbors[qi].len());
-        }
-        // Skipped sphere test: superset within sqrt(3) * r.
-        let skipped = with(ApproxMode::SkipSphereTest);
-        let bound = ApproxMode::SkipSphereTest.distance_bound(radius) + 1e-5;
-        for (qi, q) in queries.iter().enumerate() {
-            assert!(skipped.neighbors[qi].len() >= exact.neighbors[qi].len());
-            for &id in &skipped.neighbors[qi] {
-                assert!(q.distance(points[id as usize]) <= bound);
-            }
-        }
-        // And it does less shader work than the exact search.
-        assert!(skipped.search_metrics.kernel.sm_cycles < exact.search_metrics.kernel.sm_cycles);
     }
 
     #[test]

@@ -69,7 +69,6 @@
 //! picks those overrides per call: [`AutoTuner::run`] wraps any entry
 //! point that takes them.
 
-pub mod approx;
 pub mod autotune;
 pub mod backend;
 pub mod bundling;
@@ -85,7 +84,6 @@ pub mod scheduling;
 pub mod shaders;
 pub mod verify;
 
-pub use approx::ApproxMode;
 pub use autotune::{AutoTuner, DecisionSource, TunerDecision, TunerReport};
 pub use backend::{
     exhaustive_traverse, Accel, Backend, GpusimBackend, RefitOutcome, Traversal, TraversalJob,

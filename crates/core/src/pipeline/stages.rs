@@ -147,7 +147,7 @@ pub(crate) struct PartitionedQueries {
 pub(crate) struct PartitionCx<'r> {
     /// The execution backend (partition kernels are charged to its device).
     pub backend: &'r dyn Backend,
-    /// Engine-wide tuning (KNN rule, approximation mode, grid budget).
+    /// Engine-wide tuning: the KNN rule and the full AABB width.
     pub config: &'r EngineConfig,
     /// The search parameters of the plan (slice) being partitioned.
     pub params: SearchParams,
@@ -194,7 +194,7 @@ impl Partitioning {
                         aabb_width: full_width,
                         query_ids: cx.order.to_vec(),
                         megacell_width: full_width,
-                        sphere_test: !cx.config.approx.skip_sphere_test(),
+                        sphere_test: true,
                         density: 0.0,
                     }],
                     num_partitions: 1,

@@ -463,7 +463,8 @@ fn check_count(field: &'static str, k: usize) -> Result<(), PlanError> {
     }
 }
 
-/// A typed plan/configuration validation error, naming the offending field.
+/// A typed validation error of a plan, its search parameters or the
+/// positions it runs over, naming the offending field.
 ///
 /// Replaces the stringly-typed `Result<(), String>` the legacy
 /// `SearchParams::validate` used to return.
@@ -481,18 +482,11 @@ pub enum PlanError {
         /// Which field (`"Knn.k"`, `"Range.cap"`, `"SearchParams.k"`...).
         field: &'static str,
     },
-    /// `grid_max_cells` is zero — the megacell pass needs at least one cell.
-    ZeroGridBudget,
     /// A cells-per-axis grid resolution is zero (the raster-scan ordering
     /// of the coherence experiments needs at least one cell per axis).
     ZeroCellsPerAxis {
         /// Which field (`"raster_order.cells_per_axis"`...).
         field: &'static str,
-    },
-    /// The `ShrunkenAabb` approximation factor is outside `(0, 1]`.
-    InvalidShrinkFactor {
-        /// The rejected factor.
-        factor: f32,
     },
     /// A [`QueryPlan::Batch`] holds no slices.
     EmptyBatch,
@@ -540,17 +534,10 @@ impl std::fmt::Display for PlanError {
             PlanError::ZeroNeighborCount { field } => {
                 write!(f, "{field}: neighbor count must be at least 1, got 0")
             }
-            PlanError::ZeroGridBudget => write!(
-                f,
-                "grid_max_cells: the megacell grid budget must be at least 1 cell, got 0"
-            ),
             PlanError::ZeroCellsPerAxis { field } => write!(
                 f,
                 "{field}: the grid resolution must be at least 1 cell per axis, got 0"
             ),
-            PlanError::InvalidShrinkFactor { factor } => {
-                write!(f, "ShrunkenAabb.factor: must be in (0, 1], got {factor}")
-            }
             PlanError::EmptyBatch => write!(f, "Batch: must hold at least one plan slice"),
             PlanError::NestedBatch { slice } => {
                 write!(f, "Batch slice {slice}: nested Batch plans are not allowed")

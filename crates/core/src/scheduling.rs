@@ -109,8 +109,7 @@ pub(crate) fn charge_sort_kernel(device: &Device, n: usize) -> KernelMetrics {
 ///
 /// `cells_per_axis == 0` is rejected with a typed
 /// [`PlanError::ZeroCellsPerAxis`] (it used to degenerate silently: an
-/// infinite cell size that collapsed the raster to input order), matching
-/// the [`PlanError::ZeroGridBudget`]-style validation of the grid budget.
+/// infinite cell size that collapsed the raster to input order).
 pub fn raster_order(queries: &[Vec3], cells_per_axis: u32) -> Result<Vec<u32>, PlanError> {
     if cells_per_axis == 0 {
         return Err(PlanError::ZeroCellsPerAxis {

@@ -69,8 +69,7 @@ pub struct RangeProgram<'a> {
     /// Maximum neighbor count; the ray terminates when reached.
     pub k: usize,
     /// Whether the IS shader performs the sphere test. Partitions whose AABB
-    /// is inscribed in the search sphere skip it (Section 5.1); the
-    /// approximate mode of Section 8 skips it too (accepting a √3·r bound).
+    /// is inscribed in the search sphere skip it (Section 5.1).
     pub sphere_test: bool,
 }
 

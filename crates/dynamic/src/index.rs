@@ -437,9 +437,8 @@ impl<'d> DynamicIndex<'d> {
     /// structures up to date (refit / rebuild / reuse, per state and
     /// policy).
     fn sync_structures(&mut self) -> Result<SyncInfo, SearchError> {
-        // Validate early so invalid configs fail before touching state.
+        // Validate early so invalid params fail before touching state.
         self.config.params.validate().map_err(SearchError::from)?;
-        self.config.engine.validate()?;
         // So do non-finite positions: a frame that reports one leaves every
         // mutation pending, so the frame after the point is repaired runs
         // as if this one never had. Every folded position is finite, so
@@ -557,6 +556,7 @@ impl<'d> DynamicIndex<'d> {
         self.config
             .engine
             .grid_max_cells
+            .get()
             .min((16 * self.compact.len().max(1)).next_power_of_two())
     }
 
@@ -600,11 +600,12 @@ impl<'d> DynamicIndex<'d> {
 mod tests {
     use super::*;
     use rtnn::{
-        exhaustive_traverse, ApproxMode, EngineConfig, OptLevel, PlanSlice, RefitOutcome,
-        SearchParams, StructureTiming, Traversal, TraversalJob,
+        exhaustive_traverse, EngineConfig, OptLevel, PlanSlice, RefitOutcome, SearchParams,
+        StructureTiming, Traversal, TraversalJob,
     };
     use rtnn_gpusim::device::OutOfDeviceMemory;
     use rtnn_math::Aabb;
+    use std::num::NonZeroUsize;
     use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
 
     fn jittered_block(n_per_axis: usize, spacing: f32) -> Vec<Vec3> {
@@ -716,7 +717,7 @@ mod tests {
         // into the same grid.
         let config = RtnnConfig {
             params: SearchParams::range(1.1, 1000),
-            engine: EngineConfig::default().with_grid_max_cells(4096),
+            engine: EngineConfig::default().with_grid_max_cells(NonZeroUsize::new(4096).unwrap()),
         };
         // Each frame's mutations, and the handle its frame must report as
         // non-finite (`None`: the frame succeeds).
@@ -1005,25 +1006,24 @@ mod tests {
     }
 
     #[test]
-    fn a_frame_with_an_invalid_engine_config_fails_before_structure_work() {
+    fn a_frame_with_invalid_search_params_fails_before_structure_work() {
         let device = Device::rtx_2080();
-        let config = RtnnConfig {
-            params: SearchParams::knn(1.2, 8),
-            engine: EngineConfig::default().with_approx(ApproxMode::ShrunkenAabb { factor: 2.0 }),
-        };
+        let config = RtnnConfig::new(SearchParams::knn(-1.2, 8));
         let points = jittered_block(8, 0.5);
         let queries: Vec<Vec3> = points.iter().step_by(5).copied().collect();
         let rejected = |r: Result<(), SearchError>| {
             matches!(
                 r,
-                Err(SearchError::InvalidPlan(PlanError::InvalidShrinkFactor { factor }))
-                    if factor == 2.0
+                Err(SearchError::InvalidPlan(PlanError::InvalidRadius {
+                    field: "SearchParams.radius",
+                    value,
+                })) if value == -1.2
             )
         };
         let mut index = DynamicIndex::with_points(&device, config, &points);
         assert!(rejected(index.as_index().map(drop)));
         assert!(rejected(index.search(&queries).map(drop)));
-        // A backend that fails every build: the config error comes first.
+        // A backend that fails every build: the params error comes first.
         let backend = StarvedBackend {
             inner: GpusimBackend::new(&device),
             out_of_memory: true.into(),

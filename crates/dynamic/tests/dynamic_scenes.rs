@@ -9,6 +9,7 @@ use rtnn_data::PointCloud;
 use rtnn_dynamic::{DynamicIndex, RebuildPolicy, StructureAction};
 use rtnn_gpusim::Device;
 use rtnn_math::Vec3;
+use std::num::NonZeroUsize;
 
 /// A jittered lattice block, SPH-like density. The jitter is a fine-grained
 /// per-axis hash so no two pairwise distances collide exactly — KNN
@@ -84,7 +85,7 @@ fn fifty_frame_sph_is_bit_identical_to_rebuilding_every_frame() {
     // the default multi-million-cell budget.
     let config = RtnnConfig {
         params,
-        engine: EngineConfig::default().with_grid_max_cells(1 << 12),
+        engine: EngineConfig::default().with_grid_max_cells(NonZeroUsize::new(1 << 12).unwrap()),
     };
     let model = DriftModel::SphSettle {
         compression: 0.995,
@@ -169,7 +170,7 @@ fn lidar_churn_frames_stay_exact_through_forced_rebuilds() {
     let params = SearchParams::knn(2.5, 8);
     let config = RtnnConfig {
         params,
-        engine: EngineConfig::default().with_grid_max_cells(1 << 12),
+        engine: EngineConfig::default().with_grid_max_cells(NonZeroUsize::new(1 << 12).unwrap()),
     };
     let mut scene = DriftScene::new(
         &cloud,
@@ -218,7 +219,7 @@ fn nbody_orbit_mixes_refits_and_policy_rebuilds_and_stays_exact() {
         params,
         engine: EngineConfig::default()
             .with_opt(OptLevel::Full)
-            .with_grid_max_cells(1 << 12),
+            .with_grid_max_cells(NonZeroUsize::new(1 << 12).unwrap()),
     };
     let mut scene = DriftScene::new(&cloud, DriftModel::NBodyOrbit { angular_step: 0.06 }, 3);
     let mut index = DynamicIndex::with_points(&device, config, &cloud.points);
@@ -269,7 +270,7 @@ fn dynamic_scene_stress_sweep() {
                     params,
                     engine: EngineConfig::default()
                         .with_opt(opt)
-                        .with_grid_max_cells(1 << 14),
+                        .with_grid_max_cells(NonZeroUsize::new(1 << 14).unwrap()),
                 };
                 let mut scene = DriftScene::new(&cloud, *model, 0xAB + mi as u64);
                 let mut index = DynamicIndex::with_points(&device, config, &cloud.points);

@@ -10,6 +10,7 @@ use rtnn::{EngineConfig, GpusimBackend, Index, OptLevel, RtnnConfig, SearchMode,
 use rtnn_dynamic::{DynamicIndex, RebuildPolicy, StructureAction};
 use rtnn_gpusim::Device;
 use rtnn_math::Vec3;
+use std::num::NonZeroUsize;
 
 fn point_in(half: f32) -> impl Strategy<Value = Vec3> {
     (-half..half, -half..half, -half..half).prop_map(|(x, y, z)| Vec3::new(x, y, z))
@@ -65,7 +66,7 @@ proptest! {
             params,
             engine: EngineConfig::default()
                 .with_opt(opt)
-                .with_grid_max_cells(1 << 12),
+                .with_grid_max_cells(NonZeroUsize::new(1 << 12).unwrap()),
         };
 
         // Force the refit path for every motion frame.

@@ -19,9 +19,9 @@
 //! is a compact run of the Morton curve. A query is fanned out only to
 //! shards that can report a neighbor: the traversal reports a point only
 //! when the query lies in the point's AABB, so the query must lie in the
-//! shard's point bounds widened by half the AABB width, and, unless the
-//! range sphere test is skipped, those bounds must intersect its search
-//! sphere (`distance²(bounds, q) < r²`). Shards that provably cannot
+//! shard's point bounds widened by half the AABB width, and those bounds
+//! must intersect its search sphere (`distance²(bounds, q) < r²`), since
+//! every reported neighbor lies inside it. Shards that provably cannot
 //! contribute a neighbor are skipped, which is where the throughput scaling
 //! comes from.
 //! Overlapping shards execute concurrently on the `rtnn-parallel` worker
@@ -32,8 +32,8 @@ use rtnn::plan::{plan_slices, validate_points};
 use rtnn::SearchError;
 use rtnn::{
     Backend, CostCoefficients, EngineConfig, Index, LaunchMetrics, PipelineTrace, PlanError,
-    PlanSlice, QueryPlan, SearchMode, SearchParams, SearchResults, ShardMerge, StageKind,
-    StageOverrides, TimeBreakdown,
+    PlanSlice, QueryPlan, SearchParams, SearchResults, ShardMerge, StageKind, StageOverrides,
+    TimeBreakdown,
 };
 use rtnn_math::{Aabb, Vec3};
 use rtnn_parallel::{par_map_collect, par_map_collect_mut};
@@ -50,17 +50,12 @@ struct Shard<'a> {
 
 impl Shard<'_> {
     /// Whether a query at `q` under `params` can get a neighbor from this
-    /// shard (see the module docs on routing). Without the sphere test a
-    /// range search reports points up to `√3·r` away, so only the box test
-    /// prunes then.
+    /// shard (see the module docs on routing).
     fn may_report(&self, q: Vec3, params: &SearchParams) -> bool {
-        let cfg = self.index.config();
-        let half_width = cfg.aabb_width(params.radius) * 0.5;
-        let skips_sphere_test = params.mode == SearchMode::Range && cfg.approx.skip_sphere_test();
+        let half_width = self.index.config().aabb_width(params.radius) * 0.5;
         !self.global_ids.is_empty()
             && self.bounds.expanded(half_width).contains_point(q)
-            && (skips_sphere_test
-                || self.bounds.distance_squared_to_point(q) < params.radius * params.radius)
+            && self.bounds.distance_squared_to_point(q) < params.radius * params.radius
     }
 }
 
@@ -261,9 +256,6 @@ impl<'a> ShardedIndex<'a> {
         self.point_check
             .get_or_insert_with(|| validate_points(&self.points))
             .clone()?;
-        // Every shard runs this one config, and a call no query routes to a
-        // shard must still reject it.
-        self.shards[0].index.config().validate()?;
 
         // One query span over the whole fan-out + merge; the per-shard
         // spans synthesized below nest under it. Worker threads run
@@ -545,7 +537,7 @@ impl TickExecutor for ShardedIndex<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rtnn::{ApproxMode, GpusimBackend, OptLevel};
+    use rtnn::{GpusimBackend, OptLevel};
     use rtnn_gpusim::Device;
 
     /// A hashed pseudo-random cloud: full-mantissa coordinates, so exact
@@ -601,11 +593,10 @@ mod tests {
                 ),
             ]),
         ];
-        // Without the sphere test a range search reports points up to √3·r
-        // away, so a shard whose bounds lie r or more from a query can hold
-        // reported neighbors. A unit lattice with off-lattice queries puts
-        // such points across shard borders; the hashed cloud does not.
-        // Range plans only: KNN on a lattice has exact distance ties.
+        // A unit lattice with off-lattice queries puts search spheres
+        // across shard borders, so routing must fan a query out to every
+        // shard its sphere reaches. Range plans only: KNN on a lattice has
+        // exact distance ties.
         let lattice: Vec<Vec3> = (0..12 * 12 * 12)
             .map(|i| Vec3::new((i % 12) as f32, (i / 12 % 12) as f32, (i / 144) as f32))
             .collect();
@@ -623,26 +614,24 @@ mod tests {
                 [2, 5, 8],
             ),
         ];
-        for approx in [ApproxMode::Exact, ApproxMode::SkipSphereTest] {
-            for opt in [OptLevel::NoOpt, OptLevel::Full] {
-                let config = EngineConfig::default().with_opt(opt).with_approx(approx);
-                for (points, queries, plans, shard_counts) in &scenes {
-                    let mut reference = Index::build(&backend, &points[..], config);
-                    for shards in shard_counts {
-                        let mut sharded = ShardedIndex::build(&backend, points, config, *shards);
-                        for plan in plans {
-                            let expected = reference.query(queries, plan).unwrap();
-                            let got = sharded.query(queries, plan).unwrap();
-                            assert_eq!(
-                                got.neighbors, expected.neighbors,
-                                "{approx:?} {opt:?}, {shards} shards, plan {plan:?}"
-                            );
-                        }
-                        let timing = sharded.last_timing();
-                        assert_eq!(timing.per_shard_ms.len(), sharded.num_shards());
-                        assert!(timing.critical_path_ms() > 0.0);
-                        assert!(timing.total_ms() >= timing.critical_path_ms());
+        for opt in [OptLevel::NoOpt, OptLevel::Full] {
+            let config = EngineConfig::default().with_opt(opt);
+            for (points, queries, plans, shard_counts) in &scenes {
+                let mut reference = Index::build(&backend, &points[..], config);
+                for shards in shard_counts {
+                    let mut sharded = ShardedIndex::build(&backend, points, config, *shards);
+                    for plan in plans {
+                        let expected = reference.query(queries, plan).unwrap();
+                        let got = sharded.query(queries, plan).unwrap();
+                        assert_eq!(
+                            got.neighbors, expected.neighbors,
+                            "{opt:?}, {shards} shards, plan {plan:?}"
+                        );
                     }
+                    let timing = sharded.last_timing();
+                    assert_eq!(timing.per_shard_ms.len(), sharded.num_shards());
+                    assert!(timing.critical_path_ms() > 0.0);
+                    assert!(timing.total_ms() >= timing.critical_path_ms());
                 }
             }
         }
@@ -755,18 +744,6 @@ mod tests {
             .query(&[Vec3::ZERO], &QueryPlan::range(1.0, 8))
             .unwrap();
         assert_eq!(results.neighbors, vec![Vec::<u32>::new()]);
-
-        // An invalid engine config fails as it fails `Index::query`, also
-        // when no query reaches a shard.
-        let shrunk = EngineConfig::default().with_approx(ApproxMode::ShrunkenAabb { factor: 2.0 });
-        let mut invalid = ShardedIndex::build(&backend, &points, shrunk, 2);
-        for queries in [&[Vec3::splat(1000.0)][..], &[]] {
-            assert!(matches!(
-                invalid.query(queries, &QueryPlan::knn(1.0, 4)),
-                Err(SearchError::InvalidPlan(PlanError::InvalidShrinkFactor { factor }))
-                    if factor == 2.0
-            ));
-        }
     }
 
     #[test]

@@ -22,6 +22,7 @@ use std::collections::VecDeque;
 
 use crate::export::{json_escape, json_f64};
 use crate::metrics::percentile;
+use crate::span::RingBuffer;
 
 /// Default capacity of the recent-trace ring.
 pub const DEFAULT_FLIGHT_CAPACITY: usize = 256;
@@ -271,9 +272,7 @@ pub struct PinnedExemplar {
 /// The flight recorder: recent-trace ring + SLO monitor + pinned exemplars.
 #[derive(Debug)]
 pub struct FlightRecorder {
-    capacity: usize,
-    ring: VecDeque<RequestTrace>,
-    dropped: u64,
+    ring: RingBuffer<RequestTrace>,
     monitor: Option<SloMonitor>,
     events: Vec<SloEvent>,
     pinned: Vec<PinnedExemplar>,
@@ -290,9 +289,7 @@ impl FlightRecorder {
     /// monitor (pure flight recording).
     pub fn new(capacity: usize) -> Self {
         FlightRecorder {
-            capacity: capacity.max(1),
-            ring: VecDeque::new(),
-            dropped: 0,
+            ring: RingBuffer::new(capacity),
             monitor: None,
             events: Vec::new(),
             pinned: Vec::new(),
@@ -312,16 +309,11 @@ impl FlightRecorder {
     /// window (ties broken toward the earliest, so replays pin
     /// deterministically).
     pub fn record(&mut self, trace: RequestTrace) {
-        if self.ring.len() == self.capacity {
-            self.ring.pop_front();
-            self.dropped += 1;
-        }
-        let at_ms = trace.end_ms;
-        self.ring.push_back(trace);
+        let (at_ms, latency_ms) = (trace.end_ms, trace.latency_ms);
+        self.ring.push(trace);
         let Some(monitor) = self.monitor.as_mut() else {
             return;
         };
-        let latency_ms = self.ring.back().expect("just pushed").latency_ms;
         match monitor.observe(latency_ms) {
             Some(SloTransition::Breached { observed_ms }) => {
                 let window_len = monitor.window_len();
@@ -381,7 +373,7 @@ impl FlightRecorder {
 
     /// Traces evicted from the ring so far.
     pub fn dropped(&self) -> u64 {
-        self.dropped
+        self.ring.dropped()
     }
 
     /// Traces currently retained.
@@ -418,9 +410,9 @@ impl FlightRecorder {
         let _ = writeln!(
             out,
             "{{\"type\":\"flight_meta\",\"capacity\":{},\"retained\":{},\"dropped\":{},\"events\":{},\"pinned\":{}}}",
-            self.capacity,
+            self.ring.capacity(),
             self.ring.len(),
-            self.dropped,
+            self.ring.dropped(),
             self.events.len(),
             self.pinned.len(),
         );
@@ -435,7 +427,7 @@ impl FlightRecorder {
                 pin.trace.jsonl_line("trace"),
             );
         }
-        for trace in &self.ring {
+        for trace in self.ring.iter() {
             let _ = writeln!(out, "{}", trace.jsonl_line("trace"));
         }
         out
@@ -596,12 +588,16 @@ mod tests {
             min_samples: 4,
         };
         let mut rec = FlightRecorder::with_slo(8, slo);
-        for i in 0..6 {
+        for i in 0..10 {
             rec.record(trace(3.0, i as f64));
         }
         let jsonl = rec.to_jsonl();
         let parsed = crate::parse_jsonl(&jsonl).unwrap();
         assert_eq!(parsed[0].get("type").unwrap().as_str(), Some("flight_meta"));
+        let meta = |key: &str| parsed[0].get(key).and_then(|v| v.as_f64());
+        assert_eq!(meta("capacity"), Some(8.0));
+        assert_eq!(meta("retained"), Some(8.0));
+        assert_eq!(meta("dropped"), Some(2.0));
         assert!(parsed
             .iter()
             .any(|r| r.get("type").and_then(|t| t.as_str()) == Some("slo_breach")));

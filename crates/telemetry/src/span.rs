@@ -102,6 +102,11 @@ impl<T> RingBuffer<T> {
     pub fn dropped(&self) -> u64 {
         self.dropped
     }
+
+    /// The most elements the buffer holds.
+    pub fn capacity(&self) -> usize {
+        self.capacity
+    }
 }
 
 impl<T: Clone> RingBuffer<T> {
@@ -139,6 +144,7 @@ mod tests {
             ring.push(i);
         }
         assert_eq!(ring.len(), 3);
+        assert_eq!(ring.capacity(), 3);
         assert_eq!(ring.to_vec(), vec![2, 3, 4]);
         assert_eq!(ring.dropped(), 2);
     }

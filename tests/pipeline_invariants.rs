@@ -1,9 +1,9 @@
 //! End-to-end invariants of the simulated pipeline that span several crates:
-//! time accounting, optimisation effects at realistic density, approximate
-//! modes, and simulator sanity properties from DESIGN.md.
+//! time accounting, optimisation effects at realistic density, and
+//! simulator sanity properties from DESIGN.md.
 
 use rtnn::{
-    ApproxMode, EngineConfig, GpusimBackend, Index, OptLevel, QueryPlan, SearchMode, SearchParams,
+    EngineConfig, GpusimBackend, Index, OptLevel, QueryPlan, SearchMode, SearchParams,
     SearchResults,
 };
 use rtnn_data::uniform::{self, UniformParams};
@@ -124,30 +124,6 @@ fn bundling_never_increases_total_time() {
     // (both runs are contract-checked elsewhere), not identities.
     let counts = |r: &rtnn::SearchResults| r.neighbors.iter().map(Vec::len).collect::<Vec<_>>();
     assert_eq!(counts(&bundled), counts(&unbundled));
-}
-
-#[test]
-fn shrunken_aabb_approximation_is_faster_and_never_reports_false_neighbors() {
-    let device = Device::rtx_2080();
-    let points = dense_cloud(20_000);
-    let queries: Vec<Vec3> = points.iter().step_by(4).copied().collect();
-    // K chosen far above the realistic neighbor count (≈ 280 at this density)
-    // so the search is effectively unbounded, but small enough that the
-    // simulated result buffers still fit in device memory.
-    let params = SearchParams::range(1.5, 2_000);
-    let sched = EngineConfig::default().with_opt(OptLevel::Sched);
-    let exact = search(&device, sched, params, &points, &queries);
-    let shrunk = sched.with_approx(ApproxMode::ShrunkenAabb { factor: 0.5 });
-    let approx = search(&device, shrunk, params, &points, &queries);
-    assert!(approx.search_metrics.is_calls < exact.search_metrics.is_calls);
-    assert!(approx.breakdown.search_ms < exact.breakdown.search_ms);
-    let r2 = params.radius * params.radius;
-    for (qi, q) in queries.iter().enumerate() {
-        for &id in &approx.neighbors[qi] {
-            assert!(q.distance_squared(points[id as usize]) < r2);
-        }
-        assert!(approx.neighbors[qi].len() <= exact.neighbors[qi].len());
-    }
 }
 
 #[test]
