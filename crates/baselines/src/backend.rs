@@ -5,12 +5,13 @@
 //! keeps nothing and answers every traversal by exhaustive scan over the
 //! basic-mapping semantics (`rtnn::exhaustive_traverse`): a point is a
 //! candidate exactly when its width-`w` AABB contains the query, and the
-//! per-candidate shader semantics (sphere test, cap termination, bounded
-//! KNN heap) are identical to the ray-tracing programs. KNN results are
-//! therefore bit-equal to the RT backends (candidate *sets* are identical;
-//! only the visit order differs, which KNN's distance-sorted output
-//! erases), and range results are set-equal — which is what the
-//! cross-backend equivalence suite checks the RT backends against.
+//! per-candidate shader semantics (sphere test, cap termination, KNN
+//! top-k in `(distance², id)` order) are identical to the ray-tracing
+//! programs. KNN results are therefore bit-equal to the RT backends, ties
+//! at the `k`-th distance included (candidate *sets* are identical; only
+//! the visit order differs, which the top-k's order erases), and range
+//! results are set-equal — which is what the cross-backend equivalence
+//! suite checks the RT backends against.
 //!
 //! The scan is charged to the same simulated device as every other
 //! backend, so its end-to-end numbers double as the "GPU brute force"

@@ -288,7 +288,6 @@ fn bench_launch_warp_loop(c: &mut Criterion) {
     let pipeline = Pipeline::new(&device);
     let indexing = QueryIndexing::Mapped(&order);
     let range = RangeProgram {
-        points: &points,
         queries: &queries,
         indexing,
         radius,
@@ -296,7 +295,6 @@ fn bench_launch_warp_loop(c: &mut Criterion) {
         sphere_test: true,
     };
     let knn = KnnProgram {
-        points: &points,
         queries: &queries,
         indexing,
         radius,

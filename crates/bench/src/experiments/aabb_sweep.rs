@@ -45,7 +45,6 @@ pub fn run(scale: &ExperimentScale) -> FigureReport {
         // unbounded K and a radius matching the AABB (the paper varies only
         // the AABB in the BVH).
         let program = RangeProgram {
-            points: &workload.points,
             queries: &queries,
             indexing: QueryIndexing::Identity,
             radius: width / 2.0,

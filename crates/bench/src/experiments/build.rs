@@ -32,28 +32,13 @@
 use crate::report::{fmt_ms, fmt_speedup, FigureReport, Table};
 use crate::scale::ExperimentScale;
 use rtnn::{EngineConfig, GpusimBackend, QueryPlan};
-use rtnn_bvh::{
-    build_point_bvh, refit_bvh_serial, refit_bvh_with_cut, BuildParams, Bvh, BvhBuilder,
-};
+use rtnn_bvh::{build_point_bvh, refit_bvh_serial, refit_bvh_with_cut, BuildParams, BvhBuilder};
 use rtnn_data::uniform::{self, UniformParams};
 use rtnn_gpusim::Device;
 use rtnn_math::{Aabb, Vec3};
 use rtnn_parallel::with_thread_count;
 use rtnn_serve::ShardedIndex;
 use std::time::Instant;
-
-/// Byte-level tree equality: primitive order, node layout, AABB bits.
-fn trees_bit_identical(a: &Bvh, b: &Bvh) -> bool {
-    a.prim_indices == b.prim_indices
-        && a.nodes.len() == b.nodes.len()
-        && a.nodes.iter().zip(&b.nodes).all(|(x, y)| {
-            x.kind == y.kind
-                && x.aabb.min.to_array().map(f32::to_bits)
-                    == y.aabb.min.to_array().map(f32::to_bits)
-                && x.aabb.max.to_array().map(f32::to_bits)
-                    == y.aabb.max.to_array().map(f32::to_bits)
-        })
-}
 
 /// Timed runs per build and refit row; the row reports their median.
 const REPEATS: usize = 5;
@@ -121,7 +106,7 @@ pub fn run(scale: &ExperimentScale) -> FigureReport {
                 })
             });
             assert!(
-                trees_bit_identical(&tree, &oracle),
+                tree.bit_identical(&oracle),
                 "the parallel LBVH build on {threads} worker thread(s) differs from the serial oracle"
             );
             (wall, ())
@@ -151,13 +136,9 @@ pub fn run(scale: &ExperimentScale) -> FigureReport {
             Vec3::new(p.x + j * radius, p.y - j * radius, p.z + 0.5 * j * radius)
         })
         .collect();
-    let moved: Vec<Aabb> = drifted
-        .iter()
-        .map(|&p| Aabb::cube(p, 2.0 * radius))
-        .collect();
     let (serial_refit_wall, serial_tree) = median_of_repeats(|| {
         let mut tree = oracle.clone();
-        let (wall, refit) = timed(|| refit_bvh_serial(&mut tree, &moved));
+        let (wall, refit) = timed(|| refit_bvh_serial(&mut tree, &drifted));
         refit.expect("same primitive count");
         (wall, tree)
     });
@@ -172,10 +153,10 @@ pub fn run(scale: &ExperimentScale) -> FigureReport {
     for cut in [0u32, 2, 4, 8] {
         let (wall, ()) = median_of_repeats(|| {
             let mut tree = oracle.clone();
-            let (wall, refit) = timed(|| refit_bvh_with_cut(&mut tree, &moved, cut));
+            let (wall, refit) = timed(|| refit_bvh_with_cut(&mut tree, &drifted, cut));
             refit.expect("same count");
             assert!(
-                trees_bit_identical(&tree, &serial_tree),
+                tree.bit_identical(&serial_tree),
                 "the subtree-parallel refit at cut depth {cut} differs from the serial oracle"
             );
             (wall, ())

@@ -26,7 +26,6 @@ pub fn run(scale: &ExperimentScale) -> FigureReport {
         .collect();
     let bvh = build_point_bvh(&workload.points, workload.radius, BuildParams::default());
     let program = RangeProgram {
-        points: &workload.points,
         queries: &queries,
         indexing: QueryIndexing::Identity,
         radius: workload.radius,

@@ -1,8 +1,9 @@
 //! The LBVH builder and its serial oracle.
 //!
-//! Primitive centroids are encoded as 63-bit Morton keys, sorted (in
-//! parallel), and the hierarchy is emitted by splitting each sorted range at
-//! the highest Morton bit that differs inside the range. Build time is
+//! Every primitive is the cube of half width `h` centred at a point; the
+//! cube centres are encoded as 63-bit Morton keys, sorted (in parallel),
+//! and the hierarchy is emitted by splitting each sorted range at the
+//! highest Morton bit that differs inside the range. Build time is
 //! `O(n log n)` dominated by the sort — in practice linear in the primitive
 //! count for the sizes the paper sweeps (Figure 15), which is the property
 //! the bundling cost model relies on (`T_build = k1 · M`, Equation 3).
@@ -13,7 +14,7 @@
 //! centroid bounds (serial)            — the Morton grid must match the oracle
 //!   → Morton keys      (par_chunks_mut)
 //!   → (key, id) sort   (par_sort_by_key; unique compound keys)
-//!   → boxes into leaf-slot order (par_chunks_mut gather)
+//!   → leaf records {point, id} in slot order (par_chunks_mut gather)
 //!   → split discovery  (level-wise, parallel within a level)
 //!   → subtree sizes + AABBs (bottom-up over levels, parallel within a level)
 //!   → preorder index assignment (top-down over levels, parallel)
@@ -28,7 +29,7 @@
 //! node's whole primitive range. The proptest suite pins this equality
 //! across thread counts and drift generators.
 
-use crate::node::{Bvh, BvhNode, NodeKind};
+use crate::node::{records_aabb, Bvh, BvhNode, LeafRecord, NodeKind};
 use rtnn_math::morton::MortonEncoder;
 use rtnn_math::{Aabb, Vec3};
 use rtnn_parallel::{par_chunks_mut, par_sort_by_key};
@@ -66,41 +67,51 @@ impl Default for BuildParams {
     }
 }
 
-/// Build a BVH over `prim_aabbs` with the given parameters.
+/// Build a BVH where every primitive is the cube of width `2 * radius`
+/// centred at a point — exactly Listing 1's `buildBVH(points, radius)`.
+/// Primitive `i` is `points[i]`; each slot's cube is bit-equal to
+/// `Aabb::cube(points[i], 2.0 * radius)`.
 ///
-/// An empty primitive list yields [`Bvh::empty`].
-pub fn build_bvh(prim_aabbs: &[Aabb], params: BuildParams) -> Bvh {
-    if prim_aabbs.is_empty() {
+/// An empty point list yields [`Bvh::empty`].
+pub fn build_point_bvh(points: &[Vec3], radius: f32, params: BuildParams) -> Bvh {
+    if points.is_empty() {
         return Bvh::empty();
     }
     assert!(
         params.max_leaf_size >= 1,
         "max_leaf_size must be at least 1"
     );
+    // Halve the width the way `Aabb::cube` does (`2r · 0.5` is `r` unless
+    // `2r` overflows).
+    let half = 2.0 * radius * 0.5;
     let wall = Instant::now();
     let bvh = match params.builder {
-        BvhBuilder::Lbvh => build_lbvh_parallel(prim_aabbs, params.max_leaf_size),
-        BvhBuilder::LbvhSerial => build_lbvh_serial(prim_aabbs, params.max_leaf_size),
+        BvhBuilder::Lbvh => build_lbvh_parallel(points, half, params.max_leaf_size),
+        BvhBuilder::LbvhSerial => build_lbvh_serial(points, half, params.max_leaf_size),
     };
     if let Some(t) = rtnn_telemetry::Telemetry::current() {
         t.counter_add("bvh.builds", 1);
-        t.counter_add("bvh.build_prims", prim_aabbs.len() as u64);
+        t.counter_add("bvh.build_prims", points.len() as u64);
         t.observe_wall("bvh.build.wall_ms", wall.elapsed().as_secs_f64() * 1e3);
     }
     bvh
 }
 
-/// Convenience: build a BVH where every primitive is the cube of width
-/// `2 * radius` centred at a point — exactly Listing 1's `buildBVH(points,
-/// radius)`.
-pub fn build_point_bvh(points: &[Vec3], radius: f32, params: BuildParams) -> Bvh {
-    let mut aabbs = vec![Aabb::EMPTY; points.len()];
-    par_chunks_mut(&mut aabbs, 256, |start, chunk| {
-        for (off, slot) in chunk.iter_mut().enumerate() {
-            *slot = Aabb::cube(points[start + off], 2.0 * radius);
-        }
-    });
-    build_bvh(&aabbs, params)
+/// The centre of the half-width-`half` cube at `point`, the point its
+/// Morton key encodes. It can differ from `point` in the last bit.
+#[inline]
+fn cube_center(point: Vec3, half: f32) -> Vec3 {
+    LeafRecord { point, id: 0 }.cube(half).center()
+}
+
+/// The bounds of the cube centres, folded in id order so the Morton grid
+/// (and with it every code, split and box) is the same on both paths.
+fn centroid_bounds(points: &[Vec3], half: f32) -> Aabb {
+    let mut bounds = Aabb::EMPTY;
+    for &p in points {
+        bounds.grow_point(cube_center(p, half));
+    }
+    bounds
 }
 
 // ---------------------------------------------------------------------------
@@ -110,67 +121,60 @@ pub fn build_point_bvh(points: &[Vec3], radius: f32, params: BuildParams) -> Bvh
 /// The fully serial LBVH reference build: serial Morton map, serial stable
 /// sort, recursive preorder emission. The parallel pipeline below must
 /// produce a bit-identical tree at every thread count.
-fn build_lbvh_serial(prim_aabbs: &[Aabb], max_leaf_size: u32) -> Bvh {
-    let n = prim_aabbs.len();
-    // Scene bounds over centroids for Morton normalisation.
-    let mut centroid_bounds = Aabb::EMPTY;
-    for a in prim_aabbs {
-        centroid_bounds.grow_point(a.center());
-    }
-    let encoder = MortonEncoder::new(&centroid_bounds);
+fn build_lbvh_serial(points: &[Vec3], half: f32, max_leaf_size: u32) -> Bvh {
+    let n = points.len();
+    let encoder = MortonEncoder::new(&centroid_bounds(points, half));
     // (morton, prim_id) pairs, sorted by the unique compound key.
-    let mut keyed: Vec<(u64, u32)> = prim_aabbs
+    let mut keyed: Vec<(u64, u32)> = points
         .iter()
         .enumerate()
-        .map(|(i, a)| (encoder.encode(a.center()), i as u32))
+        .map(|(i, &p)| (encoder.encode(cube_center(p, half)), i as u32))
         .collect();
     keyed.sort_by_key(|&(k, id)| (k, id));
 
     let mut nodes = Vec::with_capacity(2 * n);
-    let prim_indices: Vec<u32> = keyed.iter().map(|&(_, id)| id).collect();
     let codes: Vec<u64> = keyed.iter().map(|&(k, _)| k).collect();
-    let slot_aabbs: Vec<Aabb> = prim_indices
+    let records: Vec<LeafRecord> = keyed
         .iter()
-        .map(|&pid| prim_aabbs[pid as usize])
+        .map(|&(_, id)| LeafRecord {
+            point: points[id as usize],
+            id,
+        })
         .collect();
 
     // Recursive split on the highest differing Morton bit.
     struct Ctx<'a> {
-        slot_aabbs: &'a [Aabb],
+        records: &'a [LeafRecord],
+        half: f32,
         codes: &'a [u64],
         max_leaf: usize,
     }
 
     fn emit(ctx: &Ctx, nodes: &mut Vec<BvhNode>, start: usize, end: usize) -> u32 {
         let count = end - start;
-        let mut aabb = Aabb::EMPTY;
-        for slot_aabb in &ctx.slot_aabbs[start..end] {
-            aabb.grow_aabb(slot_aabb);
-        }
+        let aabb = records_aabb(&ctx.records[start..end], ctx.half);
         let node_index = nodes.len() as u32;
         if count <= ctx.max_leaf {
-            nodes.push(BvhNode {
+            nodes.push(BvhNode::new(
                 aabb,
-                kind: NodeKind::Leaf {
+                NodeKind::Leaf {
                     start: start as u32,
                     count: count as u32,
                 },
-            });
+            ));
             return node_index;
         }
         let split = find_morton_split(&ctx.codes[start..end]) + start;
-        nodes.push(BvhNode {
-            aabb,
-            kind: NodeKind::Internal { left: 0, right: 0 },
-        });
+        nodes.push(BvhNode::new(aabb, NodeKind::Internal { left: 0, right: 0 }));
         let left = emit(ctx, nodes, start, split);
         let right = emit(ctx, nodes, split, end);
-        nodes[node_index as usize].kind = NodeKind::Internal { left, right };
+        nodes[node_index as usize].set_kind(NodeKind::Internal { left, right });
         node_index
     }
 
     let ctx = Ctx {
-        slot_aabbs: &slot_aabbs,
+        records: &records,
+        half,
         codes: &codes,
         max_leaf: max_leaf_size as usize,
     };
@@ -178,8 +182,8 @@ fn build_lbvh_serial(prim_aabbs: &[Aabb], max_leaf_size: u32) -> Bvh {
 
     Bvh {
         nodes,
-        prim_indices,
-        prim_aabbs: slot_aabbs,
+        records,
+        half_width: half,
         max_leaf_size,
     }
 }
@@ -230,24 +234,19 @@ impl LevelTask {
 
 /// The staged parallel LBVH build (see the module docs for the pipeline
 /// diagram). Bit-identical to [`build_lbvh_serial`] at every thread count.
-fn build_lbvh_parallel(prim_aabbs: &[Aabb], max_leaf_size: u32) -> Bvh {
-    let n = prim_aabbs.len();
+fn build_lbvh_parallel(points: &[Vec3], half: f32, max_leaf_size: u32) -> Bvh {
+    let n = points.len();
 
     // Stage 1 — centroid bounds, kept serial: the fold must visit the
-    // primitives in exactly the oracle's order so the Morton grid (and with
-    // it every code, split and box) is bit-equal.
-    let mut centroid_bounds = Aabb::EMPTY;
-    for a in prim_aabbs {
-        centroid_bounds.grow_point(a.center());
-    }
-    let encoder = MortonEncoder::new(&centroid_bounds);
+    // primitives in exactly the oracle's order.
+    let encoder = MortonEncoder::new(&centroid_bounds(points, half));
 
     // Stage 2 — Morton keys, parallel over primitives.
     let mut keyed: Vec<(u64, u32)> = vec![(0, 0); n];
     par_chunks_mut(&mut keyed, 256, |start, chunk| {
         for (off, slot) in chunk.iter_mut().enumerate() {
             let i = start + off;
-            *slot = (encoder.encode(prim_aabbs[i].center()), i as u32);
+            *slot = (encoder.encode(cube_center(points[i], half)), i as u32);
         }
     });
 
@@ -255,15 +254,18 @@ fn build_lbvh_parallel(prim_aabbs: &[Aabb], max_leaf_size: u32) -> Bvh {
     // so the permutation does not depend on chunking or thread count.
     par_sort_by_key(&mut keyed, |&(k, id)| (k, id));
 
-    let prim_indices: Vec<u32> = keyed.iter().map(|&(_, id)| id).collect();
     let codes: Vec<u64> = keyed.iter().map(|&(k, _)| k).collect();
-    // The boxes in leaf-slot order, gathered in parallel.
-    let mut slot_aabbs = vec![Aabb::EMPTY; n];
-    par_chunks_mut(&mut slot_aabbs, 256, |start, chunk| {
-        for (slot_aabb, &pid) in chunk.iter_mut().zip(&prim_indices[start..]) {
-            *slot_aabb = prim_aabbs[pid as usize];
+    // The leaf records in slot order, gathered in parallel.
+    let mut records = vec![LeafRecord::default(); n];
+    par_chunks_mut(&mut records, 256, |start, chunk| {
+        for (record, &(_, id)) in chunk.iter_mut().zip(&keyed[start..]) {
+            *record = LeafRecord {
+                point: points[id as usize],
+                id,
+            };
         }
     });
+    drop(keyed);
 
     // Stage 4 — split discovery, level-synchronous: every task of a level
     // finds its Morton split in parallel, then a serial prefix pass lays
@@ -299,7 +301,7 @@ fn build_lbvh_parallel(prim_aabbs: &[Aabb], max_leaf_size: u32) -> Bvh {
     }
 
     // Stage 5 — bottom-up subtree sizes and AABBs, parallel within each
-    // level. Leaves fold their primitive subrange exactly like the oracle;
+    // level. Leaves fold their slots' cubes exactly like the oracle;
     // internal boxes are `left ∪ right`, bit-equal to the oracle's full
     // fold because componentwise min/max with a consistent tie rule is
     // associative.
@@ -310,11 +312,8 @@ fn build_lbvh_parallel(prim_aabbs: &[Aabb], max_leaf_size: u32) -> Bvh {
             for task in chunk.iter_mut() {
                 if task.split == u32::MAX {
                     task.subtree = 1;
-                    let mut aabb = Aabb::EMPTY;
-                    for slot_aabb in &slot_aabbs[task.start as usize..task.end as usize] {
-                        aabb.grow_aabb(slot_aabb);
-                    }
-                    task.aabb = aabb;
+                    task.aabb =
+                        records_aabb(&records[task.start as usize..task.end as usize], half);
                 } else {
                     let l = children[task.first_child as usize];
                     let r = children[task.first_child as usize + 1];
@@ -350,36 +349,28 @@ fn build_lbvh_parallel(prim_aabbs: &[Aabb], max_leaf_size: u32) -> Bvh {
     // Stage 7 — scatter the finished tasks into their preorder slots. A
     // trivial linear pass, kept serial.
     let total = levels[0][0].subtree as usize;
-    let mut nodes = vec![
-        BvhNode {
-            aabb: Aabb::EMPTY,
-            kind: NodeKind::Leaf { start: 0, count: 0 },
-        };
-        total
-    ];
+    let mut nodes = vec![BvhNode::new(Aabb::EMPTY, NodeKind::Leaf { start: 0, count: 0 }); total];
     for level in &levels {
         for task in level {
-            nodes[task.node_index as usize] = BvhNode {
-                aabb: task.aabb,
-                kind: if task.split == u32::MAX {
-                    NodeKind::Leaf {
-                        start: task.start,
-                        count: task.end - task.start,
-                    }
-                } else {
-                    NodeKind::Internal {
-                        left: task.node_index + 1,
-                        right: task.node_index + 1 + task.left_subtree,
-                    }
-                },
+            let kind = if task.split == u32::MAX {
+                NodeKind::Leaf {
+                    start: task.start,
+                    count: task.end - task.start,
+                }
+            } else {
+                NodeKind::Internal {
+                    left: task.node_index + 1,
+                    right: task.node_index + 1 + task.left_subtree,
+                }
             };
+            nodes[task.node_index as usize] = BvhNode::new(task.aabb, kind);
         }
     }
 
     Bvh {
         nodes,
-        prim_indices,
-        prim_aabbs: slot_aabbs,
+        records,
+        half_width: half,
         max_leaf_size,
     }
 }
@@ -432,41 +423,24 @@ mod tests {
         [BvhBuilder::Lbvh, BvhBuilder::LbvhSerial]
     }
 
-    fn assert_bit_identical(a: &Bvh, b: &Bvh, context: &str) {
-        assert_eq!(a.prim_indices, b.prim_indices, "{context}: prim order");
-        assert_eq!(a.prim_aabbs, b.prim_aabbs, "{context}: prim AABBs");
-        assert_eq!(a.nodes.len(), b.nodes.len(), "{context}: node count");
-        for (i, (x, y)) in a.nodes.iter().zip(&b.nodes).enumerate() {
-            assert_eq!(x.kind, y.kind, "{context}: node {i} kind");
-            assert_eq!(x.aabb, y.aabb, "{context}: node {i} aabb");
+    fn params(builder: BvhBuilder, max_leaf_size: u32) -> BuildParams {
+        BuildParams {
+            builder,
+            max_leaf_size,
         }
     }
 
     #[test]
     fn empty_input_gives_empty_bvh() {
         for b in all_builders() {
-            let bvh = build_bvh(
-                &[],
-                BuildParams {
-                    builder: b,
-                    max_leaf_size: 4,
-                },
-            );
-            assert!(bvh.is_empty());
+            assert!(build_point_bvh(&[], 0.5, params(b, 4)).is_empty());
         }
     }
 
     #[test]
     fn single_primitive() {
-        let aabbs = [Aabb::cube(Vec3::new(1.0, 2.0, 3.0), 0.5)];
         for b in all_builders() {
-            let bvh = build_bvh(
-                &aabbs,
-                BuildParams {
-                    builder: b,
-                    max_leaf_size: 4,
-                },
-            );
+            let bvh = build_point_bvh(&[Vec3::new(1.0, 2.0, 3.0)], 0.25, params(b, 4));
             assert_eq!(bvh.num_nodes(), 1);
             assert_eq!(bvh.num_primitives(), 1);
             assert!(bvh.nodes[0].is_leaf());
@@ -477,18 +451,11 @@ mod tests {
     #[test]
     fn all_builders_produce_valid_trees() {
         let points = grid_points(6); // 216 points
-        let aabbs: Vec<Aabb> = points.iter().map(|&p| Aabb::cube(p, 0.8)).collect();
         for b in all_builders() {
             for leaf in [1u32, 2, 4, 8] {
-                let bvh = build_bvh(
-                    &aabbs,
-                    BuildParams {
-                        builder: b,
-                        max_leaf_size: leaf,
-                    },
-                );
+                let bvh = build_point_bvh(&points, 0.4, params(b, leaf));
                 validate_bvh(&bvh).unwrap_or_else(|e| panic!("{b:?} leaf={leaf}: {e:?}"));
-                assert_eq!(bvh.num_primitives(), aabbs.len());
+                assert_eq!(bvh.num_primitives(), points.len());
                 assert!(bvh.depth() >= 2);
             }
         }
@@ -497,15 +464,9 @@ mod tests {
     #[test]
     fn duplicate_points_do_not_break_builders() {
         // All-equal Morton codes exercise the fallback midpoint split.
-        let aabbs = vec![Aabb::cube(Vec3::splat(1.0), 0.2); 33];
+        let points = vec![Vec3::splat(1.0); 33];
         for b in all_builders() {
-            let bvh = build_bvh(
-                &aabbs,
-                BuildParams {
-                    builder: b,
-                    max_leaf_size: 2,
-                },
-            );
+            let bvh = build_point_bvh(&points, 0.1, params(b, 2));
             validate_bvh(&bvh).unwrap();
             assert_eq!(bvh.num_primitives(), 33);
         }
@@ -516,8 +477,9 @@ mod tests {
         let points = vec![Vec3::ZERO, Vec3::new(5.0, 0.0, 0.0)];
         let bvh = build_point_bvh(&points, 0.75, BuildParams::default());
         // Each leaf slot's box must be the cube of width 1.5 around its point.
-        for (slot, &pid) in bvh.prim_indices.iter().enumerate() {
-            assert_eq!(bvh.prim_aabbs[slot], Aabb::cube(points[pid as usize], 1.5));
+        for record in &bvh.records {
+            assert_eq!(record.point, points[record.id as usize]);
+            assert_eq!(record.cube(bvh.half_width), Aabb::cube(record.point, 1.5));
         }
         validate_bvh(&bvh).unwrap();
     }
@@ -529,15 +491,8 @@ mod tests {
         for p in &mut pts {
             p.z *= 1e-3;
         }
-        let aabbs: Vec<Aabb> = pts.iter().map(|&p| Aabb::cube(p, 0.6)).collect();
         for b in all_builders() {
-            let bvh = build_bvh(
-                &aabbs,
-                BuildParams {
-                    builder: b,
-                    max_leaf_size: 4,
-                },
-            );
+            let bvh = build_point_bvh(&pts, 0.3, params(b, 4));
             validate_bvh(&bvh).unwrap();
         }
     }
@@ -576,27 +531,14 @@ mod tests {
             ("single", vec![Vec3::ZERO]),
         ] {
             for leaf in [1u32, 4] {
-                let serial = build_bvh(
-                    &pts.iter().map(|&p| Aabb::cube(p, 0.8)).collect::<Vec<_>>(),
-                    BuildParams {
-                        builder: BvhBuilder::LbvhSerial,
-                        max_leaf_size: leaf,
-                    },
-                );
+                let serial = build_point_bvh(&pts, 0.4, params(BvhBuilder::LbvhSerial, leaf));
                 for threads in [1usize, 2, 6] {
                     let parallel = rtnn_parallel::with_thread_count(threads, || {
-                        build_bvh(
-                            &pts.iter().map(|&p| Aabb::cube(p, 0.8)).collect::<Vec<_>>(),
-                            BuildParams {
-                                builder: BvhBuilder::Lbvh,
-                                max_leaf_size: leaf,
-                            },
-                        )
+                        build_point_bvh(&pts, 0.4, params(BvhBuilder::Lbvh, leaf))
                     });
-                    assert_bit_identical(
-                        &serial,
-                        &parallel,
-                        &format!("{name} leaf={leaf} threads={threads}"),
+                    assert!(
+                        parallel.bit_identical(&serial),
+                        "{name} leaf={leaf} threads={threads}"
                     );
                     validate_bvh(&parallel).unwrap();
                 }

@@ -17,9 +17,11 @@
 //!   the oracle: the parallel pipeline is pinned bit-identical to it at
 //!   every thread count.
 //!
+//! Every tree is a point BVH over `{point, id}` leaf records ([`node`]).
+//!
 //! The refit ([`refit::refit_point_bvh`]) has the same pair: an in-place
-//! path that writes each leaf slot's cube straight into the tree, and the
-//! serial oracle it matches bit for bit. The builders lay nodes
+//! path that writes each leaf record's new point straight into the tree,
+//! and the serial oracle it matches bit for bit. The builders lay nodes
 //! out in preorder, so each subtree below a cut depth is one contiguous
 //! run of the node array, which a pool worker refits in place by sweeping
 //! it from its last node to its first; a small tree or a one-thread pool
@@ -28,9 +30,10 @@
 //! costs on the simulated device is the `rtnn-gpusim` model's business.
 //!
 //! Traversal implements the OptiX ray–AABB semantics (Conditions 1 and 2 of
-//! the paper) and reports the per-ray statistics (nodes visited, primitive
-//! AABBs tested) that the GPU simulator converts into cycles, cache traffic
-//! and occupancy.
+//! the paper), hands the IS shader the hit record's point and id, and
+//! reports the per-ray statistics (nodes visited, primitive cubes tested)
+//! that the GPU simulator converts into cycles, cache traffic and
+//! occupancy.
 
 pub mod builder;
 pub mod node;
@@ -39,8 +42,8 @@ pub mod stats;
 pub mod traverse;
 pub mod validate;
 
-pub use builder::{build_bvh, build_point_bvh, BuildParams, BvhBuilder};
-pub use node::{Bvh, BvhNode, NodeKind};
+pub use builder::{build_point_bvh, BuildParams, BvhBuilder};
+pub use node::{Bvh, BvhNode, LeafRecord, NodeKind};
 pub use refit::{refit_bvh_serial, refit_bvh_with_cut, refit_point_bvh, RefitError, RefitStats};
 pub use traverse::{AscendingSlots, SlotSet, TraversalControl, TraversalStats, VisitMarks};
 pub use validate::{validate_bvh, BvhValidationError};

@@ -19,8 +19,8 @@
 //! first (children follow their parent), and the few nodes above the cut
 //! are folded last.
 
-use crate::node::{Bvh, BvhNode, NodeKind};
-use rtnn_math::{Aabb, Vec3};
+use crate::node::{records_aabb, Bvh, BvhNode, LeafRecord, NodeKind};
+use rtnn_math::Vec3;
 use rtnn_parallel::{current_num_threads, par_chunks_mut, par_map_collect_mut};
 use std::time::Instant;
 
@@ -59,29 +59,26 @@ pub struct RefitStats {
     pub sah_after: f64,
 }
 
-/// Refit `bvh` in place over width-`width` cubes centred at `points`
-/// (Listing 1's mapping; the moving counterpart of
-/// [`crate::builder::build_point_bvh`]) without re-topologizing. `points`
+/// Refit `bvh` in place over its cubes moved to `points` (Listing 1's
+/// mapping; the moving counterpart of [`crate::builder::build_point_bvh`])
+/// without re-topologizing. The cubes keep the tree's half width. `points`
 /// is indexed by primitive id, like the builder's input, and must have
-/// exactly as many entries as the tree has primitives; each leaf slot's
-/// cube is written straight into [`Bvh::prim_aabbs`].
+/// exactly as many entries as the tree has primitives; each leaf record
+/// takes its primitive's new point in one parallel pass, and the cubes are
+/// derived from the records.
 ///
-/// The cut depth suits the pool: deep enough to hand every worker several
-/// subtrees for load balancing, while a serial run or a small tree sweeps
-/// the whole node array as one run on the calling thread (see
-/// [`refit_bvh_with_cut`]). The result is bit-identical to the serial
-/// oracle ([`refit_bvh_serial`]) over the same cubes at every thread count,
+/// This is [`refit_bvh_with_cut`] at a cut depth that suits the pool: deep
+/// enough to hand every worker several subtrees for load balancing, while
+/// a serial run or a small tree sweeps the whole node array as one run on
+/// the calling thread. The result is bit-identical to the serial oracle
+/// ([`refit_bvh_serial`]) over the same points at every thread count,
 /// because every node box is computed from exactly the same operands
 /// either way.
 ///
 /// In debug and test builds the refitted tree is re-validated with
 /// [`crate::validate::validate_bvh`]; a violation is a bug in this function
 /// or in the input tree and panics.
-pub fn refit_point_bvh(
-    bvh: &mut Bvh,
-    points: &[Vec3],
-    width: f32,
-) -> Result<RefitStats, RefitError> {
+pub fn refit_point_bvh(bvh: &mut Bvh, points: &[Vec3]) -> Result<RefitStats, RefitError> {
     let wall = Instant::now();
     let threads = current_num_threads();
     let cut_depth = if threads <= 1 || bvh.nodes.len() < 4096 {
@@ -89,9 +86,7 @@ pub fn refit_point_bvh(
     } else {
         (threads * 8).next_power_of_two().trailing_zeros()
     };
-    let stats = refit_runs(bvh, points.len(), cut_depth, |bvh| {
-        adopt_point_cubes(bvh, points, width)
-    })?;
+    let stats = refit_bvh_with_cut(bvh, points, cut_depth)?;
     if let Some(t) = rtnn_telemetry::Telemetry::current() {
         t.counter_add("bvh.refits", 1);
         t.observe_wall("bvh.refit.wall_ms", wall.elapsed().as_secs_f64() * 1e3);
@@ -99,31 +94,30 @@ pub fn refit_point_bvh(
     Ok(stats)
 }
 
-/// The serial refit oracle over explicit primitive boxes (`new_prim_aabbs`
-/// is indexed by primitive id): one explicit post-order traversal of the
-/// whole tree, which needs no particular node layout. The cut path must
-/// match it bit for bit, and falls back to its traversal for a layout
-/// that is not preorder.
-pub fn refit_bvh_serial(bvh: &mut Bvh, new_prim_aabbs: &[Aabb]) -> Result<RefitStats, RefitError> {
-    if !check_and_adopt(bvh, new_prim_aabbs.len(), |bvh| {
-        adopt_by_id(bvh, new_prim_aabbs)
-    })? {
+/// The serial refit oracle over the tree's cubes moved to `points`
+/// (indexed by primitive id): a serial pass over the leaf records, then
+/// one explicit post-order traversal of the whole tree, which needs no
+/// particular node layout. The cut path must match it bit for bit, and
+/// falls back to its traversal for a layout that is not preorder.
+pub fn refit_bvh_serial(bvh: &mut Bvh, points: &[Vec3]) -> Result<RefitStats, RefitError> {
+    if !check_count(bvh, points.len())? {
         return Ok(empty_stats(bvh));
     }
+    adopt_points(&mut bvh.records, points);
     refit_post_order(bvh);
     finish(bvh)
 }
 
-/// Recompute every node box from the adopted primitive boxes by one
+/// Recompute every node box from the adopted leaf records by one
 /// iterative post-order traversal, which needs no particular node layout.
 fn refit_post_order(bvh: &mut Bvh) {
     // `(node, expanded)` pairs; on the second visit both children are done.
     let mut stack: Vec<(u32, bool)> = vec![(0, false)];
     while let Some((idx, expanded)) = stack.pop() {
-        let node = bvh.nodes[idx as usize];
-        match node.kind {
+        match bvh.nodes[idx as usize].kind() {
             NodeKind::Leaf { start, count } => {
-                bvh.nodes[idx as usize].aabb = leaf_aabb(&bvh.prim_aabbs, start, count);
+                let slots = &bvh.records[start as usize..(start + count) as usize];
+                bvh.nodes[idx as usize].aabb = records_aabb(slots, bvh.half_width);
             }
             NodeKind::Internal { left, right } => {
                 if expanded {
@@ -141,15 +135,17 @@ fn refit_post_order(bvh: &mut Bvh) {
     }
 }
 
-/// Parallel refit with an explicit subtree cut, in place. A breadth-first
-/// sweep from the root collects the *upper* nodes shallower than
-/// `cut_depth` and the frontier below them: the subtree roots at the cut,
-/// plus any leaves above it. The builders emit nodes in preorder, so each
-/// frontier subtree is the contiguous run of nodes from its root to the
-/// next upper node or frontier root. The node array is split into those
-/// runs (`split_at_mut`), one pool worker refits a run by sweeping it from
-/// its last node to its first (every child follows its parent), and a
-/// serial top-up recomputes the upper nodes in reverse BFS order.
+/// Parallel refit over the tree's cubes moved to `points`, with an
+/// explicit subtree cut, in place. The leaf records take their new points
+/// in one parallel pass. A breadth-first sweep from the root then collects
+/// the *upper* nodes shallower than `cut_depth` and the frontier below
+/// them: the subtree roots at the cut, plus any leaves above it. The
+/// builders emit nodes in preorder, so each frontier subtree is the
+/// contiguous run of nodes from its root to the next upper node or
+/// frontier root. The node array is split into those runs
+/// (`split_at_mut`), one pool worker refits a run by sweeping it from its
+/// last node to its first (every child follows its parent), and a serial
+/// top-up recomputes the upper nodes in reverse BFS order.
 /// `cut_depth = 0` makes the whole tree one run.
 ///
 /// A layout that is not preorder is detected during the sweep: some
@@ -162,25 +158,15 @@ fn refit_post_order(bvh: &mut Bvh) {
 /// order; only the schedule differs.
 pub fn refit_bvh_with_cut(
     bvh: &mut Bvh,
-    new_prim_aabbs: &[Aabb],
+    points: &[Vec3],
     cut_depth: u32,
 ) -> Result<RefitStats, RefitError> {
-    refit_runs(bvh, new_prim_aabbs.len(), cut_depth, |bvh| {
-        adopt_by_id(bvh, new_prim_aabbs)
-    })
-}
-
-/// [`refit_bvh_with_cut`] over the `supplied` primitive boxes `adopt`
-/// writes into the tree's leaf slots once their count has been checked.
-fn refit_runs(
-    bvh: &mut Bvh,
-    supplied: usize,
-    cut_depth: u32,
-    adopt: impl FnOnce(&mut Bvh),
-) -> Result<RefitStats, RefitError> {
-    if !check_and_adopt(bvh, supplied, adopt)? {
+    if !check_count(bvh, points.len())? {
         return Ok(empty_stats(bvh));
     }
+    par_chunks_mut(&mut bvh.records, 256, |_, chunk| {
+        adopt_points(chunk, points)
+    });
 
     // BFS from the root, listing every node it reaches as the start of a
     // run: `(node, is a frontier root)`. Upper nodes only end the runs
@@ -192,7 +178,7 @@ fn refit_runs(
     while head < queue.len() {
         let (idx, depth) = queue[head];
         head += 1;
-        match bvh.nodes[idx as usize].kind {
+        match bvh.nodes[idx as usize].kind() {
             NodeKind::Internal { left, right } if depth < cut_depth => {
                 upper.push(idx);
                 starts.push((idx, false));
@@ -205,7 +191,10 @@ fn refit_runs(
     starts.sort_unstable();
 
     let Bvh {
-        nodes, prim_aabbs, ..
+        nodes,
+        records,
+        half_width,
+        ..
     } = bvh;
     let mut runs: Vec<(u32, &mut [BvhNode])> = Vec::with_capacity(starts.len());
     // The nodes from the current start on; node 0, the root, starts first.
@@ -220,9 +209,9 @@ fn refit_runs(
             runs.push((first, run));
         }
     }
-    let prim_aabbs: &[Aabb] = prim_aabbs;
+    let (records, half): (&[LeafRecord], f32) = (records, *half_width);
     let swept = par_map_collect_mut(&mut runs, |_, (first, run)| {
-        refit_run(*first, run, prim_aabbs)
+        refit_run(*first, run, records, half)
     });
     if !swept.into_iter().all(|ok| ok) {
         refit_post_order(bvh);
@@ -231,7 +220,7 @@ fn refit_runs(
     // Serial top-up: reverse BFS order guarantees both children of every
     // upper node — frontier roots or deeper upper nodes — are final.
     for &idx in upper.iter().rev() {
-        let NodeKind::Internal { left, right } = bvh.nodes[idx as usize].kind else {
+        let NodeKind::Internal { left, right } = bvh.nodes[idx as usize].kind() else {
             unreachable!("upper nodes are internal by construction");
         };
         bvh.nodes[idx as usize].aabb = bvh.nodes[left as usize]
@@ -245,10 +234,12 @@ fn refit_runs(
 /// last node to its first. Returns false, leaving the run part-refitted,
 /// when a child lies outside the run or before its parent (a layout that
 /// is not preorder).
-fn refit_run(first: u32, run: &mut [BvhNode], prim_aabbs: &[Aabb]) -> bool {
+fn refit_run(first: u32, run: &mut [BvhNode], records: &[LeafRecord], half: f32) -> bool {
     for i in (0..run.len()).rev() {
-        run[i].aabb = match run[i].kind {
-            NodeKind::Leaf { start, count } => leaf_aabb(prim_aabbs, start, count),
+        run[i].aabb = match run[i].kind() {
+            NodeKind::Leaf { start, count } => {
+                records_aabb(&records[start as usize..(start + count) as usize], half)
+            }
             NodeKind::Internal { left, right } => {
                 let child = |c: u32| {
                     let c = c.wrapping_sub(first) as usize;
@@ -264,49 +255,25 @@ fn refit_run(first: u32, run: &mut [BvhNode], prim_aabbs: &[Aabb]) -> bool {
     true
 }
 
-/// Count-check `supplied` primitives against the tree, then let `adopt`
-/// write their boxes into the tree's leaf slots. Returns `Ok(false)`,
-/// adopting nothing, for the empty tree (nothing to refit).
-fn check_and_adopt(
-    bvh: &mut Bvh,
-    supplied: usize,
-    adopt: impl FnOnce(&mut Bvh),
-) -> Result<bool, RefitError> {
-    if supplied != bvh.prim_aabbs.len() {
+/// Count-check `supplied` primitives against the tree before a refit
+/// writes any leaf record. Returns `Ok(false)` for the empty tree (nothing
+/// to refit).
+fn check_count(bvh: &Bvh, supplied: usize) -> Result<bool, RefitError> {
+    if supplied != bvh.records.len() {
         return Err(RefitError::PrimitiveCountChanged {
-            tree: bvh.prim_aabbs.len(),
+            tree: bvh.records.len(),
             supplied,
         });
     }
-    if bvh.nodes.is_empty() {
-        return Ok(false);
-    }
-    adopt(bvh);
-    Ok(true)
+    Ok(!bvh.nodes.is_empty())
 }
 
-/// Gather `new_prim_aabbs` (indexed by primitive id) into the tree's
-/// leaf-slot order.
-fn adopt_by_id(bvh: &mut Bvh, new_prim_aabbs: &[Aabb]) {
-    for (slot_aabb, &pid) in bvh.prim_aabbs.iter_mut().zip(&bvh.prim_indices) {
-        *slot_aabb = new_prim_aabbs[pid as usize];
+/// Give each leaf record its primitive's point (`points` is indexed by
+/// primitive id).
+fn adopt_points(records: &mut [LeafRecord], points: &[Vec3]) {
+    for record in records {
+        record.point = points[record.id as usize];
     }
-}
-
-/// Write each leaf slot's width-`width` cube, centred at its primitive's
-/// point (`points` is indexed by primitive id), straight into the tree.
-fn adopt_point_cubes(bvh: &mut Bvh, points: &[Vec3], width: f32) {
-    let Bvh {
-        prim_indices,
-        prim_aabbs,
-        ..
-    } = bvh;
-    let prim_indices: &[u32] = prim_indices;
-    par_chunks_mut(prim_aabbs, 256, |start, slots| {
-        for (slot_aabb, &pid) in slots.iter_mut().zip(&prim_indices[start..]) {
-            *slot_aabb = Aabb::cube(points[pid as usize], width);
-        }
-    });
 }
 
 fn empty_stats(bvh: &Bvh) -> RefitStats {
@@ -314,15 +281,6 @@ fn empty_stats(bvh: &Bvh) -> RefitStats {
         nodes_updated: 0,
         sah_after: bvh.sah_cost(),
     }
-}
-
-/// The box of the leaf slots `start..start + count`.
-fn leaf_aabb(prim_aabbs: &[Aabb], start: u32, count: u32) -> Aabb {
-    let mut aabb = Aabb::EMPTY;
-    for slot_aabb in &prim_aabbs[start as usize..(start + count) as usize] {
-        aabb.grow_aabb(slot_aabb);
-    }
-    aabb
 }
 
 fn finish(bvh: &mut Bvh) -> Result<RefitStats, RefitError> {
@@ -338,9 +296,9 @@ fn finish(bvh: &mut Bvh) -> Result<RefitStats, RefitError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::builder::{build_bvh, build_point_bvh, BuildParams};
+    use crate::builder::{build_point_bvh, BuildParams};
     use crate::validate::validate_bvh;
-    use rtnn_math::Vec3;
+    use rtnn_math::{Aabb, Vec3};
 
     fn grid_points(n_per_axis: usize) -> Vec<Vec3> {
         let mut pts = Vec::new();
@@ -359,13 +317,11 @@ mod tests {
         let pts = grid_points(5);
         let mut bvh = build_point_bvh(&pts, 0.5, BuildParams::default());
         let reference = bvh.clone();
-        let stats = refit_point_bvh(&mut bvh, &pts, 1.0).unwrap();
+        let stats = refit_point_bvh(&mut bvh, &pts).unwrap();
         assert_eq!(stats.nodes_updated, bvh.nodes.len());
         assert_eq!(stats.sah_after, reference.sah_cost());
-        for (a, b) in bvh.nodes.iter().zip(&reference.nodes) {
-            assert_eq!(a.aabb, b.aabb);
-            assert_eq!(a.kind, b.kind);
-        }
+        assert_eq!(bvh.nodes, reference.nodes);
+        assert_eq!(bvh.records, reference.records);
     }
 
     #[test]
@@ -377,11 +333,12 @@ mod tests {
             p.x += 0.3 * ((i % 7) as f32 - 3.0) / 3.0;
             p.z *= 0.8;
         }
-        refit_point_bvh(&mut bvh, &pts, 0.8).unwrap();
+        refit_point_bvh(&mut bvh, &pts).unwrap();
         validate_bvh(&bvh).unwrap();
         // Every leaf slot's box is the cube at its primitive's new position.
-        for (slot, &pid) in bvh.prim_indices.iter().enumerate() {
-            assert_eq!(bvh.prim_aabbs[slot], Aabb::cube(pts[pid as usize], 0.8));
+        for record in &bvh.records {
+            let cube = record.cube(bvh.half_width);
+            assert_eq!(cube, Aabb::cube(pts[record.id as usize], 0.8));
         }
         // The root must bound all new positions.
         let root = bvh.root_bounds();
@@ -391,54 +348,10 @@ mod tests {
     }
 
     #[test]
-    fn primitive_boxes_are_stored_in_leaf_slot_order() {
-        use crate::builder::BvhBuilder;
-        let pts = grid_points(7);
-        let boxes =
-            |pts: &[Vec3]| -> Vec<Aabb> { pts.iter().map(|&p| Aabb::cube(p, 0.9)).collect() };
-        let built = boxes(&pts);
-        let moved = boxes(
-            &pts.iter()
-                .enumerate()
-                .map(|(i, &p)| p + Vec3::new(0.3 * (i % 5) as f32, -0.2 * (i % 3) as f32, 0.1))
-                .collect::<Vec<_>>(),
-        );
-        let assert_slot_order = |bvh: &Bvh, boxes: &[Aabb], context: &str| {
-            for (slot, &pid) in bvh.prim_indices.iter().enumerate() {
-                assert_eq!(
-                    bvh.prim_aabbs[slot], boxes[pid as usize],
-                    "{context}: slot {slot}"
-                );
-            }
-        };
-        for builder in [BvhBuilder::Lbvh, BvhBuilder::LbvhSerial] {
-            for max_leaf_size in [1u32, 4] {
-                let context = format!("{builder:?} leaf={max_leaf_size}");
-                let bvh = build_bvh(
-                    &built,
-                    BuildParams {
-                        builder,
-                        max_leaf_size,
-                    },
-                );
-                assert_slot_order(&bvh, &built, &format!("{context} build"));
-                let mut serial = bvh.clone();
-                refit_bvh_serial(&mut serial, &moved).unwrap();
-                assert_slot_order(&serial, &moved, &format!("{context} serial refit"));
-                for cut in [0u32, 2, 4, 8] {
-                    let mut cut_tree = bvh.clone();
-                    refit_bvh_with_cut(&mut cut_tree, &moved, cut).unwrap();
-                    assert_slot_order(&cut_tree, &moved, &format!("{context} cut {cut}"));
-                }
-            }
-        }
-    }
-
-    #[test]
     fn refit_rejects_changed_primitive_count() {
         let pts = grid_points(3);
         let mut bvh = build_point_bvh(&pts, 0.5, BuildParams::default());
-        let err = refit_point_bvh(&mut bvh, &pts[..10], 1.0).unwrap_err();
+        let err = refit_point_bvh(&mut bvh, &pts[..10]).unwrap_err();
         assert!(matches!(
             err,
             RefitError::PrimitiveCountChanged {
@@ -452,7 +365,7 @@ mod tests {
     #[test]
     fn refit_of_empty_bvh_is_a_noop() {
         let mut bvh = Bvh::empty();
-        let stats = refit_point_bvh(&mut bvh, &[], 1.0).unwrap();
+        let stats = refit_point_bvh(&mut bvh, &[]).unwrap();
         assert_eq!(stats.nodes_updated, 0);
         assert!(bvh.is_empty());
     }
@@ -471,7 +384,7 @@ mod tests {
             p.y += ((i % 13) as f32) * 0.9;
         }
         let sah_before = bvh.sah_cost();
-        let stats = refit_point_bvh(&mut bvh, &pts, 0.8).unwrap();
+        let stats = refit_point_bvh(&mut bvh, &pts).unwrap();
         assert!(
             stats.sah_after > sah_before * 1.2,
             "expected clear SAH degradation, got {} -> {}",
@@ -488,7 +401,7 @@ mod tests {
         let mut depths = Vec::new();
         let mut stack = vec![(0u32, 0u32)];
         while let Some((idx, depth)) = stack.pop() {
-            match bvh.nodes[idx as usize].kind {
+            match bvh.nodes[idx as usize].kind() {
                 NodeKind::Leaf { .. } => depths.push(depth),
                 NodeKind::Internal { left, right } => {
                     stack.push((left, depth + 1));
@@ -499,9 +412,10 @@ mod tests {
         depths
     }
 
-    /// Refit `bvh` through the cut path at cut depths 0–8 and 30 and at 1,
-    /// 2 and 4 threads; every tree must equal the serial oracle's.
-    fn assert_cut_refits_match_the_oracle(bvh: &Bvh, moved: &[Aabb], context: &str) {
+    /// Refit `bvh` over `moved` points through the cut path at cut depths
+    /// 0–8 and 30 and at 1, 2 and 4 threads; every tree must equal the
+    /// serial oracle's.
+    fn assert_cut_refits_match_the_oracle(bvh: &Bvh, moved: &[Vec3], context: &str) {
         let mut serial = bvh.clone();
         let serial_stats = refit_bvh_serial(&mut serial, moved).unwrap();
         for cut in (0u32..=8).chain([30]) {
@@ -512,11 +426,7 @@ mod tests {
                 });
                 let context = format!("{context}: cut={cut} threads={threads}");
                 assert_eq!(stats, serial_stats, "{context}");
-                for (i, (a, b)) in parallel.nodes.iter().zip(&serial.nodes).enumerate() {
-                    assert_eq!(a.aabb, b.aabb, "{context} node {i}");
-                    assert_eq!(a.kind, b.kind, "{context} node {i}");
-                }
-                assert_eq!(parallel.prim_aabbs, serial.prim_aabbs, "{context}");
+                assert!(parallel.bit_identical(&serial), "{context}");
             }
         }
     }
@@ -541,14 +451,14 @@ mod tests {
             p.y -= 0.2 * ((i % 5) as f32);
             p.z *= 0.9;
         }
-        let moved: Vec<Aabb> = pts.iter().map(|&p| Aabb::cube(p, 0.8)).collect();
-        assert_cut_refits_match_the_oracle(&bvh0, &moved, "grid + outliers");
-        // The point refit agrees too.
+        assert_cut_refits_match_the_oracle(&bvh0, &pts, "grid + outliers");
+        // The pool-cut refit agrees too.
         let mut serial = bvh0.clone();
-        let serial_stats = refit_bvh_serial(&mut serial, &moved).unwrap();
+        let serial_stats = refit_bvh_serial(&mut serial, &pts).unwrap();
         let mut dispatched = bvh0.clone();
-        let dispatched_stats = refit_point_bvh(&mut dispatched, &pts, 0.8).unwrap();
+        let dispatched_stats = refit_point_bvh(&mut dispatched, &pts).unwrap();
         assert_eq!(dispatched_stats, serial_stats);
+        assert!(dispatched.bit_identical(&serial));
     }
 
     #[test]
@@ -559,11 +469,11 @@ mod tests {
             let mut out = bvh.clone();
             for (i, node) in bvh.nodes.iter().enumerate() {
                 let mut node = *node;
-                if let NodeKind::Internal { left, right } = node.kind {
-                    node.kind = NodeKind::Internal {
+                if let NodeKind::Internal { left, right } = node.kind() {
+                    node.set_kind(NodeKind::Internal {
                         left: order(left as usize) as u32,
                         right: order(right as usize) as u32,
-                    };
+                    });
                 }
                 out.nodes[order(i)] = node;
             }
@@ -573,10 +483,10 @@ mod tests {
         let pts = grid_points(6);
         let built = build_point_bvh(&pts, 0.5, BuildParams::default());
         let n = built.nodes.len();
-        let moved: Vec<Aabb> = pts
+        let moved: Vec<Vec3> = pts
             .iter()
             .enumerate()
-            .map(|(i, &p)| Aabb::cube(p + Vec3::new(0.1 * (i % 7) as f32, 0.0, -0.3), 1.0))
+            .map(|(i, &p)| p + Vec3::new(0.1 * (i % 7) as f32, 0.0, -0.3))
             .collect();
         // Every child before its parent: no run sweep applies, so the cut
         // path falls back to the post-order at every depth.
@@ -584,7 +494,7 @@ mod tests {
         assert_cut_refits_match_the_oracle(&reversed, &moved, "reversed");
         // The root's two children swapped in the array: the left child's
         // subtree now sits after the right one's.
-        let NodeKind::Internal { left, right } = built.nodes[0].kind else {
+        let NodeKind::Internal { left, right } = built.nodes[0].kind() else {
             panic!("expected internal root");
         };
         let (left, right) = (left as usize, right as usize);
@@ -595,20 +505,15 @@ mod tests {
         });
         assert_cut_refits_match_the_oracle(&swapped, &moved, "swapped subtrees");
         // Two leaves under the root, swapped in the array.
-        let two = build_bvh(
-            &[
-                Aabb::cube(Vec3::ZERO, 1.0),
-                Aabb::cube(Vec3::new(4.0, 0.0, 0.0), 1.0),
-            ],
+        let two = build_point_bvh(
+            &[Vec3::ZERO, Vec3::new(4.0, 0.0, 0.0)],
+            0.5,
             BuildParams {
                 max_leaf_size: 1,
                 ..BuildParams::default()
             },
         );
-        let two_moved = [
-            Aabb::cube(Vec3::new(0.0, 3.0, 0.0), 1.0),
-            Aabb::cube(Vec3::new(4.0, -3.0, 0.0), 1.0),
-        ];
+        let two_moved = [Vec3::new(0.0, 3.0, 0.0), Vec3::new(4.0, -3.0, 0.0)];
         let two_swapped = renumbered(&two, |i| [0, 2, 1][i]);
         assert_cut_refits_match_the_oracle(&two_swapped, &two_moved, "two leaves");
     }
@@ -618,12 +523,9 @@ mod tests {
         // Node 0 is an internal root whose children sit at indices 1 and 2 —
         // but build a layout where the *left* child is the last node, so a
         // naive reverse-index sweep would read a stale child box.
-        let prim_aabbs = vec![
-            Aabb::cube(Vec3::ZERO, 1.0),
-            Aabb::cube(Vec3::new(4.0, 0.0, 0.0), 1.0),
-        ];
-        let mut bvh = build_bvh(
-            &prim_aabbs,
+        let mut bvh = build_point_bvh(
+            &[Vec3::ZERO, Vec3::new(4.0, 0.0, 0.0)],
+            0.5,
             BuildParams {
                 max_leaf_size: 1,
                 ..BuildParams::default()
@@ -631,31 +533,25 @@ mod tests {
         );
         // Swap the two leaves in the node array and fix up the root's child
         // indices, producing a valid but reordered layout.
-        let NodeKind::Internal { left, right } = bvh.nodes[0].kind else {
+        let NodeKind::Internal { left, right } = bvh.nodes[0].kind() else {
             panic!("expected internal root");
         };
         bvh.nodes.swap(left as usize, right as usize);
-        bvh.nodes[0].kind = NodeKind::Internal {
+        bvh.nodes[0].set_kind(NodeKind::Internal {
             left: right,
             right: left,
-        };
+        });
         validate_bvh(&bvh).unwrap();
         let moved = [Vec3::new(0.0, 2.0, 0.0), Vec3::new(4.0, -2.0, 0.0)];
-        refit_point_bvh(&mut bvh, &moved, 1.0).unwrap();
+        refit_point_bvh(&mut bvh, &moved).unwrap();
         validate_bvh(&bvh).unwrap();
         for p in moved {
             assert!(bvh.root_bounds().contains_aabb(&Aabb::cube(p, 1.0)));
         }
     }
 
-    /// Every node and leaf slot box of `bvh`. Debug prints each f32 in its
-    /// shortest round-trip form, so equal strings mean bit-equal trees.
-    fn tree_bits(bvh: &Bvh) -> String {
-        format!("{:?} {:?}", bvh.nodes, bvh.prim_aabbs)
-    }
-
     #[test]
-    fn point_refit_matches_the_serial_oracle_over_id_ordered_cubes() {
+    fn point_refit_matches_the_serial_oracle() {
         let width = 0.9;
         for n_per_axis in [4, 20] {
             let mut pts = grid_points(n_per_axis);
@@ -666,21 +562,20 @@ mod tests {
             for (i, p) in pts.iter_mut().enumerate() {
                 *p += Vec3::new(0.3 * (i % 7) as f32, -0.2 * (i % 3) as f32, 0.1);
             }
-            let cubes: Vec<Aabb> = pts.iter().map(|&p| Aabb::cube(p, width)).collect();
             let mut serial = built.clone();
-            let serial_stats = refit_bvh_serial(&mut serial, &cubes).unwrap();
+            let serial_stats = refit_bvh_serial(&mut serial, &pts).unwrap();
             for threads in [1usize, 2, 4] {
                 let mut tree = built.clone();
                 let stats = rtnn_parallel::with_thread_count(threads, || {
-                    refit_point_bvh(&mut tree, &pts, width).unwrap()
+                    refit_point_bvh(&mut tree, &pts).unwrap()
                 });
                 let context = format!("{n_per_axis}³ grid, {threads} threads");
                 assert_eq!(stats, serial_stats, "{context}");
-                assert!(tree_bits(&tree) == tree_bits(&serial), "{context}");
+                assert!(tree.bit_identical(&serial), "{context}");
             }
             // A count mismatch is rejected before any slot is written.
             let mut tree = built.clone();
-            let err = refit_point_bvh(&mut tree, &pts[1..], width).unwrap_err();
+            let err = refit_point_bvh(&mut tree, &pts[1..]).unwrap_err();
             assert_eq!(
                 err,
                 RefitError::PrimitiveCountChanged {
@@ -688,13 +583,13 @@ mod tests {
                     supplied: pts.len() - 1
                 }
             );
-            assert!(tree_bits(&tree) == tree_bits(&built));
+            assert!(tree.bit_identical(&built));
         }
         let mut empty = Bvh::empty();
-        let stats = refit_point_bvh(&mut empty, &[], width).unwrap();
+        let stats = refit_point_bvh(&mut empty, &[]).unwrap();
         assert_eq!(stats, refit_bvh_serial(&mut Bvh::empty(), &[]).unwrap());
         assert!(matches!(
-            refit_point_bvh(&mut empty, &[Vec3::ZERO], width),
+            refit_point_bvh(&mut empty, &[Vec3::ZERO]),
             Err(RefitError::PrimitiveCountChanged {
                 tree: 0,
                 supplied: 1

@@ -19,7 +19,7 @@ impl Bvh {
         let mut cost = 0.0;
         for node in &self.nodes {
             let sa = node.aabb.surface_area() as f64 / root_sa;
-            match node.kind {
+            match node.kind() {
                 NodeKind::Internal { .. } => cost += TRAVERSAL_COST * sa,
                 NodeKind::Leaf { count, .. } => cost += PRIM_TEST_COST * sa * count as f64,
             }

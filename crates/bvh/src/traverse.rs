@@ -1,31 +1,34 @@
 //! Stack-based BVH traversal with OptiX intersection semantics.
 //!
 //! Traversal visits every node whose AABB intersects the ray (Conditions 1
-//! and 2 of the paper); at leaves, each primitive AABB is tested against the
-//! ray and, on a hit, the caller-supplied visitor — the IS shader in OptiX
-//! terms — is invoked with the primitive id. The visitor can terminate the
-//! ray (the AH shader's `optixTerminateRay`, used by RTNN when `K`
-//! neighbors have been found).
+//! and 2 of the paper); at leaves, each primitive cube is tested against
+//! the ray and, on a hit, the caller-supplied visitor — the IS shader in
+//! OptiX terms — is invoked with the slot's leaf record. The visitor can
+//! terminate the ray (the AH shader's `optixTerminateRay`, used by RTNN
+//! when `K` neighbors have been found).
 //!
 //! Two entry points:
 //!
 //! * [`Bvh::traverse`] — counts work (node visits, primitive tests) without
-//!   recording which nodes were touched; used by correctness tests and CPU
-//!   oracles.
-//! * [`Bvh::traverse_marked`] — additionally marks every node slot and
-//!   primitive slot the ray reads in a [`VisitMarks`] set. Marks accumulate
-//!   over calls until [`VisitMarks::clear`], so traversing each ray of a
-//!   warp into one set leaves the warp's footprint: the distinct slots its
-//!   rays read, counted once each and walked in ascending order. The GPU
+//!   recording which nodes were touched, and hands the visitor the
+//!   primitive id; used by correctness tests and CPU oracles.
+//! * [`Bvh::traverse_marked`] — hands the visitor the whole leaf record,
+//!   point and id, and additionally marks every node slot and primitive
+//!   slot the ray reads in a [`VisitMarks`] set. Marks accumulate over
+//!   calls until [`VisitMarks::clear`], so traversing each ray of a warp
+//!   into one set leaves the warp's footprint: the distinct slots its rays
+//!   read, counted once each and walked in ascending order. The GPU
 //!   simulator charges RT-core tests and memory traffic for that footprint.
 //!   The set also holds the traversal stack, so a thread that reuses one
 //!   set for every ray allocates nothing per ray.
 //!
-//! A leaf scans its slots in order, reading the adjacent boxes
-//! `prim_aabbs[start..start + count]` (stored in leaf-slot order), and
-//! looks a primitive id up only for a box the ray hits.
+//! A ray reads two arrays: 32-byte nodes, and at a leaf its adjacent
+//! 16-byte records `records[start..start + count]`. Each slot's cube is
+//! derived from its record and the tree's half width, so a hit costs no
+//! further read: the visitor gets the point it needs for the IS shader's
+//! distance test with the id.
 
-use crate::node::{Bvh, NodeKind};
+use crate::node::{Bvh, LeafRecord, NodeKind};
 use rtnn_math::Ray;
 
 /// Visitor verdict after a primitive hit (the IS/AH shader return).
@@ -107,7 +110,7 @@ impl VisitMarks {
 
     /// The slots marked since the last clear, each kind in ascending order
     /// and each slot once: indices into `Bvh::nodes`, then leaf slots
-    /// (indices into `Bvh::prim_indices` and `Bvh::prim_aabbs`).
+    /// (indices into `Bvh::records`).
     pub fn ascending(&mut self) -> (AscendingSlots<'_>, AscendingSlots<'_>) {
         (self.nodes.ascending(), self.prims.ascending())
     }
@@ -238,7 +241,7 @@ impl Iterator for AscendingSlots<'_> {
 
 impl Bvh {
     /// Traverse the BVH with `ray`, invoking `on_hit(prim_id)` for every
-    /// primitive whose AABB the ray intersects. Returns work counters.
+    /// primitive whose cube the ray intersects. Returns work counters.
     pub fn traverse<F>(&self, ray: &Ray, mut on_hit: F) -> TraversalStats
     where
         F: FnMut(u32) -> TraversalControl,
@@ -246,12 +249,13 @@ impl Bvh {
         // Depth is O(log n) for this crate's builder; the stack grows past
         // the reservation for skewed trees.
         let mut stack = Vec::with_capacity(64);
-        self.traverse_impl(ray, &mut on_hit, &mut stack, None)
+        self.traverse_impl(ray, &mut |record| on_hit(record.id), &mut stack, None)
     }
 
-    /// As [`Bvh::traverse`], additionally marking every node and primitive
-    /// slot the ray reads in `marks`. Earlier marks are kept, so slots this
-    /// ray shares with rays traversed before it are counted once. The
+    /// As [`Bvh::traverse`], but invoking `on_hit` with the hit slot's leaf
+    /// record, and additionally marking every node and primitive slot the
+    /// ray reads in `marks`. Earlier marks are kept, so slots this ray
+    /// shares with rays traversed before it are counted once. The
     /// traversal runs on the stack `marks` keeps, which allocates only
     /// when a ray goes deeper than every ray before it.
     pub fn traverse_marked<F>(
@@ -261,7 +265,7 @@ impl Bvh {
         mut on_hit: F,
     ) -> TraversalStats
     where
-        F: FnMut(u32) -> TraversalControl,
+        F: FnMut(&LeafRecord) -> TraversalControl,
     {
         let VisitMarks {
             nodes,
@@ -269,7 +273,7 @@ impl Bvh {
             stack,
         } = marks;
         nodes.fit(self.nodes.len());
-        prims.fit(self.prim_indices.len());
+        prims.fit(self.records.len());
         self.traverse_impl(ray, &mut on_hit, stack, Some((nodes, prims)))
     }
 
@@ -281,7 +285,7 @@ impl Bvh {
         mut marks: Option<(&mut SlotSet, &mut SlotSet)>,
     ) -> TraversalStats
     where
-        F: FnMut(u32) -> TraversalControl,
+        F: FnMut(&LeafRecord) -> TraversalControl,
     {
         let mut stats = TraversalStats::default();
         if self.nodes.is_empty() {
@@ -299,7 +303,7 @@ impl Bvh {
             if !node.aabb.intersects_ray(ray) {
                 continue;
             }
-            match node.kind {
+            match node.kind() {
                 NodeKind::Internal { left, right } => {
                     stack.push(right);
                     stack.push(left);
@@ -307,14 +311,14 @@ impl Bvh {
                 NodeKind::Leaf { start, count } => {
                     stats.leaves_visited += 1;
                     let slots = start as usize..(start + count) as usize;
-                    for (slot, slot_aabb) in slots.clone().zip(&self.prim_aabbs[slots]) {
+                    for (slot, record) in slots.clone().zip(&self.records[slots]) {
                         stats.prim_tests += 1;
                         if let Some((_, prims)) = marks.as_mut() {
                             prims.mark(slot as u32);
                         }
-                        if slot_aabb.intersects_ray(ray) {
+                        if record.cube(self.half_width).intersects_ray(ray) {
                             stats.is_calls += 1;
-                            if on_hit(self.prim_indices[slot]) == TraversalControl::Terminate {
+                            if on_hit(record) == TraversalControl::Terminate {
                                 stats.terminated = true;
                                 break 'rays;
                             }
@@ -326,7 +330,7 @@ impl Bvh {
         stats
     }
 
-    /// Collect every primitive id whose AABB contains `query` (i.e. would
+    /// Collect every primitive id whose cube contains `query` (i.e. would
     /// trigger the IS shader for a point-probe ray from `query`). Reference
     /// helper used by tests and by the first-hit scheduling pass oracle.
     pub fn primitives_containing(&self, query: rtnn_math::Vec3) -> Vec<u32> {

@@ -14,12 +14,9 @@ pub enum BvhValidationError {
     NodeVisitedTwice { node: usize },
     /// Some node is unreachable from the root.
     UnreachableNodes { expected: usize, visited: usize },
-    /// `prim_indices` is not a permutation-sized table over the primitives
-    /// (the two arrays disagree in length).
-    IndexTableSizeMismatch { indices: usize, primitives: usize },
-    /// A leaf slot references a primitive id outside `prim_aabbs`.
+    /// A leaf record holds a primitive id outside the primitive count.
     PrimIdOutOfRange { node: usize, prim: u32 },
-    /// A leaf range points outside `prim_indices`.
+    /// A leaf range points outside the leaf records.
     LeafRangeOutOfBounds { node: usize },
     /// A leaf exceeds the configured maximum leaf size.
     LeafTooLarge { node: usize, count: u32, max: u32 },
@@ -27,31 +24,24 @@ pub enum BvhValidationError {
     PrimitiveCoverage { prim: u32, occurrences: usize },
     /// A parent AABB does not enclose one of its children.
     ParentDoesNotEncloseChild { parent: usize, child: usize },
-    /// A leaf AABB does not enclose the box in one of its slots.
+    /// A leaf AABB does not enclose the cube of one of its records.
     LeafDoesNotEnclosePrimitive { node: usize, prim: u32 },
 }
 
 /// Check every structural invariant of `bvh`. Returns `Ok(())` for valid
 /// hierarchies (including the empty one).
 pub fn validate_bvh(bvh: &Bvh) -> Result<(), BvhValidationError> {
-    if bvh.nodes.is_empty() || bvh.prim_aabbs.is_empty() {
-        return if bvh.nodes.is_empty() && bvh.prim_aabbs.is_empty() && bvh.prim_indices.is_empty() {
+    if bvh.nodes.is_empty() || bvh.records.is_empty() {
+        return if bvh.nodes.is_empty() && bvh.records.is_empty() {
             Ok(())
         } else {
             Err(BvhValidationError::EmptyMismatch)
         };
     }
 
-    if bvh.prim_indices.len() != bvh.prim_aabbs.len() {
-        return Err(BvhValidationError::IndexTableSizeMismatch {
-            indices: bvh.prim_indices.len(),
-            primitives: bvh.prim_aabbs.len(),
-        });
-    }
-
     let n_nodes = bvh.nodes.len();
     let mut visited = vec![false; n_nodes];
-    let mut prim_seen = vec![0usize; bvh.prim_aabbs.len()];
+    let mut prim_seen = vec![0usize; bvh.records.len()];
     let mut stack = vec![0usize];
     let mut visited_count = 0usize;
 
@@ -62,7 +52,7 @@ pub fn validate_bvh(bvh: &Bvh) -> Result<(), BvhValidationError> {
         visited[idx] = true;
         visited_count += 1;
         let node = &bvh.nodes[idx];
-        match node.kind {
+        match node.kind() {
             NodeKind::Internal { left, right } => {
                 for child in [left, right] {
                     if child as usize >= n_nodes {
@@ -80,7 +70,7 @@ pub fn validate_bvh(bvh: &Bvh) -> Result<(), BvhValidationError> {
             }
             NodeKind::Leaf { start, count } => {
                 let end = start as usize + count as usize;
-                if end > bvh.prim_indices.len() {
+                if end > bvh.records.len() {
                     return Err(BvhValidationError::LeafRangeOutOfBounds { node: idx });
                 }
                 if count > bvh.max_leaf_size {
@@ -90,22 +80,17 @@ pub fn validate_bvh(bvh: &Bvh) -> Result<(), BvhValidationError> {
                         max: bvh.max_leaf_size,
                     });
                 }
-                let slots = start as usize..end;
-                for (&pid, slot_aabb) in bvh.prim_indices[slots.clone()]
-                    .iter()
-                    .zip(&bvh.prim_aabbs[slots])
-                {
-                    if pid as usize >= bvh.prim_aabbs.len() {
-                        return Err(BvhValidationError::PrimIdOutOfRange {
-                            node: idx,
-                            prim: pid,
-                        });
+                for record in &bvh.records[start as usize..end] {
+                    let prim = record.id;
+                    if prim as usize >= bvh.records.len() {
+                        return Err(BvhValidationError::PrimIdOutOfRange { node: idx, prim });
                     }
-                    prim_seen[pid as usize] += 1;
-                    if !node.aabb.expanded(1e-5).contains_aabb(slot_aabb) {
+                    prim_seen[prim as usize] += 1;
+                    let cube = record.cube(bvh.half_width);
+                    if !node.aabb.expanded(1e-5).contains_aabb(&cube) {
                         return Err(BvhValidationError::LeafDoesNotEnclosePrimitive {
                             node: idx,
-                            prim: pid,
+                            prim,
                         });
                     }
                 }
@@ -133,22 +118,23 @@ pub fn validate_bvh(bvh: &Bvh) -> Result<(), BvhValidationError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::builder::{build_bvh, BuildParams};
-    use crate::node::BvhNode;
+    use crate::builder::{build_point_bvh, BuildParams};
+    use crate::node::{BvhNode, LeafRecord};
     use rtnn_math::{Aabb, Vec3};
 
-    fn valid_two_prim_bvh() -> Bvh {
-        let prim_aabbs = vec![
-            Aabb::cube(Vec3::ZERO, 1.0),
-            Aabb::cube(Vec3::new(4.0, 0.0, 0.0), 1.0),
-        ];
-        build_bvh(
-            &prim_aabbs,
+    fn two_prim_bvh(points: &[Vec3]) -> Bvh {
+        build_point_bvh(
+            points,
+            0.5,
             BuildParams {
                 max_leaf_size: 1,
                 ..BuildParams::default()
             },
         )
+    }
+
+    fn valid_two_prim_bvh() -> Bvh {
+        two_prim_bvh(&[Vec3::ZERO, Vec3::new(4.0, 0.0, 0.0)])
     }
 
     #[test]
@@ -173,19 +159,32 @@ mod tests {
     }
 
     #[test]
+    fn detects_a_record_outside_its_leaf_box() {
+        // A record moved without a refit, or a half width grown without
+        // one, leaves its cube outside the leaf box that was folded for it.
+        let mut moved = valid_two_prim_bvh();
+        moved.records[1].point.y += 0.6;
+        let mut widened = valid_two_prim_bvh();
+        widened.half_width *= 1.5;
+        for bvh in [moved, widened] {
+            assert!(matches!(
+                validate_bvh(&bvh),
+                Err(BvhValidationError::LeafDoesNotEnclosePrimitive { .. })
+            ));
+        }
+        // Within the box, a record still validates.
+        let mut nudged = valid_two_prim_bvh();
+        nudged.half_width *= 0.5;
+        assert_eq!(validate_bvh(&nudged), Ok(()));
+    }
+
+    #[test]
     fn detects_duplicate_primitive() {
-        // Two identical primitives so leaf enclosure still holds; then alias
+        // Two identical points so leaf enclosure still holds; then alias
         // both leaf slots to primitive 0 so coverage is the only violation.
-        let prim_aabbs = vec![Aabb::cube(Vec3::ZERO, 1.0); 2];
-        let mut bvh = build_bvh(
-            &prim_aabbs,
-            BuildParams {
-                max_leaf_size: 1,
-                ..BuildParams::default()
-            },
-        );
-        for slot in bvh.prim_indices.iter_mut() {
-            *slot = 0;
+        let mut bvh = two_prim_bvh(&[Vec3::ZERO; 2]);
+        for record in bvh.records.iter_mut() {
+            record.id = 0;
         }
         assert!(matches!(
             validate_bvh(&bvh),
@@ -195,14 +194,7 @@ mod tests {
 
     #[test]
     fn detects_oversized_leaf() {
-        let prim_aabbs = vec![Aabb::cube(Vec3::ZERO, 1.0); 3];
-        let mut bvh = build_bvh(
-            &prim_aabbs,
-            BuildParams {
-                max_leaf_size: 4,
-                ..BuildParams::default()
-            },
-        );
+        let mut bvh = build_point_bvh(&[Vec3::ZERO; 3], 0.5, BuildParams::default());
         bvh.max_leaf_size = 1; // pretend the builder was configured tighter
         assert!(matches!(
             validate_bvh(&bvh),
@@ -214,8 +206,8 @@ mod tests {
     fn detects_child_cycle() {
         let mut bvh = valid_two_prim_bvh();
         // Make the root's right child the root itself.
-        if let NodeKind::Internal { left, .. } = bvh.nodes[0].kind {
-            bvh.nodes[0].kind = NodeKind::Internal { left, right: 0 };
+        if let NodeKind::Internal { left, .. } = bvh.nodes[0].kind() {
+            bvh.nodes[0].set_kind(NodeKind::Internal { left, right: 0 });
         }
         assert!(matches!(
             validate_bvh(&bvh),
@@ -227,10 +219,10 @@ mod tests {
     #[test]
     fn detects_unreachable_node() {
         let mut bvh = valid_two_prim_bvh();
-        bvh.nodes.push(BvhNode {
-            aabb: Aabb::cube(Vec3::ZERO, 1.0),
-            kind: NodeKind::Leaf { start: 0, count: 0 },
-        });
+        bvh.nodes.push(BvhNode::new(
+            Aabb::cube(Vec3::ZERO, 1.0),
+            NodeKind::Leaf { start: 0, count: 0 },
+        ));
         assert!(matches!(
             validate_bvh(&bvh),
             Err(BvhValidationError::UnreachableNodes { .. })
@@ -238,33 +230,35 @@ mod tests {
     }
 
     #[test]
-    fn detects_index_table_size_mismatch() {
+    fn detects_a_leaf_range_past_the_records() {
         let mut bvh = valid_two_prim_bvh();
-        bvh.prim_indices.push(0);
-        assert!(matches!(
+        let NodeKind::Internal { right, .. } = bvh.nodes[0].kind() else {
+            panic!("expected internal root");
+        };
+        bvh.nodes[right as usize].set_kind(NodeKind::Leaf { start: 1, count: 2 });
+        bvh.max_leaf_size = 2;
+        assert_eq!(
             validate_bvh(&bvh),
-            Err(BvhValidationError::IndexTableSizeMismatch {
-                indices: 3,
-                primitives: 2
+            Err(BvhValidationError::LeafRangeOutOfBounds {
+                node: right as usize
             })
-        ));
+        );
     }
 
     #[test]
     fn detects_out_of_range_primitive_id() {
         let mut bvh = valid_two_prim_bvh();
-        bvh.prim_indices[0] = 99;
+        bvh.records[0].id = 99;
         assert!(matches!(
             validate_bvh(&bvh),
             Err(BvhValidationError::PrimIdOutOfRange { prim: 99, .. })
-                | Err(BvhValidationError::LeafDoesNotEnclosePrimitive { .. })
         ));
     }
 
     #[test]
     fn detects_empty_mismatch() {
         let mut bvh = Bvh::empty();
-        bvh.prim_aabbs.push(Aabb::cube(Vec3::ZERO, 1.0));
+        bvh.records.push(LeafRecord::default());
         assert_eq!(validate_bvh(&bvh), Err(BvhValidationError::EmptyMismatch));
     }
 }

@@ -5,17 +5,17 @@
 //! tree in exactly the state the serial refit produces — across all three
 //! drift generators (`rtnn_data::dynamics`), over several motion frames.
 //!
-//! "Bit-identical" is byte-for-byte: same primitive order, same node
+//! "Bit-identical" is `Bvh::bit_identical`: same leaf records, same node
 //! layout, same AABB bit patterns. Thread count may change only how fast
 //! the structure is built, never a single bit of it.
 
 use proptest::prelude::*;
 use rtnn_bvh::{
-    build_bvh, refit_bvh_serial, refit_bvh_with_cut, validate_bvh, BuildParams, Bvh, BvhBuilder,
+    build_point_bvh, refit_bvh_serial, refit_bvh_with_cut, validate_bvh, BuildParams, BvhBuilder,
 };
 use rtnn_data::dynamics::{DriftModel, DriftScene};
 use rtnn_data::PointCloud;
-use rtnn_math::{Aabb, Vec3};
+use rtnn_math::Vec3;
 use rtnn_parallel::with_thread_count;
 
 fn point_in(half: f32) -> impl Strategy<Value = Vec3> {
@@ -41,35 +41,6 @@ fn drift_model(idx: usize) -> DriftModel {
     }
 }
 
-fn aabbs_for(points: &[Vec3], width: f32) -> Vec<Aabb> {
-    points.iter().map(|&p| Aabb::cube(p, width)).collect()
-}
-
-fn assert_trees_bit_identical(got: &Bvh, want: &Bvh, context: &str) -> Result<(), TestCaseError> {
-    prop_assert!(
-        got.prim_indices == want.prim_indices,
-        "{context}: primitive order diverged"
-    );
-    prop_assert!(
-        got.nodes.len() == want.nodes.len(),
-        "{context}: node count {} vs {}",
-        got.nodes.len(),
-        want.nodes.len()
-    );
-    for (i, (g, w)) in got.nodes.iter().zip(&want.nodes).enumerate() {
-        prop_assert!(g.kind == w.kind, "{context}: node {i} kind differs");
-        prop_assert!(
-            g.aabb.min.to_array().map(f32::to_bits) == w.aabb.min.to_array().map(f32::to_bits)
-                && g.aabb.max.to_array().map(f32::to_bits)
-                    == w.aabb.max.to_array().map(f32::to_bits),
-            "{context}: node {i} bounds differ in bits: {:?} vs {:?}",
-            g.aabb,
-            w.aabb
-        );
-    }
-    Ok(())
-}
-
 proptest! {
     #![proptest_config(ProptestConfig { cases: 12, ..ProptestConfig::default() })]
 
@@ -79,7 +50,6 @@ proptest! {
         width in 0.1f32..2.0,
         max_leaf in 1u32..5,
     ) {
-        let aabbs = aabbs_for(&points, width);
         let serial_params = BuildParams {
             builder: BvhBuilder::LbvhSerial,
             max_leaf_size: max_leaf,
@@ -88,11 +58,13 @@ proptest! {
             builder: BvhBuilder::Lbvh,
             max_leaf_size: max_leaf,
         };
-        let oracle = build_bvh(&aabbs, serial_params);
+        let oracle = build_point_bvh(&points, 0.5 * width, serial_params);
         validate_bvh(&oracle).unwrap();
         for threads in [1usize, 2, 6] {
-            let tree = with_thread_count(threads, || build_bvh(&aabbs, parallel_params));
-            assert_trees_bit_identical(&tree, &oracle, &format!("{threads} threads"))?;
+            let tree = with_thread_count(threads, || {
+                build_point_bvh(&points, 0.5 * width, parallel_params)
+            });
+            prop_assert!(tree.bit_identical(&oracle), "{} threads", threads);
         }
     }
 
@@ -108,7 +80,7 @@ proptest! {
             builder: BvhBuilder::Lbvh,
             max_leaf_size: 4,
         };
-        let built = build_bvh(&aabbs_for(&points, width), params);
+        let built = build_point_bvh(&points, 0.5 * width, params);
         let mut scene = DriftScene::new(
             &PointCloud::new("prop", points),
             drift_model(model_idx),
@@ -117,7 +89,7 @@ proptest! {
         let mut serial_tree = built.clone();
         for frame in 0..frames {
             scene.step();
-            let moved = aabbs_for(&scene.live_points(), width);
+            let moved = scene.live_points();
             refit_bvh_serial(&mut serial_tree, &moved).unwrap();
             for threads in [1usize, 2, 5] {
                 for cut in [0u32, 2, 8] {
@@ -130,11 +102,7 @@ proptest! {
                     .unwrap();
                     let context =
                         format!("model {model_idx} frame {frame} threads {threads} cut {cut}");
-                    assert_trees_bit_identical(&tree, &serial_tree, &context)?;
-                    prop_assert!(
-                        tree.prim_aabbs == serial_tree.prim_aabbs,
-                        "{context}: adopted primitive boxes differ"
-                    );
+                    prop_assert!(tree.bit_identical(&serial_tree), "{}", context);
                     prop_assert_eq!(stats.nodes_updated, tree.nodes.len());
                     validate_bvh(&tree).unwrap();
                 }

@@ -16,7 +16,7 @@
 //!   ([`exhaustive_traverse`]); it doubles as the oracle the cross-backend
 //!   equivalence suite checks the ray-tracing backend against.
 
-use crate::shaders::{FirstHitProgram, KnnHeap, KnnProgram, QueryIndexing, RangeProgram, NO_HIT};
+use crate::shaders::{FirstHitProgram, KnnProgram, KnnTopK, QueryIndexing, RangeProgram, NO_HIT};
 use rtnn_bvh::{BuildParams, Bvh};
 use rtnn_gpusim::device::OutOfDeviceMemory;
 use rtnn_gpusim::kernel::{point_address, run_sm_kernel};
@@ -130,7 +130,6 @@ fn pipeline_traverse(device: &Device, bvh: &Bvh, job: &TraversalJob<'_>) -> Trav
             sphere_test,
         } => {
             let program = RangeProgram {
-                points: job.points,
                 queries: job.queries,
                 indexing,
                 radius,
@@ -150,7 +149,6 @@ fn pipeline_traverse(device: &Device, bvh: &Bvh, job: &TraversalJob<'_>) -> Trav
         }
         TraversalKind::Knn { radius, k } => {
             let program = KnnProgram {
-                points: job.points,
                 queries: job.queries,
                 indexing,
                 radius,
@@ -161,7 +159,7 @@ fn pipeline_traverse(device: &Device, bvh: &Bvh, job: &TraversalJob<'_>) -> Trav
                 payloads: launch
                     .payloads
                     .into_iter()
-                    .map(KnnHeap::into_sorted_ids)
+                    .map(KnnTopK::into_sorted_ids)
                     .collect(),
                 metrics: launch.metrics,
             }
@@ -193,7 +191,7 @@ const OPS_PER_SCAN_TEST: u64 = 4;
 /// point is a candidate exactly when its width-`aabb_width` AABB contains
 /// the query (what BVH traversal of a degenerate point probe reports), and
 /// the per-candidate shader semantics (sphere test, cap termination, KNN
-/// heap) are identical to the ray-tracing programs. Candidates are visited
+/// top-k) are identical to the ray-tracing programs. Candidates are visited
 /// in point-id order.
 ///
 /// This is the structure-less oracle path: `BruteForceBackend` (in
@@ -246,7 +244,7 @@ pub fn exhaustive_traverse(device: &Device, accel: &Accel, job: &TraversalJob<'_
             }
             TraversalKind::Knn { radius, k } => {
                 let r2 = radius * radius;
-                let mut heap = KnnHeap::default();
+                let mut top = KnnTopK::new(k);
                 for (pi, &p) in points.iter().enumerate() {
                     out.scanned += 1;
                     if !contains(p) {
@@ -256,10 +254,10 @@ pub fn exhaustive_traverse(device: &Device, accel: &Accel, job: &TraversalJob<'_
                     let d2 = q.distance_squared(p);
                     if d2 < r2 {
                         out.hit = true;
-                        heap.offer(d2, pi as u32, k);
+                        top.offer(d2, pi as u32);
                     }
                 }
-                out.ids = heap.into_sorted_ids();
+                out.ids = top.into_sorted_ids();
             }
             TraversalKind::FirstHit => {
                 for (pi, &p) in points.iter().enumerate() {

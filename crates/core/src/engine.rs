@@ -101,7 +101,7 @@ pub enum SearchError {
 impl std::fmt::Display for SearchError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            SearchError::InvalidPlan(e) => write!(f, "invalid configuration: {e}"),
+            SearchError::InvalidPlan(e) => write!(f, "invalid plan: {e}"),
             SearchError::OutOfDeviceMemory(e) => write!(f, "{e}"),
         }
     }

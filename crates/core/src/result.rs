@@ -182,10 +182,11 @@ impl AsRef<SearchResults> for SearchResults {
 ///   which ones depends on the structure that served it).
 /// * [`merge_knn`](Self::merge_knn) — union the per-shard top-`k` lists,
 ///   keep the `k` smallest by `(distance², id)` — the same total order the
-///   KNN heap's distance-sorted output uses. Bit-equal to the unsharded
-///   result whenever no two candidates tie exactly at the `k`-th distance
-///   (ties inside the heap are resolved by offer order, which sharding
-///   cannot observe; seeded float clouds do not produce them).
+///   KNN shader's top-k keeps. Bit-equal to the unsharded result whenever
+///   no two candidates tie exactly at the `k`-th distance: a shard's
+///   top-k breaks such a tie by its shard-local ids, which number the
+///   shard's points in Morton order rather than by ascending global id
+///   (seeded float clouds do not produce such ties).
 ///
 /// The rank also defines the canonical Morton-range sharding:
 /// [`traversal_order`](Self::traversal_order) lists the point ids in rank

@@ -8,22 +8,29 @@
 //!   in the search sphere, Section 5.1), appends the neighbor, and
 //!   terminates the ray once `K` neighbors are recorded (the AH shader of
 //!   Listing 1).
-//! * [`KnnProgram`] — K-nearest-neighbor search: the IS shader maintains a
-//!   bounded max-heap of the `K` closest points seen so far and never
-//!   terminates early (every candidate inside the AABB must be examined).
+//! * [`KnnProgram`] — K-nearest-neighbor search: the IS shader offers each
+//!   candidate within the radius to a per-ray [`KnnTopK`], which keeps the
+//!   `K` smallest `(distance², id)` pairs, and never terminates early
+//!   (every candidate inside the AABB must be examined).
 //! * [`FirstHitProgram`] — the truncated launch used by query scheduling
 //!   (Section 4, Listing 2): terminate on the very first intersected leaf
 //!   AABB and record which primitive it was.
+//!
+//! The traversal hands each IS shader the ray's origin (the query) and the
+//! hit primitive's point and id, so a candidate costs its distance test and
+//! no lookup of the query or the point.
 
+use rtnn_bvh::LeafRecord;
 use rtnn_math::{Ray, Vec3};
 use rtnn_optix::{IsVerdict, RayProgram};
 
 /// Sentinel for "no first hit found".
 pub const NO_HIT: u32 = u32::MAX;
 
-/// The most entries a payload reserves when its ray starts: a ray with a
-/// smaller cap never grows its list, and no ray reserves more up front,
-/// however large its cap (an unbounded range's cap is the point count).
+/// The most entries a payload reserves when its ray starts: a range ray
+/// with a smaller cap (or a KNN ray with a smaller top-k buffer) never
+/// grows its list, and no ray reserves more up front, however large its
+/// cap (an unbounded range's cap is the point count).
 const PAYLOAD_RESERVE: usize = 64;
 
 /// Maps launch indices to query ids: either the identity (launch `i` is
@@ -58,8 +65,6 @@ pub type RangePayload = Vec<u32>;
 /// Fixed-radius search shader set.
 #[derive(Debug, Clone)]
 pub struct RangeProgram<'a> {
-    /// Search points (AABB centres / sphere centres).
-    pub points: &'a [Vec3],
     /// Query positions.
     pub queries: &'a [Vec3],
     /// Launch-index → query-id mapping.
@@ -84,18 +89,14 @@ impl<'a> RayProgram for RangeProgram<'a> {
 
     fn intersection(
         &self,
-        launch_index: u32,
-        prim_id: u32,
+        origin: Vec3,
+        prim: &LeafRecord,
         payload: &mut RangePayload,
     ) -> IsVerdict {
-        if self.sphere_test {
-            let q = self.queries[self.indexing.query_id(launch_index) as usize];
-            let p = self.points[prim_id as usize];
-            if q.distance_squared(p) >= self.radius * self.radius {
-                return IsVerdict::Ignore;
-            }
+        if self.sphere_test && origin.distance_squared(prim.point) >= self.radius * self.radius {
+            return IsVerdict::Ignore;
         }
-        payload.push(prim_id);
+        payload.push(prim.id);
         if payload.len() >= self.k {
             IsVerdict::AcceptAndTerminate
         } else {
@@ -108,90 +109,68 @@ impl<'a> RayProgram for RangeProgram<'a> {
 // KNN search
 // ---------------------------------------------------------------------------
 
-/// A bounded max-heap of `(distance², point id)` pairs — the per-ray
-/// priority queue of the KNN IS shader. Distances are stored as order-
-/// preserving `u32` bit patterns (all distances are non-negative floats).
+/// The per-ray top-k of the KNN IS shader: the `k` smallest
+/// `(distance², point id)` pairs offered, in that order, so a tie at the
+/// k-th distance goes to the lower id whatever order the candidates come
+/// in — the order `verify::brute_force_knn` sorts by.
+///
+/// Each candidate is one `u64` key, the distance's bits (order-preserving
+/// for the non-negative distances offered) above the id. Keys collect in a
+/// buffer of `2k`; a full buffer is compacted to its `k` smallest keys by
+/// one selection, and the largest key kept then bounds every later offer,
+/// so most candidates of a long ray cost one comparison. The default
+/// top-k keeps nothing.
 #[derive(Debug, Clone, Default)]
-pub struct KnnHeap {
-    entries: Vec<(u32, u32)>,
+pub struct KnnTopK {
+    keys: Vec<u64>,
+    k: usize,
+    /// Offers at or above this key cannot be among the `k` smallest.
+    bound: u64,
 }
 
-impl KnnHeap {
-    /// An empty heap with room for `capacity` entries.
-    pub(crate) fn with_capacity(capacity: usize) -> Self {
-        KnnHeap {
-            entries: Vec::with_capacity(capacity),
+impl KnnTopK {
+    /// An empty top-`k`, its buffer reserved for `2k` keys up to a bound of
+    /// 64.
+    pub fn new(k: usize) -> Self {
+        KnnTopK {
+            keys: Vec::with_capacity(k.saturating_mul(2).min(PAYLOAD_RESERVE)),
+            k,
+            bound: if k == 0 { 0 } else { u64::MAX },
         }
     }
 
-    /// Number of neighbors currently held.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True if no neighbors are held.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Offer a candidate; keeps only the `k` closest.
-    pub fn offer(&mut self, dist_sq: f32, id: u32, k: usize) {
+    /// Offer a candidate at squared distance `dist_sq` (non-negative).
+    #[inline]
+    pub fn offer(&mut self, dist_sq: f32, id: u32) {
         debug_assert!(dist_sq >= 0.0);
-        let key = dist_sq.to_bits();
-        if self.entries.len() < k {
-            self.entries.push((key, id));
-            self.sift_up(self.entries.len() - 1);
-        } else if let Some(&(worst, _)) = self.entries.first() {
-            if key < worst {
-                self.entries[0] = (key, id);
-                self.sift_down(0);
+        let key = u64::from(dist_sq.to_bits()) << 32 | u64::from(id);
+        if key < self.bound {
+            self.keys.push(key);
+            if self.keys.len() == self.k.saturating_mul(2) {
+                self.compact();
             }
         }
     }
 
-    fn sift_up(&mut self, mut i: usize) {
-        while i > 0 {
-            let parent = (i - 1) / 2;
-            if self.entries[i].0 > self.entries[parent].0 {
-                self.entries.swap(i, parent);
-                i = parent;
-            } else {
-                break;
-            }
-        }
+    /// Keep the `k` smallest keys and bound later offers by the largest.
+    fn compact(&mut self) {
+        let (_, &mut kth, _) = self.keys.select_nth_unstable(self.k - 1);
+        self.keys.truncate(self.k);
+        self.bound = kth;
     }
 
-    fn sift_down(&mut self, mut i: usize) {
-        let n = self.entries.len();
-        loop {
-            let (l, r) = (2 * i + 1, 2 * i + 2);
-            let mut largest = i;
-            if l < n && self.entries[l].0 > self.entries[largest].0 {
-                largest = l;
-            }
-            if r < n && self.entries[r].0 > self.entries[largest].0 {
-                largest = r;
-            }
-            if largest == i {
-                break;
-            }
-            self.entries.swap(i, largest);
-            i = largest;
-        }
-    }
-
-    /// Drain into point ids sorted by increasing distance.
+    /// Drain into the kept point ids, sorted by increasing distance and,
+    /// among equal distances, by id.
     pub fn into_sorted_ids(mut self) -> Vec<u32> {
-        self.entries.sort_by_key(|&(d, id)| (d, id));
-        self.entries.into_iter().map(|(_, id)| id).collect()
+        self.keys.sort_unstable();
+        self.keys.truncate(self.k);
+        self.keys.into_iter().map(|key| key as u32).collect()
     }
 }
 
 /// KNN search shader set.
 #[derive(Debug, Clone)]
 pub struct KnnProgram<'a> {
-    /// Search points.
-    pub points: &'a [Vec3],
     /// Query positions.
     pub queries: &'a [Vec3],
     /// Launch-index → query-id mapping.
@@ -203,22 +182,19 @@ pub struct KnnProgram<'a> {
 }
 
 impl<'a> RayProgram for KnnProgram<'a> {
-    type Payload = KnnHeap;
+    type Payload = KnnTopK;
 
-    fn ray_gen(&self, launch_index: u32) -> Option<(Ray, KnnHeap)> {
+    fn ray_gen(&self, launch_index: u32) -> Option<(Ray, KnnTopK)> {
         let q = self.queries[self.indexing.query_id(launch_index) as usize];
-        let heap = KnnHeap::with_capacity(self.k.min(PAYLOAD_RESERVE));
-        Some((Ray::point_probe(q), heap))
+        Some((Ray::point_probe(q), KnnTopK::new(self.k)))
     }
 
-    fn intersection(&self, launch_index: u32, prim_id: u32, payload: &mut KnnHeap) -> IsVerdict {
-        let q = self.queries[self.indexing.query_id(launch_index) as usize];
-        let p = self.points[prim_id as usize];
-        let d2 = q.distance_squared(p);
+    fn intersection(&self, origin: Vec3, prim: &LeafRecord, payload: &mut KnnTopK) -> IsVerdict {
+        let d2 = origin.distance_squared(prim.point);
         if d2 >= self.radius * self.radius {
             return IsVerdict::Ignore;
         }
-        payload.offer(d2, prim_id, self.k);
+        payload.offer(d2, prim.id);
         IsVerdict::Accept
     }
 }
@@ -251,13 +227,13 @@ impl<'a> RayProgram for FirstHitProgram<'a> {
 
     fn intersection(
         &self,
-        _launch_index: u32,
-        prim_id: u32,
+        _origin: Vec3,
+        prim: &LeafRecord,
         payload: &mut FirstHitPayload,
     ) -> IsVerdict {
         // Any enclosing AABB is an equally good spatial hint (Section 4), so
         // no sphere test: accept the very first one and stop.
-        *payload = prim_id;
+        *payload = prim.id;
         IsVerdict::AcceptAndTerminate
     }
 }
@@ -265,6 +241,10 @@ impl<'a> RayProgram for FirstHitProgram<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn prim(id: u32, point: Vec3) -> LeafRecord {
+        LeafRecord { point, id }
+    }
 
     #[test]
     fn query_indexing_modes() {
@@ -276,46 +256,73 @@ mod tests {
     }
 
     #[test]
-    fn knn_heap_keeps_the_k_closest() {
-        let mut heap = KnnHeap::default();
-        let k = 3;
+    fn knn_top_k_keeps_the_k_closest() {
+        let mut top = KnnTopK::new(3);
         for (i, d) in [9.0f32, 1.0, 4.0, 16.0, 0.25, 2.25].iter().enumerate() {
-            heap.offer(*d, i as u32, k);
+            top.offer(*d, i as u32);
         }
-        assert_eq!(heap.len(), 3);
         // Closest three distances are 0.25 (id 4), 1.0 (id 1), 2.25 (id 5).
-        assert_eq!(heap.into_sorted_ids(), vec![4, 1, 5]);
+        assert_eq!(top.into_sorted_ids(), vec![4, 1, 5]);
     }
 
     #[test]
-    fn knn_heap_handles_fewer_candidates_than_k() {
-        let mut heap = KnnHeap::default();
-        heap.offer(1.0, 7, 10);
-        heap.offer(0.5, 3, 10);
-        assert_eq!(heap.len(), 2);
-        assert!(!heap.is_empty());
-        assert_eq!(heap.into_sorted_ids(), vec![3, 7]);
+    fn knn_top_k_handles_fewer_candidates_than_k() {
+        let mut top = KnnTopK::new(10);
+        top.offer(1.0, 7);
+        top.offer(0.5, 3);
+        assert_eq!(top.into_sorted_ids(), vec![3, 7]);
+        // A top-0, the default one included, keeps nothing.
+        for mut empty in [KnnTopK::new(0), KnnTopK::default()] {
+            empty.offer(0.0, 1);
+            assert!(empty.into_sorted_ids().is_empty());
+        }
     }
 
     #[test]
-    fn knn_heap_ties_are_deterministic() {
-        let mut heap = KnnHeap::default();
-        heap.offer(1.0, 9, 2);
-        heap.offer(1.0, 3, 2);
-        heap.offer(1.0, 7, 2);
-        let ids = heap.into_sorted_ids();
-        assert_eq!(ids.len(), 2);
-        // Equal keys sort by id, and the replacement policy only replaces on
-        // strictly smaller distances, so the first two offered survive.
-        assert_eq!(ids, vec![3, 9]);
+    fn knn_ties_at_the_kth_distance_go_to_the_lower_id_in_any_offer_order() {
+        // Five candidates at distance² 1 and two nearer ones: the top-4
+        // keeps both nearer ones and the two lowest ids at distance² 1,
+        // however the candidates are ordered, as a sort by (d², id) does.
+        let candidates = [
+            (1.0f32, 9u32),
+            (1.0, 3),
+            (0.5, 12),
+            (1.0, 7),
+            (1.0, 4),
+            (0.25, 20),
+            (1.0, 5),
+        ];
+        let want = vec![20, 12, 3, 4];
+        let mut order: Vec<usize> = (0..candidates.len()).collect();
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        for _ in 0..200 {
+            for i in (1..order.len()).rev() {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                order.swap(i, (state % (i as u64 + 1)) as usize);
+            }
+            let mut top = KnnTopK::new(4);
+            for &i in &order {
+                top.offer(candidates[i].0, candidates[i].1);
+            }
+            assert_eq!(top.into_sorted_ids(), want, "offer order {order:?}");
+        }
+        // Past several compactions of the 2k buffer, too: 100 equidistant
+        // candidates offered from the highest id down.
+        let mut top = KnnTopK::new(3);
+        for id in (0..100).rev() {
+            top.offer(2.0, id);
+        }
+        assert_eq!(top.into_sorted_ids(), vec![0, 1, 2]);
     }
 
     #[test]
     fn range_program_sphere_test_filters_corners() {
-        let points = vec![Vec3::ZERO];
-        let queries = vec![Vec3::new(0.9, 0.9, 0.9)]; // inside AABB(width 2), outside unit sphere
+        let queries = vec![Vec3::ZERO];
+        // Inside the width-2 AABB of the query, outside its unit sphere.
+        let corner = prim(0, Vec3::new(0.9, 0.9, 0.9));
         let with_test = RangeProgram {
-            points: &points,
             queries: &queries,
             indexing: QueryIndexing::Identity,
             radius: 1.0,
@@ -328,12 +335,12 @@ mod tests {
         };
         let mut payload = Vec::new();
         assert_eq!(
-            with_test.intersection(0, 0, &mut payload),
+            with_test.intersection(Vec3::ZERO, &corner, &mut payload),
             IsVerdict::Ignore
         );
         assert!(payload.is_empty());
         assert_ne!(
-            without_test.intersection(0, 0, &mut payload),
+            without_test.intersection(Vec3::ZERO, &corner, &mut payload),
             IsVerdict::Ignore
         );
         assert_eq!(payload, vec![0]);
@@ -341,14 +348,8 @@ mod tests {
 
     #[test]
     fn range_program_terminates_at_k() {
-        let points = vec![
-            Vec3::ZERO,
-            Vec3::new(0.1, 0.0, 0.0),
-            Vec3::new(0.2, 0.0, 0.0),
-        ];
         let queries = vec![Vec3::ZERO];
         let prog = RangeProgram {
-            points: &points,
             queries: &queries,
             indexing: QueryIndexing::Identity,
             radius: 1.0,
@@ -356,45 +357,57 @@ mod tests {
             sphere_test: true,
         };
         let mut payload = Vec::new();
-        assert_eq!(prog.intersection(0, 0, &mut payload), IsVerdict::Accept);
         assert_eq!(
-            prog.intersection(0, 1, &mut payload),
+            prog.intersection(Vec3::ZERO, &prim(0, Vec3::ZERO), &mut payload),
+            IsVerdict::Accept
+        );
+        assert_eq!(
+            prog.intersection(Vec3::ZERO, &prim(1, Vec3::new(0.1, 0.0, 0.0)), &mut payload),
             IsVerdict::AcceptAndTerminate
         );
-        assert_eq!(payload.len(), 2);
+        assert_eq!(payload, vec![0, 1]);
     }
 
     #[test]
     fn knn_program_rejects_points_outside_radius() {
-        let points = vec![Vec3::new(5.0, 0.0, 0.0), Vec3::new(0.1, 0.0, 0.0)];
         let queries = vec![Vec3::ZERO];
         let prog = KnnProgram {
-            points: &points,
             queries: &queries,
             indexing: QueryIndexing::Identity,
             radius: 1.0,
             k: 4,
         };
-        let mut heap = KnnHeap::default();
-        assert_eq!(prog.intersection(0, 0, &mut heap), IsVerdict::Ignore);
-        assert_eq!(prog.intersection(0, 1, &mut heap), IsVerdict::Accept);
-        assert_eq!(heap.into_sorted_ids(), vec![1]);
+        let mut top = KnnTopK::new(4);
+        let (far, near) = (
+            prim(0, Vec3::new(5.0, 0.0, 0.0)),
+            prim(1, Vec3::new(0.1, 0.0, 0.0)),
+        );
+        assert_eq!(
+            prog.intersection(Vec3::ZERO, &far, &mut top),
+            IsVerdict::Ignore
+        );
+        assert_eq!(
+            prog.intersection(Vec3::ZERO, &near, &mut top),
+            IsVerdict::Accept
+        );
+        assert_eq!(top.into_sorted_ids(), vec![1]);
     }
 
     #[test]
-    fn ray_gen_reserves_the_cap_up_to_a_bound() {
-        let points = vec![Vec3::ZERO; 3];
+    fn ray_gen_reserves_the_buffer_up_to_a_bound() {
+        // A range payload holds up to its cap, a KNN top-k up to twice its
+        // k; either reserves that much, up to PAYLOAD_RESERVE.
         let queries = vec![Vec3::ZERO];
         for cap in [
             1usize,
             7,
-            32,
+            PAYLOAD_RESERVE / 2 - 1,
+            PAYLOAD_RESERVE / 2,
             PAYLOAD_RESERVE - 1,
             PAYLOAD_RESERVE,
             1_000_000,
         ] {
             let range = RangeProgram {
-                points: &points,
                 queries: &queries,
                 indexing: QueryIndexing::Identity,
                 radius: 1.0,
@@ -402,17 +415,19 @@ mod tests {
                 sphere_test: true,
             };
             let knn = KnnProgram {
-                points: &points,
                 queries: &queries,
                 indexing: QueryIndexing::Identity,
                 radius: 1.0,
                 k: cap,
             };
             let range_reserved = range.ray_gen(0).unwrap().1.capacity();
-            let knn_reserved = knn.ray_gen(0).unwrap().1.entries.capacity();
-            for (kind, reserved) in [("range", range_reserved), ("knn", knn_reserved)] {
-                if cap < PAYLOAD_RESERVE {
-                    assert_eq!(reserved, cap, "{kind} cap {cap}");
+            let knn_reserved = knn.ray_gen(0).unwrap().1.keys.capacity();
+            for (kind, holds, reserved) in [
+                ("range", cap, range_reserved),
+                ("knn", 2 * cap, knn_reserved),
+            ] {
+                if holds <= PAYLOAD_RESERVE {
+                    assert_eq!(reserved, holds, "{kind} cap {cap}");
                 } else {
                     assert!(reserved <= PAYLOAD_RESERVE, "{kind} cap {cap}: {reserved}");
                     assert!(reserved > 0, "{kind} cap {cap}");
@@ -432,7 +447,7 @@ mod tests {
         assert_eq!(initial, NO_HIT);
         let mut payload = initial;
         assert_eq!(
-            prog.intersection(0, 42, &mut payload),
+            prog.intersection(Vec3::ZERO, &prim(42, Vec3::ONE), &mut payload),
             IsVerdict::AcceptAndTerminate
         );
         assert_eq!(payload, 42);

@@ -604,7 +604,6 @@ mod tests {
         StructureTiming, Traversal, TraversalJob,
     };
     use rtnn_gpusim::device::OutOfDeviceMemory;
-    use rtnn_math::Aabb;
     use std::num::NonZeroUsize;
     use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
 
@@ -1503,11 +1502,9 @@ mod tests {
 
         // The same ratio, straight from rtnn-bvh over the same cubes.
         let width = config.engine.aabb_width(config.params.radius);
-        let cubes =
-            |pts: &[Vec3]| -> Vec<Aabb> { pts.iter().map(|&p| Aabb::cube(p, width)).collect() };
-        let built = rtnn_bvh::build_bvh(&cubes(&built_points), BuildParams::default());
+        let built = rtnn_bvh::build_point_bvh(&built_points, 0.5 * width, BuildParams::default());
         let mut refitted = built.clone();
-        rtnn_bvh::refit_bvh_serial(&mut refitted, &cubes(&points)).unwrap();
+        rtnn_bvh::refit_bvh_serial(&mut refitted, &points).unwrap();
         let want = (refitted.sah_cost() / built.sah_cost()).max(1.0);
         assert!(want > 1.2, "the swap must degrade the tree, got {want}");
         assert_eq!(frame.quality_ratio, want);

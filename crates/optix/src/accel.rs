@@ -134,8 +134,7 @@ impl Accel {
         let tel = Telemetry::current();
         let mut span = tel.as_ref().map(|t| t.span("accel.refit"));
         let wall = Instant::now();
-        let stats = refit_point_bvh(bvh, points, self.aabb_width)
-            .expect("the primitive count was checked above");
+        let stats = refit_point_bvh(bvh, points).expect("the primitive count was checked above");
         let host_wall_ms = wall.elapsed().as_secs_f64() * 1e3;
         let refit_ms = device.accel_refit_time_ms(points.len());
         if let Some(t) = &tel {
@@ -179,7 +178,10 @@ mod tests {
         assert!(accel.build_time_ms() > 0.0);
         let bvh = accel.bvh().expect("a built structure owns its BVH");
         validate_bvh(bvh).unwrap();
-        assert_eq!(bvh.prim_aabbs[0].extent(), Vec3::splat(1.0));
+        assert_eq!(
+            bvh.records[0].cube(bvh.half_width).extent(),
+            Vec3::splat(1.0)
+        );
     }
 
     #[test]
@@ -197,7 +199,8 @@ mod tests {
         let bvh = accel.bvh().unwrap();
         assert_eq!(refit.sah_after, Some(bvh.sah_cost()));
         assert_eq!(bvh.num_nodes(), built.num_nodes());
-        assert_eq!(bvh.prim_indices, built.prim_indices);
+        let ids = |bvh: &Bvh| bvh.records.iter().map(|r| r.id).collect::<Vec<_>>();
+        assert_eq!(ids(bvh), ids(&built));
         validate_bvh(bvh).unwrap();
         // The refit tracked the motion: root bounds cover the moved points.
         for &p in &pts {

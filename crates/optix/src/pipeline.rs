@@ -33,11 +33,15 @@
 //! # What a ray costs the host
 //!
 //! The per-ray loop is the traversal and the shaders, with nothing
-//! allocated or counted per ray on top:
+//! allocated, counted or looked up per ray on top:
 //! - the traversal stack lives in the thread's reused marks;
-//! - a leaf scans its primitive boxes in leaf-slot order, adjacent in
-//!   memory ([`Bvh::prim_aabbs`](rtnn_bvh::Bvh::prim_aabbs)), the order the
-//!   simulator bills primitive records in;
+//! - the ray reads 32-byte nodes and, at a leaf, its adjacent 16-byte
+//!   `{point, id}` records ([`Bvh::records`](rtnn_bvh::Bvh::records), in
+//!   the leaf-slot order the simulator bills primitive records in), from
+//!   which it derives each slot's cube;
+//! - the IS shader gets the ray's origin and the hit record, so a KNN
+//!   candidate costs its distance test and, if it can still make the top k,
+//!   one `u64` key pushed into a buffer;
 //! - a mark only sets a bit, and the counts are taken once per warp;
 //! - the RTNN programs reserve their payloads once, when the ray starts.
 //!
@@ -50,13 +54,15 @@
 //! never outlive the next warp on their thread, so the reuse cannot change
 //! an answer or a simulated number.
 //!
-//! Memory: a thread's footprint holds one bit per node slot and per
-//! primitive slot of the largest BVH it has traversed, plus at most one
-//! 32-bit word index per 64 of those slots, for the life of the thread
-//! (the worker pool's threads live as long as the process), a stack as
-//! deep as the deepest ray it has traversed, and line capacity for the
-//! largest warp footprint it has metered. An LBVH here has about 0.71
-//! nodes per point, so at the paper's 12M-point scale the bits take about
+//! Memory: a structure holds about 0.71 nodes per point, so about 39 host
+//! bytes per point (0.71 × 32 B of nodes and a 16 B record); the simulator
+//! bills its own record sizes by slot index, whatever the host layout. A
+//! thread's footprint holds one bit per node slot and per primitive slot
+//! of the largest BVH it has traversed, plus at most one 32-bit word index
+//! per 64 of those slots, for the life of the thread (the worker pool's
+//! threads live as long as the process), a stack as deep as the deepest
+//! ray it has traversed, and line capacity for the largest warp footprint
+//! it has metered. At the paper's 12M-point scale the bits take about
 //! 2.6 MB per thread and the word lists at most 1.3 MB (u32 visit stamps
 //! would take about 82 MB).
 
@@ -161,8 +167,8 @@ impl WarpFootprint {
             if let Some((ray, mut payload)) = program.ray_gen(launch_index as u32) {
                 out.active = true;
                 let mut hit_any = false;
-                let stats = bvh.traverse_marked(&ray, marks, |prim_id| {
-                    match program.intersection(launch_index as u32, prim_id, &mut payload) {
+                let stats = bvh.traverse_marked(&ray, marks, |prim| {
+                    match program.intersection(ray.origin, prim, &mut payload) {
                         IsVerdict::Ignore => TraversalControl::Continue,
                         IsVerdict::Accept => {
                             hit_any = true;
@@ -376,14 +382,13 @@ impl<'d> Pipeline<'d> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rtnn_bvh::{build_point_bvh, BuildParams};
+    use rtnn_bvh::{build_point_bvh, BuildParams, LeafRecord};
     use rtnn_math::{Ray, Vec3};
 
     /// The unoptimised RTNN range-search shader from Listing 1, specialised
     /// for tests: payload is the list of neighbor ids, capped at `k`.
     struct RangeProgram {
         queries: Vec<Vec3>,
-        points: Vec<Vec3>,
         radius: f32,
         k: usize,
     }
@@ -397,14 +402,12 @@ mod tests {
         }
         fn intersection(
             &self,
-            launch_index: u32,
-            prim_id: u32,
+            origin: Vec3,
+            prim: &LeafRecord,
             payload: &mut Vec<u32>,
         ) -> IsVerdict {
-            let q = self.queries[launch_index as usize];
-            let p = self.points[prim_id as usize];
-            if q.distance_squared(p) < self.radius * self.radius {
-                payload.push(prim_id);
+            if origin.distance_squared(prim.point) < self.radius * self.radius {
+                payload.push(prim.id);
                 if payload.len() >= self.k {
                     IsVerdict::AcceptAndTerminate
                 } else {
@@ -452,7 +455,6 @@ mod tests {
         ];
         let program = RangeProgram {
             queries: queries.clone(),
-            points: points.clone(),
             radius,
             k: 1000,
         };
@@ -477,7 +479,6 @@ mod tests {
         let queries = vec![Vec3::new(4.0, 4.0, 4.0)];
         let program = RangeProgram {
             queries,
-            points,
             radius,
             k: 5,
         };
@@ -498,7 +499,7 @@ mod tests {
             fn ray_gen(&self, _: u32) -> Option<(Ray, u32)> {
                 None
             }
-            fn intersection(&self, _: u32, _: u32, _: &mut u32) -> IsVerdict {
+            fn intersection(&self, _: Vec3, _: &LeafRecord, _: &mut u32) -> IsVerdict {
                 IsVerdict::Ignore
             }
         }
@@ -527,7 +528,7 @@ mod tests {
                 };
                 Some((Ray::point_probe(q), (false, false)))
             }
-            fn intersection(&self, _: u32, _: u32, _: &mut (bool, bool)) -> IsVerdict {
+            fn intersection(&self, _: Vec3, _: &LeafRecord, _: &mut (bool, bool)) -> IsVerdict {
                 IsVerdict::Accept
             }
             fn closest_hit(&self, _: u32, payload: &mut (bool, bool)) {
@@ -557,7 +558,6 @@ mod tests {
             queries: (0..40)
                 .map(|i| Vec3::new((i % 8) as f32, (i / 8) as f32, z))
                 .collect(),
-            points: points.clone(),
             radius,
             k: 1000,
         };
@@ -570,8 +570,13 @@ mod tests {
                 assert_ne!(launch_index % 32, 4, "injected shader fault");
                 self.0.ray_gen(launch_index)
             }
-            fn intersection(&self, i: u32, prim_id: u32, payload: &mut Vec<u32>) -> IsVerdict {
-                self.0.intersection(i, prim_id, payload)
+            fn intersection(
+                &self,
+                o: Vec3,
+                prim: &LeafRecord,
+                payload: &mut Vec<u32>,
+            ) -> IsVerdict {
+                self.0.intersection(o, prim, payload)
             }
         }
         let one_thread = |f: &dyn Fn() -> LaunchMetrics| rtnn_parallel::with_thread_count(1, f);
@@ -607,7 +612,6 @@ mod tests {
         let bvh = build_point_bvh(&points, 1.1, BuildParams::default());
         let inner = RangeProgram {
             queries: vec![Vec3::new(3.5, 3.5, 3.5)],
-            points,
             radius: 1.1,
             k: 1000,
         };
@@ -622,7 +626,12 @@ mod tests {
             fn ray_gen(&self, _: u32) -> Option<(Ray, Option<LaunchMetrics>)> {
                 Some((Ray::point_probe(Vec3::splat(-50.0)), None))
             }
-            fn intersection(&self, _: u32, _: u32, _: &mut Option<LaunchMetrics>) -> IsVerdict {
+            fn intersection(
+                &self,
+                _: Vec3,
+                _: &LeafRecord,
+                _: &mut Option<LaunchMetrics>,
+            ) -> IsVerdict {
                 IsVerdict::Ignore
             }
             fn miss(&self, _: u32, payload: &mut Option<LaunchMetrics>) {
@@ -824,7 +833,6 @@ mod tests {
         let run = |qs: Vec<Vec3>| {
             let program = RangeProgram {
                 queries: qs,
-                points: points.clone(),
                 radius,
                 k: 1000,
             };

@@ -7,14 +7,17 @@
 //!   queue plus a hit counter). Returning `None` masks the lane out, which
 //!   is how partial warps and inactive queries are expressed.
 //! * `intersection` — the IS shader: called for every primitive whose AABB
-//!   the ray intersects. Its verdict distinguishes "not actually a neighbor"
+//!   the ray intersects, with the ray's origin and the primitive's leaf
+//!   record (its point and id), so a distance test reads nothing more.
+//!   Its verdict distinguishes "not actually a neighbor"
 //!   (sphere test failed), "neighbor recorded, keep going", and "neighbor
 //!   recorded and the K-th one found, terminate the ray" — the latter is the
 //!   AH-shader termination of Listing 1.
 //! * `closest_hit` / `miss` — called once per ray after traversal, depending
 //!   on whether any intersection was accepted.
 
-use rtnn_math::Ray;
+use rtnn_bvh::LeafRecord;
+use rtnn_math::{Ray, Vec3};
 
 /// Verdict returned by the intersection shader.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -42,11 +45,12 @@ pub trait RayProgram: Sync {
     /// `None` to leave the lane idle.
     fn ray_gen(&self, launch_index: u32) -> Option<(Ray, Self::Payload)>;
 
-    /// IS shader: `prim_id` is the primitive whose AABB the ray intersected.
+    /// IS shader: `prim` is the leaf record (point and id) of the primitive
+    /// whose AABB the ray from `origin` intersected.
     fn intersection(
         &self,
-        launch_index: u32,
-        prim_id: u32,
+        origin: Vec3,
+        prim: &LeafRecord,
         payload: &mut Self::Payload,
     ) -> IsVerdict;
 
@@ -62,7 +66,6 @@ pub trait RayProgram: Sync {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rtnn_math::Vec3;
 
     /// A minimal program used to exercise the default shader bodies.
     struct CountingProgram;
@@ -76,7 +79,7 @@ mod tests {
                 None
             }
         }
-        fn intersection(&self, _: u32, _: u32, payload: &mut u32) -> IsVerdict {
+        fn intersection(&self, _: Vec3, _: &LeafRecord, payload: &mut u32) -> IsVerdict {
             *payload += 1;
             if *payload >= 3 {
                 IsVerdict::AcceptAndTerminate
@@ -106,10 +109,20 @@ mod tests {
     fn intersection_verdicts() {
         let p = CountingProgram;
         let mut payload = 0u32;
-        assert_eq!(p.intersection(0, 0, &mut payload), IsVerdict::Accept);
-        assert_eq!(p.intersection(0, 1, &mut payload), IsVerdict::Accept);
+        let prim = |id| LeafRecord {
+            point: Vec3::ZERO,
+            id,
+        };
         assert_eq!(
-            p.intersection(0, 2, &mut payload),
+            p.intersection(Vec3::ZERO, &prim(0), &mut payload),
+            IsVerdict::Accept
+        );
+        assert_eq!(
+            p.intersection(Vec3::ZERO, &prim(1), &mut payload),
+            IsVerdict::Accept
+        );
+        assert_eq!(
+            p.intersection(Vec3::ZERO, &prim(2), &mut payload),
             IsVerdict::AcceptAndTerminate
         );
         assert_eq!(payload, 3);

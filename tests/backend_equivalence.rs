@@ -1,9 +1,10 @@
 //! Cross-backend equivalence suite: for every plan kind × optimisation
 //! level, the ray-tracing backend (`GpusimBackend`) must agree with the
 //! exhaustive `BruteForceBackend` oracle on seeded clouds —
-//! bit-equal for KNN (whose distance-sorted output erases traversal-order
-//! differences) and set-equal for range search (whose within-radius *order*
-//! is traversal-defined, so an uncapped comparison is order-normalised).
+//! bit-equal for KNN (whose `(distance², id)`-sorted output erases
+//! traversal-order differences, ties included) and set-equal for range
+//! search (whose within-radius *order* is traversal-defined, so an uncapped
+//! comparison is order-normalised).
 //!
 //! Also proves the `Backend` trait stays object-safe: every backend in the
 //! suite is driven through a `Box<dyn Backend>`, and that every backend
@@ -21,9 +22,8 @@ use rtnn_gpusim::Device;
 use rtnn_math::Vec3;
 use rtnn_serve::{execute_tick, QueryService, Request, ServeConfig, ShardedIndex};
 
-/// A seeded random cloud (no grid degeneracies, so float distance ties —
-/// the one thing that could legitimately differ between candidate visit
-/// orders — do not occur).
+/// A seeded random cloud (no grid degeneracies, so float distance ties do
+/// not occur; a lattice test below covers them).
 fn seeded_cloud(n: usize, seed: u64) -> Vec<Vec3> {
     uniform::generate(&UniformParams {
         num_points: n,
@@ -202,6 +202,58 @@ fn oracle_matches_the_reference_brute_force_scan() {
     );
     for (qi, q) in queries.iter().enumerate() {
         assert_eq!(got[qi], rtnn::verify::brute_force_knn(&points, *q, 8.0, 6));
+    }
+}
+
+/// A tie-heavy scene: on a 12³ integer lattice with 47 points duplicated,
+/// knn(1.5, 4) from a lattice point has one or two neighbours at distance
+/// 0 and six at distance 1, so the 4th distance ties on almost every
+/// query. Each tie goes to the lower id, as `brute_force_knn`'s `(d², id)`
+/// sort gives it, on every backend and optimisation level.
+#[test]
+fn knn_ties_at_the_kth_distance_go_to_the_lower_id_on_every_backend_and_level() {
+    let device = Device::rtx_2080();
+    let mut points: Vec<Vec3> = (0..12 * 12 * 12)
+        .map(|i| Vec3::new((i % 12) as f32, (i / 12 % 12) as f32, (i / 144) as f32))
+        .collect();
+    let duplicates: Vec<Vec3> = (0..47).map(|i| points[i * 36 + 5]).collect();
+    points.extend(duplicates);
+    let mut queries: Vec<Vec3> = points.iter().step_by(5).copied().collect();
+    // Half-integer queries tie among the lattice points around them.
+    queries.extend((0..10).map(|i| Vec3::new(2.5 + i as f32, 4.0, 6.5)));
+    let (radius, k) = (1.5, 4);
+    let want: Vec<Vec<u32>> = queries
+        .iter()
+        .map(|&q| rtnn::verify::brute_force_knn(&points, q, radius, k))
+        .collect();
+    // The scene must tie at the k-th distance for most queries.
+    let ties = queries
+        .iter()
+        .filter(|&&q| {
+            let mut d2: Vec<f32> = points.iter().map(|&p| q.distance_squared(p)).collect();
+            d2.sort_by(f32::total_cmp);
+            d2[k - 1] == d2[k] && d2[k] < radius * radius
+        })
+        .count();
+    assert!(ties > queries.len() / 2, "only {ties} queries tie");
+
+    let rt: Box<dyn Backend + '_> = Box::new(GpusimBackend::new(&device));
+    let oracle: Box<dyn Backend + '_> = Box::new(BruteForceBackend::new(&device));
+    for (name, backend) in [("gpusim", &rt), ("brute force", &oracle)] {
+        for opt in OptLevel::all() {
+            let got = run_plan(
+                backend.as_ref(),
+                &points,
+                &queries,
+                opt,
+                &QueryPlan::knn(radius, k),
+            );
+            let differ = (0..queries.len()).filter(|&q| got[q] != want[q]).count();
+            assert_eq!(
+                differ, 0,
+                "{name} {opt:?}: queries that differ from the oracle"
+            );
+        }
     }
 }
 

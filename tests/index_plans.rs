@@ -343,7 +343,7 @@ fn plan_validation_is_typed_and_names_the_field() {
         // Every error message names the offending field or structure.
         let msg = err.to_string();
         assert!(
-            msg.contains("invalid configuration"),
+            msg.starts_with("invalid plan: "),
             "missing error prefix: {msg}"
         );
     }

@@ -17,7 +17,7 @@ use rtnn::{
     plan_bundles, Backend, CostCoefficients, EngineConfig, GpusimBackend, Index, KnnAabbRule,
     MegacellGrid, OptLevel, PartitionSet, QueryPlan, SearchMode, SearchParams,
 };
-use rtnn_bvh::{build_bvh, validate_bvh, BuildParams, BvhBuilder};
+use rtnn_bvh::{build_point_bvh, validate_bvh, BuildParams, BvhBuilder};
 use rtnn_gpusim::Device;
 use rtnn_math::{Aabb, Vec3};
 
@@ -171,8 +171,11 @@ proptest! {
         max_leaf in 1u32..9,
     ) {
         let builder = [BvhBuilder::Lbvh, BvhBuilder::LbvhSerial][builder_idx];
-        let aabbs: Vec<Aabb> = points.iter().map(|&p| Aabb::cube(p, width)).collect();
-        let bvh = build_bvh(&aabbs, BuildParams { builder, max_leaf_size: max_leaf });
+        let bvh = build_point_bvh(
+            &points,
+            0.5 * width,
+            BuildParams { builder, max_leaf_size: max_leaf },
+        );
         prop_assert!(validate_bvh(&bvh).is_ok());
         prop_assert_eq!(bvh.num_primitives(), points.len());
     }
@@ -185,8 +188,8 @@ proptest! {
     ) {
         // The fundamental equivalence of Section 3.1: traversing the BVH with
         // a short ray finds exactly the AABBs that contain the query point.
+        let bvh = build_point_bvh(&points, 0.5 * width, BuildParams::default());
         let aabbs: Vec<Aabb> = points.iter().map(|&p| Aabb::cube(p, width)).collect();
-        let bvh = build_bvh(&aabbs, BuildParams::default());
         let mut via_bvh = bvh.primitives_containing(query);
         via_bvh.sort_unstable();
         let mut via_scan: Vec<u32> = aabbs
